@@ -30,7 +30,6 @@ from .loops import (
 from .terms import (
     CKTerm,
     GaussianRational,
-    GraphStarContext,
     NormalMonomial,
     StarContext,
     adjoint,
@@ -46,7 +45,6 @@ from .embedding import (
     GeneratorMap,
     LoopReplacement,
     MultiplicitySeq,
-    corner_dimension,
     embed,
     materialize,
 )

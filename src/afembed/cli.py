@@ -1,10 +1,10 @@
 """Command-line front end: parse, classify, embed, verify, export.
 
 Exit codes: 0 for AF or AF-embeddable inputs (the report distinguishes
-them), 3 when a loop has an entrance, 1 for unreadable or malformed input,
-2 when a verification check fails.  Structured output is newline-delimited
-JSON records with sorted keys, so identical inputs produce byte-identical
-reports.
+them), 3 when a loop has an entrance, 1 for unreadable or malformed input
+and command-line usage errors, 2 when a verification check fails.
+Structured output is newline-delimited JSON records with sorted keys, so
+identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -95,12 +95,13 @@ def cmd_classify(args, out) -> int:
 
 def cmd_loops(args, out) -> int:
     g = _load(args.input)
-    cls = classify(g)
-    if cls.verdict is Verdict.NOT_FINITE:
-        _emit([{"record": "error", "reason": "entrance exists", "at": cls.witness.entry_vertex}], args.format, out)
+    try:
+        loops = disjoint_simple_loops(g)
+    except EntranceExistsError as exc:
+        _emit([{"record": "error", "reason": "entrance exists", "at": exc.witness.entry_vertex}], args.format, out)
         return EXIT_NOT_FINITE
-    records = [{"record": "loops", "count": len(cls.loops)}]
-    for loop in disjoint_simple_loops(g):
+    records = [{"record": "loops", "count": len(loops)}]
+    for loop in loops:
         records.append(
             {"record": "loop", "edges": " ".join(loop.edges), "vertices": " ".join(loop.vertices)}
         )
@@ -301,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means a failed verification here
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     if getattr(args, "depth", 0) < 0:
         print("error: depth must be >= 0", file=out)
         return EXIT_INPUT_ERROR

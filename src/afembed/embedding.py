@@ -160,9 +160,6 @@ class AugmentedGraphSpec(StarContext):
                 edges.append((loop.edge_index(i), u_i, u_next))
         return Graph.build(self.base.vertices, edges)
 
-    def ck_family_graph(self) -> Graph:
-        return self.original_graph()
-
     def replacement_for(self, loop: SimpleLoop) -> LoopReplacement:
         for rep in self.replacements:
             if rep.loop == loop:
@@ -237,7 +234,6 @@ class GeneratorMap:
     and the i-th edge of a replaced loop to ``s(f_{i+1}) t s*(f_i)``.
     """
 
-    vertex_map: dict[str, str]
     edge_map: dict[str, CKTerm]
 
 
@@ -280,7 +276,6 @@ def embed(g: Graph, mult: MultiplicitySeq | None = None) -> tuple[AugmentedGraph
     )
     spec = AugmentedGraphSpec(base, replacements)
 
-    vertex_map = {v: v for v in sorted(g.vertices)}
     edge_map: dict[str, CKTerm] = {}
     for e in g.edges:
         if e.name not in loop_edge_names:
@@ -291,7 +286,7 @@ def embed(g: Graph, mult: MultiplicitySeq | None = None) -> tuple[AugmentedGraph
             edge_map[rep.loop.edge_index(i)] = CKTerm.of(
                 NormalMonomial((rep.f_edge_for(i + 1),), 1, (rep.f_edge_for(i),), sink)
             )
-    return spec, GeneratorMap(vertex_map=vertex_map, edge_map=edge_map)
+    return spec, GeneratorMap(edge_map)
 
 
 def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
@@ -321,12 +316,6 @@ def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
         vertices.extend(generated_vertices)
         edges.extend(generated_edges)
     return Graph.build(vertices, edges)
-
-
-def corner_dimension(spec: AugmentedGraphSpec, tail_index: int, depth: int) -> list[int]:
-    """Matrix sizes of the corner's finite stages: paths into the sink per level."""
-    rep = spec.replacements[tail_index]
-    return rep.tail.mult.level_sizes(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -385,5 +374,4 @@ def genmap_from_text(text: str, spec: AugmentedGraphSpec) -> GeneratorMap:
             raise ValueError(f"line {lineno}: expected '<edge-id> = <term>'")
         name, _, rhs = line.partition("=")
         edge_map[name.strip()] = parse_term(rhs.strip(), spec)
-    vertex_map = {v: v for v in sorted(spec.original_graph().vertices)}
-    return GeneratorMap(vertex_map=vertex_map, edge_map=edge_map)
+    return GeneratorMap(edge_map)

@@ -141,9 +141,6 @@ class Graph:
         g._out.update(out)
         return g
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
-
     def edge(self, name: str) -> Edge:
         try:
             return self._by_name[name]
@@ -236,13 +233,18 @@ def graph_to_dict(g: Graph) -> dict:
     }
 
 
-def graph_from_dict(obj: dict) -> Graph:
-    try:
-        vertices = obj["vertices"]
-        edges = [(e["id"], e["src"], e["dst"]) for e in obj["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise GraphParseError(f"malformed graph object: {exc}") from exc
-    return Graph.build(vertices, edges)
+def graph_from_dict(obj: object) -> Graph:
+    if not isinstance(obj, dict):
+        raise GraphParseError(f"a JSON graph must be an object, not {type(obj).__name__}")
+    vertices, edges = obj.get("vertices"), obj.get("edges")
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise GraphParseError("'vertices' must be a list of string ids")
+    if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
+        raise GraphParseError("'edges' must be a list of objects with 'id', 'src' and 'dst'")
+    triples = [(e.get("id"), e.get("src"), e.get("dst")) for e in edges]
+    if not all(isinstance(x, str) for t in triples for x in t):
+        raise GraphParseError("every edge needs string 'id', 'src' and 'dst' values")
+    return Graph.build(vertices, triples)
 
 
 def parse_graph_json(text: str) -> Graph:
@@ -254,18 +256,22 @@ def parse_graph_json(text: str) -> Graph:
 
 
 def load_graph(text: str) -> Graph:
-    """Parse either supported format, sniffing JSON by the leading brace."""
-    if text.lstrip().startswith("{"):
+    """Parse either supported format, sniffing JSON by a leading brace or bracket."""
+    if text.lstrip().startswith(("{", "[")):
         return parse_graph_json(text)
     return parse_graph(text)
+
+
+def _dot_quote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_dot(g: Graph, name: str = "E") -> str:
     """Render as a DOT digraph; arcs run source -> range, labeled by edge id."""
     lines = [f"digraph {name} {{"]
     for v in sorted(g.vertices):
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_quote(v)};")
     for e in g.edges:
-        lines.append(f'  "{e.source}" -> "{e.range}" [label="{e.name}"];')
+        lines.append(f"  {_dot_quote(e.source)} -> {_dot_quote(e.range)} [label={_dot_quote(e.name)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -68,17 +68,6 @@ class SimpleLoop:
         i = self.vertices.index(v)  # range(e_{i}) = u_{i+1}, cyclically
         return self.edge_index(self.n if i == 0 else i)
 
-    def based_at(self, v: str) -> "SimpleLoop":
-        """Cyclic rotation so that the loop starts and ends at ``v``."""
-        k = self.vertices.index(v)
-        if k == 0:
-            return self
-        verts = self.vertices[k:] + self.vertices[:k]
-        # traversal order is reversed(self.edges); rotate there, then flip back
-        trav = tuple(reversed(self.edges))
-        trav = trav[k:] + trav[:k]
-        return SimpleLoop(tuple(reversed(trav)), verts)
-
     @classmethod
     def from_edges(cls, g: Graph, edges: tuple[str, ...]) -> "SimpleLoop":
         if not edges:
@@ -236,28 +225,15 @@ def entrance_violation(g: Graph) -> tuple[str, str] | None:
     The returned edge is the smallest receiver that is not the loop's own
     incoming edge at that vertex, i.e. an entry edge usable in a witness.
     """
-    for v in sorted(cycle_vertices(g)):
-        rec = g.receivers(v)
-        if len(rec) > 1:
-            loop = simple_cycle_through(g, v)
-            entry = min(rec - {loop.edge_into(v)})
-            return v, entry
-    return None
+    w = classify(g).witness
+    return None if w is None else (w.entry_vertex, w.entry_edge)
 
 
 def make_entrance_witness(g: Graph) -> EntranceWitness:
-    violation = entrance_violation(g)
-    if violation is None:
+    w = classify(g).witness
+    if w is None:
         raise ValueError("graph has no loop with an entrance")
-    v, entry = violation
-    loop = simple_cycle_through(g, v)
-    return EntranceWitness(
-        loop=loop,
-        entry_vertex=v,
-        entry_edge=entry,
-        alpha=g.path(loop.edges),
-        beta=g.path((entry,)),
-    )
+    return w
 
 
 def disjoint_simple_loops(g: Graph) -> list[SimpleLoop]:
@@ -267,11 +243,32 @@ def disjoint_simple_loops(g: Graph) -> list[SimpleLoop]:
     are pairwise vertex- and edge-disjoint.  Each loop is based at its
     smallest vertex; loops are sorted by base vertex.
     """
-    if entrance_violation(g) is not None:
-        raise EntranceExistsError(make_entrance_witness(g))
+    cls = classify(g)
+    if cls.witness is not None:
+        raise EntranceExistsError(cls.witness)
+    return list(cls.loops)
+
+
+def classify(g: Graph) -> Classification:
+    """Apply the finiteness trichotomy: AF, AF-embeddable, or not finite.
+
+    This is the one graph analysis: a single Tarjan pass, and one cycle
+    search at the first cycle vertex with a second receiver, whose witness
+    the three functions above also read.
+    """
+    cycles = cycle_vertices(g)
+    if not cycles:
+        return Classification(Verdict.AF)
+    for v in sorted(cycles):
+        rec = g.receivers(v)
+        if len(rec) > 1:
+            loop = simple_cycle_through(g, v)
+            entry = min(rec - {loop.edge_into(v)})
+            witness = EntranceWitness(loop, v, entry, g.path(loop.edges), g.path((entry,)))
+            return Classification(Verdict.NOT_FINITE, witness=witness)
     seen: set[str] = set()
     loops: list[SimpleLoop] = []
-    for v in sorted(cycle_vertices(g)):
+    for v in sorted(cycles):
         if v in seen:
             continue
         edges: list[str] = []
@@ -288,18 +285,7 @@ def disjoint_simple_loops(g: Graph) -> list[SimpleLoop]:
         loop = SimpleLoop(tuple(edges), (v,) + tuple(reversed(vertices[1:])))
         seen.update(loop.vertices)
         loops.append(loop)
-    return loops
-
-
-def classify(g: Graph) -> Classification:
-    """Apply the finiteness trichotomy: AF, AF-embeddable, or not finite."""
-    if not cycle_vertices(g):
-        return Classification(Verdict.AF)
-    if entrance_violation(g) is not None:
-        return Classification(Verdict.NOT_FINITE, witness=make_entrance_witness(g))
-    return Classification(
-        Verdict.AF_EMBEDDABLE_NOT_AF, loops=tuple(disjoint_simple_loops(g))
-    )
+    return Classification(Verdict.AF_EMBEDDABLE_NOT_AF, loops=tuple(loops))
 
 
 def validate_witness(g: Graph, w: EntranceWitness) -> None:

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .graph import Graph
-
 Atom = tuple
 Word = tuple  # tuple of atoms
 
@@ -149,43 +147,6 @@ class StarContext(abc.ABC):
             (e,) = rec
             return e
         return None
-
-
-class GraphStarContext(StarContext):
-    """Plain graph context: no tails, no unitaries."""
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-
-    def has_vertex(self, v: str) -> bool:
-        return self.graph.has_vertex(v)
-
-    def edge_source(self, e: str) -> str:
-        try:
-            return self.graph.edge(e).source
-        except Exception as exc:
-            raise ContextMismatchError(str(exc)) from exc
-
-    def edge_range(self, e: str) -> str:
-        try:
-            return self.graph.edge(e).range
-        except Exception as exc:
-            raise ContextMismatchError(str(exc)) from exc
-
-    def receivers(self, v: str) -> frozenset[str]:
-        try:
-            return self.graph.receivers(v)
-        except Exception as exc:
-            raise ContextMismatchError(str(exc)) from exc
-
-    def sink_vertex(self, namespace: str) -> str:
-        raise ContextMismatchError(f"no tail named {namespace!r} in a plain graph context")
-
-    def sink_namespace(self, v: str) -> str | None:
-        return None
-
-    def ck_family_graph(self) -> Graph:
-        return self.graph
 
 
 @dataclass(frozen=True)
@@ -342,16 +303,6 @@ def reduce_pair(ctx: StarContext, a: Atom, b: Atom):
     if ta == "s*" and tb == "t":
         return "keep" if ctx.edge_range(a[1]) == ctx.sink_vertex(b[1]) else ZERO
     raise ValueError(f"unhandled atom pair {a!r}, {b!r}")
-
-
-def reduce_word_at(ctx: StarContext, word: Word, i: int):
-    """Apply the pair rule at position ``i``; ``"keep"`` if none applies."""
-    step = reduce_pair(ctx, word[i], word[i + 1])
-    if step == "keep":
-        return "keep"
-    if step is ZERO:
-        return ZERO
-    return word[:i] + (step,) + word[i + 2 :]
 
 
 def normalize_word(ctx: StarContext, word: Iterable[Atom]):

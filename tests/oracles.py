@@ -99,7 +99,7 @@ def all_order_normal_forms(ctx: StarContext, word: tuple) -> set:
 def count_paths_with_range(g: Graph, v: str, length: int) -> int:
     """Path count by explicit enumeration (checks the product formula)."""
     if length == 0:
-        return 1 if g.has_vertex(v) else 0
+        return 1 if v in g.vertices else 0
     frontier = [((e.name,), e.source) for e in g.edges if e.range == v]
     for _ in range(length - 1):
         frontier = [

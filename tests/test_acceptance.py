@@ -19,7 +19,6 @@ from afembed.numrep import build_rep, loop_spectrum, op_of_term, relation_residu
 from afembed.terms import (
     CKTerm,
     GaussianRational,
-    GraphStarContext,
     NormalMonomial,
     adjoint,
     multiply,
@@ -173,7 +172,7 @@ def test_criterion_6_witness_soundness():
         g = random_entrance_graph(rng)
         assert classify(g).verdict is Verdict.NOT_FINITE
         w = make_entrance_witness(g)
-        report = verify_witness(w, GraphStarContext(g))
+        report = verify_witness(w, g)
         ok &= report.all_proved and len(report.checks) == 3
     _report("6 witness soundness", ok, started, budget=5.0)
 

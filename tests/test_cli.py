@@ -8,6 +8,7 @@ from afembed.cli import (
     EXIT_NOT_FINITE,
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
+    entry_point,
     main,
 )
 from afembed.graph import load_graph
@@ -188,6 +189,35 @@ class TestVerify:
         )
         assert code == EXIT_INPUT_ERROR
         assert "domain" in out
+
+
+class TestUsageErrors:
+    """argparse's own exit code 2 would read as "a verification failed"."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--input", "g.txt", "--mult", "x;2"],
+            ["verify"],
+            ["classify", "--input", "g.txt", "--format", "yaml"],
+            [],
+        ],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        code, _ = run_cli(argv)
+        assert code == EXIT_INPUT_ERROR
+        assert "usage:" in capsys.readouterr().err
+
+    def test_process_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["afembed", "verify", "--mult", "x;2"])
+        with pytest.raises(SystemExit) as exc:
+            entry_point()
+        assert exc.value.code == EXIT_INPUT_ERROR
+
+    def test_help_exits_0(self, capsys):
+        code, _ = run_cli(["verify", "--help"])
+        assert code == EXIT_OK
+        assert "--mult" in capsys.readouterr().out
 
 
 class TestExport:

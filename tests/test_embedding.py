@@ -7,7 +7,6 @@ from afembed.embedding import (
     LoopReplacement,
     MultiplicitySeq,
     NamespaceCollisionError,
-    corner_dimension,
     embed,
     genmap_from_text,
     genmap_to_text,
@@ -84,7 +83,6 @@ class TestEmbed:
 
     def test_domain_covers_generators_exactly(self, square, square_embedding):
         _, gmap = square_embedding
-        assert set(gmap.vertex_map) == set(square.vertices)
         assert set(gmap.edge_map) == {e.name for e in square.edges}
 
     def test_namespace_avoids_collision(self):
@@ -103,7 +101,6 @@ class TestEmbed:
     def test_one_replacement_per_loop(self, g):
         spec, gmap = embed(g)
         assert len(spec.replacements) == len(disjoint_simple_loops(g))
-        assert set(gmap.vertex_map) == set(g.vertices)
         assert set(gmap.edge_map) == {e.name for e in g.edges}
         kept = {e.name for e in spec.base.edges}
         replaced = {e for rep in spec.replacements for e in rep.loop.edges}
@@ -174,18 +171,19 @@ class TestMaterialize:
 class TestCornerDimension:
     def test_default_mult(self, square_embedding):
         spec, _ = square_embedding
-        assert corner_dimension(spec, 0, 3) == [1, 2, 4, 8]
+        assert spec.replacements[0].tail.mult.level_sizes(3) == [1, 2, 4, 8]
 
     def test_prefix_mult_cross_checked_by_enumeration(self, square):
         spec, _ = embed(square, MultiplicitySeq((3,), 2))
-        assert corner_dimension(spec, 0, 3) == [1, 3, 6, 12]
+        sizes = spec.replacements[0].tail.mult.level_sizes(3)
+        assert sizes == [1, 3, 6, 12]
         f3 = materialize(spec, 3)
         for k in range(4):
-            assert count_paths_with_range(f3, "T1.v", k) == corner_dimension(spec, 0, 3)[k]
+            assert count_paths_with_range(f3, "T1.v", k) == sizes[k]
 
     def test_product_formula_by_enumeration_to_depth_8(self, square_embedding):
         spec, _ = square_embedding
-        sizes = corner_dimension(spec, 0, 8)
+        sizes = spec.replacements[0].tail.mult.level_sizes(8)
         f8 = materialize(spec, 8)
         for k in range(9):
             assert count_paths_with_range(f8, "T1.v", k) == sizes[k] == 2**k
@@ -193,7 +191,7 @@ class TestCornerDimension:
     def test_invalid_tail_index(self, square_embedding):
         spec, _ = square_embedding
         with pytest.raises(IndexError):
-            corner_dimension(spec, 5, 3)
+            spec.replacements[5].tail.mult.level_sizes(3)
 
 
 class TestLazyContext:
@@ -233,7 +231,6 @@ class TestSerialization:
         text = genmap_to_text(gmap, spec)
         again = genmap_from_text(text, spec)
         assert again.edge_map == gmap.edge_map
-        assert again.vertex_map == gmap.vertex_map
 
     def test_genmap_text_shape(self, square_embedding):
         spec, gmap = square_embedding

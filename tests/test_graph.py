@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +13,7 @@ from afembed.graph import (
     export_dot,
     graph_from_dict,
     graph_to_dict,
+    load_graph,
     parse_graph,
     serialize_graph,
 )
@@ -123,6 +126,46 @@ class TestPaths:
             assert square.is_path(p.edges[k:])
 
 
+class TestMalformedJson:
+    """Each document is rejected with a GraphParseError, never a TypeError
+    traceback and never silently read as some other graph."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"vertices": [1, 2], "edges": []}',
+            '{"vertices": "abc", "edges": []}',
+            '{"vertices": ["a"], "edges": "xy"}',
+            '{"vertices": ["a"], "edges": [{"id": 1, "src": "a", "dst": "a"}]}',
+            '{"vertices": ["a"], "edges": [{"id": "e", "src": "a", "dst": ["a"]}]}',
+            '{"vertices": ["a"], "edges": ["e"]}',
+            '{"vertices": ["a"], "edges": [{"id": "e", "src": "a"}]}',
+            '{"vertices": ["a"]}',
+            "[1, 2]",
+        ],
+    )
+    def test_rejected_by_load_graph(self, doc):
+        with pytest.raises(GraphParseError):
+            load_graph(doc)
+
+    def test_top_level_array_is_not_an_unknown_directive(self):
+        with pytest.raises(GraphParseError, match="must be an object"):
+            load_graph("[1,2]")
+
+    @pytest.mark.parametrize("obj", ["abc", 42, None, [1, 2], ["a"]])
+    def test_non_object_documents(self, obj):
+        with pytest.raises(GraphParseError):
+            graph_from_dict(obj)
+
+    def test_string_vertices_not_split_into_characters(self):
+        with pytest.raises(GraphParseError, match="list of string ids"):
+            graph_from_dict({"vertices": "abc", "edges": []})
+
+    def test_string_edges_named_in_message(self):
+        with pytest.raises(GraphParseError, match="'edges' must be a list of objects"):
+            graph_from_dict({"vertices": ["a"], "edges": "xy"})
+
+
 class TestDotExport:
     def test_square(self, square):
         dot = export_dot(square)
@@ -137,3 +180,14 @@ class TestDotExport:
     def test_parallel_edges_stay_distinct(self, two_self_loops):
         dot = export_dot(two_self_loops)
         assert dot.count('"v" -> "v"') == 2
+
+    def test_quotes_and_backslashes_escaped(self):
+        g = Graph.build(['a"b', "c\\"], [('e"1', 'a"b', "c\\")])
+        dot = export_dot(g)
+        assert '  "a\\"b" -> "c\\\\" [label="e\\"1"];' in dot
+        # every quoted DOT string is closed: nothing but separators lies between them
+        quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+        for line in dot.splitlines()[1:-1]:
+            assert set(quoted.sub("", line)) <= set(" ->;[]label=")
+        ids = {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in quoted.findall(dot)}
+        assert ids == {'a"b', "c\\", 'e"1'}

@@ -129,6 +129,27 @@ class TestClassify:
     def test_matches_literal_oracle(self, g):
         assert classify(g).verdict is oracle_classify(g)
 
+    def test_one_analysis_per_call(self, square_plus_entrance, monkeypatch):
+        """A not-finite verdict runs Tarjan once and the cycle search once."""
+        import afembed.loops as loops_mod
+
+        calls = {"scc": 0, "cycle": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            loops_mod, "_strongly_connected_components", counted("scc", loops_mod._strongly_connected_components)
+        )
+        monkeypatch.setattr(loops_mod, "simple_cycle_through", counted("cycle", simple_cycle_through))
+        cls = classify(square_plus_entrance)
+        assert cls.verdict is Verdict.NOT_FINITE
+        assert calls == {"scc": 1, "cycle": 1}
+
 
 class TestWitness:
     def test_shortest_instance(self, two_self_loops):

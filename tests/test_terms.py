@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afembed.embedding import embed
+from afembed.embedding import AugmentedGraphSpec, embed
 from afembed.graph import parse_graph
 from afembed.terms import (
     ZERO,
@@ -12,7 +12,6 @@ from afembed.terms import (
     CKTerm,
     ContextMismatchError,
     GaussianRational,
-    GraphStarContext,
     NormalMonomial,
     adjoint,
     expand_ck3,
@@ -141,7 +140,7 @@ class TestAdjoint:
 
 class TestExpandCK3:
     def test_two_receivers(self, two_self_loops):
-        ctx = GraphStarContext(two_self_loops)
+        ctx = AugmentedGraphSpec(two_self_loops, ())
         out = expand_ck3(projection(ctx, "v"), "v", ctx)
         expected = CKTerm.of(NormalMonomial(("a",), 0, ("a",), "v")) + CKTerm.of(
             NormalMonomial(("b",), 0, ("b",), "v")
@@ -154,7 +153,7 @@ class TestExpandCK3:
 
     def test_no_receivers_is_an_error(self):
         g = parse_graph("vertex a\nvertex b\nedge e a b\n")
-        ctx = GraphStarContext(g)
+        ctx = AugmentedGraphSpec(g, ())
         with pytest.raises(CK3ExpansionError):
             expand_ck3(projection(ctx, "a"), "a", ctx)
 

@@ -1,11 +1,10 @@
 import pytest
 from hypothesis import given, settings
 
-from afembed.embedding import GeneratorMap, embed, genmap_from_text, genmap_to_text
+from afembed.embedding import AugmentedGraphSpec, GeneratorMap, embed, genmap_from_text, genmap_to_text
 from afembed.graph import parse_graph
 from afembed.loops import make_entrance_witness
 from afembed.terms import (
-    GraphStarContext,
     NormalMonomial,
     CKTerm,
     adjoint,
@@ -60,7 +59,7 @@ class TestVerifyCKFamily:
         spec, gmap = square_embedding
         bad_edges = dict(gmap.edge_map)
         bad_edges["e1"] = CKTerm.of(NormalMonomial(("T1.f3",), 1, ("T1.f1",), "T1.v"))
-        report = verify_ck_family(GeneratorMap(gmap.vertex_map, bad_edges), spec)
+        report = verify_ck_family(GeneratorMap(bad_edges), spec)
         assert not report.all_proved
         failed = report.failures()
         assert any(c.relation == "CK3[u2]" for c in failed)
@@ -76,15 +75,15 @@ class TestVerifyCKFamily:
 class TestVerifyWitness:
     def test_two_self_loop_witness(self, two_self_loops):
         w = make_entrance_witness(two_self_loops)
-        report = verify_witness(w, GraphStarContext(two_self_loops))
+        report = verify_witness(w, two_self_loops)
         assert report.all_proved
         assert len(report.checks) == 3
 
     def test_square_plus_entrance_cross_checked(self, square_plus_entrance):
         g = square_plus_entrance
         w = make_entrance_witness(g)
-        ctx = GraphStarContext(g)
-        report = verify_witness(w, ctx)
+        ctx = AugmentedGraphSpec(g, ())
+        report = verify_witness(w, g)
         assert report.all_proved
         # cross-check each identity by the exhaustive rewrite-order oracle
         alpha_word = tuple(("s*", e) for e in reversed(w.alpha.edges)) + tuple(
@@ -103,14 +102,14 @@ class TestVerifyWitness:
         w = make_entrance_witness(two_self_loops)
         bad = EntranceWitness(w.loop, w.entry_vertex, w.entry_edge, w.alpha, w.alpha)
         with pytest.raises(InvalidWitnessError):
-            verify_witness(bad, GraphStarContext(two_self_loops))
+            verify_witness(bad, two_self_loops)
 
     @given(entrance_graphs())
     @settings(max_examples=60, deadline=None)
     def test_generated_witnesses_prove(self, g):
         w = make_entrance_witness(g)
-        ctx = GraphStarContext(g)
-        report = verify_witness(w, ctx)
+        ctx = AugmentedGraphSpec(g, ())
+        report = verify_witness(w, g)
         assert report.all_proved
         # the algebraic content directly
         s_a = path_isometry(ctx, w.alpha.edges)
