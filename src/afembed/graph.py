@@ -256,10 +256,20 @@ def parse_graph_json(text: str) -> Graph:
 
 
 def load_graph(text: str) -> Graph:
-    """Parse either supported format, sniffing JSON by a leading brace or bracket."""
+    """Parse either supported format.
+
+    A leading brace or bracket means JSON.  Any other document that is a
+    whole JSON value (a number, string, ``true``, ``false`` or ``null``) is
+    reported as JSON that is not an object rather than as a bad directive;
+    no text-format graph is valid JSON.
+    """
     if text.lstrip().startswith(("{", "[")):
         return parse_graph_json(text)
-    return parse_graph(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        return parse_graph(text)
+    return graph_from_dict(obj)
 
 
 def _dot_quote(s: str) -> str:

@@ -12,6 +12,9 @@ generator maps that must keep failing the same way.
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ import pytest
 from afembed.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # case name -> argv; "@name" is replaced by the path of GOLDEN / name
 CASES = {
@@ -71,3 +75,29 @@ def test_corpus_exercises_every_outcome():
     assert {codes[n] for n in ("verify_square_fswap_map", "verify_square_tdropped_map")} == {2}
     assert codes["verify_square_plus_entrance"] == 3
     assert "receiver expansion" in (GOLDEN / "verify_cycles_dag.stdout").read_text()
+
+
+# runs the CLI in a fresh interpreter in which any import of scipy fails
+WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+import afembed
+from afembed.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_verify_needs_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", WITHOUT_SCIPY, *resolve(CASES["verify_square_d6"])]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    expected_code = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))["verify_square_d6"]
+    assert proc.returncode == expected_code, proc.stderr.decode("utf-8", "replace")[-500:]
+    assert proc.stdout == (GOLDEN / "verify_square_d6.stdout").read_bytes()

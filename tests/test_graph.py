@@ -1,10 +1,13 @@
+import json
 import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afembed.graph import (
     Graph,
+    GraphError,
     GraphParseError,
     PathError,
     UndeclaredEndpointError,
@@ -151,6 +154,29 @@ class TestMalformedJson:
     def test_top_level_array_is_not_an_unknown_directive(self):
         with pytest.raises(GraphParseError, match="must be an object"):
             load_graph("[1,2]")
+
+    @pytest.mark.parametrize(
+        "doc, kind",
+        [("42", "int"), ('"abc"', "str"), ("null", "NoneType"), ("true", "bool"), ("-1", "int")],
+    )
+    def test_top_level_scalar_is_not_an_unknown_directive(self, doc, kind):
+        with pytest.raises(GraphParseError, match=f"a JSON graph must be an object, not {kind}$"):
+            load_graph(doc)
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+            max_leaves=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value_loads_or_raises_graph_error(self, value):
+        try:
+            g = load_graph(json.dumps(value))
+        except GraphError:
+            return
+        assert isinstance(g, Graph)
 
     @pytest.mark.parametrize("obj", ["abc", 42, None, [1, 2], ["a"]])
     def test_non_object_documents(self, obj):

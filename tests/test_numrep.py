@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afembed.embedding import MultiplicitySeq, embed
 from afembed.numrep import (
+    Operator,
     PathBasis,
+    Piece,
     RepresentationError,
     build_rep,
     loop_spectrum,
@@ -28,8 +29,11 @@ def square_rep(square_embedding):
     return build_rep(spec, 4)
 
 
-def _dense(x):
-    return x.toarray() if sp.issparse(x) else np.asarray(x)
+def _interior(rep):
+    """Dense projector onto the interior paths, lengths 1 .. depth-1."""
+    return np.diag(
+        [1.0 if 1 <= len(p.edges) <= rep.depth - 1 else 0.0 for p in rep.basis.paths]
+    ).astype(np.complex128)
 
 
 class TestBuildRep:
@@ -49,39 +53,35 @@ class TestBuildRep:
         spec, _ = square_embedding
         rep = build_rep(spec, 1)
         level1 = rep.corner_levels["T1"][1]
-        t = rep.T["T1"]
+        t = rep.T["T1"].toarray()
         entries = [complex(t[i, i]) for i in level1]
         assert np.allclose(sorted(entries, key=lambda z: z.real), [-1.0, 1.0])
 
     def test_unitary_on_corner(self, square_rep):
-        t = square_rep.T["T1"]
-        p_v = square_rep.P["T1.v"]
-        assert np.max(np.abs(_dense(t @ t.conjugate().T - p_v))) <= ALG_TOL
-        assert np.max(np.abs(_dense(t.conjugate().T @ t - p_v))) <= ALG_TOL
+        t = square_rep.T["T1"].toarray()
+        p_v = square_rep.P["T1.v"].toarray()
+        assert np.max(np.abs(t @ t.conj().T - p_v)) <= ALG_TOL
+        assert np.max(np.abs(t.conj().T @ t - p_v)) <= ALG_TOL
 
     def test_t_supported_on_corner(self, square_rep):
-        t = square_rep.T["T1"]
-        p_v = square_rep.P["T1.v"]
-        assert np.max(np.abs(_dense(p_v @ t - t))) == 0.0
-        assert np.max(np.abs(_dense(t @ p_v - t))) == 0.0
+        t = square_rep.T["T1"].toarray()
+        p_v = square_rep.P["T1.v"].toarray()
+        assert np.max(np.abs(p_v @ t - t)) == 0.0
+        assert np.max(np.abs(t @ p_v - t)) == 0.0
 
     def test_generator_co_isometry_exact_below_boundary(self, square_rep):
         """S[e]* S[e] = P[source(e)] exactly on all paths shorter than the
         depth, vertex vectors included; only the boundary layer truncates."""
-        n = square_rep.dimension
-        below = [
-            i for i, p in enumerate(square_rep.basis.paths) if len(p.edges) <= square_rep.depth - 1
-        ]
-        mask = sp.csr_matrix(
-            (np.ones(len(below)), (below, below)), shape=(n, n), dtype=np.complex128
-        )
+        mask = np.diag(
+            [1.0 if len(p.edges) <= square_rep.depth - 1 else 0.0 for p in square_rep.basis.paths]
+        ).astype(np.complex128)
         for e in square_rep.graph.edges:
-            s = square_rep.S[e.name]
-            diff = (s.conjugate().T @ s - square_rep.P[e.source]) @ mask
-            assert np.max(np.abs(_dense(diff))) == 0.0
+            s = square_rep.S[e.name].toarray()
+            diff = (s.conj().T @ s - square_rep.P[e.source].toarray()) @ mask
+            assert np.max(np.abs(diff)) == 0.0
 
     def test_edge_isometry_action(self, square_rep):
-        s = square_rep.S["T1.f1"]
+        s = square_rep.S["T1.f1"].toarray()
         # moves each corner path of length < d to its f1-extension
         v_path = square_rep.graph.vertex_path("T1.v")
         i = square_rep.basis.index[v_path]
@@ -95,15 +95,15 @@ class TestOpOfTerm:
     def test_projection_trace_counts_paths(self, square_rep):
         p = op_of_term(CKTerm.of(NormalMonomial((), 0, (), "u1")), square_rep)
         ranging = [q for q in square_rep.basis.paths if q.range == "u1"]
-        assert abs(_dense(p).trace() - len(ranging)) < 1e-14
+        assert abs(p.toarray().trace() - len(ranging)) < 1e-14
 
     def test_mapped_edge_is_partial_isometry(self, square_embedding, square_rep):
         spec, gmap = square_embedding
-        a = op_of_term(gmap.edge_map["e1"], square_rep)
-        pi = square_rep.interior_projector()
-        p_u1 = op_of_term(CKTerm.of(NormalMonomial((), 0, (), "u1")), square_rep)
-        diff = pi @ (a.conjugate().T @ a - p_u1) @ pi
-        assert np.max(np.abs(_dense(diff))) <= ALG_TOL
+        a = op_of_term(gmap.edge_map["e1"], square_rep).toarray()
+        pi = _interior(square_rep)
+        p_u1 = op_of_term(CKTerm.of(NormalMonomial((), 0, (), "u1")), square_rep).toarray()
+        diff = pi @ (a.conj().T @ a - p_u1) @ pi
+        assert np.max(np.abs(diff)) <= ALG_TOL
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -125,24 +125,25 @@ class TestOpOfTerm:
         except Exception:
             assume(False)
             return
-        symbolic = op_of_term(term, rep)
-        numeric = sp.identity(rep.dimension, dtype=np.complex128, format="csr")
+        symbolic = op_of_term(term, rep).toarray()
+        numeric = np.eye(rep.dimension, dtype=np.complex128)
         for atom in reversed(word):
             numeric = _atom_matrix(rep, atom) @ numeric
-        pi = rep.interior_projector()
+        pi = _interior(rep)
         diff = pi @ (symbolic - numeric) @ pi
-        assert np.max(np.abs(_dense(diff))) <= SPEC_TOL
+        assert np.max(np.abs(diff)) <= SPEC_TOL
 
 
 def _atom_matrix(rep, atom):
+    """Dense matrix of one word atom, built from the generators alone."""
     if atom[0] == "p":
-        return rep.P[atom[1]]
+        return rep.P[atom[1]].toarray()
     if atom[0] == "s":
-        return rep.S[atom[1]]
+        return rep.S[atom[1]].toarray()
     if atom[0] == "s*":
-        return rep.S[atom[1]].conjugate().T.tocsr()
+        return rep.S[atom[1]].toarray().conj().T
     ns, k = atom[1], atom[2]
-    base = rep.T[ns] if k > 0 else rep.T[ns].conjugate().T.tocsr()
+    base = rep.T[ns].toarray() if k > 0 else rep.T[ns].toarray().conj().T
     out = base
     for _ in range(abs(k) - 1):
         out = out @ base
@@ -224,6 +225,20 @@ class TestLoopSpectrum:
         for z in report.conjugated_nonzero:
             assert abs(abs(z) - 1.0) <= SPEC_TOL
 
+    def test_no_eigensolver_for_the_constructed_map(self, square_embedding, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        spec, gmap = square_embedding
+        rep = build_rep(spec, 10)
+        report = loop_spectrum(rep, spec.replacements[0].loop, gmap)
+        assert len(report.eigenvalues) == sum(len(level) for level in rep.corner_levels["T1"])
+        assert report.max_modulus_deviation <= SPEC_TOL
+        assert report.hausdorff_to_circle <= spectral_net_bound(4, 2**10)
+        assert report.conjugation_mismatch <= SPEC_TOL
+
     def test_unreplaced_loop_rejected(self, square_embedding, self_loop):
         spec, gmap = square_embedding
         other_spec, _ = embed(self_loop)
@@ -248,7 +263,7 @@ class TestLevelInterleaving:
         """The level-(k+1) diagonal refines the level-k diagonal blockwise:
         ``|u_{k+1} - u_k (x) 1| <= 2 sin(pi / N_{k+1})`` for doubling tails,
         which is what makes the tail unitaries a convergent choice."""
-        t = square_rep.T["T1"]
+        t = square_rep.T["T1"].toarray()
         levels = square_rep.corner_levels["T1"]
         for k in range(len(levels) - 1):
             u_k = np.array([t[i, i] for i in levels[k]])
@@ -269,3 +284,69 @@ class TestPathBasis:
     def test_contains_all_vertex_paths(self, square_rep):
         for v in square_rep.graph.vertices:
             assert square_rep.graph.vertex_path(v) in square_rep.basis.index
+
+
+def _same_multiset(a, b, tol):
+    """Whether two lists of complex numbers agree up to ``tol`` after matching."""
+    rest = list(b)
+    for z in a:
+        if not rest:
+            return False
+        k = min(range(len(rest)), key=lambda j: abs(rest[j] - z))
+        if abs(rest[k] - z) > tol:
+            return False
+        rest.pop(k)
+    return not rest
+
+
+class TestOperatorSpectrum:
+    def test_cycle_and_chain(self):
+        """A 3-cycle with phase product w gives the cube roots of w; the
+        two vertices of a chain give zeros."""
+        phases = np.array([np.exp(0.4j), 0.9 * np.exp(2.1j), np.exp(-1.3j), 1.7j])
+        # 0 -> 1 -> 2 -> 0 is the cycle, 3 -> 4 the chain
+        piece = Piece(np.array([0, 1, 2, 3]), np.array([1, 2, 0, 4]), phases)
+        op = Operator(5, (piece,))
+        w = phases[0] * phases[1] * phases[2]
+        roots = [abs(w) ** (1 / 3) * np.exp(1j * (np.angle(w) + 2 * np.pi * k) / 3) for k in range(3)]
+        spectrum = op.eigenvalues()
+        assert _same_multiset(spectrum, roots + [0, 0], 1e-12)
+        assert _same_multiset(spectrum, np.linalg.eigvals(op.toarray()), 1e-7)
+
+    def test_genuine_sum_uses_dense_spectrum(self):
+        a = Operator(3, (Piece(np.array([0, 1]), np.array([1, 0])),))
+        b = Operator(3, (Piece(np.array([0]), np.array([0]), np.array([2.0 + 0j])),))
+        total = a + b
+        assert _same_multiset(total.eigenvalues(), np.linalg.eigvals(total.toarray()[:2, :2]), 1e-12)
+
+
+@st.composite
+def operators(draw, dim=6):
+    """Sums of one to three random phased partial permutations."""
+    pieces = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        src = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim)))
+        tgt = draw(st.permutations(range(dim)))[: len(src)]
+        phases = [
+            complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2))) for _ in src
+        ]
+        pieces.append(Piece(np.array(src, dtype=np.int64), np.array(tgt, dtype=np.int64), np.array(phases)))
+    return Operator(dim, tuple(pieces))
+
+
+class TestOperatorAlgebra:
+    """The operator engine against dense matrices of the same operators."""
+
+    @given(operators(), operators(), st.lists(st.booleans(), min_size=6, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense(self, a, b, mask):
+        da, db = a.toarray(), b.toarray()
+        product = a @ b
+        assert np.allclose(product.toarray(), da @ db, atol=1e-12)
+        for p in product.pieces:
+            assert np.all(np.diff(p.src) > 0) and len(set(p.tgt.tolist())) == len(p.tgt)
+        assert np.allclose((a - b).toarray(), da - db, atol=1e-12)
+        assert np.allclose(a.adjoint().toarray(), da.conj().T, atol=1e-12)
+        m = np.diag(np.array(mask, dtype=float))
+        assert a.frobenius(np.array(mask)) == pytest.approx(np.linalg.norm(m @ da @ m), abs=1e-12)
+        assert a.column_norm(2) == pytest.approx(np.linalg.norm(da[:, 2]), abs=1e-12)
