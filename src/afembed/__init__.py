@@ -49,14 +49,30 @@ from .embedding import (
     materialize,
 )
 from .verify import RelationReport, RelationStatus, verify_ck_family, verify_witness
-from .numrep import (
-    PathBasis,
-    SpectrumReport,
-    TruncatedRep,
-    build_rep,
-    loop_spectrum,
-    op_of_term,
-    relation_residuals,
+
+# the numeric stage loads numpy, which only ``verify`` needs: its names are
+# resolved on first access (PEP 562) so the structure commands never import it
+_NUMERIC = frozenset(
+    {
+        "PathBasis",
+        "SpectrumReport",
+        "TruncatedRep",
+        "build_rep",
+        "loop_spectrum",
+        "op_of_term",
+        "relation_residuals",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        from . import numrep
+
+        value = getattr(numrep, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

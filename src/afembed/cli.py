@@ -26,7 +26,6 @@ from .embedding import (
 )
 from .graph import GraphError, export_dot, load_graph, serialize_graph
 from .loops import EntranceExistsError, Verdict, classify, disjoint_simple_loops, witness_infinite
-from .numrep import build_rep, loop_spectrum, relation_residuals, spectral_net_bound
 from .terms import term_to_str
 from .verify import RelationStatus, verify_ck_family
 
@@ -147,7 +146,31 @@ def cmd_embed(args, out) -> int:
     return EXIT_OK
 
 
+# The numeric stage loads numpy, which only ``verify`` needs, so ``numrep`` is
+# imported on first use; these names stay module attributes of the CLI.
+
+
+def build_rep(spec, depth):
+    from . import numrep
+
+    return numrep.build_rep(spec, depth)
+
+
+def relation_residuals(rep, gmap):
+    from . import numrep
+
+    return numrep.relation_residuals(rep, gmap)
+
+
+def loop_spectrum(rep, loop, gmap):
+    from . import numrep
+
+    return numrep.loop_spectrum(rep, loop, gmap)
+
+
 def cmd_verify(args, out) -> int:
+    from . import numrep  # numpy's import time lands here, before any numeric call
+
     g = _load(args.input)
     try:
         spec, gmap = embed(g, args.mult)
@@ -203,7 +226,7 @@ def cmd_verify(args, out) -> int:
         loop = loop_rep.loop
         report_s = loop_spectrum(rep, loop, gmap)
         level_size = loop_rep.tail.mult.level_sizes(args.depth)[-1]
-        bound = spectral_net_bound(loop.n, level_size)
+        bound = numrep.spectral_net_bound(loop.n, level_size)
         ok = (
             report_s.max_modulus_deviation <= args.tol_spec
             and report_s.hausdorff_to_circle <= bound + 1e-12

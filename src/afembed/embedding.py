@@ -238,18 +238,18 @@ class GeneratorMap:
 
 
 def _pick_namespaces(g: Graph, count: int) -> list[str]:
-    taken = set(g.vertices) | {e.name for e in g.edges}
+    """The first ``count`` names ``T<i>`` that no host id equals or extends by ``.``.
 
-    def collides(ns: str) -> bool:
-        prefix = ns + "."
-        return any(t == ns or t.startswith(prefix) for t in taken)
-
+    A namespace has no ``.``, so it collides with an id exactly when it
+    equals the id's first ``.``-segment.
+    """
+    taken = {v.split(".", 1)[0] for v in g.vertices} | {e.name.split(".", 1)[0] for e in g.edges}
     out: list[str] = []
     i = 1
     while len(out) < count:
         ns = f"T{i}"
         i += 1
-        if not collides(ns):
+        if ns not in taken:
             out.append(ns)
     return out
 

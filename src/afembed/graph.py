@@ -88,7 +88,8 @@ class Path:
 
 
 def _check_token(kind: str, name: str) -> None:
-    if not name or any(c.isspace() for c in name):
+    # str.split() splits on exactly the characters for which isspace() holds
+    if name.split() != [name]:
         raise GraphError(f"{kind} id must be a nonempty token without whitespace: {name!r}")
 
 
@@ -155,6 +156,7 @@ class Graph:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
+        """Edges with source ``v``, in id order."""
         try:
             return tuple(self._out[v])
         except KeyError:

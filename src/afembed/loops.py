@@ -7,8 +7,20 @@ entrance at a loop vertex is by definition a second receiver at that
 vertex.  Entrances of non-simple loops add nothing: every vertex of a
 closed walk lies on a simple cycle, so the check over cycle vertices is
 equivalent to the literal quantification over all loops.  This makes the
-classifier O(|V| + |E|) via strongly connected components instead of an
-exponential cycle enumeration.
+verdict O(|V| + |E|) via strongly connected components (Tarjan, SIAM J.
+Comput. 1, 1972) instead of an exponential cycle enumeration.
+
+The witness loop of a not-finite verdict is the first simple cycle through
+the entry vertex ``v`` that a DFS finds when it tries out-edges in id
+order.  The search keeps a vertex marked after backing out of it, so it
+too is O(|V| + |E|), and it finds the same loop as a DFS that unmarks:
+say it backed out of ``w`` with path ``P``, so every route from ``w`` to
+``v`` meets ``P`` before ``v``.  Later, with path ``P'``, a route from
+``w`` to ``v`` that avoids ``P'`` before ``v`` meets some ``p`` in ``P``
+but not in ``P'``.  The first vertex ``q`` of ``P`` not in ``P'`` was
+backed out of too, yet it reaches ``v`` along ``P`` to ``p`` and then
+along the route, avoiding the part of ``P`` before ``q``: a contradiction.
+So a backed-out vertex could never have led back to ``v``.
 """
 
 from __future__ import annotations
@@ -186,35 +198,27 @@ def cycle_vertices(g: Graph) -> frozenset[str]:
 def simple_cycle_through(g: Graph, v: str) -> SimpleLoop:
     """First simple cycle through ``v`` found by DFS, edges tried in id order.
 
-    ``v`` must lie on a cycle.  The result is based at ``v``.
+    ``v`` must lie on a cycle.  The result is based at ``v``.  A vertex the
+    search backs out of stays marked, so each vertex and edge is visited
+    at most once; the module docstring shows why the loop found is still
+    that of the DFS that unmarks on backtracking.
     """
-    # backtracking DFS over vertex-simple paths starting at v
     chosen: list[str] = []
-    visited: set[str] = {v}
-
-    def sorted_out(w: str):
-        return sorted(g.out_edges(w), key=lambda e: e.name)
-
-    stack = [iter(sorted_out(v))]
-    current = [v]
+    marked: set[str] = {v}
+    stack = [iter(g.out_edges(v))]
     while stack:
-        it = stack[-1]
-        advanced = False
-        for e in it:
+        for e in stack[-1]:
             if e.range == v:
-                traversal = chosen + [e.name]
-                return SimpleLoop.from_edges(g, tuple(reversed(traversal)))
-            if e.range not in visited:
                 chosen.append(e.name)
-                visited.add(e.range)
-                current.append(e.range)
-                stack.append(iter(sorted_out(e.range)))
-                advanced = True
+                return SimpleLoop.from_edges(g, tuple(reversed(chosen)))
+            if e.range not in marked:
+                marked.add(e.range)
+                chosen.append(e.name)
+                stack.append(iter(g.out_edges(e.range)))
                 break
-        if not advanced:
+        else:
             stack.pop()
             if chosen:
-                visited.discard(current.pop())
                 chosen.pop()
     raise ValueError(f"vertex {v!r} does not lie on a cycle")
 

@@ -10,7 +10,7 @@ production implementations beyond the basic graph accessors.
 from __future__ import annotations
 
 from afembed.graph import Graph
-from afembed.loops import Verdict
+from afembed.loops import EntranceWitness, SimpleLoop, Verdict
 from afembed.terms import ZERO, StarContext, reduce_pair
 
 
@@ -36,6 +36,55 @@ def enumerate_simple_cycles(g: Graph) -> list[tuple[str, ...]]:
     for v in sorted(g.vertices):
         dfs(v, v, {v}, [])
     return cycles
+
+
+def backtracking_cycle_through(g: Graph, v: str) -> SimpleLoop:
+    """First simple cycle through ``v`` found by backtracking DFS, edges in id order.
+
+    The reference for :func:`afembed.loops.simple_cycle_through`, which must
+    return the same loop visiting each vertex once.  Exponential on a ladder of
+    diamonds that dead-ends, so keep the inputs small.
+    """
+    chosen: list[str] = []
+    visited: set[str] = {v}
+
+    def sorted_out(w: str):
+        return sorted(g.out_edges(w), key=lambda e: e.name)
+
+    stack = [iter(sorted_out(v))]
+    current = [v]
+    while stack:
+        it = stack[-1]
+        advanced = False
+        for e in it:
+            if e.range == v:
+                traversal = chosen + [e.name]
+                return SimpleLoop.from_edges(g, tuple(reversed(traversal)))
+            if e.range not in visited:
+                chosen.append(e.name)
+                visited.add(e.range)
+                current.append(e.range)
+                stack.append(iter(sorted_out(e.range)))
+                advanced = True
+                break
+        if not advanced:
+            stack.pop()
+            if chosen:
+                visited.discard(current.pop())
+                chosen.pop()
+    raise ValueError(f"vertex {v!r} does not lie on a cycle")
+
+
+def oracle_witness(g: Graph) -> EntranceWitness | None:
+    """The entrance witness built literally: the smallest cycle vertex with a
+    second receiver, the reference loop through it, the smallest other receiver."""
+    for v in sorted(oracle_cycle_vertices(g)):
+        rec = g.receivers(v)
+        if len(rec) > 1:
+            loop = backtracking_cycle_through(g, v)
+            entry = min(rec - {loop.edge_into(v)})
+            return EntranceWitness(loop, v, entry, g.path(loop.edges), g.path((entry,)))
+    return None
 
 
 def cycle_vertex_set(g: Graph, cycle: tuple[str, ...]) -> set[str]:

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afembed.embedding import (
     AugmentedGraphSpec,
@@ -7,6 +10,7 @@ from afembed.embedding import (
     LoopReplacement,
     MultiplicitySeq,
     NamespaceCollisionError,
+    _pick_namespaces,
     embed,
     genmap_from_text,
     genmap_to_text,
@@ -14,7 +18,7 @@ from afembed.embedding import (
     spec_from_dict,
     spec_to_dict,
 )
-from afembed.graph import parse_graph
+from afembed.graph import Graph, parse_graph
 from afembed.loops import cycle_vertices, disjoint_simple_loops
 from afembed.terms import NormalMonomial
 
@@ -92,6 +96,14 @@ class TestEmbed:
         spec, _ = embed(g)
         assert spec.replacements[0].tail.namespace == "T2"
 
+    def test_many_self_loops_embed_in_linear_time(self):
+        n = 2_000
+        g = Graph.build([f"v{i}" for i in range(n)], [(f"e{i}", f"v{i}", f"v{i}") for i in range(n)])
+        start = time.perf_counter()
+        spec, _ = embed(g)
+        assert time.perf_counter() - start < 0.5
+        assert [rep.tail.namespace for rep in spec.replacements] == [f"T{i}" for i in range(1, n + 1)]
+
     def test_original_graph_round_trip(self, square, square_embedding):
         spec, _ = square_embedding
         assert spec.original_graph() == square
@@ -106,6 +118,38 @@ class TestEmbed:
         replaced = {e for rep in spec.replacements for e in rep.loop.edges}
         assert kept | replaced == {e.name for e in g.edges}
         assert not kept & replaced
+
+
+def old_pick_namespaces(g: Graph, count: int) -> list[str]:
+    """The namespace rule as first written: scan every host id per candidate."""
+    taken = set(g.vertices) | {e.name for e in g.edges}
+    out: list[str] = []
+    i = 1
+    while len(out) < count:
+        ns = f"T{i}"
+        i += 1
+        if not any(t == ns or t.startswith(ns + ".") for t in taken):
+            out.append(ns)
+    return out
+
+
+HOST_IDS = st.sampled_from(
+    ["T1", "T1.x", "T10.y", "T1x", "T2.", "T2", "T3.v", ".T4", "T4..", "T", "T11", "t5"]
+) | st.from_regex(r"T[0-9]{1,2}[.x]?[.a-z0-9]{0,3}", fullmatch=True)
+
+
+class TestPickNamespaces:
+    @given(st.sets(HOST_IDS, max_size=12), st.sets(HOST_IDS, max_size=6), st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scan_of_every_id(self, vertex_ids, edge_ids, count):
+        vertices = sorted(vertex_ids | {"anchor"})
+        edges = [(e, "anchor", "anchor") for e in sorted(edge_ids - vertex_ids)]
+        g = Graph.build(vertices, edges)
+        assert _pick_namespaces(g, count) == old_pick_namespaces(g, count)
+
+    def test_listed_ids(self):
+        g = Graph.build(["T1", "T1x", "T2.", "T10.y"], [("T3.f1", "T1", "T1x")])
+        assert _pick_namespaces(g, 3) == ["T4", "T5", "T6"]
 
 
 class TestMaterialize:

@@ -77,27 +77,99 @@ def test_corpus_exercises_every_outcome():
     assert "receiver expansion" in (GOLDEN / "verify_cycles_dag.stdout").read_text()
 
 
-# runs the CLI in a fresh interpreter in which any import of scipy fails
-WITHOUT_SCIPY = """
+# runs the CLI in a fresh interpreter in which any import of the package
+# named by the first argument fails; the remaining arguments go to the CLI
+WITHOUT_PACKAGE = """
 import sys
 
-class NoScipy:
+blocked = sys.argv.pop(1)
+
+class Blocker:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if name == blocked or name.startswith(blocked + "."):
             raise ImportError(f"{name} is blocked")
         return None
 
-sys.meta_path.insert(0, NoScipy())
+sys.meta_path.insert(0, Blocker())
 import afembed
 from afembed.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
 
+def child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
+def run_without(blocked: str, argv: list[str]) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, "-c", WITHOUT_PACKAGE, blocked, *argv]
+    return subprocess.run(cmd, env=child_env(), capture_output=True, timeout=120)
+
+
+def expected_code(name: str) -> int:
+    return json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))[name]
+
+
 def test_verify_needs_no_scipy():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-c", WITHOUT_SCIPY, *resolve(CASES["verify_square_d6"])]
-    proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
-    expected_code = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))["verify_square_d6"]
-    assert proc.returncode == expected_code, proc.stderr.decode("utf-8", "replace")[-500:]
+    proc = run_without("scipy", resolve(CASES["verify_square_d6"]))
+    assert proc.returncode == expected_code("verify_square_d6"), proc.stderr.decode("utf-8", "replace")[-500:]
     assert proc.stdout == (GOLDEN / "verify_square_d6.stdout").read_bytes()
+
+
+STRUCTURE_CASES = sorted(n for n in CASES if n.startswith(("classify_", "loops_")))
+
+
+@pytest.mark.parametrize("name", STRUCTURE_CASES)
+def test_structure_commands_need_no_numpy(name):
+    proc = run_without("numpy", resolve(CASES[name]))
+    assert proc.returncode == expected_code(name), proc.stderr.decode("utf-8", "replace")[-500:]
+    assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["embed", "export"])
+def test_embed_and_export_need_no_numpy(command, tmp_path, monkeypatch):
+    """Same stdout, exit code and artifacts as an unblocked in-process run."""
+    monkeypatch.setenv("AFEMBED_OUTPUT_DIR", str(tmp_path))
+    argv = resolve([command, "--input", "@square.txt"])
+    out = io.StringIO()
+    code = main(argv, out=out)
+    artifacts = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert code == 0 and len(artifacts) == (4 if command == "embed" else 0)
+    for p in tmp_path.iterdir():
+        p.unlink()
+    proc = run_without("numpy", argv)
+    assert proc.returncode == code, proc.stderr.decode("utf-8", "replace")[-500:]
+    assert proc.stdout == out.getvalue().encode("utf-8")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == artifacts
+
+
+# every name ``afembed`` exported before its numeric names were resolved lazily
+EXPORTED = """
+    Edge Graph GraphError GraphParseError Path export_dot graph_from_dict graph_to_dict
+    load_graph parse_graph parse_graph_json serialize_graph
+    Classification EntranceExistsError EntranceWitness InvalidWitnessError SimpleLoop
+    Verdict classify cycle_vertices disjoint_simple_loops entrance_violation witness_infinite
+    CKTerm GaussianRational NormalMonomial StarContext adjoint expand_ck3 multiply
+    parse_term projection term_to_str
+    AugmentedGraphSpec BratteliTailSpec GeneratorMap LoopReplacement MultiplicitySeq
+    embed materialize
+    RelationReport RelationStatus verify_ck_family verify_witness
+    PathBasis SpectrumReport TruncatedRep build_rep loop_spectrum op_of_term relation_residuals
+    __version__
+""".split()
+
+
+def test_exported_names_resolve_and_numpy_loads_last():
+    """In a fresh interpreter ``import afembed`` leaves numpy unloaded, and
+    every name resolves both as ``afembed.X`` and through ``from afembed import X``."""
+    code = (
+        "import sys, afembed\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"for name in {EXPORTED!r}:\n"
+        "    ns = {}\n"
+        "    exec(f'from afembed import {name}', ns)\n"
+        "    assert ns[name] is getattr(afembed, name), name\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")[-500:]

@@ -13,6 +13,7 @@ from afembed.graph import (
     UndeclaredEndpointError,
     UnknownEdgeError,
     UnknownVertexError,
+    _check_token,
     export_dot,
     graph_from_dict,
     graph_to_dict,
@@ -190,6 +191,35 @@ class TestMalformedJson:
     def test_string_edges_named_in_message(self):
         with pytest.raises(GraphParseError, match="'edges' must be a list of objects"):
             graph_from_dict({"vertices": ["a"], "edges": "xy"})
+
+
+ID_CHARS = st.sampled_from(list("aT1._-") + [" ", "\t", "\n", "\u2003", "\x1c", "\x85", "\u3000", "\xa0", "\u200b"])
+
+
+class TestIdCheck:
+    """Ids reach ``_check_token`` unsplit from JSON documents and the Python API."""
+
+    @given(st.text(ID_CHARS | st.characters(), max_size=6))
+    @settings(max_examples=400, deadline=None)
+    def test_rejects_exactly_empty_and_whitespace_ids(self, name):
+        rejected = not name or any(c.isspace() for c in name)
+        try:
+            _check_token("vertex", name)
+        except GraphError:
+            assert rejected
+        else:
+            assert not rejected
+        try:
+            graph_from_dict({"vertices": [name], "edges": []})
+        except GraphError:
+            assert rejected
+        else:
+            assert not rejected
+
+    @pytest.mark.parametrize("name", ["", "a b", "\u2003", "a\x1c", "\x85b", "x\u3000y"])
+    def test_whitespace_ids_rejected(self, name):
+        with pytest.raises(GraphError, match="without whitespace"):
+            graph_from_dict({"vertices": [name], "edges": []})
 
 
 class TestDotExport:

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,13 @@ from afembed.loops import (
     witness_infinite,
 )
 
-from .oracles import oracle_classify, oracle_cycle_vertices, oracle_has_entrance
+from .oracles import (
+    backtracking_cycle_through,
+    oracle_classify,
+    oracle_cycle_vertices,
+    oracle_has_entrance,
+    oracle_witness,
+)
 from .strategies import condition5_graphs, entrance_graphs, multigraphs
 
 
@@ -202,6 +209,35 @@ class TestWitness:
         assert stmt.lines
 
 
+def diamond_ladder(rungs: int, closed: bool = False) -> Graph:
+    """The entry vertex ``a`` on the 2-cycle ``a -> y -> a``, entered from ``z``.
+
+    From ``a`` hangs a chain of ``rungs`` diamonds whose edge ids sort
+    before the cycle's, so an id-ordered backtracking search walks all
+    ``2**rungs`` ladder paths first.  If ``closed``, the ladder's last
+    vertex has an edge back to ``a`` and the witness runs down the ladder;
+    ``a`` sorts before every other vertex, so it stays the entry vertex.
+    """
+    vertices = ["a", "y", "z"]
+    edges = [("c1", "a", "y"), ("c2", "y", "a"), ("c3", "z", "a")]
+    top = "a"
+    for i in range(rungs):
+        left, right, bottom = f"l{i}", f"r{i}", f"b{i}"
+        vertices += [left, right, bottom]
+        edges += [(f"a{i}.1", top, left), (f"a{i}.2", left, bottom)]
+        edges += [(f"a{i}.3", top, right), (f"a{i}.4", right, bottom)]
+        top = bottom
+    if closed:
+        edges.append(("a_back", top, "a"))
+    return Graph.build(vertices, edges)
+
+
+def timed_classify(g: Graph):
+    start = time.perf_counter()
+    cls = classify(g)
+    return cls, time.perf_counter() - start
+
+
 class TestSimpleCycleThrough:
     def test_deterministic_lexicographic(self, square_plus_entrance):
         loop = simple_cycle_through(square_plus_entrance, "u2")
@@ -211,6 +247,35 @@ class TestSimpleCycleThrough:
     def test_self_loop(self, self_loop):
         loop = simple_cycle_through(self_loop, "u")
         assert loop.edges == ("e",) and loop.vertices == ("u",)
+
+    @given(multigraphs(max_vertices=9, max_edges=22))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_backtracking_reference(self, g):
+        """The same loop as the id-ordered backtracking DFS at every cycle
+        vertex, and so the same witness as one built from that DFS."""
+        for v in sorted(cycle_vertices(g)):
+            assert simple_cycle_through(g, v) == backtracking_cycle_through(g, v)
+        assert classify(g).witness == oracle_witness(g)
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["dead_end", "closed"])
+    def test_diamond_ladder_is_not_exponential(self, closed):
+        g = diamond_ladder(200, closed)
+        cls, seconds = timed_classify(g)
+        assert cls.witness is not None and cls.witness.entry_vertex == "a"
+        # the closed witness enters ``a`` by ``a_back``, so ``c2`` is the entrance
+        assert cls.witness.entry_edge == ("c2" if closed else "c3")
+        assert cls.witness.loop.n == (401 if closed else 2)
+        assert seconds < 0.1
+
+    def test_long_cycle_with_one_entrance(self):
+        """C20,000 entered once: a per-step recomputation would be quadratic here."""
+        n = 20_000
+        vertices = [f"u{i}" for i in range(n)] + ["w"]
+        edges = [(f"e{i}", f"u{i}", f"u{(i + 1) % n}") for i in range(n)] + [("x", "w", "u0")]
+        cls, seconds = timed_classify(Graph.build(vertices, edges))
+        assert cls.witness is not None and cls.witness.loop.n == n
+        assert cls.witness.entry_vertex == "u0" and cls.witness.entry_edge == "x"
+        assert seconds < 2
 
 
 class TestEmbedErrorPath:
