@@ -7,7 +7,11 @@ every record, its order and the exit code unchanged.  The corpus covers an
 embeddable loop at two depths, an entrance, cycles exiting into a DAG with
 multi-receiver vertices (so CK3 needs receiver expansion), a self-loop with
 a non-default multiplicity sequence, an acyclic graph, and two corrupted
-generator maps that must keep failing the same way.
+generator maps that must keep failing the same way.  Two more maps pin the
+numeric arithmetic of the generator maps the construction never produces:
+an image scaled by a unit coefficient other than 1, and an image that is a
+genuine sum with two entries in one row, whose loop spectrum needs a dense
+eigensolver.
 """
 
 import io
@@ -48,6 +52,12 @@ CASES = {
     "verify_square_tdropped_map": [
         "verify", "--input", "@square.txt", "--depth", "4", "--map", "@square_tdropped.genmap.txt",
     ],
+    "verify_square_phase_map": [
+        "verify", "--input", "@square.txt", "--depth", "5", "--map", "@square_phase.genmap.txt",
+    ],
+    "verify_square_sum_map": [
+        "verify", "--input", "@square.txt", "--depth", "5", "--map", "@square_sum.genmap.txt",
+    ],
 }
 
 
@@ -72,7 +82,7 @@ def test_report_matches_golden(name):
 def test_corpus_exercises_every_outcome():
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     assert set(codes) == set(CASES)
-    assert {codes[n] for n in ("verify_square_fswap_map", "verify_square_tdropped_map")} == {2}
+    assert {codes[n] for n in CASES if n.endswith("_map")} == {2}
     assert codes["verify_square_plus_entrance"] == 3
     assert "receiver expansion" in (GOLDEN / "verify_cycles_dag.stdout").read_text()
 
