@@ -13,16 +13,24 @@ reported separately.
 Every generator image is monomial: ``P_v`` is a 0/1 diagonal, ``S_e`` a
 partial permutation and ``T`` a diagonal of roots of unity.  An
 :class:`Operator` is therefore stored as a sum of :class:`Piece` objects,
-each a phased partial permutation held on its support only (sorted source
-indices, target indices, phases).  A product of two pieces is one
-``searchsorted`` join and an adjoint swaps the index arrays and conjugates
-the phases, so a relation instance costs time in proportion to its
-support, not to the dimension.  Only a sum (a ``--map`` image with several
+each a phased partial permutation held on its support only: tuples of
+sorted source indices, target indices and phases.  A product of two pieces
+is one dict join and an adjoint swaps the index tuples and conjugates the
+phases, so a relation instance costs time in proportion to its support,
+not to the dimension.  Only a sum (a ``--map`` image with several
 monomials, or a receiver sum) can put more than one piece on a matrix
 entry; its entries are merged, in the order the sum was formed, before a
-product or a norm reads them.  Complex products are formed as separate
-real multiplies and adds, so no platform's fused multiply-add moves the
-last bit of a near-zero residual.
+product or a norm reads them.
+
+The engine is plain Python, and it rounds every number as the numpy
+engine it replaced did, so reports keep their bytes: Python's complex
+product uses separate real multiplies and adds, so no fused multiply-add
+moves the last bit of a near-zero residual; norms add their squares in
+numpy's pairwise order; and moduli are rounded as numpy's vectorised
+complex absolute value rounds them.  numpy is loaded only by a ``--map``
+that needs it: a coefficient other than 1 or -1 is applied with numpy's
+scalar product, and a loop image that is a genuine sum needs a dense
+eigensolver.
 
 Residuals are Frobenius norms, which upper-bound the operator norm, so a
 reported residual below tolerance is conclusive.
@@ -31,7 +39,7 @@ Spectra need no eigensolver in the common case: ``T^n`` on the corner is
 diagonal, and a phased partial permutation has the ``L``-th roots of ``w``
 on each cycle of length ``L`` and phase product ``w``, and zeros on its
 chains.  Only a loop image that is a genuine sum, with two entries in one
-row or column, falls back to a dense ``eigvals`` on its support.
+row or column, falls back to numpy's dense ``eigvals`` on its support.
 """
 
 from __future__ import annotations
@@ -40,8 +48,8 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property, partial, reduce
+from itertools import compress, repeat
 
 from .embedding import AugmentedGraphSpec, GeneratorMap, LoopReplacement, materialize
 from .graph import Graph, Path
@@ -56,48 +64,112 @@ class RepresentationError(ValueError):
 
 @dataclass(frozen=True)
 class PathBasis:
-    """All paths of length ``0 .. d`` in a finite graph, canonically ordered."""
+    """All paths of length ``0 .. d`` in a finite graph, canonically ordered:
+    by length, then by edge tuple, then by source.
+
+    ``suffix[i]`` is the index of path ``i`` without its range-end edge, or
+    -1 for a vertex.
+    """
 
     paths: tuple[Path, ...]
-    index: dict
+    suffix: tuple[int, ...]
+
+    @cached_property
+    def index(self) -> dict[Path, int]:
+        return {p: i for i, p in enumerate(self.paths)}
 
     @classmethod
     def build(cls, g: Graph, depth: int) -> "PathBasis":
-        current = [g.vertex_path(v) for v in sorted(g.vertices)]
-        all_paths = list(current)
+        # (edges, source, range, suffix index); edges and source tell paths apart
+        level = sorted(((), v, v, -1) for v in g.vertices)
+        rows = list(level)
         for _ in range(depth):
-            nxt = []
-            for p in current:
-                for e in g.out_edges(p.range):
-                    nxt.append(Path((e.name,) + p.edges, source=p.source, range=e.range))
-            current = nxt
-            all_paths.extend(current)
-        all_paths.sort(key=lambda p: (len(p.edges), p.edges, p.source))
-        return cls(tuple(all_paths), {p: i for i, p in enumerate(all_paths)})
+            start = len(rows) - len(level)
+            level = sorted(
+                ((e.name,) + edges, source, e.range, start + i)
+                for i, (edges, source, end, _) in enumerate(level)
+                for e in g.out_edges(end)
+            )
+            rows += level
+        paths = tuple(Path(edges, source=source, range=end) for edges, source, end, _ in rows)
+        return cls(paths, tuple(row[3] for row in rows))
 
     def __len__(self) -> int:
         return len(self.paths)
 
 
-def _mul(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """Elementwise complex product as separate real multiplies and adds.
+def _numpy_sum(a: list[float]) -> float:
+    """``np.sum`` of the floats ``a``, rounded exactly as numpy rounds it.
 
-    This is the arithmetic of a sparse matrix product; numpy's own complex
-    ``*`` may fuse a multiply-add and round differently.  None stands for
-    all ones, and multiplying by one is exact either way.
+    numpy adds the pairwise sum of the array to the identity ``0.0``.  In
+    that sum, fewer than 8 terms are added in order from ``-0.0``; up to 128
+    terms go to 8 interleaved accumulators, combined as a balanced tree,
+    and then the remainder; a longer run is split in two at a multiple of 8.
+    """
+
+    def pairwise(lo: int, n: int) -> float:
+        if n < 8:
+            return reduce(operator.add, a[lo : lo + n], -0.0)
+        if n <= 128:
+            end = lo + n - n % 8
+            r = [reduce(operator.add, a[lo + j : end : 8]) for j in range(8)]
+            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            return reduce(operator.add, a[end : lo + n], res)
+        half = n // 2
+        half -= half % 8
+        return pairwise(lo, half) + pairwise(lo + half, n - half)
+
+    return 0.0 + pairwise(0, len(a))
+
+
+def _modulus(z: complex) -> float:
+    """``|z|`` rounded as numpy's vectorised complex absolute value rounds it.
+
+    That loop forms ``larger * sqrt(1 + ratio**2)`` with the square and the
+    add fused into one rounding; Python's ``abs`` (``hypot``) differs from it
+    in the last bit for about a fifth of all complex numbers, which moves
+    printed deviations such as ``1.110e-16`` against ``2.220e-16``.  The fused
+    ``1 + ratio**2`` is computed exactly on integers and rounded once.
+    """
+    big, small = abs(z.real), abs(z.imag)
+    if big < small:
+        big, small = small, big
+    if not small:  # a real or an imaginary number: exact either way
+        return big
+    if not math.isfinite(big + small):
+        return abs(z)
+    mantissa, exponent = math.frexp(small / big)
+    m = int(mantissa * 9007199254740992.0)  # ratio == m / 2**(53 - exponent)
+    one = 1 << (106 - 2 * exponent)
+    return math.sqrt((m * m + one) / one) * big
+
+
+def _square_modulus(z: complex) -> float:
+    if not z.imag:
+        return z.real * z.real
+    if not z.real:
+        return z.imag * z.imag
+    m = _modulus(z)
+    return m * m
+
+
+def _mul(a: tuple[complex, ...] | None, b: tuple[complex, ...] | None) -> tuple[complex, ...] | None:
+    """Elementwise complex product; None stands for all ones.
+
+    Python's ``complex * complex`` forms the real and imaginary parts with
+    separate multiplies and adds, as a sparse matrix product does, so no
+    fused multiply-add moves the last bit.  Multiplying by one is exact, so
+    None is never expanded.
     """
     if a is None:
         return b
     if b is None:
         return a
-    out = np.empty(len(a), dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    return tuple(map(operator.mul, a, b))
 
 
-def _take(phase: np.ndarray | None, idx: np.ndarray) -> np.ndarray | None:
-    return None if phase is None else phase[idx]
+def _take(phase: tuple[complex, ...] | None, idx: list[int]) -> tuple[complex, ...] | None:
+    return None if phase is None else tuple(map(phase.__getitem__, idx))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,88 +177,118 @@ class Piece:
     """A phased partial permutation: basis vector ``src[k]`` goes to
     ``phase[k]`` times basis vector ``tgt[k]``.
 
-    ``src`` is sorted and neither index array repeats a value; ``phase``
+    ``src`` is sorted and neither index tuple repeats a value; ``phase``
     None means all ones (projections and edge isometries).
     """
 
-    src: np.ndarray
-    tgt: np.ndarray
-    phase: np.ndarray | None = None
+    src: tuple[int, ...]
+    tgt: tuple[int, ...]
+    phase: tuple[complex, ...] | None = None
 
-    def values(self) -> np.ndarray:
-        return np.ones(len(self.src), dtype=np.complex128) if self.phase is None else self.phase
+    def values(self) -> tuple[complex, ...]:
+        return (1 + 0j,) * len(self.src) if self.phase is None else self.phase
+
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Where each source index sits in ``src``: the join key of :meth:`after`."""
+        return {s: k for k, s in enumerate(self.src)}
 
     def adjoint(self) -> "Piece":
-        order = np.argsort(self.tgt)
-        phase = None if self.phase is None else np.conj(self.phase[order])
-        return Piece(self.tgt[order], self.src[order], phase)
+        if not self.src:
+            return self
+        order = sorted(range(len(self.tgt)), key=self.tgt.__getitem__)
+        phase = None if self.phase is None else tuple(map(complex.conjugate, map(self.phase.__getitem__, order)))
+        return Piece(tuple(map(self.tgt.__getitem__, order)), tuple(map(self.src.__getitem__, order)), phase)
 
     def after(self, b: "Piece") -> "Piece":
         """``self @ b``: follow ``b``, then ``self`` where ``b`` lands in its domain."""
-        if not len(self.src) or not len(b.src):
+        position = self.position
+        if position.keys().isdisjoint(b.tgt):
             return _NO_PIECE
-        pos = np.minimum(np.searchsorted(self.src, b.tgt), len(self.src) - 1)
-        hit = self.src[pos] == b.tgt
-        pos = pos[hit]
-        return Piece(b.src[hit], self.tgt[pos], _mul(_take(self.phase, pos), _take(b.phase, hit)))
+        at = list(map(position.get, b.tgt))
+        if None in at:
+            hit = [i for i, k in enumerate(at) if k is not None]
+            src, at, b_phase = tuple(map(b.src.__getitem__, hit)), [at[i] for i in hit], _take(b.phase, hit)
+        else:
+            src, b_phase = b.src, b.phase
+        return Piece(src, tuple(map(self.tgt.__getitem__, at)), _mul(_take(self.phase, at), b_phase))
 
 
-_NO_INDEX = np.zeros(0, dtype=np.int64)
-_NO_PIECE = Piece(_NO_INDEX, _NO_INDEX)
+_NO_PIECE = Piece((), ())
 
 
-def _merge(src: np.ndarray, tgt: np.ndarray, val: np.ndarray, order_key=None):
-    """Sum repeated ``(src, tgt)`` entries; the result is sorted by ``(src, tgt)``.
+def _merge(dim: int, runs) -> dict[int, complex]:
+    """Sum runs of ``(src, tgt, values)`` entries, none of which repeats an entry in one run.
 
-    Each entry's values are added left to right, in array order or, when
-    given, in increasing ``order_key`` (the middle index of a product), as
-    a sparse matrix sum or product accumulates them.  Exact zeros are
-    dropped.
+    An entry's values are added in run order, as a sparse matrix sum (a run
+    per summand) or product (a run per middle index, in increasing order)
+    accumulates them; as there, once any entry repeats, every sum starts
+    from ``0j``.  Returns the nonzero entries keyed by their row-major
+    position ``tgt * dim + src``, in increasing order.
     """
-    keys = (tgt, src) if order_key is None else (order_key, tgt, src)
-    order = np.lexsort(keys)  # stable: ties keep array order
-    src, tgt, val = src[order], tgt[order], val[order]
-    new = np.ones(len(src), dtype=bool)
-    new[1:] = (src[1:] != src[:-1]) | (tgt[1:] != tgt[:-1])
-    if not new.all():
-        group = np.cumsum(new) - 1
-        re = np.zeros(int(group[-1]) + 1)
-        im = np.zeros_like(re)
-        np.add.at(re, group, val.real)
-        np.add.at(im, group, val.imag)
-        src, tgt = src[new], tgt[new]
-        val = np.empty(len(re), dtype=np.complex128)
-        val.real, val.imag = re, im
-    nonzero = val != 0
-    return src[nonzero], tgt[nonzero], val[nonzero]
+    keyed = [(list(map(operator.add, map(operator.mul, tgt, repeat(dim)), src)), values) for src, tgt, values in runs]
+    merged: dict[int, complex] = {}
+    for cells, values in keyed:
+        merged.update(zip(cells, values))
+    if len(merged) < sum(len(cells) for cells, _ in keyed):
+        merged = {}
+        for cells, values in keyed:
+            merged.update(list(zip(cells, map(operator.add, map(merged.get, cells, repeat(0j)), values))))
+    cells = sorted(merged)
+    values = list(map(merged.__getitem__, cells))
+    return dict(compress(zip(cells, values), values))
 
 
-def _first_of_each(x: np.ndarray) -> np.ndarray:
-    first = np.zeros(len(x), dtype=bool)
-    first[np.unique(x, return_index=True)[1]] = True
-    return first
+def _by_source(dim: int, merged: dict[int, complex]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[complex, ...]]:
+    """Merged entries as ``(src, tgt, values)``, sorted by ``(src, tgt)``."""
+    if not merged:
+        return (), (), ()
+    cells = sorted(merged, key=lambda c: (c % dim, c))
+    return tuple(c % dim for c in cells), tuple(c // dim for c in cells), tuple(map(merged.__getitem__, cells))
 
 
-def _split(src: np.ndarray, tgt: np.ndarray, val: np.ndarray) -> tuple[Piece, ...]:
+def _compress(run, mask: tuple[bool, ...]):
+    """The entries of a ``(src, tgt, values)`` run with both ends in ``mask``."""
+    src, tgt, values = run
+    keep = list(map(operator.and_, map(mask.__getitem__, src), map(mask.__getitem__, tgt)))
+    return tuple(compress(src, keep)), tuple(compress(tgt, keep)), tuple(compress(values, keep))
+
+
+def _same_entries(runs) -> bool:
+    """Whether every run has the entries of the first, so that all repeat."""
+    src, tgt, _ = runs[0]
+    return all(r[0] == src and r[1] == tgt for r in runs[1:])
+
+
+def _split(src, tgt, val) -> tuple[Piece, ...]:
     """Cut merged entries, sorted by source, into disjoint phased partial permutations."""
     pieces = []
-    while len(src):
-        take = _first_of_each(src) & _first_of_each(tgt)  # never empty: entry 0 is first of both
-        pieces.append(Piece(src[take], tgt[take], val[take]))
-        src, tgt, val = src[~take], tgt[~take], val[~take]
+    entries = list(zip(src, tgt, val))
+    while entries:
+        seen_src: set[int] = set()
+        seen_tgt: set[int] = set()
+        take, rest = [], []
+        for entry in entries:
+            s, t, _ = entry
+            first = s not in seen_src and t not in seen_tgt  # entry 0 always is: never empty
+            seen_src.add(s)
+            seen_tgt.add(t)
+            (take if first else rest).append(entry)
+        s, t, v = zip(*take)
+        pieces.append(Piece(s, t, v))
+        entries = rest
     return tuple(pieces)
 
 
-def _cycle_spectrum(src: np.ndarray, tgt: np.ndarray, val: np.ndarray) -> np.ndarray:
+def _cycle_spectrum(src, tgt, val) -> list[complex]:
     """Eigenvalues of a phased partial permutation on its support.
 
     A cycle of length ``L`` with phase product ``w`` contributes the
     ``L``-th roots of ``w``; every vertex on a chain contributes zero.
     Fixed points come first, in index order, with their phases unchanged.
     """
-    fixed = src == tgt
-    out = list(val[fixed])
-    step = dict(zip(src[~fixed].tolist(), zip(tgt[~fixed].tolist(), val[~fixed].tolist())))
+    out = [v for s, t, v in zip(src, tgt, val) if s == t]
+    step = {s: (t, v) for s, t, v in zip(src, tgt, val) if s != t}
     seen: set[int] = set()
     for start in step:
         if start in seen:
@@ -200,8 +302,8 @@ def _cycle_spectrum(src: np.ndarray, tgt: np.ndarray, val: np.ndarray) -> np.nda
         if node == start:
             r, theta = abs(w) ** (1.0 / length), cmath.phase(w)
             out += [cmath.rect(r, (theta + 2 * math.pi * k) / length) for k in range(length)]
-    support = len(np.union1d(src, tgt))
-    return np.array(out + [0j] * (support - len(out)), dtype=np.complex128)
+    support = len(set(src) | set(tgt))
+    return out + [0j] * (support - len(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +322,20 @@ class Operator:
         return self + other.scale(-1)
 
     def scale(self, c: complex) -> "Operator":
+        c = complex(c)
         if c == 1:
             return self
-        # numpy's scalar product, as a sparse matrix scales its data
-        return Operator(self.dim, tuple(Piece(p.src, p.tgt, p.values() * complex(c)) for p in self.pieces))
+        if c == -1:
+            # both products are exact, so Python's product equals numpy's
+            return Operator(self.dim, tuple(Piece(p.src, p.tgt, tuple(map(operator.mul, p.values(), repeat(c)))) for p in self.pieces))
+        # numpy's scalar product, as a sparse matrix scales its data: it may
+        # fuse a multiply-add, and a coefficient map's report depends on that
+        import numpy as np
+
+        return Operator(
+            self.dim,
+            tuple(Piece(p.src, p.tgt, tuple((np.array(p.values(), dtype=np.complex128) * c).tolist())) for p in self.pieces),
+        )
 
     def adjoint(self) -> "Operator":
         return Operator(self.dim, tuple(p.adjoint() for p in self.pieces))
@@ -234,62 +346,85 @@ class Operator:
         if len(self.pieces) == 1 and len(other.pieces) == 1:
             return Operator(self.dim, (self.pieces[0].after(other.pieces[0]),))
         # a sum: merge both factors, join on the middle index, add in its order
-        a_src, a_tgt, a_val = self.entries()
-        b_src, b_tgt, b_val = other.entries()
-        lo = np.searchsorted(a_src, b_tgt, side="left")
-        counts = np.searchsorted(a_src, b_tgt, side="right") - lo
-        b_idx = np.repeat(np.arange(len(b_src)), counts)
-        starts = np.cumsum(counts) - counts
-        a_idx = np.arange(int(counts.sum())) - np.repeat(starts - lo, counts)
-        merged = _merge(b_src[b_idx], a_tgt[a_idx], _mul(a_val[a_idx], b_val[b_idx]), order_key=b_tgt[b_idx])
-        return Operator(self.dim, _split(*merged))
+        by_source: dict[int, list[tuple[int, complex]]] = {}
+        for s, t, v in zip(*self.entries()):
+            by_source.setdefault(s, []).append((t, v))
+        by_target: dict[int, list[tuple[int, complex]]] = {}
+        for s, t, v in zip(*other.entries()):
+            by_target.setdefault(t, []).append((s, v))
+        runs = []
+        for m in sorted(by_source.keys() & by_target.keys()):
+            terms = [(s, t, u * v) for s, v in by_target[m] for t, u in by_source[m]]
+            runs.append(tuple(zip(*terms)))
+        return Operator(self.dim, _split(*_by_source(self.dim, _merge(self.dim, runs))))
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _merged(self) -> dict[int, complex]:
+        return _merge(self.dim, ((p.src, p.tgt, p.values()) for p in self.pieces))
+
+    def entries(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[complex, ...]]:
         """``(src, tgt, value)`` of the nonzero matrix entries, sorted by source."""
         if len(self.pieces) == 1:
             p = self.pieces[0]
             return p.src, p.tgt, p.values()
-        if not self.pieces:
-            return _NO_INDEX, _NO_INDEX, np.zeros(0, dtype=np.complex128)
-        return _merge(
-            np.concatenate([p.src for p in self.pieces]),
-            np.concatenate([p.tgt for p in self.pieces]),
-            np.concatenate([p.values() for p in self.pieces]),
-        )
+        return _by_source(self.dim, self._merged())
 
-    def frobenius(self, mask: np.ndarray | None = None) -> float:
+    def frobenius(self, mask: tuple[bool, ...] | None = None) -> float:
         """Frobenius norm, of the compression to ``mask`` when given.
 
-        Entries are summed in row-major order, as a sparse matrix stores them.
+        Entries are summed in row-major order, as a sparse matrix stores them,
+        and in numpy's pairwise order.
         """
-        src, tgt, val = self.entries()
-        if mask is not None:
-            keep = mask[src] & mask[tgt]
-            src, tgt, val = src[keep], tgt[keep], val[keep]
-        if not len(val):
+        runs = [(p.src, p.tgt, p.values()) for p in self.pieces]
+        if not runs:
             return 0.0
-        return float(np.sqrt(np.sum(np.abs(val[np.lexsort((src, tgt))]) ** 2)))
+        if len(runs) == 1:
+            # one piece holds one entry per row, and numpy kept its zeros
+            src, tgt, values = runs[0] if mask is None else _compress(runs[0], mask)
+            values = [v for _, v in sorted(zip(tgt, values))]
+        else:
+            if mask is not None and not _same_entries(runs):
+                # compressing each summand first leaves every kept entry's sum
+                # as it was; it may change the sign of a zero, which no square sees
+                runs = [_compress(run, mask) for run in runs]
+            if _same_entries(runs):
+                # as when a relation holds: add elementwise, then mask what is left
+                values = list(reduce(partial(map, operator.add), (r[2] for r in runs), repeat(0j)))
+                cells = sorted(compress(zip(runs[0][1], runs[0][0], values), values))
+                values = [v for t, s, v in cells if mask is None or (mask[s] and mask[t])]
+            else:
+                values = list(_merge(self.dim, runs).values())
+        if not values:
+            return 0.0
+        return math.sqrt(_numpy_sum(list(map(_square_modulus, values))))
 
     def column_norm(self, j: int) -> float:
-        src, tgt, val = self.entries()
-        column = np.zeros(self.dim, dtype=np.complex128)
-        column[tgt[src == j]] = val[src == j]
-        return float(np.linalg.norm(column))
+        """Euclidean norm of column ``j``: squared real parts, then imaginary ones, in row order."""
+        column = sorted((t, v) for s, t, v in zip(*self.entries()) if s == j)
+        re = reduce(operator.add, (v.real * v.real for _, v in column), 0.0)
+        im = reduce(operator.add, (v.imag * v.imag for _, v in column), 0.0)
+        return math.sqrt(re + im)
 
-    def eigenvalues(self) -> np.ndarray:
+    def eigenvalues(self) -> list[complex]:
         """Spectrum on the span of the basis vectors this operator touches."""
         src, tgt, val = self.entries()
-        if len(np.unique(src)) == len(src) and len(np.unique(tgt)) == len(tgt):
+        if len(set(src)) == len(src) and len(set(tgt)) == len(tgt):
             return _cycle_spectrum(src, tgt, val)
-        support = np.union1d(src, tgt)
-        dense = np.zeros((len(support), len(support)), dtype=np.complex128)
-        dense[np.searchsorted(support, tgt), np.searchsorted(support, src)] = val
-        return np.linalg.eigvals(dense)
+        # a genuine sum, two entries in one row or column: dense, on the support
+        import numpy as np
 
-    def toarray(self) -> np.ndarray:
+        support = {v: k for k, v in enumerate(sorted(set(src) | set(tgt)))}
+        dense = np.zeros((len(support), len(support)), dtype=np.complex128)
+        for s, t, v in zip(src, tgt, val):
+            dense[support[t], support[s]] = v
+        return [complex(z) for z in np.linalg.eigvals(dense)]
+
+    def toarray(self):
+        """The dense matrix, as a numpy array (for tests)."""
+        import numpy as np
+
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for p in self.pieces:
-            np.add.at(out, (p.tgt, p.src), p.values())
+            np.add.at(out, (list(p.tgt), list(p.src)), p.values())
         return out
 
 
@@ -305,11 +440,17 @@ class TruncatedRep:
     S: dict
     T: dict
     corner_levels: dict  # namespace -> list of per-level basis index lists
-    interior: np.ndarray  # True on paths of length 1 .. depth-1
+    interior: tuple[bool, ...]  # True on paths of length 1 .. depth-1
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+
+def _tail_phase(j: int, n: int) -> complex:
+    """``exp(2 pi i j / n)``; equal to numpy's ``np.exp`` of the same argument
+    to the bit, as long as the division by ``n`` comes last."""
+    return cmath.exp(2j * math.pi * j / n)
 
 
 def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
@@ -321,30 +462,25 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
     n = len(basis)
 
     def operator_on(src, tgt=None, phase=None) -> Operator:
-        src = np.asarray(src, dtype=np.int64)
-        tgt = src if tgt is None else np.asarray(tgt, dtype=np.int64)
-        return Operator(n, (Piece(src, tgt, phase),))
+        src = tuple(src)
+        return Operator(n, (Piece(src, src if tgt is None else tuple(tgt), phase),))
 
     # one pass over the basis: each path of length >= 1 is S[e] of its
     # suffix without the range-end edge e
     by_range: dict[str, list[int]] = {v: [] for v in g.vertices}
     extension: dict[str, tuple[list[int], list[int]]] = {e.name: ([], []) for e in g.edges}
-    lengths = np.zeros(n, dtype=np.int64)
-    for i, p in enumerate(basis.paths):
+    for i, (p, suffix) in enumerate(zip(basis.paths, basis.suffix)):
         by_range[p.range].append(i)
-        lengths[i] = len(p.edges)
         if p.edges:
-            e = p.edges[0]
-            suffix = Path(p.edges[1:], source=p.source, range=g.edge(e).source)
-            src, tgt = extension[e]
-            src.append(basis.index[suffix])
+            src, tgt = extension[p.edges[0]]
+            src.append(suffix)
             tgt.append(i)
 
     P = {v: operator_on(idx) for v, idx in by_range.items()}
     S = {}
     for e, (src, tgt) in extension.items():
-        order = np.argsort(src)
-        S[e] = operator_on(np.asarray(src, dtype=np.int64)[order], np.asarray(tgt, dtype=np.int64)[order])
+        pairs = sorted(zip(src, tgt))
+        S[e] = operator_on(*zip(*pairs)) if pairs else operator_on(())
 
     T: dict[str, Operator] = {}
     corner_levels: dict[str, list[list[int]]] = {}
@@ -363,8 +499,8 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
                 )
             for j, i in enumerate(idx):
                 rows.append(i)
-                vals.append(np.exp(2j * np.pi * j / n_k))
-        T[rep.tail.namespace] = operator_on(rows, phase=np.array(vals, dtype=np.complex128))
+                vals.append(_tail_phase(j, n_k))
+        T[rep.tail.namespace] = operator_on(rows, phase=tuple(vals))
         corner_levels[rep.tail.namespace] = levels
     return TruncatedRep(
         spec=spec,
@@ -375,7 +511,7 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
         S=S,
         T=T,
         corner_levels=corner_levels,
-        interior=(lengths >= 1) & (lengths <= depth - 1),
+        interior=tuple(1 <= len(p.edges) <= depth - 1 for p in basis.paths),
     )
 
 
@@ -466,6 +602,8 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
 
     ops = {e: op_of_term(term, rep) for e, term in gmap.edge_map.items()}
     zero = Operator(rep.dimension)
+    # the basis starts with the vertex paths
+    vertex_index = {p.source: i for i, p in enumerate(rep.basis.paths[: len(rep.graph.vertices)])}
     for family, v, identities in ck_instances(
         spec.original_graph(),
         ops,
@@ -480,7 +618,7 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
             entries.append(ResidualEntry(name, diff.frobenius(interior)))
         if family == "CK3":
             # known truncation defect: the relation fails on the vertex vector itself
-            vertex = rep.basis.index[rep.graph.vertex_path(v)]
+            vertex = vertex_index[v]
             defects.append(ResidualEntry(f"CK3-vertex-defect[{v}]", diff.column_norm(vertex)))
 
     for loop_rep in spec.replacements:
@@ -532,13 +670,13 @@ class SpectrumReport:
     conjugation_mismatch: float
 
 
-def _circle_hausdorff(values: np.ndarray) -> float:
-    """Hausdorff distance between a finite set and the unit circle."""
-    radial = float(np.max(np.abs(np.abs(values) - 1.0)))
-    angles = np.sort(np.angle(values))
-    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-    max_gap = float(np.max(gaps))
-    return max(radial, 2.0 * math.sin(max_gap / 4.0))
+def _circle_hausdorff(values: tuple[complex, ...], radial: float) -> float:
+    """Hausdorff distance between a finite set and the unit circle, given
+    the set's largest distance ``radial`` of a modulus from 1."""
+    angles = sorted(map(cmath.phase, values))
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    gaps.append(angles[0] + 2 * math.pi - angles[-1])
+    return max(radial, 2.0 * math.sin(max(gaps) / 4.0))
 
 
 def spectral_net_bound(loop_length: int, level_size: int) -> float:
@@ -557,32 +695,40 @@ def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> Sp
 
     # T^n is diagonal on the corner (all levels, in basis order): its eigenvalues are its phases
     evals = _tail_power(rep, ns, n).pieces[0].values()
+    moduli = list(map(_modulus, evals))
+    radial = max(abs(m - 1.0) for m in moduli)
 
     product = op_of_term(gmap.edge_map[loop.edge_index(1)], rep)
     for i in range(2, n + 1):
         product = op_of_term(gmap.edge_map[loop.edge_index(i)], rep) @ product
-    conj_evals = product.eigenvalues()
-    conj_nonzero = conj_evals[np.abs(conj_evals) > 0.5]
+    conj = product.eigenvalues()
+    conj_nonzero = [(z, m) for z, m in zip(conj, map(_modulus, conj)) if m > 0.5]
 
     # the conjugated operator sees levels 0 .. d-1 of the corner unitary power
     shallow = sum(len(level) for level in rep.corner_levels[ns][: rep.depth])
-    mismatch = _multiset_mismatch(conj_nonzero, evals[:shallow])
+    mismatch = _multiset_mismatch(conj_nonzero, list(zip(evals[:shallow], moduli)))
 
     return SpectrumReport(
         loop=loop,
         depth=rep.depth,
         eigenvalues=tuple(evals),
-        conjugated_nonzero=tuple(conj_nonzero),
-        max_modulus_deviation=float(np.max(np.abs(np.abs(evals) - 1.0))),
-        hausdorff_to_circle=_circle_hausdorff(evals),
+        conjugated_nonzero=tuple(z for z, _ in conj_nonzero),
+        max_modulus_deviation=radial,
+        hausdorff_to_circle=_circle_hausdorff(evals, radial),
         conjugation_mismatch=mismatch,
     )
 
 
-def _multiset_mismatch(a: np.ndarray, b: np.ndarray) -> float:
+def _multiset_mismatch(a: list[tuple[complex, float]], b: list[tuple[complex, float]]) -> float:
+    """Largest distance between two multisets of ``(value, modulus)`` pairs
+    matched in order of angle, then modulus; infinite if their sizes differ."""
     if len(a) != len(b):
         return float("inf")
     if len(a) == 0:
         return 0.0
-    key = lambda arr: np.lexsort((np.abs(arr), np.round(np.angle(arr), 9)))
-    return float(np.max(np.abs(a[key(a)] - b[key(b)])))
+
+    def key(pair: tuple[complex, float]) -> tuple[float, float]:
+        # the angle rounded to 9 decimals as numpy rounds it, then the modulus
+        return round(cmath.phase(pair[0]) * 1e9) / 1e9, pair[1]
+
+    return max(_modulus(x - y) for (x, _), (y, _) in zip(sorted(a, key=key), sorted(b, key=key)))

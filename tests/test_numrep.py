@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 from afembed.embedding import MultiplicitySeq, embed
 from afembed.numrep import (
+    _modulus,
+    _numpy_sum,
+    _tail_phase,
     Operator,
     PathBasis,
     Piece,
@@ -305,7 +310,7 @@ class TestOperatorSpectrum:
         two vertices of a chain give zeros."""
         phases = np.array([np.exp(0.4j), 0.9 * np.exp(2.1j), np.exp(-1.3j), 1.7j])
         # 0 -> 1 -> 2 -> 0 is the cycle, 3 -> 4 the chain
-        piece = Piece(np.array([0, 1, 2, 3]), np.array([1, 2, 0, 4]), phases)
+        piece = Piece((0, 1, 2, 3), (1, 2, 0, 4), tuple(phases.tolist()))
         op = Operator(5, (piece,))
         w = phases[0] * phases[1] * phases[2]
         roots = [abs(w) ** (1 / 3) * np.exp(1j * (np.angle(w) + 2 * np.pi * k) / 3) for k in range(3)]
@@ -314,8 +319,8 @@ class TestOperatorSpectrum:
         assert _same_multiset(spectrum, np.linalg.eigvals(op.toarray()), 1e-7)
 
     def test_genuine_sum_uses_dense_spectrum(self):
-        a = Operator(3, (Piece(np.array([0, 1]), np.array([1, 0])),))
-        b = Operator(3, (Piece(np.array([0]), np.array([0]), np.array([2.0 + 0j])),))
+        a = Operator(3, (Piece((0, 1), (1, 0)),))
+        b = Operator(3, (Piece((0,), (0,), (2.0 + 0j,)),))
         total = a + b
         assert _same_multiset(total.eigenvalues(), np.linalg.eigvals(total.toarray()[:2, :2]), 1e-12)
 
@@ -330,7 +335,7 @@ def operators(draw, dim=6):
         phases = [
             complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2))) for _ in src
         ]
-        pieces.append(Piece(np.array(src, dtype=np.int64), np.array(tgt, dtype=np.int64), np.array(phases)))
+        pieces.append(Piece(tuple(src), tuple(tgt), tuple(phases)))
     return Operator(dim, tuple(pieces))
 
 
@@ -344,9 +349,70 @@ class TestOperatorAlgebra:
         product = a @ b
         assert np.allclose(product.toarray(), da @ db, atol=1e-12)
         for p in product.pieces:
-            assert np.all(np.diff(p.src) > 0) and len(set(p.tgt.tolist())) == len(p.tgt)
+            assert np.all(np.diff(p.src) > 0) and len(set(list(p.tgt))) == len(p.tgt)
         assert np.allclose((a - b).toarray(), da - db, atol=1e-12)
         assert np.allclose(a.adjoint().toarray(), da.conj().T, atol=1e-12)
         m = np.diag(np.array(mask, dtype=float))
         assert a.frobenius(np.array(mask)) == pytest.approx(np.linalg.norm(m @ da @ m), abs=1e-12)
         assert a.column_norm(2) == pytest.approx(np.linalg.norm(da[:, 2]), abs=1e-12)
+
+
+def _bits(z: complex) -> bytes:
+    """The IEEE bits of both parts, so that -0.0 and 0.0 differ."""
+    return struct.pack("<2d", z.real, z.imag)
+
+
+# finite parts, signed zeros included, small enough that no product overflows
+finite = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+complexes = st.builds(complex, finite, finite)
+
+
+class TestExactArithmetic:
+    """The plain-Python arithmetic of the engine against numpy, bit for bit:
+    numpy computed every printed number before the engine dropped it."""
+
+    @given(st.one_of(st.integers(0, 600), st.just(4097)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_pairwise_sum_matches_numpy(self, n, seed):
+        rng = random.Random(seed)
+        squares = [rng.random() * 10.0 ** rng.randint(-30, 30) for _ in range(n)]
+        expected = float(np.sum(np.array(squares, dtype=np.float64)))
+        assert _numpy_sum(squares).hex() == expected.hex()
+
+    def test_tail_phases_match_numpy(self):
+        """Every level size of the doubling, tripling and ``3,3;2`` tails up to 6,561."""
+        sizes = {b**k for b in (2, 3) for k in range(9) if b**k <= 6561}
+        sizes |= {9 * 2**k for k in range(10)}
+        for n in sorted(sizes):
+            ours = [_tail_phase(j, n) for j in range(n)]
+            theirs = [complex(np.exp(2j * np.pi * j / n)) for j in range(n)]
+            assert list(map(_bits, ours)) == list(map(_bits, theirs)), n
+
+    @given(complexes, complexes)
+    @settings(max_examples=500, deadline=None)
+    def test_python_product_is_the_separate_multiply_formula(self, a, b):
+        """The formula the numpy engine spelled out to avoid fused multiply-adds."""
+        x, y = np.array([a]), np.array([b])
+        old = np.empty(1, dtype=np.complex128)
+        old.real = x.real * y.real - x.imag * y.imag
+        old.imag = x.real * y.imag + x.imag * y.real
+        assert _bits(a * b) == _bits(complex(old[0]))
+
+    @given(complexes)
+    @settings(max_examples=300, deadline=None)
+    def test_negation_matches_numpy_scalar_product(self, a):
+        """``Operator.scale(-1)`` multiplies in Python; numpy's scalar product agrees there."""
+        assert _bits(a * complex(-1)) == _bits(complex((np.array([a]) * complex(-1))[0]))
+
+    @given(complexes)
+    @settings(max_examples=500, deadline=None)
+    def test_modulus_matches_numpy(self, z):
+        assert _modulus(z).hex() == float(np.abs(np.array([z]))[0]).hex()
+
+    def test_modulus_of_unit_phases_matches_numpy(self):
+        phases = [_tail_phase(j, 4096) for j in range(4096)]
+        assert [_modulus(z) for z in phases] == np.abs(np.array(phases)).tolist()
+
+    @given(st.floats(min_value=-4.0, max_value=4.0))
+    def test_angle_rounding_matches_numpy(self, x):
+        assert round(x * 1e9) / 1e9 == float(np.round(np.float64(x), 9))
