@@ -50,8 +50,10 @@ from .embedding import (
 )
 from .verify import RelationReport, RelationStatus, verify_ck_family, verify_witness
 
-# the numeric stage loads numpy, which only ``verify`` needs: its names are
-# resolved on first access (PEP 562) so the structure commands never import it
+# only ``verify`` needs the numeric stage: its names are resolved on first
+# access (PEP 562) so the structure commands never import it.  numrep loads
+# numpy only for a ``--map`` with a coefficient other than 1 or -1 or with a
+# genuine sum
 _NUMERIC = frozenset(
     {
         "PathBasis",

@@ -4,7 +4,9 @@ Exit codes: 0 for AF or AF-embeddable inputs (the report distinguishes
 them), 3 when a loop has an entrance, 1 for unreadable or malformed input
 and command-line usage errors, 2 when a verification check fails.
 Structured output is newline-delimited JSON records with sorted keys, so
-identical inputs produce byte-identical reports.
+identical inputs produce byte-identical reports.  Messages that are not
+records (``error: ...``, ``verification failed: ...``) go to stderr, so
+every line of a ``--format json`` stdout parses as JSON.
 """
 
 from __future__ import annotations
@@ -146,8 +148,10 @@ def cmd_embed(args, out) -> int:
     return EXIT_OK
 
 
-# The numeric stage loads numpy, which only ``verify`` needs, so ``numrep`` is
-# imported on first use; these names stay module attributes of the CLI.
+# Only ``verify`` needs the numeric stage, so ``numrep`` is imported on first
+# use; these names stay module attributes of the CLI.  numrep itself loads
+# numpy only for a ``--map`` with a coefficient other than 1 or -1 or with a
+# genuine sum.
 
 
 def build_rep(spec, depth):
@@ -169,7 +173,7 @@ def loop_spectrum(rep, loop, gmap):
 
 
 def cmd_verify(args, out) -> int:
-    from . import numrep  # numpy's import time lands here, before any numeric call
+    from . import numrep  # its import time lands here, before any numeric call
 
     g = _load(args.input)
     try:
@@ -256,7 +260,7 @@ def cmd_verify(args, out) -> int:
     )
     _emit(records, args.format, out)
     if failures:
-        print(f"verification failed: {failures[0]}", file=out)
+        print(f"verification failed: {failures[0]}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     return EXIT_OK
 
@@ -331,12 +335,12 @@ def main(argv=None, out=None) -> int:
         # argparse exits 2 on a usage error, but 2 means a failed verification here
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     if getattr(args, "depth", 0) < 0:
-        print("error: depth must be >= 0", file=out)
+        print("error: depth must be >= 0", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         return args.func(args, out)
     except (OSError, GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=out)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -59,12 +59,12 @@ class TestClassify:
         assert "NOT_FINITE" in out
         assert "p(v)" in out  # the rendered inequality chain
 
-    def test_parse_error_exit_1_with_position(self, tmp_path):
+    def test_parse_error_exit_1_with_position(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
         p.write_text("vertex a\nedge e a nope\n")
         code, out = run_cli(["classify", "--input", str(p)])
         assert code == EXIT_INPUT_ERROR
-        assert "line 2" in out
+        assert "line 2" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         code, out = run_cli(["classify", "--input", str(tmp_path / "none.txt")])
@@ -181,14 +181,14 @@ class TestVerify:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
 
-    def test_domain_mismatch_is_input_error(self, square_file, tmp_path):
+    def test_domain_mismatch_is_input_error(self, square_file, tmp_path, capsys):
         bad = tmp_path / "bad.genmap.txt"
         bad.write_text("e1 = p(u1)\n")
         code, out = run_cli(
             ["verify", "--input", str(square_file), "--depth", "2", "--map", str(bad)]
         )
         assert code == EXIT_INPUT_ERROR
-        assert "domain" in out
+        assert "domain" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -11,7 +11,8 @@ generator maps that must keep failing the same way.  Two more maps pin the
 numeric arithmetic of the generator maps the construction never produces:
 an image scaled by a unit coefficient other than 1, and an image that is a
 genuine sum with two entries in one row, whose loop spectrum needs a dense
-eigensolver.
+eigensolver.  The failing runs' ``verification failed: ...`` line has since
+moved to stderr, so every golden stdout holds JSON records only.
 """
 
 import io
@@ -195,3 +196,41 @@ def test_exported_names_resolve_and_numpy_loads_last():
     )
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")[-500:]
+
+
+def run_process(argv: list[str]) -> subprocess.CompletedProcess:
+    code = "import sys\nfrom afembed.cli import entry_point\nentry_point()\n"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=child_env(), capture_output=True, timeout=120)
+
+
+def assert_ndjson(stdout: bytes) -> None:
+    for line in stdout.decode("utf-8").splitlines():
+        json.loads(line)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith("_map")))
+def test_failing_verify_stdout_is_ndjson(name):
+    """The failure message goes to stderr; stdout holds only the records."""
+    proc = run_process(resolve(CASES[name]))
+    assert proc.returncode == 2
+    assert_ndjson(proc.stdout)
+    assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert proc.stderr.decode("utf-8").startswith("verification failed: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--input", "@no_such_graph.txt"],
+        ["verify", "--input", "@square_fswap.genmap.txt"],
+        ["verify", "--input", "@cycles_dag.txt", "--map", "@square_fswap.genmap.txt"],
+        ["verify", "--input", "@square.txt", "--depth", "-1"],
+        ["classify", "--input", "@square_fswap.genmap.txt"],
+    ],
+    ids=["missing-file", "malformed-graph", "map-domain-mismatch", "negative-depth", "classify-malformed"],
+)
+def test_input_error_stdout_is_ndjson(argv):
+    proc = run_process(resolve(argv))
+    assert proc.returncode == 1
+    assert_ndjson(proc.stdout)
+    assert proc.stderr.decode("utf-8").startswith("error: ")
