@@ -191,11 +191,11 @@ class Piece:
     @cached_property
     def position(self) -> dict[int, int]:
         """Where each source index sits in ``src``: the join key of :meth:`after`."""
-        return {s: k for k, s in enumerate(self.src)}
+        return dict(zip(self.src, range(len(self.src))))
 
     def adjoint(self) -> "Piece":
-        if not self.src:
-            return self
+        if self.src == self.tgt:  # a diagonal: its indices stay
+            return self if self.phase is None else Piece(self.src, self.tgt, tuple(map(complex.conjugate, self.phase)))
         order = sorted(range(len(self.tgt)), key=self.tgt.__getitem__)
         phase = None if self.phase is None else tuple(map(complex.conjugate, map(self.phase.__getitem__, order)))
         return Piece(tuple(map(self.tgt.__getitem__, order)), tuple(map(self.src.__getitem__, order)), phase)
@@ -627,10 +627,11 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         u_terms = [ops[loop.edge_index(i)] for i in range(1, loop.n + 1)]
         for i in range(1, loop.n + 1):
             a = u_terms[i - 1]
+            a_star = a.adjoint()
             p_ui = rep.P[loop.vertices[i - 1]]
             p_next = rep.P[loop.vertices[i % loop.n]]
-            entries.append(ResidualEntry(f"LOOP[{name}]:co-iso[{i}]", (a.adjoint() @ a - p_ui).frobenius(interior)))
-            entries.append(ResidualEntry(f"LOOP[{name}]:iso[{i}]", (a @ a.adjoint() - p_next).frobenius(interior)))
+            entries.append(ResidualEntry(f"LOOP[{name}]:co-iso[{i}]", (a_star @ a - p_ui).frobenius(interior)))
+            entries.append(ResidualEntry(f"LOOP[{name}]:iso[{i}]", (a @ a_star - p_next).frobenius(interior)))
         product = u_terms[-1]
         for a in reversed(u_terms[:-1]):
             product = product @ a
