@@ -144,15 +144,6 @@ def _modulus(z: complex) -> float:
     return math.sqrt((m * m + one) / one) * big
 
 
-def _square_modulus(z: complex) -> float:
-    if not z.imag:
-        return z.real * z.real
-    if not z.real:
-        return z.imag * z.imag
-    m = _modulus(z)
-    return m * m
-
-
 def _mul(a: tuple[complex, ...] | None, b: tuple[complex, ...] | None) -> tuple[complex, ...] | None:
     """Elementwise complex product; None stands for all ones.
 
@@ -393,9 +384,7 @@ class Operator:
                 values = [v for t, s, v in cells if mask is None or (mask[s] and mask[t])]
             else:
                 values = list(_merge(self.dim, runs).values())
-        if not values:
-            return 0.0
-        return math.sqrt(_numpy_sum(list(map(_square_modulus, values))))
+        return math.sqrt(_numpy_sum([m * m for m in map(_modulus, values)]))
 
     def column_norm(self, j: int) -> float:
         """Euclidean norm of column ``j``: squared real parts, then imaginary ones, in row order."""
