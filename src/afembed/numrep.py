@@ -468,8 +468,7 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
     P = {v: operator_on(idx) for v, idx in by_range.items()}
     S = {}
     for e, (src, tgt) in extension.items():
-        pairs = sorted(zip(src, tgt))
-        S[e] = operator_on(*zip(*pairs)) if pairs else operator_on(())
+        S[e] = operator_on(*zip(*sorted(zip(src, tgt))))  # each edge is a path of length 1
 
     T: dict[str, Operator] = {}
     corner_levels: dict[str, list[list[int]]] = {}
