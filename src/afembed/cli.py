@@ -26,7 +26,7 @@ from .embedding import (
     materialize,
     spec_to_dict,
 )
-from .graph import GraphError, export_dot, load_graph, serialize_graph
+from .graph import GraphError, export_dot, graph_to_dict, load_graph, serialize_graph
 from .loops import EntranceExistsError, Verdict, classify, disjoint_simple_loops, witness_infinite
 from .terms import term_to_str
 from .verify import RelationStatus, verify_ck_family
@@ -39,10 +39,13 @@ EXIT_VERIFICATION_FAILED = 2
 EXIT_NOT_FINITE = 3
 
 
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(records: list[dict], fmt: str, out) -> None:
     if fmt == "json":
         for rec in records:
-            print(json.dumps(rec, sort_keys=True), file=out)
+            print(_JSON.encode(rec), file=out)
     else:
         for rec in records:
             kind = rec.get("record", "")
@@ -56,7 +59,7 @@ def _load(path: str):
     return load_graph(FsPath(path).read_text(encoding="utf-8"))
 
 
-def _output_dir(args) -> FsPath:
+def _output_dir() -> FsPath:
     d = FsPath(os.environ.get(OUTPUT_DIR_ENV, "."))
     d.mkdir(parents=True, exist_ok=True)
     return d
@@ -123,7 +126,7 @@ def cmd_embed(args, out) -> int:
         )
         return EXIT_NOT_FINITE
     f_d = materialize(spec, args.depth)
-    outdir = _output_dir(args)
+    outdir = _output_dir()
     stem = _stem(args)
     paths = {
         "spec": outdir / f"{stem}.embedding.json",
@@ -270,8 +273,6 @@ def cmd_export(args, out) -> int:
     if args.format == "dot":
         print(export_dot(g), end="", file=out)
     elif args.format == "json":
-        from .graph import graph_to_dict
-
         print(json.dumps(graph_to_dict(g), sort_keys=True, indent=2), file=out)
     else:
         print(serialize_graph(g), end="", file=out)

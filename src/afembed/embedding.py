@@ -18,9 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .graph import Edge, Graph
+from .graph import Graph, graph_from_dict, graph_to_dict
 from .loops import EntranceExistsError, SimpleLoop, Verdict, classify
-from .terms import CKTerm, ContextMismatchError, NormalMonomial, StarContext
+from .terms import CKTerm, ContextMismatchError, NormalMonomial, StarContext, parse_term, term_to_str
 
 
 class NamespaceCollisionError(ValueError):
@@ -186,12 +186,16 @@ class AugmentedGraphSpec(StarContext):
             return None
         return tail, k, mm
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self.base.vertices or self._parse_tail_vertex(v) is not None
+    def check_vertex(self, v: str) -> str:
+        if v not in self.base.vertices and self._parse_tail_vertex(v) is None:
+            raise ContextMismatchError(f"unknown vertex {v!r}")
+        return v
 
     def edge_source(self, e: str) -> str:
-        if e in self._finite_edges:
+        try:
             return self._finite_edges[e][0]
+        except KeyError:
+            pass
         parsed = self._parse_tail_edge(e)
         if parsed is None:
             raise ContextMismatchError(f"unknown edge {e!r}")
@@ -199,8 +203,10 @@ class AugmentedGraphSpec(StarContext):
         return tail.level_or_sink(k)
 
     def edge_range(self, e: str) -> str:
-        if e in self._finite_edges:
+        try:
             return self._finite_edges[e][1]
+        except KeyError:
+            pass
         parsed = self._parse_tail_edge(e)
         if parsed is None:
             raise ContextMismatchError(f"unknown edge {e!r}")
@@ -323,8 +329,6 @@ def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
 
 
 def spec_to_dict(spec: AugmentedGraphSpec) -> dict:
-    from .graph import graph_to_dict
-
     return {
         "base": graph_to_dict(spec.base),
         "replacements": [
@@ -342,8 +346,6 @@ def spec_to_dict(spec: AugmentedGraphSpec) -> dict:
 
 
 def spec_from_dict(obj: dict) -> AugmentedGraphSpec:
-    from .graph import graph_from_dict
-
     base = graph_from_dict(obj["base"])
     replacements = []
     for r in obj["replacements"]:
@@ -354,8 +356,6 @@ def spec_from_dict(obj: dict) -> AugmentedGraphSpec:
 
 
 def genmap_to_text(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> str:
-    from .terms import term_to_str
-
     lines = ["# generator map: edge id = image term"]
     for e in sorted(gmap.edge_map):
         lines.append(f"{e} = {term_to_str(gmap.edge_map[e], spec)}")
@@ -363,8 +363,6 @@ def genmap_to_text(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> str:
 
 
 def genmap_from_text(text: str, spec: AugmentedGraphSpec) -> GeneratorMap:
-    from .terms import parse_term
-
     edge_map: dict[str, CKTerm] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -373,5 +371,8 @@ def genmap_from_text(text: str, spec: AugmentedGraphSpec) -> GeneratorMap:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected '<edge-id> = <term>'")
         name, _, rhs = line.partition("=")
-        edge_map[name.strip()] = parse_term(rhs.strip(), spec)
+        name = name.strip()
+        if name in edge_map:
+            raise ValueError(f"line {lineno}: duplicate image for edge {name!r}")
+        edge_map[name] = parse_term(rhs.strip(), spec)
     return GeneratorMap(edge_map)

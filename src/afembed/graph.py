@@ -187,7 +187,6 @@ def parse_graph(text: str) -> Graph:
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
     vseen: set[str] = set()
-    eseen: dict[str, int] = {}
     edge_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -205,9 +204,8 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 4:
                 raise GraphParseError("expected: edge <id> <source-id> <range-id>", lineno)
             name = parts[1]
-            if name in eseen:
+            if name in edge_lines:
                 raise GraphParseError(f"duplicate edge id {name!r}", lineno)
-            eseen[name] = lineno
             edge_lines[name] = lineno
             edges.append((name, parts[2], parts[3]))
         else:

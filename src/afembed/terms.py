@@ -7,16 +7,20 @@ be the tail's sink.  ``p_w`` is the degenerate monomial with two empty paths
 based at ``w``.
 
 Products are normalized by a local, length-reducing rewrite system over
-words in the atoms ``p(w)``, ``s(e)``, ``s*(e)``, ``t(ns)^k``:
+words in the atoms ``p(w)``, ``s(e)``, ``s*(e)``, ``t(ns)^k``.  Each atom
+sits between two boundary vertices, ``atom = p(u) atom p(w)``: ``(v, v)``
+for ``p(v)``, ``(range(e), source(e))`` for ``s(e)``, ``(source(e),
+range(e))`` for ``s*(e)`` and ``(sink, sink)`` for ``t``.  One rule
+annihilates: adjacent atoms whose facing boundary vertices differ collapse
+to zero (e.g. non-composable edges, or tail unitaries of different tails).
+Five rules contract an adjacent pair whose facing vertices agree:
 
+* ``p(v) x -> x`` and ``x p(v) -> x``
 * ``s*(e) s(f) -> delta_{ef} p(source(e))``
-* ``p``'s merge into adjacent atoms or kill them on a vertex mismatch
-* ``t``-powers of one tail merge; ``t t* = t* t = p(sink)``
 * ``s(e) s*(e) -> p(range(e))`` when ``e`` is the unique receiver at its
   range (sound by the receiver-sum relation; sums over several receivers
   are never contracted)
-* adjacent atoms whose implicit boundary projections disagree collapse to
-  zero (e.g. non-composable edges, or tail unitaries of different tails)
+* ``t(ns)^j t(ns)^k -> t(ns)^(j+k)``, or ``p(sink)`` when ``j + k = 0``
 
 Every rule shortens the word, so rewriting terminates; confluence is
 exercised in the test suite by exhausting all rewrite orders on small
@@ -36,6 +40,8 @@ Word = tuple  # tuple of atoms
 
 #: sentinel distinct from any word: the zero element
 ZERO = None
+#: what a rewrite step returns when no rule applies to the pair
+KEEP = "keep"
 
 
 class ContextMismatchError(ValueError):
@@ -115,11 +121,13 @@ class StarContext(abc.ABC):
 
     ``receivers`` must answer for the *full* graph the algebra lives over,
     including lazily generated tail levels, since the unique-receiver
-    contraction is only sound against the full receiver set.
+    contraction is only sound against the full receiver set.  Distinct
+    tails have distinct sinks.
     """
 
     @abc.abstractmethod
-    def has_vertex(self, v: str) -> bool: ...
+    def check_vertex(self, v: str) -> str:
+        """``v`` itself; raises :class:`ContextMismatchError` if it is unknown."""
 
     @abc.abstractmethod
     def edge_source(self, e: str) -> str: ...
@@ -135,18 +143,6 @@ class StarContext(abc.ABC):
 
     @abc.abstractmethod
     def sink_namespace(self, v: str) -> str | None: ...
-
-    def check_vertex(self, v: str) -> str:
-        if not self.has_vertex(v):
-            raise ContextMismatchError(f"unknown vertex {v!r}")
-        return v
-
-    def unique_receiver(self, v: str) -> str | None:
-        rec = self.receivers(v)
-        if len(rec) == 1:
-            (e,) = rec
-            return e
-        return None
 
 
 @dataclass(frozen=True)
@@ -238,91 +234,83 @@ class CKTerm:
 # word-level rewriting
 
 
-def _atom_check(ctx: StarContext, atom: Atom) -> None:
-    tag = atom[0]
-    if tag == "p":
-        ctx.check_vertex(atom[1])
-    elif tag in ("s", "s*"):
-        ctx.edge_source(atom[1])
-    elif tag == "t":
+def _ends(ctx: StarContext, atom: Atom) -> tuple[str, str]:
+    """The boundary vertices ``(u, w)`` of an atom, ``atom = p(u) atom p(w)``.
+
+    The only validator of atoms: an unknown tag, vertex, edge or tail raises.
+    """
+    tag, x = atom[0], atom[1]
+    if tag == "s":
+        return ctx.edge_range(x), ctx.edge_source(x)
+    if tag == "s*":
+        return ctx.edge_source(x), ctx.edge_range(x)
+    if tag == "t":
         if atom[2] == 0:
             raise ValueError("tail unitary power must be nonzero")
-        ctx.sink_vertex(atom[1])
+        v = ctx.sink_vertex(x)
+        return v, v
+    if tag == "p":
+        v = ctx.check_vertex(x)
+        return v, v
+    raise ValueError(f"unknown atom tag {tag!r}")
+
+
+def _step(ctx: StarContext, x: tuple, y: tuple):
+    """One rewrite step on adjacent atoms carried with their ends.
+
+    ``x = ((u, v), a)`` and ``y = ((v', w), b)`` hold ``a`` and ``b`` with
+    their boundary vertices.  Returns the contraction ``((u, w), c)``, which
+    inherits the outer ends of the pair, ``ZERO``, or ``KEEP``.
+    """
+    (u, v), a = x
+    (v2, w), b = y
+    if v != v2:
+        return ZERO
+    ta, tb = a[0], b[0]
+    if ta == "p":
+        c = b
+    elif tb == "p":
+        c = a
+    elif ta == "s*" and tb == "s":
+        if a[1] != b[1]:
+            return ZERO
+        c = ("p", u)
+    elif ta == "s" and tb == "s*" and a[1] == b[1] and ctx.receivers(u) == {a[1]}:
+        c = ("p", u)
+    elif ta == "t" and tb == "t":  # facing sinks agree, so one tail
+        k = a[2] + b[2]
+        c = ("t", a[1], k) if k else ("p", u)
     else:
-        raise ValueError(f"unknown atom tag {tag!r}")
+        return KEEP
+    return (u, w), c
 
 
 def reduce_pair(ctx: StarContext, a: Atom, b: Atom):
     """One rewrite step on an adjacent atom pair.
 
     Returns a single replacement atom, ``ZERO`` for an annihilating pair, or
-    ``"keep"`` when no rule applies.
+    ``KEEP`` when no rule applies.  Raises on an atom unknown to ``ctx``.
     """
-    ta, tb = a[0], b[0]
-    if ta == "p":
-        w = a[1]
-        if tb == "p":
-            return a if w == b[1] else ZERO
-        if tb == "s":
-            return b if w == ctx.edge_range(b[1]) else ZERO
-        if tb == "s*":
-            return b if w == ctx.edge_source(b[1]) else ZERO
-        if tb == "t":
-            return b if w == ctx.sink_vertex(b[1]) else ZERO
-    if tb == "p":
-        w = b[1]
-        if ta == "s":
-            return a if w == ctx.edge_source(a[1]) else ZERO
-        if ta == "s*":
-            return a if w == ctx.edge_range(a[1]) else ZERO
-        if ta == "t":
-            return a if w == ctx.sink_vertex(a[1]) else ZERO
-    if ta == "s*" and tb == "s":
-        return ("p", ctx.edge_source(a[1])) if a[1] == b[1] else ZERO
-    if ta == "s" and tb == "s*":
-        if ctx.edge_source(a[1]) != ctx.edge_source(b[1]):
-            return ZERO
-        if a[1] == b[1] and ctx.unique_receiver(ctx.edge_range(a[1])) == a[1]:
-            return ("p", ctx.edge_range(a[1]))
-        return "keep"
-    if ta == "s" and tb == "s":
-        return "keep" if ctx.edge_source(a[1]) == ctx.edge_range(b[1]) else ZERO
-    if ta == "s*" and tb == "s*":
-        return "keep" if ctx.edge_range(a[1]) == ctx.edge_source(b[1]) else ZERO
-    if ta == "t" and tb == "t":
-        if a[1] != b[1]:
-            return ZERO
-        k = a[2] + b[2]
-        return ("t", a[1], k) if k else ("p", ctx.sink_vertex(a[1]))
-    if ta == "s" and tb == "t":
-        return "keep" if ctx.edge_source(a[1]) == ctx.sink_vertex(b[1]) else ZERO
-    if ta == "t" and tb == "s*":
-        return "keep" if ctx.edge_source(b[1]) == ctx.sink_vertex(a[1]) else ZERO
-    if ta == "t" and tb == "s":
-        return "keep" if ctx.edge_range(b[1]) == ctx.sink_vertex(a[1]) else ZERO
-    if ta == "s*" and tb == "t":
-        return "keep" if ctx.edge_range(a[1]) == ctx.sink_vertex(b[1]) else ZERO
-    raise ValueError(f"unhandled atom pair {a!r}, {b!r}")
+    step = _step(ctx, (_ends(ctx, a), a), (_ends(ctx, b), b))
+    return step[1] if isinstance(step, tuple) else step
 
 
 def normalize_word(ctx: StarContext, word: Iterable[Atom]):
     """Leftmost-first rewriting to an irreducible word, or ``ZERO``."""
-    w = list(word)
-    for atom in w:
-        _atom_check(ctx, atom)
+    w = [(_ends(ctx, atom), atom) for atom in word]
     if not w:
         raise ValueError("empty word has no meaning in a non-unital algebra")
     i = 0
     while i < len(w) - 1:
-        step = reduce_pair(ctx, w[i], w[i + 1])
-        if step == "keep":
+        step = _step(ctx, w[i], w[i + 1])
+        if step == KEEP:
             i += 1
             continue
         if step is ZERO:
             return ZERO
         w[i : i + 2] = [step]
         i = max(i - 1, 0)
-    return tuple(w)
+    return tuple([atom for _, atom in w])
 
 
 def word_of_monomial(ctx: StarContext, m: NormalMonomial) -> Word:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from afembed.graph import Graph
 from afembed.loops import EntranceWitness, SimpleLoop, Verdict
-from afembed.terms import ZERO, StarContext, reduce_pair
+from afembed.terms import KEEP, ZERO, StarContext, reduce_pair
 
 
 def enumerate_simple_cycles(g: Graph) -> list[tuple[str, ...]]:
@@ -130,7 +130,7 @@ def all_order_normal_forms(ctx: StarContext, word: tuple) -> set:
         reducible = False
         for i in range(len(w) - 1):
             step = reduce_pair(ctx, w[i], w[i + 1])
-            if step == "keep":
+            if step == KEEP:
                 continue
             reducible = True
             if step is ZERO:
@@ -143,6 +143,84 @@ def all_order_normal_forms(ctx: StarContext, word: tuple) -> set:
         return results
 
     return explore(tuple(word))
+
+
+def _unique_receiver(ctx: StarContext, v: str) -> str | None:
+    rec = ctx.receivers(v)
+    if len(rec) == 1:
+        (e,) = rec
+        return e
+    return None
+
+
+def reference_reduce_pair(ctx: StarContext, a: tuple, b: tuple):
+    """The rewrite step as a table of all sixteen atom-tag pairs.
+
+    The reference for :func:`afembed.terms.reduce_pair`, which states the
+    boundary rule once; both must agree on every pair of valid atoms.
+    Atoms are not validated here.
+    """
+    ta, tb = a[0], b[0]
+    if ta == "p":
+        w = a[1]
+        if tb == "p":
+            return a if w == b[1] else ZERO
+        if tb == "s":
+            return b if w == ctx.edge_range(b[1]) else ZERO
+        if tb == "s*":
+            return b if w == ctx.edge_source(b[1]) else ZERO
+        if tb == "t":
+            return b if w == ctx.sink_vertex(b[1]) else ZERO
+    if tb == "p":
+        w = b[1]
+        if ta == "s":
+            return a if w == ctx.edge_source(a[1]) else ZERO
+        if ta == "s*":
+            return a if w == ctx.edge_range(a[1]) else ZERO
+        if ta == "t":
+            return a if w == ctx.sink_vertex(a[1]) else ZERO
+    if ta == "s*" and tb == "s":
+        return ("p", ctx.edge_source(a[1])) if a[1] == b[1] else ZERO
+    if ta == "s" and tb == "s*":
+        if ctx.edge_source(a[1]) != ctx.edge_source(b[1]):
+            return ZERO
+        if a[1] == b[1] and _unique_receiver(ctx, ctx.edge_range(a[1])) == a[1]:
+            return ("p", ctx.edge_range(a[1]))
+        return "keep"
+    if ta == "s" and tb == "s":
+        return "keep" if ctx.edge_source(a[1]) == ctx.edge_range(b[1]) else ZERO
+    if ta == "s*" and tb == "s*":
+        return "keep" if ctx.edge_range(a[1]) == ctx.edge_source(b[1]) else ZERO
+    if ta == "t" and tb == "t":
+        if a[1] != b[1]:
+            return ZERO
+        k = a[2] + b[2]
+        return ("t", a[1], k) if k else ("p", ctx.sink_vertex(a[1]))
+    if ta == "s" and tb == "t":
+        return "keep" if ctx.edge_source(a[1]) == ctx.sink_vertex(b[1]) else ZERO
+    if ta == "t" and tb == "s*":
+        return "keep" if ctx.edge_source(b[1]) == ctx.sink_vertex(a[1]) else ZERO
+    if ta == "t" and tb == "s":
+        return "keep" if ctx.edge_range(b[1]) == ctx.sink_vertex(a[1]) else ZERO
+    if ta == "s*" and tb == "t":
+        return "keep" if ctx.edge_range(a[1]) == ctx.sink_vertex(b[1]) else ZERO
+    raise ValueError(f"unhandled atom pair {a!r}, {b!r}")
+
+
+def reference_normalize_word(ctx: StarContext, word: tuple):
+    """Leftmost-first rewriting with :func:`reference_reduce_pair`."""
+    w = list(word)
+    i = 0
+    while i < len(w) - 1:
+        step = reference_reduce_pair(ctx, w[i], w[i + 1])
+        if step == "keep":
+            i += 1
+            continue
+        if step is ZERO:
+            return ZERO
+        w[i : i + 2] = [step]
+        i = max(i - 1, 0)
+    return tuple(w)
 
 
 def count_paths_with_range(g: Graph, v: str, length: int) -> int:

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +181,20 @@ class TestVerify:
         code2, out2 = run_cli(["verify", "--input", str(square_file), "--depth", "3", "--format", "json"])
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
+
+    def test_duplicate_map_line_is_input_error(self, tmp_path, capsys):
+        """A second image for an edge must not silently replace the first."""
+        golden = Path(__file__).parent / "golden"
+        bad = tmp_path / "dup.genmap.txt"
+        bad.write_text(
+            (golden / "square_fswap.genmap.txt").read_text() + "e1 = s(T1.f2) t(T1) s*(T1.f1)\n"
+        )
+        code, out = run_cli(
+            ["verify", "--input", str(golden / "square.txt"), "--depth", "3", "--map", str(bad)]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert "line 6: duplicate image for edge 'e1'" in capsys.readouterr().err
 
     def test_domain_mismatch_is_input_error(self, square_file, tmp_path, capsys):
         bad = tmp_path / "bad.genmap.txt"

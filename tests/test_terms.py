@@ -1,12 +1,14 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afembed.embedding import AugmentedGraphSpec, embed
+from afembed.embedding import AugmentedGraphSpec, MultiplicitySeq, embed, materialize
 from afembed.graph import parse_graph
 from afembed.terms import (
+    KEEP,
     ZERO,
     CK3ExpansionError,
     CKTerm,
@@ -22,12 +24,13 @@ from afembed.terms import (
     normalize_word,
     parse_term,
     projection,
+    reduce_pair,
     tail_unitary,
     term_of_word,
     term_to_str,
 )
 
-from .oracles import all_order_normal_forms
+from .oracles import all_order_normal_forms, reference_normalize_word, reference_reduce_pair
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +240,75 @@ class TestRewriteSystem:
             assume(False)
             return
         assert lhs == rhs
+
+
+GOLDEN = Path(__file__).parent / "golden"
+REFERENCE_CONTEXTS = ("square", "self_loop_mult", "two_tails", "two_receivers")
+
+
+@pytest.fixture(scope="module")
+def reference_contexts():
+    """Contexts with every valid atom up to tail level 3, by name."""
+    square = parse_graph((GOLDEN / "square.txt").read_text())
+    self_loop = parse_graph((GOLDEN / "self_loop.txt").read_text())
+    two_loops = parse_graph("vertex a\nvertex b\nedge la a a\nedge lb b b\n")
+    # c receives x and y, so s(x) s*(x) stays; a and b have unique receivers
+    forked = parse_graph(
+        "vertex a\nvertex b\nvertex c\nedge x a c\nedge y b c\nedge z c a\nedge l b b\n"
+    )
+    specs = {
+        "square": embed(square)[0],
+        "self_loop_mult": embed(self_loop, MultiplicitySeq.parse("3,3;2"))[0],
+        "two_tails": embed(two_loops)[0],
+        "two_receivers": AugmentedGraphSpec(forked, ()),
+    }
+    out = {}
+    for name, spec in specs.items():
+        f3 = materialize(spec, 3)
+        atoms = [("p", v) for v in sorted(f3.vertices)]
+        atoms += [(tag, e.name) for e in f3.edges for tag in ("s", "s*")]
+        atoms += [("t", rep.tail.namespace, k) for rep in spec.replacements for k in (-2, -1, 1, 2)]
+        out[name] = spec, atoms
+    return out
+
+
+class TestReferenceRewriting:
+    """The boundary rule stated once agrees with the sixteen-case pair table."""
+
+    @pytest.mark.parametrize("name", REFERENCE_CONTEXTS)
+    def test_reduce_pair_on_every_pair(self, reference_contexts, name):
+        spec, atoms = reference_contexts[name]
+        kinds = set()
+        for a in atoms:
+            for b in atoms:
+                step = reduce_pair(spec, a, b)
+                assert step == reference_reduce_pair(spec, a, b), (a, b)
+                kinds.add(step if step is ZERO or step == KEEP else "atom")
+        assert kinds == {ZERO, KEEP, "atom"}
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_normalize_word_matches_leftmost_reference(self, reference_contexts, data):
+        spec, atoms = reference_contexts[data.draw(st.sampled_from(REFERENCE_CONTEXTS))]
+        word = tuple(data.draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=8)))
+        assert normalize_word(spec, word) == reference_normalize_word(spec, word)
+
+    @pytest.mark.parametrize(
+        "atom, error",
+        [
+            (("p", "zzz"), ContextMismatchError),
+            (("s", "zzz"), ContextMismatchError),
+            (("s*", "T1.b1.3"), ContextMismatchError),  # level 1 has two edges
+            (("t", "T9", 1), ContextMismatchError),
+            (("t", "T1", 0), ValueError),
+            (("q", "u1"), ValueError),
+        ],
+    )
+    def test_reduce_pair_rejects_unknown_atoms(self, ctx, atom, error):
+        with pytest.raises(error):
+            reduce_pair(ctx, atom, ("p", "u1"))
+        with pytest.raises(error):
+            reduce_pair(ctx, ("p", "u1"), atom)
 
 
 class TestNormalMonomialParsing:
