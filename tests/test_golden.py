@@ -234,3 +234,39 @@ def test_input_error_stdout_is_ndjson(argv):
     assert proc.returncode == 1
     assert_ndjson(proc.stdout)
     assert proc.stderr.decode("utf-8").startswith("error: ")
+
+
+# ``embed`` writes four artifacts next to its report.  The files under
+# ``golden/embed/<case>/`` were written by the CLI before ``materialize``
+# read the augmented graph from the spec's own tables: the artifacts byte
+# for byte, and stdout with the output directory replaced by ``@out``.
+EMBED_GOLDEN = GOLDEN / "embed"
+EMBED_CASES = {
+    "square_d3": ["embed", "--input", "@square.txt", "--depth", "3"],
+    "cycles_dag_mult": ["embed", "--input", "@cycles_dag.txt", "--mult", "3,1;2", "--depth", "2"],
+    "self_loop_d0": ["embed", "--input", "@self_loop.txt", "--depth", "0"],
+    "crowded": ["embed", "--input", "@crowded.txt"],
+}
+
+
+def run_embed_case(name: str, outdir: Path, monkeypatch) -> tuple[int, str, dict[str, bytes]]:
+    monkeypatch.setenv("AFEMBED_OUTPUT_DIR", str(outdir))
+    out = io.StringIO()
+    code = main(resolve(EMBED_CASES[name]), out=out)
+    stdout = out.getvalue().replace(json.dumps(str(outdir) + os.sep)[1:-1], "@out/")
+    return code, stdout, {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_CASES))
+def test_embed_artifacts_match_golden(name, tmp_path, monkeypatch):
+    code, stdout, artifacts = run_embed_case(name, tmp_path, monkeypatch)
+    case_dir = EMBED_GOLDEN / name
+    expected = {p.name: p.read_bytes() for p in case_dir.iterdir() if p.name != "stdout"}
+    assert code == json.loads((EMBED_GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))[name]
+    assert stdout == (case_dir / "stdout").read_text(encoding="utf-8")
+    assert artifacts == expected
+
+
+def test_crowded_host_pushes_tails_past_its_ids():
+    spec = json.loads((EMBED_GOLDEN / "crowded" / "crowded.embedding.json").read_text(encoding="utf-8"))
+    assert [r["namespace"] for r in spec["replacements"]] == ["T5", "T6"]
