@@ -8,15 +8,23 @@ corner at ``v`` is then a UHF algebra carrying a unitary ``t`` whose power
 spectrum fills the circle, and the loop generators embed as
 ``e_i |-> s(f_{i+1}) t s*(f_i)`` with ``f_{n+1} = f_1``.
 
-The augmented graph is conceptually infinite in the tail direction; it is
-materialized to finite depth on demand and answers full receiver sets
-lazily, which is what the symbolic rewriting needs.
+Generated ids live in the tail's namespace, a ``.``-free token that no id
+of the input graph equals or extends by ``.``.  The tail owns it: the only
+ids in it are the sink ``<ns>.v``, levels ``<ns>.L<k>.1``, f-edges
+``<ns>.f<i>`` (``i <= n``) and tail edges ``<ns>.b<k>.<m>`` (``m <= mult(k)``),
+with positive indices written without leading zeros.
+
+The augmented graph is conceptually infinite in the tail direction.
+:class:`AugmentedGraphSpec` is its one description: it answers endpoints
+and full receiver sets lazily, which is what the symbolic rewriting needs,
+and :func:`materialize` cuts the finite stage ``F_d`` from its tables.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .graph import Graph, graph_from_dict, graph_to_dict
 from .loops import EntranceExistsError, SimpleLoop, Verdict, classify
@@ -86,14 +94,17 @@ class BratteliTailSpec:
     def sink(self) -> str:
         return f"{self.namespace}.v"
 
-    def level_vertex(self, k: int) -> str:
-        return f"{self.namespace}.L{k}.1"
+    def vertex(self, k: int) -> str:
+        """The vertex at level ``k``; level 0 is the sink."""
+        return f"{self.namespace}.L{k}.1" if k else self.sink
 
-    def level_or_sink(self, k: int) -> str:
-        return self.sink if k == 0 else self.level_vertex(k)
+    def level_edges(self, k: int) -> list[str]:
+        """The ``mult(k)`` parallel tail edges ``b<k>.<m>``; :meth:`tail_edge_ends` gives their ends."""
+        return [f"{self.namespace}.b{k}.{m}" for m in range(1, self.mult.value(k) + 1)]
 
-    def tail_edge(self, k: int, m: int) -> str:
-        return f"{self.namespace}.b{k}.{m}"
+    def tail_edge_ends(self, k: int) -> tuple[str, str]:
+        """Source and range of every tail edge ``b<k>.<m>``: level ``k`` to ``k-1``."""
+        return self.vertex(k), self.vertex(k - 1)
 
     def f_edge(self, i: int) -> str:
         return f"{self.namespace}.f{i}"
@@ -113,8 +124,14 @@ class LoopReplacement:
         return self.tail.f_edge((i - 1) % self.loop.n + 1)
 
 
-_TAIL_EDGE_RE = re.compile(r"^(?P<ns>.+)\.b(?P<k>\d+)\.(?P<m>\d+)$")
-_LEVEL_VERTEX_RE = re.compile(r"^(?P<ns>.+)\.L(?P<k>\d+)\.1$")
+# what follows "<ns>." in a generated id; without leading zeros, one spelling each
+_TAIL_VERTEX_RE = re.compile(r"v|L([1-9][0-9]*)\.1")
+_TAIL_EDGE_RE = re.compile(r"b([1-9][0-9]*)\.([1-9][0-9]*)")
+
+
+def _claimed_namespaces(ids: Iterable[str]) -> set[str]:
+    """First ``.``-segments of ``ids``: a ``.``-free namespace collides with an id iff it is one."""
+    return {x.split(".", 1)[0] for x in ids}
 
 
 class AugmentedGraphSpec(StarContext):
@@ -123,15 +140,23 @@ class AugmentedGraphSpec(StarContext):
     Acts as the symbolic context for the rewriting engine: edge endpoints
     and receiver sets are answered for the full graph, with tail levels
     resolved by parsing generated ids against each tail's namespace.
+    ``_finite_edges`` maps every base edge and f-edge to its endpoints.
     """
 
     def __init__(self, base: Graph, replacements: tuple[LoopReplacement, ...]):
         self.base = base
         self.replacements = tuple(replacements)
-        self._tails = {rep.tail.namespace: rep for rep in self.replacements}
+        self._tails = {rep.tail.namespace: rep.tail for rep in self.replacements}
         if len(self._tails) != len(self.replacements):
             raise NamespaceCollisionError("tail namespaces must be distinct")
-        self._sinks = {rep.tail.sink: rep.tail.namespace for rep in self.replacements}
+        loop_edges = [e for rep in self.replacements for e in rep.loop.edges]
+        claimed = _claimed_namespaces([*base.vertices, *(e.name for e in base.edges), *loop_edges])
+        for ns in self._tails:
+            if ns.split() != [ns] or "." in ns or ns in claimed:
+                raise NamespaceCollisionError(
+                    f"tail namespace {ns!r} is not a '.'-free token unclaimed by the graph's ids"
+                )
+        self._sinks = {tail.sink: ns for ns, tail in self._tails.items()}
         self._finite_edges: dict[str, tuple[str, str]] = {
             e.name: (e.source, e.range) for e in base.edges
         }
@@ -139,13 +164,8 @@ class AugmentedGraphSpec(StarContext):
         for rep in self.replacements:
             for i, f in enumerate(rep.f_edges, start=1):
                 u_i = rep.loop.vertices[i - 1]
-                if f in self._finite_edges:
-                    raise NamespaceCollisionError(f"generated edge id {f!r} already in base graph")
                 self._finite_edges[f] = (rep.tail.sink, u_i)
                 self._receiver_extra.setdefault(u_i, set()).add(f)
-        for v in self._sinks:
-            if v in base.vertices:
-                raise NamespaceCollisionError(f"generated vertex id {v!r} already in base graph")
 
     # --- reconstruction of the replaced source graph -----------------------
 
@@ -168,65 +188,40 @@ class AugmentedGraphSpec(StarContext):
 
     # --- StarContext ---------------------------------------------------------
 
-    def _parse_tail_vertex(self, v: str) -> tuple[BratteliTailSpec, int] | None:
-        if v in self._sinks:
-            return self._tails[self._sinks[v]].tail, 0
-        m = _LEVEL_VERTEX_RE.match(v)
-        if m and m.group("ns") in self._tails:
-            return self._tails[m.group("ns")].tail, int(m.group("k"))
-        return None
-
-    def _parse_tail_edge(self, e: str) -> tuple[BratteliTailSpec, int, int] | None:
-        m = _TAIL_EDGE_RE.match(e)
-        if not m or m.group("ns") not in self._tails:
-            return None
-        tail = self._tails[m.group("ns")].tail
-        k, mm = int(m.group("k")), int(m.group("m"))
-        if k < 1 or not (1 <= mm <= tail.mult.value(k)):
-            return None
-        return tail, k, mm
+    def _tail_level(self, v: str) -> tuple[BratteliTailSpec, int]:
+        """The tail and level of a generated vertex; level 0 is the sink."""
+        ns, _, local = v.partition(".")
+        m = _TAIL_VERTEX_RE.fullmatch(local) if ns in self._tails else None
+        if m is None:
+            raise ContextMismatchError(f"unknown vertex {v!r}")
+        return self._tails[ns], int(m.group(1) or 0)
 
     def check_vertex(self, v: str) -> str:
-        if v not in self.base.vertices and self._parse_tail_vertex(v) is None:
-            raise ContextMismatchError(f"unknown vertex {v!r}")
+        if v not in self.base.vertices:
+            self._tail_level(v)
         return v
 
-    def edge_source(self, e: str) -> str:
+    def endpoints(self, e: str) -> tuple[str, str]:
         try:
-            return self._finite_edges[e][0]
+            return self._finite_edges[e]
         except KeyError:
             pass
-        parsed = self._parse_tail_edge(e)
-        if parsed is None:
-            raise ContextMismatchError(f"unknown edge {e!r}")
-        tail, k, _ = parsed
-        return tail.level_or_sink(k)
-
-    def edge_range(self, e: str) -> str:
-        try:
-            return self._finite_edges[e][1]
-        except KeyError:
-            pass
-        parsed = self._parse_tail_edge(e)
-        if parsed is None:
-            raise ContextMismatchError(f"unknown edge {e!r}")
-        tail, k, _ = parsed
-        return tail.level_or_sink(k - 1)
+        ns, _, local = e.partition(".")
+        m = _TAIL_EDGE_RE.fullmatch(local) if ns in self._tails else None
+        if m and int(m.group(2)) <= self._tails[ns].mult.value(int(m.group(1))):
+            return self._tails[ns].tail_edge_ends(int(m.group(1)))
+        raise ContextMismatchError(f"unknown edge {e!r}")
 
     def receivers(self, v: str) -> frozenset[str]:
         if v in self.base.vertices:
             return self.base.receivers(v) | frozenset(self._receiver_extra.get(v, ()))
-        parsed = self._parse_tail_vertex(v)
-        if parsed is None:
-            raise ContextMismatchError(f"unknown vertex {v!r}")
-        tail, k = parsed
-        mult = tail.mult.value(k + 1)
-        return frozenset(tail.tail_edge(k + 1, m) for m in range(1, mult + 1))
+        tail, k = self._tail_level(v)
+        return frozenset(tail.level_edges(k + 1))
 
     def sink_vertex(self, namespace: str) -> str:
         if namespace not in self._tails:
             raise ContextMismatchError(f"unknown tail namespace {namespace!r}")
-        return self._tails[namespace].tail.sink
+        return self._tails[namespace].sink
 
     def sink_namespace(self, v: str) -> str | None:
         return self._sinks.get(v)
@@ -244,12 +239,8 @@ class GeneratorMap:
 
 
 def _pick_namespaces(g: Graph, count: int) -> list[str]:
-    """The first ``count`` names ``T<i>`` that no host id equals or extends by ``.``.
-
-    A namespace has no ``.``, so it collides with an id exactly when it
-    equals the id's first ``.``-segment.
-    """
-    taken = {v.split(".", 1)[0] for v in g.vertices} | {e.name.split(".", 1)[0] for e in g.edges}
+    """The first ``count`` names ``T<i>`` that no host id equals or extends by ``.``."""
+    taken = _claimed_namespaces([*g.vertices, *(e.name for e in g.edges)])
     out: list[str] = []
     i = 1
     while len(out) < count:
@@ -299,28 +290,14 @@ def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
     """The finite stage ``F_d``: base, f-edges, and ``depth`` tail levels."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    host_ids = set(spec.base.vertices) | {e.name for e in spec.base.edges}
-    vertices = list(spec.base.vertices)
-    edges: list[tuple[str, str, str]] = [(e.name, e.source, e.range) for e in spec.base.edges]
+    vertices = [*spec.base.vertices, *spec._sinks]
+    edges = [(e, *ends) for e, ends in spec._finite_edges.items()]
     for rep in spec.replacements:
         tail = rep.tail
-        generated_vertices = [tail.sink] + [tail.level_vertex(k) for k in range(1, depth + 1)]
-        generated_edges: list[tuple[str, str, str]] = []
-        for i in range(1, rep.loop.n + 1):
-            generated_edges.append((tail.f_edge(i), tail.sink, rep.loop.vertices[i - 1]))
         for k in range(1, depth + 1):
-            for m in range(1, tail.mult.value(k) + 1):
-                generated_edges.append(
-                    (tail.tail_edge(k, m), tail.level_vertex(k), tail.level_or_sink(k - 1))
-                )
-        for vid in generated_vertices:
-            if vid in host_ids:
-                raise NamespaceCollisionError(f"generated id {vid!r} collides with the base graph")
-        for eid, _, _ in generated_edges:
-            if eid in host_ids:
-                raise NamespaceCollisionError(f"generated id {eid!r} collides with the base graph")
-        vertices.extend(generated_vertices)
-        edges.extend(generated_edges)
+            vertices.append(tail.vertex(k))
+            ends = tail.tail_edge_ends(k)
+            edges.extend((e, *ends) for e in tail.level_edges(k))
     return Graph.build(vertices, edges)
 
 

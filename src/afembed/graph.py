@@ -252,6 +252,8 @@ def parse_graph_json(text: str) -> Graph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+    except RecursionError:
+        raise GraphParseError("invalid JSON: arrays or objects nested too deeply") from None
     return graph_from_dict(obj)
 
 

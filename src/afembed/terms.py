@@ -130,10 +130,14 @@ class StarContext(abc.ABC):
         """``v`` itself; raises :class:`ContextMismatchError` if it is unknown."""
 
     @abc.abstractmethod
-    def edge_source(self, e: str) -> str: ...
+    def endpoints(self, e: str) -> tuple[str, str]:
+        """``(source(e), range(e))``; raises :class:`ContextMismatchError` if ``e`` is unknown."""
 
-    @abc.abstractmethod
-    def edge_range(self, e: str) -> str: ...
+    def edge_source(self, e: str) -> str:
+        return self.endpoints(e)[0]
+
+    def edge_range(self, e: str) -> str:
+        return self.endpoints(e)[1]
 
     @abc.abstractmethod
     def receivers(self, v: str) -> frozenset[str]: ...
@@ -241,9 +245,10 @@ def _ends(ctx: StarContext, atom: Atom) -> tuple[str, str]:
     """
     tag, x = atom[0], atom[1]
     if tag == "s":
-        return ctx.edge_range(x), ctx.edge_source(x)
+        source, range_ = ctx.endpoints(x)
+        return range_, source
     if tag == "s*":
-        return ctx.edge_source(x), ctx.edge_range(x)
+        return ctx.endpoints(x)
     if tag == "t":
         if atom[2] == 0:
             raise ValueError("tail unitary power must be nonzero")
@@ -504,13 +509,17 @@ class _TermParser:
     sum := ['-'] product (('+'|'-') product)* ; product := factor+ ;
     factor := coefficient | atom | '(' sum ')'.  Coefficients are rationals
     with an optional trailing ``i``; ``t`` atoms take an optional integer
-    exponent.
+    exponent.  Parentheses nest at most ``MAX_NESTING`` deep, so the
+    descent never exhausts the interpreter's stack.
     """
+
+    MAX_NESTING = 100
 
     def __init__(self, ctx: StarContext, text: str):
         self.ctx = ctx
         self.tokens = self._tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     @staticmethod
     def _tokenize(text: str) -> list[tuple[str, object]]:
@@ -527,7 +536,10 @@ class _TermParser:
                 exp = int(m.group("exp")) if m.group("exp") else 1
                 tokens.append(("atom", (m.group("atom"), m.group("id"), exp)))
             elif m.group("num"):
-                frac = Fraction(m.group("num"))
+                try:
+                    frac = Fraction(m.group("num"))
+                except ZeroDivisionError:
+                    raise TermParseError(f"zero denominator in coefficient {m.group('num')!r}") from None
                 if m.group("numi"):
                     tokens.append(("coeff", GaussianRational(Fraction(0), frac)))
                 else:
@@ -601,10 +613,14 @@ class _TermParser:
                 factor = self._atom_term(value)
                 term = factor if term is None else multiply(term, factor, self.ctx)
             elif tok == ("op", "("):
+                self.nesting += 1
+                if self.nesting > self.MAX_NESTING:
+                    raise TermParseError(f"parentheses nested deeper than {self.MAX_NESTING}")
                 inner_scalar, inner_term = self.parse_sum()
                 if self.peek() != ("op", ")"):
                     raise TermParseError("unbalanced parenthesis")
                 self.pos += 1
+                self.nesting -= 1
                 if inner_term is None:
                     scalar = scalar * inner_scalar
                 else:

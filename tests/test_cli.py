@@ -67,6 +67,14 @@ class TestClassify:
         assert code == EXIT_INPUT_ERROR
         assert "line 2" in capsys.readouterr().err
 
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text('{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out = run_cli(["classify", "--input", str(p)])
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert capsys.readouterr().err == "error: invalid JSON: arrays or objects nested too deeply\n"
+
     def test_missing_file(self, tmp_path):
         code, out = run_cli(["classify", "--input", str(tmp_path / "none.txt")])
         assert code == EXIT_INPUT_ERROR
@@ -195,6 +203,25 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert out == ""
         assert "line 6: duplicate image for edge 'e1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "image, message",
+        [
+            ("1/0 s(T1.f2) t(T1) s*(T1.f1)", "zero denominator in coefficient '1/0'"),
+            ("(" * 2000 + "s(T1.f2)" + ")" * 2000 + " t(T1) s*(T1.f1)", "parentheses nested deeper than 100"),
+        ],
+        ids=["zero-denominator", "deep-nesting"],
+    )
+    def test_unparsable_map_term_is_input_error(self, tmp_path, capsys, image, message):
+        golden = Path(__file__).parent / "golden"
+        bad = tmp_path / "bad.genmap.txt"
+        bad.write_text(f"e1 = {image}\n")
+        code, out = run_cli(
+            ["verify", "--input", str(golden / "square.txt"), "--depth", "3", "--map", str(bad)]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_domain_mismatch_is_input_error(self, square_file, tmp_path, capsys):
         bad = tmp_path / "bad.genmap.txt"

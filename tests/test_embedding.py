@@ -18,9 +18,9 @@ from afembed.embedding import (
     spec_from_dict,
     spec_to_dict,
 )
-from afembed.graph import Graph, parse_graph
+from afembed.graph import Graph, graph_from_dict, parse_graph
 from afembed.loops import cycle_vertices, disjoint_simple_loops
-from afembed.terms import NormalMonomial
+from afembed.terms import ContextMismatchError, NormalMonomial, parse_term
 
 from .oracles import count_paths_with_range
 from .strategies import condition5_graphs
@@ -261,6 +261,119 @@ class TestLazyContext:
         assert spec.sink_vertex("T1") == "T1.v"
         assert spec.sink_namespace("T1.v") == "T1"
         assert spec.sink_namespace("u1") is None
+
+
+# base-graph additions that shadow ids the square's tail T1 generates
+SHADOWS = {
+    "level-vertex": (["T1.L1.1"], []),
+    "tail-edge": (["w1", "w2"], [("T1.b1.1", "w1", "w2")]),
+    "sink": (["T1.v"], []),
+    "f-edge": (["w"], [("T1.f1", "w", "w")]),
+    "bare-namespace": (["T1"], []),
+}
+
+
+def shadowed_spec_dict(spec: AugmentedGraphSpec, vertices: list, edges: list) -> dict:
+    obj = spec_to_dict(spec)
+    obj["base"]["vertices"] += vertices
+    obj["base"]["edges"] += [{"id": e, "src": a, "dst": b} for e, a, b in edges]
+    return obj
+
+
+class TestNamespaceOwnership:
+    """A tail's namespace belongs to the tail: no base id lies in it, and
+    the only ids the context knows in it are those the tail generates."""
+
+    @pytest.mark.parametrize("shadow", sorted(SHADOWS))
+    def test_shadowing_base_rejected_at_construction(self, square_embedding, shadow):
+        spec, _ = square_embedding
+        obj = shadowed_spec_dict(spec, *SHADOWS[shadow])
+        with pytest.raises(NamespaceCollisionError):
+            spec_from_dict(obj)
+        with pytest.raises(NamespaceCollisionError):
+            AugmentedGraphSpec(graph_from_dict(obj["base"]), spec.replacements)
+
+    def test_unshadowed_addition_accepted(self, square_embedding):
+        spec, _ = square_embedding
+        again = spec_from_dict(shadowed_spec_dict(spec, ["T10.v", "T"], [("T2.b1.1", "T", "T10.v")]))
+        assert again.receivers("T1.v") == frozenset({"T1.b1.1", "T1.b1.2"})
+
+    def test_removed_loop_edge_claims_its_namespace(self):
+        g = parse_graph("vertex a\nedge T1.e a a\n")
+        (loop,) = disjoint_simple_loops(g)
+        base = Graph.build(g.vertices, [])
+        with pytest.raises(NamespaceCollisionError):
+            AugmentedGraphSpec(base, (LoopReplacement(loop, BratteliTailSpec("T1")),))
+        assert embed(g)[0].replacements[0].tail.namespace == "T2"
+
+    @pytest.mark.parametrize("namespace", ["T1.x", "", "T 1", "a.b"])
+    def test_namespace_must_be_a_dot_free_token(self, namespace):
+        g = parse_graph("vertex a\nedge e a a\n")
+        (loop,) = disjoint_simple_loops(g)
+        base = Graph.build(g.vertices, [])
+        with pytest.raises(NamespaceCollisionError):
+            AugmentedGraphSpec(base, (LoopReplacement(loop, BratteliTailSpec(namespace)),))
+
+    @pytest.mark.parametrize(
+        "alias",
+        [
+            "T1.L0.1", "T1.L01.1", "T1.b0.1", "T1.b01.1", "T1.b1.01",
+            "T1.L\u0661.1", "T1.b1.\u0661", "T1.f0", "T1.f01", "T1.f5", "T1.L1.2", "T1", "T1.",
+        ],
+    )
+    def test_ids_the_tail_never_generates_are_unknown(self, square_embedding, alias):
+        spec, _ = square_embedding
+        for lookup in (spec.check_vertex, spec.edge_source, spec.edge_range, spec.endpoints, spec.receivers):
+            with pytest.raises(ContextMismatchError):
+                lookup(alias)
+        for atom in ("p", "s", "s*"):
+            with pytest.raises(ContextMismatchError):
+                parse_term(f"{atom}({alias})", spec)
+
+
+CROWDED_IDS = st.sampled_from(
+    ["T1", "T2", "T1.v", "T3.x.y", "T4.b1.1", "T1.L1.1", "T2.f1", "T10"]
+) | st.from_regex(r"T[1-6](\.(v|f[0-2]|L[0-2]\.1|b[0-2]\.[0-2]|x\.y))?", fullmatch=True)
+
+
+@st.composite
+def crowded_condition5_graphs(draw) -> Graph:
+    """An entrance-free graph with some ids renamed into the namespaces
+    ``embed`` would otherwise pick, in the shapes the tails generate."""
+    g = draw(condition5_graphs())
+    ids = sorted(g.vertices) + [e.name for e in g.edges]
+    names = draw(st.lists(CROWDED_IDS, unique=True, max_size=len(ids)))
+    positions = draw(st.permutations(range(len(ids))))
+    rename = {ids[i]: name for i, name in zip(positions, names)}
+    r = lambda x: rename.get(x, x)  # noqa: E731
+    return Graph.build([r(v) for v in g.vertices], [(r(e.name), r(e.source), r(e.range)) for e in g.edges])
+
+
+MULTS = st.builds(
+    MultiplicitySeq, st.lists(st.integers(1, 3), max_size=3).map(tuple), st.integers(2, 3)
+)
+
+
+class TestLazyAgreesWithMaterialize:
+    """The lazy context and every finite stage describe one graph."""
+
+    @given(crowded_condition5_graphs(), MULTS, st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_stage_is_known_to_the_context(self, g, mult, depth):
+        spec, _ = embed(g, mult)
+        fd = materialize(spec, depth)
+        for v in fd.vertices:
+            assert spec.check_vertex(v) == v
+        for e in fd.edges:
+            assert spec.endpoints(e.name) == (e.source, e.range)
+        for v in spec.base.vertices:
+            assert spec.receivers(v) == fd.receivers(v)
+        for rep in spec.replacements:
+            for k in range(depth):
+                v = rep.tail.vertex(k)
+                assert spec.receivers(v) == fd.receivers(v)
+            assert rep.tail.vertex(depth) in fd.vertices
+            assert rep.tail.vertex(depth + 1) not in fd.vertices
 
 
 class TestSerialization:

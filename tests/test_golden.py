@@ -166,6 +166,23 @@ def test_embed_and_export_need_no_numpy(command, tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == artifacts
 
 
+def test_structure_commands_never_import_numrep(tmp_path):
+    """``numrep`` is the numeric stage; only ``verify`` imports it."""
+    argvs = [resolve([cmd, "--input", "@square.txt"]) for cmd in ("classify", "loops", "embed", "export")]
+    code = (
+        "import sys\n"
+        "from afembed.cli import main\n"
+        "assert 'afembed.numrep' not in sys.modules\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'afembed.numrep' not in sys.modules, argv\n"
+    )
+    env = dict(child_env(), AFEMBED_OUTPUT_DIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")[-500:]
+    assert len(list(tmp_path.iterdir())) == 4  # embed ran and wrote its artifacts
+
+
 # every name ``afembed`` exported before its numeric names were resolved lazily
 EXPORTED = """
     Edge Graph GraphError GraphParseError Path export_dot graph_from_dict graph_to_dict

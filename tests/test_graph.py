@@ -19,6 +19,7 @@ from afembed.graph import (
     graph_to_dict,
     load_graph,
     parse_graph,
+    parse_graph_json,
     serialize_graph,
 )
 
@@ -191,6 +192,11 @@ class TestMalformedJson:
     def test_string_edges_named_in_message(self):
         with pytest.raises(GraphParseError, match="'edges' must be a list of objects"):
             graph_from_dict({"vertices": ["a"], "edges": "xy"})
+
+    def test_deep_nesting_is_a_parse_error(self):
+        doc = '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(GraphParseError, match="nested too deeply"):
+            parse_graph_json(doc)
 
 
 ID_CHARS = st.sampled_from(list("aT1._-") + [" ", "\t", "\n", "\u2003", "\x1c", "\x85", "\u3000", "\xa0", "\u200b"])

@@ -15,6 +15,8 @@ from afembed.terms import (
     ContextMismatchError,
     GaussianRational,
     NormalMonomial,
+    TermParseError,
+    _TermParser,
     adjoint,
     expand_ck3,
     isometry,
@@ -359,6 +361,22 @@ class TestTermGrammar:
         term = parse_term("(p(u1) + p(u2)) s(T1.f1)", ctx)
         # only p(u1) has matching range for f1
         assert term == isometry(ctx, "T1.f1")
+
+    def test_zero_denominator_is_a_parse_error(self, ctx):
+        with pytest.raises(TermParseError, match="zero denominator in coefficient '1/0'"):
+            parse_term("1/0 s(T1.f2) t(T1) s*(T1.f1)", ctx)
+
+    def test_deep_nesting_is_a_parse_error(self, ctx):
+        text = "(" * 2000 + "s(T1.f2)" + ")" * 2000 + " t(T1) s*(T1.f1)"
+        with pytest.raises(TermParseError, match="nested deeper than 100"):
+            parse_term(text, ctx)
+
+    def test_nesting_up_to_the_limit_parses(self, ctx):
+        n = _TermParser.MAX_NESTING
+        text = "(" * n + "s(T1.f2)" + ")" * n + " t(T1) s*(T1.f1)"
+        assert parse_term(text, ctx) == parse_term("s(T1.f2) t(T1) s*(T1.f1)", ctx)
+        # sibling groups do not add up: the limit is on depth, not count
+        assert parse_term(" ".join(["(p(u2))"] * (n + 1)), ctx) == projection(ctx, "u2")
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
