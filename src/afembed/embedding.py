@@ -208,8 +208,10 @@ class AugmentedGraphSpec(StarContext):
             pass
         ns, _, local = e.partition(".")
         m = _TAIL_EDGE_RE.fullmatch(local) if ns in self._tails else None
-        if m and int(m.group(2)) <= self._tails[ns].mult.value(int(m.group(1))):
-            return self._tails[ns].tail_edge_ends(int(m.group(1)))
+        if m:
+            tail, k = self._tails[ns], int(m.group(1))
+            if int(m.group(2)) <= tail.mult.value(k):
+                return tail.tail_edge_ends(k)
         raise ContextMismatchError(f"unknown edge {e!r}")
 
     def receivers(self, v: str) -> frozenset[str]:
