@@ -257,12 +257,16 @@ def test_input_error_stdout_is_ndjson(argv):
 # ``golden/embed/<case>/`` were written by the CLI before ``materialize``
 # read the augmented graph from the spec's own tables: the artifacts byte
 # for byte, and stdout with the output directory replaced by ``@out``.
+# ``square_plus_entrance`` writes no artifact: its one ``error`` record
+# carries the whole witness chain, pinned before the loop analysis was
+# rewritten as a single SCC pass.
 EMBED_GOLDEN = GOLDEN / "embed"
 EMBED_CASES = {
     "square_d3": ["embed", "--input", "@square.txt", "--depth", "3"],
     "cycles_dag_mult": ["embed", "--input", "@cycles_dag.txt", "--mult", "3,1;2", "--depth", "2"],
     "self_loop_d0": ["embed", "--input", "@self_loop.txt", "--depth", "0"],
     "crowded": ["embed", "--input", "@crowded.txt"],
+    "square_plus_entrance": ["embed", "--input", "@square_plus_entrance.txt"],
 }
 
 
