@@ -24,7 +24,6 @@ from .loops import (
     classify,
     cycle_vertices,
     disjoint_simple_loops,
-    entrance_violation,
     witness_infinite,
 )
 from .terms import (

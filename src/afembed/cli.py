@@ -82,7 +82,7 @@ def cmd_classify(args, out) -> int:
             }
         )
     if cls.witness is not None:
-        stmt = witness_infinite(g, cls.witness)
+        lines = witness_infinite(g, cls.witness)
         records.append(
             {
                 "record": "witness",
@@ -90,7 +90,7 @@ def cmd_classify(args, out) -> int:
                 "entry_edge": cls.witness.entry_edge,
                 "alpha": str(cls.witness.alpha),
                 "beta": str(cls.witness.beta),
-                "chain": " ; ".join(stmt.lines[2:]),
+                "chain": " ; ".join(lines[2:]),
             }
         )
     _emit(records, args.format, out)
@@ -118,9 +118,9 @@ def cmd_embed(args, out) -> int:
     try:
         spec, gmap = embed(g, args.mult)
     except EntranceExistsError as exc:
-        stmt = witness_infinite(g, exc.witness)
+        lines = witness_infinite(g, exc.witness)
         _emit(
-            [{"record": "error", "reason": "entrance exists", "witness": " ; ".join(stmt.lines)}],
+            [{"record": "error", "reason": "entrance exists", "witness": " ; ".join(lines)}],
             args.format,
             out,
         )

@@ -67,7 +67,8 @@ class Path:
 
     Length-0 paths have ``edges == ()`` and ``source == range``.
     Construct through :meth:`Graph.path` / :meth:`Graph.vertex_path` so the
-    composability invariant is checked against a concrete graph.
+    composability invariant is checked against a concrete graph, unless the
+    edges were just walked in that graph, as the classifier's witness was.
     """
 
     edges: tuple[str, ...]

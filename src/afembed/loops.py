@@ -7,8 +7,10 @@ entrance at a loop vertex is by definition a second receiver at that
 vertex.  Entrances of non-simple loops add nothing: every vertex of a
 closed walk lies on a simple cycle, so the check over cycle vertices is
 equivalent to the literal quantification over all loops.  This makes the
-verdict O(|V| + |E|) via strongly connected components (Tarjan, SIAM J.
-Comput. 1, 1972) instead of an exponential cycle enumeration.
+verdict O(|V| + |E|) via strongly connected components instead of an
+exponential cycle enumeration: one pass of Tarjan's algorithm (SIAM J.
+Comput. 1, 1972) in Pearce's single-array form (A space-efficient
+algorithm for finding strongly connected components, IPL 116, 2016).
 
 The witness loop of a not-finite verdict is the first simple cycle through
 the entry vertex ``v`` that a DFS finds when it tries out-edges in id
@@ -21,6 +23,10 @@ but not in ``P'``.  The first vertex ``q`` of ``P`` not in ``P'`` was
 backed out of too, yet it reaches ``v`` along ``P`` to ``p`` and then
 along the route, avoiding the part of ``P`` before ``q``: a contradiction.
 So a backed-out vertex could never have led back to ``v``.
+
+``classify`` builds its witness from the edges that search walked, so it
+checks nothing twice; a witness is validated only where it comes in from
+a caller, in :func:`witness_infinite` and ``verify.verify_witness``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph, Path
+from .graph import Edge, Graph, Path
 
 
 class Verdict(str, Enum):
@@ -119,79 +125,50 @@ class Classification:
     witness: EntranceWitness | None = None
 
 
-@dataclass(frozen=True)
-class InfiniteProjectionStatement:
-    """Rendered inequality chain showing an infinite projection."""
-
-    vertex: str
-    alpha: Path
-    beta: Path
-    lines: tuple[str, ...]
-
-    def render(self) -> str:
-        return "\n".join(self.lines)
-
-
-def _strongly_connected_components(g: Graph) -> list[set[str]]:
-    """Iterative Tarjan over the vertex adjacency (parallel edges collapsed)."""
-    succ: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        succ[e.source].append(e.range)
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = 0
-    components: list[set[str]] = []
-
-    for root in sorted(g.vertices):
-        if root in index:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            for j in range(pi, len(succ[v])):
-                w = succ[v][j]
-                if w not in index:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp: set[str] = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(comp)
-    return components
-
-
 def cycle_vertices(g: Graph) -> frozenset[str]:
-    """Vertices lying on at least one loop."""
+    """Vertices lying on at least one loop, by one pass of Pearce's algorithm.
+
+    ``rindex[v]`` is ``v``'s visit number, lowered to the smallest visit
+    number ``v`` reaches while its component is open, and ``None`` once the
+    component closes.  ``stack`` holds the vertices of open components
+    that do not root them.  A vertex lies on a loop iff its component has
+    a second vertex or it has a self-loop.
+    """
+    rindex: dict[str, int | None] = {}
+    stack: list[str] = []
     result: set[str] = set()
-    for comp in _strongly_connected_components(g):
-        if len(comp) > 1:
-            result |= comp
-    for e in g.edges:
-        if e.source == e.range:
-            result.add(e.source)
+    for root in g.vertices:
+        if root in rindex:
+            continue
+        rindex[root] = len(rindex)
+        dfs = [(root, iter(g.out_edges(root)), rindex[root])]
+        while dfs:
+            v, out, visit = dfs[-1]
+            for e in out:
+                w = e.range
+                if w not in rindex:
+                    rindex[w] = len(rindex)
+                    dfs.append((w, iter(g.out_edges(w)), rindex[w]))
+                    break
+                if w == v:
+                    result.add(v)
+                elif rindex[w] is not None and rindex[w] < rindex[v]:
+                    rindex[v] = rindex[w]
+            else:
+                dfs.pop()
+                low = rindex[v]
+                if low < visit:  # v does not root its component, which stays open
+                    stack.append(v)
+                    parent = dfs[-1][0]
+                    if low < rindex[parent]:
+                        rindex[parent] = low
+                    continue
+                rindex[v] = None
+                while stack and rindex[stack[-1]] >= visit:
+                    w = stack.pop()
+                    rindex[w] = None
+                    result.add(w)
+                    result.add(v)
     return frozenset(result)
 
 
@@ -203,17 +180,18 @@ def simple_cycle_through(g: Graph, v: str) -> SimpleLoop:
     at most once; the module docstring shows why the loop found is still
     that of the DFS that unmarks on backtracking.
     """
-    chosen: list[str] = []
+    chosen: list[Edge] = []  # e_1, e_2, ... in traversal order
     marked: set[str] = {v}
     stack = [iter(g.out_edges(v))]
     while stack:
         for e in stack[-1]:
             if e.range == v:
-                chosen.append(e.name)
-                return SimpleLoop.from_edges(g, tuple(reversed(chosen)))
+                chosen.append(e)
+                edges = tuple(c.name for c in reversed(chosen))
+                return SimpleLoop(edges, tuple(c.source for c in chosen))
             if e.range not in marked:
                 marked.add(e.range)
-                chosen.append(e.name)
+                chosen.append(e)
                 stack.append(iter(g.out_edges(e.range)))
                 break
         else:
@@ -221,23 +199,6 @@ def simple_cycle_through(g: Graph, v: str) -> SimpleLoop:
             if chosen:
                 chosen.pop()
     raise ValueError(f"vertex {v!r} does not lie on a cycle")
-
-
-def entrance_violation(g: Graph) -> tuple[str, str] | None:
-    """A cycle vertex with more than one receiver, or None if there is none.
-
-    The returned edge is the smallest receiver that is not the loop's own
-    incoming edge at that vertex, i.e. an entry edge usable in a witness.
-    """
-    w = classify(g).witness
-    return None if w is None else (w.entry_vertex, w.entry_edge)
-
-
-def make_entrance_witness(g: Graph) -> EntranceWitness:
-    w = classify(g).witness
-    if w is None:
-        raise ValueError("graph has no loop with an entrance")
-    return w
 
 
 def disjoint_simple_loops(g: Graph) -> list[SimpleLoop]:
@@ -256,23 +217,24 @@ def disjoint_simple_loops(g: Graph) -> list[SimpleLoop]:
 def classify(g: Graph) -> Classification:
     """Apply the finiteness trichotomy: AF, AF-embeddable, or not finite.
 
-    This is the one graph analysis: a single Tarjan pass, and one cycle
-    search at the first cycle vertex with a second receiver, whose witness
-    the three functions above also read.
+    This is the one graph analysis: a single SCC pass, and one cycle search
+    at the first cycle vertex with a second receiver, whose loop is the
+    witness's ``alpha`` and whose other receiver is its ``beta``.
     """
-    cycles = cycle_vertices(g)
+    cycles = sorted(cycle_vertices(g))
     if not cycles:
         return Classification(Verdict.AF)
-    for v in sorted(cycles):
+    for v in cycles:
         rec = g.receivers(v)
         if len(rec) > 1:
             loop = simple_cycle_through(g, v)
             entry = min(rec - {loop.edge_into(v)})
-            witness = EntranceWitness(loop, v, entry, g.path(loop.edges), g.path((entry,)))
-            return Classification(Verdict.NOT_FINITE, witness=witness)
+            alpha = Path(loop.edges, v, v)
+            beta = Path((entry,), g.edge(entry).source, v)
+            return Classification(Verdict.NOT_FINITE, witness=EntranceWitness(loop, v, entry, alpha, beta))
     seen: set[str] = set()
     loops: list[SimpleLoop] = []
-    for v in sorted(cycles):
+    for v in cycles:
         if v in seen:
             continue
         edges: list[str] = []
@@ -313,15 +275,18 @@ def validate_witness(g: Graph, w: EntranceWitness) -> None:
         raise InvalidWitnessError("alpha and beta must be distinct paths")
 
 
-def witness_infinite(g: Graph, w: EntranceWitness) -> InfiniteProjectionStatement:
-    """Render the strict-inequality chain exhibiting an infinite projection."""
+def witness_infinite(g: Graph, w: EntranceWitness) -> tuple[str, ...]:
+    """The strict-inequality chain exhibiting an infinite projection, one line each.
+
+    The first two lines name ``alpha`` and ``beta``; the rest is the chain.
+    """
     validate_witness(g, w)
     v = w.entry_vertex
     a = " ".join(f"s({e})" for e in w.alpha.edges)
     b = " ".join(f"s({e})" for e in w.beta.edges)
     a_star = " ".join(f"s*({e})" for e in reversed(w.alpha.edges))
     b_star = " ".join(f"s*({e})" for e in reversed(w.beta.edges))
-    lines = (
+    return (
         f"alpha = {w.alpha} : {w.alpha.source} -> {w.alpha.range}",
         f"beta  = {w.beta} : {w.beta.source} -> {w.beta.range}",
         f"{a_star} {a} = p({v})",
@@ -330,4 +295,3 @@ def witness_infinite(g: Graph, w: EntranceWitness) -> InfiniteProjectionStatemen
         f"{a} {a_star} < {a} {a_star} + {b} {b_star} <= p({v})",
         f"p({v}) is equivalent to a proper subprojection of itself: infinite",
     )
-    return InfiniteProjectionStatement(vertex=v, alpha=w.alpha, beta=w.beta, lines=lines)

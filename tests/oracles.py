@@ -98,6 +98,74 @@ def oracle_cycle_vertices(g: Graph) -> frozenset[str]:
     return frozenset(out)
 
 
+def tarjan_components(g: Graph) -> list[set[str]]:
+    """Iterative Tarjan over the vertex adjacency (parallel edges collapsed)."""
+    succ: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        succ[e.source].append(e.range)
+    index: dict[str, int] = {}
+    lowlink: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    counter = 0
+    components: list[set[str]] = []
+
+    for root in sorted(g.vertices):
+        if root in index:
+            continue
+        work: list[tuple[str, int]] = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack.add(v)
+            advanced = False
+            for j in range(pi, len(succ[v])):
+                w = succ[v][j]
+                if w not in index:
+                    work[-1] = (v, j + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index[v]:
+                comp: set[str] = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                components.append(comp)
+    return components
+
+
+def tarjan_cycle_vertices(g: Graph) -> frozenset[str]:
+    """Cycle vertices by Tarjan's two-array SCC algorithm plus a self-loop scan.
+
+    The classifier's implementation before it became one pass of Pearce's
+    single-array form; linear, so it checks :func:`afembed.loops.cycle_vertices`
+    on graphs too large for :func:`oracle_cycle_vertices`.
+    """
+    result: set[str] = set()
+    for comp in tarjan_components(g):
+        if len(comp) > 1:
+            result |= comp
+    for e in g.edges:
+        if e.source == e.range:
+            result.add(e.source)
+    return frozenset(result)
+
+
 def oracle_classify(g: Graph) -> Verdict:
     """Literal reading of the trichotomy over enumerated simple cycles."""
     cycles = enumerate_simple_cycles(g)

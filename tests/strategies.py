@@ -23,6 +23,24 @@ def multigraphs(draw, max_vertices: int = 8, max_edges: int = 16) -> Graph:
 
 
 @st.composite
+def clustered_multigraphs(draw, max_vertices: int = 80, max_edges: int = 240) -> Graph:
+    """Multigraphs whose edges mostly stay inside a few vertex clusters, so
+    several strongly connected components of every size feed into each other."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    k = draw(st.integers(min_value=1, max_value=max(1, n // 3)))
+    vertices = [f"v{i}" for i in range(n)]
+    clusters = [vertices[c::k] for c in range(k)]
+    m = draw(st.integers(min_value=0, max_value=max_edges))
+    edges = []
+    for j in range(m):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        inside = draw(st.integers(min_value=0, max_value=3)) > 0
+        dst = draw(st.sampled_from(clusters[i % k] if inside else vertices))
+        edges.append((f"e{j}", vertices[i], dst))
+    return Graph.build(vertices, edges)
+
+
+@st.composite
 def condition5_graphs(draw, max_loops: int = 3) -> Graph:
     """Graphs in which no loop has an entrance: planted disjoint loops plus
     extra edges that only ever point at loop-free vertices."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from afembed.embedding import embed, materialize
-from afembed.loops import Verdict, classify, cycle_vertices, make_entrance_witness
+from afembed.loops import Verdict, classify, cycle_vertices
 from afembed.numrep import build_rep, loop_spectrum, op_of_term, relation_residuals
 from afembed.terms import (
     CKTerm,
@@ -170,7 +170,7 @@ def test_criterion_6_witness_soundness():
     for _ in range(200):
         g = random_entrance_graph(rng)
         assert classify(g).verdict is Verdict.NOT_FINITE
-        w = make_entrance_witness(g)
+        w = classify(g).witness
         report = verify_witness(w, g)
         ok &= report.all_proved and len(report.checks) == 3
     _report("6 witness soundness", ok, started, budget=5.0)

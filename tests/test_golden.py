@@ -188,7 +188,7 @@ EXPORTED = """
     Edge Graph GraphError GraphParseError Path export_dot graph_from_dict graph_to_dict
     load_graph parse_graph parse_graph_json serialize_graph
     Classification EntranceExistsError EntranceWitness InvalidWitnessError SimpleLoop
-    Verdict classify cycle_vertices disjoint_simple_loops entrance_violation witness_infinite
+    Verdict classify cycle_vertices disjoint_simple_loops witness_infinite
     CKTerm GaussianRational NormalMonomial StarContext adjoint expand_ck3 multiply
     parse_term projection term_to_str
     AugmentedGraphSpec BratteliTailSpec GeneratorMap LoopReplacement MultiplicitySeq

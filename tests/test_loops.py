@@ -15,8 +15,6 @@ from afembed.loops import (
     classify,
     cycle_vertices,
     disjoint_simple_loops,
-    entrance_violation,
-    make_entrance_witness,
     simple_cycle_through,
     witness_infinite,
 )
@@ -27,8 +25,9 @@ from .oracles import (
     oracle_cycle_vertices,
     oracle_has_entrance,
     oracle_witness,
+    tarjan_cycle_vertices,
 )
-from .strategies import condition5_graphs, entrance_graphs, multigraphs
+from .strategies import clustered_multigraphs, condition5_graphs, entrance_graphs, multigraphs
 
 
 class TestCycleVertices:
@@ -49,19 +48,26 @@ class TestCycleVertices:
     @given(multigraphs())
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle(self, g):
-        assert cycle_vertices(g) == oracle_cycle_vertices(g)
+        assert cycle_vertices(g) == oracle_cycle_vertices(g) == tarjan_cycle_vertices(g)
+
+    @given(clustered_multigraphs(max_vertices=80, max_edges=240))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_tarjan_on_large_multigraphs(self, g):
+        """Graphs too large to enumerate cycles in, self-loops and parallel edges included."""
+        assert cycle_vertices(g) == tarjan_cycle_vertices(g)
 
 
 class TestEntranceViolation:
     def test_square_has_none(self, square):
-        assert entrance_violation(square) is None
+        assert classify(square).witness is None
 
     def test_two_self_loops(self, two_self_loops):
-        v, e = entrance_violation(two_self_loops)
-        assert v == "v" and e in {"a", "b"}
+        w = classify(two_self_loops).witness
+        assert w.entry_vertex == "v" and w.entry_edge in {"a", "b"}
 
     def test_square_plus_entrance(self, square_plus_entrance):
-        assert entrance_violation(square_plus_entrance) == ("u2", "x")
+        w = classify(square_plus_entrance).witness
+        assert (w.entry_vertex, w.entry_edge) == ("u2", "x")
 
     def test_equivalence_on_all_small_graphs(self):
         """Exhaustive check against the literal loop-entrance definition on
@@ -73,7 +79,7 @@ class TestEntranceViolation:
             for combo in itertools.combinations_with_replacement(pairs, m):
                 edges = [(f"e{i}", s, d) for i, (s, d) in enumerate(combo)]
                 g = Graph.build(vertices, edges)
-                fast = entrance_violation(g) is None
+                fast = classify(g).witness is None
                 assert fast == (not oracle_has_entrance(g))
                 checked += 1
         assert checked > 50_000
@@ -137,7 +143,7 @@ class TestClassify:
         assert classify(g).verdict is oracle_classify(g)
 
     def test_one_analysis_per_call(self, square_plus_entrance, monkeypatch):
-        """A not-finite verdict runs Tarjan once and the cycle search once."""
+        """A not-finite verdict runs the SCC pass once and the cycle search once."""
         import afembed.loops as loops_mod
 
         calls = {"scc": 0, "cycle": 0}
@@ -149,33 +155,44 @@ class TestClassify:
 
             return wrapper
 
-        monkeypatch.setattr(
-            loops_mod, "_strongly_connected_components", counted("scc", loops_mod._strongly_connected_components)
-        )
+        monkeypatch.setattr(loops_mod, "cycle_vertices", counted("scc", cycle_vertices))
         monkeypatch.setattr(loops_mod, "simple_cycle_through", counted("cycle", simple_cycle_through))
         cls = classify(square_plus_entrance)
         assert cls.verdict is Verdict.NOT_FINITE
         assert calls == {"scc": 1, "cycle": 1}
 
+    def test_deep_path_into_a_cycle(self):
+        """A 100,000-vertex path entering a 3-cycle: the SCC pass is iterative and linear."""
+        n = 100_000
+        vertices = [f"p{i}" for i in range(n)] + ["c0", "c1", "c2"]
+        edges = [(f"q{i}", f"p{i}", f"p{i + 1}") for i in range(n - 1)]
+        edges += [("q_in", f"p{n - 1}", "c0"), ("k0", "c0", "c1"), ("k1", "c1", "c2"), ("k2", "c2", "c0")]
+        cls, seconds = timed_classify(Graph.build(vertices, edges))
+        assert cls.verdict is Verdict.NOT_FINITE
+        assert cls.witness.loop.edges == ("k2", "k1", "k0")
+        assert cls.witness.entry_vertex == "c0" and cls.witness.entry_edge == "q_in"
+        assert seconds < 2
+
 
 class TestWitness:
     def test_shortest_instance(self, two_self_loops):
-        w = make_entrance_witness(two_self_loops)
-        stmt = witness_infinite(two_self_loops, w)
+        w = classify(two_self_loops).witness
+        chain = "\n".join(witness_infinite(two_self_loops, w))
         assert w.alpha.edges == ("a",) and w.beta.edges == ("b",)
-        assert "p(v)" in stmt.render()
-        assert "infinite" in stmt.render()
+        assert "p(v)" in chain
+        assert "infinite" in chain
 
     def test_square_plus_entrance(self, square_plus_entrance):
-        w = make_entrance_witness(square_plus_entrance)
+        w = classify(square_plus_entrance).witness
         assert w.entry_vertex == "u2" and w.entry_edge == "x"
         assert w.alpha.source == w.alpha.range == "u2"
         assert w.beta.edges == ("x",)
-        stmt = witness_infinite(square_plus_entrance, w)
-        assert "p(u2)" in stmt.render()
+        assert w.alpha == square_plus_entrance.path(w.loop.edges)
+        assert w.beta == square_plus_entrance.path(("x",))
+        assert "p(u2)" in "\n".join(witness_infinite(square_plus_entrance, w))
 
     def test_alpha_equal_beta_rejected(self, two_self_loops):
-        w = make_entrance_witness(two_self_loops)
+        w = classify(two_self_loops).witness
         bad = EntranceWitness(
             loop=w.loop,
             entry_vertex=w.entry_vertex,
@@ -187,7 +204,7 @@ class TestWitness:
             witness_infinite(two_self_loops, bad)
 
     def test_entry_edge_on_loop_rejected(self, square_plus_entrance):
-        w = make_entrance_witness(square_plus_entrance)
+        w = classify(square_plus_entrance).witness
         bad = EntranceWitness(
             loop=w.loop,
             entry_vertex=w.entry_vertex,
@@ -201,12 +218,13 @@ class TestWitness:
     @given(entrance_graphs())
     @settings(max_examples=100, deadline=None)
     def test_generated_witnesses_validate(self, g):
-        assert classify(g).verdict is Verdict.NOT_FINITE
-        w = make_entrance_witness(g)
-        stmt = witness_infinite(g, w)
+        cls = classify(g)
+        assert cls.verdict is Verdict.NOT_FINITE
+        w = cls.witness
+        lines = witness_infinite(g, w)
         assert w.alpha != w.beta
         assert w.alpha.range == w.beta.range == w.entry_vertex
-        assert stmt.lines
+        assert len(lines) == 7
 
 
 def diamond_ladder(rungs: int, closed: bool = False) -> Graph:

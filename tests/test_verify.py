@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from afembed.embedding import AugmentedGraphSpec, GeneratorMap, embed, genmap_from_text, genmap_to_text
 from afembed.graph import parse_graph
-from afembed.loops import make_entrance_witness
+from afembed.loops import classify
 from afembed.terms import (
     NormalMonomial,
     CKTerm,
@@ -74,14 +74,14 @@ class TestVerifyCKFamily:
 
 class TestVerifyWitness:
     def test_two_self_loop_witness(self, two_self_loops):
-        w = make_entrance_witness(two_self_loops)
+        w = classify(two_self_loops).witness
         report = verify_witness(w, two_self_loops)
         assert report.all_proved
         assert len(report.checks) == 3
 
     def test_square_plus_entrance_cross_checked(self, square_plus_entrance):
         g = square_plus_entrance
-        w = make_entrance_witness(g)
+        w = classify(g).witness
         ctx = AugmentedGraphSpec(g, ())
         report = verify_witness(w, g)
         assert report.all_proved
@@ -99,7 +99,7 @@ class TestVerifyWitness:
     def test_equal_paths_rejected(self, two_self_loops):
         from afembed.loops import EntranceWitness, InvalidWitnessError
 
-        w = make_entrance_witness(two_self_loops)
+        w = classify(two_self_loops).witness
         bad = EntranceWitness(w.loop, w.entry_vertex, w.entry_edge, w.alpha, w.alpha)
         with pytest.raises(InvalidWitnessError):
             verify_witness(bad, two_self_loops)
@@ -107,7 +107,7 @@ class TestVerifyWitness:
     @given(entrance_graphs())
     @settings(max_examples=60, deadline=None)
     def test_generated_witnesses_prove(self, g):
-        w = make_entrance_witness(g)
+        w = classify(g).witness
         ctx = AugmentedGraphSpec(g, ())
         report = verify_witness(w, g)
         assert report.all_proved
