@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph import Graph, graph_from_dict, graph_to_dict
+from .graph import Graph, GraphError, graph_from_dict, graph_to_dict
 from .loops import EntranceExistsError, SimpleLoop, Verdict, classify
 from .terms import CKTerm, ContextMismatchError, NormalMonomial, StarContext, parse_term, term_to_str
 
@@ -129,6 +129,14 @@ _TAIL_VERTEX_RE = re.compile(r"v|L([1-9][0-9]*)\.1")
 _TAIL_EDGE_RE = re.compile(r"b([1-9][0-9]*)\.([1-9][0-9]*)")
 
 
+def _read_index(digits: str, kind: str, name: str) -> int:
+    """A level or edge index of a generated id; one too long for ``int`` names no id of any F_d."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ContextMismatchError(f"unknown {kind} '{name[:24]}...': its index has {len(digits)} digits") from None
+
+
 def _claimed_namespaces(ids: Iterable[str]) -> set[str]:
     """First ``.``-segments of ``ids``: a ``.``-free namespace collides with an id iff it is one."""
     return {x.split(".", 1)[0] for x in ids}
@@ -162,6 +170,12 @@ class AugmentedGraphSpec(StarContext):
         }
         self._receiver_extra: dict[str, set[str]] = {}
         for rep in self.replacements:
+            for u in rep.loop.vertices:
+                if u not in base.vertices:
+                    raise GraphError(f"loop vertex {u!r} is not a vertex of the base graph")
+            for e in rep.loop.edges:
+                if e in self._finite_edges:
+                    raise GraphError(f"loop edge {e!r} is still an edge of the base graph")
             for i, f in enumerate(rep.f_edges, start=1):
                 u_i = rep.loop.vertices[i - 1]
                 self._finite_edges[f] = (rep.tail.sink, u_i)
@@ -194,7 +208,7 @@ class AugmentedGraphSpec(StarContext):
         m = _TAIL_VERTEX_RE.fullmatch(local) if ns in self._tails else None
         if m is None:
             raise ContextMismatchError(f"unknown vertex {v!r}")
-        return self._tails[ns], int(m.group(1) or 0)
+        return self._tails[ns], _read_index(m.group(1) or "0", "vertex", v)
 
     def check_vertex(self, v: str) -> str:
         if v not in self.base.vertices:
@@ -209,8 +223,8 @@ class AugmentedGraphSpec(StarContext):
         ns, _, local = e.partition(".")
         m = _TAIL_EDGE_RE.fullmatch(local) if ns in self._tails else None
         if m:
-            tail, k = self._tails[ns], int(m.group(1))
-            if int(m.group(2)) <= tail.mult.value(k):
+            tail, k = self._tails[ns], _read_index(m.group(1), "edge", e)
+            if _read_index(m.group(2), "edge", e) <= tail.mult.value(k):
                 return tail.tail_edge_ends(k)
         raise ContextMismatchError(f"unknown edge {e!r}")
 

@@ -532,14 +532,22 @@ class _TermParser:
                     raise TermParseError(f"unexpected input at position {pos}: {text[pos:pos+20]!r}")
                 break
             pos = m.end()
+            # a ValueError from int() or Fraction() means more digits than the interpreter reads
             if m.group("atom"):
-                exp = int(m.group("exp")) if m.group("exp") else 1
+                try:
+                    exp = int(m.group("exp")) if m.group("exp") else 1
+                except ValueError:
+                    atom, digits = f"{m.group('atom')}({m.group('id')})", len(m.group("exp").lstrip("-"))
+                    raise TermParseError(f"exponent of {atom} is too long: {digits} digits") from None
                 tokens.append(("atom", (m.group("atom"), m.group("id"), exp)))
             elif m.group("num"):
                 try:
                     frac = Fraction(m.group("num"))
                 except ZeroDivisionError:
                     raise TermParseError(f"zero denominator in coefficient {m.group('num')!r}") from None
+                except ValueError:
+                    digits = max(len(x) for x in m.group("num").split("/"))
+                    raise TermParseError(f"coefficient at position {m.start('num')} is too long: {digits} digits") from None
                 if m.group("numi"):
                     tokens.append(("coeff", GaussianRational(Fraction(0), frac)))
                 else:

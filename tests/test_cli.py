@@ -12,8 +12,10 @@ from afembed.cli import (
     entry_point,
     main,
 )
+from afembed.embedding import embed
 from afembed.graph import load_graph
 from afembed.loops import Verdict, classify
+from afembed.terms import ContextMismatchError, TermParseError, parse_term
 
 from .conftest import SQUARE_TEXT
 
@@ -222,6 +224,47 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "image, message",
+        [
+            ("s(T1.f2) t(T1)^" + "1" * 5000 + " s*(T1.f1)", "exponent of t(T1) is too long: 5000 digits"),
+            ("1/" + "3" * 5000 + " s(T1.f2) t(T1) s*(T1.f1)", "coefficient at position 0 is too long: 5000 digits"),
+        ],
+        ids=["exponent", "coefficient"],
+    )
+    def test_overlong_number_in_map_term_is_parse_error(self, tmp_path, capsys, image, message):
+        """More digits than ``int`` converts: the message is about the term, not the interpreter."""
+        golden = Path(__file__).parent / "golden"
+        spec, _ = embed(load_graph((golden / "square.txt").read_text()))
+        with pytest.raises(TermParseError):
+            parse_term(image, spec)
+        bad = tmp_path / "bad.genmap.txt"
+        bad.write_text(f"e1 = {image}\n")
+        code, out = run_cli(
+            ["verify", "--input", str(golden / "square.txt"), "--depth", "2", "--map", str(bad)]
+        )
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "atom, kind",
+        [("p(T1.L" + "1" * 5000 + ".1)", "vertex"), ("s(T1.b1." + "1" * 5000 + ")", "edge")],
+        ids=["level", "edge-index"],
+    )
+    def test_overlong_tail_index_is_unknown_id(self, tmp_path, capsys, atom, kind):
+        golden = Path(__file__).parent / "golden"
+        spec, _ = embed(load_graph((golden / "square.txt").read_text()))
+        with pytest.raises(ContextMismatchError):
+            parse_term(atom, spec)
+        bad = tmp_path / "bad.genmap.txt"
+        bad.write_text(f"e1 = {atom}\n")
+        code, out = run_cli(
+            ["verify", "--input", str(golden / "square.txt"), "--depth", "2", "--map", str(bad)]
+        )
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown {kind} 'T1.") and err.endswith("': its index has 5000 digits\n")
 
     def test_domain_mismatch_is_input_error(self, square_file, tmp_path, capsys):
         bad = tmp_path / "bad.genmap.txt"

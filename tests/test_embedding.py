@@ -18,8 +18,8 @@ from afembed.embedding import (
     spec_from_dict,
     spec_to_dict,
 )
-from afembed.graph import Graph, graph_from_dict, parse_graph
-from afembed.loops import cycle_vertices, disjoint_simple_loops
+from afembed.graph import Graph, GraphError, graph_from_dict, parse_graph
+from afembed.loops import SimpleLoop, cycle_vertices, disjoint_simple_loops
 from afembed.terms import ContextMismatchError, NormalMonomial, parse_term
 
 from .oracles import count_paths_with_range
@@ -329,6 +329,29 @@ class TestNamespaceOwnership:
         for atom in ("p", "s", "s*"):
             with pytest.raises(ContextMismatchError):
                 parse_term(f"{atom}({alias})", spec)
+
+
+class TestLoopAgainstBase:
+    """A replaced loop runs through base vertices along edges the base no longer has."""
+
+    def test_loop_vertex_outside_base_rejected(self, square_embedding):
+        spec, _ = square_embedding
+        obj = spec_to_dict(spec)
+        obj["replacements"][0]["loop_vertices"][0] = "zz"
+        with pytest.raises(GraphError, match="loop vertex 'zz'"):
+            spec_from_dict(obj)
+        (rep,) = spec.replacements
+        loop = SimpleLoop(rep.loop.edges, ("zz",) + rep.loop.vertices[1:])
+        with pytest.raises(GraphError, match="loop vertex 'zz'"):
+            AugmentedGraphSpec(spec.base, (LoopReplacement(loop, rep.tail),))
+
+    def test_loop_edge_left_in_base_rejected(self, square_embedding):
+        spec, _ = square_embedding
+        obj = shadowed_spec_dict(spec, [], [("e1", "u1", "u2")])
+        with pytest.raises(GraphError, match="loop edge 'e1'"):
+            spec_from_dict(obj)
+        with pytest.raises(GraphError, match="loop edge 'e4'"):
+            AugmentedGraphSpec(spec.original_graph(), spec.replacements)
 
 
 CROWDED_IDS = st.sampled_from(
