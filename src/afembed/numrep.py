@@ -565,12 +565,6 @@ class ResidualReport:
     def max_residual(self) -> float:
         return max((e.value for e in self.entries), default=0.0)
 
-    def to_csv(self) -> str:
-        lines = ["instance,residual"]
-        lines += [f"{e.name},{e.value:.3e}" for e in self.entries]
-        lines += [f"{e.name},{e.value:.3e}" for e in self.boundary_defects]
-        return "\n".join(lines) + "\n"
-
 
 def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     """Numeric residuals of all relation instances for the mapped family.

@@ -169,13 +169,6 @@ class TestRelationResiduals:
         for entry in report.boundary_defects:
             assert entry.value == pytest.approx(1.0, abs=1e-14)
 
-    def test_csv_shape(self, square_embedding, square_rep):
-        spec, gmap = square_embedding
-        report = relation_residuals(square_rep, gmap)
-        lines = report.to_csv().strip().splitlines()
-        assert lines[0] == "instance,residual"
-        assert len(lines) == 1 + len(report.entries) + len(report.boundary_defects)
-
 
 class TestLoopSpectrum:
     def test_square_d6_nonzero_eigenvalues(self, square_embedding):
