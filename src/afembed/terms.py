@@ -546,8 +546,8 @@ class _TermParser:
                 except ZeroDivisionError:
                     raise TermParseError(f"zero denominator in coefficient {m.group('num')!r}") from None
                 except ValueError:
-                    digits = max(len(x) for x in m.group("num").split("/"))
-                    raise TermParseError(f"coefficient at position {m.start('num')} is too long: {digits} digits") from None
+                    at, digits = m.start("num"), max(len(x) for x in m.group("num").split("/"))
+                    raise TermParseError(f"coefficient at position {at} is too long: {digits} digits") from None
                 if m.group("numi"):
                     tokens.append(("coeff", GaussianRational(Fraction(0), frac)))
                 else:
