@@ -12,7 +12,15 @@ numeric arithmetic of the generator maps the construction never produces:
 an image scaled by a unit coefficient other than 1, and an image that is a
 genuine sum with two entries in one row, whose loop spectrum needs a dense
 eigensolver.  The failing runs' ``verification failed: ...`` line has since
-moved to stderr, so every golden stdout holds JSON records only.
+moved to stderr, so every golden stdout of a ``--format json`` run holds
+JSON records only.
+
+The structure outputs were pinned before the graph core was interned to
+integers: ``export`` in all three formats, ``classify`` and ``loops`` on a
+host whose ids crowd the tail namespaces, and ``classify`` of a JSON copy
+of ``cycles_dag`` (``cycles_dag.json``, written by ``export --format json``).
+An ``export`` case names its own ``--format``; every other case runs with
+``--format json``.
 """
 
 import io
@@ -59,11 +67,19 @@ CASES = {
     "verify_square_sum_map": [
         "verify", "--input", "@square.txt", "--depth", "5", "--map", "@square_sum.genmap.txt",
     ],
+    "classify_crowded": ["classify", "--input", "@crowded.txt"],
+    "loops_crowded": ["loops", "--input", "@crowded.txt"],
+    "classify_cycles_dag_json": ["classify", "--input", "@cycles_dag.json"],
 }
+# ``export`` in each of its formats; these name their own ``--format``
+for _graph in ("cycles_dag", "crowded"):
+    for _fmt in ("text", "json", "dot"):
+        CASES[f"export_{_graph}_{_fmt}"] = ["export", "--input", f"@{_graph}.txt", "--format", _fmt]
 
 
 def resolve(argv: list[str]) -> list[str]:
-    return [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in argv] + ["--format", "json"]
+    fmt = [] if "--format" in argv else ["--format", "json"]
+    return [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in argv] + fmt
 
 
 def run_case(name: str) -> tuple[int, str]:
