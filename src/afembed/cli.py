@@ -280,9 +280,10 @@ def cmd_export(args, out) -> int:
 
 
 def _positive_float(text: str) -> float:
+    # float() reads "inf", and any literal too large for a double, as inf
     x = float(text)
-    if x <= 0 or math.isnan(x):
-        raise argparse.ArgumentTypeError("tolerance must be positive")
+    if not (0 < x < math.inf):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, not {text!r}")
     return x
 
 

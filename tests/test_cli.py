@@ -299,6 +299,20 @@ class TestUsageErrors:
             entry_point()
         assert exc.value.code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-inf", "0"])
+    @pytest.mark.parametrize("option", ["--tol-alg", "--tol-spec"])
+    def test_tolerance_must_be_positive_and_finite(self, option, value, capsys):
+        """An infinite tolerance would pass every residual and spectrum check:
+        with both at ``inf`` a map that drops ``t`` used to exit 0, not 2."""
+        golden = Path(__file__).parent / "golden"
+        argv = [
+            "verify", "--input", str(golden / "square.txt"), "--depth", "4",
+            "--map", str(golden / "square_tdropped.genmap.txt"), f"{option}={value}",
+        ]
+        code, out = run_cli(argv)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert f"tolerance must be positive and finite, not {value!r}" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         code, _ = run_cli(["verify", "--help"])
         assert code == EXIT_OK
