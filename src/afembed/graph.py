@@ -11,12 +11,23 @@ Two interchangeable document formats are supported: a line-oriented text
 format (``vertex <id>`` / ``edge <id> <source> <range>`` with ``#``
 comments) and a JSON object with ``vertices`` and ``edges`` keys, where
 ``dst`` is the range vertex.
+
+A :class:`Graph` interns its ids to integers once, when it is built: the
+sorted vertex names are numbered ``0 .. |V|-1`` and the sorted edge names
+``0 .. |E|-1``, so comparing two ids compares their names.  The index is
+``src[e]`` and ``rng[e]`` per edge, and per vertex ``out[v]`` and
+``recv[v]``, the ids of its out-edges and of its receivers, each in id
+order.  The loop analysis runs on this index alone; names come back from
+``vertex_names`` and ``edge_names`` only where a result is reported, and
+the name-level views the symbolic and numeric layers read are built from
+the index on first use.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -94,19 +105,60 @@ def _check_token(kind: str, name: str) -> None:
         raise GraphError(f"{kind} id must be a nonempty token without whitespace: {name!r}")
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable finite directed multigraph.
+def _group(ends: list[int], n: int) -> list[tuple[int, ...]]:
+    """Per vertex ``v < n``, the ids ``e`` with ``ends[e] == v``, in id order.
 
-    Edges are stored sorted by name, so structurally equal graphs compare
-    equal regardless of declaration order.
+    Tuples of ints are containers the garbage collector stops tracking
+    once it has seen them, so a large graph adds nothing to its later
+    full collections.
+    """
+    order = sorted(range(len(ends)), key=ends.__getitem__)
+    bounds = [0] * (n + 1)
+    for v in ends:
+        bounds[v + 1] += 1
+    bounds = list(accumulate(bounds))
+    return [tuple(order[bounds[v] : bounds[v + 1]]) for v in range(n)]
+
+
+class Graph:
+    """Immutable finite directed multigraph over the integer index of the
+    module docstring.
+
+    ``vertices``, ``edges``, ``receivers`` and ``out_edges`` answer by name;
+    each is built from the index on first use and cached.
+    Structurally equal graphs compare equal regardless of declaration order.
     """
 
-    vertices: frozenset[str]
-    edges: tuple[Edge, ...]
-    _by_name: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    _receivers: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    _out: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    __slots__ = (
+        "vertex_names", "edge_names", "src", "rng", "out", "recv", "_vertex_ids",
+        # built on first use
+        "_edge_ids", "_vertex_set", "_edge_tuple", "_receiver_sets", "_out_edge_tuples",
+    )
+
+    def __init__(
+        self,
+        vertex_names: list[str],
+        vertex_ids: dict[str, int],
+        edge_names: list[str],
+        src: list[int],
+        rng: list[int],
+    ):
+        """Index checked ids: ``vertex_names`` sorted, ``vertex_ids`` its inverse,
+        and distinct ``edge_names`` in any order with their endpoint ids."""
+        order = sorted(range(len(edge_names)), key=edge_names.__getitem__)
+        edge_names = [edge_names[e] for e in order]
+        src = [src[e] for e in order]
+        rng = [rng[e] for e in order]
+        out = _group(src, len(vertex_names))
+        recv = _group(rng, len(vertex_names))
+        self.vertex_names, self.edge_names = tuple(vertex_names), tuple(edge_names)
+        self.src, self.rng, self.out, self.recv = src, rng, out, recv
+        self._vertex_ids = vertex_ids
+        self._edge_ids: dict[str, int] | None = None
+        self._vertex_set: frozenset[str] | None = None
+        self._edge_tuple: tuple[Edge, ...] | None = None
+        self._receiver_sets: list[frozenset[str] | None] = [None] * len(vertex_names)
+        self._out_edge_tuples: list[tuple[Edge, ...] | None] = [None] * len(vertex_names)
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]) -> "Graph":
@@ -116,84 +168,141 @@ class Graph:
             if v in vset:
                 raise DuplicateIdError(f"duplicate vertex id {v!r}")
             vset.add(v)
-        elist: list[Edge] = []
-        names: set[str] = set()
+        vertex_names = sorted(vset)
+        vertex_ids = {v: i for i, v in enumerate(vertex_names)}
+        names: list[str] = []
+        src: list[int] = []
+        rng: list[int] = []
+        seen: set[str] = set()
         for e in edges:
-            if not isinstance(e, Edge):
-                e = Edge(*e)
-            _check_token("edge", e.name)
-            if e.name in names:
-                raise DuplicateIdError(f"duplicate edge id {e.name!r}")
-            names.add(e.name)
-            for endpoint in (e.source, e.range):
-                if endpoint not in vset:
+            if isinstance(e, Edge):
+                e = (e.name, e.source, e.range)
+            try:
+                name, source, range_ = e
+            except (TypeError, ValueError):
+                Edge(*e)  # raises the arity error an Edge raises
+                raise
+            _check_token("edge", name)
+            if name in seen:
+                raise DuplicateIdError(f"duplicate edge id {name!r}")
+            seen.add(name)
+            for endpoint in (source, range_):
+                if endpoint not in vertex_ids:
                     raise UndeclaredEndpointError(
-                        f"edge {e.name!r} references undeclared vertex {endpoint!r}"
+                        f"edge {name!r} references undeclared vertex {endpoint!r}"
                     )
-            elist.append(e)
-        elist.sort(key=lambda e: e.name)
-        g = cls(frozenset(vset), tuple(elist))
-        g._by_name.update({e.name: e for e in elist})
-        recv: dict[str, set[str]] = {v: set() for v in vset}
-        out: dict[str, list[Edge]] = {v: [] for v in vset}
-        for e in elist:
-            recv[e.range].add(e.name)
-            out[e.source].append(e)
-        g._receivers.update({v: frozenset(s) for v, s in recv.items()})
-        g._out.update(out)
-        return g
+            names.append(name)
+            src.append(vertex_ids[source])
+            rng.append(vertex_ids[range_])
+        return cls(vertex_names, vertex_ids, names, src, rng)
 
-    def edge(self, name: str) -> Edge:
+    # --- name lookups ---------------------------------------------------------
+
+    def vertex_id(self, v: str) -> int:
         try:
-            return self._by_name[name]
+            return self._vertex_ids[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+
+    def edge_id(self, name: str) -> int:
+        if self._edge_ids is None:
+            self._edge_ids = {n: e for e, n in enumerate(self.edge_names)}
+        try:
+            return self._edge_ids[name]
         except KeyError:
             raise UnknownEdgeError(f"unknown edge {name!r}") from None
 
+    # --- name-level views, built on first use --------------------------------
+
+    @property
+    def vertices(self) -> frozenset[str]:
+        if self._vertex_set is None:
+            self._vertex_set = frozenset(self.vertex_names)
+        return self._vertex_set
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """All edges in id order."""
+        if self._edge_tuple is None:
+            self._edge_tuple = tuple(Edge(*named) for named in _named_edges(self))
+        return self._edge_tuple
+
+    def edge(self, name: str) -> Edge:
+        e = self.edge_id(name)
+        if self._edge_tuple is not None:
+            return self._edge_tuple[e]
+        return Edge(name, self.vertex_names[self.src[e]], self.vertex_names[self.rng[e]])
+
     def receivers(self, v: str) -> frozenset[str]:
         """Edge names with range ``v`` (the set ``r^{-1}(v)``)."""
-        try:
-            return self._receivers[v]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+        i = self.vertex_id(v)
+        rec = self._receiver_sets[i]
+        if rec is None:
+            names = self.edge_names
+            rec = self._receiver_sets[i] = frozenset(names[e] for e in self.recv[i])
+        return rec
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """Edges with source ``v``, in id order."""
-        try:
-            return tuple(self._out[v])
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+        i = self.vertex_id(v)
+        out = self._out_edge_tuples[i]
+        if out is None:
+            edges = self.edges
+            out = self._out_edge_tuples[i] = tuple(edges[e] for e in self.out[i])
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_names, self.edge_names, self.src, self.rng) == (
+            other.vertex_names, other.edge_names, other.src, other.rng
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_names, self.edge_names, tuple(self.src), tuple(self.rng)))
+
+    def __repr__(self) -> str:
+        return f"Graph(vertices={list(self.vertex_names)!r}, edges={list(self.edges)!r})"
+
+    # --- paths -------------------------------------------------------------------
 
     def is_path(self, edge_names: Sequence[str]) -> bool:
         """True iff the list ``(a_n, ..., a_1)`` is consecutively composable."""
         if not edge_names:
             raise PathError("a path needs at least one edge; use vertex_path for length 0")
-        es = [self.edge(n) for n in edge_names]
-        return all(es[i].source == es[i + 1].range for i in range(len(es) - 1))
+        ids = [self.edge_id(n) for n in edge_names]
+        src, rng = self.src, self.rng
+        return all(src[a] == rng[b] for a, b in zip(ids, ids[1:]))
 
     def path(self, edge_names: Sequence[str]) -> Path:
         if not self.is_path(edge_names):
             raise PathError(f"edges do not compose: {tuple(edge_names)!r}")
-        first = self.edge(edge_names[0])
-        last = self.edge(edge_names[-1])
-        return Path(tuple(edge_names), source=last.source, range=first.range)
+        first = self.edge_id(edge_names[0])
+        last = self.edge_id(edge_names[-1])
+        vn = self.vertex_names
+        return Path(tuple(edge_names), source=vn[self.src[last]], range=vn[self.rng[first]])
 
     def vertex_path(self, v: str) -> Path:
-        if v not in self.vertices:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
+        self.vertex_id(v)
         return Path((), source=v, range=v)
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the line-oriented graph format; errors report the 1-based line."""
+    """Parse the line-oriented graph format; errors report the 1-based line.
+
+    A part of a split line is a token by construction, so only duplicates
+    and undeclared endpoints are checked here, each once.
+    """
     vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
     vseen: set[str] = set()
+    names: list[str] = []
+    sources: list[str] = []
+    ranges: list[str] = []
     edge_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw[: raw.index("#")] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise GraphParseError("expected: vertex <id>", lineno)
@@ -208,29 +317,41 @@ def parse_graph(text: str) -> Graph:
             if name in edge_lines:
                 raise GraphParseError(f"duplicate edge id {name!r}", lineno)
             edge_lines[name] = lineno
-            edges.append((name, parts[2], parts[3]))
+            names.append(name)
+            sources.append(parts[2])
+            ranges.append(parts[3])
         else:
             raise GraphParseError(f"unknown directive {parts[0]!r}", lineno)
-    for name, src, dst in edges:
-        for endpoint in (src, dst):
-            if endpoint not in vseen:
+    vertices.sort()
+    vertex_ids = {v: i for i, v in enumerate(vertices)}
+    src = [vertex_ids.get(v, -1) for v in sources]
+    rng = [vertex_ids.get(v, -1) for v in ranges]
+    if -1 in src or -1 in rng:
+        for name, s, r, si, ri in zip(names, sources, ranges, src, rng):
+            if si < 0 or ri < 0:
                 raise GraphParseError(
-                    f"edge {name!r} references undeclared vertex {endpoint!r}",
+                    f"edge {name!r} references undeclared vertex {s if si < 0 else r!r}",
                     edge_lines[name],
                 )
-    return Graph.build(vertices, edges)
+    return Graph(vertices, vertex_ids, names, src, rng)
+
+
+def _named_edges(g: Graph):
+    """``(name, source, range)`` per edge in id order, without building ``Edge``s."""
+    vn = g.vertex_names
+    return ((name, vn[s], vn[r]) for name, s, r in zip(g.edge_names, g.src, g.rng))
 
 
 def serialize_graph(g: Graph) -> str:
-    lines = [f"vertex {v}" for v in sorted(g.vertices)]
-    lines += [f"edge {e.name} {e.source} {e.range}" for e in g.edges]
+    lines = [f"vertex {v}" for v in g.vertex_names]
+    lines += [f"edge {name} {s} {r}" for name, s, r in _named_edges(g)]
     return "\n".join(lines) + "\n"
 
 
 def graph_to_dict(g: Graph) -> dict:
     return {
-        "vertices": sorted(g.vertices),
-        "edges": [{"id": e.name, "src": e.source, "dst": e.range} for e in g.edges],
+        "vertices": list(g.vertex_names),
+        "edges": [{"id": name, "src": s, "dst": r} for name, s, r in _named_edges(g)],
     }
 
 
@@ -282,9 +403,9 @@ def _dot_quote(s: str) -> str:
 def export_dot(g: Graph, name: str = "E") -> str:
     """Render as a DOT digraph; arcs run source -> range, labeled by edge id."""
     lines = [f"digraph {name} {{"]
-    for v in sorted(g.vertices):
+    for v in g.vertex_names:
         lines.append(f"  {_dot_quote(v)};")
-    for e in g.edges:
-        lines.append(f"  {_dot_quote(e.source)} -> {_dot_quote(e.range)} [label={_dot_quote(e.name)}];")
+    for name, s, r in _named_edges(g):
+        lines.append(f"  {_dot_quote(s)} -> {_dot_quote(r)} [label={_dot_quote(name)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Edge, Graph, Path
+from .graph import Graph, Path
 
 
 class Verdict(str, Enum):
@@ -90,16 +90,15 @@ class SimpleLoop:
     def from_edges(cls, g: Graph, edges: tuple[str, ...]) -> "SimpleLoop":
         if not edges:
             raise InvalidWitnessError("a loop has at least one edge")
-        if not g.is_path(edges):
+        ids = [g.edge_id(e) for e in edges]
+        src, rng = g.src, g.rng
+        if any(src[a] != rng[b] for a, b in zip(ids, ids[1:])):
             raise InvalidWitnessError(f"edges do not compose: {edges!r}")
-        first, last = g.edge(edges[0]), g.edge(edges[-1])
-        if first.range != last.source:
+        if rng[ids[0]] != src[ids[-1]]:
             raise InvalidWitnessError("path does not close up into a loop")
-        ranges = [g.edge(e).range for e in edges]
-        if len(set(ranges)) != len(ranges):
+        if len({rng[e] for e in ids}) != len(ids):
             raise InvalidWitnessError("loop is not simple: repeated range vertex")
-        vertices = tuple(g.edge(e).source for e in reversed(edges))
-        return cls(edges, vertices)
+        return _loop_of(g, ids[::-1])
 
 
 @dataclass(frozen=True)
@@ -125,51 +124,105 @@ class Classification:
     witness: EntranceWitness | None = None
 
 
-def cycle_vertices(g: Graph) -> frozenset[str]:
-    """Vertices lying on at least one loop, by one pass of Pearce's algorithm.
+def _loop_of(g: Graph, traversal: list[int]) -> SimpleLoop:
+    """The loop whose edge ids ``e_1, ..., e_n`` are given in traversal order."""
+    en, vn, src = g.edge_names, g.vertex_names, g.src
+    return SimpleLoop(tuple(en[e] for e in reversed(traversal)), tuple(vn[src[e]] for e in traversal))
+
+
+def _on_cycle(g: Graph) -> bytearray:
+    """Per vertex id, 1 iff the vertex lies on a loop: one pass of Pearce's algorithm.
 
     ``rindex[v]`` is ``v``'s visit number, lowered to the smallest visit
-    number ``v`` reaches while its component is open, and ``None`` once the
-    component closes.  ``stack`` holds the vertices of open components
-    that do not root them.  A vertex lies on a loop iff its component has
-    a second vertex or it has a self-loop.
+    number ``v`` reaches while its component is open, and ``closed`` (above
+    every visit number) once the component closes.  ``stack`` holds the
+    vertices of open components that do not root them.  A vertex lies on
+    a loop iff its component has a second vertex or it has a self-loop.
     """
-    rindex: dict[str, int | None] = {}
-    stack: list[str] = []
-    result: set[str] = set()
-    for root in g.vertices:
-        if root in rindex:
+    out, rng = g.out, g.rng
+    closed = len(out)
+    rindex = [-1] * closed
+    on = bytearray(closed)
+    stack: list[int] = []
+    visit = 0
+    for root in range(closed):
+        if rindex[root] >= 0:
             continue
-        rindex[root] = len(rindex)
-        dfs = [(root, iter(g.out_edges(root)), rindex[root])]
-        while dfs:
-            v, out, visit = dfs[-1]
-            for e in out:
-                w = e.range
-                if w not in rindex:
-                    rindex[w] = len(rindex)
-                    dfs.append((w, iter(g.out_edges(w)), rindex[w]))
+        rindex[root] = visit
+        # the DFS path: vertices, their visit numbers, and iterators over the
+        # positions in their out-edge tuples (a range iterator is not a
+        # container the garbage collector tracks, however deep the path)
+        path, visits, todo = [root], [visit], [iter(range(len(out[root])))]
+        visit += 1
+        while path:
+            v = path[-1]
+            adj = out[v]
+            for k in todo[-1]:
+                w = rng[adj[k]]
+                if rindex[w] < 0:
+                    rindex[w] = visit
+                    path.append(w)
+                    visits.append(visit)
+                    todo.append(iter(range(len(out[w]))))
+                    visit += 1
                     break
                 if w == v:
-                    result.add(v)
-                elif rindex[w] is not None and rindex[w] < rindex[v]:
+                    on[v] = 1
+                elif rindex[w] < rindex[v]:
                     rindex[v] = rindex[w]
             else:
-                dfs.pop()
+                path.pop()
+                todo.pop()
+                first = visits.pop()
                 low = rindex[v]
-                if low < visit:  # v does not root its component, which stays open
+                if low < first:  # v does not root its component, which stays open
                     stack.append(v)
-                    parent = dfs[-1][0]
+                    parent = path[-1]
                     if low < rindex[parent]:
                         rindex[parent] = low
                     continue
-                rindex[v] = None
-                while stack and rindex[stack[-1]] >= visit:
+                rindex[v] = closed
+                while stack and rindex[stack[-1]] >= first:
                     w = stack.pop()
-                    rindex[w] = None
-                    result.add(w)
-                    result.add(v)
-    return frozenset(result)
+                    rindex[w] = closed
+                    on[w] = on[v] = 1
+    return on
+
+
+def cycle_vertices(g: Graph) -> frozenset[str]:
+    """Vertices lying on at least one loop."""
+    vn = g.vertex_names
+    return frozenset(vn[v] for v, on in enumerate(_on_cycle(g)) if on)
+
+
+def _cycle_through(g: Graph, v: int) -> list[int]:
+    """Edge ids ``e_1, ..., e_n`` of the first simple cycle through ``v`` found
+    by DFS, edges tried in id order; see :func:`simple_cycle_through`."""
+    out, rng = g.out, g.rng
+    chosen: list[int] = []
+    marked = bytearray(len(out))
+    marked[v] = 1
+    path, todo = [v], [iter(range(len(out[v])))]
+    while path:
+        adj = out[path[-1]]
+        for k in todo[-1]:
+            e = adj[k]
+            w = rng[e]
+            if w == v:
+                chosen.append(e)
+                return chosen
+            if not marked[w]:
+                marked[w] = 1
+                chosen.append(e)
+                path.append(w)
+                todo.append(iter(range(len(out[w]))))
+                break
+        else:
+            path.pop()
+            todo.pop()
+            if chosen:
+                chosen.pop()
+    raise ValueError(f"vertex {g.vertex_names[v]!r} does not lie on a cycle")
 
 
 def simple_cycle_through(g: Graph, v: str) -> SimpleLoop:
@@ -180,25 +233,7 @@ def simple_cycle_through(g: Graph, v: str) -> SimpleLoop:
     at most once; the module docstring shows why the loop found is still
     that of the DFS that unmarks on backtracking.
     """
-    chosen: list[Edge] = []  # e_1, e_2, ... in traversal order
-    marked: set[str] = {v}
-    stack = [iter(g.out_edges(v))]
-    while stack:
-        for e in stack[-1]:
-            if e.range == v:
-                chosen.append(e)
-                edges = tuple(c.name for c in reversed(chosen))
-                return SimpleLoop(edges, tuple(c.source for c in chosen))
-            if e.range not in marked:
-                marked.add(e.range)
-                chosen.append(e)
-                stack.append(iter(g.out_edges(e.range)))
-                break
-        else:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-    raise ValueError(f"vertex {v!r} does not lie on a cycle")
+    return _loop_of(g, _cycle_through(g, g.vertex_id(v)))
 
 
 def disjoint_simple_loops(g: Graph) -> list[SimpleLoop]:
@@ -219,38 +254,42 @@ def classify(g: Graph) -> Classification:
 
     This is the one graph analysis: a single SCC pass, and one cycle search
     at the first cycle vertex with a second receiver, whose loop is the
-    witness's ``alpha`` and whose other receiver is its ``beta``.
+    witness's ``alpha`` and whose other receiver is its ``beta``.  It runs
+    on vertex and edge ids, whose order is name order; names are looked up
+    only for the loops and the witness it returns.
     """
-    cycles = sorted(cycle_vertices(g))
+    on = _on_cycle(g)
+    cycles = [v for v, flag in enumerate(on) if flag]
     if not cycles:
         return Classification(Verdict.AF)
+    recv, src, vn, en = g.recv, g.src, g.vertex_names, g.edge_names
     for v in cycles:
-        rec = g.receivers(v)
-        if len(rec) > 1:
-            loop = simple_cycle_through(g, v)
-            entry = min(rec - {loop.edge_into(v)})
-            alpha = Path(loop.edges, v, v)
-            beta = Path((entry,), g.edge(entry).source, v)
-            return Classification(Verdict.NOT_FINITE, witness=EntranceWitness(loop, v, entry, alpha, beta))
-    seen: set[str] = set()
+        if len(recv[v]) > 1:
+            traversal = _cycle_through(g, v)
+            loop = _loop_of(g, traversal)
+            entry = min(e for e in recv[v] if e != traversal[-1])
+            base = vn[v]
+            alpha = Path(loop.edges, base, base)
+            beta = Path((en[entry],), vn[src[entry]], base)
+            return Classification(
+                Verdict.NOT_FINITE, witness=EntranceWitness(loop, base, en[entry], alpha, beta)
+            )
     loops: list[SimpleLoop] = []
     for v in cycles:
-        if v in seen:
+        if not on[v]:  # already traced
             continue
-        edges: list[str] = []
-        vertices: list[str] = [v]
+        # walk back along unique receivers: e_n, e_{n-1}, ..., e_1
+        edges: list[int] = []
         cur = v
         while True:
-            (e_name,) = g.receivers(cur)
-            edges.append(e_name)
-            cur = g.edge(e_name).source
+            (e,) = recv[cur]
+            edges.append(e)
+            on[cur] = 0
+            cur = src[e]
             if cur == v:
                 break
-            vertices.append(cur)
-        # edges collected as (e_n, e_{n-1}, ..., e_1); visited v, u_n, ..., u_2
-        loop = SimpleLoop(tuple(edges), (v,) + tuple(reversed(vertices[1:])))
-        seen.update(loop.vertices)
-        loops.append(loop)
+        edges.reverse()
+        loops.append(_loop_of(g, edges))
     return Classification(Verdict.AF_EMBEDDABLE_NOT_AF, loops=tuple(loops))
 
 

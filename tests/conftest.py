@@ -1,7 +1,24 @@
+import time
+
 import pytest
 
 from afembed.embedding import embed
 from afembed.graph import parse_graph
+
+def growth_ratio(small, large, repeats: int = 7) -> float:
+    """Least wall time of ``large()`` over least wall time of ``small()``.
+
+    The calls alternate, so both sizes see the same phases of the host's
+    other load, and the least time of each is the run it disturbed least.
+    """
+    best = {small: float("inf"), large: float("inf")}
+    for _ in range(repeats):
+        for fn in (small, large):
+            started = time.perf_counter()
+            fn()
+            best[fn] = min(best[fn], time.perf_counter() - started)
+    return best[large] / best[small]
+
 
 SQUARE_TEXT = """\
 # the 4-cycle: u_i -> u_{i+1 mod 4}

@@ -9,7 +9,19 @@ production implementations beyond the basic graph accessors.
 
 from __future__ import annotations
 
-from afembed.graph import Graph
+from dataclasses import dataclass, field
+from typing import Iterable
+
+from afembed.graph import (
+    DuplicateIdError,
+    Edge,
+    Graph,
+    GraphParseError,
+    UndeclaredEndpointError,
+    UnknownEdgeError,
+    UnknownVertexError,
+    _check_token,
+)
 from afembed.loops import EntranceWitness, SimpleLoop, Verdict
 from afembed.terms import KEEP, ZERO, StarContext, reduce_pair
 
@@ -304,3 +316,135 @@ def count_paths_with_range(g: Graph, v: str, length: int) -> int:
             if e.range == src
         ]
     return len(frontier)
+
+
+# ---------------------------------------------------------------------------
+# The graph core before vertex and edge ids were interned to integers:
+# ``Graph.build``, ``parse_graph`` and ``graph_from_dict`` as they were, with
+# only the class renamed.  The integer-indexed core must answer every
+# name-level query the same, in the same order, and reject every malformed
+# input with the same exception class and message.
+
+
+@dataclass(frozen=True)
+class SetGraph:
+    """The graph core before integer interning, kept verbatim as an oracle.
+
+    Immutable finite directed multigraph.
+
+    Edges are stored sorted by name, so structurally equal graphs compare
+    equal regardless of declaration order.
+    """
+
+    vertices: frozenset[str]
+    edges: tuple[Edge, ...]
+    _by_name: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _receivers: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _out: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+
+    @classmethod
+    def build(cls, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]) -> "SetGraph":
+        vset: set[str] = set()
+        for v in vertices:
+            _check_token("vertex", v)
+            if v in vset:
+                raise DuplicateIdError(f"duplicate vertex id {v!r}")
+            vset.add(v)
+        elist: list[Edge] = []
+        names: set[str] = set()
+        for e in edges:
+            if not isinstance(e, Edge):
+                e = Edge(*e)
+            _check_token("edge", e.name)
+            if e.name in names:
+                raise DuplicateIdError(f"duplicate edge id {e.name!r}")
+            names.add(e.name)
+            for endpoint in (e.source, e.range):
+                if endpoint not in vset:
+                    raise UndeclaredEndpointError(
+                        f"edge {e.name!r} references undeclared vertex {endpoint!r}"
+                    )
+            elist.append(e)
+        elist.sort(key=lambda e: e.name)
+        g = cls(frozenset(vset), tuple(elist))
+        g._by_name.update({e.name: e for e in elist})
+        recv: dict[str, set[str]] = {v: set() for v in vset}
+        out: dict[str, list[Edge]] = {v: [] for v in vset}
+        for e in elist:
+            recv[e.range].add(e.name)
+            out[e.source].append(e)
+        g._receivers.update({v: frozenset(s) for v, s in recv.items()})
+        g._out.update(out)
+        return g
+
+    def edge(self, name: str) -> Edge:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise UnknownEdgeError(f"unknown edge {name!r}") from None
+
+    def receivers(self, v: str) -> frozenset[str]:
+        """Edge names with range ``v`` (the set ``r^{-1}(v)``)."""
+        try:
+            return self._receivers[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+
+    def out_edges(self, v: str) -> tuple[Edge, ...]:
+        """Edges with source ``v``, in id order."""
+        try:
+            return tuple(self._out[v])
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+
+
+def set_parse_graph(text: str) -> SetGraph:
+    """Parse the line-oriented graph format; errors report the 1-based line."""
+    vertices: list[str] = []
+    edges: list[tuple[str, str, str]] = []
+    vseen: set[str] = set()
+    edge_lines: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "vertex":
+            if len(parts) != 2:
+                raise GraphParseError("expected: vertex <id>", lineno)
+            if parts[1] in vseen:
+                raise GraphParseError(f"duplicate vertex id {parts[1]!r}", lineno)
+            vseen.add(parts[1])
+            vertices.append(parts[1])
+        elif parts[0] == "edge":
+            if len(parts) != 4:
+                raise GraphParseError("expected: edge <id> <source-id> <range-id>", lineno)
+            name = parts[1]
+            if name in edge_lines:
+                raise GraphParseError(f"duplicate edge id {name!r}", lineno)
+            edge_lines[name] = lineno
+            edges.append((name, parts[2], parts[3]))
+        else:
+            raise GraphParseError(f"unknown directive {parts[0]!r}", lineno)
+    for name, src, dst in edges:
+        for endpoint in (src, dst):
+            if endpoint not in vseen:
+                raise GraphParseError(
+                    f"edge {name!r} references undeclared vertex {endpoint!r}",
+                    edge_lines[name],
+                )
+    return SetGraph.build(vertices, edges)
+
+
+def set_graph_from_dict(obj: object) -> SetGraph:
+    if not isinstance(obj, dict):
+        raise GraphParseError(f"a JSON graph must be an object, not {type(obj).__name__}")
+    vertices, edges = obj.get("vertices"), obj.get("edges")
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise GraphParseError("'vertices' must be a list of string ids")
+    if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
+        raise GraphParseError("'edges' must be a list of objects with 'id', 'src' and 'dst'")
+    triples = [(e.get("id"), e.get("src"), e.get("dst")) for e in edges]
+    if not all(isinstance(x, str) for t in triples for x in t):
+        raise GraphParseError("every edge needs string 'id', 'src' and 'dst' values")
+    return SetGraph.build(vertices, triples)

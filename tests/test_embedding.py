@@ -22,6 +22,7 @@ from afembed.graph import Graph, GraphError, graph_from_dict, parse_graph
 from afembed.loops import SimpleLoop, cycle_vertices, disjoint_simple_loops
 from afembed.terms import ContextMismatchError, NormalMonomial, parse_term
 
+from .conftest import growth_ratio
 from .oracles import count_paths_with_range
 from .strategies import condition5_graphs
 
@@ -103,6 +104,17 @@ class TestEmbed:
         spec, _ = embed(g)
         assert time.perf_counter() - start < 0.5
         assert [rep.tail.namespace for rep in spec.replacements] == [f"T{i}" for i in range(1, n + 1)]
+
+    def test_embed_grows_linearly(self):
+        """Four times the self-loops cost under six times the time: linear
+        growth gives 4x and quadratic 16x."""
+
+        def run(n):
+            g = Graph.build([f"v{i}" for i in range(n)], [(f"e{i}", f"v{i}", f"v{i}") for i in range(n)])
+            return lambda: embed(g)
+
+        ratio = growth_ratio(run(500), run(2_000))
+        assert ratio < 6, f"2,000 self-loops took {ratio:.1f}x the time of 500"
 
     def test_original_graph_round_trip(self, square, square_embedding):
         spec, _ = square_embedding

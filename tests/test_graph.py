@@ -23,6 +23,7 @@ from afembed.graph import (
     serialize_graph,
 )
 
+from .oracles import SetGraph, set_graph_from_dict, set_parse_graph
 from .strategies import multigraphs
 
 
@@ -253,3 +254,92 @@ class TestDotExport:
             assert set(quoted.sub("", line)) <= set(" ->;[]label=")
         ids = {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in quoted.findall(dot)}
         assert ids == {'a"b', "c\\", 'e"1'}
+
+
+# ids for the oracle comparison: few enough that self-loops and parallel
+# edges are common, and ids that are not tokens
+ORACLE_IDS = st.sampled_from(["a", "b", "c", "d", "e"])
+NOT_TOKENS = st.sampled_from(["a b", "", "\u3000", "x\ty", "e#f"])
+
+
+@st.composite
+def declarations(draw):
+    """Vertex ids and ``(id, source, range)`` triples.  Half of them are
+    malformed: ids may repeat or hold whitespace, endpoints may be undeclared."""
+    malformed = draw(st.booleans())
+    ids = ORACLE_IDS | NOT_TOKENS if malformed else ORACLE_IDS
+    vertices = draw(st.lists(ids, max_size=6, unique=not malformed))
+    endpoint = st.sampled_from(vertices) if vertices else ids
+    names = st.integers(0, 20).map(lambda i: f"e{i}")
+    if malformed:
+        endpoint, names = endpoint | ids, names | NOT_TOKENS
+    edges = draw(st.lists(
+        st.tuples(names, endpoint, endpoint), max_size=12, unique_by=None if malformed else (lambda t: t[0])
+    ))
+    return vertices, edges
+
+
+def name_level_view(g) -> tuple:
+    """Everything the symbolic and numeric layers read, in order, including
+    the errors of lookups by unknown names."""
+    vertices = sorted(g.vertices)
+    lookups = []
+    for lookup in (g.edge, g.receivers, g.out_edges):
+        try:
+            lookups.append(lookup("missing"))
+        except GraphError as exc:
+            lookups.append((type(exc), str(exc)))
+    return (
+        vertices,
+        g.edges,
+        [g.edge(e.name) for e in g.edges],
+        [g.receivers(v) for v in vertices],
+        [g.out_edges(v) for v in vertices],
+        lookups,
+    )
+
+
+def outcome(construct, *args) -> tuple:
+    try:
+        g = construct(*args)
+    except GraphError as exc:
+        return ("rejected", type(exc), str(exc))
+    return ("built", name_level_view(g))
+
+
+class TestAgainstSetOracle:
+    """The integer index answers as the set-based core it replaced did."""
+
+    @given(declarations())
+    @settings(max_examples=300, deadline=None)
+    def test_build(self, decl):
+        vertices, edges = decl
+        assert outcome(Graph.build, vertices, edges) == outcome(SetGraph.build, vertices, edges)
+
+    @given(declarations(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_graph(self, decl, rnd):
+        vertices, edges = decl
+        lines = [f"vertex {v}" for v in vertices] + [f"edge {n} {s} {r}" for n, s, r in edges]
+        rnd.shuffle(lines)
+        text = "\n".join(lines)
+        assert outcome(parse_graph, text) == outcome(set_parse_graph, text)
+
+    @given(declarations())
+    @settings(max_examples=300, deadline=None)
+    def test_graph_from_dict(self, decl):
+        vertices, edges = decl
+        doc = {"vertices": vertices, "edges": [{"id": n, "src": s, "dst": r} for n, s, r in edges]}
+        assert outcome(graph_from_dict, doc) == outcome(set_graph_from_dict, doc)
+
+    @given(multigraphs(max_vertices=6, max_edges=14))
+    @settings(max_examples=200, deadline=None)
+    def test_well_formed_multigraphs(self, g):
+        edges = [(e.name, e.source, e.range) for e in reversed(g.edges)]
+        assert name_level_view(g) == name_level_view(SetGraph.build(sorted(g.vertices), edges))
+
+    def test_parse_errors_keep_their_line(self):
+        text = "edge e1 a b\nvertex a\nedge e2 a a\nedge e1 a a\n"
+        expected = outcome(set_parse_graph, text)
+        assert expected[0] == "rejected" and expected[2].startswith("line 4:")
+        assert outcome(parse_graph, text) == expected

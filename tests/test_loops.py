@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from afembed.embedding import embed, materialize
-from afembed.graph import Graph, parse_graph
+from afembed.graph import Graph, load_graph, parse_graph
 from afembed.loops import (
     EntranceExistsError,
     EntranceWitness,
@@ -19,6 +19,7 @@ from afembed.loops import (
     witness_infinite,
 )
 
+from .conftest import growth_ratio
 from .oracles import (
     backtracking_cycle_through,
     oracle_classify,
@@ -155,8 +156,9 @@ class TestClassify:
 
             return wrapper
 
-        monkeypatch.setattr(loops_mod, "cycle_vertices", counted("scc", cycle_vertices))
-        monkeypatch.setattr(loops_mod, "simple_cycle_through", counted("cycle", simple_cycle_through))
+        # the int-level routines behind cycle_vertices and simple_cycle_through
+        monkeypatch.setattr(loops_mod, "_on_cycle", counted("scc", loops_mod._on_cycle))
+        monkeypatch.setattr(loops_mod, "_cycle_through", counted("cycle", loops_mod._cycle_through))
         cls = classify(square_plus_entrance)
         assert cls.verdict is Verdict.NOT_FINITE
         assert calls == {"scc": 1, "cycle": 1}
@@ -294,6 +296,21 @@ class TestSimpleCycleThrough:
         assert cls.witness is not None and cls.witness.loop.n == n
         assert cls.witness.entry_vertex == "u0" and cls.witness.entry_edge == "x"
         assert seconds < 2
+
+
+def cycle_text(n: int) -> str:
+    lines = [f"vertex u{i}" for i in range(n)]
+    lines += [f"edge e{i} u{i} u{(i + 1) % n}" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_load_and_classify_grow_linearly():
+    """Four times the cycle costs under six times the time: linear growth
+    gives 4x and quadratic 16x."""
+    small, large = cycle_text(12_500), cycle_text(50_000)
+    assert classify(load_graph(large)).loops[0].n == 50_000
+    ratio = growth_ratio(lambda: classify(load_graph(small)), lambda: classify(load_graph(large)))
+    assert ratio < 6, f"C50,000 took {ratio:.1f}x the time of C12,500"
 
 
 class TestEmbedErrorPath:
