@@ -1,3 +1,4 @@
+import io
 import itertools
 import time
 
@@ -311,6 +312,24 @@ def test_load_and_classify_grow_linearly():
     assert classify(load_graph(large)).loops[0].n == 50_000
     ratio = growth_ratio(lambda: classify(load_graph(small)), lambda: classify(load_graph(large)))
     assert ratio < 6, f"C50,000 took {ratio:.1f}x the time of C12,500"
+
+
+@pytest.mark.parametrize("command", ["classify", "loops"])
+@pytest.mark.parametrize("entrance", [False, True], ids=["embeddable", "entrance"])
+def test_structure_commands_build_no_edge_objects(command, entrance, tmp_path, monkeypatch):
+    """The loop analysis reads the integer index: on a C20,000 it builds at
+    most the one ``Edge`` that checks the witness's entry edge."""
+    from afembed.cli import main
+    from afembed.graph import Edge
+
+    text = cycle_text(20_000) + ("vertex w\nedge x w u0\n" if entrance else "")
+    path = tmp_path / "c.txt"
+    path.write_text(text)
+    built = []
+    init = Edge.__init__
+    monkeypatch.setattr(Edge, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    assert main([command, "--input", str(path), "--format", "json"], out=io.StringIO()) == (3 if entrance else 0)
+    assert len(built) <= int(entrance)
 
 
 class TestEmbedErrorPath:
