@@ -5,19 +5,28 @@ import pytest
 from afembed.embedding import embed
 from afembed.graph import parse_graph
 
-def growth_ratio(small, large, repeats: int = 7) -> float:
+def growth_ratio(small, large, bound: float, attempts: int = 3, repeats: int = 7) -> float:
     """Least wall time of ``large()`` over least wall time of ``small()``.
 
     The calls alternate, so both sizes see the same phases of the host's
     other load, and the least time of each is the run it disturbed least.
+    A neighbour that fights for the caches can still push a linear ratio
+    near ``bound``, so the measurement is repeated, up to ``attempts``
+    times, until one reads below it; the least ratio is returned.  Growth
+    that is really faster than ``bound`` reads above it every time.
     """
-    best = {small: float("inf"), large: float("inf")}
-    for _ in range(repeats):
-        for fn in (small, large):
-            started = time.perf_counter()
-            fn()
-            best[fn] = min(best[fn], time.perf_counter() - started)
-    return best[large] / best[small]
+    least = float("inf")
+    for _ in range(attempts):
+        best = {small: float("inf"), large: float("inf")}
+        for _ in range(repeats):
+            for fn in (small, large):
+                started = time.perf_counter()
+                fn()
+                best[fn] = min(best[fn], time.perf_counter() - started)
+        least = min(least, best[large] / best[small])
+        if least < bound:
+            break
+    return least
 
 
 SQUARE_TEXT = """\
