@@ -4,7 +4,9 @@ Everything here applies the definitions literally: simple cycles are
 enumerated by exhaustive DFS over vertex-simple walks, the entrance test
 quantifies over every enumerated cycle, and word normal forms are computed
 by exploring *every* rewrite order.  None of it shares code paths with the
-production implementations beyond the basic graph accessors.
+production implementations beyond the basic graph accessors.  It also
+keeps implementations that faster ones replaced, as references: the
+two-array Tarjan, the sixteen-case pair table and the set-based graph core.
 """
 
 from __future__ import annotations
