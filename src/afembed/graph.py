@@ -229,8 +229,6 @@ class Graph:
 
     def edge(self, name: str) -> Edge:
         e = self.edge_id(name)
-        if self._edge_tuple is not None:
-            return self._edge_tuple[e]
         return Edge(name, self.vertex_names[self.src[e]], self.vertex_names[self.rng[e]])
 
     def receivers(self, v: str) -> frozenset[str]:
