@@ -43,14 +43,15 @@ _JSON = json.JSONEncoder(sort_keys=True)
 
 
 def _emit(records: list[dict], fmt: str, out) -> None:
+    """Write each record and its newline with one ``write`` call."""
     if fmt == "json":
         for rec in records:
-            print(_JSON.encode(rec), file=out)
+            out.write(_JSON.encode(rec) + "\n")
     else:
         for rec in records:
             kind = rec.get("record", "")
             fields = " ".join(f"{k}={rec[k]}" for k in sorted(rec) if k != "record")
-            print(f"{kind}: {fields}" if kind else fields, file=out)
+            out.write((f"{kind}: {fields}" if kind else fields) + "\n")
 
 
 def _load(path: str):
@@ -186,7 +187,7 @@ def cmd_verify(args, out) -> int:
         return EXIT_NOT_FINITE
     if args.map:
         gmap = genmap_from_text(FsPath(args.map).read_text(encoding="utf-8"), spec)
-        expected = {e.name for e in g.edges}
+        expected = set(g.edge_names)
         if set(gmap.edge_map) != expected:
             raise GraphError(
                 f"generator map domain mismatch: expected edges {sorted(expected)}"

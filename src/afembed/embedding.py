@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph import Graph, GraphError, graph_from_dict, graph_to_dict
+from .graph import Graph, GraphError, graph_from_dict, graph_to_dict, named_edges
 from .loops import EntranceExistsError, SimpleLoop, Verdict, classify
 from .terms import CKTerm, ContextMismatchError, NormalMonomial, StarContext, parse_term, term_to_str
 
@@ -148,7 +148,8 @@ class AugmentedGraphSpec(StarContext):
     Acts as the symbolic context for the rewriting engine: edge endpoints
     and receiver sets are answered for the full graph, with tail levels
     resolved by parsing generated ids against each tail's namespace.
-    ``_finite_edges`` maps every base edge and f-edge to its endpoints.
+    ``_finite_edges`` maps every base edge and f-edge to its endpoints, and
+    ``_receivers`` every base vertex to its receivers, f-edges included.
     """
 
     def __init__(self, base: Graph, replacements: tuple[LoopReplacement, ...]):
@@ -158,7 +159,7 @@ class AugmentedGraphSpec(StarContext):
         if len(self._tails) != len(self.replacements):
             raise NamespaceCollisionError("tail namespaces must be distinct")
         loop_edges = [e for rep in self.replacements for e in rep.loop.edges]
-        claimed = _claimed_namespaces([*base.vertices, *(e.name for e in base.edges), *loop_edges])
+        claimed = _claimed_namespaces([*base.vertex_names, *base.edge_names, *loop_edges])
         for ns in self._tails:
             if ns.split() != [ns] or "." in ns or ns in claimed:
                 raise NamespaceCollisionError(
@@ -166,33 +167,34 @@ class AugmentedGraphSpec(StarContext):
                 )
         self._sinks = {tail.sink: ns for ns, tail in self._tails.items()}
         self._finite_edges: dict[str, tuple[str, str]] = {
-            e.name: (e.source, e.range) for e in base.edges
+            name: (s, r) for name, s, r in named_edges(base)
         }
-        self._receiver_extra: dict[str, set[str]] = {}
+        en = base.edge_names
+        receivers = {v: [en[e] for e in rec] for v, rec in zip(base.vertex_names, base.recv)}
         for rep in self.replacements:
             for u in rep.loop.vertices:
-                if u not in base.vertices:
+                if u not in receivers:
                     raise GraphError(f"loop vertex {u!r} is not a vertex of the base graph")
             for e in rep.loop.edges:
                 if e in self._finite_edges:
                     raise GraphError(f"loop edge {e!r} is still an edge of the base graph")
-            for i, f in enumerate(rep.f_edges, start=1):
-                u_i = rep.loop.vertices[i - 1]
+            for f, u_i in zip(rep.f_edges, rep.loop.vertices):
                 self._finite_edges[f] = (rep.tail.sink, u_i)
-                self._receiver_extra.setdefault(u_i, set()).add(f)
+                receivers[u_i].append(f)
+        self._receivers = {v: frozenset(rec) for v, rec in receivers.items()}
 
     # --- reconstruction of the replaced source graph -----------------------
 
     def original_graph(self) -> Graph:
         """The input graph: base plus the removed loop edges."""
-        edges = [(e.name, e.source, e.range) for e in self.base.edges]
+        edges = list(named_edges(self.base))
         for rep in self.replacements:
             loop = rep.loop
             for i in range(1, loop.n + 1):
                 u_i = loop.vertices[i - 1]
                 u_next = loop.vertices[i % loop.n]
                 edges.append((loop.edge_index(i), u_i, u_next))
-        return Graph.build(self.base.vertices, edges)
+        return Graph.build(self.base.vertex_names, edges)
 
     def replacement_for(self, loop: SimpleLoop) -> LoopReplacement:
         for rep in self.replacements:
@@ -211,7 +213,7 @@ class AugmentedGraphSpec(StarContext):
         return self._tails[ns], _read_index(m.group(1) or "0", "vertex", v)
 
     def check_vertex(self, v: str) -> str:
-        if v not in self.base.vertices:
+        if v not in self._receivers:
             self._tail_level(v)
         return v
 
@@ -229,8 +231,9 @@ class AugmentedGraphSpec(StarContext):
         raise ContextMismatchError(f"unknown edge {e!r}")
 
     def receivers(self, v: str) -> frozenset[str]:
-        if v in self.base.vertices:
-            return self.base.receivers(v) | frozenset(self._receiver_extra.get(v, ()))
+        rec = self._receivers.get(v)
+        if rec is not None:
+            return rec
         tail, k = self._tail_level(v)
         return frozenset(tail.level_edges(k + 1))
 
@@ -256,7 +259,7 @@ class GeneratorMap:
 
 def _pick_namespaces(g: Graph, count: int) -> list[str]:
     """The first ``count`` names ``T<i>`` that no host id equals or extends by ``.``."""
-    taken = _claimed_namespaces([*g.vertices, *(e.name for e in g.edges)])
+    taken = _claimed_namespaces([*g.vertex_names, *g.edge_names])
     out: list[str] = []
     i = 1
     while len(out) < count:
@@ -281,7 +284,7 @@ def embed(g: Graph, mult: MultiplicitySeq | None = None) -> tuple[AugmentedGraph
         raise EntranceExistsError(cls.witness)
     loops = cls.loops
     loop_edge_names = {e for loop in loops for e in loop.edges}
-    base = Graph.build(g.vertices, [e for e in g.edges if e.name not in loop_edge_names])
+    base = Graph.build(g.vertex_names, [e for e in named_edges(g) if e[0] not in loop_edge_names])
     namespaces = _pick_namespaces(g, len(loops))
     replacements = tuple(
         LoopReplacement(loop, BratteliTailSpec(ns, mult))
@@ -290,9 +293,9 @@ def embed(g: Graph, mult: MultiplicitySeq | None = None) -> tuple[AugmentedGraph
     spec = AugmentedGraphSpec(base, replacements)
 
     edge_map: dict[str, CKTerm] = {}
-    for e in g.edges:
-        if e.name not in loop_edge_names:
-            edge_map[e.name] = CKTerm.of(NormalMonomial((e.name,), 0, (), e.source))
+    for name, source, _ in named_edges(g):
+        if name not in loop_edge_names:
+            edge_map[name] = CKTerm.of(NormalMonomial((name,), 0, (), source))
     for rep in replacements:
         sink = rep.tail.sink
         for i in range(1, rep.loop.n + 1):
@@ -306,7 +309,7 @@ def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
     """The finite stage ``F_d``: base, f-edges, and ``depth`` tail levels."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    vertices = [*spec.base.vertices, *spec._sinks]
+    vertices = [*spec.base.vertex_names, *spec._sinks]
     edges = [(e, *ends) for e, ends in spec._finite_edges.items()]
     for rep in spec.replacements:
         tail = rep.tail

@@ -17,10 +17,12 @@ sorted vertex names are numbered ``0 .. |V|-1`` and the sorted edge names
 ``0 .. |E|-1``, so comparing two ids compares their names.  The index is
 ``src[e]`` and ``rng[e]`` per edge, and per vertex ``out[v]`` and
 ``recv[v]``, the ids of its out-edges and of its receivers, each in id
-order.  The loop analysis runs on this index alone; names come back from
-``vertex_names`` and ``edge_names`` only where a result is reported, and
-the name-level views the symbolic and numeric layers read are built from
-the index on first use.
+order.  The loop analysis, the embedding and the path basis run on this
+index; names come back from ``vertex_names`` and ``edge_names`` where a
+result is reported, and :func:`named_edges` lists each edge by name for
+the writers.  The name-level views ``vertices``, ``edges``, ``receivers``
+and ``out_edges`` are built from the index on every call, for callers
+outside the pipeline.
 """
 
 from __future__ import annotations
@@ -124,16 +126,12 @@ class Graph:
     """Immutable finite directed multigraph over the integer index of the
     module docstring.
 
-    ``vertices``, ``edges``, ``receivers`` and ``out_edges`` answer by name;
-    each is built from the index on first use and cached.
+    ``vertices``, ``edges``, ``receivers`` and ``out_edges`` answer by name,
+    each built from the index when called.
     Structurally equal graphs compare equal regardless of declaration order.
     """
 
-    __slots__ = (
-        "vertex_names", "edge_names", "src", "rng", "out", "recv", "_vertex_ids",
-        # built on first use
-        "_edge_ids", "_vertex_set", "_edge_tuple", "_receiver_sets", "_out_edge_tuples",
-    )
+    __slots__ = ("vertex_names", "edge_names", "src", "rng", "out", "recv", "_vertex_ids", "_edge_ids")
 
     def __init__(
         self,
@@ -154,11 +152,7 @@ class Graph:
         self.vertex_names, self.edge_names = tuple(vertex_names), tuple(edge_names)
         self.src, self.rng, self.out, self.recv = src, rng, out, recv
         self._vertex_ids = vertex_ids
-        self._edge_ids: dict[str, int] | None = None
-        self._vertex_set: frozenset[str] | None = None
-        self._edge_tuple: tuple[Edge, ...] | None = None
-        self._receiver_sets: list[frozenset[str] | None] = [None] * len(vertex_names)
-        self._out_edge_tuples: list[tuple[Edge, ...] | None] = [None] * len(vertex_names)
+        self._edge_ids: dict[str, int] | None = None  # built on first use
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]) -> "Graph":
@@ -212,42 +206,31 @@ class Graph:
         except KeyError:
             raise UnknownEdgeError(f"unknown edge {name!r}") from None
 
-    # --- name-level views, built on first use --------------------------------
+    # --- name-level views, built from the index on each call -----------------
 
     @property
     def vertices(self) -> frozenset[str]:
-        if self._vertex_set is None:
-            self._vertex_set = frozenset(self.vertex_names)
-        return self._vertex_set
+        return frozenset(self.vertex_names)
+
+    def _edge(self, e: int) -> Edge:
+        vn = self.vertex_names
+        return Edge(self.edge_names[e], vn[self.src[e]], vn[self.rng[e]])
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         """All edges in id order."""
-        if self._edge_tuple is None:
-            self._edge_tuple = tuple(Edge(*named) for named in _named_edges(self))
-        return self._edge_tuple
+        return tuple(map(self._edge, range(len(self.edge_names))))
 
     def edge(self, name: str) -> Edge:
-        e = self.edge_id(name)
-        return Edge(name, self.vertex_names[self.src[e]], self.vertex_names[self.rng[e]])
+        return self._edge(self.edge_id(name))
 
     def receivers(self, v: str) -> frozenset[str]:
         """Edge names with range ``v`` (the set ``r^{-1}(v)``)."""
-        i = self.vertex_id(v)
-        rec = self._receiver_sets[i]
-        if rec is None:
-            names = self.edge_names
-            rec = self._receiver_sets[i] = frozenset(names[e] for e in self.recv[i])
-        return rec
+        return frozenset(map(self.edge_names.__getitem__, self.recv[self.vertex_id(v)]))
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """Edges with source ``v``, in id order."""
-        i = self.vertex_id(v)
-        out = self._out_edge_tuples[i]
-        if out is None:
-            edges = self.edges
-            out = self._out_edge_tuples[i] = tuple(edges[e] for e in self.out[i])
-        return out
+        return tuple(map(self._edge, self.out[self.vertex_id(v)]))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -334,7 +317,7 @@ def parse_graph(text: str) -> Graph:
     return Graph(vertices, vertex_ids, names, src, rng)
 
 
-def _named_edges(g: Graph):
+def named_edges(g: Graph):
     """``(name, source, range)`` per edge in id order, without building ``Edge``s."""
     vn = g.vertex_names
     return ((name, vn[s], vn[r]) for name, s, r in zip(g.edge_names, g.src, g.rng))
@@ -342,14 +325,14 @@ def _named_edges(g: Graph):
 
 def serialize_graph(g: Graph) -> str:
     lines = [f"vertex {v}" for v in g.vertex_names]
-    lines += [f"edge {name} {s} {r}" for name, s, r in _named_edges(g)]
+    lines += [f"edge {name} {s} {r}" for name, s, r in named_edges(g)]
     return "\n".join(lines) + "\n"
 
 
 def graph_to_dict(g: Graph) -> dict:
     return {
         "vertices": list(g.vertex_names),
-        "edges": [{"id": name, "src": s, "dst": r} for name, s, r in _named_edges(g)],
+        "edges": [{"id": name, "src": s, "dst": r} for name, s, r in named_edges(g)],
     }
 
 
@@ -403,7 +386,7 @@ def export_dot(g: Graph, name: str = "E") -> str:
     lines = [f"digraph {name} {{"]
     for v in g.vertex_names:
         lines.append(f"  {_dot_quote(v)};")
-    for name, s, r in _named_edges(g):
+    for name, s, r in named_edges(g):
         lines.append(f"  {_dot_quote(s)} -> {_dot_quote(r)} [label={_dot_quote(name)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

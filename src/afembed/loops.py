@@ -81,11 +81,6 @@ class SimpleLoop:
         """The edge ``e_i`` (1-based; the stored tuple is ``(e_n, ..., e_1)``)."""
         return self.edges[self.n - i]
 
-    def edge_into(self, v: str) -> str:
-        """The unique loop edge with range ``v``."""
-        i = self.vertices.index(v)  # range(e_{i}) = u_{i+1}, cyclically
-        return self.edge_index(self.n if i == 0 else i)
-
     @classmethod
     def from_edges(cls, g: Graph, edges: tuple[str, ...]) -> "SimpleLoop":
         if not edges:

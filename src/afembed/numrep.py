@@ -47,6 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress, repeat
@@ -67,35 +68,53 @@ class PathBasis:
     """All paths of length ``0 .. d`` in a finite graph, canonically ordered:
     by length, then by edge tuple, then by source.
 
-    ``suffix[i]`` is the index of path ``i`` without its range-end edge, or
-    -1 for a vertex.
+    Row ``i`` is held as three ids: ``edge[i]``, its range-end edge (-1 for
+    a vertex), ``suffix[i]``, the row of the path without that edge (-1 for
+    a vertex), and ``rng[i]``, its range vertex.  Rows of length ``k`` are
+    ``starts[k] .. starts[k+1] - 1``.  ``paths`` and ``index`` are name-level
+    views, built on first use.
     """
 
-    paths: tuple[Path, ...]
+    graph: Graph
+    edge: tuple[int, ...]
     suffix: tuple[int, ...]
+    rng: tuple[int, ...]
+    starts: tuple[int, ...]
+
+    @classmethod
+    def build(cls, g: Graph, depth: int) -> "PathBasis":
+        """Ids number names in sorted order, so the canonical order needs no
+        sort: the vertices in id order, then per level, each edge in id order
+        extending the previous level's rows that end at its source, in row order."""
+        n = len(g.vertex_names)
+        edge, suffix, rng, starts = [-1] * n, [-1] * n, list(range(n)), [0, n]
+        for _ in range(depth):
+            ending: list[list[int]] = [[] for _ in range(n)]
+            for i in range(starts[-2], starts[-1]):
+                ending[rng[i]].append(i)
+            for e, (s, r) in enumerate(zip(g.src, g.rng)):
+                rows = ending[s]
+                edge += [e] * len(rows)
+                suffix += rows
+                rng += [r] * len(rows)
+            starts.append(len(rng))
+        return cls(g, tuple(edge), tuple(suffix), tuple(rng), tuple(starts))
+
+    @cached_property
+    def paths(self) -> tuple[Path, ...]:
+        vn, en = self.graph.vertex_names, self.graph.edge_names
+        paths = [Path((), v, v) for v in vn]
+        for e, i, r in zip(self.edge[len(vn) :], self.suffix[len(vn) :], self.rng[len(vn) :]):
+            p = paths[i]
+            paths.append(Path((en[e],) + p.edges, p.source, vn[r]))
+        return tuple(paths)
 
     @cached_property
     def index(self) -> dict[Path, int]:
         return {p: i for i, p in enumerate(self.paths)}
 
-    @classmethod
-    def build(cls, g: Graph, depth: int) -> "PathBasis":
-        # (edges, source, range, suffix index); edges and source tell paths apart
-        level = sorted(((), v, v, -1) for v in g.vertices)
-        rows = list(level)
-        for _ in range(depth):
-            start = len(rows) - len(level)
-            level = sorted(
-                ((e.name,) + edges, source, e.range, start + i)
-                for i, (edges, source, end, _) in enumerate(level)
-                for e in g.out_edges(end)
-            )
-            rows += level
-        paths = tuple(Path(edges, source=source, range=end) for edges, source, end, _ in rows)
-        return cls(paths, tuple(row[3] for row in rows))
-
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.rng)
 
 
 def _numpy_sum(a: list[float]) -> float:
@@ -454,30 +473,28 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
         src = tuple(src)
         return Operator(n, (Piece(src, src if tgt is None else tuple(tgt), phase),))
 
-    # one pass over the basis: each path of length >= 1 is S[e] of its
-    # suffix without the range-end edge e
-    by_range: dict[str, list[int]] = {v: [] for v in g.vertices}
-    extension: dict[str, tuple[list[int], list[int]]] = {e.name: ([], []) for e in g.edges}
-    for i, (p, suffix) in enumerate(zip(basis.paths, basis.suffix)):
-        by_range[p.range].append(i)
-        if p.edges:
-            src, tgt = extension[p.edges[0]]
-            src.append(suffix)
-            tgt.append(i)
+    # vertex rows come first, in id order; each later row is S[e] of its
+    # suffix row, and the suffix rows of one edge ascend
+    nv = len(g.vertex_names)
+    by_range: list[list[int]] = [[] for _ in range(nv)]
+    for i, v in enumerate(basis.rng):
+        by_range[v].append(i)
+    extension: list[tuple[list[int], list[int]]] = [([], []) for _ in g.edge_names]
+    for i in range(nv, n):
+        src, tgt = extension[basis.edge[i]]
+        src.append(basis.suffix[i])
+        tgt.append(i)
 
-    P = {v: operator_on(idx) for v, idx in by_range.items()}
-    S = {}
-    for e, (src, tgt) in extension.items():
-        S[e] = operator_on(*zip(*sorted(zip(src, tgt))))  # each edge is a path of length 1
+    P = {v: operator_on(idx) for v, idx in zip(g.vertex_names, by_range)}
+    S = {e: operator_on(*ends) for e, ends in zip(g.edge_names, extension)}  # each edge is a path of length 1
 
     T: dict[str, Operator] = {}
     corner_levels: dict[str, list[list[int]]] = {}
     for rep in spec.replacements:
-        sink = rep.tail.sink
-        levels: list[list[int]] = [[] for _ in range(depth + 1)]
-        for i in by_range[sink]:
-            levels[len(basis.paths[i].edges)].append(i)  # already lexicographic
-        rows, vals = [], []
+        rows = by_range[g.vertex_id(rep.tail.sink)]
+        cuts = [bisect_left(rows, start) for start in basis.starts]
+        levels = [rows[a:b] for a, b in zip(cuts, cuts[1:])]  # already lexicographic
+        phases = []
         for k, idx in enumerate(levels):
             n_k = len(idx)
             expected = rep.tail.mult.level_sizes(k)[-1]
@@ -485,11 +502,10 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
                 raise RepresentationError(
                     f"level {k} of tail {rep.tail.namespace!r} has {n_k} paths, expected {expected}"
                 )
-            for j, i in enumerate(idx):
-                rows.append(i)
-                vals.append(_tail_phase(j, n_k))
-        T[rep.tail.namespace] = operator_on(rows, phase=tuple(vals))
+            phases += [_tail_phase(j, n_k) for j in range(n_k)]
+        T[rep.tail.namespace] = operator_on(rows, phase=tuple(phases))
         corner_levels[rep.tail.namespace] = levels
+    inner = basis.starts[depth] - basis.starts[1]
     return TruncatedRep(
         spec=spec,
         depth=depth,
@@ -499,7 +515,7 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
         S=S,
         T=T,
         corner_levels=corner_levels,
-        interior=tuple(1 <= len(p.edges) <= depth - 1 for p in basis.paths),
+        interior=(False,) * nv + (True,) * inner + (False,) * (n - nv - inner),
     )
 
 
@@ -584,8 +600,6 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
 
     ops = {e: op_of_term(term, rep) for e, term in gmap.edge_map.items()}
     zero = Operator(rep.dimension)
-    # the basis starts with the vertex paths
-    vertex_index = {p.source: i for i, p in enumerate(rep.basis.paths[: len(rep.graph.vertices)])}
     for family, v, identities in ck_instances(
         spec.original_graph(),
         ops,
@@ -600,7 +614,7 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
             entries.append(ResidualEntry(name, diff.frobenius(interior)))
         if family == "CK3":
             # known truncation defect: the relation fails on the vertex vector itself
-            vertex = vertex_index[v]
+            vertex = rep.graph.vertex_id(v)  # the basis starts with the vertex paths, in id order
             defects.append(ResidualEntry(f"CK3-vertex-defect[{v}]", diff.column_norm(vertex)))
 
     for loop_rep in spec.replacements:

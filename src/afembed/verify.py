@@ -47,8 +47,8 @@ def ck_instances(
     own operations (its ``+`` is the sum); each adjoint is computed once
     per edge.
     """
-    vertices = sorted(family.vertices)
-    for v in vertices:
+    vn, en = family.vertex_names, family.edge_names  # sorted, as ids number them
+    for v in vn:
         p = projection(v)
         yield "CK1", v, ((f"CK1[{v}]", product(p, p), p), (f"CK1*[{v}]", adjoint(p), p))
 
@@ -56,14 +56,13 @@ def ck_instances(
     adjoints = {e: adjoint(images[e]) for e in edge_names}
     for e in edge_names:
         for f in edge_names:
-            rhs = projection(family.edge(e).source) if e == f else zero
+            rhs = projection(vn[family.src[family.edge_id(e)]]) if e == f else zero
             yield "CK2", None, ((f"CK2[{e},{f}]", product(adjoints[e], images[f]), rhs),)
 
-    for v in vertices:
-        rec = sorted(family.receivers(v))
+    for v, rec in zip(vn, family.recv):
         if rec:
             total = zero
-            for e in rec:
+            for e in map(en.__getitem__, rec):
                 total = total + product(images[e], adjoints[e])
             yield "CK3", v, ((f"CK3[{v}]", total, projection(v)),)
 

@@ -6,7 +6,8 @@ quantifies over every enumerated cycle, and word normal forms are computed
 by exploring *every* rewrite order.  None of it shares code paths with the
 production implementations beyond the basic graph accessors.  It also
 keeps implementations that faster ones replaced, as references: the
-two-array Tarjan, the sixteen-case pair table and the set-based graph core.
+two-array Tarjan, the sixteen-case pair table, the set-based graph core and
+the sort-based path basis.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from afembed.graph import (
     Edge,
     Graph,
     GraphParseError,
+    Path,
     UndeclaredEndpointError,
     UnknownEdgeError,
     UnknownVertexError,
@@ -96,7 +98,7 @@ def oracle_witness(g: Graph) -> EntranceWitness | None:
         rec = g.receivers(v)
         if len(rec) > 1:
             loop = backtracking_cycle_through(g, v)
-            entry = min(rec - {loop.edge_into(v)})
+            entry = min(rec - {loop.edges[0]})  # the loop is based at v: e_n enters it
             return EntranceWitness(loop, v, entry, g.path(loop.edges), g.path((entry,)))
     return None
 
@@ -303,6 +305,25 @@ def reference_normalize_word(ctx: StarContext, word: tuple):
         w[i : i + 2] = [step]
         i = max(i - 1, 0)
     return tuple(w)
+
+
+def sorted_path_basis(g: Graph, depth: int) -> tuple[tuple[Path, ...], tuple[int, ...]]:
+    """``PathBasis.build`` before the basis became int arrays, kept verbatim:
+    each level sorted by edge tuple, then source.  Returns the paths and
+    the suffix rows, which the int-array basis must reproduce row by row."""
+    # (edges, source, range, suffix index); edges and source tell paths apart
+    level = sorted(((), v, v, -1) for v in g.vertices)
+    rows = list(level)
+    for _ in range(depth):
+        start = len(rows) - len(level)
+        level = sorted(
+            ((e.name,) + edges, source, e.range, start + i)
+            for i, (edges, source, end, _) in enumerate(level)
+            for e in g.out_edges(end)
+        )
+        rows += level
+    paths = tuple(Path(edges, source=source, range=end) for edges, source, end, _ in rows)
+    return paths, tuple(row[3] for row in rows)
 
 
 def count_paths_with_range(g: Graph, v: str, length: int) -> int:

@@ -96,6 +96,27 @@ def test_report_matches_golden(name):
     assert stdout == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
 
 
+class CountingOut(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_one_write_per_record(fmt):
+    """A record and its newline go out in one ``write``, so an unbuffered
+    stdout makes one system call per record rather than two."""
+    out = CountingOut()
+    assert main(resolve(CASES["verify_square_d4"] + ["--format", fmt]), out=out) == 0
+    if fmt == "json":
+        assert out.getvalue() == (GOLDEN / "verify_square_d4.stdout").read_text(encoding="utf-8")
+    assert out.writes == out.getvalue().count("\n") == 71
+
+
 def test_corpus_exercises_every_outcome():
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     assert set(codes) == set(CASES)

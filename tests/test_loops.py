@@ -20,7 +20,7 @@ from afembed.loops import (
     witness_infinite,
 )
 
-from .conftest import growth_ratio
+from .conftest import SQUARE_TEXT, growth_ratio
 from .oracles import (
     backtracking_cycle_through,
     oracle_classify,
@@ -163,6 +163,22 @@ class TestClassify:
         cls = classify(square_plus_entrance)
         assert cls.verdict is Verdict.NOT_FINITE
         assert calls == {"scc": 1, "cycle": 1}
+
+    @pytest.mark.parametrize("command", ["classify", "loops", "embed", "verify"])
+    def test_each_command_runs_one_scc_pass(self, command, tmp_path, monkeypatch):
+        """No command classifies twice: ``embed`` and ``verify`` analyse the input once."""
+        import afembed.loops as loops_mod
+        from afembed.cli import main
+
+        path = tmp_path / "square.txt"
+        path.write_text(SQUARE_TEXT)
+        monkeypatch.setenv("AFEMBED_OUTPUT_DIR", str(tmp_path / "out"))
+        calls = []
+        on_cycle = loops_mod._on_cycle
+        monkeypatch.setattr(loops_mod, "_on_cycle", lambda g: calls.append(g) or on_cycle(g))
+        argv = [command, "--input", str(path), "--format", "json"]
+        assert main(argv + (["--depth", "3"] if command == "verify" else []), out=io.StringIO()) == 0
+        assert len(calls) == 1
 
     def test_deep_path_into_a_cycle(self):
         """A 100,000-vertex path entering a 3-cycle: the SCC pass is iterative and linear."""
@@ -314,11 +330,13 @@ def test_load_and_classify_grow_linearly():
     assert ratio < 6, f"C50,000 took {ratio:.1f}x the time of C12,500"
 
 
-@pytest.mark.parametrize("command", ["classify", "loops"])
+@pytest.mark.parametrize("command", ["classify", "loops", "embed"])
 @pytest.mark.parametrize("entrance", [False, True], ids=["embeddable", "entrance"])
 def test_structure_commands_build_no_edge_objects(command, entrance, tmp_path, monkeypatch):
-    """The loop analysis reads the integer index: on a C20,000 it builds at
-    most the one ``Edge`` that checks the witness's entry edge."""
+    """The loop analysis and the embedding read the integer index: on a
+    C20,000 they build at most the one ``Edge`` that checks the witness's
+    entry edge."""
+    monkeypatch.setenv("AFEMBED_OUTPUT_DIR", str(tmp_path / "out"))
     from afembed.cli import main
     from afembed.graph import Edge
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afembed.embedding import MultiplicitySeq, embed
+from afembed.embedding import MultiplicitySeq, embed, materialize
+from afembed.graph import Path, load_graph
 from afembed.numrep import (
     _modulus,
     _numpy_sum,
@@ -23,6 +24,10 @@ from afembed.numrep import (
     spectral_net_bound,
 )
 from afembed.terms import NormalMonomial, CKTerm, term_of_word
+
+from .oracles import sorted_path_basis
+from .strategies import multigraphs
+from .test_golden import GOLDEN
 
 ALG_TOL = 1e-12
 SPEC_TOL = 1e-10
@@ -282,6 +287,38 @@ class TestPathBasis:
     def test_contains_all_vertex_paths(self, square_rep):
         for v in square_rep.graph.vertices:
             assert square_rep.graph.vertex_path(v) in square_rep.basis.index
+
+    @staticmethod
+    def assert_matches_sorted_basis(g, depth):
+        basis = PathBasis.build(g, depth)
+        paths, suffix = sorted_path_basis(g, depth)
+        assert len(basis) == len(paths)
+        for i, (p, q, s, t) in enumerate(zip(basis.paths, paths, basis.suffix, suffix)):
+            assert (p, s) == (q, t), f"row {i}"
+        assert len(basis.index) == len(paths)
+        assert all(basis.index[p] == i for i, p in enumerate(basis.paths))
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=multigraphs(max_vertices=5, max_edges=8), depth=st.integers(min_value=0, max_value=4))
+    def test_matches_sorted_basis(self, g, depth):
+        """Self-loops and parallel edges included: extending rows edge by edge
+        in id order gives the order the sort-based build gave."""
+        self.assert_matches_sorted_basis(g, depth)
+
+    @pytest.mark.parametrize("mult", ["2", "3,3;2"])
+    @pytest.mark.parametrize("name", ["square", "cycles_dag", "self_loop", "dag", "crowded"])
+    def test_matches_sorted_basis_on_golden_stages(self, name, mult):
+        spec, _ = embed(load_graph((GOLDEN / f"{name}.txt").read_text()), MultiplicitySeq.parse(mult))
+        self.assert_matches_sorted_basis(materialize(spec, 4), 4)
+
+    def test_build_rep_builds_no_path(self, square_embedding, monkeypatch):
+        """The operators are read off the basis's int arrays, not off ``Path`` rows."""
+        spec, _ = square_embedding
+        built = []
+        init = Path.__init__
+        monkeypatch.setattr(Path, "__init__", lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        rep = build_rep(spec, 6)
+        assert rep.dimension > 100 and built == []
 
 
 def _same_multiset(a, b, tol):
