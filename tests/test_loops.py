@@ -336,10 +336,10 @@ def test_structure_commands_build_no_edge_objects(command, entrance, tmp_path, m
     """The loop analysis and the embedding read the integer index: on a
     C20,000 they build at most the one ``Edge`` that checks the witness's
     entry edge."""
-    monkeypatch.setenv("AFEMBED_OUTPUT_DIR", str(tmp_path / "out"))
     from afembed.cli import main
     from afembed.graph import Edge
 
+    monkeypatch.setenv("AFEMBED_OUTPUT_DIR", str(tmp_path / "out"))
     text = cycle_text(20_000) + ("vertex w\nedge x w u0\n" if entrance else "")
     path = tmp_path / "c.txt"
     path.write_text(text)
