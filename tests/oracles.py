@@ -6,13 +6,16 @@ quantifies over every enumerated cycle, and word normal forms are computed
 by exploring *every* rewrite order.  None of it shares code paths with the
 production implementations beyond the basic graph accessors.  It also
 keeps implementations that faster ones replaced, as references: the
-two-array Tarjan, the sixteen-case pair table, the set-based graph core and
-the sort-based path basis.
+two-array Tarjan, the sixteen-case pair table, the set-based graph core,
+the sort-based path basis, and the term parser that threads a
+``(scalar, term)`` pair through its sums (it multiplies with the
+production term operations; only the grammar is under test).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable
 
 from afembed.graph import (
@@ -27,7 +30,22 @@ from afembed.graph import (
     _check_token,
 )
 from afembed.loops import EntranceWitness, SimpleLoop, Verdict
-from afembed.terms import KEEP, ZERO, StarContext, reduce_pair
+from afembed.terms import (
+    _TOKEN_RE,
+    KEEP,
+    ONE,
+    ZERO,
+    CKTerm,
+    GaussianRational,
+    StarContext,
+    TermParseError,
+    adjoint,
+    isometry,
+    multiply,
+    projection,
+    reduce_pair,
+    tail_unitary,
+)
 
 
 def enumerate_simple_cycles(g: Graph) -> list[tuple[str, ...]]:
@@ -471,3 +489,173 @@ def set_graph_from_dict(obj: object) -> SetGraph:
     if not all(isinstance(x, str) for t in triples for x in t):
         raise GraphParseError("every edge needs string 'id', 'src' and 'dst' values")
     return SetGraph.build(vertices, triples)
+
+
+# ``terms._TermParser`` and ``terms.parse_term`` before the parser returned
+# one value per sum and product, kept verbatim but for the two names.
+
+
+class ReferenceTermParser:
+    """Recursive-descent parser for the term grammar.
+
+    sum := ['-'] product (('+'|'-') product)* ; product := factor+ ;
+    factor := coefficient | atom | '(' sum ')'.  Coefficients are rationals
+    with an optional trailing ``i``; ``t`` atoms take an optional integer
+    exponent.  Parentheses nest at most ``MAX_NESTING`` deep, so the
+    descent never exhausts the interpreter's stack.
+    """
+
+    MAX_NESTING = 100
+
+    def __init__(self, ctx: StarContext, text: str):
+        self.ctx = ctx
+        self.tokens = self._tokenize(text)
+        self.pos = 0
+        self.nesting = 0
+
+    @staticmethod
+    def _tokenize(text: str) -> list[tuple[str, object]]:
+        tokens = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN_RE.match(text, pos)
+            if not m:
+                if text[pos:].strip():
+                    raise TermParseError(f"unexpected input at position {pos}: {text[pos:pos+20]!r}")
+                break
+            pos = m.end()
+            # a ValueError from int() or Fraction() means more digits than the interpreter reads
+            if m.group("atom"):
+                try:
+                    exp = int(m.group("exp")) if m.group("exp") else 1
+                except ValueError:
+                    atom, digits = f"{m.group('atom')}({m.group('id')})", len(m.group("exp").lstrip("-"))
+                    raise TermParseError(f"exponent of {atom} is too long: {digits} digits") from None
+                tokens.append(("atom", (m.group("atom"), m.group("id"), exp)))
+            elif m.group("num"):
+                try:
+                    frac = Fraction(m.group("num"))
+                except ZeroDivisionError:
+                    raise TermParseError(f"zero denominator in coefficient {m.group('num')!r}") from None
+                except ValueError:
+                    at, digits = m.start("num"), max(len(x) for x in m.group("num").split("/"))
+                    raise TermParseError(f"coefficient at position {at} is too long: {digits} digits") from None
+                if m.group("numi"):
+                    tokens.append(("coeff", GaussianRational(Fraction(0), frac)))
+                else:
+                    tokens.append(("coeff", GaussianRational(frac)))
+            elif m.group("i"):
+                tokens.append(("coeff", GaussianRational(Fraction(0), Fraction(1))))
+            else:
+                tokens.append(("op", m.group("op")))
+        return tokens
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def parse(self) -> CKTerm:
+        scalar, term = self.parse_sum()
+        if self.peek() is not None:
+            raise TermParseError(f"trailing tokens at {self.pos}")
+        if term is None:
+            if scalar.is_zero:
+                return CKTerm.zero()
+            raise TermParseError("a bare scalar is not a term in a non-unital algebra")
+        return term
+
+    # sums and products carry either a pure scalar (term part None) or a
+    # term; this lets parenthesized Gaussian rationals like (1+i) act as
+    # coefficients while parenthesized term sums distribute over products
+
+    def parse_sum(self) -> tuple[GaussianRational, CKTerm | None]:
+        sign = 1
+        if self.peek() == ("op", "-"):
+            self.pos += 1
+            sign = -1
+        total_scalar, total_term = self.parse_product()
+        total_scalar = total_scalar * GaussianRational.of(sign)
+        if total_term is not None:
+            total_term = total_term.scale(sign)
+        while True:
+            tok = self.peek()
+            if tok not in (("op", "+"), ("op", "-")):
+                return total_scalar, total_term
+            self.pos += 1
+            sign = 1 if tok == ("op", "+") else -1
+            scalar, term = self.parse_product()
+            if (term is None) != (total_term is None):
+                raise TermParseError("cannot add a bare scalar to a term")
+            if term is None:
+                total_scalar = total_scalar + scalar * GaussianRational.of(sign)
+            else:
+                total_term = total_term + term.scale(sign)
+
+    def parse_product(self) -> tuple[GaussianRational, CKTerm | None]:
+        scalar = ONE
+        term: CKTerm | None = None
+        empty = True
+        while True:
+            tok = self.peek()
+            if tok == ("op", "-") and empty:
+                # unary minus, e.g. the coefficient "-i"
+                self.pos += 1
+                scalar = scalar * GaussianRational.of(-1)
+                empty = False
+                continue
+            if tok is None or tok in (("op", "+"), ("op", "-"), ("op", ")")):
+                break
+            kind, value = tok
+            self.pos += 1
+            empty = False
+            if kind == "coeff":
+                scalar = scalar * value
+            elif kind == "atom":
+                factor = self._atom_term(value)
+                term = factor if term is None else multiply(term, factor, self.ctx)
+            elif tok == ("op", "("):
+                self.nesting += 1
+                if self.nesting > self.MAX_NESTING:
+                    raise TermParseError(f"parentheses nested deeper than {self.MAX_NESTING}")
+                inner_scalar, inner_term = self.parse_sum()
+                if self.peek() != ("op", ")"):
+                    raise TermParseError("unbalanced parenthesis")
+                self.pos += 1
+                self.nesting -= 1
+                if inner_term is None:
+                    scalar = scalar * inner_scalar
+                else:
+                    term = inner_term if term is None else multiply(term, inner_term, self.ctx)
+            else:
+                raise TermParseError(f"unexpected token {tok!r}")
+        if empty:
+            raise TermParseError("empty product")
+        if term is None:
+            return scalar, None
+        return ONE, term.scale(scalar)
+
+    def _atom_term(self, value) -> CKTerm:
+        sym, name, exp = value
+        if sym == "p":
+            if exp != 1:
+                raise TermParseError("exponents are only supported on t atoms")
+            return projection(self.ctx, name)
+        if sym == "s":
+            if exp != 1:
+                raise TermParseError("exponents are only supported on t atoms")
+            return isometry(self.ctx, name)
+        if sym == "s*":
+            if exp != 1:
+                raise TermParseError("exponents are only supported on t atoms")
+            return adjoint(isometry(self.ctx, name))
+        if sym == "t":
+            return tail_unitary(self.ctx, name, exp)
+        if sym == "t*":
+            return tail_unitary(self.ctx, name, -exp)
+        raise TermParseError(f"unknown atom {sym!r}")
+
+
+def reference_parse_term(text: str, ctx: StarContext) -> CKTerm:
+    text = text.strip()
+    if text == "0":
+        return CKTerm.zero()
+    return ReferenceTermParser(ctx, text).parse()

@@ -266,6 +266,32 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith(f"error: unknown {kind} 'T1.") and err.endswith("': its index has 5000 digits\n")
 
+    def test_map_line_without_equals_is_input_error(self, tmp_path, capsys):
+        golden = Path(__file__).parent / "golden"
+        bad = tmp_path / "bad.genmap.txt"
+        bad.write_text("e1 s(T1.f2) t(T1) s*(T1.f1)\n")
+        code, out = run_cli(
+            ["verify", "--input", str(golden / "square.txt"), "--depth", "2", "--map", str(bad)]
+        )
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err == "error: line 1: expected '<edge-id> = <term>'\n"
+
+    def test_map_image_beyond_the_stage_is_input_error(self, tmp_path, capsys):
+        """``T1.b9.1`` is an edge of the augmented graph, but not of ``F_2``."""
+        golden = Path(__file__).parent / "golden"
+        bad = tmp_path / "bad.genmap.txt"
+        bad.write_text(
+            "e1 = s(T1.b9.1)\n"
+            "e2 = s(T1.f3) t(T1) s*(T1.f2)\n"
+            "e3 = s(T1.f4) t(T1) s*(T1.f3)\n"
+            "e4 = s(T1.f1) t(T1) s*(T1.f4)\n"
+        )
+        code, out = run_cli(
+            ["verify", "--input", str(golden / "square.txt"), "--depth", "2", "--map", str(bad)]
+        )
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err == "error: edge 'T1.b9.1' not in the materialized stage\n"
+
     def test_domain_mismatch_is_input_error(self, square_file, tmp_path, capsys):
         bad = tmp_path / "bad.genmap.txt"
         bad.write_text("e1 = p(u1)\n")

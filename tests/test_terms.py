@@ -16,6 +16,7 @@ from afembed.terms import (
     GaussianRational,
     NormalMonomial,
     TermParseError,
+    UnrepresentableTermError,
     _TermParser,
     adjoint,
     expand_ck3,
@@ -32,7 +33,12 @@ from afembed.terms import (
     term_to_str,
 )
 
-from .oracles import all_order_normal_forms, reference_normalize_word, reference_reduce_pair
+from .oracles import (
+    all_order_normal_forms,
+    reference_normalize_word,
+    reference_parse_term,
+    reference_reduce_pair,
+)
 
 
 @pytest.fixture(scope="module")
@@ -396,3 +402,124 @@ class TestTermGrammar:
             except Exception:
                 assume(False)
         assert parse_term(term_to_str(total, spec), spec) == total
+
+
+class TestTermRejections:
+    """Every message the term grammar rejects with, pinned to the text."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("s(T1.f1) )", "trailing tokens at 1"),
+            ("2", "a bare scalar is not a term in a non-unital algebra"),
+            ("- -", "a bare scalar is not a term in a non-unital algebra"),
+            ("s(T1.f1) + 1", "cannot add a bare scalar to a term"),
+            ("1 + s(T1.f1)", "cannot add a bare scalar to a term"),
+            ("---s(T1.f1)", "cannot add a bare scalar to a term"),
+            ("s(T1.f1) +", "empty product"),
+            ("-", "empty product"),
+            ("()", "empty product"),
+            ("(s(T1.f1)", "unbalanced parenthesis"),
+            ("s(T1.f1)^2", "exponents are only supported on t atoms"),
+            ("s*(T1.f1)^-1", "exponents are only supported on t atoms"),
+            ("p(u1)^0", "exponents are only supported on t atoms"),
+            ("p*(u1)", "unknown atom 'p*'"),
+            ("p*(u1)^2", "unknown atom 'p*'"),
+            ("1e5 s(T1.f2)", "unexpected input at position 1: 'e5 s(T1.f2)'"),
+            ("  1e5 s(T1.f2)", "unexpected input at position 1: 'e5 s(T1.f2)'"),
+        ],
+    )
+    def test_parse_error_message(self, ctx, text, message):
+        with pytest.raises(TermParseError) as exc:
+            parse_term(text, ctx)
+        assert str(exc.value) == message
+
+    def test_zero_coefficient_does_not_hide_an_unrepresentable_product(self, ctx):
+        """Coefficients scale a product once it is formed: ``t s(b)`` is
+        outside the monomial span whatever scalar stands in front of it."""
+        with pytest.raises(UnrepresentableTermError):
+            parse_term("0 t(T1) s(T1.b1.1)", ctx)
+        with pytest.raises(UnrepresentableTermError):
+            parse_term("t(T1) 0 s(T1.b1.1)", ctx)
+
+    @pytest.mark.parametrize(
+        "text, normal_form",
+        [
+            ("0", "0"),
+            ("  0 ", "0"),
+            ("0 s(T1.f1)", "0"),
+            ("(1+i) s(T1.f1) - (1+i) s(T1.f1)", "0"),
+            ("--s(T1.f1)", "s(T1.f1)"),
+            ("-i s(T1.f1)", "-i s(T1.f1)"),
+            ("2 (1/2) 3i s(T1.f1)", "3i s(T1.f1)"),
+            ("t(T1)^0", "p(T1.v)"),
+            ("t*(T1)^-1", "t(T1)"),
+        ],
+    )
+    def test_accepted_text(self, ctx, text, normal_form):
+        assert term_to_str(parse_term(text, ctx), ctx) == normal_form
+
+    @pytest.mark.parametrize(
+        "coeff, text",
+        [
+            (q(0, -1), "-i"),
+            (q(0, Fraction(-1, 2)), "-1/2i"),
+            (q(1, -1), "(1-i)"),
+            (q(Fraction(-3, 5), Fraction(4, 5)), "(-3/5+4/5i)"),
+            (q(0, 3), "3i"),
+            (q(2, 1), "(2+i)"),
+        ],
+    )
+    def test_coefficient_round_trip(self, ctx, coeff, text):
+        assert str(coeff) == text
+        term = isometry(ctx, "T1.f1").scale(coeff)
+        assert term_to_str(term, ctx) == f"{text} s(T1.f1)"
+        assert parse_term(term_to_str(term, ctx), ctx) == term
+
+
+@pytest.fixture(scope="module")
+def mult_one_two():
+    """The square with ``--mult 1;2``: level 1 has one edge, so ``s(b1.1) s*(b1.1)``
+    reaches the unique-receiver contraction."""
+    return embed(parse_graph((GOLDEN / "square.txt").read_text()), MultiplicitySeq.parse("1;2"))[0]
+
+
+_TERM_TOKENS = (
+    # valid atoms
+    "p(u1)", "p(u2)", "p(T1.v)", "p(T1.L1.1)", "s(T1.f1)", "s(T1.f2)", "s*(T1.f1)",
+    "s*(T1.f2)", "s(T1.b1.1)", "s*(T1.b1.1)", "s(T1.b2.1)", "s*(T1.b2.2)", "t(T1)", "t*(T1)",
+    # unknown atoms: a removed loop edge, a missing tail edge, vertex and tail
+    "s(e1)", "s(T1.b1.2)", "p(zz)", "t(T9)", "p*(u1)",
+    # exponents, on t atoms and elsewhere
+    "t(T1)^0", "t(T1)^-1", "t(T1)^2", "t*(T1)^-1", "t*(T1)^0", "s(T1.f1)^2", "p(u1)^0",
+    # coefficients
+    "0", "1", "2", "1/2", "3i", "i", "1/0",
+    # operators and parentheses
+    "+", "-", "-", "(", "(", ")", ")",
+)
+
+
+class TestReferenceParser:
+    """The one-value evaluator agrees with the pair-threading parser it replaced."""
+
+    @staticmethod
+    def outcome(parse, text, spec):
+        try:
+            return term_to_str(parse(text, spec), spec)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    @given(st.lists(st.sampled_from(_TERM_TOKENS), min_size=1, max_size=12))
+    @settings(max_examples=1000, deadline=None)
+    def test_random_token_strings(self, mult_one_two, tokens):
+        text = " ".join(tokens)
+        expected = self.outcome(reference_parse_term, text, mult_one_two)
+        assert self.outcome(parse_term, text, mult_one_two) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["s(T1.b1.1) s*(T1.b1.1)", "0 t(T1) s(T1.b1.1)", "(1/2 - i) s(T1.f2) t(T1)^-1 s*(T1.f1) + 2 p(u1)"],
+    )
+    def test_fixed_texts(self, mult_one_two, text):
+        expected = self.outcome(reference_parse_term, text, mult_one_two)
+        assert self.outcome(parse_term, text, mult_one_two) == expected
