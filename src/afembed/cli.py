@@ -49,9 +49,8 @@ def _emit(records: list[dict], fmt: str, out) -> None:
             out.write(_JSON.encode(rec) + "\n")
     else:
         for rec in records:
-            kind = rec.get("record", "")
             fields = " ".join(f"{k}={rec[k]}" for k in sorted(rec) if k != "record")
-            out.write((f"{kind}: {fields}" if kind else fields) + "\n")
+            out.write(f"{rec['record']}: {fields}\n")
 
 
 def _load(path: str):

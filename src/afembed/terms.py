@@ -104,13 +104,11 @@ class GaussianRational:
     def __str__(self) -> str:
         if self.imag == 0:
             return str(self.real)
-        im = "i" if self.imag == 1 else "-i" if self.imag == -1 else f"{self.imag}i"
-        if self.real == 0:
-            return im
         sign = "+" if self.imag > 0 else "-"
-        mag = abs(self.imag)
-        im_part = "i" if mag == 1 else f"{mag}i"
-        return f"({self.real}{sign}{im_part})"
+        im = "i" if abs(self.imag) == 1 else f"{abs(self.imag)}i"
+        if self.real == 0:
+            return im if sign == "+" else f"-{im}"
+        return f"({self.real}{sign}{im})"
 
 
 ONE = GaussianRational(Fraction(1))
@@ -217,8 +215,11 @@ class CKTerm:
             out[m] = out.get(m, GaussianRational()) + c
         return CKTerm(out)
 
+    def __neg__(self) -> "CKTerm":
+        return self.scale(-1)
+
     def __sub__(self, other: "CKTerm") -> "CKTerm":
-        return self + other.scale(-1)
+        return self + -other
 
     def scale(self, factor) -> "CKTerm":
         factor = GaussianRational.of(factor)
@@ -504,22 +505,29 @@ class TermParseError(ValueError):
 
 
 class _TermParser:
-    """Recursive-descent parser for the term grammar.
+    """Recursive-descent evaluator for the term grammar::
 
-    sum := ['-'] product (('+'|'-') product)* ; product := factor+ ;
-    factor := coefficient | atom | '(' sum ')'.  Coefficients are rationals
-    with an optional trailing ``i``; ``t`` atoms take an optional integer
-    exponent.  Parentheses nest at most ``MAX_NESTING`` deep, so the
-    descent never exhausts the interpreter's stack.
+        sum     := ['-'] product (('+' | '-') product)*
+        product := ['-'] factor+
+        factor  := coefficient | atom | '(' sum ')'
+
+    A coefficient is a rational with an optional trailing ``i``, or ``i``;
+    juxtaposed factors multiply.  Only ``t`` and ``t*`` atoms take an
+    integer exponent, and ``t(ns)^0`` is ``p`` at the sink.  Each sum and
+    product evaluates to one value: a :class:`GaussianRational` while it
+    holds no atom, so a parenthesized Gaussian rational such as ``(1+i)``
+    is a coefficient, else a :class:`CKTerm`.  A whole text must be a term
+    or the scalar ``0``; a sum that cancels is the zero term.  Parentheses
+    nest at most ``MAX_NESTING`` deep, so the descent never exhausts the
+    interpreter's stack.
     """
 
     MAX_NESTING = 100
 
     def __init__(self, ctx: StarContext, text: str):
         self.ctx = ctx
-        self.tokens = self._tokenize(text)
+        self.tokens = self._tokenize(text) + [None]  # None ends the text
         self.pos = 0
-        self.nesting = 0
 
     @staticmethod
     def _tokenize(text: str) -> list[tuple[str, object]]:
@@ -558,112 +566,69 @@ class _TermParser:
                 tokens.append(("op", m.group("op")))
         return tokens
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def parse(self) -> CKTerm:
-        scalar, term = self.parse_sum()
-        if self.peek() is not None:
+        value = self.parse_sum(0)
+        if self.tokens[self.pos] is not None:
             raise TermParseError(f"trailing tokens at {self.pos}")
-        if term is None:
-            if scalar.is_zero:
-                return CKTerm.zero()
-            raise TermParseError("a bare scalar is not a term in a non-unital algebra")
-        return term
+        if isinstance(value, CKTerm):
+            return value
+        if value.is_zero:
+            return CKTerm.zero()
+        raise TermParseError("a bare scalar is not a term in a non-unital algebra")
 
-    # sums and products carry either a pure scalar (term part None) or a
-    # term; this lets parenthesized Gaussian rationals like (1+i) act as
-    # coefficients while parenthesized term sums distribute over products
-
-    def parse_sum(self) -> tuple[GaussianRational, CKTerm | None]:
-        sign = 1
-        if self.peek() == ("op", "-"):
+    def parse_sum(self, depth: int) -> GaussianRational | CKTerm:
+        if self.tokens[self.pos] == ("op", "-"):
             self.pos += 1
-            sign = -1
-        total_scalar, total_term = self.parse_product()
-        total_scalar = total_scalar * GaussianRational.of(sign)
-        if total_term is not None:
-            total_term = total_term.scale(sign)
-        while True:
-            tok = self.peek()
-            if tok not in (("op", "+"), ("op", "-")):
-                return total_scalar, total_term
+            total = -self.parse_product(depth)
+        else:
+            total = self.parse_product(depth)
+        while (tok := self.tokens[self.pos]) in (("op", "+"), ("op", "-")):
             self.pos += 1
-            sign = 1 if tok == ("op", "+") else -1
-            scalar, term = self.parse_product()
-            if (term is None) != (total_term is None):
+            value = self.parse_product(depth)
+            if isinstance(value, CKTerm) is not isinstance(total, CKTerm):
                 raise TermParseError("cannot add a bare scalar to a term")
-            if term is None:
-                total_scalar = total_scalar + scalar * GaussianRational.of(sign)
-            else:
-                total_term = total_term + term.scale(sign)
+            total = total + value if tok == ("op", "+") else total - value
+        return total
 
-    def parse_product(self) -> tuple[GaussianRational, CKTerm | None]:
-        scalar = ONE
-        term: CKTerm | None = None
-        empty = True
-        while True:
-            tok = self.peek()
-            if tok == ("op", "-") and empty:
-                # unary minus, e.g. the coefficient "-i"
-                self.pos += 1
-                scalar = scalar * GaussianRational.of(-1)
-                empty = False
-                continue
-            if tok is None or tok in (("op", "+"), ("op", "-"), ("op", ")")):
-                break
-            kind, value = tok
+    def parse_product(self, depth: int) -> GaussianRational | CKTerm:
+        # The coefficients multiply apart from the terms and scale their
+        # product once, at the end: a zero coefficient must not stand in for
+        # a product of terms that is not a term.
+        start, scalar, term = self.pos, ONE, None
+        if self.tokens[self.pos] == ("op", "-"):  # unary minus, e.g. the coefficient "-i"
             self.pos += 1
-            empty = False
-            if kind == "coeff":
-                scalar = scalar * value
-            elif kind == "atom":
-                factor = self._atom_term(value)
-                term = factor if term is None else multiply(term, factor, self.ctx)
-            elif tok == ("op", "("):
-                self.nesting += 1
-                if self.nesting > self.MAX_NESTING:
+            scalar = -ONE
+        while (tok := self.tokens[self.pos]) not in (None, ("op", "+"), ("op", "-"), ("op", ")")):
+            self.pos += 1
+            kind, factor = tok
+            if kind == "atom":
+                factor = self._atom_term(*factor)
+            elif kind == "op":  # "(", the only operator that opens a factor
+                if depth >= self.MAX_NESTING:
                     raise TermParseError(f"parentheses nested deeper than {self.MAX_NESTING}")
-                inner_scalar, inner_term = self.parse_sum()
-                if self.peek() != ("op", ")"):
+                factor = self.parse_sum(depth + 1)
+                if self.tokens[self.pos] != ("op", ")"):
                     raise TermParseError("unbalanced parenthesis")
                 self.pos += 1
-                self.nesting -= 1
-                if inner_term is None:
-                    scalar = scalar * inner_scalar
-                else:
-                    term = inner_term if term is None else multiply(term, inner_term, self.ctx)
+            if isinstance(factor, CKTerm):
+                term = factor if term is None else multiply(term, factor, self.ctx)
             else:
-                raise TermParseError(f"unexpected token {tok!r}")
-        if empty:
+                scalar = scalar * factor
+        if self.pos == start:
             raise TermParseError("empty product")
-        if term is None:
-            return scalar, None
-        return ONE, term.scale(scalar)
+        return scalar if term is None else term.scale(scalar)
 
-    def _atom_term(self, value) -> CKTerm:
-        sym, name, exp = value
+    def _atom_term(self, sym: str, name: str, exp: int) -> CKTerm:
+        if sym in ("t", "t*"):
+            return tail_unitary(self.ctx, name, exp if sym == "t" else -exp)
+        if sym not in ("p", "s", "s*"):
+            raise TermParseError(f"unknown atom {sym!r}")
+        if exp != 1:
+            raise TermParseError("exponents are only supported on t atoms")
         if sym == "p":
-            if exp != 1:
-                raise TermParseError("exponents are only supported on t atoms")
             return projection(self.ctx, name)
-        if sym == "s":
-            if exp != 1:
-                raise TermParseError("exponents are only supported on t atoms")
-            return isometry(self.ctx, name)
-        if sym == "s*":
-            if exp != 1:
-                raise TermParseError("exponents are only supported on t atoms")
-            return adjoint(isometry(self.ctx, name))
-        if sym == "t":
-            return tail_unitary(self.ctx, name, exp)
-        if sym == "t*":
-            return tail_unitary(self.ctx, name, -exp)
-        raise TermParseError(f"unknown atom {sym!r}")
+        return isometry(self.ctx, name) if sym == "s" else adjoint(isometry(self.ctx, name))
 
 
 def parse_term(text: str, ctx: StarContext) -> CKTerm:
-    text = text.strip()
-    if text == "0":
-        return CKTerm.zero()
-    return _TermParser(ctx, text).parse()
+    return _TermParser(ctx, text.strip()).parse()
