@@ -31,8 +31,20 @@ from .loops import EntranceExistsError, SimpleLoop, Verdict, classify
 from .terms import CKTerm, ContextMismatchError, NormalMonomial, StarContext, parse_term, term_to_str
 
 
+#: The most vertices and edges :func:`materialize` builds into a stage, and
+#: the most rows :func:`afembed.numrep.build_rep` builds into its path basis.
+#: In one process on x86-64 CPython 3, ``embed`` peaks at about 500 bytes
+#: per vertex or edge of ``F_d`` and ``verify`` at about 370 bytes per basis
+#: row, so a stage at this ceiling stays near half a gigabyte.
+MAX_STAGE_SIZE = 2**20
+
+
 class NamespaceCollisionError(ValueError):
     pass
+
+
+class StageTooLargeError(ValueError):
+    """A finite stage above :data:`MAX_STAGE_SIZE`, refused before it is built."""
 
 
 @dataclass(frozen=True)
@@ -306,9 +318,22 @@ def embed(g: Graph, mult: MultiplicitySeq | None = None) -> tuple[AugmentedGraph
 
 
 def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
-    """The finite stage ``F_d``: base, f-edges, and ``depth`` tail levels."""
+    """The finite stage ``F_d``: base, f-edges, and ``depth`` tail levels.
+
+    Its vertices and edges are counted first, in O(len(prefix)) steps per
+    tail, and a stage of more than :data:`MAX_STAGE_SIZE` in all is refused.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    nv = len(spec.base.vertex_names) + len(spec.replacements) * (depth + 1)
+    ne = len(spec._finite_edges)
+    for rep in spec.replacements:
+        mult = rep.tail.mult
+        ne += sum(mult.prefix[:depth]) + max(depth - len(mult.prefix), 0) * mult.tail
+    if nv + ne > MAX_STAGE_SIZE:
+        raise StageTooLargeError(
+            f"stage F_{depth} has {nv} vertices and {ne} edges, more than the {MAX_STAGE_SIZE} a stage may have"
+        )
     vertices = [*spec.base.vertex_names, *spec._sinks]
     edges = [(e, *ends) for e, ends in spec._finite_edges.items()]
     for rep in spec.replacements:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress, repeat
 
-from .embedding import AugmentedGraphSpec, GeneratorMap, LoopReplacement, materialize
+from .embedding import MAX_STAGE_SIZE, AugmentedGraphSpec, GeneratorMap, LoopReplacement, StageTooLargeError, materialize
 from .graph import Graph, Path
 from .loops import SimpleLoop
 from .terms import CKTerm, ContextMismatchError, NormalMonomial
@@ -461,11 +461,37 @@ def _tail_phase(j: int, n: int) -> complex:
     return cmath.exp(2j * math.pi * j / n)
 
 
+def _basis_rows(g: Graph, depth: int) -> int:
+    """Rows of ``PathBasis.build(g, depth)``, from the number of paths of each
+    length ending at each vertex; once past :data:`MAX_STAGE_SIZE` the
+    count stops, so it is then a lower bound."""
+    ending = [1] * len(g.vertex_names)
+    rows = len(ending)
+    for _ in range(depth):
+        if rows > MAX_STAGE_SIZE:
+            break
+        longer = [0] * len(ending)
+        for s, r in zip(g.src, g.rng):
+            longer[r] += ending[s]
+        ending = longer
+        rows += sum(ending)
+    return rows
+
+
 def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
-    """Assemble the stage-``depth`` representation of the augmented graph."""
+    """Assemble the stage-``depth`` representation of the augmented graph.
+
+    A path basis of more than :data:`MAX_STAGE_SIZE` rows is refused
+    before it is built.
+    """
     if depth < 1:
         raise RepresentationError("depth must be >= 1: depth 0 has no corner to act on")
     g = materialize(spec, depth)
+    rows = _basis_rows(g, depth)
+    if rows > MAX_STAGE_SIZE:
+        raise StageTooLargeError(
+            f"the path basis of F_{depth} has at least {rows} rows, more than the {MAX_STAGE_SIZE} a stage may have"
+        )
     basis = PathBasis.build(g, depth)
     n = len(basis)
 

@@ -1,5 +1,9 @@
 import io
 import json
+import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,12 +16,13 @@ from afembed.cli import (
     entry_point,
     main,
 )
-from afembed.embedding import embed
+from afembed.embedding import MAX_STAGE_SIZE, embed
 from afembed.graph import load_graph
 from afembed.loops import Verdict, classify
 from afembed.terms import ContextMismatchError, TermParseError, parse_term
 
 from .conftest import SQUARE_TEXT
+from .test_golden import GOLDEN, child_env
 
 
 def run_cli(argv):
@@ -359,3 +364,53 @@ class TestExport:
     def test_text_round_trip(self, square_file):
         code, out = run_cli(["export", "--input", str(square_file), "--format", "text"])
         assert load_graph(out) == load_graph(SQUARE_TEXT)
+
+
+# A guard that fails to refuse must not take the machine's memory with it:
+# the child gets half a gigabyte of address space, a fraction of the ceiling
+# stage's footprint, and either hits it or the timeout.
+CHILD_ADDRESS_SPACE = 512 << 20
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+class TestStageCeiling:
+    """A stage above ``MAX_STAGE_SIZE`` is an input error, found before it is built."""
+
+    @pytest.mark.parametrize(
+        "argv, pattern",
+        [
+            (
+                ["embed", "--input", "square.txt", "--mult", "9999999999999999999999"],
+                r"stage F_6 has 11 vertices and 59999999999999999999998 edges, more than the (\d+) a stage may have",
+            ),
+            (
+                ["embed", "--input", "square.txt", "--depth", "1000000000000"],
+                r"stage F_1000000000000 has 1000000000005 vertices and 2000000000004 edges, more than the (\d+) a stage may have",
+            ),
+            (
+                ["verify", "--input", "self_loop.txt", "--depth", "30"],
+                r"the path basis of F_30 has at least (\d+) rows, more than the (\d+) a stage may have",
+            ),
+        ],
+        ids=["embed-mult", "embed-depth", "verify-depth"],
+    )
+    def test_refused_in_a_capped_process(self, argv, pattern, tmp_path):
+        argv = [str(GOLDEN / a) if a.endswith(".txt") else a for a in argv]
+        code = "from afembed.cli import entry_point\nentry_point()\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=dict(child_env(), AFEMBED_OUTPUT_DIR=str(tmp_path / "out")),
+            capture_output=True,
+            timeout=60,
+            preexec_fn=_cap_address_space,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, b"")
+        message = proc.stderr.decode("utf-8")
+        match = re.fullmatch(f"error: {pattern}\n", message)
+        assert match, message
+        *counts, ceiling = map(int, match.groups())
+        assert ceiling == MAX_STAGE_SIZE and all(n > MAX_STAGE_SIZE for n in counts)
+        assert not (tmp_path / "out").exists()  # no artifact was written

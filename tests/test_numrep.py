@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afembed.embedding import MultiplicitySeq, embed, materialize
+from afembed import embedding, numrep
+from afembed.embedding import MultiplicitySeq, StageTooLargeError, embed, materialize
 from afembed.graph import Path, load_graph
 from afembed.numrep import (
+    _basis_rows,
     _modulus,
     _numpy_sum,
     _tail_phase,
@@ -446,3 +448,57 @@ class TestExactArithmetic:
     @given(st.floats(min_value=-4.0, max_value=4.0))
     def test_angle_rounding_matches_numpy(self, x):
         assert round(x * 1e9) / 1e9 == float(np.round(np.float64(x), 9))
+
+
+class TestStageCeiling:
+    """Stages are counted before they are built, and refused above the ceiling."""
+
+    @staticmethod
+    def lower_ceiling(monkeypatch, size):
+        monkeypatch.setattr(embedding, "MAX_STAGE_SIZE", size)
+        monkeypatch.setattr(numrep, "MAX_STAGE_SIZE", size)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=multigraphs(max_vertices=5, max_edges=8), depth=st.integers(min_value=0, max_value=4))
+    def test_row_count_matches_basis(self, g, depth):
+        assert _basis_rows(g, depth) == len(PathBasis.build(g, depth))
+
+    @pytest.mark.parametrize("mult", ["2", "1;2", "3,3;2", "1,1,1,5;3"])
+    @pytest.mark.parametrize("name", ["square", "cycles_dag", "self_loop", "dag"])
+    def test_stage_counts_match_the_built_stage(self, name, mult, monkeypatch):
+        """At a ceiling equal to the stage's size it is built; one below, the
+        refusal names the counts the built stage has."""
+        spec, _ = embed(load_graph((GOLDEN / f"{name}.txt").read_text()), MultiplicitySeq.parse(mult))
+        for depth in range(6):
+            f_d = materialize(spec, depth)
+            nv, ne = len(f_d.vertex_names), len(f_d.edge_names)
+            self.lower_ceiling(monkeypatch, nv + ne)
+            assert materialize(spec, depth) == f_d
+            self.lower_ceiling(monkeypatch, nv + ne - 1)
+            with pytest.raises(StageTooLargeError) as exc:
+                materialize(spec, depth)
+            assert str(exc.value) == (
+                f"stage F_{depth} has {nv} vertices and {ne} edges, more than the {nv + ne - 1} a stage may have"
+            )
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("depth", [2, 3, 5])
+    def test_basis_above_the_ceiling_is_refused(self, square_embedding, depth, monkeypatch):
+        """From depth 2 the basis outgrows the stage, whose size is refused first."""
+        spec, _ = square_embedding
+        rows = build_rep(spec, depth).dimension
+        self.lower_ceiling(monkeypatch, rows)
+        assert build_rep(spec, depth).dimension == rows
+        self.lower_ceiling(monkeypatch, rows - 1)
+        with pytest.raises(StageTooLargeError) as exc:
+            build_rep(spec, depth)
+        assert str(exc.value) == (
+            f"the path basis of F_{depth} has at least {rows} rows, more than the {rows - 1} a stage may have"
+        )
+
+    def test_row_count_stops_past_the_ceiling(self, monkeypatch):
+        """A deep stage is counted only until it is known to be too large."""
+        g = materialize(embed(load_graph((GOLDEN / "self_loop.txt").read_text()))[0], 12)
+        self.lower_ceiling(monkeypatch, 100)
+        rows = _basis_rows(g, 12)
+        assert 100 < rows < len(PathBasis.build(g, 12))
