@@ -33,8 +33,8 @@ from .terms import CKTerm, ContextMismatchError, NormalMonomial, StarContext, pa
 
 #: The most vertices and edges :func:`materialize` builds into a stage, and
 #: the most rows :func:`afembed.numrep.build_rep` builds into its path basis.
-#: In one process on x86-64 CPython 3, ``embed`` peaks at about 500 bytes
-#: per vertex or edge of ``F_d`` and ``verify`` at about 370 bytes per basis
+#: With CPython 3.11 on x86-64, ``embed`` peaks at about 500 bytes per
+#: vertex or edge of ``F_d`` and ``verify`` at about 370 bytes per basis
 #: row, so a stage at this ceiling stays near half a gigabyte.
 MAX_STAGE_SIZE = 2**20
 
