@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path as FsPath
@@ -37,6 +36,10 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VERIFICATION_FAILED = 2
 EXIT_NOT_FINITE = 3
+
+#: Largest residual, and largest spectral deviation, that ``verify`` accepts.
+TOL_ALG = 1e-12
+TOL_SPEC = 1e-10
 
 
 _JSON = json.JSONEncoder(sort_keys=True)
@@ -208,7 +211,7 @@ def cmd_verify(args, out) -> int:
     rep = build_rep(spec, args.depth)
     residuals = relation_residuals(rep, gmap)
     for entry in residuals.entries:
-        ok = entry.value <= args.tol_alg
+        ok = entry.value <= TOL_ALG
         records.append(
             {
                 "record": "residual",
@@ -235,9 +238,9 @@ def cmd_verify(args, out) -> int:
         level_size = loop_rep.tail.mult.level_sizes(args.depth)[-1]
         bound = numrep.spectral_net_bound(loop.n, level_size)
         ok = (
-            report_s.max_modulus_deviation <= args.tol_spec
+            report_s.max_modulus_deviation <= TOL_SPEC
             and report_s.hausdorff_to_circle <= bound + 1e-12
-            and report_s.conjugation_mismatch <= args.tol_spec
+            and report_s.conjugation_mismatch <= TOL_SPEC
         )
         records.append(
             {
@@ -279,14 +282,6 @@ def cmd_export(args, out) -> int:
     return EXIT_OK
 
 
-def _positive_float(text: str) -> float:
-    # float() reads "inf", and any literal too large for a double, as inf
-    x = float(text)
-    if not (0 < x < math.inf):
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, not {text!r}")
-    return x
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afembed",
@@ -317,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--mult", type=MultiplicitySeq.parse, default=MultiplicitySeq())
     p.add_argument("--map", help="generator map file to verify instead of the constructed one")
-    p.add_argument("--tol-alg", type=_positive_float, default=1e-12, dest="tol_alg")
-    p.add_argument("--tol-spec", type=_positive_float, default=1e-10, dest="tol_spec")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="re-emit the input graph in another format")

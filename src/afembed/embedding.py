@@ -47,6 +47,10 @@ class StageTooLargeError(ValueError):
     """A finite stage above :data:`MAX_STAGE_SIZE`, refused before it is built."""
 
 
+#: the whole ``--mult`` text: a bare tail, or a prefix and a tail, in ASCII digits
+_MULT_RE = re.compile(r"[0-9]+(,[0-9]+)*;[0-9]+|[0-9]+")
+
+
 @dataclass(frozen=True)
 class MultiplicitySeq:
     """Edge multiplicities per tail level: a finite prefix, then a constant.
@@ -81,13 +85,12 @@ class MultiplicitySeq:
 
     @classmethod
     def parse(cls, text: str) -> "MultiplicitySeq":
-        """Parse ``"m1,m2,...;tail"`` or a bare tail value."""
+        """Parse ``"m1,m2,...;tail"`` or a bare tail value, in ASCII digits."""
         text = text.strip()
-        if ";" in text:
-            head, _, tail = text.partition(";")
-            prefix = tuple(int(x) for x in head.split(",") if x.strip())
-            return cls(prefix, int(tail))
-        return cls((), int(text))
+        if not _MULT_RE.fullmatch(text):
+            raise ValueError(f"expected '<tail>' or '<m1>,<m2>,...;<tail>', not {text!r}")
+        head, _, tail = text.rpartition(";")
+        return cls(tuple(map(int, head.split(","))) if head else (), int(tail))
 
     def render(self) -> str:
         if not self.prefix:
@@ -248,6 +251,14 @@ class AugmentedGraphSpec(StarContext):
             return rec
         tail, k = self._tail_level(v)
         return frozenset(tail.level_edges(k + 1))
+
+    def unique_receiver(self, v: str) -> str | None:
+        """As the base class, but a tail level is answered from its multiplicity
+        alone, without building its ``mult(k+1)`` edge names."""
+        if v in self._receivers:
+            return super().unique_receiver(v)
+        tail, k = self._tail_level(v)
+        return tail.level_edges(k + 1)[0] if tail.mult.value(k + 1) == 1 else None
 
     def sink_vertex(self, namespace: str) -> str:
         if namespace not in self._tails:

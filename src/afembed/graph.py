@@ -155,7 +155,8 @@ class Graph:
         self._edge_ids: dict[str, int] | None = None  # built on first use
 
     @classmethod
-    def build(cls, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]) -> "Graph":
+    def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "Graph":
+        """Check and index ``vertices`` and ``(name, source, range)`` edge triples."""
         vset: set[str] = set()
         for v in vertices:
             _check_token("vertex", v)
@@ -168,14 +169,7 @@ class Graph:
         src: list[int] = []
         rng: list[int] = []
         seen: set[str] = set()
-        for e in edges:
-            if isinstance(e, Edge):
-                e = (e.name, e.source, e.range)
-            try:
-                name, source, range_ = e
-            except (TypeError, ValueError):
-                Edge(*e)  # raises the arity error an Edge raises
-                raise
+        for name, source, range_ in edges:
             _check_token("edge", name)
             if name in seen:
                 raise DuplicateIdError(f"duplicate edge id {name!r}")

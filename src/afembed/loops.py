@@ -298,8 +298,7 @@ def validate_witness(g: Graph, w: EntranceWitness) -> None:
         raise InvalidWitnessError("entry edge lies on the loop")
     if g.edge(w.entry_edge).range != w.entry_vertex:
         raise InvalidWitnessError("entry edge does not point at the entry vertex")
-    if len(g.receivers(w.entry_vertex)) <= 1:
-        raise InvalidWitnessError("entry vertex has a unique receiver; no entrance")
+    # so the entry vertex receives the entry edge and the loop's e_n: it has an entrance
     if w.alpha.edges != loop.edges:
         raise InvalidWitnessError("alpha must be the witness loop as a path")
     beta = g.path(w.beta.edges) if w.beta.edges else w.beta

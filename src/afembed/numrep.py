@@ -71,8 +71,10 @@ class PathBasis:
     Row ``i`` is held as three ids: ``edge[i]``, its range-end edge (-1 for
     a vertex), ``suffix[i]``, the row of the path without that edge (-1 for
     a vertex), and ``rng[i]``, its range vertex.  Rows of length ``k`` are
-    ``starts[k] .. starts[k+1] - 1``.  ``paths`` and ``index`` are name-level
-    views, built on first use.
+    ``starts[k] .. starts[k+1] - 1``.  No path is longer than an empty level,
+    so ``starts`` ends after the first empty level and then has fewer than
+    ``d + 2`` entries.  ``paths`` and ``index`` are name-level views, built
+    on first use.
     """
 
     graph: Graph
@@ -98,6 +100,8 @@ class PathBasis:
                 suffix += rows
                 rng += [r] * len(rows)
             starts.append(len(rng))
+            if starts[-1] == starts[-2]:
+                break
         return cls(g, tuple(edge), tuple(suffix), tuple(rng), tuple(starts))
 
     @cached_property
@@ -468,7 +472,7 @@ def _basis_rows(g: Graph, depth: int) -> int:
     ending = [1] * len(g.vertex_names)
     rows = len(ending)
     for _ in range(depth):
-        if rows > MAX_STAGE_SIZE:
+        if rows > MAX_STAGE_SIZE or not any(ending):
             break
         longer = [0] * len(ending)
         for s, r in zip(g.src, g.rng):
@@ -520,18 +524,11 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
         rows = by_range[g.vertex_id(rep.tail.sink)]
         cuts = [bisect_left(rows, start) for start in basis.starts]
         levels = [rows[a:b] for a, b in zip(cuts, cuts[1:])]  # already lexicographic
-        phases = []
-        for k, idx in enumerate(levels):
-            n_k = len(idx)
-            expected = rep.tail.mult.level_sizes(k)[-1]
-            if n_k != expected:
-                raise RepresentationError(
-                    f"level {k} of tail {rep.tail.namespace!r} has {n_k} paths, expected {expected}"
-                )
-            phases += [_tail_phase(j, n_k) for j in range(n_k)]
-        T[rep.tail.namespace] = operator_on(rows, phase=tuple(phases))
+        # level k holds N_k rows: a tail owns its namespace, so only its b-edges reach its sink
+        phases = tuple(_tail_phase(j, len(idx)) for idx in levels for j in range(len(idx)))
+        T[rep.tail.namespace] = operator_on(rows, phase=phases)
         corner_levels[rep.tail.namespace] = levels
-    inner = basis.starts[depth] - basis.starts[1]
+    inner = basis.starts[-2] - nv  # the last level is level ``depth``, or empty
     return TruncatedRep(
         spec=spec,
         depth=depth,

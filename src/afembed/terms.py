@@ -57,6 +57,10 @@ class UnrepresentableTermError(ValueError):
     """
 
 
+class CoefficientRangeError(ValueError):
+    """An exact coefficient whose real or imaginary part no float can hold."""
+
+
 class CK3ExpansionError(ValueError):
     """Receiver-sum expansion requested at a vertex with no receivers."""
 
@@ -99,7 +103,13 @@ class GaussianRational:
         return self.real == 0 and self.imag == 0
 
     def __complex__(self) -> complex:
-        return complex(float(self.real), float(self.imag))
+        try:
+            return complex(float(self.real), float(self.imag))
+        except OverflowError:
+            text = str(self)
+            raise CoefficientRangeError(
+                f"coefficient {text[:24]}... of {len(text)} characters is beyond the float range"
+            ) from None
 
     def __str__(self) -> str:
         if self.imag == 0:
@@ -139,6 +149,11 @@ class StarContext(abc.ABC):
 
     @abc.abstractmethod
     def receivers(self, v: str) -> frozenset[str]: ...
+
+    def unique_receiver(self, v: str) -> str | None:
+        """The one edge with range ``v``, or None if ``v`` has several or none."""
+        rec = self.receivers(v)
+        return next(iter(rec)) if len(rec) == 1 else None
 
     @abc.abstractmethod
     def sink_vertex(self, namespace: str) -> str: ...
@@ -281,7 +296,7 @@ def _step(ctx: StarContext, x: tuple, y: tuple):
         if a[1] != b[1]:
             return ZERO
         c = ("p", u)
-    elif ta == "s" and tb == "s*" and a[1] == b[1] and ctx.receivers(u) == {a[1]}:
+    elif ta == "s" and tb == "s*" and a[1] == b[1] and ctx.unique_receiver(u) == a[1]:
         c = ("p", u)
     elif ta == "t" and tb == "t":  # facing sinks agree, so one tail
         k = a[2] + b[2]

@@ -19,8 +19,9 @@ The structure outputs were pinned before the graph core was interned to
 integers: ``export`` in all three formats, ``classify`` and ``loops`` on a
 host whose ids crowd the tail namespaces, and ``classify`` of a JSON copy
 of ``cycles_dag`` (``cycles_dag.json``, written by ``export --format json``).
-An ``export`` case names its own ``--format``; every other case runs with
-``--format json``.
+Three ``*_text`` cases pin the default text records of ``classify``,
+``loops`` and ``verify``.  An ``export`` or ``*_text`` case names its own
+``--format``; every other case runs with ``--format json``.
 """
 
 import io
@@ -70,6 +71,10 @@ CASES = {
     "classify_crowded": ["classify", "--input", "@crowded.txt"],
     "loops_crowded": ["loops", "--input", "@crowded.txt"],
     "classify_cycles_dag_json": ["classify", "--input", "@cycles_dag.json"],
+    # the default text records: a witness chain, loops, and ``note`` values with spaces
+    "classify_square_plus_entrance_text": ["classify", "--input", "@square_plus_entrance.txt", "--format", "text"],
+    "loops_crowded_text": ["loops", "--input", "@crowded.txt", "--format", "text"],
+    "verify_cycles_dag_text": ["verify", "--input", "@cycles_dag.txt", "--depth", "4", "--format", "text"],
 }
 # ``export`` in each of its formats; these name their own ``--format``
 for _graph in ("cycles_dag", "crowded"):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import time
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from afembed.embedding import embed, materialize
-from afembed.graph import Graph, load_graph, parse_graph
+from afembed.graph import Graph, Path, PathError, load_graph, parse_graph
 from afembed.loops import (
     EntranceExistsError,
     EntranceWitness,
@@ -19,6 +20,7 @@ from afembed.loops import (
     simple_cycle_through,
     witness_infinite,
 )
+from afembed.verify import verify_witness
 
 from .conftest import SQUARE_TEXT, growth_ratio
 from .oracles import (
@@ -233,6 +235,48 @@ class TestWitness:
         )
         with pytest.raises(InvalidWitnessError):
             witness_infinite(square_plus_entrance, bad)
+
+    # corruptions of square_plus_entrance's witness: loop e1 e4 e3 e2 based at
+    # u2, entered by x from w; each names the fields it replaces
+    CORRUPTED = {
+        "no loop edge": ({"loop": SimpleLoop((), ())}, "a loop has at least one edge"),
+        "loop not composable": (
+            {"loop": SimpleLoop(("e1", "e3", "e4", "e2"), ("u2", "u3", "u4", "u1"))},
+            "edges do not compose: ('e1', 'e3', 'e4', 'e2')",
+        ),
+        "loop not closed": (
+            {"loop": SimpleLoop(("e4", "e3", "e2"), ("u2", "u3", "u4"))},
+            "path does not close up into a loop",
+        ),
+        "loop twice round": (
+            {"loop": SimpleLoop(("e1", "e4", "e3", "e2") * 2, ("u2", "u3", "u4", "u1") * 2)},
+            "loop is not simple: repeated range vertex",
+        ),
+        "loop vertices": (
+            {"loop": SimpleLoop(("e1", "e4", "e3", "e2"), ("u1", "u2", "u3", "u4"))},
+            "loop vertex list inconsistent with its edges",
+        ),
+        "loop based elsewhere": ({"entry_vertex": "u3"}, "loop is not based at the entry vertex"),
+        "entry edge on loop": ({"entry_edge": "e1"}, "entry edge lies on the loop"),
+        "entry edge elsewhere": (
+            {"loop": SimpleLoop(("e4", "e3", "e2", "e1"), ("u1", "u2", "u3", "u4")), "entry_vertex": "u1"},
+            "entry edge does not point at the entry vertex",
+        ),
+        "alpha not the loop": ({"alpha": Path(("e1",), "u1", "u2")}, "alpha must be the witness loop as a path"),
+        "beta not composable": ({"beta": Path(("x", "e1"), "u1", "u2")}, "edges do not compose: ('x', 'e1')"),
+        "beta elsewhere": ({"beta": Path(("e2",), "u2", "u3")}, "beta must range at the entry vertex"),
+        "beta is alpha": ({"beta": Path(("e1", "e4", "e3", "e2"), "u2", "u2")}, "alpha and beta must be distinct paths"),
+    }
+
+    @pytest.mark.parametrize("check", [witness_infinite, lambda g, w: verify_witness(w, g)], ids=["chain", "proof"])
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTED))
+    def test_corrupted_witness_rejected_with_its_reason(self, square_plus_entrance, corruption, check):
+        fields, message = self.CORRUPTED[corruption]
+        bad = dataclasses.replace(classify(square_plus_entrance).witness, **fields)
+        error = PathError if corruption == "beta not composable" else InvalidWitnessError
+        with pytest.raises(error) as exc:
+            check(square_plus_entrance, bad)
+        assert str(exc.value) == message
 
     @given(entrance_graphs())
     @settings(max_examples=100, deadline=None)
