@@ -1,5 +1,7 @@
 """Finiteness classification and constructive AF-embedding of graph algebras."""
 
+from importlib import import_module
+
 from .graph import (
     Edge,
     Graph,
@@ -26,51 +28,64 @@ from .loops import (
     disjoint_simple_loops,
     witness_infinite,
 )
-from .terms import (
-    CKTerm,
-    GaussianRational,
-    NormalMonomial,
-    StarContext,
-    adjoint,
-    expand_ck3,
-    multiply,
-    parse_term,
-    projection,
-    term_to_str,
-)
-from .embedding import (
-    AugmentedGraphSpec,
-    BratteliTailSpec,
-    GeneratorMap,
-    LoopReplacement,
-    MultiplicitySeq,
-    embed,
-    materialize,
-)
-from .verify import RelationReport, RelationStatus, verify_ck_family, verify_witness
 
-# only ``verify`` needs the numeric stage: its names are resolved on first
-# access (PEP 562) so the structure commands never import it.  numrep loads
-# numpy only for a ``--map`` with a coefficient other than 1 or -1 or with a
-# genuine sum
-_NUMERIC = frozenset(
-    {
-        "PathBasis",
-        "SpectrumReport",
-        "TruncatedRep",
-        "build_rep",
-        "loop_spectrum",
-        "op_of_term",
-        "relation_residuals",
-    }
-)
+# ``classify``, ``loops`` and ``export`` need only ``graph`` and ``loops``,
+# imported above.  Every other name is resolved on first access (PEP 562)
+# through this table, so importing the package compiles neither the term
+# engine, nor the embedding, nor the verifier, nor the numeric stage.
+# numrep loads numpy only for a ``--map`` with a coefficient other than 1 or
+# -1 or with a genuine sum.
+_LAZY = {
+    name: module
+    for module, names in (
+        (
+            "terms",
+            (
+                "CKTerm",
+                "GaussianRational",
+                "NormalMonomial",
+                "StarContext",
+                "adjoint",
+                "expand_ck3",
+                "multiply",
+                "parse_term",
+                "projection",
+                "term_to_str",
+            ),
+        ),
+        (
+            "embedding",
+            (
+                "AugmentedGraphSpec",
+                "BratteliTailSpec",
+                "GeneratorMap",
+                "LoopReplacement",
+                "MultiplicitySeq",
+                "embed",
+                "materialize",
+            ),
+        ),
+        ("verify", ("RelationReport", "RelationStatus", "verify_ck_family", "verify_witness")),
+        (
+            "numrep",
+            (
+                "PathBasis",
+                "SpectrumReport",
+                "TruncatedRep",
+                "build_rep",
+                "loop_spectrum",
+                "op_of_term",
+                "relation_residuals",
+            ),
+        ),
+    )
+    for name in names
+}
 
 
 def __getattr__(name: str):
-    if name in _NUMERIC:
-        from . import numrep
-
-        value = getattr(numrep, name)
+    if name in _LAZY:
+        value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
         globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,20 +15,36 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 from pathlib import Path as FsPath
 
-from .embedding import (
-    MultiplicitySeq,
-    embed,
-    genmap_from_text,
-    genmap_to_text,
-    materialize,
-    spec_to_dict,
-)
 from .graph import GraphError, export_dot, graph_to_dict, load_graph, serialize_graph
 from .loops import EntranceExistsError, Verdict, classify, disjoint_simple_loops, witness_infinite
-from .terms import term_to_str
-from .verify import RelationStatus, verify_ck_family
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``afembed.<module>.<name>`` that imports the module at its first call.
+
+    ``classify``, ``loops`` and ``export`` need only ``graph`` and ``loops``,
+    so the term engine, the embedding, the verifier and the numeric stage
+    are imported by the commands that run them.  The stand-ins stay module
+    attributes that the commands look up at each call, so a caller can
+    still wrap them here.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+embed = _deferred("embedding", "embed")
+materialize = _deferred("embedding", "materialize")
+verify_ck_family = _deferred("verify", "verify_ck_family")
+build_rep = _deferred("numrep", "build_rep")
+relation_residuals = _deferred("numrep", "relation_residuals")
+loop_spectrum = _deferred("numrep", "loop_spectrum")
 
 OUTPUT_DIR_ENV = "AFEMBED_OUTPUT_DIR"
 
@@ -117,6 +133,8 @@ def cmd_loops(args, out) -> int:
 
 
 def cmd_embed(args, out) -> int:
+    from .embedding import genmap_to_text, spec_to_dict
+
     g = _load(args.input)
     try:
         spec, gmap = embed(g, args.mult)
@@ -154,32 +172,11 @@ def cmd_embed(args, out) -> int:
     return EXIT_OK
 
 
-# Only ``verify`` needs the numeric stage, so ``numrep`` is imported on first
-# use; these names stay module attributes of the CLI.  numrep itself loads
-# numpy only for a ``--map`` with a coefficient other than 1 or -1 or with a
-# genuine sum.
-
-
-def build_rep(spec, depth):
-    from . import numrep
-
-    return numrep.build_rep(spec, depth)
-
-
-def relation_residuals(rep, gmap):
-    from . import numrep
-
-    return numrep.relation_residuals(rep, gmap)
-
-
-def loop_spectrum(rep, loop, gmap):
-    from . import numrep
-
-    return numrep.loop_spectrum(rep, loop, gmap)
-
-
 def cmd_verify(args, out) -> int:
-    from . import numrep  # its import time lands here, before any numeric call
+    from . import numrep  # and with it every other module, before any stage runs
+    from .embedding import genmap_from_text
+    from .terms import term_to_str
+    from .verify import RelationStatus
 
     g = _load(args.input)
     try:
@@ -282,6 +279,18 @@ def cmd_export(args, out) -> int:
     return EXIT_OK
 
 
+def _mult(text: str):
+    """``--mult``: a :class:`MultiplicitySeq`.  argparse converts the string
+    default too, and only for ``embed`` and ``verify``, so building the
+    parser imports nothing; a bad value is a usage error that says why."""
+    from .embedding import MultiplicitySeq
+
+    try:
+        return MultiplicitySeq.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afembed",
@@ -304,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="construct the loop-free graph and generator map")
     common(p)
     p.add_argument("--depth", type=int, default=6, help="tail depth of the materialized stage")
-    p.add_argument("--mult", type=MultiplicitySeq.parse, default=MultiplicitySeq(), help="level multiplicities, e.g. '2' or '3,2;2'")
+    p.add_argument("--mult", type=_mult, default="2", help="level multiplicities, e.g. '2' or '3,2;2'")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("verify", help="prove the relations symbolically and check numeric residuals")
     common(p)
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--mult", type=MultiplicitySeq.parse, default=MultiplicitySeq())
+    p.add_argument("--mult", type=_mult, default="2")
     p.add_argument("--map", help="generator map file to verify instead of the constructed one")
     p.set_defaults(func=cmd_verify)
 

@@ -568,7 +568,13 @@ def op_of_monomial(m: NormalMonomial, rep: TruncatedRep) -> Operator:
         ns = rep.spec.sink_namespace(m.source)
         if ns is None:
             raise ContextMismatchError(f"monomial source {m.source!r} is not a tail sink")
-        factors.append(_tail_power(rep, ns, m.power))
+        # every level size divides N_d, the deepest, so T^(N_d) is the corner
+        # projection: a --map exponent beyond N_d is reduced into 1 .. N_d
+        # rather than spending |k| - 1 products
+        period, k = len(rep.corner_levels[ns][-1]), abs(m.power)
+        if k > period:
+            k = (k - 1) % period + 1
+        factors.append(_tail_power(rep, ns, k if m.power > 0 else -k))
     for e in reversed(m.alpha):  # innermost factor S[alpha_1] first
         if e not in rep.S:
             raise ContextMismatchError(f"edge {e!r} not in the materialized stage")

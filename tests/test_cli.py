@@ -1,12 +1,16 @@
+import contextlib
 import io
 import json
 import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from afembed.cli import (
     EXIT_INPUT_ERROR,
@@ -16,12 +20,13 @@ from afembed.cli import (
     entry_point,
     main,
 )
-from afembed.embedding import MAX_STAGE_SIZE, embed
-from afembed.graph import load_graph
-from afembed.loops import Verdict, classify
+from afembed.embedding import MAX_STAGE_SIZE, embed, genmap_to_text
+from afembed.graph import load_graph, serialize_graph
+from afembed.loops import EntranceExistsError, Verdict, classify
 from afembed.terms import ContextMismatchError, TermParseError, parse_term
 
 from .conftest import SQUARE_TEXT
+from .strategies import condition5_graphs, multigraphs
 from .test_golden import GOLDEN, child_env
 
 
@@ -353,6 +358,32 @@ class TestVerify:
         assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
         assert proc.stdout == (GOLDEN / "verify_dag.stdout").read_bytes()
 
+    @pytest.mark.parametrize(
+        "power, reduced",
+        [("99999999999999999999", "7"), ("-99999999999999999997", "-5"), ("100000000000000000000", "8")],
+    )
+    def test_huge_map_exponent_is_reduced_modulo_the_period(self, tmp_path, capsys, power, reduced):
+        """``T^8`` is the corner projection of ``F_3`` at ``--mult 2``, so an
+        exponent beyond 8 reports as its representative in 1 .. 8, and
+        finishes at once rather than after ``|k| - 1`` operator products."""
+        rest = "e2 = s(T1.f3) t(T1) s*(T1.f2)\ne3 = s(T1.f4) t(T1) s*(T1.f3)\ne4 = s(T1.f1) t(T1) s*(T1.f4)\n"
+        argvs = {}
+        for k in (power, reduced):
+            path = tmp_path / f"{k}.genmap.txt"
+            path.write_text(f"e1 = s(T1.f2) t(T1)^{k} s*(T1.f1)\n" + rest)
+            argvs[k] = ["verify", "--input", str(GOLDEN / "square.txt"), "--depth", "3", "--map", str(path)]
+        code, out = run_cli(argvs[reduced])
+        assert code == EXIT_VERIFICATION_FAILED
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", "from afembed.cli import entry_point\nentry_point()\n", *argvs[power]],
+            env=child_env(),
+            capture_output=True,
+            timeout=10,
+        )
+        assert time.perf_counter() - started < 1  # interpreter start-up included
+        assert (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")) == (code, out, capsys.readouterr().err)
+
     def test_domain_mismatch_is_input_error(self, square_file, tmp_path, capsys):
         bad = tmp_path / "bad.genmap.txt"
         bad.write_text("e1 = p(u1)\n")
@@ -381,6 +412,22 @@ class TestUsageErrors:
         code, _ = run_cli(argv)
         assert code == EXIT_INPUT_ERROR
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["embed", "verify"])
+    @pytest.mark.parametrize(
+        "mult, reason",
+        [
+            ("1", "the repeating multiplicity must be >= 2 so that entries >= 2 occur infinitely often"),
+            ("0;2", "multiplicities must be >= 1"),
+            ("3;1", "the repeating multiplicity must be >= 2 so that entries >= 2 occur infinitely often"),
+            ("2,,3;2", "expected '<tail>' or '<m1>,<m2>,...;<tail>', not '2,,3;2'"),
+        ],
+    )
+    def test_mult_error_names_its_reason(self, command, mult, reason, capsys):
+        assert run_cli([command, "--input", "g.txt", "--mult", mult]) == (EXIT_INPUT_ERROR, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.endswith(f"afembed {command}: error: argument --mult: {reason}\n")
 
     def test_process_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["afembed", "verify", "--mult", "x;2"])
@@ -482,3 +529,111 @@ class TestStageCeiling:
         *counts, ceiling = map(int, match.groups())
         assert ceiling == MAX_STAGE_SIZE and all(n > MAX_STAGE_SIZE for n in counts)
         assert not (tmp_path / "out").exists()  # no artifact was written
+
+
+# --- fuzz: any argv over any graph ends in an exit code and a message
+
+# up to 3 a stage at depth 8 stays small; a number past 2^21 crosses the
+# stage ceiling wherever it is used
+_HUGE = st.integers(2**21, 10**30).map(str)
+_MULT_TAIL = st.sampled_from(["2", "3", "02", "0003"]) | _HUGE
+_MULT = st.one_of(
+    _MULT_TAIL,
+    st.builds("{};{}".format, st.lists(st.sampled_from(["1", "2", "3", "01"]) | _HUGE, min_size=1, max_size=4).map(",".join), _MULT_TAIL),
+    # near misses of ``[0-9]+(,[0-9]+)*;[0-9]+|[0-9]+``
+    st.sampled_from(
+        ["", "0", "1", "00", "0;2", "3;1", ";", ";2", "2;", ",;2", "2,,3;2", "2;3;4", "-2", "+2", " 2", "2 ",
+         "1_000", "2.0", "\u0663", "0x2", "2e3", "2,3", "2;;3"]
+    ),
+)
+_ATOM_IDS = ["T1.f1", "T1.f2", "T2.f1", "T1.b1.1", "T1.b2.2", "T1.v", "T1.L1.1", "T9.f1", "c0x0", "w0", "v0", "l0e0"]
+_FACTOR = st.one_of(
+    st.builds("{}({})".format, st.sampled_from(["s", "s*", "p"]), st.sampled_from(_ATOM_IDS)),
+    st.builds("t({})".format, st.sampled_from(["T1", "T2", "T9"])),
+)
+_TERM = st.builds(
+    "{}{}".format,
+    st.sampled_from(["", "2 ", "-1 ", "(3/5+4/5i) ", "i ", "1/0 ", "1" + "0" * 400 + " ", "0 "]),
+    st.lists(_FACTOR, min_size=1, max_size=4).map(" ".join),
+)
+_IMAGE = st.one_of(_TERM, st.lists(_TERM, min_size=2, max_size=3).map(" + ".join), st.text(max_size=12))
+_EXPONENT = st.sampled_from(["2", "-3", "0", "99999999999999999999", "-10000000000000000000000", "x"])
+
+
+@st.composite
+def _map_text(draw, g) -> str:
+    """The constructed map with at most two of its lines given a tail
+    exponent, replaced, dropped or repeated, or with an extra line."""
+    try:
+        spec, gmap = embed(g)
+        lines = genmap_to_text(gmap, spec).splitlines()[1:]
+    except EntranceExistsError:
+        lines = [f"{e} = s({e})" for e in g.edge_names]
+    for _ in range(draw(st.integers(0, 2))):
+        action = draw(st.sampled_from(["power", "power", "replace", "drop", "repeat", "extra"]))
+        i = draw(st.integers(0, len(lines))) if lines else 0
+        if action == "extra" or i == len(lines):
+            lines.insert(i, f"{draw(st.sampled_from(['zz', '', 'l0e0']))} = {draw(_IMAGE)}")
+        elif action == "power":
+            lines[i] = re.sub(r"t\(T\d+\)", lambda t: f"{t.group(0)}^{draw(_EXPONENT)}", lines[i], count=1)
+        elif action == "replace":
+            lines[i] = f"{lines[i].partition(' =')[0]} = {draw(_IMAGE)}"
+        elif action == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _requests(draw):
+    command = draw(st.sampled_from(["classify", "loops", "export", "embed", "verify", "verify --map"]))
+    embeddable = condition5_graphs(max_loops=2)
+    if command == "verify --map":  # a map that has a loop to send into a tail
+        g = draw(embeddable.filter(lambda g: classify(g).loops))
+    else:
+        g = draw(embeddable | multigraphs(max_vertices=5, max_edges=8))
+    options = ["--format", draw(st.sampled_from(["text", "json", "dot"] if command == "export" else ["text", "json"]))]
+    map_text = None
+    if command == "verify --map":
+        command, map_text = "verify", draw(_map_text(g))
+    if command in ("embed", "verify"):
+        # a ``--map`` image that is a genuine sum takes a dense eigensolver on
+        # the corner, so a mapped stage stays shallower
+        options += ["--depth", str(draw(st.integers(0, 5 if map_text else 8)))]
+        options += ["--mult", draw(_MULT)]
+    return serialize_graph(g), command, options, map_text
+
+
+class TestFuzz:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fuzz")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("AFEMBED_OUTPUT_DIR", str(d / "out"))
+            yield d
+
+    @given(request=_requests())
+    @settings(max_examples=200, deadline=None)
+    def test_every_request_ends_in_a_code_and_parseable_records(self, workdir, request):
+        graph_text, command, options, map_text = request
+        graph = workdir / "g.txt"
+        graph.write_text(graph_text, encoding="utf-8")
+        argv = [command, "--input", str(graph), *options]
+        if map_text is not None:
+            (workdir / "g.genmap.txt").write_text(map_text, encoding="utf-8")
+            argv += ["--map", str(workdir / "g.genmap.txt")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv, out=out)
+        event(f"{command} exit {code}")
+        assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_VERIFICATION_FAILED, EXIT_NOT_FINITE), argv
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_INPUT_ERROR:
+            assert out.getvalue() == "" and err.getvalue(), argv
+        if "json" in options:
+            if command == "export":
+                json.loads(out.getvalue())
+            else:
+                for line in out.getvalue().splitlines():
+                    json.loads(line)

@@ -208,16 +208,27 @@ def test_embed_and_export_need_no_numpy(command, tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == artifacts
 
 
+# compiled only by the commands that run them: ``terms`` brings ``fractions``
+# and ``decimal`` with it
+DEFERRED = ("afembed.terms", "afembed.embedding", "afembed.verify", "afembed.numrep", "fractions", "decimal")
+
+
 def test_structure_commands_never_import_numrep(tmp_path):
-    """``numrep`` is the numeric stage; only ``verify`` imports it."""
-    argvs = [resolve([cmd, "--input", "@square.txt"]) for cmd in ("classify", "loops", "embed", "export")]
+    """``classify``, ``loops`` and ``export`` load only ``graph`` and
+    ``loops``; ``embed`` adds ``terms`` and ``embedding``; only ``verify``
+    imports the verifier and the numeric stage."""
+    argvs = [resolve([cmd, "--input", "@square.txt"]) for cmd in ("classify", "loops", "export")]
     code = (
         "import sys\n"
         "from afembed.cli import main\n"
-        "assert 'afembed.numrep' not in sys.modules\n"
+        f"deferred = {DEFERRED!r}\n"
+        "assert not sys.modules.keys() & set(deferred), sorted(sys.modules.keys() & set(deferred))\n"
         f"for argv in {argvs!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        "    assert 'afembed.numrep' not in sys.modules, argv\n"
+        "    assert not sys.modules.keys() & set(deferred), (argv, sorted(sys.modules.keys() & set(deferred)))\n"
+        f"assert main({resolve(['embed', '--input', '@square.txt'])!r}) == 0\n"
+        "assert 'afembed.embedding' in sys.modules\n"
+        "assert not sys.modules.keys() & {'afembed.verify', 'afembed.numrep'}\n"
     )
     env = dict(child_env(), AFEMBED_OUTPUT_DIR=str(tmp_path))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)

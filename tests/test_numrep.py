@@ -145,6 +145,25 @@ class TestOpOfTerm:
         diff = pi @ (symbolic - numeric) @ pi
         assert np.max(np.abs(diff)) <= SPEC_TOL
 
+    def test_tail_exponent_beyond_the_deepest_level_is_reduced(self, square_embedding):
+        """Every level size divides ``N_d``, so ``T^(N_d)`` is the corner
+        projection, and an exponent beyond ``N_d`` is evaluated as its
+        representative in ``1 .. N_d``, which the products form as before."""
+        spec, _ = square_embedding
+        rep = build_rep(spec, 3)
+        period = len(rep.corner_levels["T1"][-1])
+        assert period == 8
+        corner = rep.P["T1.v"].toarray()
+        for k in (*range(-3 * period, 0), *range(1, 3 * period + 1)):
+            op = op_of_term(CKTerm.of(NormalMonomial((), k, (), "T1.v")), rep)
+            dense = _atom_matrix(rep, ("t", "T1", k))
+            assert np.max(np.abs(op.toarray() - dense)) <= SPEC_TOL, k
+            reduced = (abs(k) - 1) % period + 1
+            same = op_of_term(CKTerm.of(NormalMonomial((), reduced if k > 0 else -reduced, (), "T1.v")), rep)
+            assert repr(op) == repr(same), k  # to the bit, signed zeros included
+            if k % period == 0:
+                assert np.max(np.abs(dense - corner)) <= SPEC_TOL, k
+
 
 def _atom_matrix(rep, atom):
     """Dense matrix of one word atom, built from the generators alone."""
