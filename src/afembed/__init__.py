@@ -36,50 +36,34 @@ from .loops import (
 # numrep loads numpy only for a ``--map`` with a coefficient other than 1 or
 # -1 or with a genuine sum.
 _LAZY = {
-    name: module
-    for module, names in (
-        (
-            "terms",
-            (
-                "CKTerm",
-                "GaussianRational",
-                "NormalMonomial",
-                "StarContext",
-                "adjoint",
-                "expand_ck3",
-                "multiply",
-                "parse_term",
-                "projection",
-                "term_to_str",
-            ),
-        ),
-        (
-            "embedding",
-            (
-                "AugmentedGraphSpec",
-                "BratteliTailSpec",
-                "GeneratorMap",
-                "LoopReplacement",
-                "MultiplicitySeq",
-                "embed",
-                "materialize",
-            ),
-        ),
-        ("verify", ("RelationReport", "RelationStatus", "verify_ck_family", "verify_witness")),
-        (
-            "numrep",
-            (
-                "PathBasis",
-                "SpectrumReport",
-                "TruncatedRep",
-                "build_rep",
-                "loop_spectrum",
-                "op_of_term",
-                "relation_residuals",
-            ),
-        ),
-    )
-    for name in names
+    "CKTerm": "terms",
+    "GaussianRational": "terms",
+    "NormalMonomial": "terms",
+    "StarContext": "terms",
+    "adjoint": "terms",
+    "expand_ck3": "terms",
+    "multiply": "terms",
+    "parse_term": "terms",
+    "projection": "terms",
+    "term_to_str": "terms",
+    "AugmentedGraphSpec": "embedding",
+    "BratteliTailSpec": "embedding",
+    "GeneratorMap": "embedding",
+    "LoopReplacement": "embedding",
+    "MultiplicitySeq": "embedding",
+    "embed": "embedding",
+    "materialize": "embedding",
+    "RelationReport": "verify",
+    "RelationStatus": "verify",
+    "verify_ck_family": "verify",
+    "verify_witness": "verify",
+    "PathBasis": "numrep",
+    "SpectrumReport": "numrep",
+    "TruncatedRep": "numrep",
+    "build_rep": "numrep",
+    "loop_spectrum": "numrep",
+    "op_of_term": "numrep",
+    "relation_residuals": "numrep",
 }
 
 
