@@ -39,7 +39,8 @@ Spectra need no eigensolver in the common case: ``T^n`` on the corner is
 diagonal, and a phased partial permutation has the ``L``-th roots of ``w``
 on each cycle of length ``L`` and phase product ``w``, and zeros on its
 chains.  Only a loop image that is a genuine sum, with two entries in one
-row or column, falls back to numpy's dense ``eigvals`` on its support.
+row or column, falls back to numpy's dense ``eigvals`` on its support, and
+a support above :data:`MAX_DENSE_SUPPORT` is refused before it is allocated.
 """
 
 from __future__ import annotations
@@ -61,6 +62,18 @@ from .verify import ck_instances
 
 class RepresentationError(ValueError):
     pass
+
+
+#: The most basis vectors the dense eigensolver takes.  ``eigvals`` holds
+#: two complex matrices of that side, so with numpy 2.4 on x86-64 it peaks
+#: at about 33 MB plus 32 bytes per entry: 164 MB at 2,047 vectors, 311 MB
+#: at 3,000 and 550 MB at 4,095, so a spectrum at this ceiling stays within
+#: the half gigabyte that :data:`MAX_STAGE_SIZE` allows a stage.
+MAX_DENSE_SUPPORT = 3000
+
+
+class DenseSpectrumTooLargeError(RepresentationError):
+    """A dense spectrum above :data:`MAX_DENSE_SUPPORT`, refused before it is allocated."""
 
 
 @dataclass(frozen=True)
@@ -422,9 +435,14 @@ class Operator:
         if len(set(src)) == len(src) and len(set(tgt)) == len(tgt):
             return _cycle_spectrum(src, tgt, val)
         # a genuine sum, two entries in one row or column: dense, on the support
+        support = {v: k for k, v in enumerate(sorted(set(src) | set(tgt)))}
+        if len(support) > MAX_DENSE_SUPPORT:
+            raise DenseSpectrumTooLargeError(
+                f"the spectrum needs a dense eigensolver on {len(support)} basis vectors, "
+                f"more than the {MAX_DENSE_SUPPORT} it may take"
+            )
         import numpy as np
 
-        support = {v: k for k, v in enumerate(sorted(set(src) | set(tgt)))}
         dense = np.zeros((len(support), len(support)), dtype=np.complex128)
         for s, t, v in zip(src, tgt, val):
             dense[support[t], support[s]] = v
@@ -585,6 +603,20 @@ def op_of_monomial(m: NormalMonomial, rep: TruncatedRep) -> Operator:
     return out
 
 
+def last_edges(rep: TruncatedRep, op: Operator) -> set[int]:
+    """The last edge of each basis path ``op`` maps into (-1 for a vertex),
+    zero-valued entries included: the numeric backend's ``support``.
+
+    A product ``op* b`` is zero unless ``b`` maps into a row ``op`` maps
+    into, and such a row has one last edge.  Keyed by rows, the catalogue's
+    index would hold an entry for each of the thousands of rows of a deep
+    corner; keyed by edges it holds a few, and it skips the same pairs for
+    the constructed map, whose images end in distinct edges.
+    """
+    edge = rep.basis.edge
+    return {edge[t] for p in op.pieces for t in p.tgt}
+
+
 def op_of_term(term: CKTerm, rep: TruncatedRep) -> Operator:
     """Evaluate ``s_alpha t^k s_beta* -> S[alpha] T^k S[beta]*`` linearly."""
     out = Operator(rep.dimension)
@@ -635,6 +667,7 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         rep.P.__getitem__,
         Operator.adjoint,
         operator.matmul,
+        partial(last_edges, rep),
         zero,
     ):
         for name, lhs, rhs in identities:

@@ -442,10 +442,12 @@ def term_of_word(ctx: StarContext, word: Iterable[Atom], coeff=1) -> CKTerm:
 def multiply(a: CKTerm, b: CKTerm, ctx: StarContext) -> CKTerm:
     """Product in normal form, by concatenating and rewriting monomial words."""
     out: dict[NormalMonomial, GaussianRational] = {}
-    for m1, c1 in a.items():
+    left = list(a.items())
+    right = [(word_of_monomial(ctx, m2), c2) for m2, c2 in b.items()] if left else []
+    for m1, c1 in left:
         w1 = word_of_monomial(ctx, m1)
-        for m2, c2 in b.items():
-            nf = normalize_word(ctx, w1 + word_of_monomial(ctx, m2))
+        for w2, c2 in right:
+            nf = normalize_word(ctx, w1 + w2)
             if nf is ZERO:
                 continue
             m = monomial_of_word(ctx, nf)

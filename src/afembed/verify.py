@@ -4,6 +4,14 @@ The relation instances are listed once, by :func:`ck_instances`; the exact
 checker here and the numeric residuals of :mod:`afembed.numrep` both
 evaluate that one catalogue, each with its own algebra.
 
+Most CK2 instances are zero by orthogonality of ranges: distinct edges
+have orthogonal ranges (Raeburn, *Graph Algebras*, CBMS 103, 2005, Ch. 1),
+so ``img(e)* img(f)`` vanishes when the two images cannot meet from the
+left.  Each backend names the places an image meets another from the left,
+its ``support``, and the catalogue multiplies only the pairs whose supports
+share one; every other pair is the backend's zero, exactly what the product
+would be.
+
 A check is PROVED only by exact normal-form equality in the symbolic
 engine.  Two obligations of the standard uniqueness criterion for
 injectivity cannot be rewrite facts and are reported as RECORDED: the
@@ -17,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Collection, Hashable, Iterator, Mapping, TypeVar
 
 from .embedding import AugmentedGraphSpec, GeneratorMap
 from .graph import Graph
 from .loops import EntranceWitness, validate_witness
-from .terms import CKTerm, adjoint, expand_ck3, multiply, path_isometry, projection
+from .terms import CKTerm, StarContext, adjoint, expand_ck3, multiply, path_isometry, projection
 
 X = TypeVar("X")
 
@@ -33,6 +41,7 @@ def ck_instances(
     projection: Callable[[str], X],
     adjoint: Callable[[X], X],
     product: Callable[[X, X], X],
+    support: Callable[[X], Collection[Hashable]],
     zero: X,
 ) -> Iterator[tuple[str, str | None, tuple[tuple[str, X, X], ...]]]:
     """The CK1-CK3 instances of the family ``images`` over ``family``.
@@ -46,6 +55,16 @@ def ck_instances(
     p(v)`` at each vertex that receives an edge.  Each backend passes its
     own operations (its ``+`` is the sum); each adjoint is computed once
     per edge.
+
+    ``support(x)`` gives keys such that ``adjoint(x) y`` is zero unless
+    ``support(x)`` and ``support(y)`` share one: the ranges of distinct
+    edges are orthogonal (Raeburn, *Graph Algebras*, CBMS 103, 2005,
+    Ch. 1), so for the constructed map the symbolic CK2 takes
+    sum_v |recv(v)|^2 products rather than |E|^2.  A superset of the keys
+    is safe, a subset is not.  Through an inverted index from key to
+    edges, CK2[e,f] is ``product(adjoint(img(e)), img(f))`` when the
+    supports meet or ``e == f`` (its right-hand side is not zero), and
+    ``zero`` otherwise.
     """
     vn, en = family.vertex_names, family.edge_names  # sorted, as ids number them
     for v in vn:
@@ -54,10 +73,17 @@ def ck_instances(
 
     edge_names = sorted(images)
     adjoints = {e: adjoint(images[e]) for e in edge_names}
+    keys = {e: support(images[e]) for e in edge_names}
+    meeting: dict[Hashable, list[str]] = {}
     for e in edge_names:
+        for k in keys[e]:
+            meeting.setdefault(k, []).append(e)
+    for e in edge_names:
+        partners = {e}.union(*map(meeting.__getitem__, keys[e]))
         for f in edge_names:
             rhs = projection(vn[family.src[family.edge_id(e)]]) if e == f else zero
-            yield "CK2", None, ((f"CK2[{e},{f}]", product(adjoints[e], images[f]), rhs),)
+            # no local holds the product, or the last one would live on through CK3
+            yield "CK2", None, ((f"CK2[{e},{f}]", product(adjoints[e], images[f]) if f in partners else zero, rhs),)
 
     for v, rec in zip(vn, family.recv):
         if rec:
@@ -65,6 +91,17 @@ def ck_instances(
             for e in map(en.__getitem__, rec):
                 total = total + product(images[e], adjoints[e])
             yield "CK3", v, ((f"CK3[{v}]", total, projection(v)),)
+
+
+def left_vertices(term: CKTerm, ctx: StarContext) -> set[str]:
+    """The vertex at the left end of each monomial of ``term``.
+
+    ``s_alpha t^k s_beta*`` starts at the range of ``alpha``'s first edge,
+    or at its source when ``alpha`` is empty; a product ``m* n`` of
+    monomials that start at different vertices rewrites to zero at the
+    seam, so this is the symbolic backend's ``support``.
+    """
+    return {ctx.edge_range(m.alpha[0]) if m.alpha else m.source for m in term.monomials()}
 
 
 class RelationStatus(Enum):
@@ -120,6 +157,7 @@ def verify_ck_family(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> RelationRe
         lambda w: projection(spec, w),
         adjoint,
         lambda a, b: multiply(a, b, spec),
+        lambda a: left_vertices(a, spec),
         CKTerm.zero(),
     ):
         name = identities[0][0]

@@ -7,16 +7,17 @@ by exploring *every* rewrite order.  None of it shares code paths with the
 production implementations beyond the basic graph accessors.  It also
 keeps implementations that faster ones replaced, as references: the
 two-array Tarjan, the sixteen-case pair table, the set-based graph core,
-the sort-based path basis, and the term parser that threads a
+the sort-based path basis, the term parser that threads a
 ``(scalar, term)`` pair through its sums (it multiplies with the
-production term operations; only the grammar is under test).
+production term operations; only the grammar is under test), and the
+relation catalogue that multiplies out every CK2 pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from afembed.graph import (
     DuplicateIdError,
@@ -659,3 +660,49 @@ def reference_parse_term(text: str, ctx: StarContext) -> CKTerm:
     if text == "0":
         return CKTerm.zero()
     return ReferenceTermParser(ctx, text).parse()
+
+
+X = TypeVar("X")
+
+
+def reference_ck_instances(
+    family: Graph,
+    images: Mapping[str, X],
+    projection: Callable[[str], X],
+    adjoint: Callable[[X], X],
+    product: Callable[[X, X], X],
+    zero: X,
+) -> Iterator[tuple[str, str | None, tuple[tuple[str, X, X], ...]]]:
+    """``verify.ck_instances`` before it skipped cross-range CK2 products,
+    kept verbatim: every CK2 pair is multiplied out.
+
+    The CK1-CK3 instances of the family ``images`` over ``family``.
+
+    Yields ``(family, vertex, identities)`` per instance, where ``vertex``
+    is the vertex a CK1 or CK3 instance is stated at (None for CK2) and
+    ``identities`` are ``(name, lhs, rhs)`` triples; the first name names
+    the instance.  CK1[v] holds two identities, ``p p = p`` (CK1[v]) and
+    ``p* = p`` (CK1*[v]); CK2[e,f] is ``img(e)* img(f) = delta_ef
+    p(source(e))``; CK3[v] is the receiver sum ``sum_e img(e) img(e)* =
+    p(v)`` at each vertex that receives an edge.  Each backend passes its
+    own operations (its ``+`` is the sum); each adjoint is computed once
+    per edge.
+    """
+    vn, en = family.vertex_names, family.edge_names  # sorted, as ids number them
+    for v in vn:
+        p = projection(v)
+        yield "CK1", v, ((f"CK1[{v}]", product(p, p), p), (f"CK1*[{v}]", adjoint(p), p))
+
+    edge_names = sorted(images)
+    adjoints = {e: adjoint(images[e]) for e in edge_names}
+    for e in edge_names:
+        for f in edge_names:
+            rhs = projection(vn[family.src[family.edge_id(e)]]) if e == f else zero
+            yield "CK2", None, ((f"CK2[{e},{f}]", product(adjoints[e], images[f]), rhs),)
+
+    for v, rec in zip(vn, family.recv):
+        if rec:
+            total = zero
+            for e in map(en.__getitem__, rec):
+                total = total + product(images[e], adjoints[e])
+            yield "CK3", v, ((f"CK3[{v}]", total, projection(v)),)

@@ -23,6 +23,7 @@ from afembed.cli import (
 from afembed.embedding import MAX_STAGE_SIZE, embed, genmap_to_text
 from afembed.graph import load_graph, serialize_graph
 from afembed.loops import EntranceExistsError, Verdict, classify
+from afembed.numrep import MAX_DENSE_SUPPORT
 from afembed.terms import ContextMismatchError, TermParseError, parse_term
 
 from .conftest import SQUARE_TEXT
@@ -530,6 +531,23 @@ class TestStageCeiling:
         assert ceiling == MAX_STAGE_SIZE and all(n > MAX_STAGE_SIZE for n in counts)
         assert not (tmp_path / "out").exists()  # no artifact was written
 
+    def test_dense_spectrum_refused_in_a_capped_process(self):
+        """The square's sum map at depth 11 needs the dense eigensolver on
+        4,094 basis vectors, about 550 MB; it is refused before that."""
+        argv = ["verify", "--input", str(GOLDEN / "square.txt"), "--map", str(GOLDEN / "square_sum.genmap.txt"), "--depth", "11"]
+        code = "from afembed.cli import entry_point\nentry_point()\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=child_env(),
+            capture_output=True,
+            timeout=60,
+            preexec_fn=_cap_address_space,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, b"")
+        assert proc.stderr.decode("utf-8") == (
+            f"error: the spectrum needs a dense eigensolver on 4094 basis vectors, more than the {MAX_DENSE_SUPPORT} it may take\n"
+        )
+
 
 # --- fuzz: any argv over any graph ends in an exit code and a message
 
@@ -598,9 +616,7 @@ def _requests(draw):
     if command == "verify --map":
         command, map_text = "verify", draw(_map_text(g))
     if command in ("embed", "verify"):
-        # a ``--map`` image that is a genuine sum takes a dense eigensolver on
-        # the corner, so a mapped stage stays shallower
-        options += ["--depth", str(draw(st.integers(0, 5 if map_text else 8)))]
+        options += ["--depth", str(draw(st.integers(0, 8)))]
         options += ["--mult", draw(_MULT)]
     return serialize_graph(g), command, options, map_text
 

@@ -15,6 +15,7 @@ from afembed.numrep import (
     _modulus,
     _numpy_sum,
     _tail_phase,
+    DenseSpectrumTooLargeError,
     Operator,
     PathBasis,
     Piece,
@@ -374,6 +375,22 @@ class TestOperatorSpectrum:
         b = Operator(3, (Piece((0,), (0,), (2.0 + 0j,)),))
         total = a + b
         assert _same_multiset(total.eigenvalues(), np.linalg.eigvals(total.toarray()[:2, :2]), 1e-12)
+
+    def test_dense_support_above_the_ceiling_is_refused_unallocated(self, monkeypatch):
+        """A genuine sum on 2 basis vectors is solved at a ceiling of 2 and
+        refused at 1, without a matrix being made."""
+        total = Operator(3, (Piece((0, 1), (1, 0)),)) + Operator(3, (Piece((0,), (0,), (2.0 + 0j,)),))
+        monkeypatch.setattr(numrep, "MAX_DENSE_SUPPORT", 2)
+        assert len(total.eigenvalues()) == 2
+        monkeypatch.setattr(numrep, "MAX_DENSE_SUPPORT", 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense matrix allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(DenseSpectrumTooLargeError) as exc:
+            total.eigenvalues()
+        assert str(exc.value) == "the spectrum needs a dense eigensolver on 2 basis vectors, more than the 1 it may take"
 
 
 @st.composite

@@ -1,9 +1,17 @@
-import pytest
-from hypothesis import given, settings
+import operator
+import re
+from functools import partial
+from unittest import mock
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from afembed import numrep, verify
 from afembed.embedding import AugmentedGraphSpec, GeneratorMap, embed, genmap_from_text, genmap_to_text
-from afembed.graph import parse_graph
-from afembed.loops import classify
+from afembed.graph import load_graph, parse_graph
+from afembed.loops import EntranceExistsError, classify
+from afembed.numrep import Operator, build_rep, last_edges, op_of_term, relation_residuals
 from afembed.terms import (
     NormalMonomial,
     CKTerm,
@@ -12,10 +20,11 @@ from afembed.terms import (
     path_isometry,
     projection,
 )
-from afembed.verify import RelationStatus, verify_ck_family, verify_witness
+from afembed.verify import RelationStatus, ck_instances, left_vertices, verify_ck_family, verify_witness
 
-from .oracles import all_order_normal_forms
-from .strategies import condition5_graphs, entrance_graphs
+from .oracles import all_order_normal_forms, reference_ck_instances
+from .strategies import condition5_graphs, entrance_graphs, multigraphs
+from .test_golden import GOLDEN
 
 
 class TestVerifyCKFamily:
@@ -116,3 +125,167 @@ class TestVerifyWitness:
         s_b = path_isometry(ctx, w.beta.edges)
         assert multiply(adjoint(s_a), s_a, ctx) == projection(ctx, w.alpha.source)
         assert multiply(adjoint(s_a), s_b, ctx).is_zero
+
+
+# --- cross-range CK2 pairs: skipped by support, as if multiplied out
+
+
+def ck2_products(spec: AugmentedGraphSpec, gmap: GeneratorMap) -> int:
+    """How many products the catalogue makes for its CK2 instances."""
+    calls = 0
+
+    def product(a, b):
+        nonlocal calls
+        calls += 1
+        return multiply(a, b, spec)
+
+    ck2 = before = 0
+    for family, _, _ in ck_instances(
+        spec.original_graph(),
+        gmap.edge_map,
+        lambda v: projection(spec, v),
+        adjoint,
+        product,
+        lambda a: left_vertices(a, spec),
+        CKTerm.zero(),
+    ):
+        if family == "CK2":  # an instance's products are made before it is yielded
+            ck2 += calls - before
+        before = calls
+    return ck2
+
+
+def cycle(n: int):
+    return parse_graph("".join(f"vertex u{i}\n" for i in range(n)) + "".join(f"edge e{i} u{i} u{(i + 1) % n}\n" for i in range(n)))
+
+
+_F_EDGE = re.compile(r"T\d+\.f\d+")
+_ATOM = re.compile(r"(?:s\*?|p)\([^()\s]+\)|t\(T\d+\)")
+_COEFFICIENT = st.sampled_from(["-1", "1/2", "i", "(3/5+4/5i)", "-2i"])
+
+
+@st.composite
+def mapped_families(draw):
+    """A spec, a generator map and a depth: the constructed map of a random
+    multigraph (the identity map if a loop has an entrance) with up to three
+    of its images summed, f-swapped, phased, given a tail power, cut down
+    by a term or an atom, or zeroed."""
+    g = draw(condition5_graphs(max_loops=2) | multigraphs(max_vertices=5, max_edges=8))
+    try:
+        spec, gmap = embed(g)
+    except EntranceExistsError:
+        spec = AugmentedGraphSpec(g, ())
+        lines = [f"{e} = s({e})" for e in g.edge_names]
+    else:
+        lines = genmap_to_text(gmap, spec).splitlines()[1:]
+    assume(lines)
+    names = [line.partition(" = ")[0] for line in lines]
+    images = [line.partition(" = ")[2] for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(images) - 1))
+        action = draw(st.sampled_from(["sum", "sum", "fswap", "phase", "power", "drop", "zero"]))
+        if action == "sum":
+            other = draw(st.sampled_from(images + [f"p({v})" for v in g.vertex_names]))
+            images[i] = f"{images[i]} + {draw(_COEFFICIENT)} ({other})"
+        elif action == "fswap":
+            fs = sorted(set(_F_EDGE.findall(" ".join(images))))
+            if len(fs) >= 2:
+                a, b = draw(st.permutations(fs))[:2]
+                images[i] = _F_EDGE.sub(lambda m: {a: b, b: a}.get(m.group(0), m.group(0)), images[i])
+        elif action == "phase":
+            images[i] = f"{draw(_COEFFICIENT)} ({images[i]})"
+        elif action == "power":
+            images[i] = re.sub(r"t\(T\d+\)", lambda m: f"{m.group(0)}^{draw(st.sampled_from([2, -1, 3]))}", images[i], count=1)
+        elif action == "drop":
+            summands = images[i].split(" + ")
+            if len(summands) > 1:
+                del summands[draw(st.integers(0, len(summands) - 1))]
+            else:
+                atoms = _ATOM.findall(summands[0])
+                if len(atoms) > 1:
+                    del atoms[draw(st.integers(0, len(atoms) - 1))]
+                summands = [" ".join(atoms)]
+            images[i] = " + ".join(summands)
+        else:
+            images[i] = "0"
+    try:
+        gmap = genmap_from_text("".join(f"{e} = {img}\n" for e, img in zip(names, images)), spec)
+    except ValueError:
+        assume(False)
+    return spec, gmap, draw(st.integers(1, 3))
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def symbolic_checks(spec, gmap):
+    report = verify_ck_family(gmap, spec)
+    return [(c.relation, c.status, c.difference, c.note) for c in report.checks]
+
+
+def numeric_entries(spec, gmap, depth):
+    """Every residual and boundary defect, each value as its bits (sign included)."""
+    report = relation_residuals(build_rep(spec, depth), gmap)
+    return [(e.name, e.value.hex()) for e in report.entries], [(e.name, e.value.hex()) for e in report.boundary_defects]
+
+
+def numeric_sides(spec, gmap, depth):
+    """Each identity of the catalogue over the stage's operators, unmasked:
+    its name and the entries of both sides, each value as its bits."""
+    rep = build_rep(spec, depth)
+    ops = {e: op_of_term(term, rep) for e, term in gmap.edge_map.items()}
+
+    def bits(op):
+        src, tgt, values = op.entries()
+        return src, tgt, [(v.real.hex(), v.imag.hex()) for v in values]
+
+    catalogue = numrep.ck_instances(
+        spec.original_graph(), ops, rep.P.__getitem__, Operator.adjoint, operator.matmul, partial(last_edges, rep), Operator(rep.dimension)
+    )
+    return [(name, bits(lhs), bits(rhs)) for _, _, identities in catalogue for name, lhs, rhs in identities]
+
+
+def both_backends(spec, gmap, depth):
+    """The symbolic checks, the residuals and defects, and the catalogue's
+    numeric sides: what a catalogue that skips a product could change."""
+    return (
+        outcome(symbolic_checks, spec, gmap),
+        outcome(numeric_entries, spec, gmap, depth),
+        outcome(numeric_sides, spec, gmap, depth),
+    )
+
+
+def multiplied_out(family, images, projection, adjoint, product, support, zero):
+    return reference_ck_instances(family, images, projection, adjoint, product, zero)
+
+
+class TestCrossRangeLemma:
+    """CK2 pairs whose supports do not meet are the backend's zero, without a
+    product; everything else is multiplied out as before."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 48])
+    def test_cycle_takes_one_product_per_edge(self, n):
+        g = cycle(n)
+        spec, gmap = embed(g)
+        assert ck2_products(spec, gmap) == n == sum(len(rec) ** 2 for rec in g.recv)
+
+    @pytest.mark.parametrize("name, products, pairs", [("cycles_dag", 17, 121), ("crowded", 6, 36)])
+    def test_constructed_map_takes_same_range_pairs_only(self, name, products, pairs):
+        g = load_graph((GOLDEN / f"{name}.txt").read_text())
+        spec, gmap = embed(g)
+        assert len(g.edge_names) ** 2 == pairs
+        assert ck2_products(spec, gmap) == products == sum(len(rec) ** 2 for rec in g.recv)
+
+    @settings(max_examples=120, deadline=None)
+    @given(family=mapped_families())
+    def test_both_backends_match_the_full_catalogue(self, family):
+        spec, gmap, depth = family
+        skipped = both_backends(spec, gmap, depth)
+        with mock.patch.object(verify, "ck_instances", multiplied_out), mock.patch.object(numrep, "ck_instances", multiplied_out):
+            full = both_backends(spec, gmap, depth)
+        assert skipped == full
