@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afembed import numrep, verify
-from afembed.embedding import AugmentedGraphSpec, GeneratorMap, embed, genmap_from_text, genmap_to_text
+from afembed.embedding import AugmentedGraphSpec, GeneratorMap, MultiplicitySeq, embed, genmap_from_text, genmap_to_text
 from afembed.graph import load_graph, parse_graph
 from afembed.loops import EntranceExistsError, classify
 from afembed.numrep import Operator, build_rep, last_edges, op_of_term, relation_residuals
@@ -167,12 +167,12 @@ _COEFFICIENT = st.sampled_from(["-1", "1/2", "i", "(3/5+4/5i)", "-2i"])
 @st.composite
 def mapped_families(draw):
     """A spec, a generator map and a depth: the constructed map of a random
-    multigraph (the identity map if a loop has an entrance) with up to three
-    of its images summed, f-swapped, phased, given a tail power, cut down
-    by a term or an atom, or zeroed."""
+    multigraph at a random ``--mult`` (the identity map if a loop has an
+    entrance) with up to three of its images summed, f-swapped, phased,
+    given a tail power, cut down by a term or an atom, or zeroed."""
     g = draw(condition5_graphs(max_loops=2) | multigraphs(max_vertices=5, max_edges=8))
     try:
-        spec, gmap = embed(g)
+        spec, gmap = embed(g, MultiplicitySeq.parse(draw(st.sampled_from(["2", "3", "1,3;2"]))))
     except EntranceExistsError:
         spec = AugmentedGraphSpec(g, ())
         lines = [f"{e} = s({e})" for e in g.edge_names]
