@@ -20,7 +20,9 @@ integers: ``export`` in all three formats, ``classify`` and ``loops`` on a
 host whose ids crowd the tail namespaces, and ``classify`` of a JSON copy
 of ``cycles_dag`` (``cycles_dag.json``, written by ``export --format json``).
 Three ``*_text`` cases pin the default text records of ``classify``,
-``loops`` and ``verify``.  An ``export`` or ``*_text`` case names its own
+``loops`` and ``verify``.  Two more entrance graphs pin every witness
+output: ``two_self_loops``, whose entry edge is itself a loop, and
+``cycle_into_cycle``, whose entry edge leaves another cycle.  An ``export`` or ``*_text`` case names its own
 ``--format``; every other case runs with ``--format json``.
 """
 
@@ -76,6 +78,12 @@ CASES = {
     "loops_crowded_text": ["loops", "--input", "@crowded.txt", "--format", "text"],
     "verify_cycles_dag_text": ["verify", "--input", "@cycles_dag.txt", "--depth", "4", "--format", "text"],
 }
+# two more entrance witnesses: an entry edge that is itself a loop, and one
+# that leaves another cycle
+for _graph in ("two_self_loops", "cycle_into_cycle"):
+    for _command in ("classify", "loops", "verify"):
+        CASES[f"{_command}_{_graph}"] = [_command, "--input", f"@{_graph}.txt"]
+    CASES[f"classify_{_graph}_text"] = ["classify", "--input", f"@{_graph}.txt", "--format", "text"]
 # ``export`` in each of its formats; these name their own ``--format``
 for _graph in ("cycles_dag", "crowded"):
     for _fmt in ("text", "json", "dot"):
