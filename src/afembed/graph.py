@@ -10,7 +10,8 @@ kept verbatim everywhere to avoid convention bugs.
 Two interchangeable document formats are supported: a line-oriented text
 format (``vertex <id>`` / ``edge <id> <source> <range>`` with ``#``
 comments) and a JSON object with ``vertices`` and ``edges`` keys, where
-``dst`` is the range vertex.
+``dst`` is the range vertex.  In both an id is a nonempty token without
+whitespace or ``#``, so every graph written as text reads back as itself.
 
 A :class:`Graph` interns its ids to integers once, when it is built: the
 sorted vertex names are numbered ``0 .. |V|-1`` and the sorted edge names
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class GraphError(ValueError):
@@ -61,10 +62,6 @@ class UnknownEdgeError(GraphError):
     pass
 
 
-class PathError(GraphError):
-    pass
-
-
 @dataclass(frozen=True)
 class Edge:
     """A directed edge; ``range`` is the receiving vertex."""
@@ -78,10 +75,11 @@ class Edge:
 class Path:
     """A composable edge list ``(a_n, ..., a_1)``, or a single vertex.
 
-    Length-0 paths have ``edges == ()`` and ``source == range``.
-    Construct through :meth:`Graph.path` / :meth:`Graph.vertex_path` so the
-    composability invariant is checked against a concrete graph, unless the
-    edges were just walked in that graph, as the classifier's witness was.
+    Length-0 paths have ``edges == ()`` and ``source == range``.  A
+    ``Path`` records a path of some graph and checks nothing itself: the
+    path basis builds its paths by walking the graph, and a witness's
+    paths are read off a loop and an edge that the witness check has
+    compared with the graph.
     """
 
     edges: tuple[str, ...]
@@ -102,9 +100,10 @@ class Path:
 
 
 def _check_token(kind: str, name: str) -> None:
-    # str.split() splits on exactly the characters for which isspace() holds
-    if name.split() != [name]:
-        raise GraphError(f"{kind} id must be a nonempty token without whitespace: {name!r}")
+    # str.split() splits on exactly the characters for which isspace() holds;
+    # the text format reads ``#`` as the start of a comment
+    if name.split() != [name] or "#" in name:
+        raise GraphError(f"{kind} id must be a nonempty token without whitespace or '#': {name!r}")
 
 
 def _group(ends: list[int], n: int) -> list[tuple[int, ...]]:
@@ -238,28 +237,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(vertices={list(self.vertex_names)!r}, edges={list(self.edges)!r})"
-
-    # --- paths -------------------------------------------------------------------
-
-    def is_path(self, edge_names: Sequence[str]) -> bool:
-        """True iff the list ``(a_n, ..., a_1)`` is consecutively composable."""
-        if not edge_names:
-            raise PathError("a path needs at least one edge; use vertex_path for length 0")
-        ids = [self.edge_id(n) for n in edge_names]
-        src, rng = self.src, self.rng
-        return all(src[a] == rng[b] for a, b in zip(ids, ids[1:]))
-
-    def path(self, edge_names: Sequence[str]) -> Path:
-        if not self.is_path(edge_names):
-            raise PathError(f"edges do not compose: {tuple(edge_names)!r}")
-        first = self.edge_id(edge_names[0])
-        last = self.edge_id(edge_names[-1])
-        vn = self.vertex_names
-        return Path(tuple(edge_names), source=vn[self.src[last]], range=vn[self.rng[first]])
-
-    def vertex_path(self, v: str) -> Path:
-        self.vertex_id(v)
-        return Path((), source=v, range=v)
 
 
 def parse_graph(text: str) -> Graph:

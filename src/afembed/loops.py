@@ -24,9 +24,11 @@ backed out of too, yet it reaches ``v`` along ``P`` to ``p`` and then
 along the route, avoiding the part of ``P`` before ``q``: a contradiction.
 So a backed-out vertex could never have led back to ``v``.
 
-``classify`` builds its witness from the edges that search walked, so it
-checks nothing twice; a witness is validated only where it comes in from
-a caller, in :func:`witness_infinite` and ``verify.verify_witness``.
+A witness is that loop and one other edge into its base: the base then
+receives two edges, so the loop has an entrance.  ``classify`` builds it
+from the edges that search walked, so it checks nothing twice; where a
+witness comes in from a caller, in :func:`witness_infinite` and
+``verify.verify_witness``, :func:`validate_witness` is its one check.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph, Path
+from .graph import Edge, Graph, Path
 
 
 class Verdict(str, Enum):
@@ -81,35 +83,34 @@ class SimpleLoop:
         """The edge ``e_i`` (1-based; the stored tuple is ``(e_n, ..., e_1)``)."""
         return self.edges[self.n - i]
 
-    @classmethod
-    def from_edges(cls, g: Graph, edges: tuple[str, ...]) -> "SimpleLoop":
-        if not edges:
-            raise InvalidWitnessError("a loop has at least one edge")
-        ids = [g.edge_id(e) for e in edges]
-        src, rng = g.src, g.rng
-        if any(src[a] != rng[b] for a, b in zip(ids, ids[1:])):
-            raise InvalidWitnessError(f"edges do not compose: {edges!r}")
-        if rng[ids[0]] != src[ids[-1]]:
-            raise InvalidWitnessError("path does not close up into a loop")
-        if len({rng[e] for e in ids}) != len(ids):
-            raise InvalidWitnessError("loop is not simple: repeated range vertex")
-        return _loop_of(g, ids[::-1])
-
 
 @dataclass(frozen=True)
 class EntranceWitness:
-    """Data certifying that some loop has an entrance.
+    """A loop and an edge ``entry`` off it that ranges at the loop's base.
 
-    ``alpha`` is the loop based at ``entry_vertex``; ``beta`` is a distinct
-    path with the same range (canonically the single entry edge).  Together
-    they exhibit ``p`` at the entry vertex as an infinite projection.
+    ``alpha``, the loop as a path from its base to itself, and ``beta``,
+    the one-edge path of ``entry``, exhibit ``p`` at the base, the entry
+    vertex, as an infinite projection.
     """
 
     loop: SimpleLoop
-    entry_vertex: str
-    entry_edge: str
-    alpha: Path
-    beta: Path
+    entry: Edge
+
+    @property
+    def entry_vertex(self) -> str:
+        return self.loop.base
+
+    @property
+    def entry_edge(self) -> str:
+        return self.entry.name
+
+    @property
+    def alpha(self) -> Path:
+        return Path(self.loop.edges, self.loop.base, self.loop.base)
+
+    @property
+    def beta(self) -> Path:
+        return Path((self.entry.name,), self.entry.source, self.entry.range)
 
 
 @dataclass(frozen=True)
@@ -248,10 +249,10 @@ def classify(g: Graph) -> Classification:
     """Apply the finiteness trichotomy: AF, AF-embeddable, or not finite.
 
     This is the one graph analysis: a single SCC pass, and one cycle search
-    at the first cycle vertex with a second receiver, whose loop is the
-    witness's ``alpha`` and whose other receiver is its ``beta``.  It runs
-    on vertex and edge ids, whose order is name order; names are looked up
-    only for the loops and the witness it returns.
+    at the first cycle vertex with a second receiver, whose loop and first
+    other receiver are the witness.  It runs on vertex and edge ids, whose
+    order is name order; names are looked up only for the loops and the
+    witness it returns.
     """
     on = _on_cycle(g)
     cycles = [v for v, flag in enumerate(on) if flag]
@@ -261,14 +262,9 @@ def classify(g: Graph) -> Classification:
     for v in cycles:
         if len(recv[v]) > 1:
             traversal = _cycle_through(g, v)
-            loop = _loop_of(g, traversal)
             entry = min(e for e in recv[v] if e != traversal[-1])
-            base = vn[v]
-            alpha = Path(loop.edges, base, base)
-            beta = Path((en[entry],), vn[src[entry]], base)
-            return Classification(
-                Verdict.NOT_FINITE, witness=EntranceWitness(loop, base, en[entry], alpha, beta)
-            )
+            witness = EntranceWitness(_loop_of(g, traversal), Edge(en[entry], vn[src[entry]], vn[v]))
+            return Classification(Verdict.NOT_FINITE, witness=witness)
     loops: list[SimpleLoop] = []
     for v in cycles:
         if not on[v]:  # already traced
@@ -289,23 +285,32 @@ def classify(g: Graph) -> Classification:
 
 
 def validate_witness(g: Graph, w: EntranceWitness) -> None:
-    loop = SimpleLoop.from_edges(g, w.loop.edges)
-    if loop.vertices != w.loop.vertices:
+    """The one check of a witness, on ``g``'s index.
+
+    The loop's edges exist, compose, close up and are simple, and its
+    vertex list is their sources; the entry edge exists, is off the loop,
+    is recorded with its ends in ``g`` and ranges at the loop's base.
+    """
+    edges = w.loop.edges
+    if not edges:
+        raise InvalidWitnessError("a loop has at least one edge")
+    ids = [g.edge_id(e) for e in edges]
+    src, rng, vn = g.src, g.rng, g.vertex_names
+    if any(src[a] != rng[b] for a, b in zip(ids, ids[1:])):
+        raise InvalidWitnessError(f"edges do not compose: {edges!r}")
+    if rng[ids[0]] != src[ids[-1]]:
+        raise InvalidWitnessError("path does not close up into a loop")
+    if len({rng[e] for e in ids}) != len(ids):
+        raise InvalidWitnessError("loop is not simple: repeated range vertex")
+    if w.loop.vertices != tuple(vn[src[e]] for e in reversed(ids)):
         raise InvalidWitnessError("loop vertex list inconsistent with its edges")
-    if w.entry_vertex != loop.base:
-        raise InvalidWitnessError("loop is not based at the entry vertex")
-    if w.entry_edge in loop.edges:
+    entry = g.edge_id(w.entry.name)
+    if entry in ids:
         raise InvalidWitnessError("entry edge lies on the loop")
-    if g.edge(w.entry_edge).range != w.entry_vertex:
+    if (w.entry.source, w.entry.range) != (vn[src[entry]], vn[rng[entry]]):
+        raise InvalidWitnessError("entry edge's recorded ends are not its ends in the graph")
+    if rng[entry] != src[ids[-1]]:
         raise InvalidWitnessError("entry edge does not point at the entry vertex")
-    # so the entry vertex receives the entry edge and the loop's e_n: it has an entrance
-    if w.alpha.edges != loop.edges:
-        raise InvalidWitnessError("alpha must be the witness loop as a path")
-    beta = g.path(w.beta.edges) if w.beta.edges else w.beta
-    if beta.range != w.entry_vertex:
-        raise InvalidWitnessError("beta must range at the entry vertex")
-    if w.alpha == w.beta:
-        raise InvalidWitnessError("alpha and beta must be distinct paths")
 
 
 def witness_infinite(g: Graph, w: EntranceWitness) -> tuple[str, ...]:
@@ -314,16 +319,15 @@ def witness_infinite(g: Graph, w: EntranceWitness) -> tuple[str, ...]:
     The first two lines name ``alpha`` and ``beta``; the rest is the chain.
     """
     validate_witness(g, w)
-    v = w.entry_vertex
-    a = " ".join(f"s({e})" for e in w.alpha.edges)
-    b = " ".join(f"s({e})" for e in w.beta.edges)
-    a_star = " ".join(f"s*({e})" for e in reversed(w.alpha.edges))
-    b_star = " ".join(f"s*({e})" for e in reversed(w.beta.edges))
+    v, alpha, beta = w.entry_vertex, w.alpha, w.beta
+    a = " ".join(f"s({e})" for e in w.loop.edges)
+    a_star = " ".join(f"s*({e})" for e in reversed(w.loop.edges))
+    b, b_star = f"s({w.entry.name})", f"s*({w.entry.name})"
     return (
-        f"alpha = {w.alpha} : {w.alpha.source} -> {w.alpha.range}",
-        f"beta  = {w.beta} : {w.beta.source} -> {w.beta.range}",
+        f"alpha = {alpha} : {alpha.source} -> {alpha.range}",
+        f"beta  = {beta} : {beta.source} -> {beta.range}",
         f"{a_star} {a} = p({v})",
-        f"{b_star} {b} = p({w.beta.source})",
+        f"{b_star} {b} = p({beta.source})",
         f"{a_star} {b} = 0",
         f"{a} {a_star} < {a} {a_star} + {b} {b_star} <= p({v})",
         f"p({v}) is equivalent to a proper subprojection of itself: infinite",

@@ -384,33 +384,6 @@ def monomial_of_word(ctx: StarContext, word: Word) -> NormalMonomial:
 # term-level operations
 
 
-def make_monomial(
-    ctx: StarContext,
-    alpha: Iterable[str] = (),
-    power: int = 0,
-    beta: Iterable[str] = (),
-    source: str | None = None,
-) -> NormalMonomial:
-    """Validated monomial constructor for callers assembling terms by hand."""
-    alpha, beta = tuple(alpha), tuple(beta)
-
-    def path_source(path: tuple[str, ...]) -> str | None:
-        for i in range(len(path) - 1):
-            if ctx.edge_source(path[i]) != ctx.edge_range(path[i + 1]):
-                raise ValueError(f"edges do not compose: {path!r}")
-        return ctx.edge_source(path[-1]) if path else None
-
-    sa, sb = path_source(alpha), path_source(beta)
-    candidates = {s for s in (sa, sb, source) if s is not None}
-    if len(candidates) != 1:
-        raise ValueError(f"inconsistent or missing monomial source: {candidates!r}")
-    (src,) = candidates
-    ctx.check_vertex(src)
-    if power and ctx.sink_namespace(src) is None:
-        raise ValueError(f"nonzero unitary power requires a tail sink source, got {src!r}")
-    return NormalMonomial(alpha, power, beta, src)
-
-
 def projection(ctx: StarContext, v: str) -> CKTerm:
     return CKTerm.of(NormalMonomial((), 0, (), ctx.check_vertex(v)))
 
@@ -423,13 +396,6 @@ def tail_unitary(ctx: StarContext, namespace: str, power: int = 1) -> CKTerm:
     if power == 0:
         return projection(ctx, ctx.sink_vertex(namespace))
     return CKTerm.of(NormalMonomial((), power, (), ctx.sink_vertex(namespace)))
-
-
-def path_isometry(ctx: StarContext, edges: Iterable[str]) -> CKTerm:
-    edges = tuple(edges)
-    if not edges:
-        raise ValueError("path isometry needs at least one edge")
-    return CKTerm.of(make_monomial(ctx, alpha=edges))
 
 
 def term_of_word(ctx: StarContext, word: Iterable[Atom], coeff=1) -> CKTerm:

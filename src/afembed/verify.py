@@ -30,7 +30,7 @@ from typing import Callable, Collection, Hashable, Iterator, Mapping, TypeVar
 from .embedding import AugmentedGraphSpec, GeneratorMap
 from .graph import Graph
 from .loops import EntranceWitness, validate_witness
-from .terms import CKTerm, StarContext, adjoint, expand_ck3, multiply, path_isometry, projection
+from .terms import CKTerm, NormalMonomial, StarContext, adjoint, expand_ck3, isometry, multiply, projection
 
 X = TypeVar("X")
 
@@ -196,18 +196,19 @@ def verify_witness(w: EntranceWitness, g: Graph) -> RelationReport:
     """Prove the algebraic content of the infinite-projection chain."""
     validate_witness(g, w)
     ctx = AugmentedGraphSpec(g, ())
-    s_alpha = path_isometry(ctx, w.alpha.edges)
-    s_beta = path_isometry(ctx, w.beta.edges)
+    # the loop ``(e_n, ..., e_1)`` is a path from its base to its base
+    s_alpha = CKTerm.of(NormalMonomial(w.loop.edges, 0, (), w.loop.base))
+    s_beta = isometry(ctx, w.entry.name)
     checks = (
         _identity_check(
             "WITNESS[alpha*alpha]",
             multiply(adjoint(s_alpha), s_alpha, ctx),
-            projection(ctx, w.alpha.source),
+            projection(ctx, w.loop.base),
         ),
         _identity_check(
             "WITNESS[beta*beta]",
             multiply(adjoint(s_beta), s_beta, ctx),
-            projection(ctx, w.beta.source),
+            projection(ctx, w.entry.source),
         ),
         _identity_check(
             "WITNESS[alpha*beta]",

@@ -73,6 +73,12 @@ def enumerate_simple_cycles(g: Graph) -> list[tuple[str, ...]]:
     return cycles
 
 
+def loop_of(g: Graph, traversal: Iterable[str]) -> SimpleLoop:
+    """The loop whose edges ``e_1, ..., e_n`` are named in traversal order."""
+    traversal = tuple(traversal)
+    return SimpleLoop(traversal[::-1], tuple(g.edge(e).source for e in traversal))
+
+
 def backtracking_cycle_through(g: Graph, v: str) -> SimpleLoop:
     """First simple cycle through ``v`` found by backtracking DFS, edges in id order.
 
@@ -93,8 +99,7 @@ def backtracking_cycle_through(g: Graph, v: str) -> SimpleLoop:
         advanced = False
         for e in it:
             if e.range == v:
-                traversal = chosen + [e.name]
-                return SimpleLoop.from_edges(g, tuple(reversed(traversal)))
+                return loop_of(g, chosen + [e.name])
             if e.range not in visited:
                 chosen.append(e.name)
                 visited.add(e.range)
@@ -118,7 +123,7 @@ def oracle_witness(g: Graph) -> EntranceWitness | None:
         if len(rec) > 1:
             loop = backtracking_cycle_through(g, v)
             entry = min(rec - {loop.edges[0]})  # the loop is based at v: e_n enters it
-            return EntranceWitness(loop, v, entry, g.path(loop.edges), g.path((entry,)))
+            return EntranceWitness(loop, g.edge(entry))
     return None
 
 

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from afembed.cli import (
@@ -21,7 +21,7 @@ from afembed.cli import (
     main,
 )
 from afembed.embedding import MAX_STAGE_SIZE, embed, genmap_to_text
-from afembed.graph import load_graph, serialize_graph
+from afembed.graph import graph_to_dict, load_graph, serialize_graph
 from afembed.loops import EntranceExistsError, Verdict, classify
 from afembed.numrep import MAX_DENSE_SUPPORT
 from afembed.terms import ContextMismatchError, TermParseError, parse_term
@@ -474,6 +474,22 @@ class TestExport:
         code, out = run_cli(["export", "--input", str(square_file), "--format", "text"])
         assert load_graph(out) == load_graph(SQUARE_TEXT)
 
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
+            ({"vertices": ["x#1"], "edges": []}, "x#1"),
+            ({"vertices": ["u"], "edges": [{"id": "f#2", "src": "u", "dst": "u"}]}, "f#2"),
+        ],
+        ids=["vertex", "edge"],
+    )
+    def test_comment_sign_in_a_json_id_is_input_error(self, tmp_path, capsys, doc, name):
+        """Written as text, the id would read back as a comment: as another
+        graph, or as a malformed line."""
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["export", "--input", str(p), "--format", "text"]) == (EXIT_INPUT_ERROR, "")
+        assert repr(name) in capsys.readouterr().err
+
 
 # A guard that fails to refuse must not take the machine's memory with it:
 # the child gets half a gigabyte of address space, a fraction of the ceiling
@@ -603,9 +619,31 @@ def _map_text(draw, g) -> str:
     return "\n".join(lines) + "\n"
 
 
+# id characters that crowd the term and map syntax; a relabelled graph may
+# also draw ``#`` or a Unicode space, which a JSON id can hold but a line of
+# the text format cannot
+_ID_ALPHABET = "ab.()="
+
+
+@st.composite
+def _json_document(draw, g) -> str:
+    """``g`` as a JSON document, its ids relabelled from ``_ID_ALPHABET``."""
+    chars = st.sampled_from(_ID_ALPHABET + 2 * draw(st.sampled_from(["", "#", "#", "\u2003"])))
+
+    def relabel(names):
+        return {n: draw(st.text(chars, max_size=3)) + str(i) for i, n in enumerate(names)}
+
+    vn, en = relabel(g.vertex_names), relabel(g.edge_names)
+    doc = graph_to_dict(g)
+    doc["vertices"] = [vn[v] for v in doc["vertices"]]
+    doc["edges"] = [{"id": en[e["id"]], "src": vn[e["src"]], "dst": vn[e["dst"]]} for e in doc["edges"]]
+    return json.dumps(doc, ensure_ascii=False)
+
+
 @st.composite
 def _requests(draw):
-    command = draw(st.sampled_from(["classify", "loops", "export", "embed", "verify", "verify --map"]))
+    # export twice: its text documents are where an id that cannot be written shows
+    command = draw(st.sampled_from(["classify", "loops", "export", "export", "embed", "verify", "verify --map"]))
     embeddable = condition5_graphs(max_loops=2)
     if command == "verify --map":  # a map that has a loop to send into a tail
         g = draw(embeddable.filter(lambda g: classify(g).loops))
@@ -618,7 +656,11 @@ def _requests(draw):
     if command in ("embed", "verify"):
         options += ["--depth", str(draw(st.integers(0, 8)))]
         options += ["--mult", draw(_MULT)]
-    return serialize_graph(g), command, options, map_text
+    if not draw(st.booleans()):
+        return serialize_graph(g), command, options, map_text
+    if map_text is not None:  # the map names the graph's own ids
+        return json.dumps(graph_to_dict(g)), command, options, map_text
+    return draw(_json_document(g)), command, options, map_text
 
 
 class TestFuzz:
@@ -630,6 +672,7 @@ class TestFuzz:
             yield d
 
     @given(request=_requests())
+    @example(request=('{"vertices": ["x#1"], "edges": []}', "export", ["--format", "text"], None))
     @settings(max_examples=200, deadline=None)
     def test_every_request_ends_in_a_code_and_parseable_records(self, workdir, request):
         graph_text, command, options, map_text = request
@@ -647,9 +690,9 @@ class TestFuzz:
         assert "Traceback" not in err.getvalue()
         if code == EXIT_INPUT_ERROR:
             assert out.getvalue() == "" and err.getvalue(), argv
-        if "json" in options:
-            if command == "export":
-                json.loads(out.getvalue())
-            else:
-                for line in out.getvalue().splitlines():
-                    json.loads(line)
+        if command == "export":
+            if code == EXIT_OK and "dot" not in options:  # the document reads back as the input
+                assert load_graph(out.getvalue()) == load_graph(graph_text), argv
+        elif "json" in options:
+            for line in out.getvalue().splitlines():
+                json.loads(line)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from afembed.embedding import embed, materialize
-from afembed.graph import Graph, Path, PathError, load_graph, parse_graph
+from afembed.graph import Edge, Graph, Path, UnknownEdgeError, load_graph, parse_graph
 from afembed.loops import (
     EntranceExistsError,
     EntranceWitness,
@@ -18,13 +18,16 @@ from afembed.loops import (
     cycle_vertices,
     disjoint_simple_loops,
     simple_cycle_through,
+    validate_witness,
     witness_infinite,
 )
-from afembed.verify import verify_witness
+from afembed.verify import RelationStatus, verify_witness
 
 from .conftest import SQUARE_TEXT, growth_ratio
 from .oracles import (
     backtracking_cycle_through,
+    enumerate_simple_cycles,
+    loop_of,
     oracle_classify,
     oracle_cycle_vertices,
     oracle_has_entrance,
@@ -120,10 +123,13 @@ class TestDisjointSimpleLoops:
     @given(condition5_graphs())
     @settings(max_examples=100, deadline=None)
     def test_loops_satisfy_invariants(self, g):
+        """Each loop's edges run from ``u_i`` to ``u_{i+1}``, closing at
+        ``u_1``, and its vertices ``u_1, ..., u_n`` are distinct."""
         for loop in disjoint_simple_loops(g):
-            rebuilt = SimpleLoop.from_edges(g, loop.edges)
-            assert rebuilt == loop
-            assert g.edge(loop.edges[0]).range == g.edge(loop.edges[-1]).source
+            traversal = [g.edge(e) for e in reversed(loop.edges)]
+            assert [e.source for e in traversal] == list(loop.vertices)
+            assert [e.range for e in traversal] == list(loop.vertices[1:] + loop.vertices[:1])
+            assert len(set(loop.vertices)) == loop.n
 
 
 class TestClassify:
@@ -207,32 +213,30 @@ class TestWitness:
         w = classify(square_plus_entrance).witness
         assert w.entry_vertex == "u2" and w.entry_edge == "x"
         assert w.alpha.source == w.alpha.range == "u2"
-        assert w.beta.edges == ("x",)
-        assert w.alpha == square_plus_entrance.path(w.loop.edges)
-        assert w.beta == square_plus_entrance.path(("x",))
+        assert w.entry == Edge("x", "w", "u2")
+        assert w.alpha == Path(("e1", "e4", "e3", "e2"), "u2", "u2")
+        assert w.beta == Path(("x",), "w", "u2")
         assert "p(u2)" in "\n".join(witness_infinite(square_plus_entrance, w))
 
+    def test_a_witness_is_a_loop_and_an_edge(self, square_plus_entrance):
+        """``alpha`` and ``beta`` are read off the two fields, so no witness
+        can hold a path ``beta`` other than its entry edge."""
+        w = classify(square_plus_entrance).witness
+        assert [f.name for f in dataclasses.fields(w)] == ["loop", "entry"]
+        with pytest.raises(TypeError):
+            dataclasses.replace(w, beta=Path((), "u2", "u2"))
+
     def test_alpha_equal_beta_rejected(self, two_self_loops):
+        """On a self-loop, ``beta == alpha`` exactly when the entry edge is the loop's."""
         w = classify(two_self_loops).witness
-        bad = EntranceWitness(
-            loop=w.loop,
-            entry_vertex=w.entry_vertex,
-            entry_edge=w.entry_edge,
-            alpha=w.alpha,
-            beta=w.alpha,
-        )
+        bad = EntranceWitness(w.loop, two_self_loops.edge(w.loop.edges[0]))
+        assert bad.beta == bad.alpha
         with pytest.raises(InvalidWitnessError):
             witness_infinite(two_self_loops, bad)
 
     def test_entry_edge_on_loop_rejected(self, square_plus_entrance):
         w = classify(square_plus_entrance).witness
-        bad = EntranceWitness(
-            loop=w.loop,
-            entry_vertex=w.entry_vertex,
-            entry_edge="e1",
-            alpha=w.alpha,
-            beta=square_plus_entrance.path(("e1",)),
-        )
+        bad = EntranceWitness(w.loop, Edge("e1", "u1", "u2"))
         with pytest.raises(InvalidWitnessError):
             witness_infinite(square_plus_entrance, bad)
 
@@ -256,16 +260,24 @@ class TestWitness:
             {"loop": SimpleLoop(("e1", "e4", "e3", "e2"), ("u1", "u2", "u3", "u4"))},
             "loop vertex list inconsistent with its edges",
         ),
-        "loop based elsewhere": ({"entry_vertex": "u3"}, "loop is not based at the entry vertex"),
-        "entry edge on loop": ({"entry_edge": "e1"}, "entry edge lies on the loop"),
-        "entry edge elsewhere": (
-            {"loop": SimpleLoop(("e4", "e3", "e2", "e1"), ("u1", "u2", "u3", "u4")), "entry_vertex": "u1"},
+        "loop based elsewhere": (
+            {"loop": SimpleLoop(("e2", "e1", "e4", "e3"), ("u3", "u4", "u1", "u2"))},
             "entry edge does not point at the entry vertex",
         ),
-        "alpha not the loop": ({"alpha": Path(("e1",), "u1", "u2")}, "alpha must be the witness loop as a path"),
-        "beta not composable": ({"beta": Path(("x", "e1"), "u1", "u2")}, "edges do not compose: ('x', 'e1')"),
-        "beta elsewhere": ({"beta": Path(("e2",), "u2", "u3")}, "beta must range at the entry vertex"),
-        "beta is alpha": ({"beta": Path(("e1", "e4", "e3", "e2"), "u2", "u2")}, "alpha and beta must be distinct paths"),
+        "entry edge on loop": ({"entry": Edge("e1", "u1", "u2")}, "entry edge lies on the loop"),
+        "entry edge elsewhere": (
+            {"loop": SimpleLoop(("e4", "e3", "e2", "e1"), ("u1", "u2", "u3", "u4"))},
+            "entry edge does not point at the entry vertex",
+        ),
+        "entry edge unknown": ({"entry": Edge("zz", "w", "u2")}, "unknown edge 'zz'"),
+        "entry source misrecorded": (
+            {"entry": Edge("x", "u3", "u2")},
+            "entry edge's recorded ends are not its ends in the graph",
+        ),
+        "beta elsewhere": (
+            {"entry": Edge("x", "w", "u3")},
+            "entry edge's recorded ends are not its ends in the graph",
+        ),
     }
 
     @pytest.mark.parametrize("check", [witness_infinite, lambda g, w: verify_witness(w, g)], ids=["chain", "proof"])
@@ -273,7 +285,7 @@ class TestWitness:
     def test_corrupted_witness_rejected_with_its_reason(self, square_plus_entrance, corruption, check):
         fields, message = self.CORRUPTED[corruption]
         bad = dataclasses.replace(classify(square_plus_entrance).witness, **fields)
-        error = PathError if corruption == "beta not composable" else InvalidWitnessError
+        error = UnknownEdgeError if corruption == "entry edge unknown" else InvalidWitnessError
         with pytest.raises(error) as exc:
             check(square_plus_entrance, bad)
         assert str(exc.value) == message
@@ -288,6 +300,33 @@ class TestWitness:
         assert w.alpha != w.beta
         assert w.alpha.range == w.beta.range == w.entry_vertex
         assert len(lines) == 7
+
+    @given(multigraphs(max_vertices=5, max_edges=8))
+    @settings(max_examples=100, deadline=None)
+    def test_accepts_exactly_the_true_witnesses(self, g):
+        """Every simple cycle, based at each of its vertices, paired with every
+        edge under its true ends and with one end replaced: the check accepts
+        the pair iff the edge is off the loop, keeps its true ends and ranges
+        at the base, and each accepted pair proves all three identities."""
+        vertices = sorted(g.vertices)
+        for cycle in enumerate_simple_cycles(g):
+            for k in range(len(cycle)):
+                loop = loop_of(g, cycle[k:] + cycle[:k])
+                for e in g.edges:
+                    candidates = [e]
+                    candidates += [Edge(e.name, v, e.range) for v in vertices if v != e.source]
+                    candidates += [Edge(e.name, e.source, v) for v in vertices if v != e.range]
+                    for entry in candidates:
+                        w = EntranceWitness(loop, entry)
+                        true = entry == e and e.name not in loop.edges and e.range == loop.base
+                        try:
+                            validate_witness(g, w)
+                        except InvalidWitnessError:
+                            assert not true, w
+                            continue
+                        assert true, w
+                        report = verify_witness(w, g)
+                        assert [c.status for c in report.checks] == [RelationStatus.PROVED] * 3
 
 
 def diamond_ladder(rungs: int, closed: bool = False) -> Graph:

@@ -96,10 +96,9 @@ class TestBuildRep:
     def test_edge_isometry_action(self, square_rep):
         s = square_rep.S["T1.f1"].toarray()
         # moves each corner path of length < d to its f1-extension
-        v_path = square_rep.graph.vertex_path("T1.v")
-        i = square_rep.basis.index[v_path]
+        i = square_rep.basis.index[Path((), "T1.v", "T1.v")]
         out = s @ np.eye(square_rep.dimension)[:, i]
-        target = square_rep.graph.path(("T1.f1",))
+        target = Path(("T1.f1",), "T1.v", square_rep.graph.edge("T1.f1").range)
         assert out[square_rep.basis.index[target]] == 1.0
         assert np.sum(np.abs(out)) == 1.0
 
@@ -303,12 +302,12 @@ class TestPathBasis:
         basis = square_rep.basis
         for p in basis.paths:
             for k in range(1, len(p.edges)):
-                suffix = square_rep.graph.path(p.edges[k:])
+                suffix = Path(p.edges[k:], p.source, square_rep.graph.edge(p.edges[k]).range)
                 assert suffix in basis.index
 
     def test_contains_all_vertex_paths(self, square_rep):
         for v in square_rep.graph.vertices:
-            assert square_rep.graph.vertex_path(v) in square_rep.basis.index
+            assert Path((), v, v) in square_rep.basis.index
 
     @staticmethod
     def assert_matches_sorted_basis(g, depth):

@@ -21,7 +21,6 @@ from afembed.terms import (
     adjoint,
     expand_ck3,
     isometry,
-    make_monomial,
     monomial_of_word,
     multiply,
     normalize_word,
@@ -324,19 +323,6 @@ class TestNormalMonomialParsing:
         word = (("p", "u1"),)
         m = monomial_of_word(ctx, normalize_word(ctx, word))
         assert m == NormalMonomial((), 0, (), "u1")
-
-    def test_make_monomial_validates_composability(self, ctx):
-        with pytest.raises(ValueError):
-            make_monomial(ctx, alpha=("T1.f1", "T1.f2"))
-
-    def test_make_monomial_requires_sink_for_power(self, ctx):
-        # source of b1.1 is the level-1 vertex, not the sink
-        with pytest.raises(ValueError):
-            make_monomial(ctx, alpha=("T1.b1.1",), power=1, beta=("T1.b1.1",))
-
-    def test_make_monomial_tail_path(self, ctx):
-        m = make_monomial(ctx, alpha=("T1.f1", "T1.b1.1"), beta=())
-        assert m.source == "T1.L1.1"
 
 
 class TestTermGrammar:

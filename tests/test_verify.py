@@ -17,8 +17,8 @@ from afembed.terms import (
     CKTerm,
     adjoint,
     multiply,
-    path_isometry,
     projection,
+    term_of_word,
 )
 from afembed.verify import RelationStatus, ck_instances, left_vertices, verify_ck_family, verify_witness
 
@@ -109,7 +109,8 @@ class TestVerifyWitness:
         from afembed.loops import EntranceWitness, InvalidWitnessError
 
         w = classify(two_self_loops).witness
-        bad = EntranceWitness(w.loop, w.entry_vertex, w.entry_edge, w.alpha, w.alpha)
+        # on a self-loop, beta == alpha exactly when the entry edge is the loop's
+        bad = EntranceWitness(w.loop, two_self_loops.edge(w.loop.edges[0]))
         with pytest.raises(InvalidWitnessError):
             verify_witness(bad, two_self_loops)
 
@@ -121,8 +122,8 @@ class TestVerifyWitness:
         report = verify_witness(w, g)
         assert report.all_proved
         # the algebraic content directly
-        s_a = path_isometry(ctx, w.alpha.edges)
-        s_b = path_isometry(ctx, w.beta.edges)
+        s_a = term_of_word(ctx, [("s", e) for e in w.alpha.edges])
+        s_b = term_of_word(ctx, [("s", e) for e in w.beta.edges])
         assert multiply(adjoint(s_a), s_a, ctx) == projection(ctx, w.alpha.source)
         assert multiply(adjoint(s_a), s_b, ctx).is_zero
 
