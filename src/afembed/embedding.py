@@ -23,10 +23,9 @@ and :func:`materialize` cuts the finite stage ``F_d`` from its tables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph import Graph, GraphError, graph_from_dict, graph_to_dict, named_edges
+from .graph import Frozen, Graph, GraphError, graph_from_dict, graph_to_dict, named_edges
 from .loops import EntranceExistsError, SimpleLoop, Verdict, classify
 from .terms import CKTerm, ContextMismatchError, NormalMonomial, StarContext, parse_term, term_to_str
 
@@ -51,8 +50,7 @@ class StageTooLargeError(ValueError):
 _MULT_RE = re.compile(r"[0-9]+(,[0-9]+)*;[0-9]+|[0-9]+")
 
 
-@dataclass(frozen=True)
-class MultiplicitySeq:
+class MultiplicitySeq(Frozen):
     """Edge multiplicities per tail level: a finite prefix, then a constant.
 
     Every entry is at least 1 and the repeating tail value at least 2, so
@@ -60,16 +58,28 @@ class MultiplicitySeq:
     infinite-dimensional UHF algebra.
     """
 
-    prefix: tuple[int, ...] = ()
-    tail: int = 2
+    __slots__ = ("prefix", "tail")
 
-    def __post_init__(self):
-        if any(m < 1 for m in self.prefix):
+    def __init__(self, prefix: tuple[int, ...] = (), tail: int = 2):
+        _mult_prefix(self, prefix)
+        _mult_tail(self, tail)
+        if any(m < 1 for m in prefix):
             raise ValueError("multiplicities must be >= 1")
-        if self.tail < 2:
+        if tail < 2:
             raise ValueError(
                 "the repeating multiplicity must be >= 2 so that entries >= 2 occur infinitely often"
             )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.prefix, self.tail) == (other.prefix, other.tail)
+
+    def __hash__(self) -> int:
+        return hash((self.prefix, self.tail))
+
+    def __repr__(self) -> str:
+        return f"MultiplicitySeq(prefix={self.prefix!r}, tail={self.tail!r})"
 
     def value(self, k: int) -> int:
         if k < 1:
@@ -98,12 +108,28 @@ class MultiplicitySeq:
         return ",".join(str(m) for m in self.prefix) + f";{self.tail}"
 
 
-@dataclass(frozen=True)
-class BratteliTailSpec:
+_mult_prefix, _mult_tail = MultiplicitySeq.prefix.__set__, MultiplicitySeq.tail.__set__
+
+
+class BratteliTailSpec(Frozen):
     """One single-sink tail: namespace for generated ids plus multiplicities."""
 
-    namespace: str
-    mult: MultiplicitySeq = field(default_factory=MultiplicitySeq)
+    __slots__ = ("namespace", "mult")
+
+    def __init__(self, namespace: str, mult: MultiplicitySeq = MultiplicitySeq()):
+        _tail_namespace(self, namespace)
+        _tail_mult(self, mult)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.namespace, self.mult) == (other.namespace, other.mult)
+
+    def __hash__(self) -> int:
+        return hash((self.namespace, self.mult))
+
+    def __repr__(self) -> str:
+        return f"BratteliTailSpec(namespace={self.namespace!r}, mult={self.mult!r})"
 
     @property
     def sink(self) -> str:
@@ -125,10 +151,26 @@ class BratteliTailSpec:
         return f"{self.namespace}.f{i}"
 
 
-@dataclass(frozen=True)
-class LoopReplacement:
-    loop: SimpleLoop
-    tail: BratteliTailSpec
+_tail_namespace, _tail_mult = BratteliTailSpec.namespace.__set__, BratteliTailSpec.mult.__set__
+
+
+class LoopReplacement(Frozen):
+    __slots__ = ("loop", "tail")
+
+    def __init__(self, loop: SimpleLoop, tail: BratteliTailSpec):
+        _replacement_loop(self, loop)
+        _replacement_tail(self, tail)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.loop, self.tail) == (other.loop, other.tail)
+
+    def __hash__(self) -> int:
+        return hash((self.loop, self.tail))
+
+    def __repr__(self) -> str:
+        return f"LoopReplacement(loop={self.loop!r}, tail={self.tail!r})"
 
     @property
     def f_edges(self) -> tuple[str, ...]:
@@ -137,6 +179,9 @@ class LoopReplacement:
     def f_edge_for(self, i: int) -> str:
         """``f_i`` with the cyclic convention ``f_{n+1} = f_1``."""
         return self.tail.f_edge((i - 1) % self.loop.n + 1)
+
+
+_replacement_loop, _replacement_tail = LoopReplacement.loop.__set__, LoopReplacement.tail.__set__
 
 
 # what follows "<ns>." in a generated id; without leading zeros, one spelling each
@@ -269,7 +314,6 @@ class AugmentedGraphSpec(StarContext):
         return self._sinks.get(v)
 
 
-@dataclass(frozen=True)
 class GeneratorMap:
     """Images of the input graph's generators inside the augmented algebra.
 
@@ -277,7 +321,10 @@ class GeneratorMap:
     and the i-th edge of a replaced loop to ``s(f_{i+1}) t s*(f_i)``.
     """
 
-    edge_map: dict[str, CKTerm]
+    __slots__ = ("edge_map",)
+
+    def __init__(self, edge_map: dict[str, CKTerm]):
+        self.edge_map = edge_map
 
 
 def _pick_namespaces(g: Graph, count: int) -> list[str]:

@@ -29,7 +29,6 @@ outside the pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
@@ -62,17 +61,56 @@ class UnknownEdgeError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class Edge:
+class Frozen:
+    """Base of the immutable value types.
+
+    Each subclass lists its fields in ``__slots__`` and writes each of them
+    once, in ``__init__``, through the slot's own setter; afterwards an
+    assignment or a deletion raises ``AttributeError``.  A subclass's
+    ``__eq__`` compares its field tuple with that of an instance of the same
+    class (``NotImplemented`` for any other class), ``__hash__`` hashes that
+    tuple, and ``__repr__`` reads ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild an instance through ``__init__``, which alone may write its slots
+        return self.__class__, tuple(map(self.__getattribute__, self.__slots__))
+
+
+class Edge(Frozen):
     """A directed edge; ``range`` is the receiving vertex."""
 
-    name: str
-    source: str
-    range: str
+    __slots__ = ("name", "source", "range")
+
+    def __init__(self, name: str, source: str, range: str):
+        _edge_name(self, name)
+        _edge_source(self, source)
+        _edge_range(self, range)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.source, self.range) == (other.name, other.source, other.range)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.source, self.range))
+
+    def __repr__(self) -> str:
+        return f"Edge(name={self.name!r}, source={self.source!r}, range={self.range!r})"
 
 
-@dataclass(frozen=True)
-class Path:
+_edge_name, _edge_source, _edge_range = Edge.name.__set__, Edge.source.__set__, Edge.range.__set__
+
+
+class Path(Frozen):
     """A composable edge list ``(a_n, ..., a_1)``, or a single vertex.
 
     Length-0 paths have ``edges == ()`` and ``source == range``.  A
@@ -82,9 +120,23 @@ class Path:
     compared with the graph.
     """
 
-    edges: tuple[str, ...]
-    source: str
-    range: str
+    __slots__ = ("edges", "source", "range")
+
+    def __init__(self, edges: tuple[str, ...], source: str, range: str):
+        _path_edges(self, edges)
+        _path_source(self, source)
+        _path_range(self, range)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.edges, self.source, self.range) == (other.edges, other.source, other.range)
+
+    def __hash__(self) -> int:
+        return hash((self.edges, self.source, self.range))
+
+    def __repr__(self) -> str:
+        return f"Path(edges={self.edges!r}, source={self.source!r}, range={self.range!r})"
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -97,6 +149,9 @@ class Path:
         if self.is_vertex:
             return f"({self.source})"
         return " ".join(self.edges)
+
+
+_path_edges, _path_source, _path_range = Path.edges.__set__, Path.source.__set__, Path.range.__set__
 
 
 def _check_token(kind: str, name: str) -> None:

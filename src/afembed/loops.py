@@ -33,10 +33,9 @@ witness comes in from a caller, in :func:`witness_infinite` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Edge, Graph, Path
+from .graph import Edge, Frozen, Graph, Path
 
 
 class Verdict(str, Enum):
@@ -60,16 +59,29 @@ class EntranceExistsError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class SimpleLoop:
+class SimpleLoop(Frozen):
     """A loop ``(e_n, ..., e_1)`` whose range vertices are pairwise distinct.
 
     ``vertices`` lists ``u_i = source(e_i)`` in the order ``(u_1, ..., u_n)``;
     the loop is based at ``u_1``.
     """
 
-    edges: tuple[str, ...]
-    vertices: tuple[str, ...]
+    __slots__ = ("edges", "vertices")
+
+    def __init__(self, edges: tuple[str, ...], vertices: tuple[str, ...]):
+        _loop_edges(self, edges)
+        _loop_vertices(self, vertices)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.edges, self.vertices) == (other.edges, other.vertices)
+
+    def __hash__(self) -> int:
+        return hash((self.edges, self.vertices))
+
+    def __repr__(self) -> str:
+        return f"SimpleLoop(edges={self.edges!r}, vertices={self.vertices!r})"
 
     @property
     def n(self) -> int:
@@ -84,8 +96,10 @@ class SimpleLoop:
         return self.edges[self.n - i]
 
 
-@dataclass(frozen=True)
-class EntranceWitness:
+_loop_edges, _loop_vertices = SimpleLoop.edges.__set__, SimpleLoop.vertices.__set__
+
+
+class EntranceWitness(Frozen):
     """A loop and an edge ``entry`` off it that ranges at the loop's base.
 
     ``alpha``, the loop as a path from its base to itself, and ``beta``,
@@ -93,8 +107,22 @@ class EntranceWitness:
     vertex, as an infinite projection.
     """
 
-    loop: SimpleLoop
-    entry: Edge
+    __slots__ = ("loop", "entry")
+
+    def __init__(self, loop: SimpleLoop, entry: Edge):
+        _witness_loop(self, loop)
+        _witness_entry(self, entry)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.loop, self.entry) == (other.loop, other.entry)
+
+    def __hash__(self) -> int:
+        return hash((self.loop, self.entry))
+
+    def __repr__(self) -> str:
+        return f"EntranceWitness(loop={self.loop!r}, entry={self.entry!r})"
 
     @property
     def entry_vertex(self) -> str:
@@ -113,11 +141,16 @@ class EntranceWitness:
         return Path((self.entry.name,), self.entry.source, self.entry.range)
 
 
-@dataclass(frozen=True)
+_witness_loop, _witness_entry = EntranceWitness.loop.__set__, EntranceWitness.entry.__set__
+
+
 class Classification:
-    verdict: Verdict
-    loops: tuple[SimpleLoop, ...] = ()
-    witness: EntranceWitness | None = None
+    __slots__ = ("verdict", "loops", "witness")
+
+    def __init__(self, verdict: Verdict, loops: tuple[SimpleLoop, ...] = (), witness: EntranceWitness | None = None):
+        self.verdict = verdict
+        self.loops = loops
+        self.witness = witness
 
 
 def _loop_of(g: Graph, traversal: list[int]) -> SimpleLoop:

@@ -49,7 +49,6 @@ import cmath
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress, repeat
 
@@ -76,7 +75,6 @@ class DenseSpectrumTooLargeError(RepresentationError):
     """A dense spectrum above :data:`MAX_DENSE_SUPPORT`, refused before it is allocated."""
 
 
-@dataclass(frozen=True)
 class PathBasis:
     """All paths of length ``0 .. d`` in a finite graph, canonically ordered:
     by length, then by edge tuple, then by source.
@@ -90,11 +88,21 @@ class PathBasis:
     on first use.
     """
 
-    graph: Graph
-    edge: tuple[int, ...]
-    suffix: tuple[int, ...]
-    rng: tuple[int, ...]
-    starts: tuple[int, ...]
+    __slots__ = ("graph", "edge", "suffix", "rng", "starts", "__dict__")  # ``__dict__`` caches the views
+
+    def __init__(
+        self,
+        graph: Graph,
+        edge: tuple[int, ...],
+        suffix: tuple[int, ...],
+        rng: tuple[int, ...],
+        starts: tuple[int, ...],
+    ):
+        self.graph = graph
+        self.edge = edge
+        self.suffix = suffix
+        self.rng = rng
+        self.starts = starts
 
     @classmethod
     def build(cls, g: Graph, depth: int) -> "PathBasis":
@@ -199,26 +207,29 @@ def _take(phase: tuple[complex, ...] | None, idx: list[int]) -> tuple[complex, .
     return None if phase is None else tuple(map(phase.__getitem__, idx))
 
 
-@dataclass(frozen=True, eq=False)
 class Piece:
     """A phased partial permutation: basis vector ``src[k]`` goes to
     ``phase[k]`` times basis vector ``tgt[k]``.
 
     ``src`` is sorted and neither index tuple repeats a value; ``phase``
-    None means all ones (projections and edge isometries).
+    None means all ones (projections and edge isometries).  ``position``,
+    where each source index sits in ``src``, is the join key of
+    :meth:`after`; it is None until the piece's first join builds it.
     """
 
-    src: tuple[int, ...]
-    tgt: tuple[int, ...]
-    phase: tuple[complex, ...] | None = None
+    __slots__ = ("src", "tgt", "phase", "position")
+
+    def __init__(self, src: tuple[int, ...], tgt: tuple[int, ...], phase: tuple[complex, ...] | None = None):
+        self.src = src
+        self.tgt = tgt
+        self.phase = phase
+        self.position = None
+
+    def __repr__(self) -> str:
+        return f"Piece(src={self.src!r}, tgt={self.tgt!r}, phase={self.phase!r})"
 
     def values(self) -> tuple[complex, ...]:
         return (1 + 0j,) * len(self.src) if self.phase is None else self.phase
-
-    @cached_property
-    def position(self) -> dict[int, int]:
-        """Where each source index sits in ``src``: the join key of :meth:`after`."""
-        return dict(zip(self.src, range(len(self.src))))
 
     def adjoint(self) -> "Piece":
         if self.src == self.tgt:  # a diagonal: its indices stay
@@ -230,6 +241,8 @@ class Piece:
     def after(self, b: "Piece") -> "Piece":
         """``self @ b``: follow ``b``, then ``self`` where ``b`` lands in its domain."""
         position = self.position
+        if position is None:
+            position = self.position = dict(zip(self.src, range(len(self.src))))
         if position.keys().isdisjoint(b.tgt):
             return _NO_PIECE
         at = list(map(position.get, b.tgt))
@@ -333,12 +346,17 @@ def _cycle_spectrum(src, tgt, val) -> list[complex]:
     return out + [0j] * (support - len(out))
 
 
-@dataclass(frozen=True, eq=False)
 class Operator:
     """A sum of phased partial permutations on a ``dim``-dimensional space."""
 
-    dim: int
-    pieces: tuple[Piece, ...] = ()
+    __slots__ = ("dim", "pieces")
+
+    def __init__(self, dim: int, pieces: tuple[Piece, ...] = ()):
+        self.dim = dim
+        self.pieces = pieces
+
+    def __repr__(self) -> str:
+        return f"Operator(dim={self.dim!r}, pieces={self.pieces!r})"
 
     def __add__(self, other: "Operator") -> "Operator":
         # a sum's entries are merged before they are added, as with sparse matrices
@@ -458,19 +476,36 @@ class Operator:
         return out
 
 
-@dataclass(frozen=True)
 class TruncatedRep:
-    """Generator operators of one finite stage."""
+    """Generator operators of one finite stage.
 
-    spec: AugmentedGraphSpec
-    depth: int
-    graph: Graph
-    basis: PathBasis
-    P: dict
-    S: dict
-    T: dict
-    corner_levels: dict  # namespace -> list of per-level basis index lists
-    interior: tuple[bool, ...]  # True on paths of length 1 .. depth-1
+    ``corner_levels`` maps a tail namespace to its per-level lists of basis
+    indices; ``interior`` is True on the paths of length ``1 .. depth-1``.
+    """
+
+    __slots__ = ("spec", "depth", "graph", "basis", "P", "S", "T", "corner_levels", "interior")
+
+    def __init__(
+        self,
+        spec: AugmentedGraphSpec,
+        depth: int,
+        graph: Graph,
+        basis: PathBasis,
+        P: dict,
+        S: dict,
+        T: dict,
+        corner_levels: dict,
+        interior: tuple[bool, ...],
+    ):
+        self.spec = spec
+        self.depth = depth
+        self.graph = graph
+        self.basis = basis
+        self.P = P
+        self.S = S
+        self.T = T
+        self.corner_levels = corner_levels
+        self.interior = interior
 
     @property
     def dimension(self) -> int:
@@ -625,18 +660,22 @@ def op_of_term(term: CKTerm, rep: TruncatedRep) -> Operator:
     return out
 
 
-@dataclass(frozen=True)
 class ResidualEntry:
-    name: str
-    value: float
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str, value: float):
+        self.name = name
+        self.value = value
 
 
-@dataclass(frozen=True)
 class ResidualReport:
     """Interior-compressed residuals plus the known boundary defects."""
 
-    entries: tuple[ResidualEntry, ...]
-    boundary_defects: tuple[ResidualEntry, ...]
+    __slots__ = ("entries", "boundary_defects")
+
+    def __init__(self, entries: tuple[ResidualEntry, ...], boundary_defects: tuple[ResidualEntry, ...]):
+        self.entries = entries
+        self.boundary_defects = boundary_defects
 
     @property
     def max_residual(self) -> float:
@@ -710,7 +749,6 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     return ResidualReport(tuple(entries), tuple(defects))
 
 
-@dataclass(frozen=True)
 class SpectrumReport:
     """Finite-stage shadow of the full-circle spectrum of a loop image.
 
@@ -720,13 +758,33 @@ class SpectrumReport:
     separately and compared on the shared levels (plus its kernel).
     """
 
-    loop: SimpleLoop
-    depth: int
-    eigenvalues: tuple[complex, ...]
-    conjugated_nonzero: tuple[complex, ...]
-    max_modulus_deviation: float
-    hausdorff_to_circle: float
-    conjugation_mismatch: float
+    __slots__ = (
+        "loop",
+        "depth",
+        "eigenvalues",
+        "conjugated_nonzero",
+        "max_modulus_deviation",
+        "hausdorff_to_circle",
+        "conjugation_mismatch",
+    )
+
+    def __init__(
+        self,
+        loop: SimpleLoop,
+        depth: int,
+        eigenvalues: tuple[complex, ...],
+        conjugated_nonzero: tuple[complex, ...],
+        max_modulus_deviation: float,
+        hausdorff_to_circle: float,
+        conjugation_mismatch: float,
+    ):
+        self.loop = loop
+        self.depth = depth
+        self.eigenvalues = eigenvalues
+        self.conjugated_nonzero = conjugated_nonzero
+        self.max_modulus_deviation = max_modulus_deviation
+        self.hausdorff_to_circle = hausdorff_to_circle
+        self.conjugation_mismatch = conjugation_mismatch
 
 
 def _circle_hausdorff(values: tuple[complex, ...], radial: float) -> float:

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import abc
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
+
+from .graph import Frozen
 
 Atom = tuple
 Word = tuple  # tuple of atoms
@@ -65,12 +66,25 @@ class CK3ExpansionError(ValueError):
     """Receiver-sum expansion requested at a vertex with no receivers."""
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Frozen):
     """Exact complex number with rational real and imaginary parts."""
 
-    real: Fraction = Fraction(0)
-    imag: Fraction = Fraction(0)
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: Fraction = Fraction(0), imag: Fraction = Fraction(0)):
+        _gaussian_real(self, real)
+        _gaussian_imag(self, imag)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.real, self.imag) == (other.real, other.imag)
+
+    def __hash__(self) -> int:
+        return hash((self.real, self.imag))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(real={self.real!r}, imag={self.imag!r})"
 
     @classmethod
     def of(cls, value) -> "GaussianRational":
@@ -121,6 +135,7 @@ class GaussianRational:
         return f"({self.real}{sign}{im})"
 
 
+_gaussian_real, _gaussian_imag = GaussianRational.real.__set__, GaussianRational.imag.__set__
 ONE = GaussianRational(Fraction(1))
 
 
@@ -162,18 +177,34 @@ class StarContext(abc.ABC):
     def sink_namespace(self, v: str) -> str | None: ...
 
 
-@dataclass(frozen=True)
-class NormalMonomial:
+class NormalMonomial(Frozen):
     """``s_alpha t^power s_beta*`` with ``source = s(alpha) = s(beta)``.
 
     ``alpha == beta == ()`` with ``power == 0`` is the projection at
     ``source``; a nonzero power requires ``source`` to be a tail sink.
     """
 
-    alpha: tuple[str, ...]
-    power: int
-    beta: tuple[str, ...]
-    source: str
+    __slots__ = ("alpha", "power", "beta", "source")
+
+    def __init__(self, alpha: tuple[str, ...], power: int, beta: tuple[str, ...], source: str):
+        _monomial_alpha(self, alpha)
+        _monomial_power(self, power)
+        _monomial_beta(self, beta)
+        _monomial_source(self, source)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha, self.power, self.beta, self.source) == (other.alpha, other.power, other.beta, other.source)
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.power, self.beta, self.source))
+
+    def __repr__(self) -> str:
+        return (
+            f"NormalMonomial(alpha={self.alpha!r}, power={self.power!r}, "
+            f"beta={self.beta!r}, source={self.source!r})"
+        )
 
     @property
     def is_projection(self) -> bool:
@@ -184,6 +215,10 @@ class NormalMonomial:
 
     def sort_key(self):
         return (len(self.alpha), self.alpha, self.power, len(self.beta), self.beta, self.source)
+
+
+_monomial_alpha, _monomial_power = NormalMonomial.alpha.__set__, NormalMonomial.power.__set__
+_monomial_beta, _monomial_source = NormalMonomial.beta.__set__, NormalMonomial.source.__set__
 
 
 class CKTerm:

@@ -23,7 +23,6 @@ instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Collection, Hashable, Iterator, Mapping, TypeVar
 
@@ -110,17 +109,21 @@ class RelationStatus(Enum):
     RECORDED = "RECORDED"
 
 
-@dataclass(frozen=True)
 class RelationCheck:
-    relation: str
-    status: RelationStatus
-    difference: CKTerm | None = None
-    note: str = ""
+    __slots__ = ("relation", "status", "difference", "note")
+
+    def __init__(self, relation: str, status: RelationStatus, difference: CKTerm | None = None, note: str = ""):
+        self.relation = relation
+        self.status = status
+        self.difference = difference
+        self.note = note
 
 
-@dataclass(frozen=True)
 class RelationReport:
-    checks: tuple[RelationCheck, ...]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[RelationCheck, ...]):
+        self.checks = checks
 
     @property
     def all_proved(self) -> bool:

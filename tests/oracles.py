@@ -9,8 +9,9 @@ keeps implementations that faster ones replaced, as references: the
 two-array Tarjan, the sixteen-case pair table, the set-based graph core,
 the sort-based path basis, the term parser that threads a
 ``(scalar, term)`` pair through its sums (it multiplies with the
-production term operations; only the grammar is under test), and the
-relation catalogue that multiplies out every CK2 pair.
+production term operations; only the grammar is under test), the
+relation catalogue that multiplies out every CK2 pair, and the frozen
+dataclasses the value types were before they were written by hand.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from afembed.graph import (
     UnknownVertexError,
     _check_token,
 )
+from afembed.embedding import BratteliTailSpec, MultiplicitySeq
 from afembed.loops import EntranceWitness, SimpleLoop, Verdict
 from afembed.terms import (
     _TOKEN_RE,
@@ -711,3 +713,95 @@ def reference_ck_instances(
             for e in map(en.__getitem__, rec):
                 total = total + product(images[e], adjoints[e])
             yield "CK3", v, ((f"CK3[{v}]", total, projection(v)),)
+
+
+# ---------------------------------------------------------------------------
+# The value types as frozen dataclasses, as the package defined them before
+# it wrote its classes by hand: the fields, their defaults and
+# ``MultiplicitySeq``'s checks, kept verbatim.  Each twin takes its
+# original's name as ``__qualname__``, which the generated ``repr`` prints.
+# A field that holds another value type holds the package's own class.
+
+
+@dataclass(frozen=True)
+class EdgeTwin:
+    __qualname__ = "Edge"
+
+    name: str
+    source: str
+    range: str
+
+
+@dataclass(frozen=True)
+class PathTwin:
+    __qualname__ = "Path"
+
+    edges: tuple[str, ...]
+    source: str
+    range: str
+
+
+@dataclass(frozen=True)
+class SimpleLoopTwin:
+    __qualname__ = "SimpleLoop"
+
+    edges: tuple[str, ...]
+    vertices: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class EntranceWitnessTwin:
+    __qualname__ = "EntranceWitness"
+
+    loop: SimpleLoop
+    entry: Edge
+
+
+@dataclass(frozen=True)
+class GaussianRationalTwin:
+    __qualname__ = "GaussianRational"
+
+    real: Fraction = Fraction(0)
+    imag: Fraction = Fraction(0)
+
+
+@dataclass(frozen=True)
+class NormalMonomialTwin:
+    __qualname__ = "NormalMonomial"
+
+    alpha: tuple[str, ...]
+    power: int
+    beta: tuple[str, ...]
+    source: str
+
+
+@dataclass(frozen=True)
+class MultiplicitySeqTwin:
+    __qualname__ = "MultiplicitySeq"
+
+    prefix: tuple[int, ...] = ()
+    tail: int = 2
+
+    def __post_init__(self):
+        if any(m < 1 for m in self.prefix):
+            raise ValueError("multiplicities must be >= 1")
+        if self.tail < 2:
+            raise ValueError(
+                "the repeating multiplicity must be >= 2 so that entries >= 2 occur infinitely often"
+            )
+
+
+@dataclass(frozen=True)
+class BratteliTailSpecTwin:
+    __qualname__ = "BratteliTailSpec"
+
+    namespace: str
+    mult: MultiplicitySeq = field(default_factory=MultiplicitySeq)
+
+
+@dataclass(frozen=True)
+class LoopReplacementTwin:
+    __qualname__ = "LoopReplacement"
+
+    loop: SimpleLoop
+    tail: BratteliTailSpec

@@ -26,6 +26,7 @@ output: ``two_self_loops``, whose entry edge is itself a loop, and
 ``--format``; every other case runs with ``--format json``.
 """
 
+import ast
 import io
 import json
 import os
@@ -242,6 +243,46 @@ def test_structure_commands_never_import_numrep(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")[-500:]
     assert len(list(tmp_path.iterdir())) == 4  # embed ran and wrote its artifacts
+
+
+# ``dataclasses`` and what it loads to generate its methods; the package
+# writes its classes by hand, so no request pays for them at start-up
+CODE_GENERATION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    """Neither ``import afembed`` nor any command on the square loads a
+    module of :data:`CODE_GENERATION`."""
+    argvs = [resolve([cmd, "--input", "@square.txt"]) for cmd in ("classify", "loops", "export", "embed", "verify")]
+    code = (
+        "import io, sys\n"
+        "import afembed\n"
+        f"banned = set({CODE_GENERATION!r})\n"
+        "assert not sys.modules.keys() & banned, sorted(sys.modules.keys() & banned)\n"
+        "from afembed.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(argv, out=io.StringIO()) == 0, argv\n"
+        "    assert not sys.modules.keys() & banned, (argv[0], sorted(sys.modules.keys() & banned))\n"
+    )
+    env = dict(child_env(), AFEMBED_OUTPUT_DIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")[-500:]
+
+
+def test_no_module_imports_dataclasses():
+    """A static scan: no module of the package names ``dataclasses`` in an import."""
+    offenders = []
+    for path in sorted((SRC / "afembed").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
 
 
 # every name ``afembed`` exported before its numeric names were resolved lazily
