@@ -229,8 +229,8 @@ class AugmentedGraphSpec(StarContext):
         self._finite_edges: dict[str, tuple[str, str]] = {
             name: (s, r) for name, s, r in named_edges(base)
         }
-        en = base.edge_names
-        receivers = {v: [en[e] for e in rec] for v, rec in zip(base.vertex_names, base.recv)}
+        en, start, ids = base.edge_names, base.recv_start, base.recv_ids
+        receivers = {v: [en[e] for e in ids[start[i] : start[i + 1]]] for i, v in enumerate(base.vertex_names)}
         for rep in self.replacements:
             for u in rep.loop.vertices:
                 if u not in receivers:
@@ -392,15 +392,23 @@ def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
         raise StageTooLargeError(
             f"stage F_{depth} has {nv} vertices and {ne} edges, more than the {MAX_STAGE_SIZE} a stage may have"
         )
+    # the spec's ids are distinct tokens, so they go to the index unchecked
     vertices = [*spec.base.vertex_names, *spec._sinks]
-    edges = [(e, *ends) for e, ends in spec._finite_edges.items()]
+    position = {v: i for i, v in enumerate(vertices)}
+    names = list(spec._finite_edges)
+    src = [position[s] for s, _ in spec._finite_edges.values()]
+    rng = [position[r] for _, r in spec._finite_edges.values()]
     for rep in spec.replacements:
         tail = rep.tail
-        for k in range(1, depth + 1):
+        below = position[tail.sink]
+        for k in range(1, depth + 1):  # level k's edges run to level k - 1, as ``tail_edge_ends`` says
+            level = tail.level_edges(k)
+            names += level
+            src += [len(vertices)] * len(level)
+            rng += [below] * len(level)
+            below = len(vertices)
             vertices.append(tail.vertex(k))
-            ends = tail.tail_edge_ends(k)
-            edges.extend((e, *ends) for e in tail.level_edges(k))
-    return Graph.build(vertices, edges)
+    return Graph(vertices, names, src, rng)
 
 
 # ---------------------------------------------------------------------------

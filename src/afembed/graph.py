@@ -16,21 +16,24 @@ whitespace or ``#``, so every graph written as text reads back as itself.
 A :class:`Graph` interns its ids to integers once, when it is built: the
 sorted vertex names are numbered ``0 .. |V|-1`` and the sorted edge names
 ``0 .. |E|-1``, so comparing two ids compares their names.  The index is
-``src[e]`` and ``rng[e]`` per edge, and per vertex ``out[v]`` and
-``recv[v]``, the ids of its out-edges and of its receivers, each in id
+held in flat ``array('q')`` columns, with no container per vertex or edge:
+``src[e]`` and ``rng[e]`` per edge, and per side a compressed adjacency,
+``out_ids[out_start[v] : out_start[v + 1]]`` the out-edges of ``v`` and
+``recv_ids[recv_start[v] : recv_start[v + 1]]`` its receivers, each in id
 order.  The loop analysis, the embedding and the path basis run on this
 index; names come back from ``vertex_names`` and ``edge_names`` where a
 result is reported, and :func:`named_edges` lists each edge by name for
 the writers.  The name-level views ``vertices``, ``edges``, ``receivers``
 and ``out_edges`` are built from the index on every call, for callers
-outside the pipeline.
+outside the pipeline, and the name-to-id tables on first lookup.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate
-from typing import Iterable
+from array import array
+from itertools import accumulate, islice
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -161,19 +164,13 @@ def _check_token(kind: str, name: str) -> None:
         raise GraphError(f"{kind} id must be a nonempty token without whitespace or '#': {name!r}")
 
 
-def _group(ends: list[int], n: int) -> list[tuple[int, ...]]:
-    """Per vertex ``v < n``, the ids ``e`` with ``ends[e] == v``, in id order.
-
-    Tuples of ints are containers the garbage collector stops tracking
-    once it has seen them, so a large graph adds nothing to its later
-    full collections.
-    """
-    order = sorted(range(len(ends)), key=ends.__getitem__)
-    bounds = [0] * (n + 1)
+def _adjacency(ends: array, n: int) -> tuple[array, array]:
+    """``(start, ids)``: per vertex ``v < n``, the ids ``e`` with ``ends[e] == v``
+    are ``ids[start[v] : start[v + 1]]``, in id order (one stable sort)."""
+    count = [0] * (n + 1)
     for v in ends:
-        bounds[v + 1] += 1
-    bounds = list(accumulate(bounds))
-    return [tuple(order[bounds[v] : bounds[v + 1]]) for v in range(n)]
+        count[v + 1] += 1
+    return array("q", accumulate(count)), array("q", sorted(range(len(ends)), key=ends.__getitem__))
 
 
 class Graph:
@@ -185,40 +182,38 @@ class Graph:
     Structurally equal graphs compare equal regardless of declaration order.
     """
 
-    __slots__ = ("vertex_names", "edge_names", "src", "rng", "out", "recv", "_vertex_ids", "_edge_ids")
+    __slots__ = (
+        "vertex_names", "edge_names", "src", "rng",
+        "out_start", "out_ids", "recv_start", "recv_ids", "_vertex_ids", "_edge_ids",
+    )
 
-    def __init__(
-        self,
-        vertex_names: list[str],
-        vertex_ids: dict[str, int],
-        edge_names: list[str],
-        src: list[int],
-        rng: list[int],
-    ):
-        """Index checked ids: ``vertex_names`` sorted, ``vertex_ids`` its inverse,
-        and distinct ``edge_names`` in any order with their endpoint ids."""
-        order = sorted(range(len(edge_names)), key=edge_names.__getitem__)
-        edge_names = [edge_names[e] for e in order]
-        src = [src[e] for e in order]
-        rng = [rng[e] for e in order]
-        out = _group(src, len(vertex_names))
-        recv = _group(rng, len(vertex_names))
-        self.vertex_names, self.edge_names = tuple(vertex_names), tuple(edge_names)
-        self.src, self.rng, self.out, self.recv = src, rng, out, recv
-        self._vertex_ids = vertex_ids
-        self._edge_ids: dict[str, int] | None = None  # built on first use
+    def __init__(self, vertex_names: Sequence[str], edge_names: Sequence[str], src: Sequence[int], rng: Sequence[int]):
+        """Index checked ids: distinct ``vertex_names`` and distinct
+        ``edge_names``, each in any order, and per edge the positions of its
+        source and range in ``vertex_names``."""
+        vorder = sorted(range(len(vertex_names)), key=vertex_names.__getitem__)
+        rank = array("q", bytes(8 * len(vorder)))
+        for i, v in enumerate(vorder):
+            rank[v] = i
+        eorder = sorted(range(len(edge_names)), key=edge_names.__getitem__)
+        self.vertex_names = tuple(map(vertex_names.__getitem__, vorder))
+        self.edge_names = tuple(map(edge_names.__getitem__, eorder))
+        self.src = array("q", map(rank.__getitem__, map(src.__getitem__, eorder)))
+        self.rng = array("q", map(rank.__getitem__, map(rng.__getitem__, eorder)))
+        self.out_start, self.out_ids = _adjacency(self.src, len(vorder))
+        self.recv_start, self.recv_ids = _adjacency(self.rng, len(vorder))
+        self._vertex_ids: dict[str, int] | None = None  # built on first use
+        self._edge_ids: dict[str, int] | None = None
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "Graph":
         """Check and index ``vertices`` and ``(name, source, range)`` edge triples."""
-        vset: set[str] = set()
+        position: dict[str, int] = {}
         for v in vertices:
             _check_token("vertex", v)
-            if v in vset:
+            if v in position:
                 raise DuplicateIdError(f"duplicate vertex id {v!r}")
-            vset.add(v)
-        vertex_names = sorted(vset)
-        vertex_ids = {v: i for i, v in enumerate(vertex_names)}
+            position[v] = len(position)
         names: list[str] = []
         src: list[int] = []
         rng: list[int] = []
@@ -229,18 +224,20 @@ class Graph:
                 raise DuplicateIdError(f"duplicate edge id {name!r}")
             seen.add(name)
             for endpoint in (source, range_):
-                if endpoint not in vertex_ids:
+                if endpoint not in position:
                     raise UndeclaredEndpointError(
                         f"edge {name!r} references undeclared vertex {endpoint!r}"
                     )
             names.append(name)
-            src.append(vertex_ids[source])
-            rng.append(vertex_ids[range_])
-        return cls(vertex_names, vertex_ids, names, src, rng)
+            src.append(position[source])
+            rng.append(position[range_])
+        return cls(list(position), names, src, rng)
 
     # --- name lookups ---------------------------------------------------------
 
     def vertex_id(self, v: str) -> int:
+        if self._vertex_ids is None:
+            self._vertex_ids = {n: i for i, n in enumerate(self.vertex_names)}
         try:
             return self._vertex_ids[v]
         except KeyError:
@@ -274,11 +271,13 @@ class Graph:
 
     def receivers(self, v: str) -> frozenset[str]:
         """Edge names with range ``v`` (the set ``r^{-1}(v)``)."""
-        return frozenset(map(self.edge_names.__getitem__, self.recv[self.vertex_id(v)]))
+        i = self.vertex_id(v)
+        return frozenset(map(self.edge_names.__getitem__, self.recv_ids[self.recv_start[i] : self.recv_start[i + 1]]))
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """Edges with source ``v``, in id order."""
-        return tuple(map(self._edge, self.out[self.vertex_id(v)]))
+        i = self.vertex_id(v)
+        return tuple(map(self._edge, self.out_ids[self.out_start[i] : self.out_start[i + 1]]))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -288,59 +287,97 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_names, self.edge_names, tuple(self.src), tuple(self.rng)))
+        return hash((self.vertex_names, self.edge_names, self.src.tobytes(), self.rng.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(vertices={list(self.vertex_names)!r}, edges={list(self.edges)!r})"
 
 
+#: characters of a text that :func:`_statements` splits into lines at a time
+_BLOCK = 1 << 16
+
+
+def _statements(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The grammar of the text format: ``(line number, words)`` of each
+    statement, ``vertex <id>`` or ``edge <id> <source-id> <range-id>``.
+
+    Lines are split where :meth:`str.splitlines` splits them, a ``#``
+    starts a comment, and a line left blank holds no statement.  A bad
+    directive or a wrong word count raises at its line.  The text is split
+    a block at a time, each block ending just after a ``\\n``, which ends a
+    line in every convention, so only one block's lines are alive at once.
+    """
+    lineno, start, size = 0, 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _BLOCK) + 1 or size
+        for raw in text[start:end].splitlines():
+            lineno += 1
+            parts = (raw[: raw.index("#")] if "#" in raw else raw).split()
+            if not parts:
+                continue
+            if parts[0] == "vertex":
+                if len(parts) != 2:
+                    raise GraphParseError("expected: vertex <id>", lineno)
+            elif parts[0] == "edge":
+                if len(parts) != 4:
+                    raise GraphParseError("expected: edge <id> <source-id> <range-id>", lineno)
+            else:
+                raise GraphParseError(f"unknown directive {parts[0]!r}", lineno)
+            yield lineno, parts
+        start = end
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the line-oriented graph format; errors report the 1-based line.
 
-    A part of a split line is a token by construction, so only duplicates
-    and undeclared endpoints are checked here, each once.
+    One pass numbers the vertices in declaration order and records each
+    edge's ends as those numbers.  An end not declared yet is recorded as
+    ``~k`` for the ``k``-th such name in ``forward`` and resolved after the
+    pass.  A part of a split line is a token by construction, so only
+    duplicates, raised at their line, and undeclared endpoints are checked
+    here, each once.  An undeclared endpoint is reported for the first
+    edge that has one, and only then is the text read again, for that
+    edge's line.
     """
-    vertices: list[str] = []
-    vseen: set[str] = set()
+    position: dict[str, int] = {}
     names: list[str] = []
-    sources: list[str] = []
-    ranges: list[str] = []
-    edge_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = (raw[: raw.index("#")] if "#" in raw else raw).split()
-        if not parts:
-            continue
-        if parts[0] == "vertex":
-            if len(parts) != 2:
-                raise GraphParseError("expected: vertex <id>", lineno)
-            if parts[1] in vseen:
+    seen: set[str] = set()
+    src, rng = array("q"), array("q")
+    forward: list[str] = []
+    for lineno, parts in _statements(text):
+        if len(parts) == 2:
+            if parts[1] in position:
                 raise GraphParseError(f"duplicate vertex id {parts[1]!r}", lineno)
-            vseen.add(parts[1])
-            vertices.append(parts[1])
-        elif parts[0] == "edge":
-            if len(parts) != 4:
-                raise GraphParseError("expected: edge <id> <source-id> <range-id>", lineno)
-            name = parts[1]
-            if name in edge_lines:
-                raise GraphParseError(f"duplicate edge id {name!r}", lineno)
-            edge_lines[name] = lineno
-            names.append(name)
-            sources.append(parts[2])
-            ranges.append(parts[3])
-        else:
-            raise GraphParseError(f"unknown directive {parts[0]!r}", lineno)
-    vertices.sort()
-    vertex_ids = {v: i for i, v in enumerate(vertices)}
-    src = [vertex_ids.get(v, -1) for v in sources]
-    rng = [vertex_ids.get(v, -1) for v in ranges]
-    if -1 in src or -1 in rng:
-        for name, s, r, si, ri in zip(names, sources, ranges, src, rng):
-            if si < 0 or ri < 0:
-                raise GraphParseError(
-                    f"edge {name!r} references undeclared vertex {s if si < 0 else r!r}",
-                    edge_lines[name],
-                )
-    return Graph(vertices, vertex_ids, names, src, rng)
+            position[parts[1]] = len(position)
+            continue
+        _, name, source, range_ = parts
+        if name in seen:
+            raise GraphParseError(f"duplicate edge id {name!r}", lineno)
+        seen.add(name)
+        names.append(name)
+        for ends, v in ((src, source), (rng, range_)):
+            i = position.get(v)
+            if i is None:
+                i = ~len(forward)
+                forward.append(v)
+            ends.append(i)
+    del seen  # this table and ``position`` are freed before the index's sorts, the peak
+    if forward:
+        resolved = [position.get(v, -1) for v in forward]
+        if -1 in resolved:
+            k = resolved.index(-1)  # forward names come in edge order, a source before its range
+            e = src.index(~k) if ~k in src else rng.index(~k)
+            raise GraphParseError(f"edge {names[e]!r} references undeclared vertex {forward[k]!r}", _edge_line(text, e))
+        src = array("q", [resolved[~i] if i < 0 else i for i in src])
+        rng = array("q", [resolved[~i] if i < 0 else i for i in rng])
+    vertex_names = list(position)
+    del position
+    return Graph(vertex_names, names, src, rng)
+
+
+def _edge_line(text: str, e: int) -> int:
+    """The line of the ``e``-th edge statement (from 0) of a text whose statements all parse."""
+    return next(islice((lineno for lineno, parts in _statements(text) if len(parts) == 4), e, None))
 
 
 def named_edges(g: Graph):

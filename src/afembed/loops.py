@@ -26,8 +26,9 @@ So a backed-out vertex could never have led back to ``v``.
 
 A witness is that loop and one other edge into its base: the base then
 receives two edges, so the loop has an entrance.  ``classify`` builds it
-from the edges that search walked, so it checks nothing twice; where a
-witness comes in from a caller, in :func:`witness_infinite` and
+from the edges that search walked, so it checks nothing twice, and the
+command line writes its chain with :func:`_chain_lines`, unchecked; where
+a witness comes in from a caller, in :func:`witness_infinite` and
 ``verify.verify_witness``, :func:`validate_witness` is its one check.
 """
 
@@ -168,8 +169,8 @@ def _on_cycle(g: Graph) -> bytearray:
     vertices of open components that do not root them.  A vertex lies on
     a loop iff its component has a second vertex or it has a self-loop.
     """
-    out, rng = g.out, g.rng
-    closed = len(out)
+    start, ids, rng = g.out_start, g.out_ids, g.rng
+    closed = len(g.vertex_names)
     rindex = [-1] * closed
     on = bytearray(closed)
     stack: list[int] = []
@@ -179,20 +180,19 @@ def _on_cycle(g: Graph) -> bytearray:
             continue
         rindex[root] = visit
         # the DFS path: vertices, their visit numbers, and iterators over the
-        # positions in their out-edge tuples (a range iterator is not a
+        # positions of their out-edges in ``ids`` (a range iterator is not a
         # container the garbage collector tracks, however deep the path)
-        path, visits, todo = [root], [visit], [iter(range(len(out[root])))]
+        path, visits, todo = [root], [visit], [iter(range(start[root], start[root + 1]))]
         visit += 1
         while path:
             v = path[-1]
-            adj = out[v]
             for k in todo[-1]:
-                w = rng[adj[k]]
+                w = rng[ids[k]]
                 if rindex[w] < 0:
                     rindex[w] = visit
                     path.append(w)
                     visits.append(visit)
-                    todo.append(iter(range(len(out[w]))))
+                    todo.append(iter(range(start[w], start[w + 1])))
                     visit += 1
                     break
                 if w == v:
@@ -227,15 +227,14 @@ def cycle_vertices(g: Graph) -> frozenset[str]:
 def _cycle_through(g: Graph, v: int) -> list[int]:
     """Edge ids ``e_1, ..., e_n`` of the first simple cycle through ``v`` found
     by DFS, edges tried in id order; see :func:`simple_cycle_through`."""
-    out, rng = g.out, g.rng
+    start, ids, rng = g.out_start, g.out_ids, g.rng
     chosen: list[int] = []
-    marked = bytearray(len(out))
+    marked = bytearray(len(g.vertex_names))
     marked[v] = 1
-    path, todo = [v], [iter(range(len(out[v])))]
+    path, todo = [v], [iter(range(start[v], start[v + 1]))]
     while path:
-        adj = out[path[-1]]
         for k in todo[-1]:
-            e = adj[k]
+            e = ids[k]
             w = rng[e]
             if w == v:
                 chosen.append(e)
@@ -244,7 +243,7 @@ def _cycle_through(g: Graph, v: int) -> list[int]:
                 marked[w] = 1
                 chosen.append(e)
                 path.append(w)
-                todo.append(iter(range(len(out[w]))))
+                todo.append(iter(range(start[w], start[w + 1])))
                 break
         else:
             path.pop()
@@ -291,11 +290,11 @@ def classify(g: Graph) -> Classification:
     cycles = [v for v, flag in enumerate(on) if flag]
     if not cycles:
         return Classification(Verdict.AF)
-    recv, src, vn, en = g.recv, g.src, g.vertex_names, g.edge_names
+    start, ids, src, vn, en = g.recv_start, g.recv_ids, g.src, g.vertex_names, g.edge_names
     for v in cycles:
-        if len(recv[v]) > 1:
+        if start[v + 1] - start[v] > 1:
             traversal = _cycle_through(g, v)
-            entry = min(e for e in recv[v] if e != traversal[-1])
+            entry = min(e for e in ids[start[v] : start[v + 1]] if e != traversal[-1])
             witness = EntranceWitness(_loop_of(g, traversal), Edge(en[entry], vn[src[entry]], vn[v]))
             return Classification(Verdict.NOT_FINITE, witness=witness)
     loops: list[SimpleLoop] = []
@@ -306,7 +305,7 @@ def classify(g: Graph) -> Classification:
         edges: list[int] = []
         cur = v
         while True:
-            (e,) = recv[cur]
+            e = ids[start[cur]]
             edges.append(e)
             on[cur] = 0
             cur = src[e]
@@ -352,6 +351,12 @@ def witness_infinite(g: Graph, w: EntranceWitness) -> tuple[str, ...]:
     The first two lines name ``alpha`` and ``beta``; the rest is the chain.
     """
     validate_witness(g, w)
+    return _chain_lines(w)
+
+
+def _chain_lines(w: EntranceWitness) -> tuple[str, ...]:
+    """The lines of :func:`witness_infinite` for a witness known to be valid,
+    such as the one :func:`classify` builds."""
     v, alpha, beta = w.entry_vertex, w.alpha, w.beta
     a = " ".join(f"s({e})" for e in w.loop.edges)
     a_star = " ".join(f"s*({e})" for e in reversed(w.loop.edges))

@@ -84,10 +84,11 @@ def ck_instances(
             # no local holds the product, or the last one would live on through CK3
             yield "CK2", None, ((f"CK2[{e},{f}]", product(adjoints[e], images[f]) if f in partners else zero, rhs),)
 
-    for v, rec in zip(vn, family.recv):
-        if rec:
+    start, ids = family.recv_start, family.recv_ids
+    for i, v in enumerate(vn):
+        if start[i] < start[i + 1]:
             total = zero
-            for e in map(en.__getitem__, rec):
+            for e in map(en.__getitem__, ids[start[i] : start[i + 1]]):
                 total = total + product(images[e], adjoints[e])
             yield "CK3", v, ((f"CK3[{v}]", total, projection(v)),)
 

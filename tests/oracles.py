@@ -7,9 +7,11 @@ by exploring *every* rewrite order.  None of it shares code paths with the
 production implementations beyond the basic graph accessors.  It also
 keeps implementations that faster ones replaced, as references: the
 two-array Tarjan, the sixteen-case pair table, the set-based graph core,
-the sort-based path basis, the term parser that threads a
-``(scalar, term)`` pair through its sums (it multiplies with the
-production term operations; only the grammar is under test), the
+the sort-based path basis, the text parser that held every line and a
+line table per edge, ``materialize`` as it checked its own ids, the term
+parser that threads a ``(scalar, term)`` pair through its sums (it
+multiplies with the production term operations; only the grammar is
+under test), the
 relation catalogue that multiplies out every CK2 pair, and the frozen
 dataclasses the value types were before they were written by hand.
 """
@@ -499,6 +501,75 @@ def set_graph_from_dict(obj: object) -> SetGraph:
     return SetGraph.build(vertices, triples)
 
 
+# ``graph.parse_graph`` before it parsed in one pass without side tables,
+# verbatim but for its name and its last line: the index constructor now
+# takes vertex names in any order, so it no longer takes ``vertex_ids``.
+
+
+def reference_parse_graph(text: str) -> Graph:
+    """Parse the line-oriented graph format; errors report the 1-based line.
+
+    A part of a split line is a token by construction, so only duplicates
+    and undeclared endpoints are checked here, each once.
+    """
+    vertices: list[str] = []
+    vseen: set[str] = set()
+    names: list[str] = []
+    sources: list[str] = []
+    ranges: list[str] = []
+    edge_lines: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = (raw[: raw.index("#")] if "#" in raw else raw).split()
+        if not parts:
+            continue
+        if parts[0] == "vertex":
+            if len(parts) != 2:
+                raise GraphParseError("expected: vertex <id>", lineno)
+            if parts[1] in vseen:
+                raise GraphParseError(f"duplicate vertex id {parts[1]!r}", lineno)
+            vseen.add(parts[1])
+            vertices.append(parts[1])
+        elif parts[0] == "edge":
+            if len(parts) != 4:
+                raise GraphParseError("expected: edge <id> <source-id> <range-id>", lineno)
+            name = parts[1]
+            if name in edge_lines:
+                raise GraphParseError(f"duplicate edge id {name!r}", lineno)
+            edge_lines[name] = lineno
+            names.append(name)
+            sources.append(parts[2])
+            ranges.append(parts[3])
+        else:
+            raise GraphParseError(f"unknown directive {parts[0]!r}", lineno)
+    vertices.sort()
+    vertex_ids = {v: i for i, v in enumerate(vertices)}
+    src = [vertex_ids.get(v, -1) for v in sources]
+    rng = [vertex_ids.get(v, -1) for v in ranges]
+    if -1 in src or -1 in rng:
+        for name, s, r, si, ri in zip(names, sources, ranges, src, rng):
+            if si < 0 or ri < 0:
+                raise GraphParseError(
+                    f"edge {name!r} references undeclared vertex {s if si < 0 else r!r}",
+                    edge_lines[name],
+                )
+    return Graph(vertices, names, src, rng)
+
+
+def reference_materialize(spec, depth: int) -> Graph:
+    """``embedding.materialize`` before it passed its ids to the index
+    unchecked: the same ids, through ``Graph.build``, which checks that each
+    is a token and that none repeats (the stage ceiling is left out)."""
+    vertices = [*spec.base.vertex_names, *spec._sinks]
+    edges = [(e, *ends) for e, ends in spec._finite_edges.items()]
+    for rep in spec.replacements:
+        tail = rep.tail
+        for k in range(1, depth + 1):
+            vertices.append(tail.vertex(k))
+            ends = tail.tail_edge_ends(k)
+            edges.extend((e, *ends) for e in tail.level_edges(k))
+    return Graph.build(vertices, edges)
+
+
 # ``terms._TermParser`` and ``terms.parse_term`` before the parser returned
 # one value per sum and product, kept verbatim but for the two names.
 
@@ -707,10 +778,11 @@ def reference_ck_instances(
             rhs = projection(vn[family.src[family.edge_id(e)]]) if e == f else zero
             yield "CK2", None, ((f"CK2[{e},{f}]", product(adjoints[e], images[f]), rhs),)
 
-    for v, rec in zip(vn, family.recv):
-        if rec:
+    start, ids = family.recv_start, family.recv_ids
+    for i, v in enumerate(vn):
+        if start[i] < start[i + 1]:
             total = zero
-            for e in map(en.__getitem__, rec):
+            for e in map(en.__getitem__, ids[start[i] : start[i + 1]]):
                 total = total + product(images[e], adjoints[e])
             yield "CK3", v, ((f"CK3[{v}]", total, projection(v)),)
 

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from afembed import loops
 from afembed.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_FINITE,
@@ -121,6 +123,24 @@ class TestClassify:
         assert out1 == out2
         records = [json.loads(line) for line in out1.strip().splitlines()]
         assert records[0]["verdict"] == "AF_EMBEDDABLE_NOT_AF"
+
+
+class TestWitnessCheckedOnce:
+    """``classify`` builds its witness from the edges it walked, so the
+    commands that write it do not check it again."""
+
+    @pytest.mark.parametrize("command", ["classify", "embed"])
+    def test_classifier_witness_is_not_checked_again(self, command, outdir, monkeypatch):
+        checked = []
+        real = loops.validate_witness
+        monkeypatch.setattr(loops, "validate_witness", lambda g, w: checked.append(w) or real(g, w))
+        code, out = run_cli([command, "--input", str(GOLDEN / "square_plus_entrance.txt"), "--format", "json"])
+        assert code == EXIT_NOT_FINITE and "s*(x) s(x) = p(w)" in out
+        assert checked == []
+        # the counter sees the check where it does run: a witness a caller brings
+        g = load_graph((GOLDEN / "square_plus_entrance.txt").read_text())
+        loops.witness_infinite(g, classify(g).witness)
+        assert len(checked) == 1
 
 
 class TestLoops:
@@ -429,6 +449,27 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: ")
         assert err.endswith(f"afembed {command}: error: argument --mult: {reason}\n")
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_closed_reader_ends_the_process_silently(self, tmp_path):
+        """As ``afembed loops ... | head -1`` would: the reader takes one byte
+        of 50,001 records, about 2 MB, far more than a pipe buffer, and
+        closes its end while the command still writes them."""
+        n = 50_000
+        graph = tmp_path / "self_loops.txt"
+        graph.write_text("".join(f"vertex v{i}\nedge e{i} v{i} v{i}\n" for i in range(n)))
+        argv = [sys.executable, "-c", "from afembed.cli import entry_point; entry_point()", "loops", "--input", str(graph)]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        try:
+            assert proc.stdout.read(1) == b"l"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert stderr == b""
+        assert proc.returncode == -signal.SIGPIPE
 
     def test_process_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["afembed", "verify", "--mult", "x;2"])

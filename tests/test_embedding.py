@@ -18,13 +18,14 @@ from afembed.embedding import (
     spec_from_dict,
     spec_to_dict,
 )
-from afembed.graph import Graph, GraphError, graph_from_dict, parse_graph
+from afembed.graph import Graph, GraphError, graph_from_dict, load_graph, parse_graph
 from afembed.loops import SimpleLoop, cycle_vertices, disjoint_simple_loops
 from afembed.terms import ContextMismatchError, NormalMonomial, parse_term
 
 from .conftest import growth_ratio
-from .oracles import count_paths_with_range
+from .oracles import count_paths_with_range, reference_materialize
 from .strategies import condition5_graphs
+from .test_golden import GOLDEN
 
 
 class TestMultiplicitySeq:
@@ -428,3 +429,22 @@ class TestSerialization:
         spec, gmap = square_embedding
         text = genmap_to_text(gmap, spec)
         assert "e1 = s(T1.f2) t(T1) s*(T1.f1)" in text
+
+
+class TestMaterializeIndex:
+    """``materialize`` hands the ids it generates to the index unchecked; the
+    graph is the one ``Graph.build`` makes of the same ids after checking
+    that each is a token and that none repeats."""
+
+    @given(condition5_graphs(), st.sampled_from(["2", "3,3;2", "1;2", "3,1;2", "4"]), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_build_of_its_ids(self, g, mult, depth):
+        spec, _ = embed(g, MultiplicitySeq.parse(mult))
+        assert materialize(spec, depth) == reference_materialize(spec, depth)
+
+    @pytest.mark.parametrize("mult", ["2", "3,3;2"])
+    @pytest.mark.parametrize("name", ["crowded", "cycles_dag", "dag", "self_loop", "square"])
+    def test_golden_stages(self, name, mult):
+        spec, _ = embed(load_graph((GOLDEN / f"{name}.txt").read_text()), MultiplicitySeq.parse(mult))
+        for depth in range(7):
+            assert materialize(spec, depth) == reference_materialize(spec, depth)

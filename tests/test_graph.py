@@ -1,10 +1,16 @@
+import gc
 import json
+import random
 import re
+import tracemalloc
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afembed.graph as graph_module
 from afembed.graph import (
     Graph,
     GraphError,
@@ -21,7 +27,7 @@ from afembed.graph import (
     serialize_graph,
 )
 
-from .oracles import SetGraph, set_graph_from_dict, set_parse_graph
+from .oracles import SetGraph, reference_parse_graph, set_graph_from_dict, set_parse_graph
 from .strategies import multigraphs
 
 
@@ -305,3 +311,148 @@ class TestAgainstSetOracle:
         expected = outcome(set_parse_graph, text)
         assert expected[0] == "rejected" and expected[2].startswith("line 4:")
         assert outcome(parse_graph, text) == expected
+
+
+# --- the one-pass parser against the parser it replaced
+
+# every line break of str.splitlines(); "\x1f" and "\u3000" below split words but no lines
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+SPACES = st.sampled_from([" ", "\t", "  ", "\x1f", "\u3000"])
+COMMENTS = st.sampled_from(["#", " # note", "#vertex x", "\t#edge e a a"])
+VERTEX_IDS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def statement(draw, clean: bool):
+    """One line's words.  A clean line is a blank, a comment, a vertex or an
+    edge between declared ids; any other line may repeat an id, name an
+    undeclared endpoint ``z``, miscount its words or misname its directive."""
+    kinds = ["vertex", "edge", "edge", "blank"] + ([] if clean else ["arity", "directive"])
+    kind = draw(st.sampled_from(kinds))
+    endpoint = st.sampled_from(VERTEX_IDS if clean else VERTEX_IDS + ["z"])
+    if kind == "vertex":
+        words = ["vertex", draw(st.sampled_from(VERTEX_IDS))]
+    elif kind == "edge":
+        words = ["edge", f"e{draw(st.integers(0, 30 if clean else 4))}", draw(endpoint), draw(endpoint)]
+    elif kind == "arity":
+        words = draw(st.sampled_from([["vertex"], ["vertex", "a", "b"], ["edge", "e9", "a"], ["edge", "e9", "a", "b", "c"]]))
+    elif kind == "directive":
+        words = [draw(st.sampled_from(["node", "Vertex", "edges", "v#vertex"])), "a"]
+    else:
+        words = []
+    line = draw(SPACES).join(words)
+    if draw(st.booleans()):
+        line = draw(SPACES) + line
+    if draw(st.integers(0, 3)) == 0:
+        line += draw(COMMENTS)
+    return line
+
+
+@st.composite
+def graph_texts(draw):
+    """Texts in the line format, half of them well formed (every id declared
+    once, somewhere: forward references are common), with every line break
+    of ``str.splitlines`` and a final break or none."""
+    clean = draw(st.booleans())
+    lines = draw(st.lists(statement(clean), max_size=14))
+    if clean:  # keep the first line of each id, then declare each vertex not declared yet
+        kept, seen = [], set()
+        for line in lines:
+            words = line.split("#")[0].split()
+            if words and words[1] in seen:
+                continue
+            seen.update(words[1:2])
+            kept.append(line)
+        lines = draw(st.permutations(kept + [f"vertex {v}" for v in VERTEX_IDS if v not in seen]))
+    breaks = [draw(LINE_BREAKS) for _ in lines]
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    if breaks and draw(st.booleans()):
+        text = text[: -len(breaks[-1])]
+    return text
+
+
+def parsed(parse, text: str):
+    try:
+        return parse(text)
+    except GraphParseError as exc:
+        return ("rejected", str(exc), exc.line)
+
+
+class TestOnePassParser:
+    """``parse_graph`` returns the graph, or raises the error at the line,
+    that the parser keeping every line and a table per edge did, whatever
+    block size it splits the text in."""
+
+    @given(graph_texts(), st.sampled_from([1, 2, 3, 7, 1 << 16]))
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_reference_parser(self, text, block):
+        with mock.patch.object(graph_module, "_BLOCK", block):
+            assert parsed(parse_graph, text) == parsed(reference_parse_graph, text)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("vertex a\nnode b\nvertex a\n", 2, "unknown directive 'node'"),
+            ("vertex a\nvertex a\nnode b\n", 2, "duplicate vertex id 'a'"),
+            ("edge e a a\nvertex a b\nedge e a a\n", 2, "expected: vertex <id>"),
+            ("edge e1 a b\nedge e2 b z\nedge e3 y b\nvertex a\nvertex b\nnode\x1cvertex c", 6, "unknown directive 'node'"),
+            ("edge e1 a b\r\nedge e2 b z\r\nedge e3 y b\r\nvertex a\r\nvertex b\r\n", 2, "edge 'e2' references undeclared vertex 'z'"),
+            ("edge e1 y z\u2028vertex a\n", 1, "edge 'e1' references undeclared vertex 'y'"),
+        ],
+    )
+    def test_first_offending_line_wins(self, text, line, message):
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(text)
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+
+# --- the index of a large graph
+
+N = 50_000
+
+
+@pytest.fixture(scope="module")
+def c50000_text() -> str:
+    """A 50,000-cycle with 11-character ids, declared vertices first."""
+    rnd = random.Random(N)
+    labels = [f"{x:010x}" for x in rnd.sample(range(1 << 40), 2 * N)]
+    vertices = ["v" + x for x in labels[:N]]
+    lines = [f"vertex {v}" for v in vertices]
+    lines += [f"edge e{x} {vertices[i]} {vertices[(i + 1) % N]}" for i, x in enumerate(labels[N:])]
+    return "\n".join(lines) + "\n"
+
+
+class TestIndexFootprint:
+    """The index is flat integer columns, and parsing keeps no per-line tables."""
+
+    def test_columns_are_integer_arrays(self, square):
+        columns = (square.src, square.rng, square.out_start, square.out_ids, square.recv_start, square.recv_ids)
+        assert all(isinstance(c, array) and c.typecode == "q" for c in columns)
+        assert list(square.out_start) == list(square.recv_start) == [0, 1, 2, 3, 4]
+
+    def test_load_graph_peak(self, c50000_text):
+        """tracemalloc's peak over ``load_graph`` of the 3 MB text: 36-38 MB
+        when the index held a tuple per vertex and side and the parser every
+        line, about 20 MB now."""
+        tracemalloc.start()
+        try:
+            g = load_graph(c50000_text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.edge_names) == len(g.vertex_names) == N
+        assert peak <= 24 * 10**6
+
+    def test_load_graph_adds_no_container_per_vertex(self, c50000_text):
+        """Counted with the collector off, so that no collection untracks a
+        container before the count: a tuple per vertex and side added 100,000."""
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            g = load_graph(c50000_text)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(g.vertex_names) == N
+        assert added < 100

@@ -201,6 +201,14 @@ class TestClassify:
 
 
 class TestWitness:
+    @given(multigraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_classify_builds_only_valid_witnesses(self, g):
+        """The command line writes the classifier's witness unchecked."""
+        w = classify(g).witness
+        if w is not None:
+            validate_witness(g, w)
+
     def test_shortest_instance(self, two_self_loops):
         w = classify(two_self_loops).witness
         chain = "\n".join(witness_infinite(two_self_loops, w))
