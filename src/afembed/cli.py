@@ -19,7 +19,7 @@ from importlib import import_module
 from pathlib import Path as FsPath
 
 from .graph import GraphError, export_dot, graph_to_dict, load_graph, serialize_graph
-from .loops import EntranceExistsError, Verdict, _chain_lines, classify, disjoint_simple_loops
+from .loops import EntranceExistsError, SimpleLoop, Verdict, _chain_lines, classify, disjoint_simple_loops
 from .loops import witness_infinite  # noqa: F401 -- no command calls it; the benchmark's LAYERS wraps it
 
 
@@ -89,18 +89,20 @@ def _stem(args) -> str:
     return "graph" if args.input == "-" else FsPath(args.input).stem
 
 
+def _loop_record(loop: SimpleLoop) -> dict:
+    return {"record": "loop", "edges": " ".join(loop.edges), "vertices": " ".join(loop.vertices)}
+
+
+def _entrance_record(exc: EntranceExistsError) -> dict:
+    """The refusal of ``loops`` and ``verify``: the vertex the entrance reaches."""
+    return {"record": "error", "reason": "entrance exists", "at": exc.witness.entry_vertex}
+
+
 def cmd_classify(args, out) -> int:
     g = _load(args.input)
     cls = classify(g)
     records = [{"record": "classification", "verdict": cls.verdict.value}]
-    for loop in cls.loops:
-        records.append(
-            {
-                "record": "loop",
-                "edges": " ".join(loop.edges),
-                "vertices": " ".join(loop.vertices),
-            }
-        )
+    records += map(_loop_record, cls.loops)
     if cls.witness is not None:
         lines = _chain_lines(cls.witness)  # classify built it: it needs no check
         records.append(
@@ -122,13 +124,10 @@ def cmd_loops(args, out) -> int:
     try:
         loops = disjoint_simple_loops(g)
     except EntranceExistsError as exc:
-        _emit([{"record": "error", "reason": "entrance exists", "at": exc.witness.entry_vertex}], args.format, out)
+        _emit([_entrance_record(exc)], args.format, out)
         return EXIT_NOT_FINITE
     records = [{"record": "loops", "count": len(loops)}]
-    for loop in loops:
-        records.append(
-            {"record": "loop", "edges": " ".join(loop.edges), "vertices": " ".join(loop.vertices)}
-        )
+    records += map(_loop_record, loops)
     _emit(records, args.format, out)
     return EXIT_OK
 
@@ -183,7 +182,7 @@ def cmd_verify(args, out) -> int:
     try:
         spec, gmap = embed(g, args.mult)
     except EntranceExistsError as exc:
-        _emit([{"record": "error", "reason": "entrance exists", "at": exc.witness.entry_vertex}], args.format, out)
+        _emit([_entrance_record(exc)], args.format, out)
         return EXIT_NOT_FINITE
     if args.map:
         gmap = genmap_from_text(FsPath(args.map).read_text(encoding="utf-8"), spec)

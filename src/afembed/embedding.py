@@ -70,17 +70,6 @@ class MultiplicitySeq(Frozen):
                 "the repeating multiplicity must be >= 2 so that entries >= 2 occur infinitely often"
             )
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.prefix, self.tail) == (other.prefix, other.tail)
-
-    def __hash__(self) -> int:
-        return hash((self.prefix, self.tail))
-
-    def __repr__(self) -> str:
-        return f"MultiplicitySeq(prefix={self.prefix!r}, tail={self.tail!r})"
-
     def value(self, k: int) -> int:
         if k < 1:
             raise ValueError("levels are 1-based")
@@ -120,17 +109,6 @@ class BratteliTailSpec(Frozen):
         _tail_namespace(self, namespace)
         _tail_mult(self, mult)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.namespace, self.mult) == (other.namespace, other.mult)
-
-    def __hash__(self) -> int:
-        return hash((self.namespace, self.mult))
-
-    def __repr__(self) -> str:
-        return f"BratteliTailSpec(namespace={self.namespace!r}, mult={self.mult!r})"
-
     @property
     def sink(self) -> str:
         return f"{self.namespace}.v"
@@ -160,17 +138,6 @@ class LoopReplacement(Frozen):
     def __init__(self, loop: SimpleLoop, tail: BratteliTailSpec):
         _replacement_loop(self, loop)
         _replacement_tail(self, tail)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.loop, self.tail) == (other.loop, other.tail)
-
-    def __hash__(self) -> int:
-        return hash((self.loop, self.tail))
-
-    def __repr__(self) -> str:
-        return f"LoopReplacement(loop={self.loop!r}, tail={self.tail!r})"
 
     @property
     def f_edges(self) -> tuple[str, ...]:

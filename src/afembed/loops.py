@@ -73,17 +73,6 @@ class SimpleLoop(Frozen):
         _loop_edges(self, edges)
         _loop_vertices(self, vertices)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.edges, self.vertices) == (other.edges, other.vertices)
-
-    def __hash__(self) -> int:
-        return hash((self.edges, self.vertices))
-
-    def __repr__(self) -> str:
-        return f"SimpleLoop(edges={self.edges!r}, vertices={self.vertices!r})"
-
     @property
     def n(self) -> int:
         return len(self.edges)
@@ -113,17 +102,6 @@ class EntranceWitness(Frozen):
     def __init__(self, loop: SimpleLoop, entry: Edge):
         _witness_loop(self, loop)
         _witness_entry(self, entry)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.loop, self.entry) == (other.loop, other.entry)
-
-    def __hash__(self) -> int:
-        return hash((self.loop, self.entry))
-
-    def __repr__(self) -> str:
-        return f"EntranceWitness(loop={self.loop!r}, entry={self.entry!r})"
 
     @property
     def entry_vertex(self) -> str:

@@ -75,6 +75,7 @@ class GaussianRational(Frozen):
         _gaussian_real(self, real)
         _gaussian_imag(self, imag)
 
+    # hashed and compared throughout the rewrite engine: literal tuples beat Frozen's field getter
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -82,9 +83,6 @@ class GaussianRational(Frozen):
 
     def __hash__(self) -> int:
         return hash((self.real, self.imag))
-
-    def __repr__(self) -> str:
-        return f"GaussianRational(real={self.real!r}, imag={self.imag!r})"
 
     @classmethod
     def of(cls, value) -> "GaussianRational":
@@ -192,6 +190,7 @@ class NormalMonomial(Frozen):
         _monomial_beta(self, beta)
         _monomial_source(self, source)
 
+    # hashed and compared throughout the rewrite engine: literal tuples beat Frozen's field getter
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -199,12 +198,6 @@ class NormalMonomial(Frozen):
 
     def __hash__(self) -> int:
         return hash((self.alpha, self.power, self.beta, self.source))
-
-    def __repr__(self) -> str:
-        return (
-            f"NormalMonomial(alpha={self.alpha!r}, power={self.power!r}, "
-            f"beta={self.beta!r}, source={self.source!r})"
-        )
 
     @property
     def is_projection(self) -> bool:

@@ -1,4 +1,4 @@
-"""The hand-written value types behave as the frozen dataclasses they were.
+"""The value types behave as the frozen dataclasses they were.
 
 Each type and its twin in ``tests/oracles.py`` are built from the same
 random fields, positionally and by keyword.  They must agree on ``==``
@@ -9,15 +9,18 @@ message.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afembed
 from afembed.embedding import BratteliTailSpec, LoopReplacement, MultiplicitySeq
-from afembed.graph import Edge, Path
+from afembed.graph import Edge, Frozen, Path
 from afembed.loops import EntranceWitness, SimpleLoop
 from afembed.terms import GaussianRational, NormalMonomial
 
@@ -129,3 +132,17 @@ def test_multiplicities_rejected_as_the_dataclass_rejected_them(prefix, tail):
 
     assert outcome(MultiplicitySeq) == outcome(MultiplicitySeqTwin)
     assert outcome(lambda p, t: MultiplicitySeq(prefix=p, tail=t)) == outcome(MultiplicitySeqTwin)
+
+
+def test_every_value_type_has_a_twin():
+    """Every subclass of ``Frozen`` in any module of the package, at any
+    depth, is compared with a dataclass twin above."""
+    for module in pkgutil.iter_modules(afembed.__path__):
+        importlib.import_module(f"afembed.{module.name}")
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    assert found == {cls for cls, _, _ in TYPES.values()}

@@ -127,6 +127,17 @@ class TestVerifyWitness:
         assert multiply(adjoint(s_a), s_a, ctx) == projection(ctx, w.alpha.source)
         assert multiply(adjoint(s_a), s_b, ctx).is_zero
 
+    def test_identity_check_reports_a_difference(self):
+        """``validate_witness`` stops every witness that could fail an
+        identity, so the proof's own check is exercised directly."""
+        p_u = CKTerm.of(NormalMonomial((), 0, (), "u"))
+        s_e = CKTerm.of(NormalMonomial(("e",), 0, (), "u"), 2)
+        failed = verify._identity_check("WITNESS[x]", p_u, s_e)
+        assert (failed.relation, failed.status) == ("WITNESS[x]", RelationStatus.FAILED)
+        assert failed.difference == p_u - s_e and not failed.difference.is_zero
+        proved = verify._identity_check("WITNESS[x]", p_u, CKTerm.of(NormalMonomial((), 0, (), "u")))
+        assert (proved.relation, proved.status, proved.difference) == ("WITNESS[x]", RelationStatus.PROVED, None)
+
 
 # --- cross-range CK2 pairs: skipped by support, as if multiplied out
 
