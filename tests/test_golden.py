@@ -19,8 +19,10 @@ The structure outputs were pinned before the graph core was interned to
 integers: ``export`` in all three formats, ``classify`` and ``loops`` on a
 host whose ids crowd the tail namespaces, and ``classify`` of a JSON copy
 of ``cycles_dag`` (``cycles_dag.json``, written by ``export --format json``).
-Three ``*_text`` cases pin the default text records of ``classify``,
-``loops`` and ``verify``.  Two more entrance graphs pin every witness
+Five ``*_text`` cases pin the default text records of ``classify``,
+``loops`` and ``verify``, two of them on the failing fswap and t-dropped
+maps, whose FAILED ``difference`` fields and ``ok=False`` records then
+have a text golden too.  Two more entrance graphs pin every witness
 output: ``two_self_loops``, whose entry edge is itself a loop, and
 ``cycle_into_cycle``, whose entry edge leaves another cycle.  An ``export`` or ``*_text`` case names its own
 ``--format``; every other case runs with ``--format json``.
@@ -78,6 +80,13 @@ CASES = {
     "classify_square_plus_entrance_text": ["classify", "--input", "@square_plus_entrance.txt", "--format", "text"],
     "loops_crowded_text": ["loops", "--input", "@crowded.txt", "--format", "text"],
     "verify_cycles_dag_text": ["verify", "--input", "@cycles_dag.txt", "--depth", "4", "--format", "text"],
+    # failing maps in text: ``difference`` values and ``ok=False`` records
+    "verify_square_fswap_map_text": [
+        "verify", "--input", "@square.txt", "--depth", "4", "--map", "@square_fswap.genmap.txt", "--format", "text",
+    ],
+    "verify_square_tdropped_map_text": [
+        "verify", "--input", "@square.txt", "--depth", "4", "--map", "@square_tdropped.genmap.txt", "--format", "text",
+    ],
 }
 # two more entrance witnesses: an entry edge that is itself a loop, and one
 # that leaves another cycle
