@@ -7,6 +7,12 @@ Structured output is newline-delimited JSON records with sorted keys, so
 identical inputs produce byte-identical reports.  Messages that are not
 records (``error: ...``, ``verification failed: ...``) go to stderr, so
 every line of a ``--format json`` stdout parses as JSON.
+
+Each record is written from a template for its shape (:class:`_Shape`),
+with one ``write`` call; its bytes are those of
+``json.JSONEncoder(sort_keys=True)``.  ``verify`` decides every refusal
+before its first record, so a refused run's stdout is empty; it holds its
+stage reports, never its output.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ import json
 import os
 import sys
 from importlib import import_module
+from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 
 from .graph import GraphError, export_dot, graph_to_dict, load_graph, serialize_graph
-from .loops import EntranceExistsError, SimpleLoop, Verdict, _chain_lines, classify, disjoint_simple_loops
+from .loops import EntranceExistsError, Verdict, _chain_fragments, classify, disjoint_simple_loops
 from .loops import witness_infinite  # noqa: F401 -- no command calls it; the benchmark's LAYERS wraps it
 
 
@@ -59,18 +66,136 @@ TOL_ALG = 1e-12
 TOL_SPEC = 1e-10
 
 
-_JSON = json.JSONEncoder(sort_keys=True)
+class _Shape:
+    """One record shape: its fields in ``sort_keys`` order, and per format
+    the constant text around their values.
+
+    ``format[fmt]`` takes the values in field order and gives the record;
+    ``parts[fmt]`` is the same template split at the values.  The keys and
+    the record name are fixed here, so a record encodes only its values.
+    """
+
+    __slots__ = ("record", "fields", "parts", "format")
+
+    def __init__(self, record: str, *fields: str):
+        keys = sorted({*fields, "record"})
+        if [k for k in keys if k != "record"] != list(fields):
+            raise ValueError(f"the fields of {record!r} must be distinct and in sorted order")
+        self.record, self.fields = record, fields
+        json_parts, text_parts, jc, tc = [], [], "{", f"{record}:"
+        for i, k in enumerate(keys):
+            jc += (", " if i else "") + encode_basestring_ascii(k) + ": "
+            if k == "record":
+                jc += encode_basestring_ascii(record)
+                continue
+            json_parts.append(jc)
+            text_parts.append(f"{tc} {k}=")
+            jc = tc = ""
+        json_parts.append(jc + "}\n")
+        text_parts.append(tc + "\n")
+        self.parts = {"json": tuple(json_parts), "text": tuple(text_parts)}
+        self.format = {
+            fmt: "{}".join(p.replace("{", "{{").replace("}", "}}") for p in parts).format
+            for fmt, parts in self.parts.items()
+        }
 
 
-def _emit(records: list[dict], fmt: str, out) -> None:
-    """Write each record and its newline with one ``write`` call."""
-    if fmt == "json":
-        for rec in records:
-            out.write(_JSON.encode(rec) + "\n")
-    else:
-        for rec in records:
-            fields = " ".join(f"{k}={rec[k]}" for k in sorted(rec) if k != "record")
-            out.write(f"{rec['record']}: {fields}\n")
+CLASSIFICATION = _Shape("classification", "verdict")
+LOOP = _Shape("loop", "edges", "vertices")
+LOOPS = _Shape("loops", "count")
+WITNESS = _Shape("witness", "alpha", "beta", "chain", "entry_edge", "entry_vertex")
+ENTRANCE = _Shape("error", "at", "reason")  # the refusal of ``loops`` and ``verify``
+ENTRANCE_CHAIN = _Shape("error", "reason", "witness")  # the refusal of ``embed``
+EMBEDDING = _Shape("embedding", "depth", "loops_replaced", "mult")
+ARTIFACT = _Shape("artifact", "kind", "path")
+SYMBOLIC = _Shape("symbolic", "relation", "status")
+SYMBOLIC_NOTE = _Shape("symbolic", "note", "relation", "status")
+SYMBOLIC_DIFFERENCE = _Shape("symbolic", "difference", "relation", "status")
+RESIDUAL = _Shape("residual", "instance", "ok", "value")
+BOUNDARY_DEFECT = _Shape("boundary-defect", "expected", "instance", "value")
+SPECTRUM = _Shape(
+    "spectrum", "hausdorff_to_circle", "loop", "max_modulus_deviation", "net_bound", "nonzero_eigenvalues", "ok"
+)
+SUMMARY = _Shape("summary", "failures", "max_residual", "symbolic_proved")
+
+
+def _json_chars(s: str) -> str:
+    """The characters of ``s`` as a JSON string holds them: escaped, unquoted."""
+    return encode_basestring_ascii(s)[1:-1]
+
+
+class _Writer:
+    """Writes records to ``out``, each record and its newline with one
+    ``write`` call.
+
+    ``--format json`` writes the line ``json.JSONEncoder(sort_keys=True)``
+    writes, its strings escaped to ASCII by the encoder's own function;
+    ``--format text`` writes ``<record>: key=value ...`` in the same key
+    order.  Values are strings, bools and ints: :attr:`string` and
+    :attr:`boolean` write the first two, and an int is written as it
+    formats.  :attr:`text` writes a string's characters alone (unquoted),
+    for values given as fragments (:meth:`spliced`).
+    """
+
+    __slots__ = ("fmt", "write", "string", "boolean", "text", "quote")
+
+    def __init__(self, fmt: str, out):
+        self.fmt, self.write = fmt, out.write
+        if fmt == "json":
+            self.string, self.boolean = encode_basestring_ascii, {True: "true", False: "false"}.__getitem__
+            self.text, self.quote = _json_chars, '"'
+        else:
+            self.string = self.boolean = self.text = str
+            self.quote = ""
+
+    def template(self, shape: _Shape):
+        """The record of ``shape`` from its values, each already written by
+        :attr:`string` or :attr:`boolean` (an int as it is)."""
+        return shape.format[self.fmt]
+
+    def __call__(self, shape: _Shape, *values) -> None:
+        """One record of ``shape``, its values given in field order."""
+        string, boolean = self.string, self.boolean
+        self.write(
+            shape.format[self.fmt](
+                *[string(v) if v.__class__ is str else boolean(v) if v.__class__ is bool else v for v in values]
+            )
+        )
+
+    def spliced(self, shape: _Shape, *values: list[str]) -> None:
+        """One record whose values are strings given as fragments already
+        written by :attr:`text`: the record is one join of the template and
+        the fragments, so no joined value is held alongside it."""
+        parts, quote = shape.parts[self.fmt], self.quote
+        pieces = [parts[0]]
+        for value, part in zip(values, parts[1:]):
+            pieces.append(quote)
+            pieces += value
+            pieces.append(quote + part)
+        self.write("".join(pieces))
+
+
+def _chain_value(lines) -> list[str]:
+    """The fragments of ``" ; ".join(lines)``, for lines of fragments."""
+    value = list(lines[0])
+    for line in lines[1:]:
+        value.append(" ; ")
+        value += line
+    return value
+
+
+def _write_witness(write: _Writer, w) -> None:
+    """``classify``'s ``witness`` record: the paths and the chain of
+    :func:`~afembed.loops.witness_infinite`, unchecked, as ``classify``
+    built ``w``."""
+    lines = _chain_fragments(w, write.text)
+    alpha, beta, v = lines[0][1], lines[1][1], lines[0][3]
+    write.spliced(WITNESS, [alpha], [beta], _chain_value(lines[2:]), [write.text(w.entry_edge)], [v])
+
+
+def _write_entrance_chain(write: _Writer, w) -> None:
+    """``embed``'s refusal: every line of the chain."""
+    write.spliced(ENTRANCE_CHAIN, ["entrance exists"], _chain_value(_chain_fragments(w, write.text)))
 
 
 def _load(path: str):
@@ -89,46 +214,32 @@ def _stem(args) -> str:
     return "graph" if args.input == "-" else FsPath(args.input).stem
 
 
-def _loop_record(loop: SimpleLoop) -> dict:
-    return {"record": "loop", "edges": " ".join(loop.edges), "vertices": " ".join(loop.vertices)}
-
-
-def _entrance_record(exc: EntranceExistsError) -> dict:
-    """The refusal of ``loops`` and ``verify``: the vertex the entrance reaches."""
-    return {"record": "error", "reason": "entrance exists", "at": exc.witness.entry_vertex}
+def _write_loops(write: _Writer, loops) -> None:
+    for loop in loops:
+        write(LOOP, " ".join(loop.edges), " ".join(loop.vertices))
 
 
 def cmd_classify(args, out) -> int:
     g = _load(args.input)
     cls = classify(g)
-    records = [{"record": "classification", "verdict": cls.verdict.value}]
-    records += map(_loop_record, cls.loops)
+    write = _Writer(args.format, out)
+    write(CLASSIFICATION, cls.verdict.value)
+    _write_loops(write, cls.loops)
     if cls.witness is not None:
-        lines = _chain_lines(cls.witness)  # classify built it: it needs no check
-        records.append(
-            {
-                "record": "witness",
-                "entry_vertex": cls.witness.entry_vertex,
-                "entry_edge": cls.witness.entry_edge,
-                "alpha": str(cls.witness.alpha),
-                "beta": str(cls.witness.beta),
-                "chain": " ; ".join(lines[2:]),
-            }
-        )
-    _emit(records, args.format, out)
+        _write_witness(write, cls.witness)
     return EXIT_NOT_FINITE if cls.verdict is Verdict.NOT_FINITE else EXIT_OK
 
 
 def cmd_loops(args, out) -> int:
     g = _load(args.input)
+    write = _Writer(args.format, out)
     try:
         loops = disjoint_simple_loops(g)
     except EntranceExistsError as exc:
-        _emit([_entrance_record(exc)], args.format, out)
+        write(ENTRANCE, exc.witness.entry_vertex, "entrance exists")
         return EXIT_NOT_FINITE
-    records = [{"record": "loops", "count": len(loops)}]
-    records += map(_loop_record, loops)
-    _emit(records, args.format, out)
+    write(LOOPS, len(loops))
+    _write_loops(write, loops)
     return EXIT_OK
 
 
@@ -136,15 +247,11 @@ def cmd_embed(args, out) -> int:
     from .embedding import genmap_to_text, spec_to_dict
 
     g = _load(args.input)
+    write = _Writer(args.format, out)
     try:
         spec, gmap = embed(g, args.mult)
     except EntranceExistsError as exc:
-        lines = _chain_lines(exc.witness)  # the witness classify built
-        _emit(
-            [{"record": "error", "reason": "entrance exists", "witness": " ; ".join(lines)}],
-            args.format,
-            out,
-        )
+        _write_entrance_chain(write, exc.witness)
         return EXIT_NOT_FINITE
     f_d = materialize(spec, args.depth)
     outdir = _output_dir()
@@ -159,30 +266,30 @@ def cmd_embed(args, out) -> int:
     paths["genmap"].write_text(genmap_to_text(gmap, spec))
     paths["graph"].write_text(serialize_graph(f_d))
     paths["dot"].write_text(export_dot(f_d, "F"))
-    records = [
-        {
-            "record": "embedding",
-            "loops_replaced": len(spec.replacements),
-            "depth": args.depth,
-            "mult": args.mult.render(),
-        }
-    ]
-    records += [{"record": "artifact", "kind": k, "path": str(p)} for k, p in sorted(paths.items())]
-    _emit(records, args.format, out)
+    write(EMBEDDING, args.depth, len(spec.replacements), args.mult.render())
+    for kind, path in sorted(paths.items()):
+        write(ARTIFACT, kind, str(path))
     return EXIT_OK
 
 
 def cmd_verify(args, out) -> int:
+    """Every stage that can refuse runs before the first record, so a
+    refused run writes nothing to stdout.  The numeric stages run first:
+    the representation is dropped once its reports exist, before the
+    symbolic report is built.  Then each report is written, in the order
+    symbolic, residuals, boundary defects, spectra, summary, and released;
+    only the reports are held, never the records."""
     from . import numrep  # and with it every other module, before any stage runs
     from .embedding import genmap_from_text
     from .terms import term_to_str
     from .verify import RelationStatus
 
     g = _load(args.input)
+    write = _Writer(args.format, out)
     try:
         spec, gmap = embed(g, args.mult)
     except EntranceExistsError as exc:
-        _emit([_entrance_record(exc)], args.format, out)
+        write(ENTRANCE, exc.witness.entry_vertex, "entrance exists")
         return EXIT_NOT_FINITE
     if args.map:
         gmap = genmap_from_text(FsPath(args.map).read_text(encoding="utf-8"), spec)
@@ -192,78 +299,69 @@ def cmd_verify(args, out) -> int:
                 f"generator map domain mismatch: expected edges {sorted(expected)}"
             )
 
-    failures: list[str] = []
-    records: list[dict] = []
-
-    report = verify_ck_family(gmap, spec)
-    for check in report.checks:
-        rec = {"record": "symbolic", "relation": check.relation, "status": check.status.value}
-        if check.note:
-            rec["note"] = check.note
-        if check.status is RelationStatus.FAILED:
-            rec["difference"] = term_to_str(check.difference, spec)
-            failures.append(f"symbolic {check.relation}")
-        records.append(rec)
-
     rep = build_rep(spec, args.depth)
     residuals = relation_residuals(rep, gmap)
+    spectra = [loop_spectrum(rep, r.loop, gmap) for r in spec.replacements]
+    del rep
+    report = verify_ck_family(gmap, spec)
+
+    failures = 0
+    first_failure = ""
+    # the two records written per relation instance go straight to their
+    # templates: a C400 writes 323,207 of them
+    emit, string, boolean = write.write, write.string, write.boolean
+    symbolic, residual = write.template(SYMBOLIC), write.template(RESIDUAL)
+    proved_status, failed_status = RelationStatus.PROVED, RelationStatus.FAILED
+    proved = string(proved_status.value)
+    for check in report.checks:
+        status = check.status
+        if status is failed_status:  # the catalogue's failures carry no note
+            write(SYMBOLIC_DIFFERENCE, term_to_str(check.difference, spec), check.relation, status.value)
+            failures += 1
+            first_failure = first_failure or f"symbolic {check.relation}"
+        elif check.note:
+            write(SYMBOLIC_NOTE, check.note, check.relation, status.value)
+        else:
+            emit(symbolic(string(check.relation), proved if status is proved_status else string(status.value)))
+    symbolic_proved = failures == 0
+    del report
+
     for entry in residuals.entries:
         ok = entry.value <= TOL_ALG
-        records.append(
-            {
-                "record": "residual",
-                "instance": entry.name,
-                "value": f"{entry.value:.3e}",
-                "ok": ok,
-            }
-        )
+        emit(residual(string(entry.name), boolean(ok), string(f"{entry.value:.3e}")))
         if not ok:
-            failures.append(f"residual {entry.name}")
+            failures += 1
+            first_failure = first_failure or f"residual {entry.name}"
     for entry in residuals.boundary_defects:
-        records.append(
-            {
-                "record": "boundary-defect",
-                "instance": entry.name,
-                "value": f"{entry.value:.3e}",
-                "expected": "1.0 (documented truncation defect)",
-            }
-        )
+        write(BOUNDARY_DEFECT, "1.0 (documented truncation defect)", entry.name, f"{entry.value:.3e}")
+    max_residual = residuals.max_residual
+    del residuals
 
-    for loop_rep in spec.replacements:
-        loop = loop_rep.loop
-        report_s = loop_spectrum(rep, loop, gmap)
+    for loop_rep, report_s in zip(spec.replacements, spectra):
+        loop = " ".join(loop_rep.loop.edges)
         level_size = loop_rep.tail.mult.level_sizes(args.depth)[-1]
-        bound = numrep.spectral_net_bound(loop.n, level_size)
+        bound = numrep.spectral_net_bound(loop_rep.loop.n, level_size)
         ok = (
             report_s.max_modulus_deviation <= TOL_SPEC
             and report_s.hausdorff_to_circle <= bound + 1e-12
             and report_s.conjugation_mismatch <= TOL_SPEC
         )
-        records.append(
-            {
-                "record": "spectrum",
-                "loop": " ".join(loop.edges),
-                "nonzero_eigenvalues": len(report_s.eigenvalues),
-                "max_modulus_deviation": f"{report_s.max_modulus_deviation:.3e}",
-                "hausdorff_to_circle": f"{report_s.hausdorff_to_circle:.6f}",
-                "net_bound": f"{bound:.6f}",
-                "ok": ok,
-            }
+        write(
+            SPECTRUM,
+            f"{report_s.hausdorff_to_circle:.6f}",
+            loop,
+            f"{report_s.max_modulus_deviation:.3e}",
+            f"{bound:.6f}",
+            len(report_s.eigenvalues),
+            ok,
         )
         if not ok:
-            failures.append(f"spectrum {' '.join(loop.edges)}")
+            failures += 1
+            first_failure = first_failure or f"spectrum {loop}"
 
-    records.append(
-        {
-            "record": "summary",
-            "symbolic_proved": report.all_proved,
-            "max_residual": f"{residuals.max_residual:.3e}",
-            "failures": len(failures),
-        }
-    )
-    _emit(records, args.format, out)
+    write(SUMMARY, failures, f"{max_residual:.3e}", symbolic_proved)
     if failures:
-        print(f"verification failed: {failures[0]}", file=sys.stderr)
+        print(f"verification failed: {first_failure}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     return EXIT_OK
 

@@ -27,7 +27,7 @@ So a backed-out vertex could never have led back to ``v``.
 A witness is that loop and one other edge into its base: the base then
 receives two edges, so the loop has an entrance.  ``classify`` builds it
 from the edges that search walked, so it checks nothing twice, and the
-command line writes its chain with :func:`_chain_lines`, unchecked; where
+command line writes its chain with :func:`_chain_fragments`, unchecked; where
 a witness comes in from a caller, in :func:`witness_infinite` and
 ``verify.verify_witness``, :func:`validate_witness` is its one check.
 """
@@ -335,16 +335,29 @@ def witness_infinite(g: Graph, w: EntranceWitness) -> tuple[str, ...]:
 def _chain_lines(w: EntranceWitness) -> tuple[str, ...]:
     """The lines of :func:`witness_infinite` for a witness known to be valid,
     such as the one :func:`classify` builds."""
-    v, alpha, beta = w.entry_vertex, w.alpha, w.beta
-    a = " ".join(f"s({e})" for e in w.loop.edges)
-    a_star = " ".join(f"s*({e})" for e in reversed(w.loop.edges))
-    b, b_star = f"s({w.entry.name})", f"s*({w.entry.name})"
+    return tuple(map("".join, _chain_fragments(w)))
+
+
+def _chain_fragments(w: EntranceWitness, text=str) -> tuple[tuple[str, ...], ...]:
+    """The lines of :func:`_chain_lines`, each as the fragments it joins.
+
+    ``text`` writes the fragments that hold ids; it must act character by
+    character, as a JSON string escape does, so it is applied once to each
+    of the loop's two words however often the chain repeats them.  A
+    record can then splice the fragments into its own text, and a long
+    loop's chain is never held as lines, their join and the record at once.
+    """
+    v, alpha, beta = text(w.entry_vertex), w.alpha, w.beta
+    a = text(" ".join(f"s({e})" for e in w.loop.edges))
+    a_star = text(" ".join(f"s*({e})" for e in reversed(w.loop.edges)))
+    b, b_star = text(f"s({w.entry.name})"), text(f"s*({w.entry.name})")
+    u = text(beta.source)
     return (
-        f"alpha = {alpha} : {alpha.source} -> {alpha.range}",
-        f"beta  = {beta} : {beta.source} -> {beta.range}",
-        f"{a_star} {a} = p({v})",
-        f"{b_star} {b} = p({beta.source})",
-        f"{a_star} {b} = 0",
-        f"{a} {a_star} < {a} {a_star} + {b} {b_star} <= p({v})",
-        f"p({v}) is equivalent to a proper subprojection of itself: infinite",
+        ("alpha = ", text(str(alpha)), " : ", v, " -> ", v),
+        ("beta  = ", text(str(beta)), " : ", u, " -> ", text(beta.range)),
+        (a_star, " ", a, " = p(", v, ")"),
+        (b_star, " ", b, " = p(", u, ")"),
+        (a_star, " ", b, " = 0"),
+        (a, " ", a_star, " < ", a, " ", a_star, " + ", b, " ", b_star, " <= p(", v, ")"),
+        ("p(", v, ") is equivalent to a proper subprojection of itself: infinite"),
     )

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from afembed import loops
+from afembed import cli, loops
 from afembed.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_FINITE,
@@ -23,14 +23,14 @@ from afembed.cli import (
     main,
 )
 from afembed.embedding import MAX_STAGE_SIZE, embed, genmap_to_text
-from afembed.graph import graph_to_dict, load_graph, serialize_graph
+from afembed.graph import Edge, GraphError, _check_token, graph_to_dict, load_graph, serialize_graph
 from afembed.loops import EntranceExistsError, Verdict, classify
 from afembed.numrep import MAX_DENSE_SUPPORT
 from afembed.terms import ContextMismatchError, TermParseError, parse_term
 
 from .conftest import SQUARE_TEXT
 from .strategies import condition5_graphs, multigraphs
-from .test_golden import GOLDEN, child_env
+from .test_golden import GOLDEN, CountingOut, child_env
 
 
 def run_cli(argv):
@@ -141,6 +141,148 @@ class TestWitnessCheckedOnce:
         g = load_graph((GOLDEN / "square_plus_entrance.txt").read_text())
         loops.witness_infinite(g, classify(g).witness)
         assert len(checked) == 1
+
+
+# --- the record writer: one template per shape, byte-equal to the encoder
+
+# ids as ``_check_token`` accepts them: escapes, quotes, control and non-ASCII
+# characters, and a lone surrogate, which a JSON graph can spell
+_ID_CHARS = st.characters() | st.sampled_from(['"', "\\", "\x01", "\x1f", "\x7f", "\xe9", "\u2028", "\ud800", "\U0001f600"])
+
+
+def _is_id(name: str) -> bool:
+    try:
+        _check_token("vertex", name)
+    except GraphError:
+        return False
+    return True
+
+
+_IDS = st.text(_ID_CHARS, min_size=1, max_size=8).filter(_is_id)
+# record values: ids joined as records join them, with spaces and separators
+_STRINGS = st.lists(_IDS | st.sampled_from([" ", " ; ", " + ", "-1 "]), max_size=5).map("".join)
+_INT_FIELDS = {"count", "depth", "loops_replaced", "failures", "nonzero_eigenvalues"}
+_BOOL_FIELDS = {"ok", "symbolic_proved"}
+_SHAPES = {name: v for name, v in vars(cli).items() if isinstance(v, cli._Shape)}
+
+
+def _field_values(shape):
+    return st.tuples(
+        *(
+            st.integers() if k in _INT_FIELDS else st.booleans() if k in _BOOL_FIELDS else _STRINGS
+            for k in shape.fields
+        )
+    )
+
+
+def _reference_lines(rec: dict) -> dict[str, str]:
+    """A record as ``json.JSONEncoder(sort_keys=True)`` writes it, and the
+    text line ``<record>: key=value ...`` in the same key order."""
+    fields = " ".join(f"{k}={rec[k]}" for k in sorted(rec) if k != "record")
+    return {"json": json.JSONEncoder(sort_keys=True).encode(rec) + "\n", "text": f"{rec['record']}: {fields}\n"}
+
+
+def _reference_chain_lines(w) -> tuple[str, ...]:
+    """The witness chain written out line by line: the reference for the
+    fragments of ``loops._chain_fragments``."""
+    v, alpha, beta = w.entry_vertex, w.alpha, w.beta
+    a = " ".join(f"s({e})" for e in w.loop.edges)
+    a_star = " ".join(f"s*({e})" for e in reversed(w.loop.edges))
+    b, b_star = f"s({w.entry.name})", f"s*({w.entry.name})"
+    return (
+        f"alpha = {alpha} : {alpha.source} -> {alpha.range}",
+        f"beta  = {beta} : {beta.source} -> {beta.range}",
+        f"{a_star} {a} = p({v})",
+        f"{b_star} {b} = p({beta.source})",
+        f"{a_star} {b} = 0",
+        f"{a} {a_star} < {a} {a_star} + {b} {b_star} <= p({v})",
+        f"p({v}) is equivalent to a proper subprojection of itself: infinite",
+    )
+
+
+@st.composite
+def _witnesses(draw):
+    n = draw(st.integers(1, 4))
+    edges = tuple(draw(st.lists(_IDS, min_size=n, max_size=n, unique=True)))
+    vertices = tuple(draw(st.lists(_IDS, min_size=n, max_size=n, unique=True)))
+    entry = Edge(draw(_IDS.filter(lambda e: e not in edges)), draw(_IDS), vertices[0])
+    return loops.EntranceWitness(loops.SimpleLoop(edges, vertices), entry)
+
+
+class TestRecordWriter:
+    """Each record is one ``write`` of the bytes ``JSONEncoder(sort_keys=True)``
+    gives in ``--format json``, and of ``<record>: key=value ...`` in
+    ``--format text``, whichever way it is written: generically, straight
+    to its template, or spliced from fragments."""
+
+    def test_every_record_shape_has_a_template(self):
+        shapes = {(s.record, s.fields) for s in _SHAPES.values()}
+        assert shapes == {
+            ("classification", ("verdict",)),
+            ("loop", ("edges", "vertices")),
+            ("loops", ("count",)),
+            ("witness", ("alpha", "beta", "chain", "entry_edge", "entry_vertex")),
+            ("error", ("at", "reason")),
+            ("error", ("reason", "witness")),
+            ("embedding", ("depth", "loops_replaced", "mult")),
+            ("artifact", ("kind", "path")),
+            ("symbolic", ("relation", "status")),
+            ("symbolic", ("note", "relation", "status")),
+            ("symbolic", ("difference", "relation", "status")),
+            ("residual", ("instance", "ok", "value")),
+            ("boundary-defect", ("expected", "instance", "value")),
+            ("spectrum", (
+                "hausdorff_to_circle", "loop", "max_modulus_deviation", "net_bound", "nonzero_eigenvalues", "ok",
+            )),
+            ("summary", ("failures", "max_residual", "symbolic_proved")),
+        }
+
+    def test_fields_out_of_sort_order_are_refused(self):
+        with pytest.raises(ValueError, match="sorted order"):
+            cli._Shape("residual", "value", "instance")
+
+    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_record_equals_the_encoder(self, name, data):
+        shape = _SHAPES[name]
+        values = data.draw(_field_values(shape))
+        expected = _reference_lines({"record": shape.record, **dict(zip(shape.fields, values))})
+        for fmt in ("json", "text"):
+            out = CountingOut()
+            write = cli._Writer(fmt, out)
+            write(shape, *values)
+            # the direct path: values written by ``string`` and ``boolean`` into the template
+            encoded = [
+                write.string(v) if isinstance(v, str) else write.boolean(v) if isinstance(v, bool) else v
+                for v in values
+            ]
+            write.write(write.template(shape)(*encoded))
+            records = 2
+            if all(isinstance(v, str) for v in values):
+                write.spliced(shape, *([write.text(v)] for v in values))
+                records += 1
+            assert (out.getvalue(), out.writes) == (records * expected[fmt], records)
+
+    @given(_witnesses())
+    @settings(max_examples=80, deadline=None)
+    def test_witness_records_equal_the_encoder(self, w):
+        lines = _reference_chain_lines(w)
+        assert loops._chain_lines(w) == lines
+        witness = {
+            "record": "witness",
+            "entry_vertex": w.entry_vertex,
+            "entry_edge": w.entry_edge,
+            "alpha": str(w.alpha),
+            "beta": str(w.beta),
+            "chain": " ; ".join(lines[2:]),
+        }
+        refusal = {"record": "error", "reason": "entrance exists", "witness": " ; ".join(lines)}
+        for write_record, rec in ((cli._write_witness, witness), (cli._write_entrance_chain, refusal)):
+            for fmt in ("json", "text"):
+                out = CountingOut()
+                write_record(cli._Writer(fmt, out), w)
+                assert (out.getvalue(), out.writes) == (_reference_lines(rec)[fmt], 1)
 
 
 class TestLoops:
@@ -344,6 +486,20 @@ class TestVerify:
         )
         assert (code, out) == (EXIT_INPUT_ERROR, "")
         assert capsys.readouterr().err == "error: edge 'T1.b9.1' not in the materialized stage\n"
+
+    def test_numeric_stages_refuse_before_the_symbolic_one(self, tmp_path, capsys):
+        """``verify`` runs the numeric stages first: of a map that both
+        stages refuse, the message names the numeric refusal, ``T1.b9.1``
+        beyond ``F_2``, not the symbolic one, ``t(T1) s(T1.b1.1)`` without
+        a normal form; stdout stays empty either way."""
+        golden = Path(__file__).parent / "golden"
+        bad = tmp_path / "bad.genmap.txt"
+        bad.write_text("e1 = t(T1)^-1\ne2 = s(T1.b1.1)\ne3 = s(T1.b9.1)\ne4 = s(T1.f1) t(T1) s*(T1.f4)\n")
+        argv = ["verify", "--input", str(golden / "square.txt"), "--map", str(bad)]
+        assert run_cli([*argv, "--depth", "2"]) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err == "error: edge 'T1.b9.1' not in the materialized stage\n"
+        assert run_cli([*argv, "--depth", "9"]) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err.startswith("error: irreducible word is not of the form s..s t^k s*..s*")
 
     def test_coefficient_beyond_the_float_range_is_input_error(self, tmp_path, capsys):
         """Up to 10^308 a coefficient is a float, and the residuals read ``inf``;
