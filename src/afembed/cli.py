@@ -71,17 +71,16 @@ class _Shape:
     the constant text around their values.
 
     ``format[fmt]`` takes the values in field order and gives the record;
-    ``parts[fmt]`` is the same template split at the values.  The keys and
-    the record name are fixed here, so a record encodes only its values.
+    ``parts[fmt]`` is the same template split at the values, for records
+    spliced from fragments.  The keys and the record name are fixed here,
+    so a record encodes only its values.
     """
 
     __slots__ = ("record", "fields", "parts", "format")
 
     def __init__(self, record: str, *fields: str):
         keys = sorted({*fields, "record"})
-        if [k for k in keys if k != "record"] != list(fields):
-            raise ValueError(f"the fields of {record!r} must be distinct and in sorted order")
-        self.record, self.fields = record, fields
+        self.record, self.fields = record, tuple(k for k in keys if k != "record")
         json_parts, text_parts, jc, tc = [], [], "{", f"{record}:"
         for i, k in enumerate(keys):
             jc += (", " if i else "") + encode_basestring_ascii(k) + ": "
@@ -149,28 +148,33 @@ class _Writer:
             self.quote = ""
 
     def template(self, shape: _Shape):
-        """The record of ``shape`` from its values, each already written by
-        :attr:`string` or :attr:`boolean` (an int as it is)."""
+        """The record of ``shape`` from its values in field order, each
+        already written by :attr:`string` or :attr:`boolean` (an int as it
+        is): for the records ``verify`` writes once per relation instance."""
         return shape.format[self.fmt]
 
-    def __call__(self, shape: _Shape, *values) -> None:
-        """One record of ``shape``, its values given in field order."""
+    def __call__(self, shape: _Shape, **values) -> None:
+        """One record of ``shape``, its values given by field name."""
         string, boolean = self.string, self.boolean
         self.write(
             shape.format[self.fmt](
-                *[string(v) if v.__class__ is str else boolean(v) if v.__class__ is bool else v for v in values]
+                *[
+                    string(v) if v.__class__ is str else boolean(v) if v.__class__ is bool else v
+                    for v in map(values.__getitem__, shape.fields)
+                ]
             )
         )
 
-    def spliced(self, shape: _Shape, *values: list[str]) -> None:
-        """One record whose values are strings given as fragments already
-        written by :attr:`text`: the record is one join of the template and
-        the fragments, so no joined value is held alongside it."""
+    def spliced(self, shape: _Shape, **values: list[str]) -> None:
+        """One record whose values are strings given by field name as
+        fragments already written by :attr:`text`: the record is one join
+        of the template and the fragments, so no joined value is held
+        alongside it."""
         parts, quote = shape.parts[self.fmt], self.quote
         pieces = [parts[0]]
-        for value, part in zip(values, parts[1:]):
+        for key, part in zip(shape.fields, parts[1:]):
             pieces.append(quote)
-            pieces += value
+            pieces += values[key]
             pieces.append(quote + part)
         self.write("".join(pieces))
 
@@ -189,13 +193,19 @@ def _write_witness(write: _Writer, w) -> None:
     :func:`~afembed.loops.witness_infinite`, unchecked, as ``classify``
     built ``w``."""
     lines = _chain_fragments(w, write.text)
-    alpha, beta, v = lines[0][1], lines[1][1], lines[0][3]
-    write.spliced(WITNESS, [alpha], [beta], _chain_value(lines[2:]), [write.text(w.entry_edge)], [v])
+    write.spliced(
+        WITNESS,
+        alpha=[lines[0][1]],
+        beta=[lines[1][1]],
+        chain=_chain_value(lines[2:]),
+        entry_edge=[write.text(w.entry_edge)],
+        entry_vertex=[lines[0][3]],
+    )
 
 
 def _write_entrance_chain(write: _Writer, w) -> None:
     """``embed``'s refusal: every line of the chain."""
-    write.spliced(ENTRANCE_CHAIN, ["entrance exists"], _chain_value(_chain_fragments(w, write.text)))
+    write.spliced(ENTRANCE_CHAIN, reason=["entrance exists"], witness=_chain_value(_chain_fragments(w, write.text)))
 
 
 def _load(path: str):
@@ -216,14 +226,14 @@ def _stem(args) -> str:
 
 def _write_loops(write: _Writer, loops) -> None:
     for loop in loops:
-        write(LOOP, " ".join(loop.edges), " ".join(loop.vertices))
+        write(LOOP, edges=" ".join(loop.edges), vertices=" ".join(loop.vertices))
 
 
 def cmd_classify(args, out) -> int:
     g = _load(args.input)
     cls = classify(g)
     write = _Writer(args.format, out)
-    write(CLASSIFICATION, cls.verdict.value)
+    write(CLASSIFICATION, verdict=cls.verdict.value)
     _write_loops(write, cls.loops)
     if cls.witness is not None:
         _write_witness(write, cls.witness)
@@ -236,9 +246,9 @@ def cmd_loops(args, out) -> int:
     try:
         loops = disjoint_simple_loops(g)
     except EntranceExistsError as exc:
-        write(ENTRANCE, exc.witness.entry_vertex, "entrance exists")
+        write(ENTRANCE, at=exc.witness.entry_vertex, reason="entrance exists")
         return EXIT_NOT_FINITE
-    write(LOOPS, len(loops))
+    write(LOOPS, count=len(loops))
     _write_loops(write, loops)
     return EXIT_OK
 
@@ -266,9 +276,9 @@ def cmd_embed(args, out) -> int:
     paths["genmap"].write_text(genmap_to_text(gmap, spec))
     paths["graph"].write_text(serialize_graph(f_d))
     paths["dot"].write_text(export_dot(f_d, "F"))
-    write(EMBEDDING, args.depth, len(spec.replacements), args.mult.render())
+    write(EMBEDDING, depth=args.depth, loops_replaced=len(spec.replacements), mult=args.mult.render())
     for kind, path in sorted(paths.items()):
-        write(ARTIFACT, kind, str(path))
+        write(ARTIFACT, kind=kind, path=str(path))
     return EXIT_OK
 
 
@@ -289,7 +299,7 @@ def cmd_verify(args, out) -> int:
     try:
         spec, gmap = embed(g, args.mult)
     except EntranceExistsError as exc:
-        write(ENTRANCE, exc.witness.entry_vertex, "entrance exists")
+        write(ENTRANCE, at=exc.witness.entry_vertex, reason="entrance exists")
         return EXIT_NOT_FINITE
     if args.map:
         gmap = genmap_from_text(FsPath(args.map).read_text(encoding="utf-8"), spec)
@@ -307,8 +317,9 @@ def cmd_verify(args, out) -> int:
 
     failures = 0
     first_failure = ""
-    # the two records written per relation instance go straight to their
-    # templates: a C400 writes 323,207 of them
+    # the two records written per relation instance (a C400 writes 323,207)
+    # go straight to their templates: through ``write(...)``, a C400 verify
+    # took 1.2 times as long in paired runs (CHANGES.md)
     emit, string, boolean = write.write, write.string, write.boolean
     symbolic, residual = write.template(SYMBOLIC), write.template(RESIDUAL)
     proved_status, failed_status = RelationStatus.PROVED, RelationStatus.FAILED
@@ -316,11 +327,12 @@ def cmd_verify(args, out) -> int:
     for check in report.checks:
         status = check.status
         if status is failed_status:  # the catalogue's failures carry no note
-            write(SYMBOLIC_DIFFERENCE, term_to_str(check.difference, spec), check.relation, status.value)
+            difference = term_to_str(check.difference, spec)
+            write(SYMBOLIC_DIFFERENCE, difference=difference, relation=check.relation, status=status.value)
             failures += 1
             first_failure = first_failure or f"symbolic {check.relation}"
         elif check.note:
-            write(SYMBOLIC_NOTE, check.note, check.relation, status.value)
+            write(SYMBOLIC_NOTE, note=check.note, relation=check.relation, status=status.value)
         else:
             emit(symbolic(string(check.relation), proved if status is proved_status else string(status.value)))
     symbolic_proved = failures == 0
@@ -333,7 +345,12 @@ def cmd_verify(args, out) -> int:
             failures += 1
             first_failure = first_failure or f"residual {entry.name}"
     for entry in residuals.boundary_defects:
-        write(BOUNDARY_DEFECT, "1.0 (documented truncation defect)", entry.name, f"{entry.value:.3e}")
+        write(
+            BOUNDARY_DEFECT,
+            expected="1.0 (documented truncation defect)",
+            instance=entry.name,
+            value=f"{entry.value:.3e}",
+        )
     max_residual = residuals.max_residual
     del residuals
 
@@ -348,18 +365,18 @@ def cmd_verify(args, out) -> int:
         )
         write(
             SPECTRUM,
-            f"{report_s.hausdorff_to_circle:.6f}",
-            loop,
-            f"{report_s.max_modulus_deviation:.3e}",
-            f"{bound:.6f}",
-            len(report_s.eigenvalues),
-            ok,
+            hausdorff_to_circle=f"{report_s.hausdorff_to_circle:.6f}",
+            loop=loop,
+            max_modulus_deviation=f"{report_s.max_modulus_deviation:.3e}",
+            net_bound=f"{bound:.6f}",
+            nonzero_eigenvalues=len(report_s.eigenvalues),
+            ok=ok,
         )
         if not ok:
             failures += 1
             first_failure = first_failure or f"spectrum {loop}"
 
-    write(SUMMARY, failures, f"{max_residual:.3e}", symbolic_proved)
+    write(SUMMARY, failures=failures, max_residual=f"{max_residual:.3e}", symbolic_proved=symbolic_proved)
     if failures:
         print(f"verification failed: {first_failure}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED

@@ -329,17 +329,12 @@ def witness_infinite(g: Graph, w: EntranceWitness) -> tuple[str, ...]:
     The first two lines name ``alpha`` and ``beta``; the rest is the chain.
     """
     validate_witness(g, w)
-    return _chain_lines(w)
-
-
-def _chain_lines(w: EntranceWitness) -> tuple[str, ...]:
-    """The lines of :func:`witness_infinite` for a witness known to be valid,
-    such as the one :func:`classify` builds."""
     return tuple(map("".join, _chain_fragments(w)))
 
 
 def _chain_fragments(w: EntranceWitness, text=str) -> tuple[tuple[str, ...], ...]:
-    """The lines of :func:`_chain_lines`, each as the fragments it joins.
+    """The lines of :func:`witness_infinite`, each as the fragments it joins,
+    for a witness known to be valid, such as the one :func:`classify` builds.
 
     ``text`` writes the fragments that hold ids; it must act character by
     character, as a JSON string escape does, so it is applied once to each
