@@ -23,6 +23,7 @@ and :func:`materialize` cuts the finite stage ``F_d`` from its tables.
 from __future__ import annotations
 
 import re
+from types import SimpleNamespace
 from typing import Iterable
 
 from .graph import Frozen, Graph, GraphError, graph_from_dict, graph_to_dict, named_edges
@@ -281,17 +282,13 @@ class AugmentedGraphSpec(StarContext):
         return self._sinks.get(v)
 
 
-class GeneratorMap:
+class GeneratorMap(SimpleNamespace):
     """Images of the input graph's generators inside the augmented algebra.
 
+    ``edge_map`` maps each edge id to its image, a :class:`CKTerm`.
     Vertices map identically; an unreplaced edge maps to its own isometry
     and the i-th edge of a replaced loop to ``s(f_{i+1}) t s*(f_i)``.
     """
-
-    __slots__ = ("edge_map",)
-
-    def __init__(self, edge_map: dict[str, CKTerm]):
-        self.edge_map = edge_map
 
 
 def _pick_namespaces(g: Graph, count: int) -> list[str]:
@@ -339,7 +336,7 @@ def embed(g: Graph, mult: MultiplicitySeq | None = None) -> tuple[AugmentedGraph
             edge_map[rep.loop.edge_index(i)] = CKTerm.of(
                 NormalMonomial((rep.f_edge_for(i + 1),), 1, (rep.f_edge_for(i),), sink)
             )
-    return spec, GeneratorMap(edge_map)
+    return spec, GeneratorMap(edge_map=edge_map)
 
 
 def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
@@ -429,4 +426,4 @@ def genmap_from_text(text: str, spec: AugmentedGraphSpec) -> GeneratorMap:
         if name in edge_map:
             raise ValueError(f"line {lineno}: duplicate image for edge {name!r}")
         edge_map[name] = parse_term(rhs.strip(), spec)
-    return GeneratorMap(edge_map)
+    return GeneratorMap(edge_map=edge_map)

@@ -35,6 +35,7 @@ a witness comes in from a caller, in :func:`witness_infinite` and
 from __future__ import annotations
 
 from enum import Enum
+from types import SimpleNamespace
 
 from .graph import Edge, Frozen, Graph, Path
 
@@ -123,13 +124,9 @@ class EntranceWitness(Frozen):
 _witness_loop, _witness_entry = EntranceWitness.loop.__set__, EntranceWitness.entry.__set__
 
 
-class Classification:
-    __slots__ = ("verdict", "loops", "witness")
-
-    def __init__(self, verdict: Verdict, loops: tuple[SimpleLoop, ...] = (), witness: EntranceWitness | None = None):
-        self.verdict = verdict
-        self.loops = loops
-        self.witness = witness
+class Classification(SimpleNamespace):
+    """``verdict``; ``loops``, the disjoint simple loops of an AF-embeddable
+    graph (else empty); ``witness``, the entrance of a not-finite one (else None)."""
 
 
 def _loop_of(g: Graph, traversal: list[int]) -> SimpleLoop:
@@ -267,14 +264,14 @@ def classify(g: Graph) -> Classification:
     on = _on_cycle(g)
     cycles = [v for v, flag in enumerate(on) if flag]
     if not cycles:
-        return Classification(Verdict.AF)
+        return Classification(verdict=Verdict.AF, loops=(), witness=None)
     start, ids, src, vn, en = g.recv_start, g.recv_ids, g.src, g.vertex_names, g.edge_names
     for v in cycles:
         if start[v + 1] - start[v] > 1:
             traversal = _cycle_through(g, v)
             entry = min(e for e in ids[start[v] : start[v + 1]] if e != traversal[-1])
             witness = EntranceWitness(_loop_of(g, traversal), Edge(en[entry], vn[src[entry]], vn[v]))
-            return Classification(Verdict.NOT_FINITE, witness=witness)
+            return Classification(verdict=Verdict.NOT_FINITE, loops=(), witness=witness)
     loops: list[SimpleLoop] = []
     for v in cycles:
         if not on[v]:  # already traced
@@ -291,7 +288,7 @@ def classify(g: Graph) -> Classification:
                 break
         edges.reverse()
         loops.append(_loop_of(g, edges))
-    return Classification(Verdict.AF_EMBEDDABLE_NOT_AF, loops=tuple(loops))
+    return Classification(verdict=Verdict.AF_EMBEDDABLE_NOT_AF, loops=tuple(loops), witness=None)
 
 
 def validate_witness(g: Graph, w: EntranceWitness) -> None:

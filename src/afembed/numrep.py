@@ -51,6 +51,7 @@ import operator
 from bisect import bisect_left
 from functools import cached_property, partial, reduce
 from itertools import compress, repeat
+from types import SimpleNamespace
 
 from .embedding import MAX_STAGE_SIZE, AugmentedGraphSpec, GeneratorMap, LoopReplacement, StageTooLargeError, materialize
 from .graph import Graph, Path
@@ -75,9 +76,9 @@ class DenseSpectrumTooLargeError(RepresentationError):
     """A dense spectrum above :data:`MAX_DENSE_SUPPORT`, refused before it is allocated."""
 
 
-class PathBasis:
-    """All paths of length ``0 .. d`` in a finite graph, canonically ordered:
-    by length, then by edge tuple, then by source.
+class PathBasis(SimpleNamespace):
+    """All paths of length ``0 .. d`` in the finite ``graph``, canonically
+    ordered: by length, then by edge tuple, then by source.
 
     Row ``i`` is held as three ids: ``edge[i]``, its range-end edge (-1 for
     a vertex), ``suffix[i]``, the row of the path without that edge (-1 for
@@ -87,22 +88,6 @@ class PathBasis:
     ``d + 2`` entries.  ``paths`` and ``index`` are name-level views, built
     on first use.
     """
-
-    __slots__ = ("graph", "edge", "suffix", "rng", "starts", "__dict__")  # ``__dict__`` caches the views
-
-    def __init__(
-        self,
-        graph: Graph,
-        edge: tuple[int, ...],
-        suffix: tuple[int, ...],
-        rng: tuple[int, ...],
-        starts: tuple[int, ...],
-    ):
-        self.graph = graph
-        self.edge = edge
-        self.suffix = suffix
-        self.rng = rng
-        self.starts = starts
 
     @classmethod
     def build(cls, g: Graph, depth: int) -> "PathBasis":
@@ -123,7 +108,7 @@ class PathBasis:
             starts.append(len(rng))
             if starts[-1] == starts[-2]:
                 break
-        return cls(g, tuple(edge), tuple(suffix), tuple(rng), tuple(starts))
+        return cls(graph=g, edge=tuple(edge), suffix=tuple(suffix), rng=tuple(rng), starts=tuple(starts))
 
     @cached_property
     def paths(self) -> tuple[Path, ...]:
@@ -476,36 +461,15 @@ class Operator:
         return out
 
 
-class TruncatedRep:
+class TruncatedRep(SimpleNamespace):
     """Generator operators of one finite stage.
 
+    ``graph`` is the stage ``F_depth`` of the augmented graph ``spec`` and
+    ``basis`` its :class:`PathBasis`; ``P``, ``S`` and ``T`` map vertex,
+    edge and tail namespace ids to their :class:`Operator`.
     ``corner_levels`` maps a tail namespace to its per-level lists of basis
     indices; ``interior`` is True on the paths of length ``1 .. depth-1``.
     """
-
-    __slots__ = ("spec", "depth", "graph", "basis", "P", "S", "T", "corner_levels", "interior")
-
-    def __init__(
-        self,
-        spec: AugmentedGraphSpec,
-        depth: int,
-        graph: Graph,
-        basis: PathBasis,
-        P: dict,
-        S: dict,
-        T: dict,
-        corner_levels: dict,
-        interior: tuple[bool, ...],
-    ):
-        self.spec = spec
-        self.depth = depth
-        self.graph = graph
-        self.basis = basis
-        self.P = P
-        self.S = S
-        self.T = T
-        self.corner_levels = corner_levels
-        self.interior = interior
 
     @property
     def dimension(self) -> int:
@@ -668,14 +632,9 @@ class ResidualEntry:
         self.value = value
 
 
-class ResidualReport:
-    """Interior-compressed residuals plus the known boundary defects."""
-
-    __slots__ = ("entries", "boundary_defects")
-
-    def __init__(self, entries: tuple[ResidualEntry, ...], boundary_defects: tuple[ResidualEntry, ...]):
-        self.entries = entries
-        self.boundary_defects = boundary_defects
+class ResidualReport(SimpleNamespace):
+    """Interior-compressed residuals, ``entries``, plus the known
+    ``boundary_defects``: two tuples of :class:`ResidualEntry`."""
 
     @property
     def max_residual(self) -> float:
@@ -746,45 +705,23 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         p_v = rep.P[rep.spec.sink_vertex(ns)]
         entries.append(ResidualEntry(f"TAIL[{ns}]:unitary", (t @ t.adjoint() - p_v).frobenius()))
         entries.append(ResidualEntry(f"TAIL[{ns}]:unitary*", (t.adjoint() @ t - p_v).frobenius()))
-    return ResidualReport(tuple(entries), tuple(defects))
+    return ResidualReport(entries=tuple(entries), boundary_defects=tuple(defects))
 
 
-class SpectrumReport:
-    """Finite-stage shadow of the full-circle spectrum of a loop image.
+class SpectrumReport(SimpleNamespace):
+    """Finite-stage shadow of the full-circle spectrum of a ``loop``'s image
+    at stage ``depth``.
 
     ``eigenvalues`` is the spectrum of the corner unitary power over all
     levels ``0 .. d``; conjugating by the loop's entry isometry clips the
     deepest level, so the conjugated operator's spectrum is taken
-    separately and compared on the shared levels (plus its kernel).
+    separately and compared on the shared levels (plus its kernel): its
+    eigenvalues of modulus above 1/2 are ``conjugated_nonzero``, and
+    ``conjugation_mismatch`` is their distance, as a multiset, from those
+    levels' ``eigenvalues``.
+    ``max_modulus_deviation`` and ``hausdorff_to_circle`` measure how far
+    ``eigenvalues`` lie from the unit circle.
     """
-
-    __slots__ = (
-        "loop",
-        "depth",
-        "eigenvalues",
-        "conjugated_nonzero",
-        "max_modulus_deviation",
-        "hausdorff_to_circle",
-        "conjugation_mismatch",
-    )
-
-    def __init__(
-        self,
-        loop: SimpleLoop,
-        depth: int,
-        eigenvalues: tuple[complex, ...],
-        conjugated_nonzero: tuple[complex, ...],
-        max_modulus_deviation: float,
-        hausdorff_to_circle: float,
-        conjugation_mismatch: float,
-    ):
-        self.loop = loop
-        self.depth = depth
-        self.eigenvalues = eigenvalues
-        self.conjugated_nonzero = conjugated_nonzero
-        self.max_modulus_deviation = max_modulus_deviation
-        self.hausdorff_to_circle = hausdorff_to_circle
-        self.conjugation_mismatch = conjugation_mismatch
 
 
 def _circle_hausdorff(values: tuple[complex, ...], radial: float) -> float:

@@ -24,6 +24,7 @@ instead.
 from __future__ import annotations
 
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable, Collection, Hashable, Iterator, Mapping, TypeVar
 
 from .embedding import AugmentedGraphSpec, GeneratorMap
@@ -120,11 +121,8 @@ class RelationCheck:
         self.note = note
 
 
-class RelationReport:
-    __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[RelationCheck, ...]):
-        self.checks = checks
+class RelationReport(SimpleNamespace):
+    """``checks``, a tuple of :class:`RelationCheck`."""
 
     @property
     def all_proved(self) -> bool:
@@ -193,7 +191,7 @@ def verify_ck_family(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> RelationRe
                 note="full-circle spectrum is not a rewrite fact; checked numerically",
             )
         )
-    return RelationReport(tuple(checks))
+    return RelationReport(checks=tuple(checks))
 
 
 def verify_witness(w: EntranceWitness, g: Graph) -> RelationReport:
@@ -220,4 +218,4 @@ def verify_witness(w: EntranceWitness, g: Graph) -> RelationReport:
             CKTerm.zero(),
         ),
     )
-    return RelationReport(checks)
+    return RelationReport(checks=checks)

@@ -68,7 +68,7 @@ class TestVerifyCKFamily:
         spec, gmap = square_embedding
         bad_edges = dict(gmap.edge_map)
         bad_edges["e1"] = CKTerm.of(NormalMonomial(("T1.f3",), 1, ("T1.f1",), "T1.v"))
-        report = verify_ck_family(GeneratorMap(bad_edges), spec)
+        report = verify_ck_family(GeneratorMap(edge_map=bad_edges), spec)
         assert not report.all_proved
         failed = report.failures()
         assert any(c.relation == "CK3[u2]" for c in failed)
