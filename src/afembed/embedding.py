@@ -425,5 +425,8 @@ def genmap_from_text(text: str, spec: AugmentedGraphSpec) -> GeneratorMap:
         name = name.strip()
         if name in edge_map:
             raise ValueError(f"line {lineno}: duplicate image for edge {name!r}")
-        edge_map[name] = parse_term(rhs.strip(), spec)
+        try:
+            edge_map[name] = parse_term(rhs.strip(), spec)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     return GeneratorMap(edge_map=edge_map)

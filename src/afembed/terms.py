@@ -396,7 +396,7 @@ def monomial_of_word(ctx: StarContext, word: Word) -> NormalMonomial:
         i += 1
     if i != len(word):
         raise UnrepresentableTermError(
-            f"irreducible word is not of the form s..s t^k s*..s*: {word!r}"
+            f"irreducible word is not of the form s..s t^k s*..s*: {word_to_str(word)}"
         )
     beta = tuple(reversed(beta_rev))
     if power:
@@ -485,15 +485,22 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _power_str(namespace: str, k: int) -> str:
+    """``t(ns)^k``, or ``t*(ns)^-k`` for negative ``k``; a power of one without its exponent."""
+    return f"{'t' if k > 0 else 't*'}({namespace})" + (f"^{abs(k)}" if abs(k) != 1 else "")
+
+
+def word_to_str(word: Word) -> str:
+    """A word in the term grammar, atom by atom."""
+    return " ".join(_power_str(a[1], a[2]) if a[0] == "t" else f"{a[0]}({a[1]})" for a in word)
+
+
 def monomial_to_str(m: NormalMonomial, ctx: StarContext) -> str:
     if m.is_projection:
         return f"p({m.source})"
     parts = [f"s({e})" for e in m.alpha]
     if m.power:
-        ns = ctx.sink_namespace(m.source)
-        sym = "t" if m.power > 0 else "t*"
-        k = abs(m.power)
-        parts.append(f"{sym}({ns})" + (f"^{k}" if k != 1 else ""))
+        parts.append(_power_str(ctx.sink_namespace(m.source), m.power))
     parts.extend(f"s*({e})" for e in reversed(m.beta))
     return " ".join(parts)
 

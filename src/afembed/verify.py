@@ -30,7 +30,7 @@ from typing import Callable, Collection, Hashable, Iterator, Mapping, TypeVar
 from .embedding import AugmentedGraphSpec, GeneratorMap
 from .graph import Graph
 from .loops import EntranceWitness, validate_witness
-from .terms import CKTerm, NormalMonomial, StarContext, adjoint, expand_ck3, isometry, multiply, projection
+from .terms import CKTerm, NormalMonomial, StarContext, UnrepresentableTermError, adjoint, expand_ck3, isometry, multiply, projection
 
 X = TypeVar("X")
 
@@ -67,31 +67,38 @@ def ck_instances(
     ``zero`` otherwise.
     """
     vn, en = family.vertex_names, family.edge_names  # sorted, as ids number them
-    for v in vn:
-        p = projection(v)
-        yield "CK1", v, ((f"CK1[{v}]", product(p, p), p), (f"CK1*[{v}]", adjoint(p), p))
+    name = ""  # the instance whose products are being formed
+    try:
+        for v in vn:
+            p = projection(v)
+            name = f"CK1[{v}]"
+            yield "CK1", v, ((name, product(p, p), p), (f"CK1*[{v}]", adjoint(p), p))
 
-    edge_names = sorted(images)
-    adjoints = {e: adjoint(images[e]) for e in edge_names}
-    keys = {e: support(images[e]) for e in edge_names}
-    meeting: dict[Hashable, list[str]] = {}
-    for e in edge_names:
-        for k in keys[e]:
-            meeting.setdefault(k, []).append(e)
-    for e in edge_names:
-        partners = {e}.union(*map(meeting.__getitem__, keys[e]))
-        for f in edge_names:
-            rhs = projection(vn[family.src[family.edge_id(e)]]) if e == f else zero
-            # no local holds the product, or the last one would live on through CK3
-            yield "CK2", None, ((f"CK2[{e},{f}]", product(adjoints[e], images[f]) if f in partners else zero, rhs),)
+        edge_names = sorted(images)
+        adjoints = {e: adjoint(images[e]) for e in edge_names}
+        keys = {e: support(images[e]) for e in edge_names}
+        meeting: dict[Hashable, list[str]] = {}
+        for e in edge_names:
+            for k in keys[e]:
+                meeting.setdefault(k, []).append(e)
+        for e in edge_names:
+            partners = {e}.union(*map(meeting.__getitem__, keys[e]))
+            for f in edge_names:
+                rhs = projection(vn[family.src[family.edge_id(e)]]) if e == f else zero
+                name = f"CK2[{e},{f}]"
+                # no local holds the product, or the last one would live on through CK3
+                yield "CK2", None, ((name, product(adjoints[e], images[f]) if f in partners else zero, rhs),)
 
-    start, ids = family.recv_start, family.recv_ids
-    for i, v in enumerate(vn):
-        if start[i] < start[i + 1]:
-            total = zero
-            for e in map(en.__getitem__, ids[start[i] : start[i + 1]]):
-                total = total + product(images[e], adjoints[e])
-            yield "CK3", v, ((f"CK3[{v}]", total, projection(v)),)
+        start, ids = family.recv_start, family.recv_ids
+        for i, v in enumerate(vn):
+            if start[i] < start[i + 1]:
+                name, total = f"CK3[{v}]", zero
+                for e in map(en.__getitem__, ids[start[i] : start[i + 1]]):
+                    total = total + product(images[e], adjoints[e])
+                yield "CK3", v, ((name, total, projection(v)),)
+    except UnrepresentableTermError as exc:
+        # a symbolic product without a normal form: say which instance formed it
+        raise UnrepresentableTermError(f"{exc} in {name}") from exc
 
 
 def left_vertices(term: CKTerm, ctx: StarContext) -> set[str]:

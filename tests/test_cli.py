@@ -414,7 +414,7 @@ class TestVerify:
         )
         assert code == EXIT_INPUT_ERROR
         assert out == ""
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
 
     @pytest.mark.parametrize(
         "image, message",
@@ -436,7 +436,7 @@ class TestVerify:
             ["verify", "--input", str(golden / "square.txt"), "--depth", "2", "--map", str(bad)]
         )
         assert (code, out) == (EXIT_INPUT_ERROR, "")
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
 
     @pytest.mark.parametrize(
         "atom, kind",
@@ -455,7 +455,7 @@ class TestVerify:
         )
         assert (code, out) == (EXIT_INPUT_ERROR, "")
         err = capsys.readouterr().err
-        assert err.startswith(f"error: unknown {kind} 'T1.") and err.endswith("': its index has 5000 digits\n")
+        assert err.startswith(f"error: line 1: unknown {kind} 'T1.") and err.endswith("': its index has 5000 digits\n")
 
     def test_map_line_without_equals_is_input_error(self, tmp_path, capsys):
         golden = Path(__file__).parent / "golden"
@@ -495,7 +495,25 @@ class TestVerify:
         assert run_cli([*argv, "--depth", "2"]) == (EXIT_INPUT_ERROR, "")
         assert capsys.readouterr().err == "error: edge 'T1.b9.1' not in the materialized stage\n"
         assert run_cli([*argv, "--depth", "9"]) == (EXIT_INPUT_ERROR, "")
-        assert capsys.readouterr().err.startswith("error: irreducible word is not of the form s..s t^k s*..s*")
+        assert capsys.readouterr().err == (
+            "error: irreducible word is not of the form s..s t^k s*..s*: t(T1) s(T1.b1.1) in CK2[e1,e2]\n"
+        )
+
+    def test_map_term_without_a_normal_form_is_refused_with_its_line(self, tmp_path, capsys):
+        """A map term is parsed into normal form: a product that has none is
+        refused while the map is read, with its line, written in the term
+        grammar; so is a term naming an unknown id."""
+        golden = Path(__file__).parent / "golden"
+        bad = tmp_path / "bad.genmap.txt"
+        argv = ["verify", "--input", str(golden / "square.txt"), "--depth", "2", "--map", str(bad)]
+        bad.write_text("# no normal form\ne1 = t(T1) s(T1.b1.1)\n")
+        assert run_cli(argv) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err == (
+            "error: line 2: irreducible word is not of the form s..s t^k s*..s*: t(T1) s(T1.b1.1)\n"
+        )
+        bad.write_text("e1 = s(T1.f2) t(T1) s*(T1.f1)\ne2 = t*(T1)^2 s(zz)\n")
+        assert run_cli(argv) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err == "error: line 2: unknown edge 'zz'\n"
 
     def test_coefficient_beyond_the_float_range_is_input_error(self, tmp_path, capsys):
         """Up to 10^308 a coefficient is a float, and the residuals read ``inf``;

@@ -429,6 +429,19 @@ class TestTermRejections:
             parse_term("t(T1) 0 s(T1.b1.1)", ctx)
 
     @pytest.mark.parametrize(
+        "text, word",
+        [
+            ("t(T1) s(T1.b1.1)", "t(T1) s(T1.b1.1)"),
+            ("s(T1.f1) t*(T1)^2 s(T1.b1.1)", "s(T1.f1) t*(T1)^2 s(T1.b1.1)"),
+            ("s*(T1.b1.2) t(T1)^-3", "s*(T1.b1.2) t*(T1)^3"),
+        ],
+    )
+    def test_a_word_without_a_normal_form_is_named_in_the_term_grammar(self, ctx, text, word):
+        with pytest.raises(UnrepresentableTermError) as exc:
+            parse_term(text, ctx)
+        assert str(exc.value) == f"irreducible word is not of the form s..s t^k s*..s*: {word}"
+
+    @pytest.mark.parametrize(
         "text, normal_form",
         [
             ("0", "0"),
