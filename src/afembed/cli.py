@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from importlib import import_module
+from io import TextIOWrapper
 from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 
@@ -466,7 +467,12 @@ def main(argv=None, out=None) -> int:
 def entry_point() -> None:
     """The installed command: a reader that closes its end of the pipe ends
     the process silently, by the default ``SIGPIPE`` action, as it ends
-    ``cat``, where the platform has that signal."""
+    ``cat``, where the platform has that signal.  Standard input and output
+    are UTF-8 text, as every file the command reads or writes is, whatever
+    the locale or ``PYTHONIOENCODING`` say."""
+    for stream in (sys.stdin, sys.stdout):
+        if isinstance(stream, TextIOWrapper):  # not closed (None) or replaced
+            stream.reconfigure(encoding="utf-8")
     try:
         # the C module under ``signal``, which builds its enums at import: 1 ms and 0.15 MB a request
         from _signal import SIG_DFL, SIGPIPE, signal

@@ -167,6 +167,11 @@ def _check_token(kind: str, name: str) -> None:
     # the text format reads ``#`` as the start of a comment
     if name.split() != [name] or "#" in name:
         raise GraphError(f"{kind} id must be a nonempty token without whitespace or '#': {name!r}")
+    if not name.isascii():
+        try:
+            name.encode()
+        except UnicodeEncodeError:  # a lone surrogate, which only a JSON escape spells
+            raise GraphError(f"{kind} id is not UTF-8 text: {name!r}") from None
 
 
 def _adjacency(ends: array, n: int) -> tuple[array, array]:

@@ -146,7 +146,7 @@ class TestWitnessCheckedOnce:
 # --- the record writer: one template per shape, byte-equal to the encoder
 
 # ids as ``_check_token`` accepts them: escapes, quotes, control and non-ASCII
-# characters, and a lone surrogate, which a JSON graph can spell
+# characters; a lone surrogate, which a JSON graph can spell, is refused by ``_is_id``
 _ID_CHARS = st.characters() | st.sampled_from(['"', "\\", "\x01", "\x1f", "\x7f", "\xe9", "\u2028", "\ud800", "\U0001f600"])
 
 
@@ -710,6 +710,53 @@ CHILD_ADDRESS_SPACE = 512 << 20
 
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+class TestUtf8Ids:
+    """Ids are UTF-8 text from end to end: the command reads and writes
+    UTF-8 whatever the locale or ``PYTHONIOENCODING`` say, and an id that no
+    UTF-8 text holds is refused before a byte is written."""
+
+    CAFE = "vertex caf\u00e9\nedge e caf\u00e9 caf\u00e9\n"
+    SURROGATE = '{"vertices": ["a\\ud800"], "edges": [{"id": "e", "src": "a\\ud800", "dst": "a\\ud800"}]}'
+
+    @staticmethod
+    def run(argv, encoding, stdin=None):
+        code = "from afembed.cli import entry_point\nentry_point()\n"
+        env = dict(child_env(), PYTHONIOENCODING=encoding)
+        return subprocess.run([sys.executable, "-c", code, *argv], input=stdin, env=env, capture_output=True, timeout=120)
+
+    def test_stdin_is_read_as_utf8(self, tmp_path):
+        """Under a latin-1 stdin, ``caf\u00e9`` once came in as ``caf\u00c3\u00a9``."""
+        graph = tmp_path / "cafe.txt"
+        graph.write_text(self.CAFE, encoding="utf-8")
+        by_path = self.run(["loops", "--input", str(graph), "--format", "json"], "latin-1")
+        by_stdin = self.run(["loops", "--input", "-", "--format", "json"], "latin-1", graph.read_bytes())
+        assert by_path.returncode == by_stdin.returncode == EXIT_OK
+        assert by_stdin.stdout == by_path.stdout
+        assert by_path.stdout.endswith(b'"vertices": "caf\\u00e9"}\n')
+
+    def test_text_is_written_as_utf8(self, tmp_path):
+        """Under an ASCII stdout, the first record was written and the loop's failed."""
+        graph = tmp_path / "cafe.txt"
+        graph.write_text(self.CAFE, encoding="utf-8")
+        proc = self.run(["loops", "--input", str(graph)], "ascii")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert proc.stdout == "loops: count=1\nloop: edges=e vertices=caf\u00e9\n".encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_an_id_no_utf8_text_holds_is_refused(self, tmp_path, fmt, source):
+        """A JSON escape can spell a lone surrogate; ``--format text`` once wrote
+        a record and then failed on it."""
+        graph = tmp_path / "surrogate.json"
+        graph.write_text(self.SURROGATE, encoding="utf-8")
+        if source == "path":
+            proc = self.run(["loops", "--input", str(graph), "--format", fmt], "utf-8")
+        else:
+            proc = self.run(["loops", "--input", "-", "--format", fmt], "utf-8", graph.read_bytes())
+        assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, b"")
+        assert proc.stderr == b"error: vertex id is not UTF-8 text: 'a\\ud800'\n"
 
 
 class TestStageCeiling:
