@@ -464,11 +464,12 @@ class Operator:
 class TruncatedRep(SimpleNamespace):
     """Generator operators of one finite stage.
 
-    ``graph`` is the stage ``F_depth`` of the augmented graph ``spec`` and
-    ``basis`` its :class:`PathBasis`; ``P``, ``S`` and ``T`` map vertex,
-    edge and tail namespace ids to their :class:`Operator`.
-    ``corner_levels`` maps a tail namespace to its per-level lists of basis
-    indices; ``interior`` is True on the paths of length ``1 .. depth-1``.
+    ``graph`` is the stage ``F_d`` of the augmented graph ``spec`` at
+    ``depth`` ``d``, and ``basis`` its :class:`PathBasis`; ``P``, ``S``
+    and ``T`` map vertex, edge and tail namespace ids to their
+    :class:`Operator`.  ``corner_levels`` maps a tail namespace to its
+    per-level lists of basis indices; ``interior`` is True on the paths of
+    length ``1 .. depth-1``.
     """
 
     @property
