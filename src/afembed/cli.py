@@ -273,10 +273,10 @@ def cmd_embed(args, out) -> int:
         "graph": outdir / f"{stem}.F{args.depth}.txt",
         "dot": outdir / f"{stem}.F{args.depth}.dot",
     }
-    paths["spec"].write_text(json.dumps(spec_to_dict(spec), sort_keys=True, indent=2) + "\n")
-    paths["genmap"].write_text(genmap_to_text(gmap, spec))
-    paths["graph"].write_text(serialize_graph(f_d))
-    paths["dot"].write_text(export_dot(f_d, "F"))
+    paths["spec"].write_text(json.dumps(spec_to_dict(spec), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    paths["genmap"].write_text(genmap_to_text(gmap, spec), encoding="utf-8")
+    paths["graph"].write_text(serialize_graph(f_d), encoding="utf-8")
+    paths["dot"].write_text(export_dot(f_d, "F"), encoding="utf-8")
     write(EMBEDDING, depth=args.depth, loops_replaced=len(spec.replacements), mult=args.mult.render())
     for kind, path in sorted(paths.items()):
         write(ARTIFACT, kind=kind, path=str(path))

@@ -744,6 +744,25 @@ class TestUtf8Ids:
         assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
         assert proc.stdout == "loops: count=1\nloop: edges=e vertices=caf\u00e9\n".encode("utf-8")
 
+    def test_artifacts_are_written_as_utf8(self, tmp_path, monkeypatch):
+        """Under an ASCII locale, ``embed`` once stopped at the first artifact
+        naming ``caf\u00e9``, leaving the others half written."""
+        graph = tmp_path / "cafe.txt"
+        graph.write_text(self.CAFE, encoding="utf-8")
+        written = {}
+        for locale in ("ascii", "utf-8"):
+            monkeypatch.setenv("AFEMBED_OUTPUT_DIR", str(tmp_path / locale))
+            # no UTF-8 mode and no coercion of the C locale: the locale's encoding is ASCII
+            monkeypatch.setenv("LC_ALL", "C" if locale == "ascii" else "C.UTF-8")
+            monkeypatch.setenv("PYTHONUTF8", "0")
+            monkeypatch.setenv("PYTHONCOERCECLOCALE", "0")
+            proc = self.run(["embed", "--input", str(graph)], locale)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+            written[locale] = {f.name: f.read_bytes() for f in (tmp_path / locale).iterdir()}
+        assert len(written["ascii"]) == 4
+        assert written["ascii"] == written["utf-8"]
+        assert "vertex caf\u00e9\n".encode("utf-8") in written["ascii"]["cafe.F6.txt"]
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["path", "stdin"])
     def test_an_id_no_utf8_text_holds_is_refused(self, tmp_path, fmt, source):
