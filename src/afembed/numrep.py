@@ -692,14 +692,12 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         product = u_terms[-1]
         for a in reversed(u_terms[:-1]):
             product = product @ a
-        closed = op_of_term(
-            CKTerm.of(
-                NormalMonomial(
-                    (loop_rep.f_edge_for(1),), loop.n, (loop_rep.f_edge_for(1),), loop_rep.tail.sink
-                )
-            ),
-            rep,
-        )
+        # S[f_1] T^n S[f_1]* in op_of_monomial's factor order, but with all n
+        # products of T, as the loop side has them: op_of_monomial reduces n
+        # modulo N_d, and the reduced power rounds its phases otherwise, by
+        # more than TOL_ALG on a loop of about 920 edges at depth 6
+        f_1 = rep.S[loop_rep.f_edge_for(1)]
+        closed = f_1 @ (_tail_power(rep, loop_rep.tail.namespace, loop.n) @ f_1.adjoint())
         entries.append(ResidualEntry(f"LOOP[{name}]:power", (product - closed).frobenius(interior)))
 
     for ns, t in sorted(rep.T.items()):

@@ -195,6 +195,19 @@ class TestRelationResiduals:
         for entry in report.boundary_defects:
             assert entry.value == pytest.approx(1.0, abs=1e-14)
 
+    def test_loop_longer_than_the_deepest_level_keeps_its_power(self):
+        """A 1,000-cycle at depth 6, where ``N_6 = 64``: the closed side of
+        ``LOOP:power`` once reduced ``t^1000`` to ``t^40``, whose rounded
+        phases differed from the 1,000 products of the loop side by 1.09e-12,
+        beyond the tolerance ``verify`` applies."""
+        n = 1000
+        g = load_graph("".join(f"vertex u{i}\n" for i in range(n)) + "".join(f"edge e{i} u{i} u{(i + 1) % n}\n" for i in range(n)))
+        spec, gmap = embed(g)
+        report = relation_residuals(build_rep(spec, 6), gmap)
+        power = [e.value for e in report.entries if e.name.endswith(":power")]
+        assert power == [0.0]
+        assert report.max_residual <= ALG_TOL
+
 
 class TestLoopSpectrum:
     def test_square_d6_nonzero_eigenvalues(self, square_embedding):
