@@ -210,9 +210,14 @@ def _write_entrance_chain(write: _Writer, w) -> None:
 
 
 def _load(path: str):
+    """The graph at ``path``, or on standard input for ``-``: UTF-8 text,
+    read a block at a time unless it is JSON."""
     if path == "-":
-        return load_graph(sys.stdin.read())
-    return load_graph(FsPath(path).read_text(encoding="utf-8"))
+        if sys.stdin is None:
+            raise OSError("standard input is closed")
+        return load_graph(sys.stdin)
+    with open(path, encoding="utf-8") as f:
+        return load_graph(f)
 
 
 def _output_dir() -> FsPath:
@@ -275,8 +280,9 @@ def cmd_embed(args, out) -> int:
     }
     paths["spec"].write_text(json.dumps(spec_to_dict(spec), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     paths["genmap"].write_text(genmap_to_text(gmap, spec), encoding="utf-8")
-    paths["graph"].write_text(serialize_graph(f_d), encoding="utf-8")
-    paths["dot"].write_text(export_dot(f_d, "F"), encoding="utf-8")
+    with open(paths["graph"], "w", encoding="utf-8") as text, open(paths["dot"], "w", encoding="utf-8") as dot:
+        serialize_graph(f_d, text)
+        export_dot(f_d, "F", dot)
     write(EMBEDDING, depth=args.depth, loops_replaced=len(spec.replacements), mult=args.mult.render())
     for kind, path in sorted(paths.items()):
         write(ARTIFACT, kind=kind, path=str(path))
@@ -386,12 +392,10 @@ def cmd_verify(args, out) -> int:
 
 def cmd_export(args, out) -> int:
     g = _load(args.input)
-    if args.format == "dot":
-        print(export_dot(g), end="", file=out)
-    elif args.format == "json":
-        print(json.dumps(graph_to_dict(g), sort_keys=True, indent=2), file=out)
+    if args.format == "json":
+        out.write(json.dumps(graph_to_dict(g), sort_keys=True, indent=2) + "\n")
     else:
-        print(serialize_graph(g), end="", file=out)
+        out.write(export_dot(g) if args.format == "dot" else serialize_graph(g))
     return EXIT_OK
 
 
@@ -458,6 +462,8 @@ def main(argv=None, out=None) -> int:
         print("error: depth must be >= 0", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
+        if out is None:
+            raise OSError("standard output is closed")
         return args.func(args, out)
     except (OSError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,11 @@ format (``vertex <id>`` / ``edge <id> <source> <range>`` with ``#``
 comments) and a JSON object with ``vertices`` and ``edges`` keys, where
 ``dst`` is the range vertex.  In both an id is a nonempty token without
 whitespace or ``#``, so every graph written as text reads back as itself.
+The readers take a ``str`` or a text stream.  A text graph is read in
+blocks of about 64 KiB, each running on to the end of its line, so a
+file or standard input is never held whole, and it is parsed in one
+pass; a JSON graph is read whole.  The writers return the document, or
+write it to a file a line at a time.
 
 A :class:`Graph` interns its ids to integers once, when it is built: the
 sorted vertex names are numbered ``0 .. |V|-1`` and the sorted edge names
@@ -20,7 +25,8 @@ held in flat ``array('q')`` columns, with no container per vertex or edge:
 ``src[e]`` and ``rng[e]`` per edge, and per side a compressed adjacency,
 ``out_ids[out_start[v] : out_start[v + 1]]`` the out-edges of ``v`` and
 ``recv_ids[recv_start[v] : recv_start[v + 1]]`` its receivers, each in id
-order.  The loop analysis, the embedding and the path basis run on this
+order and placed by counting rather than by a sort with a boxed key.
+The loop analysis, the embedding and the path basis run on this
 index; names come back from ``vertex_names`` and ``edge_names`` where a
 result is reported, and :func:`named_edges` lists each edge by name for
 the writers.  The name-level views ``vertices``, ``edges``, ``receivers``
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from itertools import accumulate, islice
+from itertools import accumulate, chain, dropwhile
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -176,11 +182,16 @@ def _check_token(kind: str, name: str) -> None:
 
 def _adjacency(ends: array, n: int) -> tuple[array, array]:
     """``(start, ids)``: per vertex ``v < n``, the ids ``e`` with ``ends[e] == v``
-    are ``ids[start[v] : start[v + 1]]``, in id order (one stable sort)."""
-    count = [0] * (n + 1)
+    are ``ids[start[v] : start[v + 1]]``, in id order, placed by counting."""
+    fill = [0] * (n + 1)
     for v in ends:
-        count[v + 1] += 1
-    return array("q", accumulate(count)), array("q", sorted(range(len(ends)), key=ends.__getitem__))
+        fill[v + 1] += 1
+    fill = list(accumulate(fill))  # each vertex's count becomes its next free slot
+    start, ids = array("q", fill), array("q", bytes(8 * len(ends)))
+    for e, v in enumerate(ends):
+        ids[fill[v]] = e
+        fill[v] += 1
+    return start, ids
 
 
 class Graph:
@@ -201,17 +212,20 @@ class Graph:
         """Index checked ids: distinct ``vertex_names`` and distinct
         ``edge_names``, each in any order, and per edge the positions of its
         source and range in ``vertex_names``."""
+        # each sort order is boxed ints, so each is dropped as soon as it is used
         vorder = sorted(range(len(vertex_names)), key=vertex_names.__getitem__)
+        self.vertex_names = tuple(map(vertex_names.__getitem__, vorder))
         rank = array("q", bytes(8 * len(vorder)))
         for i, v in enumerate(vorder):
             rank[v] = i
+        del vorder
         eorder = sorted(range(len(edge_names)), key=edge_names.__getitem__)
-        self.vertex_names = tuple(map(vertex_names.__getitem__, vorder))
         self.edge_names = tuple(map(edge_names.__getitem__, eorder))
         self.src = array("q", map(rank.__getitem__, map(src.__getitem__, eorder)))
         self.rng = array("q", map(rank.__getitem__, map(rng.__getitem__, eorder)))
-        self.out_start, self.out_ids = _adjacency(self.src, len(vorder))
-        self.recv_start, self.recv_ids = _adjacency(self.rng, len(vorder))
+        del eorder, rank
+        self.out_start, self.out_ids = _adjacency(self.src, len(self.vertex_names))
+        self.recv_start, self.recv_ids = _adjacency(self.rng, len(self.vertex_names))
         self._vertex_ids: dict[str, int] | None = None  # built on first use
         self._edge_ids: dict[str, int] | None = None
 
@@ -303,63 +317,63 @@ class Graph:
         return f"Graph(vertices={list(self.vertex_names)!r}, edges={list(self.edges)!r})"
 
 
-#: characters of a text that :func:`_statements` splits into lines at a time
+#: characters read at a time: each block runs on to the end of its line
 _BLOCK = 1 << 16
+#: the message for a known directive with the wrong number of words
+_EXPECTED = {"vertex": "expected: vertex <id>", "edge": "expected: edge <id> <source-id> <range-id>"}
 
 
-def _statements(text: str) -> Iterator[tuple[int, list[str]]]:
-    """The grammar of the text format: ``(line number, words)`` of each
-    statement, ``vertex <id>`` or ``edge <id> <source-id> <range-id>``.
+def _blocks(source) -> Iterator[str]:
+    """The text of ``source``, a ``str`` or a text stream, in blocks of
+    about :data:`_BLOCK` characters, each ending just after a ``\\n``,
+    which ends a line in every convention, or at the end of the text."""
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            yield source[start : (start := source.find("\n", start + _BLOCK) + 1 or len(source))]
+    else:
+        while block := source.read(_BLOCK):
+            yield block + source.readline()
+
+
+def parse_graph(source) -> Graph:
+    """Parse the line-oriented graph format, from a ``str`` or a text
+    stream; errors report the 1-based line."""
+    return _parse(_blocks(source))
+
+
+def _parse(blocks: Iterable[str]) -> Graph:
+    """The graph of a text in the line format given as ``blocks``, each
+    ending at the end of a line.
 
     Lines are split where :meth:`str.splitlines` splits them, a ``#``
-    starts a comment, and a line left blank holds no statement.  A bad
-    directive or a wrong word count raises at its line.  The text is split
-    a block at a time, each block ending just after a ``\\n``, which ends a
-    line in every convention, so only one block's lines are alive at once.
-    """
-    lineno, start, size = 0, 0, len(text)
-    while start < size:
-        end = text.find("\n", start + _BLOCK) + 1 or size
-        for raw in text[start:end].splitlines():
-            lineno += 1
-            parts = (raw[: raw.index("#")] if "#" in raw else raw).split()
-            if not parts:
-                continue
-            if parts[0] == "vertex":
-                if len(parts) != 2:
-                    raise GraphParseError("expected: vertex <id>", lineno)
-            elif parts[0] == "edge":
-                if len(parts) != 4:
-                    raise GraphParseError("expected: edge <id> <source-id> <range-id>", lineno)
-            else:
-                raise GraphParseError(f"unknown directive {parts[0]!r}", lineno)
-            yield lineno, parts
-        start = end
-
-
-def parse_graph(text: str) -> Graph:
-    """Parse the line-oriented graph format; errors report the 1-based line.
-
-    One pass numbers the vertices in declaration order and records each
-    edge's ends as those numbers.  An end not declared yet is recorded as
-    ``~k`` for the ``k``-th such name in ``forward`` and resolved after the
-    pass.  A part of a split line is a token by construction, so only
-    duplicates, raised at their line, and undeclared endpoints are checked
-    here, each once.  An undeclared endpoint is reported for the first
-    edge that has one, and only then is the text read again, for that
-    edge's line.
+    starts a comment, and a line left blank holds no statement; a statement
+    is ``vertex <id>`` or ``edge <id> <source-id> <range-id>``.  One pass
+    numbers the vertices in declaration order and records each edge's ends
+    as those numbers.  An end not declared yet is recorded as ``~k`` for
+    the ``k``-th such name in ``forward``, with its line, and resolved
+    after the pass.  A part of a split line is a token by construction, so
+    only the directive and word count, duplicates, and undeclared endpoints
+    are checked here, each once, at its line; an undeclared endpoint is
+    reported for the first edge that has one.
     """
     position: dict[str, int] = {}
     names: list[str] = []
     seen: set[str] = set()
     src, rng = array("q"), array("q")
     forward: list[str] = []
-    for lineno, parts in _statements(text):
-        if len(parts) == 2:
+    forward_lines = array("q")
+    for lineno, raw in enumerate(chain.from_iterable(map(str.splitlines, blocks)), 1):
+        parts = (raw[: raw.index("#")] if "#" in raw else raw).split()
+        if not parts:
+            continue
+        if parts[0] == "vertex" and len(parts) == 2:
             if parts[1] in position:
                 raise GraphParseError(f"duplicate vertex id {parts[1]!r}", lineno)
             position[parts[1]] = len(position)
             continue
+        if parts[0] != "edge" or len(parts) != 4:
+            raise GraphParseError(_EXPECTED.get(parts[0]) or f"unknown directive {parts[0]!r}", lineno)
         _, name, source, range_ = parts
         if name in seen:
             raise GraphParseError(f"duplicate edge id {name!r}", lineno)
@@ -370,24 +384,20 @@ def parse_graph(text: str) -> Graph:
             if i is None:
                 i = ~len(forward)
                 forward.append(v)
+                forward_lines.append(lineno)
             ends.append(i)
-    del seen  # this table and ``position`` are freed before the index's sorts, the peak
+    del seen  # this table and ``position`` are freed before the index is built, the peak
     if forward:
         resolved = [position.get(v, -1) for v in forward]
         if -1 in resolved:
             k = resolved.index(-1)  # forward names come in edge order, a source before its range
             e = src.index(~k) if ~k in src else rng.index(~k)
-            raise GraphParseError(f"edge {names[e]!r} references undeclared vertex {forward[k]!r}", _edge_line(text, e))
+            raise GraphParseError(f"edge {names[e]!r} references undeclared vertex {forward[k]!r}", forward_lines[k])
         src = array("q", [resolved[~i] if i < 0 else i for i in src])
         rng = array("q", [resolved[~i] if i < 0 else i for i in rng])
     vertex_names = list(position)
     del position
     return Graph(vertex_names, names, src, rng)
-
-
-def _edge_line(text: str, e: int) -> int:
-    """The line of the ``e``-th edge statement (from 0) of a text whose statements all parse."""
-    return next(islice((lineno for lineno, parts in _statements(text) if len(parts) == 4), e, None))
 
 
 def named_edges(g: Graph):
@@ -396,10 +406,11 @@ def named_edges(g: Graph):
     return ((name, vn[s], vn[r]) for name, s, r in zip(g.edge_names, g.src, g.rng))
 
 
-def serialize_graph(g: Graph) -> str:
-    lines = [f"vertex {v}" for v in g.vertex_names]
-    lines += [f"edge {name} {s} {r}" for name, s, r in named_edges(g)]
-    return "\n".join(lines) + "\n"
+def serialize_graph(g: Graph, file=None) -> str | None:
+    """The text format of ``g``, returned, or written to ``file`` a line at a time."""
+    vertices = (f"vertex {v}\n" for v in g.vertex_names)
+    lines = chain(vertices, (f"edge {e} {s} {r}\n" for e, s, r in named_edges(g))) if g.vertex_names else ("\n",)
+    return "".join(lines) if file is None else file.writelines(lines)
 
 
 def graph_to_dict(g: Graph) -> dict:
@@ -433,14 +444,23 @@ def parse_graph_json(text: str) -> Graph:
     return graph_from_dict(obj)
 
 
-def load_graph(text: str) -> Graph:
-    """Parse either supported format.
+def load_graph(source) -> Graph:
+    """Parse either supported format, from a ``str`` or a text stream.
 
+    A text graph is read a block at a time (:func:`parse_graph`): its first
+    character that is not white space begins ``vertex``, ``edge`` or a
+    ``#`` comment, as no JSON value does.  Any other document is read whole.
     A leading brace or bracket means JSON.  Any other document that is a
     whole JSON value (a number, string, ``true``, ``false`` or ``null``) is
     reported as JSON that is not an object rather than as a bad directive;
     no text-format graph is valid JSON.
     """
+    blocks = _blocks(source)
+    # the blocks read up to the first that is not all white space, joined
+    head = next(dropwhile(str.isspace, accumulate(blocks)), "")
+    if head.lstrip()[:1] in ("v", "e", "#", ""):
+        return _parse(chain((head,), blocks))
+    text = head + "".join(blocks)
     if text.lstrip().startswith(("{", "[")):
         return parse_graph_json(text)
     try:
@@ -454,12 +474,10 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(g: Graph, name: str = "E") -> str:
-    """Render as a DOT digraph; arcs run source -> range, labeled by edge id."""
-    lines = [f"digraph {name} {{"]
-    for v in g.vertex_names:
-        lines.append(f"  {_dot_quote(v)};")
-    for name, s, r in named_edges(g):
-        lines.append(f"  {_dot_quote(s)} -> {_dot_quote(r)} [label={_dot_quote(name)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def export_dot(g: Graph, name: str = "E", file=None) -> str | None:
+    """Render as a DOT digraph, returned, or written to ``file`` a line at a
+    time; arcs run source -> range, labeled by edge id."""
+    quoted = list(map(_dot_quote, g.vertex_names))
+    arcs = (f"  {quoted[s]} -> {quoted[r]} [label={_dot_quote(e)}];\n" for e, s, r in zip(g.edge_names, g.src, g.rng))
+    lines = chain((f"digraph {name} {{\n",), (f"  {v};\n" for v in quoted), arcs, ("}\n",))
+    return "".join(lines) if file is None else file.writelines(lines)

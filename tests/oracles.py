@@ -8,7 +8,7 @@ production implementations beyond the basic graph accessors.  It also
 keeps implementations that faster ones replaced, as references: the
 two-array Tarjan, the sixteen-case pair table, the set-based graph core,
 the sort-based path basis, the text parser that held every line and a
-line table per edge, ``materialize`` as it checked its own ids, the term
+line table per edge, the one that held the whole text, ``materialize`` as it checked its own ids, the term
 parser that threads a ``(scalar, term)`` pair through its sums (it
 multiplies with the production term operations; only the grammar is
 under test), the
@@ -18,8 +18,10 @@ dataclasses the value types were before they were written by hand.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from afembed.graph import (
@@ -553,6 +555,78 @@ def reference_parse_graph(text: str) -> Graph:
                     edge_lines[name],
                 )
     return Graph(vertices, names, src, rng)
+
+
+# ``graph.parse_graph`` before it read streams: the text is held whole and
+# split a block at a time, and an undeclared endpoint's line is found by
+# reading the text again.  Verbatim but for the names, the block size, which
+# is a parameter, and its docstrings.
+
+
+def string_statements(text: str, block: int = 1 << 16) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, words)`` of each statement of the text format."""
+    lineno, start, size = 0, 0, len(text)
+    while start < size:
+        end = text.find("\n", start + block) + 1 or size
+        for raw in text[start:end].splitlines():
+            lineno += 1
+            parts = (raw[: raw.index("#")] if "#" in raw else raw).split()
+            if not parts:
+                continue
+            if parts[0] == "vertex":
+                if len(parts) != 2:
+                    raise GraphParseError("expected: vertex <id>", lineno)
+            elif parts[0] == "edge":
+                if len(parts) != 4:
+                    raise GraphParseError("expected: edge <id> <source-id> <range-id>", lineno)
+            else:
+                raise GraphParseError(f"unknown directive {parts[0]!r}", lineno)
+            yield lineno, parts
+        start = end
+
+
+def string_parse_graph(text: str, block: int = 1 << 16) -> Graph:
+    """The graph of a text held whole; errors report the 1-based line."""
+    position: dict[str, int] = {}
+    names: list[str] = []
+    seen: set[str] = set()
+    src, rng = array("q"), array("q")
+    forward: list[str] = []
+    for lineno, parts in string_statements(text, block):
+        if len(parts) == 2:
+            if parts[1] in position:
+                raise GraphParseError(f"duplicate vertex id {parts[1]!r}", lineno)
+            position[parts[1]] = len(position)
+            continue
+        _, name, source, range_ = parts
+        if name in seen:
+            raise GraphParseError(f"duplicate edge id {name!r}", lineno)
+        seen.add(name)
+        names.append(name)
+        for ends, v in ((src, source), (rng, range_)):
+            i = position.get(v)
+            if i is None:
+                i = ~len(forward)
+                forward.append(v)
+            ends.append(i)
+    del seen
+    if forward:
+        resolved = [position.get(v, -1) for v in forward]
+        if -1 in resolved:
+            k = resolved.index(-1)  # forward names come in edge order, a source before its range
+            e = src.index(~k) if ~k in src else rng.index(~k)
+            line = string_edge_line(text, e, block)
+            raise GraphParseError(f"edge {names[e]!r} references undeclared vertex {forward[k]!r}", line)
+        src = array("q", [resolved[~i] if i < 0 else i for i in src])
+        rng = array("q", [resolved[~i] if i < 0 else i for i in rng])
+    vertex_names = list(position)
+    del position
+    return Graph(vertex_names, names, src, rng)
+
+
+def string_edge_line(text: str, e: int, block: int = 1 << 16) -> int:
+    """The line of the ``e``-th edge statement (from 0) of a text whose statements all parse."""
+    return next(islice((lineno for lineno, parts in string_statements(text, block) if len(parts) == 4), e, None))
 
 
 def reference_materialize(spec, depth: int) -> Graph:

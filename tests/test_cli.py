@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import resource
 import signal
@@ -640,6 +641,34 @@ class TestUsageErrors:
             proc.stderr.close()
         assert stderr == b""
         assert proc.returncode == -signal.SIGPIPE
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the child's stream is closed between fork and exec")
+    @pytest.mark.parametrize(
+        "fd, argv, message",
+        [
+            (1, ["loops", "--input", str(GOLDEN / "square.txt")], "standard output is closed"),
+            (1, ["export", "--input", str(GOLDEN / "square.txt")], "standard output is closed"),
+            (0, ["loops", "--input", "-"], "standard input is closed"),
+        ],
+        ids=["loops-stdout", "export-stdout", "loops-stdin"],
+    )
+    def test_closed_standard_stream_is_input_error(self, fd, argv, message):
+        """As ``afembed ... >&-`` or ``<&-`` would: Python starts with
+        ``sys.stdout`` or ``sys.stdin`` set to ``None``.  Both once ended in
+        an ``AttributeError`` traceback, and ``export`` wrote nothing and
+        exited 0."""
+        code = "from afembed.cli import entry_point; entry_point()"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            preexec_fn=lambda: os.close(fd),
+            env=child_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_INPUT_ERROR, f"error: {message}\n".encode())
+        assert proc.stdout == b""
 
     def test_process_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["afembed", "verify", "--mult", "x;2"])
