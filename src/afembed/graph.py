@@ -325,8 +325,9 @@ _EXPECTED = {"vertex": "expected: vertex <id>", "edge": "expected: edge <id> <so
 
 def _blocks(source) -> Iterator[str]:
     """The text of ``source``, a ``str`` or a text stream, in blocks of
-    about :data:`_BLOCK` characters, each ending just after a ``\\n``,
-    which ends a line in every convention, or at the end of the text."""
+    about :data:`_BLOCK` characters, each run on to the end of its line
+    (just after a ``\\n`` in a ``str``, which ends a line in every
+    convention, or as the stream's ``readline`` ends one) or of the text."""
     if isinstance(source, str):
         start = 0
         while start < len(source):
