@@ -337,10 +337,10 @@ def _blocks(source) -> Iterator[str]:
             yield block + source.readline()
 
 
-def parse_graph(source) -> Graph:
-    """Parse the line-oriented graph format, from a ``str`` or a text
-    stream; errors report the 1-based line."""
-    return _parse(_blocks(source))
+def parse_graph(text) -> Graph:
+    """Parse the line-oriented graph format, from ``text``, a ``str`` or a
+    text stream; errors report the 1-based line."""
+    return _parse(_blocks(text))
 
 
 def _parse(blocks: Iterable[str]) -> Graph:
@@ -445,8 +445,9 @@ def parse_graph_json(text: str) -> Graph:
     return graph_from_dict(obj)
 
 
-def load_graph(source) -> Graph:
-    """Parse either supported format, from a ``str`` or a text stream.
+def load_graph(text) -> Graph:
+    """Parse either supported format, from ``text``, a ``str`` or a text
+    stream.
 
     A text graph is read a block at a time (:func:`parse_graph`): its first
     character that is not white space begins ``vertex``, ``edge`` or a
@@ -456,18 +457,18 @@ def load_graph(source) -> Graph:
     reported as JSON that is not an object rather than as a bad directive;
     no text-format graph is valid JSON.
     """
-    blocks = _blocks(source)
+    blocks = _blocks(text)
     # the blocks read up to the first that is not all white space, joined
     head = next(dropwhile(str.isspace, accumulate(blocks)), "")
     if head.lstrip()[:1] in ("v", "e", "#", ""):
         return _parse(chain((head,), blocks))
-    text = head + "".join(blocks)
-    if text.lstrip().startswith(("{", "[")):
-        return parse_graph_json(text)
+    document = head + "".join(blocks)
+    if document.lstrip().startswith(("{", "[")):
+        return parse_graph_json(document)
     try:
-        obj = json.loads(text)
+        obj = json.loads(document)
     except json.JSONDecodeError:
-        return parse_graph(text)
+        return parse_graph(document)
     return graph_from_dict(obj)
 
 
