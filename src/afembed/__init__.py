@@ -33,8 +33,8 @@ from .loops import (
 # imported above.  Every other name is resolved on first access (PEP 562)
 # through this table, so importing the package compiles neither the term
 # engine, nor the embedding, nor the verifier, nor the numeric stage.
-# numrep loads numpy only for a ``--map`` with a coefficient other than 1 or
-# -1 or with a genuine sum.
+# numrep loads numpy only for the spectrum of a ``--map`` loop image that
+# is a genuine sum, with two entries in one row or column.
 _LAZY = {
     "CKTerm": "terms",
     "GaussianRational": "terms",

@@ -210,13 +210,13 @@ def _write_entrance_chain(write: _Writer, w) -> None:
 
 
 def _load(path: str):
-    """The graph at ``path``, or on standard input for ``-``: UTF-8 text,
+    """The graph at ``path``, or on standard input for ``-``: UTF-8 bytes,
     read a block at a time unless it is JSON."""
     if path == "-":
         if sys.stdin is None:
             raise OSError("standard input is closed")
-        return load_graph(sys.stdin)
-    with open(path, encoding="utf-8") as f:
+        return load_graph(sys.stdin.buffer)
+    with open(path, "rb") as f:
         return load_graph(f)
 
 
@@ -473,12 +473,11 @@ def main(argv=None, out=None) -> int:
 def entry_point() -> None:
     """The installed command: a reader that closes its end of the pipe ends
     the process silently, by the default ``SIGPIPE`` action, as it ends
-    ``cat``, where the platform has that signal.  Standard input and output
-    are UTF-8 text, as every file the command reads or writes is, whatever
-    the locale or ``PYTHONIOENCODING`` say."""
-    for stream in (sys.stdin, sys.stdout):
-        if isinstance(stream, TextIOWrapper):  # not closed (None) or replaced
-            stream.reconfigure(encoding="utf-8")
+    ``cat``, where the platform has that signal.  Standard output is UTF-8
+    text, as every file the command writes is, whatever the locale or
+    ``PYTHONIOENCODING`` say; input is read as bytes and decoded as UTF-8."""
+    if isinstance(sys.stdout, TextIOWrapper):  # not closed (None) or replaced
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         # the C module under ``signal``, which builds its enums at import: 1 ms and 0.15 MB a request
         from _signal import SIG_DFL, SIGPIPE, signal

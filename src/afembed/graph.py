@@ -12,11 +12,11 @@ format (``vertex <id>`` / ``edge <id> <source> <range>`` with ``#``
 comments) and a JSON object with ``vertices`` and ``edges`` keys, where
 ``dst`` is the range vertex.  In both an id is a nonempty token without
 whitespace or ``#``, so every graph written as text reads back as itself.
-The readers take a ``str`` or a text stream.  A text graph is read in
-blocks of about 64 KiB, each running on to the end of its line, so a
-file or standard input is never held whole, and it is parsed in one
-pass; a JSON graph is read whole.  The writers return the document, or
-write it to a file a line at a time.
+The readers take a ``str`` or a binary stream of UTF-8.  A text graph is
+read in blocks of about 64 KiB, each running on to the end of its line
+and decoded alone, so a file or standard input is never held whole, and
+it is parsed in one pass; a JSON graph is read whole.  The writers
+return the document, or write it to a file a line at a time.
 
 A :class:`Graph` interns its ids to integers once, when it is built: the
 sorted vertex names are numbered ``0 .. |V|-1`` and the sorted edge names
@@ -317,29 +317,40 @@ class Graph:
         return f"Graph(vertices={list(self.vertex_names)!r}, edges={list(self.edges)!r})"
 
 
-#: characters read at a time: each block runs on to the end of its line
+#: characters or bytes read at a time: each block runs on to the end of its line
 _BLOCK = 1 << 16
 #: the message for a known directive with the wrong number of words
 _EXPECTED = {"vertex": "expected: vertex <id>", "edge": "expected: edge <id> <source-id> <range-id>"}
 
 
 def _blocks(source) -> Iterator[str]:
-    """The text of ``source``, a ``str`` or a text stream, in blocks of
-    about :data:`_BLOCK` characters, each run on to the end of its line
-    (just after a ``\\n`` in a ``str``, which ends a line in every
-    convention, or as the stream's ``readline`` ends one) or of the text."""
+    """The text of ``source``, a ``str`` or a binary stream of UTF-8, in
+    blocks of about :data:`_BLOCK` characters or bytes, each run on to just
+    after a ``\\n``, which ends a line in every convention, or to the end
+    of the text.  No UTF-8 sequence holds the byte ``\\n``, so each block of
+    bytes decodes alone; a decoding error names its byte's position in the
+    whole input, as decoding it whole would."""
     if isinstance(source, str):
         start = 0
         while start < len(source):
             yield source[start : (start := source.find("\n", start + _BLOCK) + 1 or len(source))]
-    else:
-        while block := source.read(_BLOCK):
-            yield block + source.readline()
+        return
+    offset = 0
+    while block := source.read(_BLOCK):
+        block += source.readline()
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            start, end = offset + exc.start, offset + exc.end - 1
+            at = f"byte 0x{block[exc.start]:02x} in position {start}" if start == end else f"bytes in position {start}-{end}"
+            raise ValueError(f"'utf-8' codec can't decode {at}: {exc.reason}") from None
+        offset += len(block)
+        yield text
 
 
 def parse_graph(text) -> Graph:
     """Parse the line-oriented graph format, from ``text``, a ``str`` or a
-    text stream; errors report the 1-based line."""
+    binary stream of UTF-8; errors report the 1-based line."""
     return _parse(_blocks(text))
 
 
@@ -446,8 +457,8 @@ def parse_graph_json(text: str) -> Graph:
 
 
 def load_graph(text) -> Graph:
-    """Parse either supported format, from ``text``, a ``str`` or a text
-    stream.
+    """Parse either supported format, from ``text``, a ``str`` or a binary
+    stream of UTF-8.
 
     A text graph is read a block at a time (:func:`parse_graph`): its first
     character that is not white space begins ``vertex``, ``edge`` or a

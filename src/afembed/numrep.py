@@ -22,15 +22,13 @@ monomials, or a receiver sum) can put more than one piece on a matrix
 entry; its entries are merged, in the order the sum was formed, before a
 product or a norm reads them.
 
-The engine is plain Python, and it rounds every number as the numpy
-engine it replaced did, so reports keep their bytes: Python's complex
-product uses separate real multiplies and adds, so no fused multiply-add
-moves the last bit of a near-zero residual; norms add their squares in
-numpy's pairwise order; and moduli are rounded as numpy's vectorised
-complex absolute value rounds them.  numpy is loaded only by a ``--map``
-that needs it: a coefficient other than 1 or -1 is applied with numpy's
-scalar product, and a loop image that is a genuine sum needs a dense
-eigensolver.
+The engine is plain Python, so no printed number depends on the CPU
+kernels numpy picks: every product, coefficients included, is Python's
+complex product, with separate real multiplies and adds and no fused
+multiply-add; and every norm and modulus is CPython's own ``math.hypot``
+over real and imaginary parts, not ``abs`` of a complex number, which
+calls the platform's ``hypot``.  numpy is loaded only for a loop image
+that is a genuine sum, whose spectrum needs a dense eigensolver.
 
 Residuals are Frobenius norms, which upper-bound the operator norm, so a
 reported residual below tolerance is conclusive.
@@ -125,52 +123,6 @@ class PathBasis(SimpleNamespace):
 
     def __len__(self) -> int:
         return len(self.rng)
-
-
-def _numpy_sum(a: list[float]) -> float:
-    """``np.sum`` of the floats ``a``, rounded exactly as numpy rounds it.
-
-    numpy adds the pairwise sum of the array to the identity ``0.0``.  In
-    that sum, fewer than 8 terms are added in order from ``-0.0``; up to 128
-    terms go to 8 interleaved accumulators, combined as a balanced tree,
-    and then the remainder; a longer run is split in two at a multiple of 8.
-    """
-
-    def pairwise(lo: int, n: int) -> float:
-        if n < 8:
-            return reduce(operator.add, a[lo : lo + n], -0.0)
-        if n <= 128:
-            end = lo + n - n % 8
-            r = [reduce(operator.add, a[lo + j : end : 8]) for j in range(8)]
-            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            return reduce(operator.add, a[end : lo + n], res)
-        half = n // 2
-        half -= half % 8
-        return pairwise(lo, half) + pairwise(lo + half, n - half)
-
-    return 0.0 + pairwise(0, len(a))
-
-
-def _modulus(z: complex) -> float:
-    """``|z|`` rounded as numpy's vectorised complex absolute value rounds it.
-
-    That loop forms ``larger * sqrt(1 + ratio**2)`` with the square and the
-    add fused into one rounding; Python's ``abs`` (``hypot``) differs from it
-    in the last bit for about a fifth of all complex numbers, which moves
-    printed deviations such as ``1.110e-16`` against ``2.220e-16``.  The fused
-    ``1 + ratio**2`` is computed exactly on integers and rounded once.
-    """
-    big, small = abs(z.real), abs(z.imag)
-    if big < small:
-        big, small = small, big
-    if not small:  # a real or an imaginary number: exact either way
-        return big
-    if not math.isfinite(big + small):
-        return abs(z)
-    mantissa, exponent = math.frexp(small / big)
-    m = int(mantissa * 9007199254740992.0)  # ratio == m / 2**(53 - exponent)
-    one = 1 << (106 - 2 * exponent)
-    return math.sqrt((m * m + one) / one) * big
 
 
 def _mul(a: tuple[complex, ...] | None, b: tuple[complex, ...] | None) -> tuple[complex, ...] | None:
@@ -325,7 +277,7 @@ def _cycle_spectrum(src, tgt, val) -> list[complex]:
             length += 1
             w *= phase
         if node == start:
-            r, theta = abs(w) ** (1.0 / length), cmath.phase(w)
+            r, theta = math.hypot(w.real, w.imag) ** (1.0 / length), cmath.phase(w)
             out += [cmath.rect(r, (theta + 2 * math.pi * k) / length) for k in range(length)]
     support = len(set(src) | set(tgt))
     return out + [0j] * (support - len(out))
@@ -355,17 +307,7 @@ class Operator:
         c = complex(c)
         if c == 1:
             return self
-        if c == -1:
-            # both products are exact, so Python's product equals numpy's
-            return Operator(self.dim, tuple(Piece(p.src, p.tgt, tuple(map(operator.mul, p.values(), repeat(c)))) for p in self.pieces))
-        # numpy's scalar product, as a sparse matrix scales its data: it may
-        # fuse a multiply-add, and a coefficient map's report depends on that
-        import numpy as np
-
-        return Operator(
-            self.dim,
-            tuple(Piece(p.src, p.tgt, tuple((np.array(p.values(), dtype=np.complex128) * c).tolist())) for p in self.pieces),
-        )
+        return Operator(self.dim, tuple(Piece(p.src, p.tgt, tuple(map(operator.mul, p.values(), repeat(c)))) for p in self.pieces))
 
     def adjoint(self) -> "Operator":
         return Operator(self.dim, tuple(p.adjoint() for p in self.pieces))
@@ -399,38 +341,28 @@ class Operator:
         return _by_source(self.dim, self._merged())
 
     def frobenius(self, mask: tuple[bool, ...] | None = None) -> float:
-        """Frobenius norm, of the compression to ``mask`` when given.
-
-        Entries are summed in row-major order, as a sparse matrix stores them,
-        and in numpy's pairwise order.
-        """
+        """Frobenius norm, of the compression to ``mask`` when given: one
+        ``math.hypot`` over the real and imaginary parts of the entries."""
         runs = [(p.src, p.tgt, p.values()) for p in self.pieces]
         if not runs:
             return 0.0
+        if len(runs) > 1 and mask is not None and not _same_entries(runs):
+            # compressing each summand first leaves every kept entry's sum as it was
+            runs = [_compress(run, mask) for run in runs]
         if len(runs) == 1:
-            # one piece holds one entry per row, and numpy kept its zeros
-            src, tgt, values = runs[0] if mask is None else _compress(runs[0], mask)
-            values = [v for _, v in sorted(zip(tgt, values))]
+            values = (runs[0] if mask is None else _compress(runs[0], mask))[2]
+        elif _same_entries(runs):
+            # as when a relation holds: add elementwise, then mask what is left
+            src, tgt, _ = runs[0]
+            values = tuple(reduce(partial(map, operator.add), (r[2] for r in runs)))
+            values = [v for s, t, v in compress(zip(src, tgt, values), values) if mask is None or (mask[s] and mask[t])]
         else:
-            if mask is not None and not _same_entries(runs):
-                # compressing each summand first leaves every kept entry's sum
-                # as it was; it may change the sign of a zero, which no square sees
-                runs = [_compress(run, mask) for run in runs]
-            if _same_entries(runs):
-                # as when a relation holds: add elementwise, then mask what is left
-                values = list(reduce(partial(map, operator.add), (r[2] for r in runs), repeat(0j)))
-                cells = sorted(compress(zip(runs[0][1], runs[0][0], values), values))
-                values = [v for t, s, v in cells if mask is None or (mask[s] and mask[t])]
-            else:
-                values = list(_merge(self.dim, runs).values())
-        return math.sqrt(_numpy_sum([m * m for m in map(_modulus, values)]))
+            values = _merge(self.dim, runs).values()
+        return math.hypot(*(x for v in values for x in (v.real, v.imag)))
 
     def column_norm(self, j: int) -> float:
-        """Euclidean norm of column ``j``: squared real parts, then imaginary ones, in row order."""
-        column = sorted((t, v) for s, t, v in zip(*self.entries()) if s == j)
-        re = reduce(operator.add, (v.real * v.real for _, v in column), 0.0)
-        im = reduce(operator.add, (v.imag * v.imag for _, v in column), 0.0)
-        return math.sqrt(re + im)
+        """Euclidean norm of column ``j``."""
+        return math.hypot(*(x for s, _, v in zip(*self.entries()) if s == j for x in (v.real, v.imag)))
 
     def eigenvalues(self) -> list[complex]:
         """Spectrum on the span of the basis vectors this operator touches."""
@@ -748,14 +680,14 @@ def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> Sp
 
     # T^n is diagonal on the corner (all levels, in basis order): its eigenvalues are its phases
     evals = _tail_power(rep, ns, n).pieces[0].values()
-    moduli = list(map(_modulus, evals))
+    moduli = [math.hypot(z.real, z.imag) for z in evals]
     radial = max(abs(m - 1.0) for m in moduli)
 
     product = op_of_term(gmap.edge_map[loop.edge_index(1)], rep)
     for i in range(2, n + 1):
         product = op_of_term(gmap.edge_map[loop.edge_index(i)], rep) @ product
     conj = product.eigenvalues()
-    conj_nonzero = [(z, m) for z, m in zip(conj, map(_modulus, conj)) if m > 0.5]
+    conj_nonzero = [(z, m) for z in conj if (m := math.hypot(z.real, z.imag)) > 0.5]
 
     # the conjugated operator sees levels 0 .. d-1 of the corner unitary power
     shallow = sum(len(level) for level in rep.corner_levels[ns][: rep.depth])
@@ -784,4 +716,4 @@ def _multiset_mismatch(a: list[tuple[complex, float]], b: list[tuple[complex, fl
         # the angle rounded to 9 decimals as numpy rounds it, then the modulus
         return round(cmath.phase(pair[0]) * 1e9) / 1e9, pair[1]
 
-    return max(_modulus(x - y) for (x, _), (y, _) in zip(sorted(a, key=key), sorted(b, key=key)))
+    return max(math.hypot(x.real - y.real, x.imag - y.imag) for (x, _), (y, _) in zip(sorted(a, key=key), sorted(b, key=key)))

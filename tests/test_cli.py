@@ -109,7 +109,7 @@ class TestClassify:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_input_dash_reads_stdin(self, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "square.txt").read_text()))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO((GOLDEN / "square.txt").read_bytes()), encoding="utf-8"))
         code, out = run_cli(["classify", "--input", "-", "--format", "json"])
         assert (code, out) == (EXIT_OK, (GOLDEN / "classify_square.stdout").read_text())
 
@@ -805,6 +805,30 @@ class TestUtf8Ids:
             proc = self.run(["loops", "--input", "-", "--format", fmt], "utf-8", graph.read_bytes())
         assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, b"")
         assert proc.stderr == b"error: vertex id is not UTF-8 text: 'a\\ud800'\n"
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_a_decoding_error_names_its_byte_in_the_whole_input(self, tmp_path, source):
+        """The input is decoded a 64 KiB block at a time; a bad byte beyond
+        the first block was once reported at its position in its block:
+        byte 408,897 at "position 7437".  Bad bytes in the first, second and
+        seventh block, and a sequence cut off by the end of the input, are
+        reported as decoding the whole input reports them."""
+        text = "".join(f"vertex v{i:06d}\n" for i in range(30_000)).encode("utf-8")
+        cases = [(10, b"\xff"), (65_539, b"\xff"), (70_000, b"\xf0\x28"), (408_897, b"\xff"), (len(text), b"\xf0\x9f\x98")]
+        for at, bad in cases:
+            data = text[:at] + bad + text[at:]
+            with pytest.raises(UnicodeDecodeError) as whole:
+                data.decode("utf-8")
+            graph = tmp_path / "bad.txt"
+            graph.write_bytes(data)
+            # standard input is the file, not a pipe, whose unread rest would
+            # meet the SIGPIPE action an in-process ``entry_point`` leaves behind
+            with open(graph, "rb") as stdin:
+                argv = [sys.executable, "-c", "from afembed.cli import entry_point\nentry_point()\n", "classify", "--input"]
+                argv.append(str(graph) if source == "path" else "-")
+                proc = subprocess.run(argv, stdin=stdin, env=child_env(), capture_output=True, timeout=120)
+            assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, b""), at
+            assert proc.stderr.decode("utf-8") == f"error: {whole.value}\n"
 
 
 class TestStageCeiling:

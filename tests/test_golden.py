@@ -197,8 +197,8 @@ def test_structure_commands_need_no_numpy(name):
     assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
-# a --map with a coefficient other than 1 or a genuine sum is the one use of numpy left
-NUMPY_MAPS = {"verify_square_phase_map", "verify_square_sum_map"}
+# a --map loop image that is a genuine sum, whose spectrum is dense, is the one use of numpy left
+NUMPY_MAPS = {"verify_square_sum_map"}
 VERIFY_CASES = sorted(n for n in CASES if n.startswith("verify_") and n not in NUMPY_MAPS)
 
 

@@ -1,5 +1,4 @@
 import math
-import random
 import struct
 
 import numpy as np
@@ -12,8 +11,6 @@ from afembed.embedding import MultiplicitySeq, StageTooLargeError, embed, materi
 from afembed.graph import Path, load_graph
 from afembed.numrep import (
     _basis_rows,
-    _modulus,
-    _numpy_sum,
     _tail_phase,
     DenseSpectrumTooLargeError,
     Operator,
@@ -199,14 +196,21 @@ class TestRelationResiduals:
         """A 1,000-cycle at depth 6, where ``N_6 = 64``: the closed side of
         ``LOOP:power`` once reduced ``t^1000`` to ``t^40``, whose rounded
         phases differed from the 1,000 products of the loop side by 1.09e-12,
-        beyond the tolerance ``verify`` applies."""
+        beyond the tolerance ``verify`` applies.
+
+        The spectrum builds ``t^1000`` by 999 products too, and its
+        modulus deviation grows with n: 6.5e-14 here, 1.3e-13 on C2000.
+        The stage ceiling admits C_n at depth 6 up to n of about 16,000,
+        where that is about 1e-12, a hundredth of the spectral tolerance."""
         n = 1000
         g = load_graph("".join(f"vertex u{i}\n" for i in range(n)) + "".join(f"edge e{i} u{i} u{(i + 1) % n}\n" for i in range(n)))
         spec, gmap = embed(g)
-        report = relation_residuals(build_rep(spec, 6), gmap)
+        rep = build_rep(spec, 6)
+        report = relation_residuals(rep, gmap)
         power = [e.value for e in report.entries if e.name.endswith(":power")]
         assert power == [0.0]
         assert report.max_residual <= ALG_TOL
+        assert loop_spectrum(rep, spec.replacements[0].loop, gmap).max_modulus_deviation <= 1e-12
 
 
 class TestLoopSpectrum:
@@ -448,16 +452,11 @@ complexes = st.builds(complex, finite, finite)
 
 
 class TestExactArithmetic:
-    """The plain-Python arithmetic of the engine against numpy, bit for bit:
-    numpy computed every printed number before the engine dropped it."""
-
-    @given(st.one_of(st.integers(0, 600), st.just(4097)), st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_pairwise_sum_matches_numpy(self, n, seed):
-        rng = random.Random(seed)
-        squares = [rng.random() * 10.0 ** rng.randint(-30, 30) for _ in range(n)]
-        expected = float(np.sum(np.array(squares, dtype=np.float64)))
-        assert _numpy_sum(squares).hex() == expected.hex()
+    """The plain-Python arithmetic of the engine against numpy, bit for bit,
+    where both are exact or correctly rounded and so agree on every host:
+    tail phases, complex products, negation and the rounding of angles.
+    Norms and moduli are CPython's ``math.hypot``, with nothing of numpy's
+    to match, as numpy's own rounding of them depends on its CPU kernels."""
 
     def test_tail_phases_match_numpy(self):
         """Every level size of the doubling, tripling and ``3,3;2`` tails up to 6,561."""
@@ -483,15 +482,6 @@ class TestExactArithmetic:
     def test_negation_matches_numpy_scalar_product(self, a):
         """``Operator.scale(-1)`` multiplies in Python; numpy's scalar product agrees there."""
         assert _bits(a * complex(-1)) == _bits(complex((np.array([a]) * complex(-1))[0]))
-
-    @given(complexes)
-    @settings(max_examples=500, deadline=None)
-    def test_modulus_matches_numpy(self, z):
-        assert _modulus(z).hex() == float(np.abs(np.array([z]))[0]).hex()
-
-    def test_modulus_of_unit_phases_matches_numpy(self):
-        phases = [_tail_phase(j, 4096) for j in range(4096)]
-        assert [_modulus(z) for z in phases] == np.abs(np.array(phases)).tolist()
 
     @given(st.floats(min_value=-4.0, max_value=4.0))
     def test_angle_rounding_matches_numpy(self, x):
