@@ -33,6 +33,13 @@ that is a genuine sum, whose spectrum needs a dense eigensolver.
 Residuals are Frobenius norms, which upper-bound the operator norm, so a
 reported residual below tolerance is conclusive.
 
+No numeric product is formed twice.  No loop has an entrance, so ``u_{i+1}``
+receives ``e_i`` alone, and a loop's ``iso[i]`` residual is the operator,
+mask and subtraction of ``CK3[u_{i+1}]``; as ``u_i = source(e_i)``, its
+``co-iso[i]`` is ``CK2[e_i,e_i]``: both take the value of that instance.
+A loop's ``T^n`` and edge images, formed for ``LOOP:power``, are read
+again by the loop's spectrum.
+
 Spectra need no eigensolver in the common case: ``T^n`` on the corner is
 diagonal, and a phased partial permutation has the ``L``-th roots of ``w``
 on each cycle of length ``L`` and phase product ``w``, and zeros on its
@@ -361,8 +368,19 @@ class Operator:
         return math.hypot(*(x for v in values for x in (v.real, v.imag)))
 
     def column_norm(self, j: int) -> float:
-        """Euclidean norm of column ``j``."""
-        return math.hypot(*(x for s, _, v in zip(*self.entries()) if s == j for x in (v.real, v.imag)))
+        """Euclidean norm of column ``j``.
+
+        Each piece holds at most one entry of the column, found by bisecting
+        its sorted ``src``; the entries are added in piece order and read in
+        target order, as merging the whole operator adds and orders them.
+        """
+        column: dict[int, complex] = {}
+        for p in self.pieces:
+            k = bisect_left(p.src, j)
+            if k < len(p.src) and p.src[k] == j:
+                t, v = p.tgt[k], 1 + 0j if p.phase is None else p.phase[k]
+                column[t] = column[t] + v if t in column else v
+        return math.hypot(*(x for t in sorted(column) for x in (column[t].real, column[t].imag)))
 
     def eigenvalues(self) -> list[complex]:
         """Spectrum on the span of the basis vectors this operator touches."""
@@ -402,7 +420,18 @@ class TruncatedRep(SimpleNamespace):
     :class:`Operator`.  ``corner_levels`` maps a tail namespace to its
     per-level lists of basis indices; ``interior`` is True on the paths of
     length ``1 .. depth-1``.
+
+    ``loop_operators`` maps a tail namespace to what
+    :func:`relation_residuals` formed of its loop and :func:`loop_spectrum`
+    reads again: the loop edges' image terms, the phases of ``T^n`` on the
+    corner and the images' operators, ``e_1`` first.  ``relation_residuals``
+    sets it, each ``loop_spectrum`` takes its loop's entry out, and the one
+    that takes the last entry deletes the field, so each operator goes
+    after its last reader; outside that window it is the class default,
+    None.
     """
+
+    loop_operators: dict[str, tuple[tuple[CKTerm, ...], tuple[complex, ...], list[Operator]]] | None = None
 
     @property
     def dimension(self) -> int:
@@ -584,16 +613,31 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     here only: they test the loop-to-tail construction and the truncated
     representation itself, whereas the rewrite system takes ``t t* = p`` as
     an axiom and so has nothing to prove about them.
+
+    Of a loop's checks only ``power`` forms products of its own.  Its
+    ``co-iso[i]``, ``a* a = p(u_i)`` for ``a`` the image of ``e_i``, is
+    ``CK2[e_i,e_i]``, as ``u_i = source(e_i)``; its ``iso[i]``,
+    ``a a* = p(u_{i+1})``, is ``CK3[u_{i+1}]``, since no loop has an
+    entrance, so ``e_i`` is the only edge ``u_{i+1}`` receives.  Both take
+    the value of that instance.  ``T^n`` and the loop's images are left in
+    ``rep.loop_operators`` for :func:`loop_spectrum`.
     """
     spec = rep.spec
     interior = rep.interior
+    family = spec.original_graph()
     entries: list[ResidualEntry] = []
     defects: list[ResidualEntry] = []
+    for loop_rep in spec.replacements:
+        for u in loop_rep.loop.vertices:
+            k = family.vertex_id(u)
+            if family.recv_start[k + 1] - family.recv_start[k] != 1:
+                raise RepresentationError(f"loop vertex {u!r} receives an edge off its loop: the loop has an entrance")
 
     ops = {e: op_of_term(term, rep) for e, term in gmap.edge_map.items()}
     zero = Operator(rep.dimension)
-    for family, v, identities in ck_instances(
-        spec.original_graph(),
+    checked: dict[str, float] = {}  # the value of each identity whose right-hand side is not zero
+    for kind, v, identities in ck_instances(
+        family,
         ops,
         rep.P.__getitem__,
         Operator.adjoint,
@@ -602,35 +646,41 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         zero,
     ):
         for name, lhs, rhs in identities:
-            # most CK2 right-hand sides are zero: skip |E|^2 subtractions
-            diff = lhs if rhs is zero else lhs - rhs
-            entries.append(ResidualEntry(name, diff.frobenius(interior)))
-        if family == "CK3":
+            if rhs is zero:  # as most CK2 right-hand sides are: skip |E|^2 subtractions
+                entries.append(ResidualEntry(name, lhs.frobenius(interior)))
+            else:
+                diff = lhs - rhs
+                checked[name] = value = diff.frobenius(interior)
+                entries.append(ResidualEntry(name, value))
+        if kind == "CK3":
             # known truncation defect: the relation fails on the vertex vector itself
             vertex = rep.graph.vertex_id(v)  # the basis starts with the vertex paths, in id order
             defects.append(ResidualEntry(f"CK3-vertex-defect[{v}]", diff.column_norm(vertex)))
 
+    shared = {}
     for loop_rep in spec.replacements:
         loop = loop_rep.loop
         name = " ".join(loop.edges)
-        u_terms = [ops[loop.edge_index(i)] for i in range(1, loop.n + 1)]
-        for i in range(1, loop.n + 1):
-            a = u_terms[i - 1]
-            a_star = a.adjoint()
-            p_ui = rep.P[loop.vertices[i - 1]]
-            p_next = rep.P[loop.vertices[i % loop.n]]
-            entries.append(ResidualEntry(f"LOOP[{name}]:co-iso[{i}]", (a_star @ a - p_ui).frobenius(interior)))
-            entries.append(ResidualEntry(f"LOOP[{name}]:iso[{i}]", (a @ a_star - p_next).frobenius(interior)))
-        product = u_terms[-1]
-        for a in reversed(u_terms[:-1]):
+        edges = [loop.edge_index(i) for i in range(1, loop.n + 1)]
+        for i, e in enumerate(edges, 1):
+            entries.append(ResidualEntry(f"LOOP[{name}]:co-iso[{i}]", checked[f"CK2[{e},{e}]"]))
+            entries.append(ResidualEntry(f"LOOP[{name}]:iso[{i}]", checked[f"CK3[{loop.vertices[i % loop.n]}]"]))
+        images = [ops[e] for e in edges]
+        product = images[-1]
+        for a in reversed(images[:-1]):
             product = product @ a
         # S[f_1] T^n S[f_1]* in op_of_monomial's factor order, but with all n
         # products of T, as the loop side has them: op_of_monomial reduces n
         # modulo N_d, and the reduced power rounds its phases otherwise, by
         # more than TOL_ALG on a loop of about 920 edges at depth 6
+        power = _tail_power(rep, loop_rep.tail.namespace, loop.n)
         f_1 = rep.S[loop_rep.f_edge_for(1)]
-        closed = f_1 @ (_tail_power(rep, loop_rep.tail.namespace, loop.n) @ f_1.adjoint())
+        closed = f_1 @ (power @ f_1.adjoint())
         entries.append(ResidualEntry(f"LOOP[{name}]:power", (product - closed).frobenius(interior)))
+        shared[loop_rep.tail.namespace] = (tuple(map(gmap.edge_map.__getitem__, edges)), power.pieces[0].values(), images)
+        del power  # and with it its indices and join table: the spectrum reads its phases only
+    if shared:
+        rep.loop_operators = shared
 
     for ns, t in sorted(rep.T.items()):
         p_v = rep.P[rep.spec.sink_vertex(ns)]
@@ -669,6 +719,24 @@ def spectral_net_bound(loop_length: int, level_size: int) -> float:
     return math.pi * math.gcd(loop_length, level_size) / level_size
 
 
+def _loop_operators(
+    rep: TruncatedRep, loop_rep: LoopReplacement, terms: tuple[CKTerm, ...]
+) -> tuple[tuple[complex, ...], list[Operator]]:
+    """The phases of ``T^n`` on the loop's corner and the operators of
+    ``terms``, the images of ``e_1 .. e_n``: taken out of
+    ``rep.loop_operators`` where :func:`relation_residuals` left them,
+    formed here otherwise."""
+    ns = loop_rep.tail.namespace
+    shared = rep.loop_operators
+    if shared is None or ns not in shared:
+        return _tail_power(rep, ns, loop_rep.loop.n).pieces[0].values(), [op_of_term(t, rep) for t in terms]
+    kept, phases, images = shared.pop(ns)
+    if not shared:
+        del rep.loop_operators
+    # the images of another map, as when a caller passes two: T^n is the same
+    return phases, images if kept == terms else [op_of_term(t, rep) for t in terms]
+
+
 def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> SpectrumReport:
     """Spectrum of the mapped loop at this stage and its distance to the circle."""
     try:
@@ -676,16 +744,17 @@ def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> Sp
     except KeyError as exc:
         raise RepresentationError(str(exc)) from exc
     ns = loop_rep.tail.namespace
-    n = loop.n
-
+    terms = tuple(gmap.edge_map[loop.edge_index(i)] for i in range(1, loop.n + 1))
     # T^n is diagonal on the corner (all levels, in basis order): its eigenvalues are its phases
-    evals = _tail_power(rep, ns, n).pieces[0].values()
+    evals, images = _loop_operators(rep, loop_rep, terms)
     moduli = [math.hypot(z.real, z.imag) for z in evals]
     radial = max(abs(m - 1.0) for m in moduli)
 
-    product = op_of_term(gmap.edge_map[loop.edge_index(1)], rep)
-    for i in range(2, n + 1):
-        product = op_of_term(gmap.edge_map[loop.edge_index(i)], rep) @ product
+    # the image of e_n (... (the image of e_2 times that of e_1)), each dropped once multiplied
+    images.reverse()
+    product = images.pop()
+    while images:
+        product = images.pop() @ product
     conj = product.eigenvalues()
     conj_nonzero = [(z, m) for z in conj if (m := math.hypot(z.real, z.imag)) > 0.5]
 

@@ -1,9 +1,24 @@
+import signal
 import time
 
 import pytest
 
 from afembed.embedding import embed
 from afembed.graph import parse_graph
+
+
+@pytest.fixture(autouse=True)
+def sigpipe_unchanged():
+    """Fails a test that leaves the ``SIGPIPE`` disposition changed, and
+    restores it: at its default action, a later test whose child exits
+    leaving piped input unread would end pytest itself, exit 141 with no
+    summary."""
+    found = signal.getsignal(signal.SIGPIPE)
+    yield
+    left = signal.getsignal(signal.SIGPIPE)
+    signal.signal(signal.SIGPIPE, found)
+    assert left == found, f"the test left SIGPIPE at {left!r}, not {found!r}"
+
 
 def growth_ratio(small, large, bound: float, attempts: int = 3, repeats: int = 7) -> float:
     """Least wall time of ``large()`` over least wall time of ``small()``.

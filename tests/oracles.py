@@ -12,12 +12,16 @@ line table per edge, the one that held the whole text, ``materialize`` as it che
 parser that threads a ``(scalar, term)`` pair through its sums (it
 multiplies with the production term operations; only the grammar is
 under test), the
-relation catalogue that multiplies out every CK2 pair, and the frozen
+relation catalogue that multiplies out every CK2 pair, the loop residuals
+``co-iso`` and ``iso`` formed as products of their own (with the
+production operator products: only which products are formed is under
+test), the column norm that merged the whole operator, and the frozen
 dataclasses the value types were before they were written by hand.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,6 +41,7 @@ from afembed.graph import (
 )
 from afembed.embedding import BratteliTailSpec, MultiplicitySeq
 from afembed.loops import EntranceWitness, SimpleLoop, Verdict
+from afembed.numrep import Operator, TruncatedRep, op_of_term
 from afembed.terms import (
     _TOKEN_RE,
     KEEP,
@@ -859,6 +864,35 @@ def reference_ck_instances(
             for e in map(en.__getitem__, ids[start[i] : start[i + 1]]):
                 total = total + product(images[e], adjoints[e])
             yield "CK3", v, ((f"CK3[{v}]", total, projection(v)),)
+
+
+def reference_loop_entries(rep: TruncatedRep, gmap) -> list[tuple[str, float]]:
+    """The ``co-iso`` and ``iso`` residuals of every replaced loop, as
+    ``numrep.relation_residuals`` formed them before it read them off
+    ``CK2[e_i,e_i]`` and ``CK3[u_{i+1}]``, kept verbatim: the interior
+    Frobenius norms of ``a* a - P(u_i)`` and ``a a* - P(u_{i+1})`` for
+    ``a`` the image of ``e_i``, in report order."""
+    interior = rep.interior
+    entries = []
+    for loop_rep in rep.spec.replacements:
+        loop = loop_rep.loop
+        name = " ".join(loop.edges)
+        u_terms = [op_of_term(gmap.edge_map[loop.edge_index(i)], rep) for i in range(1, loop.n + 1)]
+        for i in range(1, loop.n + 1):
+            a = u_terms[i - 1]
+            a_star = a.adjoint()
+            p_ui = rep.P[loop.vertices[i - 1]]
+            p_next = rep.P[loop.vertices[i % loop.n]]
+            entries.append((f"LOOP[{name}]:co-iso[{i}]", (a_star @ a - p_ui).frobenius(interior)))
+            entries.append((f"LOOP[{name}]:iso[{i}]", (a @ a_star - p_next).frobenius(interior)))
+    return entries
+
+
+def reference_column_norm(op: Operator, j: int) -> float:
+    """``Operator.column_norm`` before it bisected each piece for column
+    ``j``, kept verbatim: the whole operator's entries are merged, then
+    the column's are read."""
+    return math.hypot(*(x for s, _, v in zip(*op.entries()) if s == j for x in (v.real, v.imag)))
 
 
 # ---------------------------------------------------------------------------

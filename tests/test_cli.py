@@ -671,9 +671,16 @@ class TestUsageErrors:
         assert proc.stdout == b""
 
     def test_process_exit_code(self, monkeypatch, capsys):
+        """``entry_point`` sets ``SIGPIPE`` to its default action, which,
+        left so in this process, would let a later test's child that leaves
+        piped input unread end the whole session."""
         monkeypatch.setattr("sys.argv", ["afembed", "verify", "--mult", "x;2"])
-        with pytest.raises(SystemExit) as exc:
-            entry_point()
+        found = signal.getsignal(signal.SIGPIPE)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                entry_point()
+        finally:
+            signal.signal(signal.SIGPIPE, found)
         assert exc.value.code == EXIT_INPUT_ERROR
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import struct
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -7,8 +8,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afembed import embedding, numrep
-from afembed.embedding import MultiplicitySeq, StageTooLargeError, embed, materialize
-from afembed.graph import Path, load_graph
+from afembed.cli import build_parser
+from afembed.embedding import (
+    AugmentedGraphSpec,
+    GeneratorMap,
+    MultiplicitySeq,
+    StageTooLargeError,
+    embed,
+    genmap_from_text,
+    genmap_to_text,
+    materialize,
+)
+from afembed.graph import Graph, Path, load_graph, named_edges
+from afembed.loops import Verdict, classify
 from afembed.numrep import (
     _basis_rows,
     _tail_phase,
@@ -25,9 +37,9 @@ from afembed.numrep import (
 )
 from afembed.terms import NormalMonomial, CKTerm, term_of_word
 
-from .oracles import sorted_path_basis
-from .strategies import multigraphs
-from .test_golden import GOLDEN
+from .oracles import reference_column_norm, reference_loop_entries, sorted_path_basis
+from .strategies import condition5_graphs, multigraphs
+from .test_golden import CASES, GOLDEN, resolve
 
 ALG_TOL = 1e-12
 SPEC_TOL = 1e-10
@@ -198,7 +210,7 @@ class TestRelationResiduals:
         phases differed from the 1,000 products of the loop side by 1.09e-12,
         beyond the tolerance ``verify`` applies.
 
-        The spectrum builds ``t^1000`` by 999 products too, and its
+        The spectrum reads the phases of that same ``t^1000``, and its
         modulus deviation grows with n: 6.5e-14 here, 1.3e-13 on C2000.
         The stage ceiling admits C_n at depth 6 up to n of about 16,000,
         where that is about 1e-12, a hundredth of the spectral tolerance."""
@@ -540,3 +552,152 @@ class TestStageCeiling:
         self.lower_ceiling(monkeypatch, 100)
         rows = _basis_rows(g, 12)
         assert 100 < rows < len(PathBasis.build(g, 12))
+
+
+def _golden_verify_runs():
+    """``(case, graph, depth, mult, map path)`` of every golden ``verify``
+    case whose graph embeds, as the command line reads them."""
+    runs = []
+    for name, argv in sorted(CASES.items()):
+        if argv[0] != "verify":
+            continue
+        args = build_parser().parse_args(resolve(argv))
+        g = load_graph(FsPath(args.input).read_text(encoding="utf-8"))
+        if classify(g).verdict is not Verdict.NOT_FINITE:
+            runs.append(pytest.param(g, args.depth, args.mult, args.map, id=name))
+    return runs
+
+
+# Gaussian rationals other than the units 1, -1, i and -i: some change moduli, and
+# some have parts that binary floating point holds only rounded
+_NON_UNIT = st.sampled_from(["1/2", "-2i", "(1+i)", "(3/5+4/5i)", "(2/3-1/7i)"])
+
+
+@st.composite
+def summed_loop_maps(draw):
+    """A graph whose loops have no entrance, with its constructed map at a
+    random ``--mult`` after every loop edge's image is made a sum: a
+    non-unit multiple of itself plus a non-unit multiple of another edge's
+    image or of a vertex projection; and a depth.  Half the time that is
+    the projection on the edge's source, which leaves two entries in a row
+    of ``a a*``, so that the CK3 sum merges it into other pieces than it
+    has in ``iso``'s own product."""
+    g = draw(condition5_graphs(max_loops=2))
+    spec, gmap = embed(g, MultiplicitySeq.parse(draw(st.sampled_from(["2", "3", "1,3;2"]))))
+    assume(spec.replacements)
+    lines = genmap_to_text(gmap, spec).splitlines()[1:]
+    images = dict(line.split(" = ") for line in lines)
+    others = st.sampled_from(sorted(images.values()) + [f"p({v})" for v in g.vertex_names])
+    for loop_rep in spec.replacements:
+        loop = loop_rep.loop
+        for i in range(1, loop.n + 1):
+            e, other = loop.edge_index(i), draw(st.just(f"p({loop.vertices[i - 1]})") | others)
+            images[e] = f"{draw(_NON_UNIT)} ({images[e]}) + {draw(_NON_UNIT)} ({other})"
+    text = "".join(f"{e} = {image}\n" for e, image in images.items())
+    return spec, genmap_from_text(text, spec), draw(st.integers(1, 3))
+
+
+@st.composite
+def overlapping_operators(draw, dim=5):
+    """Sums of one to five phased partial permutations on few basis vectors,
+    so that pieces repeat cells: a piece may be an earlier one negated, so
+    that its cells cancel to zero, and values carry signed zeros; a piece
+    with phase None is all ones."""
+    part = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]) | st.floats(-2, 2)
+    pieces = []
+    for _ in range(draw(st.integers(1, 5))):
+        if pieces and draw(st.booleans()):
+            p = draw(st.sampled_from(pieces))
+            pieces.append(Piece(p.src, p.tgt, tuple(-v for v in p.values())))
+            continue
+        src = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim)))
+        tgt = draw(st.permutations(range(dim)))[: len(src)]
+        phase = None if draw(st.booleans()) else tuple(complex(draw(part), draw(part)) for _ in src)
+        pieces.append(Piece(tuple(src), tuple(tgt), phase))
+    return Operator(dim, tuple(pieces))
+
+
+class TestSharedProducts:
+    """Each numeric product of ``verify`` is formed once: a loop's
+    ``co-iso`` and ``iso`` residuals are read off the CK instances that
+    form the same products, ``T^n`` and the loop's images are formed by
+    ``relation_residuals`` and read again by ``loop_spectrum``, and the CK3
+    vertex defect reads one column.  The oracles form them as before."""
+
+    @staticmethod
+    def loop_entries(report):
+        return [(e.name, e.value) for e in report.entries if ":co-iso[" in e.name or ":iso[" in e.name]
+
+    @pytest.mark.parametrize("g, depth, mult, map_path", _golden_verify_runs())
+    def test_loop_entries_equal_the_direct_products_on_the_goldens(self, g, depth, mult, map_path):
+        spec, gmap = embed(g, mult)
+        if map_path:
+            gmap = genmap_from_text(FsPath(map_path).read_text(encoding="utf-8"), spec)
+        rep = build_rep(spec, depth)
+        assert self.loop_entries(relation_residuals(rep, gmap)) == reference_loop_entries(rep, gmap)
+
+    @given(family=summed_loop_maps())
+    @settings(max_examples=60, deadline=None)
+    def test_loop_entries_equal_the_direct_products_on_summed_maps(self, family):
+        spec, gmap, depth = family
+        rep = build_rep(spec, depth)
+        assert self.loop_entries(relation_residuals(rep, gmap)) == reference_loop_entries(rep, gmap)
+
+    @given(op=overlapping_operators())
+    @settings(max_examples=300, deadline=None)
+    def test_column_norm_equals_the_whole_operator_merge(self, op):
+        for j in range(op.dim):  # columns no piece touches included
+            assert op.column_norm(j).hex() == reference_column_norm(op, j).hex()
+
+    def test_a_loop_is_multiplied_out_once(self, monkeypatch):
+        """C16 at depth 6 takes 129 products: 32 for the images (two each),
+        16 each for CK1, CK2 (the images end in distinct edges) and CK3, 15
+        for the loop, 15 for ``T^16`` and 2 to close it in ``LOOP:power``,
+        2 for ``TAIL``, and 15 for the spectrum's loop.  The 32 of
+        ``co-iso`` and ``iso`` and the spectrum's 15 for ``T^16`` and 32
+        for the images are gone: 208 before."""
+        n = 16
+        g = load_graph("".join(f"vertex u{i}\n" for i in range(n)) + "".join(f"edge e{i} u{i} u{(i + 1) % n}\n" for i in range(n)))
+        spec, gmap = embed(g)
+        rep = build_rep(spec, 6)
+        calls = 0
+        matmul = Operator.__matmul__
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return matmul(a, b)
+
+        monkeypatch.setattr(Operator, "__matmul__", counting)
+        relation_residuals(rep, gmap)
+        for loop_rep in spec.replacements:
+            loop_spectrum(rep, loop_rep.loop, gmap)
+        assert calls == 129
+
+    def test_the_operators_left_for_the_spectrum_go_with_their_last_reader(self, square):
+        """``loop_spectrum`` reads what ``relation_residuals`` left only for
+        the map it was given, and the field goes with its last entry."""
+        spec, gmap = embed(square)
+        phased = genmap_from_text(
+            genmap_to_text(gmap, spec).replace("= s(T1.f2) t(T1) s*(T1.f1)", "= i (s(T1.f2) t(T1) s*(T1.f1))"), spec
+        )
+        loop = spec.replacements[0].loop
+        for other in (gmap, phased):
+            rep = build_rep(spec, 4)
+            relation_residuals(rep, gmap)
+            assert set(rep.loop_operators) == {"T1"}
+            report = loop_spectrum(rep, loop, other)
+            assert rep.loop_operators is None and "loop_operators" not in vars(rep)
+            assert vars(report) == vars(loop_spectrum(build_rep(spec, 4), loop, other))
+
+    def test_a_loop_with_an_entrance_is_refused(self, square_embedding):
+        """``co-iso`` and ``iso`` are read off CK2 and CK3 only because a
+        loop vertex receives its loop edge alone; a spec built by hand
+        around an entrance is refused rather than misread."""
+        spec, gmap = square_embedding
+        base = Graph.build(spec.base.vertex_names + ("w",), [*named_edges(spec.base), ("x", "w", "u2")])
+        entered = AugmentedGraphSpec(base, spec.replacements)
+        edge_map = dict(gmap.edge_map, x=CKTerm.of(NormalMonomial(("x",), 0, (), "w")))
+        with pytest.raises(RepresentationError) as exc:
+            relation_residuals(build_rep(entered, 3), GeneratorMap(edge_map=edge_map))
+        assert str(exc.value) == "loop vertex 'u2' receives an edge off its loop: the loop has an entrance"
