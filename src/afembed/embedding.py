@@ -178,6 +178,7 @@ class AugmentedGraphSpec(StarContext):
     resolved by parsing generated ids against each tail's namespace.
     ``_finite_edges`` maps every base edge and f-edge to its endpoints, and
     ``_receivers`` every base vertex to its receivers, f-edges included.
+    A replaced loop has no entrance: its vertices receive no base edge.
     """
 
     def __init__(self, base: Graph, replacements: tuple[LoopReplacement, ...]):
@@ -206,6 +207,9 @@ class AugmentedGraphSpec(StarContext):
             for e in rep.loop.edges:
                 if e in self._finite_edges:
                     raise GraphError(f"loop edge {e!r} is still an edge of the base graph")
+            for u in rep.loop.vertices:
+                if receivers[u]:  # a base edge, or an earlier loop's f-edge: only its loop edge may enter u
+                    raise GraphError(f"loop vertex {u!r} receives an edge off its loop: the loop has an entrance")
             for f, u_i in zip(rep.f_edges, rep.loop.vertices):
                 self._finite_edges[f] = (rep.tail.sink, u_i)
                 receivers[u_i].append(f)

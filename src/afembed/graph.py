@@ -37,6 +37,7 @@ outside the pipeline, and the name-to-id tables on first lookup.
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from itertools import accumulate, chain, dropwhile
 from operator import attrgetter
@@ -321,6 +322,8 @@ class Graph:
 _BLOCK = 1 << 16
 #: the message for a known directive with the wrong number of words
 _EXPECTED = {"vertex": "expected: vertex <id>", "edge": "expected: edge <id> <source-id> <range-id>"}
+#: a lone surrogate: a ``str`` can hold one, UTF-8 text cannot
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _blocks(source) -> Iterator[str]:
@@ -354,12 +357,29 @@ def parse_graph(text) -> Graph:
     return _parse(_blocks(text))
 
 
+def _lines(blocks: Iterable[str]) -> Iterator[list[str]]:
+    """The lines of each block.  A block that is not ASCII is searched for
+    a lone surrogate, and the word holding the first is refused at its
+    line, once the lines before it are read, as the readers of bytes and of
+    JSON refuse it."""
+    before = 0
+    for block in blocks:
+        lines = block.splitlines()
+        if not block.isascii() and (bad := _SURROGATE.search(block)):
+            k = len(block[: bad.start() + 1].splitlines()) - 1
+            yield lines[:k]
+            word = next(filter(_SURROGATE.search, lines[k].split()))
+            raise GraphParseError(f"{word!r} is not UTF-8 text", before + k + 1)
+        before += len(lines)
+        yield lines
+
+
 def _parse(blocks: Iterable[str]) -> Graph:
     """The graph of a text in the line format given as ``blocks``, each
     ending at the end of a line.
 
-    Lines are split where :meth:`str.splitlines` splits them, a ``#``
-    starts a comment, and a line left blank holds no statement; a statement
+    :func:`_lines` splits lines where :meth:`str.splitlines` splits them; a
+    ``#`` starts a comment, and a line left blank holds no statement; a statement
     is ``vertex <id>`` or ``edge <id> <source-id> <range-id>``.  One pass
     numbers the vertices in declaration order and records each edge's ends
     as those numbers.  An end not declared yet is recorded as ``~k`` for
@@ -375,7 +395,7 @@ def _parse(blocks: Iterable[str]) -> Graph:
     src, rng = array("q"), array("q")
     forward: list[str] = []
     forward_lines = array("q")
-    for lineno, raw in enumerate(chain.from_iterable(map(str.splitlines, blocks)), 1):
+    for lineno, raw in enumerate(chain.from_iterable(_lines(blocks)), 1):
         parts = (raw[: raw.index("#")] if "#" in raw else raw).split()
         if not parts:
             continue

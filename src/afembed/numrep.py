@@ -37,8 +37,9 @@ No numeric product is formed twice.  No loop has an entrance, so ``u_{i+1}``
 receives ``e_i`` alone, and a loop's ``iso[i]`` residual is the operator,
 mask and subtraction of ``CK3[u_{i+1}]``; as ``u_i = source(e_i)``, its
 ``co-iso[i]`` is ``CK2[e_i,e_i]``: both take the value of that instance.
-A loop's ``T^n`` and edge images, formed for ``LOOP:power``, are read
-again by the loop's spectrum.
+Each term's operator is formed once per stage and kept on the stage, so
+the loop's spectrum reads the images ``LOOP:power`` multiplied; ``T^n`` on
+a finite stage is ``T``'s phases raised to the ``n``-th power elementwise.
 
 Spectra need no eigensolver in the common case: ``T^n`` on the corner is
 diagonal, and a phased partial permutation has the ``L``-th roots of ``w``
@@ -303,9 +304,7 @@ class Operator:
         return f"Operator(dim={self.dim!r}, pieces={self.pieces!r})"
 
     def __add__(self, other: "Operator") -> "Operator":
-        # a sum's entries are merged before they are added, as with sparse matrices
-        tail = other.pieces if len(other.pieces) <= 1 else _split(*other.entries())
-        return Operator(self.dim, self.pieces + tail)
+        return Operator(self.dim, self.pieces + other.pieces)
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + other.scale(-1)
@@ -421,17 +420,10 @@ class TruncatedRep(SimpleNamespace):
     per-level lists of basis indices; ``interior`` is True on the paths of
     length ``1 .. depth-1``.
 
-    ``loop_operators`` maps a tail namespace to what
-    :func:`relation_residuals` formed of its loop and :func:`loop_spectrum`
-    reads again: the loop edges' image terms, the phases of ``T^n`` on the
-    corner and the images' operators, ``e_1`` first.  ``relation_residuals``
-    sets it, each ``loop_spectrum`` takes its loop's entry out, and the one
-    that takes the last entry deletes the field, so each operator goes
-    after its last reader; outside that window it is the class default,
-    None.
+    ``images`` maps each term :func:`op_of_term` has evaluated on this
+    stage to its :class:`Operator`, so that the residuals and the spectra
+    of one map share its images; :func:`build_rep` sets it empty.
     """
-
-    loop_operators: dict[str, tuple[tuple[CKTerm, ...], tuple[complex, ...], list[Operator]]] | None = None
 
     @property
     def dimension(self) -> int:
@@ -518,17 +510,20 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
         T=T,
         corner_levels=corner_levels,
         interior=(False,) * nv + (True,) * inner + (False,) * (n - nv - inner),
+        images={},
     )
 
 
 def _tail_power(rep: TruncatedRep, namespace: str, k: int) -> Operator:
+    """``T^k`` for ``k != 0``: ``T`` itself at ``k = 1``, ``T*`` at ``k = -1``,
+    else the phases of ``T`` or ``T*`` raised elementwise, multiplied in the
+    order of the ``|k| - 1`` operator products ``(T T) T ...``, so to the same bits."""
     if namespace not in rep.T:
         raise ContextMismatchError(f"unknown tail namespace {namespace!r}")
     base = rep.T[namespace] if k > 0 else rep.T[namespace].adjoint()
-    out = base
-    for _ in range(abs(k) - 1):
-        out = out @ base
-    return out
+    p = base.pieces[0]
+    phase = reduce(_mul, repeat(p.phase, abs(k)))
+    return base if phase is p.phase else Operator(base.dim, (Piece(p.src, p.tgt, phase),))
 
 
 def op_of_monomial(m: NormalMonomial, rep: TruncatedRep) -> Operator:
@@ -579,10 +574,12 @@ def last_edges(rep: TruncatedRep, op: Operator) -> set[int]:
 
 
 def op_of_term(term: CKTerm, rep: TruncatedRep) -> Operator:
-    """Evaluate ``s_alpha t^k s_beta* -> S[alpha] T^k S[beta]*`` linearly."""
-    out = Operator(rep.dimension)
-    for m, c in term.items():
-        out = out + op_of_monomial(m, rep).scale(complex(c))
+    """Evaluate ``s_alpha t^k s_beta* -> S[alpha] T^k S[beta]*`` linearly,
+    once per stage: the operator is kept in ``rep.images``."""
+    out = rep.images.get(term)
+    if out is None:
+        monomials = (op_of_monomial(m, rep).scale(complex(c)) for m, c in term.items())
+        out = rep.images[term] = sum(monomials, Operator(rep.dimension))
     return out
 
 
@@ -618,21 +615,14 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     ``co-iso[i]``, ``a* a = p(u_i)`` for ``a`` the image of ``e_i``, is
     ``CK2[e_i,e_i]``, as ``u_i = source(e_i)``; its ``iso[i]``,
     ``a a* = p(u_{i+1})``, is ``CK3[u_{i+1}]``, since no loop has an
-    entrance, so ``e_i`` is the only edge ``u_{i+1}`` receives.  Both take
-    the value of that instance.  ``T^n`` and the loop's images are left in
-    ``rep.loop_operators`` for :func:`loop_spectrum`.
+    entrance (the spec refuses one), so ``e_i`` is the only edge
+    ``u_{i+1}`` receives.  Both take the value of that instance.
     """
     spec = rep.spec
     interior = rep.interior
     family = spec.original_graph()
     entries: list[ResidualEntry] = []
     defects: list[ResidualEntry] = []
-    for loop_rep in spec.replacements:
-        for u in loop_rep.loop.vertices:
-            k = family.vertex_id(u)
-            if family.recv_start[k + 1] - family.recv_start[k] != 1:
-                raise RepresentationError(f"loop vertex {u!r} receives an edge off its loop: the loop has an entrance")
-
     ops = {e: op_of_term(term, rep) for e, term in gmap.edge_map.items()}
     zero = Operator(rep.dimension)
     checked: dict[str, float] = {}  # the value of each identity whose right-hand side is not zero
@@ -657,7 +647,6 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
             vertex = rep.graph.vertex_id(v)  # the basis starts with the vertex paths, in id order
             defects.append(ResidualEntry(f"CK3-vertex-defect[{v}]", diff.column_norm(vertex)))
 
-    shared = {}
     for loop_rep in spec.replacements:
         loop = loop_rep.loop
         name = " ".join(loop.edges)
@@ -665,22 +654,16 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         for i, e in enumerate(edges, 1):
             entries.append(ResidualEntry(f"LOOP[{name}]:co-iso[{i}]", checked[f"CK2[{e},{e}]"]))
             entries.append(ResidualEntry(f"LOOP[{name}]:iso[{i}]", checked[f"CK3[{loop.vertices[i % loop.n]}]"]))
-        images = [ops[e] for e in edges]
-        product = images[-1]
-        for a in reversed(images[:-1]):
-            product = product @ a
-        # S[f_1] T^n S[f_1]* in op_of_monomial's factor order, but with all n
-        # products of T, as the loop side has them: op_of_monomial reduces n
-        # modulo N_d, and the reduced power rounds its phases otherwise, by
-        # more than TOL_ALG on a loop of about 920 edges at depth 6
+        product = reduce(operator.matmul, [ops[e] for e in reversed(edges)])  # (a_n a_{n-1}) ... a_1
+        # S[f_1] T^n S[f_1]* in op_of_monomial's factor order, but with T's
+        # phases raised n times, as the loop side has them: op_of_monomial
+        # reduces n modulo N_d, and the reduced power rounds its phases
+        # otherwise, by more than TOL_ALG on a loop of about 920 edges at depth 6
         power = _tail_power(rep, loop_rep.tail.namespace, loop.n)
         f_1 = rep.S[loop_rep.f_edge_for(1)]
         closed = f_1 @ (power @ f_1.adjoint())
         entries.append(ResidualEntry(f"LOOP[{name}]:power", (product - closed).frobenius(interior)))
-        shared[loop_rep.tail.namespace] = (tuple(map(gmap.edge_map.__getitem__, edges)), power.pieces[0].values(), images)
-        del power  # and with it its indices and join table: the spectrum reads its phases only
-    if shared:
-        rep.loop_operators = shared
+        del power  # and with it its join table, before the TAIL checks
 
     for ns, t in sorted(rep.T.items()):
         p_v = rep.P[rep.spec.sink_vertex(ns)]
@@ -719,24 +702,6 @@ def spectral_net_bound(loop_length: int, level_size: int) -> float:
     return math.pi * math.gcd(loop_length, level_size) / level_size
 
 
-def _loop_operators(
-    rep: TruncatedRep, loop_rep: LoopReplacement, terms: tuple[CKTerm, ...]
-) -> tuple[tuple[complex, ...], list[Operator]]:
-    """The phases of ``T^n`` on the loop's corner and the operators of
-    ``terms``, the images of ``e_1 .. e_n``: taken out of
-    ``rep.loop_operators`` where :func:`relation_residuals` left them,
-    formed here otherwise."""
-    ns = loop_rep.tail.namespace
-    shared = rep.loop_operators
-    if shared is None or ns not in shared:
-        return _tail_power(rep, ns, loop_rep.loop.n).pieces[0].values(), [op_of_term(t, rep) for t in terms]
-    kept, phases, images = shared.pop(ns)
-    if not shared:
-        del rep.loop_operators
-    # the images of another map, as when a caller passes two: T^n is the same
-    return phases, images if kept == terms else [op_of_term(t, rep) for t in terms]
-
-
 def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> SpectrumReport:
     """Spectrum of the mapped loop at this stage and its distance to the circle."""
     try:
@@ -744,17 +709,15 @@ def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> Sp
     except KeyError as exc:
         raise RepresentationError(str(exc)) from exc
     ns = loop_rep.tail.namespace
-    terms = tuple(gmap.edge_map[loop.edge_index(i)] for i in range(1, loop.n + 1))
     # T^n is diagonal on the corner (all levels, in basis order): its eigenvalues are its phases
-    evals, images = _loop_operators(rep, loop_rep, terms)
+    evals = _tail_power(rep, ns, loop.n).pieces[0].values()
     moduli = [math.hypot(z.real, z.imag) for z in evals]
     radial = max(abs(m - 1.0) for m in moduli)
 
-    # the image of e_n (... (the image of e_2 times that of e_1)), each dropped once multiplied
-    images.reverse()
-    product = images.pop()
-    while images:
-        product = images.pop() @ product
+    # the image of e_n (... (the image of e_2 times that of e_1))
+    product = op_of_term(gmap.edge_map[loop.edge_index(1)], rep)
+    for i in range(2, loop.n + 1):
+        product = op_of_term(gmap.edge_map[loop.edge_index(i)], rep) @ product
     conj = product.eigenvalues()
     conj_nonzero = [(z, m) for z in conj if (m := math.hypot(z.real, z.imag)) > 0.5]
 

@@ -15,8 +15,9 @@ under test), the
 relation catalogue that multiplies out every CK2 pair, the loop residuals
 ``co-iso`` and ``iso`` formed as products of their own (with the
 production operator products: only which products are formed is under
-test), the column norm that merged the whole operator, and the frozen
-dataclasses the value types were before they were written by hand.
+test), the column norm that merged the whole operator, the tail power
+that multiplied ``T`` out ``|k| - 1`` times, and the frozen dataclasses
+the value types were before they were written by hand.
 """
 
 from __future__ import annotations
@@ -886,6 +887,17 @@ def reference_loop_entries(rep: TruncatedRep, gmap) -> list[tuple[str, float]]:
             entries.append((f"LOOP[{name}]:co-iso[{i}]", (a_star @ a - p_ui).frobenius(interior)))
             entries.append((f"LOOP[{name}]:iso[{i}]", (a @ a_star - p_next).frobenius(interior)))
     return entries
+
+
+def reference_tail_power(rep: TruncatedRep, namespace: str, k: int) -> Operator:
+    """``numrep._tail_power`` before it raised ``T``'s phases elementwise,
+    kept verbatim: ``|k| - 1`` operator products of ``T``, or of ``T*``
+    for ``k < 0``."""
+    base = rep.T[namespace] if k > 0 else rep.T[namespace].adjoint()
+    out = base
+    for _ in range(abs(k) - 1):
+        out = out @ base
+    return out
 
 
 def reference_column_norm(op: Operator, j: int) -> float:

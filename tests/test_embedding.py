@@ -366,6 +366,20 @@ class TestLoopAgainstBase:
         with pytest.raises(GraphError, match="loop edge 'e4'"):
             AugmentedGraphSpec(spec.original_graph(), spec.replacements)
 
+    def test_a_loop_with_an_entrance_is_refused(self, square_embedding):
+        """The construction needs a loop vertex to receive its loop edge
+        alone (``verify`` reads a loop's ``co-iso`` and ``iso`` off CK2 and
+        CK3 on that ground), so a base edge into one is refused."""
+        spec, _ = square_embedding
+        obj = shadowed_spec_dict(spec, ["w"], [("x", "w", "u2")])
+        message = "loop vertex 'u2' receives an edge off its loop: the loop has an entrance"
+        with pytest.raises(GraphError) as exc:
+            spec_from_dict(obj)
+        assert str(exc.value) == message
+        with pytest.raises(GraphError) as exc:
+            AugmentedGraphSpec(graph_from_dict(obj["base"]), spec.replacements)
+        assert str(exc.value) == message
+
 
 CROWDED_IDS = st.sampled_from(
     ["T1", "T2", "T1.v", "T3.x.y", "T4.b1.1", "T1.L1.1", "T2.f1", "T10"]

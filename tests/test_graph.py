@@ -11,7 +11,7 @@ from array import array
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afembed.graph as graph_module
@@ -180,9 +180,11 @@ class TestIdCheck:
     """Ids reach ``_check_token`` unsplit from JSON documents and the Python API."""
 
     @given(st.text(ID_CHARS | st.characters(), max_size=6))
+    @example("\ud800")
     @settings(max_examples=400, deadline=None)
     def test_rejects_exactly_empty_and_whitespace_ids(self, name):
-        rejected = not name or any(c.isspace() for c in name) or "#" in name
+        # a lone surrogate is no UTF-8 text, and st.characters() draws them
+        rejected = not name or any(c.isspace() or "\ud800" <= c <= "\udfff" for c in name) or "#" in name
         try:
             _check_token("vertex", name)
         except GraphError:
@@ -195,6 +197,43 @@ class TestIdCheck:
             assert rejected
         else:
             assert not rejected
+
+    @given(
+        st.text(ID_CHARS | st.characters(), min_size=1, max_size=6).filter(lambda s: s.split() == [s] and "#" not in s),
+        st.integers(0, 2),
+    )
+    @example("\ud800", 0)
+    @example("a\udfffb", 2)
+    @settings(max_examples=300, deadline=None)
+    def test_the_text_and_json_readers_refuse_the_same_ids(self, name, blank):
+        """A ``str`` can hold a lone surrogate, as a JSON escape can spell
+        one: the text reader refuses it at its line, the JSON reader as an id."""
+        surrogate = any("\ud800" <= c <= "\udfff" for c in name)
+        text = "\n" * blank + f"vertex {name}\nedge e {name} {name}\n"
+        for read in (parse_graph, load_graph):
+            try:
+                read(text)
+            except GraphParseError as exc:
+                assert surrogate and str(exc) == f"line {blank + 1}: {name!r} is not UTF-8 text"
+            else:
+                assert not surrogate
+        try:
+            parse_graph_json(json.dumps({"vertices": [name], "edges": [{"id": "e", "src": name, "dst": name}]}))
+        except GraphError as exc:
+            assert surrogate and str(exc) == f"vertex id is not UTF-8 text: {name!r}"
+        else:
+            assert not surrogate
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_a_lone_surrogate_is_refused_after_the_lines_before_it(self, block):
+        """Each error is reported at the first line that has one, whichever
+        block holds it, and a comment is text like any other."""
+        head = "".join(f"vertex v{i}\n" for i in range(100))
+        with mock.patch.object(graph_module, "_BLOCK", block):
+            with pytest.raises(GraphParseError, match="^line 102: 'x\\\\udc00' is not UTF-8 text$"):
+                parse_graph(head + "vertex a # \u00e9\nedge e a a # x\udc00\nvertex v0\n")
+            with pytest.raises(GraphParseError, match="^line 101: duplicate vertex id 'v0'$"):
+                parse_graph(head + "vertex v0\nvertex \ud800\n")
 
     @pytest.mark.parametrize("name", ["", "a b", "\u2003", "a\x1c", "\x85b", "x\u3000y"])
     def test_whitespace_ids_rejected(self, name):

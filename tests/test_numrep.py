@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from afembed import embedding, numrep
 from afembed.cli import build_parser
 from afembed.embedding import (
-    AugmentedGraphSpec,
-    GeneratorMap,
     MultiplicitySeq,
     StageTooLargeError,
     embed,
@@ -19,11 +17,12 @@ from afembed.embedding import (
     genmap_to_text,
     materialize,
 )
-from afembed.graph import Graph, Path, load_graph, named_edges
+from afembed.graph import Path, load_graph
 from afembed.loops import Verdict, classify
 from afembed.numrep import (
     _basis_rows,
     _tail_phase,
+    _tail_power,
     DenseSpectrumTooLargeError,
     Operator,
     PathBasis,
@@ -37,7 +36,7 @@ from afembed.numrep import (
 )
 from afembed.terms import NormalMonomial, CKTerm, term_of_word
 
-from .oracles import reference_column_norm, reference_loop_entries, sorted_path_basis
+from .oracles import reference_column_norm, reference_loop_entries, reference_tail_power, sorted_path_basis
 from .strategies import condition5_graphs, multigraphs
 from .test_golden import CASES, GOLDEN, resolve
 
@@ -620,8 +619,8 @@ def overlapping_operators(draw, dim=5):
 class TestSharedProducts:
     """Each numeric product of ``verify`` is formed once: a loop's
     ``co-iso`` and ``iso`` residuals are read off the CK instances that
-    form the same products, ``T^n`` and the loop's images are formed by
-    ``relation_residuals`` and read again by ``loop_spectrum``, and the CK3
+    form the same products, each image is formed once per stage and read
+    again by ``loop_spectrum``, ``T^n`` takes no product, and the CK3
     vertex defect reads one column.  The oracles form them as before."""
 
     @staticmethod
@@ -650,12 +649,13 @@ class TestSharedProducts:
             assert op.column_norm(j).hex() == reference_column_norm(op, j).hex()
 
     def test_a_loop_is_multiplied_out_once(self, monkeypatch):
-        """C16 at depth 6 takes 129 products: 32 for the images (two each),
+        """C16 at depth 6 takes 114 products: 32 for the images (two each),
         16 each for CK1, CK2 (the images end in distinct edges) and CK3, 15
-        for the loop, 15 for ``T^16`` and 2 to close it in ``LOOP:power``,
-        2 for ``TAIL``, and 15 for the spectrum's loop.  The 32 of
-        ``co-iso`` and ``iso`` and the spectrum's 15 for ``T^16`` and 32
-        for the images are gone: 208 before."""
+        for the loop and 2 to close ``T^16`` in ``LOOP:power``, 2 for
+        ``TAIL``, and 15 for the spectrum's loop.  ``T^16`` is ``T``'s
+        phases raised elementwise, which takes no product: its 15 made 129
+        before, and with the 32 of ``co-iso`` and ``iso`` and the spectrum's
+        own ``T^16`` and images, 208."""
         n = 16
         g = load_graph("".join(f"vertex u{i}\n" for i in range(n)) + "".join(f"edge e{i} u{i} u{(i + 1) % n}\n" for i in range(n)))
         spec, gmap = embed(g)
@@ -672,32 +672,49 @@ class TestSharedProducts:
         relation_residuals(rep, gmap)
         for loop_rep in spec.replacements:
             loop_spectrum(rep, loop_rep.loop, gmap)
-        assert calls == 129
+        assert calls == 114
 
-    def test_the_operators_left_for_the_spectrum_go_with_their_last_reader(self, square):
-        """``loop_spectrum`` reads what ``relation_residuals`` left only for
-        the map it was given, and the field goes with its last entry."""
+    def test_the_stage_forms_each_image_once(self, square, monkeypatch):
+        """After ``relation_residuals`` the stage holds exactly the map's
+        images, and ``loop_spectrum`` forms none of them again; a spectrum
+        for another map on the same stage is the one a fresh stage gives,
+        and in either call order the two share one operator per image."""
         spec, gmap = embed(square)
         phased = genmap_from_text(
             genmap_to_text(gmap, spec).replace("= s(T1.f2) t(T1) s*(T1.f1)", "= i (s(T1.f2) t(T1) s*(T1.f1))"), spec
         )
         loop = spec.replacements[0].loop
-        for other in (gmap, phased):
-            rep = build_rep(spec, 4)
-            relation_residuals(rep, gmap)
-            assert set(rep.loop_operators) == {"T1"}
-            report = loop_spectrum(rep, loop, other)
-            assert rep.loop_operators is None and "loop_operators" not in vars(rep)
-            assert vars(report) == vars(loop_spectrum(build_rep(spec, 4), loop, other))
+        rep = build_rep(spec, 4)
+        relation_residuals(rep, gmap)
+        assert set(rep.images) == set(gmap.edge_map.values())
+        calls = 0
+        op_of_monomial = numrep.op_of_monomial
 
-    def test_a_loop_with_an_entrance_is_refused(self, square_embedding):
-        """``co-iso`` and ``iso`` are read off CK2 and CK3 only because a
-        loop vertex receives its loop edge alone; a spec built by hand
-        around an entrance is refused rather than misread."""
-        spec, gmap = square_embedding
-        base = Graph.build(spec.base.vertex_names + ("w",), [*named_edges(spec.base), ("x", "w", "u2")])
-        entered = AugmentedGraphSpec(base, spec.replacements)
-        edge_map = dict(gmap.edge_map, x=CKTerm.of(NormalMonomial(("x",), 0, (), "w")))
-        with pytest.raises(RepresentationError) as exc:
-            relation_residuals(build_rep(entered, 3), GeneratorMap(edge_map=edge_map))
-        assert str(exc.value) == "loop vertex 'u2' receives an edge off its loop: the loop has an entrance"
+        def counting(m, r):
+            nonlocal calls
+            calls += 1
+            return op_of_monomial(m, r)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(numrep, "op_of_monomial", counting)
+            loop_spectrum(rep, loop, gmap)
+        assert calls == 0
+        assert vars(loop_spectrum(rep, loop, phased)) == vars(loop_spectrum(build_rep(spec, 4), loop, phased))
+        rep = build_rep(spec, 4)
+        loop_spectrum(rep, loop, gmap)
+        kept = dict(rep.images)
+        relation_residuals(rep, gmap)
+        assert all(rep.images[term] is op for term, op in kept.items())
+
+
+@pytest.mark.parametrize("mult", ["2", "3,3;2"])
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_tail_power_equals_the_n_fold_product(square, mult, depth):
+    """``T^k`` with ``T``'s phases raised elementwise is the ``|k| - 1``
+    operator products to the bit, and ``T`` itself at ``k = 1``."""
+    spec, _ = embed(square, MultiplicitySeq.parse(mult))
+    rep = build_rep(spec, depth)
+    assert _tail_power(rep, "T1", 1) is rep.T["T1"]
+    for k in (*range(-40, 0), *range(1, 41)):
+        got, want = _tail_power(rep, "T1", k), reference_tail_power(rep, "T1", k)
+        assert repr(got.pieces) == repr(want.pieces), k  # repr keeps signed zeros and every bit

@@ -35,7 +35,7 @@ FIELDS = {
     GeneratorMap: {"edge_map"},
     RelationReport: {"checks"},
     PathBasis: {"graph", "edge", "suffix", "rng", "starts"},
-    TruncatedRep: {"spec", "depth", "graph", "basis", "P", "S", "T", "corner_levels", "interior"},
+    TruncatedRep: {"spec", "depth", "graph", "basis", "P", "S", "T", "corner_levels", "interior", "images"},
     ResidualReport: {"entries", "boundary_defects"},
     SpectrumReport: {
         "loop",
