@@ -9,7 +9,7 @@ records (``error: ...``, ``verification failed: ...``) go to stderr, so
 every line of a ``--format json`` stdout parses as JSON.
 
 Each record is written from a template for its shape (:class:`_Shape`),
-with one ``write`` call; its bytes are those of
+in batches of about 64 KiB; its bytes are those of
 ``json.JSONEncoder(sort_keys=True)``.  ``verify`` decides every refusal
 before its first record, so a refused run's stdout is empty; it holds its
 stage reports, never its output.
@@ -65,6 +65,7 @@ EXIT_NOT_FINITE = 3
 #: Largest residual, and largest spectral deviation, that ``verify`` accepts.
 TOL_ALG = 1e-12
 TOL_SPEC = 1e-10
+BATCH = 1 << 16  # characters of whole records per ``write``
 
 
 class _Shape:
@@ -125,22 +126,19 @@ def _json_chars(s: str) -> str:
 
 
 class _Writer:
-    """Writes records to ``out``, each record and its newline with one
-    ``write`` call.
+    """Writes whole records to ``out``, :data:`BATCH` characters a
+    ``write`` and a ``flush``; :meth:`flush` writes the rest.
 
     ``--format json`` writes the line ``json.JSONEncoder(sort_keys=True)``
-    writes, its strings escaped to ASCII by the encoder's own function;
-    ``--format text`` writes ``<record>: key=value ...`` in the same key
-    order.  Values are strings, bools and ints: :attr:`string` and
+    writes; ``--format text`` writes ``<record>: key=value ...`` in the
+    same key order.  Values are strings, bools and ints: :attr:`string` and
     :attr:`boolean` write the first two, and an int is written as it
     formats.  :attr:`text` writes a string's characters alone (unquoted),
     for values given as fragments (:meth:`spliced`).
     """
 
-    __slots__ = ("fmt", "write", "string", "boolean", "text", "quote")
-
     def __init__(self, fmt: str, out):
-        self.fmt, self.write = fmt, out.write
+        self.fmt, self.out, self.batch, self.size = fmt, out, [], 0
         if fmt == "json":
             self.string, self.boolean = encode_basestring_ascii, {True: "true", False: "false"}.__getitem__
             self.text, self.quote = _json_chars, '"'
@@ -148,23 +146,34 @@ class _Writer:
             self.string = self.boolean = self.text = str
             self.quote = ""
 
-    def template(self, shape: _Shape):
-        """The record of ``shape`` from its values in field order, each
-        already written by :attr:`string` or :attr:`boolean` (an int as it
-        is): for the records ``verify`` writes once per relation instance."""
-        return shape.format[self.fmt]
+    def write(self, records: str) -> None:
+        """Whole records; a batch's worth goes alone, as a join of one str is no copy."""
+        if len(records) >= BATCH:
+            self.flush()
+        self.batch.append(records)
+        self.size += len(records)
+        if self.size >= BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.batch:
+            self.out.write("".join(self.batch))
+            self.batch, self.size = [], 0
+        self.out.flush()
+
+    def line(self, shape: _Shape, values: dict) -> str:
+        string, boolean, values = self.string, self.boolean, map(values.__getitem__, shape.fields)
+        return shape.format[self.fmt](*[string(v) if v.__class__ is str else boolean(v) if v.__class__ is bool else v for v in values])
 
     def __call__(self, shape: _Shape, **values) -> None:
         """One record of ``shape``, its values given by field name."""
-        string, boolean = self.string, self.boolean
-        self.write(
-            shape.format[self.fmt](
-                *[
-                    string(v) if v.__class__ is str else boolean(v) if v.__class__ is bool else v
-                    for v in map(values.__getitem__, shape.fields)
-                ]
-            )
-        )
+        self.write(self.line(shape, values))
+
+    def skipping(self, reports, shape: _Shape, key: str, **values):
+        """The held reports of the catalogue ``reports`` in order, for the
+        caller to write; its skipped pairs are written here (``key`` names
+        the pair, ``values`` give the rest)."""
+        return reports.written(self.write, lambda name: self.line(shape, {**values, key: name}), self.text)
 
     def spliced(self, shape: _Shape, **values: list[str]) -> None:
         """One record whose values are strings given by field name as
@@ -220,25 +229,14 @@ def _load(path: str):
         return load_graph(f)
 
 
-def _output_dir() -> FsPath:
-    d = FsPath(os.environ.get(OUTPUT_DIR_ENV, "."))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _stem(args) -> str:
-    return "graph" if args.input == "-" else FsPath(args.input).stem
-
-
 def _write_loops(write: _Writer, loops) -> None:
     for loop in loops:
         write(LOOP, edges=" ".join(loop.edges), vertices=" ".join(loop.vertices))
 
 
-def cmd_classify(args, out) -> int:
+def cmd_classify(args, write: _Writer) -> int:
     g = _load(args.input)
     cls = classify(g)
-    write = _Writer(args.format, out)
     write(CLASSIFICATION, verdict=cls.verdict.value)
     _write_loops(write, cls.loops)
     if cls.witness is not None:
@@ -246,9 +244,8 @@ def cmd_classify(args, out) -> int:
     return EXIT_NOT_FINITE if cls.verdict is Verdict.NOT_FINITE else EXIT_OK
 
 
-def cmd_loops(args, out) -> int:
+def cmd_loops(args, write: _Writer) -> int:
     g = _load(args.input)
-    write = _Writer(args.format, out)
     try:
         loops = disjoint_simple_loops(g)
     except EntranceExistsError as exc:
@@ -259,19 +256,19 @@ def cmd_loops(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_embed(args, out) -> int:
+def cmd_embed(args, write: _Writer) -> int:
     from .embedding import genmap_to_text, spec_to_dict
 
     g = _load(args.input)
-    write = _Writer(args.format, out)
     try:
         spec, gmap = embed(g, args.mult)
     except EntranceExistsError as exc:
         _write_entrance_chain(write, exc.witness)
         return EXIT_NOT_FINITE
     f_d = materialize(spec, args.depth)
-    outdir = _output_dir()
-    stem = _stem(args)
+    outdir = FsPath(os.environ.get(OUTPUT_DIR_ENV, "."))
+    outdir.mkdir(parents=True, exist_ok=True)
+    stem = "graph" if args.input == "-" else FsPath(args.input).stem
     paths = {
         "spec": outdir / f"{stem}.embedding.json",
         "genmap": outdir / f"{stem}.genmap.txt",
@@ -289,7 +286,7 @@ def cmd_embed(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args, write: _Writer) -> int:
     """Every stage that can refuse runs before the first record, so a
     refused run writes nothing to stdout.  The numeric stages run first:
     the representation is dropped once its reports exist, before the
@@ -302,7 +299,6 @@ def cmd_verify(args, out) -> int:
     from .verify import RelationStatus
 
     g = _load(args.input)
-    write = _Writer(args.format, out)
     try:
         spec, gmap = embed(g, args.mult)
     except EntranceExistsError as exc:
@@ -312,9 +308,7 @@ def cmd_verify(args, out) -> int:
         gmap = genmap_from_text(FsPath(args.map).read_text(encoding="utf-8"), spec)
         expected = set(g.edge_names)
         if set(gmap.edge_map) != expected:
-            raise GraphError(
-                f"generator map domain mismatch: expected edges {sorted(expected)}"
-            )
+            raise GraphError(f"generator map domain mismatch: expected edges {sorted(expected)}")
 
     rep = build_rep(spec, args.depth)
     residuals = relation_residuals(rep, gmap)
@@ -324,47 +318,31 @@ def cmd_verify(args, out) -> int:
 
     failures = 0
     first_failure = ""
-    # the two records written per relation instance (a C400 writes 323,207)
-    # go straight to their templates: through ``write(...)``, a C400 verify
-    # took 1.2 times as long in paired runs (CHANGES.md)
-    emit, string, boolean = write.write, write.string, write.boolean
-    symbolic, residual = write.template(SYMBOLIC), write.template(RESIDUAL)
-    proved_status, failed_status = RelationStatus.PROVED, RelationStatus.FAILED
-    proved = string(proved_status.value)
-    for check in report.checks:
-        status = check.status
-        if status is failed_status:  # the catalogue's failures carry no note
-            difference = term_to_str(check.difference, spec)
-            write(SYMBOLIC_DIFFERENCE, difference=difference, relation=check.relation, status=status.value)
+    for check in write.skipping(report.checks, SYMBOLIC, "relation", status=RelationStatus.PROVED.value):
+        shape, difference = SYMBOLIC_NOTE if check.note else SYMBOLIC, ""
+        if check.status is RelationStatus.FAILED:  # the catalogue's failures carry no note
+            shape, difference = SYMBOLIC_DIFFERENCE, term_to_str(check.difference, spec)
             failures += 1
             first_failure = first_failure or f"symbolic {check.relation}"
-        elif check.note:
-            write(SYMBOLIC_NOTE, note=check.note, relation=check.relation, status=status.value)
-        else:
-            emit(symbolic(string(check.relation), proved if status is proved_status else string(status.value)))
+        write(shape, difference=difference, note=check.note, relation=check.relation, status=check.status.value)
     symbolic_proved = failures == 0
     del report
 
-    for entry in residuals.entries:
+    for entry in write.skipping(residuals.entries, RESIDUAL, "instance", ok=True, value=f"{0.0:.3e}"):
         ok = entry.value <= TOL_ALG
-        emit(residual(string(entry.name), boolean(ok), string(f"{entry.value:.3e}")))
+        write(RESIDUAL, instance=entry.name, ok=ok, value=f"{entry.value:.3e}")
         if not ok:
             failures += 1
             first_failure = first_failure or f"residual {entry.name}"
     for entry in residuals.boundary_defects:
-        write(
-            BOUNDARY_DEFECT,
-            expected="1.0 (documented truncation defect)",
-            instance=entry.name,
-            value=f"{entry.value:.3e}",
-        )
+        write(BOUNDARY_DEFECT, expected="1.0 (documented truncation defect)", instance=entry.name, value=f"{entry.value:.3e}")
     max_residual = residuals.max_residual
     del residuals
 
     for loop_rep, report_s in zip(spec.replacements, spectra):
-        loop = " ".join(loop_rep.loop.edges)
+        edges = loop_rep.loop.edges
         level_size = loop_rep.tail.mult.level_sizes(args.depth)[-1]
-        bound = numrep.spectral_net_bound(loop_rep.loop.n, level_size)
+        bound = numrep.spectral_net_bound(len(edges), level_size)
         ok = (
             report_s.max_modulus_deviation <= TOL_SPEC
             and report_s.hausdorff_to_circle <= bound + 1e-12
@@ -373,7 +351,7 @@ def cmd_verify(args, out) -> int:
         write(
             SPECTRUM,
             hausdorff_to_circle=f"{report_s.hausdorff_to_circle:.6f}",
-            loop=loop,
+            loop=" ".join(edges),
             max_modulus_deviation=f"{report_s.max_modulus_deviation:.3e}",
             net_bound=f"{bound:.6f}",
             nonzero_eigenvalues=len(report_s.eigenvalues),
@@ -381,21 +359,22 @@ def cmd_verify(args, out) -> int:
         )
         if not ok:
             failures += 1
-            first_failure = first_failure or f"spectrum {loop}"
+            first_failure = first_failure or f"spectrum of the {len(edges)}-edge loop from {edges[0]}"
 
     write(SUMMARY, failures=failures, max_residual=f"{max_residual:.3e}", symbolic_proved=symbolic_proved)
     if failures:
+        write.flush()  # the records come first on a stream shared with stderr
         print(f"verification failed: {first_failure}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     return EXIT_OK
 
 
-def cmd_export(args, out) -> int:
+def cmd_export(args, write: _Writer) -> int:
     g = _load(args.input)
     if args.format == "json":
-        out.write(json.dumps(graph_to_dict(g), sort_keys=True, indent=2) + "\n")
+        write.write(json.dumps(graph_to_dict(g), sort_keys=True, indent=2) + "\n")
     else:
-        out.write(export_dot(g) if args.format == "dot" else serialize_graph(g))
+        write.write(export_dot(g) if args.format == "dot" else serialize_graph(g))
     return EXIT_OK
 
 
@@ -464,7 +443,10 @@ def main(argv=None, out=None) -> int:
     try:
         if out is None:
             raise OSError("standard output is closed")
-        return args.func(args, out)
+        write = _Writer(args.format, out)
+        code = args.func(args, write)
+        write.flush()
+        return code
     except (OSError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

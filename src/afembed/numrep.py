@@ -63,7 +63,7 @@ from .embedding import MAX_STAGE_SIZE, AugmentedGraphSpec, GeneratorMap, LoopRep
 from .graph import Graph, Path
 from .loops import SimpleLoop
 from .terms import CKTerm, ContextMismatchError, NormalMonomial
-from .verify import ck_instances
+from .verify import Catalogue, ck_instances
 
 
 class RepresentationError(ValueError):
@@ -592,12 +592,13 @@ class ResidualEntry:
 
 
 class ResidualReport(SimpleNamespace):
-    """Interior-compressed residuals, ``entries``, plus the known
-    ``boundary_defects``: two tuples of :class:`ResidualEntry`."""
+    """Interior-compressed residuals, ``entries``, a :class:`Catalogue` of
+    :class:`ResidualEntry` whose skipped CK2 pairs are 0.0, plus the known
+    ``boundary_defects``, a tuple of them."""
 
     @property
     def max_residual(self) -> float:
-        return max((e.value for e in self.entries), default=0.0)
+        return max((e.value for e in self.entries.runs() if not isinstance(e, range)), default=0.0)
 
 
 def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
@@ -620,40 +621,35 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     """
     spec = rep.spec
     interior = rep.interior
-    family = spec.original_graph()
-    entries: list[ResidualEntry] = []
-    defects: list[ResidualEntry] = []
     ops = {e: op_of_term(term, rep) for e, term in gmap.edge_map.items()}
-    zero = Operator(rep.dimension)
-    checked: dict[str, float] = {}  # the value of each identity whose right-hand side is not zero
-    for kind, v, identities in ck_instances(
-        family,
+    entries = Catalogue(sorted(ops), lambda name: ResidualEntry(name, 0.0))
+    defects: list[ResidualEntry] = []
+    checked: dict[str, float] = {}  # the value of each identity
+    for kind, at, identities in ck_instances(
+        spec.original_graph(),
         ops,
         rep.P.__getitem__,
         Operator.adjoint,
         operator.matmul,
         partial(last_edges, rep),
-        zero,
+        Operator(rep.dimension),
     ):
         for name, lhs, rhs in identities:
-            if rhs is zero:  # as most CK2 right-hand sides are: skip |E|^2 subtractions
-                entries.append(ResidualEntry(name, lhs.frobenius(interior)))
-            else:
-                diff = lhs - rhs
-                checked[name] = value = diff.frobenius(interior)
-                entries.append(ResidualEntry(name, value))
+            diff = lhs - rhs
+            checked[name] = value = diff.frobenius(interior)
+            entries.add(kind, at, ResidualEntry(name, value))
         if kind == "CK3":
             # known truncation defect: the relation fails on the vertex vector itself
-            vertex = rep.graph.vertex_id(v)  # the basis starts with the vertex paths, in id order
-            defects.append(ResidualEntry(f"CK3-vertex-defect[{v}]", diff.column_norm(vertex)))
+            vertex = rep.graph.vertex_id(at)  # the basis starts with the vertex paths, in id order
+            defects.append(ResidualEntry(f"CK3-vertex-defect[{at}]", diff.column_norm(vertex)))
 
     for loop_rep in spec.replacements:
         loop = loop_rep.loop
         name = " ".join(loop.edges)
         edges = [loop.edge_index(i) for i in range(1, loop.n + 1)]
         for i, e in enumerate(edges, 1):
-            entries.append(ResidualEntry(f"LOOP[{name}]:co-iso[{i}]", checked[f"CK2[{e},{e}]"]))
-            entries.append(ResidualEntry(f"LOOP[{name}]:iso[{i}]", checked[f"CK3[{loop.vertices[i % loop.n]}]"]))
+            entries.tail.append(ResidualEntry(f"LOOP[{name}]:co-iso[{i}]", checked[f"CK2[{e},{e}]"]))
+            entries.tail.append(ResidualEntry(f"LOOP[{name}]:iso[{i}]", checked[f"CK3[{loop.vertices[i % loop.n]}]"]))
         product = reduce(operator.matmul, [ops[e] for e in reversed(edges)])  # (a_n a_{n-1}) ... a_1
         # S[f_1] T^n S[f_1]* in op_of_monomial's factor order, but with T's
         # phases raised n times, as the loop side has them: op_of_monomial
@@ -662,14 +658,14 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         power = _tail_power(rep, loop_rep.tail.namespace, loop.n)
         f_1 = rep.S[loop_rep.f_edge_for(1)]
         closed = f_1 @ (power @ f_1.adjoint())
-        entries.append(ResidualEntry(f"LOOP[{name}]:power", (product - closed).frobenius(interior)))
+        entries.tail.append(ResidualEntry(f"LOOP[{name}]:power", (product - closed).frobenius(interior)))
         del power  # and with it its join table, before the TAIL checks
 
     for ns, t in sorted(rep.T.items()):
         p_v = rep.P[rep.spec.sink_vertex(ns)]
-        entries.append(ResidualEntry(f"TAIL[{ns}]:unitary", (t @ t.adjoint() - p_v).frobenius()))
-        entries.append(ResidualEntry(f"TAIL[{ns}]:unitary*", (t.adjoint() @ t - p_v).frobenius()))
-    return ResidualReport(entries=tuple(entries), boundary_defects=tuple(defects))
+        entries.tail.append(ResidualEntry(f"TAIL[{ns}]:unitary", (t @ t.adjoint() - p_v).frobenius()))
+        entries.tail.append(ResidualEntry(f"TAIL[{ns}]:unitary*", (t.adjoint() @ t - p_v).frobenius()))
+    return ResidualReport(entries=entries, boundary_defects=tuple(defects))
 
 
 class SpectrumReport(SimpleNamespace):

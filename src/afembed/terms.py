@@ -89,7 +89,7 @@ class GaussianRational(Frozen):
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls(Fraction(value))
+            return ONE if value == 1 else cls(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} to a Gaussian rational")
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
@@ -99,6 +99,8 @@ class GaussianRational(Frozen):
         return GaussianRational(self.real - other.real, self.imag - other.imag)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+        if self is ONE or other is ONE:  # the shared unit: no Fraction arithmetic
+            return other if self is ONE else self
         return GaussianRational(
             self.real * other.real - self.imag * other.imag,
             self.real * other.imag + self.imag * other.real,
@@ -108,7 +110,7 @@ class GaussianRational(Frozen):
         return GaussianRational(-self.real, -self.imag)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
+        return GaussianRational(self.real, -self.imag) if self.imag else self
 
     @property
     def is_zero(self) -> bool:
@@ -134,6 +136,7 @@ class GaussianRational(Frozen):
 
 
 _gaussian_real, _gaussian_imag = GaussianRational.real.__set__, GaussianRational.imag.__set__
+#: The unit coefficient, shared: the constructed map's every coefficient, and its products'.
 ONE = GaussianRational(Fraction(1))
 
 
@@ -227,7 +230,7 @@ class CKTerm:
         clean = {}
         for m, c in (coeffs or {}).items():
             c = GaussianRational.of(c)
-            if not c.is_zero:
+            if c is ONE or not c.is_zero:
                 clean[m] = c
         self._coeffs = clean
 
@@ -255,7 +258,7 @@ class CKTerm:
     def __add__(self, other: "CKTerm") -> "CKTerm":
         out = dict(self._coeffs)
         for m, c in other._coeffs.items():
-            out[m] = out.get(m, GaussianRational()) + c
+            out[m] = out[m] + c if m in out else c
         return CKTerm(out)
 
     def __neg__(self) -> "CKTerm":
@@ -445,7 +448,7 @@ def multiply(a: CKTerm, b: CKTerm, ctx: StarContext) -> CKTerm:
             if nf is ZERO:
                 continue
             m = monomial_of_word(ctx, nf)
-            out[m] = out.get(m, GaussianRational()) + c1 * c2
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
     return CKTerm(out)
 
 

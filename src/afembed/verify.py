@@ -9,8 +9,10 @@ have orthogonal ranges (Raeburn, *Graph Algebras*, CBMS 103, 2005, Ch. 1),
 so ``img(e)* img(f)`` vanishes when the two images cannot meet from the
 left.  Each backend names the places an image meets another from the left,
 its ``support``, and the catalogue multiplies only the pairs whose supports
-share one; every other pair is the backend's zero, exactly what the product
-would be.
+share one; every other pair is zero on both sides, exactly what the product
+would be, and is never built: a :class:`Catalogue` holds the reports on the
+multiplied instances and stands for the rest, so a report's size grows with
+the products, not with |E|^2.
 
 A check is PROVED only by exact normal-form equality in the symbolic
 engine.  Two obligations of the standard uniqueness criterion for
@@ -23,6 +25,7 @@ instead.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from types import SimpleNamespace
 from typing import Callable, Collection, Hashable, Iterator, Mapping, TypeVar
@@ -43,18 +46,18 @@ def ck_instances(
     product: Callable[[X, X], X],
     support: Callable[[X], Collection[Hashable]],
     zero: X,
-) -> Iterator[tuple[str, str | None, tuple[tuple[str, X, X], ...]]]:
+) -> Iterator[tuple[str, str | tuple[str, str], tuple[tuple[str, X, X], ...]]]:
     """The CK1-CK3 instances of the family ``images`` over ``family``.
 
-    Yields ``(family, vertex, identities)`` per instance, where ``vertex``
-    is the vertex a CK1 or CK3 instance is stated at (None for CK2) and
-    ``identities`` are ``(name, lhs, rhs)`` triples; the first name names
-    the instance.  CK1[v] holds two identities, ``p p = p`` (CK1[v]) and
-    ``p* = p`` (CK1*[v]); CK2[e,f] is ``img(e)* img(f) = delta_ef
-    p(source(e))``; CK3[v] is the receiver sum ``sum_e img(e) img(e)* =
-    p(v)`` at each vertex that receives an edge.  Each backend passes its
-    own operations (its ``+`` is the sum); each adjoint is computed once
-    per edge.
+    Yields ``(family, at, identities)`` per instance, where ``at`` is the
+    vertex a CK1 or CK3 instance is stated at, or the pair ``(e, f)`` of
+    CK2[e,f], and ``identities`` are ``(name, lhs, rhs)`` triples; the
+    first name names the instance.  CK1[v] holds two identities,
+    ``p p = p`` (CK1[v]) and ``p* = p`` (CK1*[v]); CK2[e,f] is
+    ``img(e)* img(f) = delta_ef p(source(e))``; CK3[v] is the receiver sum
+    ``sum_e img(e) img(e)* = p(v)`` at each vertex that receives an edge.
+    Each backend passes its own operations (its ``+`` is the sum); each
+    adjoint is computed once per edge.
 
     ``support(x)`` gives keys such that ``adjoint(x) y`` is zero unless
     ``support(x)`` and ``support(y)`` share one: the ranges of distinct
@@ -62,9 +65,11 @@ def ck_instances(
     Ch. 1), so for the constructed map the symbolic CK2 takes
     sum_v |recv(v)|^2 products rather than |E|^2.  A superset of the keys
     is safe, a subset is not.  Through an inverted index from key to
-    edges, CK2[e,f] is ``product(adjoint(img(e)), img(f))`` when the
-    supports meet or ``e == f`` (its right-hand side is not zero), and
-    ``zero`` otherwise.
+    edges, each row CK2[e,.] yields only the pairs whose supports meet, and
+    CK2[e,e] (its right-hand side is not zero), in catalogue order: every
+    other pair is ``zero`` on both sides, and is not yielded at all.  A
+    :class:`Catalogue` holds a backend's reports on what is yielded and
+    stands for the rest.
     """
     vn, en = family.vertex_names, family.edge_names  # sorted, as ids number them
     name = ""  # the instance whose products are being formed
@@ -82,12 +87,11 @@ def ck_instances(
             for k in keys[e]:
                 meeting.setdefault(k, []).append(e)
         for e in edge_names:
-            partners = {e}.union(*map(meeting.__getitem__, keys[e]))
-            for f in edge_names:
+            for f in sorted({e}.union(*map(meeting.__getitem__, keys[e]))):
                 rhs = projection(vn[family.src[family.edge_id(e)]]) if e == f else zero
                 name = f"CK2[{e},{f}]"
                 # no local holds the product, or the last one would live on through CK3
-                yield "CK2", None, ((name, product(adjoints[e], images[f]) if f in partners else zero, rhs),)
+                yield "CK2", (e, f), ((name, product(adjoints[e], images[f]), rhs),)
 
         start, ids = family.recv_start, family.recv_ids
         for i, v in enumerate(vn):
@@ -99,6 +103,72 @@ def ck_instances(
     except UnrepresentableTermError as exc:
         # a symbolic product without a normal form: say which instance formed it
         raise UnrepresentableTermError(f"{exc} in {name}") from exc
+
+
+class Catalogue:
+    """One backend's reports on the instances :func:`ck_instances` yields,
+    in its order, standing for the CK2 pairs it does not yield.
+
+    ``head`` holds the reports before the CK2 pairs, ``pairs[e]`` the
+    ``(f, report)`` of each yielded CK2[e,f], and ``tail`` the reports
+    after the pairs.  Each other pair of ``edges`` (sorted) is zero on both
+    sides; its report is ``skipped(name)``, built only when iteration
+    reaches it.  ``len`` and iteration count every one of the |E|^2 pairs.
+    """
+
+    def __init__(self, edges: list[str], skipped: Callable[[str], X]):
+        self.edges, self.skipped, self.head, self.pairs, self.tail = edges, skipped, [], {}, []
+
+    def add(self, family: str, at, report: X) -> None:
+        """A report on an instance, in the order the catalogue yields them."""
+        if family == "CK2":
+            self.pairs.setdefault(at[0], []).append((at[1], report))
+        else:
+            (self.head if family == "CK1" else self.tail).append(report)
+
+    def __len__(self) -> int:
+        return len(self.head) + len(self.edges) ** 2 + len(self.tail)
+
+    def runs(self) -> Iterator[X | range]:
+        """The held reports in order, with each run of skipped pairs between
+        them as a range of grid positions, all in one row: position ``p``
+        is CK2[edges[p // n],edges[p % n]] for ``n`` edges."""
+        yield from self.head
+        edges, n = self.edges, len(self.edges)
+        for i, e in enumerate(edges):
+            j = i * n
+            for f, report in self.pairs.get(e, ()):
+                k = i * n + bisect_left(edges, f)
+                if j < k:
+                    yield range(j, k)
+                yield report
+                j = k + 1
+            if j < i * n + n:
+                yield range(j, i * n + n)
+        yield from self.tail
+
+    def __iter__(self) -> Iterator[X]:
+        edges, n = self.edges, len(self.edges)
+        for run in self.runs():
+            if isinstance(run, range):
+                yield from (self.skipped(f"CK2[{edges[p // n]},{edges[p % n]}]") for p in run)
+            else:
+                yield run
+
+    def written(self, write: Callable[[str], None], record: Callable[[str], str], text: Callable[[str], str]) -> Iterator[X]:
+        """The held reports in order, for the caller to write; each run of
+        skipped pairs between them goes to ``write`` as one string of
+        ``record(name)`` per pair, cut from one record of the run's row
+        where the second edge goes, each edge as ``text`` writes it."""
+        names = [*map(text, self.edges)]
+        for run in self.runs():
+            if run.__class__ is not range:
+                yield run
+                continue
+            i, j = divmod(run.start, len(names))
+            # cut at the marker, the last one in the record: only constants follow it
+            head, _, tail = record(f"CK2[{self.edges[i]},\0]").rpartition(text("\0"))
+            write(head + (tail + head).join(names[j : j + len(run)]) + tail)
 
 
 def left_vertices(term: CKTerm, ctx: StarContext) -> set[str]:
@@ -129,7 +199,9 @@ class RelationCheck:
 
 
 class RelationReport(SimpleNamespace):
-    """``checks``, a tuple of :class:`RelationCheck`."""
+    """``checks``, the :class:`RelationCheck` of each instance: a
+    :class:`Catalogue` from :func:`verify_ck_family`, whose skipped CK2
+    pairs are PROVED, and a tuple from :func:`verify_witness`."""
 
     @property
     def all_proved(self) -> bool:
@@ -159,8 +231,8 @@ def verify_ck_family(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> RelationRe
     graph's own receiver sum, which is exactly how multi-receiver vertices
     are handled without breaking confluence.
     """
-    checks: list[RelationCheck] = []
-    for family, v, identities in ck_instances(
+    checks = Catalogue(sorted(gmap.edge_map), lambda name: RelationCheck(name, RelationStatus.PROVED))
+    for family, at, identities in ck_instances(
         spec.original_graph(),
         gmap.edge_map,
         lambda w: projection(spec, w),
@@ -170,35 +242,23 @@ def verify_ck_family(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> RelationRe
         CKTerm.zero(),
     ):
         name = identities[0][0]
+        check = RelationCheck(name, RelationStatus.PROVED)
         failed = [(lhs, rhs) for _, lhs, rhs in identities if lhs != rhs]
-        if not failed:
-            checks.append(RelationCheck(name, RelationStatus.PROVED))
-            continue
-        lhs, rhs = failed[0]
-        if family == "CK3":
-            rhs = expand_ck3(rhs, v, spec)
+        if failed:
+            lhs, rhs = failed[0]
+            if family == "CK3":
+                rhs = expand_ck3(rhs, at, spec)
             if lhs == rhs:
-                note = "equal after receiver expansion in the host graph"
-                checks.append(RelationCheck(name, RelationStatus.PROVED, note=note))
-                continue
-        checks.append(RelationCheck(name, RelationStatus.FAILED, difference=lhs - rhs))
-    checks.append(
-        RelationCheck(
-            "NONZERO[vertex projections]",
-            RelationStatus.RECORDED,
-            note="images are generator projections of the host algebra, nonzero by universality",
-        )
-    )
+                check.note = "equal after receiver expansion in the host graph"
+            else:
+                check = RelationCheck(name, RelationStatus.FAILED, difference=lhs - rhs)
+        checks.add(family, at, check)
+    universal = "images are generator projections of the host algebra, nonzero by universality"
+    checks.tail.append(RelationCheck("NONZERO[vertex projections]", RelationStatus.RECORDED, note=universal))
+    numeric = "full-circle spectrum is not a rewrite fact; checked numerically"
     for rep in spec.replacements:
-        loop_name = " ".join(rep.loop.edges)
-        checks.append(
-            RelationCheck(
-                f"SPECTRUM[{loop_name}]",
-                RelationStatus.RECORDED,
-                note="full-circle spectrum is not a rewrite fact; checked numerically",
-            )
-        )
-    return RelationReport(checks=tuple(checks))
+        checks.tail.append(RelationCheck(f"SPECTRUM[{' '.join(rep.loop.edges)}]", RelationStatus.RECORDED, note=numeric))
+    return RelationReport(checks=checks)
 
 
 def verify_witness(w: EntranceWitness, g: Graph) -> RelationReport:
@@ -208,21 +268,9 @@ def verify_witness(w: EntranceWitness, g: Graph) -> RelationReport:
     # the loop ``(e_n, ..., e_1)`` is a path from its base to its base
     s_alpha = CKTerm.of(NormalMonomial(w.loop.edges, 0, (), w.loop.base))
     s_beta = isometry(ctx, w.entry.name)
-    checks = (
-        _identity_check(
-            "WITNESS[alpha*alpha]",
-            multiply(adjoint(s_alpha), s_alpha, ctx),
-            projection(ctx, w.loop.base),
-        ),
-        _identity_check(
-            "WITNESS[beta*beta]",
-            multiply(adjoint(s_beta), s_beta, ctx),
-            projection(ctx, w.entry.source),
-        ),
-        _identity_check(
-            "WITNESS[alpha*beta]",
-            multiply(adjoint(s_alpha), s_beta, ctx),
-            CKTerm.zero(),
-        ),
+    identities = (
+        ("WITNESS[alpha*alpha]", multiply(adjoint(s_alpha), s_alpha, ctx), projection(ctx, w.loop.base)),
+        ("WITNESS[beta*beta]", multiply(adjoint(s_beta), s_beta, ctx), projection(ctx, w.entry.source)),
+        ("WITNESS[alpha*beta]", multiply(adjoint(s_alpha), s_beta, ctx), CKTerm.zero()),
     )
-    return RelationReport(checks=checks)
+    return RelationReport(checks=tuple(_identity_check(*identity) for identity in identities))

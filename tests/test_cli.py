@@ -28,10 +28,11 @@ from afembed.graph import Edge, GraphError, _check_token, graph_to_dict, load_gr
 from afembed.loops import EntranceExistsError, Verdict, classify
 from afembed.numrep import MAX_DENSE_SUPPORT
 from afembed.terms import ContextMismatchError, TermParseError, parse_term
+from afembed.verify import Catalogue
 
 from .conftest import SQUARE_TEXT
 from .strategies import condition5_graphs, multigraphs
-from .test_golden import GOLDEN, CountingOut, child_env
+from .test_golden import CASES, GOLDEN, CountingOut, child_env, cycle_file, resolve
 
 
 def run_cli(argv):
@@ -211,10 +212,10 @@ def _witnesses(draw):
 
 
 class TestRecordWriter:
-    """Each record is one ``write`` of the bytes ``JSONEncoder(sort_keys=True)``
-    gives in ``--format json``, and of ``<record>: key=value ...`` in
-    ``--format text``, whichever way it is written: by field name, straight
-    to its template, or spliced from fragments."""
+    """Each record is the bytes ``JSONEncoder(sort_keys=True)`` gives in
+    ``--format json``, and ``<record>: key=value ...`` in ``--format text``,
+    whichever way it is written: by field name, spliced from fragments, or
+    as one of a run of skipped CK2 pairs; the records leave in one batch."""
 
     def test_every_record_shape_has_a_template(self):
         shapes = {(s.record, s.fields) for s in _SHAPES.values()}
@@ -249,17 +250,42 @@ class TestRecordWriter:
             out = CountingOut()
             write = cli._Writer(fmt, out)
             write(shape, **values)
-            # the per-instance path: values written by ``string`` and ``boolean`` into the template
-            encoded = [
-                write.string(v) if isinstance(v, str) else write.boolean(v) if isinstance(v, bool) else v
-                for v in values.values()
-            ]
-            write.write(write.template(shape)(*encoded))
-            records = 2
+            records = 1
             if all(isinstance(v, str) for v in values.values()):
                 write.spliced(shape, **{k: [write.text(v)] for k, v in values.items()})
                 records += 1
-            assert (out.getvalue(), out.writes) == (records * expected[fmt], records)
+            write.flush()
+            assert (out.getvalue(), out.writes) == (records * expected[fmt], 1)
+
+    @given(edges=st.lists(_IDS, max_size=4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_skipped_pairs_equal_the_encoder(self, edges, data):
+        """``skipping`` writes each run of skipped pairs from one template
+        per run, and hands the held reports, in order, to the caller.  Every
+        grid holds ids with a quote, a backslash and non-ASCII characters,
+        which JSON escapes."""
+        edges = sorted({*edges, 'a"', "b\\", "caf\u00e9", "\U0001f600"})
+        grid = [(e, f) for e in edges for f in edges]
+        held = data.draw(st.sets(st.sampled_from(grid)))
+        for shape, key, constant in (
+            (cli.SYMBOLIC, "relation", {"status": "PROVED"}),
+            (cli.RESIDUAL, "instance", {"ok": True, "value": "0.000e+00"}),
+        ):
+            catalogue = Catalogue(edges, lambda name: {key: name, **constant})
+            catalogue.head.append({key: "CK1[v]", **constant})
+            for e, f in sorted(held):
+                values = dict(zip(shape.fields, data.draw(_field_values(shape))))
+                catalogue.add("CK2", (e, f), {**values, key: f"CK2[{e},{f}]"})
+            catalogue.tail.append({key: "CK3[v]", **constant})
+            for fmt in ("json", "text"):
+                out = CountingOut()
+                write = cli._Writer(fmt, out)
+                for report in write.skipping(catalogue, shape, key, **constant):
+                    write(shape, **report)
+                write.flush()
+                expected = "".join(_reference_lines({"record": shape.record, **r})[fmt] for r in catalogue)
+                assert (out.getvalue(), out.writes) == (expected, 1)
+                assert len(catalogue) == len(edges) ** 2 + 2
 
     @given(_witnesses())
     @settings(max_examples=80, deadline=None)
@@ -278,7 +304,9 @@ class TestRecordWriter:
         for write_record, rec in ((cli._write_witness, witness), (cli._write_entrance_chain, refusal)):
             for fmt in ("json", "text"):
                 out = CountingOut()
-                write_record(cli._Writer(fmt, out), w)
+                write = cli._Writer(fmt, out)
+                write_record(write, w)
+                write.flush()
                 assert (out.getvalue(), out.writes) == (_reference_lines(rec)[fmt], 1)
 
 
@@ -629,18 +657,55 @@ class TestUsageErrors:
         n = 50_000
         graph = tmp_path / "self_loops.txt"
         graph.write_text("".join(f"vertex v{i}\nedge e{i} v{i} v{i}\n" for i in range(n)))
-        argv = [sys.executable, "-c", "from afembed.cli import entry_point; entry_point()", "loops", "--input", str(graph)]
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        assert self.close_after_one_byte(["loops", "--input", str(graph)]) == (b"l", b"", -signal.SIGPIPE)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_closed_reader_mid_verify_report(self, tmp_path):
+        """The same for a report that leaves in batches: a C48's ``verify``
+        records, about 300 kB, several batches and more than a pipe buffer."""
+        graph = cycle_file(tmp_path, 48)
+        assert self.close_after_one_byte(["verify", "--input", str(graph)]) == (b"s", b"", -signal.SIGPIPE)
+
+    @staticmethod
+    def close_after_one_byte(argv):
+        """The first byte of the command's stdout, read before closing the
+        pipe, and then its stderr and exit status."""
+        code = "from afembed.cli import entry_point; entry_point()"
+        proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
         try:
-            assert proc.stdout.read(1) == b"l"
+            first = proc.stdout.read(1)
             proc.stdout.close()
             stderr = proc.stderr.read()
             proc.wait(timeout=60)
         finally:
             proc.kill()
             proc.stderr.close()
-        assert stderr == b""
-        assert proc.returncode == -signal.SIGPIPE
+        return first, stderr, proc.returncode
+
+    def test_closed_output_is_one_input_error(self, capsys):
+        """Records leave in batches, the last one as ``main`` ends: a stream
+        closed under it is still one ``error:`` line and exit 1."""
+        out = io.StringIO()
+        out.close()
+        assert main(["verify", "--input", str(GOLDEN / "square.txt"), "--depth", "3"], out=out) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: I/O operation on closed file\n")
+
+    def test_failing_verify_writes_its_summary_before_the_message(self):
+        """On one pipe for stdout and stderr, as ``2>&1`` gives, the records
+        come first: the failure message follows the ``summary`` record,
+        whether or not stdout is buffered."""
+        argv = resolve(CASES["verify_square_tdropped_map"])
+        code = "from afembed.cli import entry_point; entry_point()"
+        env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env={**env, **unbuffered}, timeout=120
+            )
+            assert proc.returncode == EXIT_VERIFICATION_FAILED
+            lines = proc.stdout.decode("utf-8").splitlines(keepends=True)
+            assert "".join(lines[:-1]).encode() == (GOLDEN / "verify_square_tdropped_map.stdout").read_bytes()
+            assert json.loads(lines[-2])["record"] == "summary"
+            assert lines[-1] == "verification failed: spectrum of the 4-edge loop from e4\n"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the child's stream is closed between fork and exec")
     @pytest.mark.parametrize(
@@ -836,6 +901,33 @@ class TestUtf8Ids:
                 proc = subprocess.run(argv, stdin=stdin, env=child_env(), capture_output=True, timeout=120)
             assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, b""), at
             assert proc.stderr.decode("utf-8") == f"error: {whole.value}\n"
+
+
+# A C400 at depth 6 has 160,000 CK2 pairs, 400 of them multiplied.  Built as
+# records, the pairs took the run to about 62 MB; held as the multiplied
+# instances alone, it peaks at about 26 MB (x86-64 Linux, CPython 3.11).
+VERIFY_C400_PEAK_MB = 45
+# runs the CLI with the remaining arguments and prints its exit code and
+# ``ru_maxrss``: from a small interpreter, since a child's ``ru_maxrss``
+# counts the memory of the process it was forked from
+PEAK_RSS = """
+import os, subprocess, sys
+code = "from afembed.cli import entry_point; entry_point()"
+proc = subprocess.Popen([sys.executable, "-c", code, *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_verify_memory_grows_with_the_products_not_the_pairs(tmp_path):
+    """A default ``verify`` of a C400 in a fresh process, its output
+    discarded: the child's own peak resident memory."""
+    argv = ["verify", "--input", str(cycle_file(tmp_path, 400)), "--format", "json"]
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=child_env(), capture_output=True, timeout=120)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == EXIT_OK
+    assert peak_kb / 1024 < VERIFY_C400_PEAK_MB
 
 
 class TestStageCeiling:

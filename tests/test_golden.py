@@ -120,24 +120,43 @@ def test_report_matches_golden(name):
 
 
 class CountingOut(io.StringIO):
+    """A text stream that keeps each ``write`` it is given, in ``chunks``."""
+
     def __init__(self):
         super().__init__()
-        self.writes = 0
+        self.chunks = []
+
+    @property
+    def writes(self) -> int:
+        return len(self.chunks)
 
     def write(self, text: str) -> int:
-        self.writes += 1
+        self.chunks.append(text)
         return super().write(text)
 
 
+def cycle_file(tmp_path: Path, n: int) -> Path:
+    path = tmp_path / f"c{n}.txt"
+    path.write_text("".join(f"vertex u{i}\n" for i in range(n)) + "".join(f"edge e{i} u{i} u{(i + 1) % n}\n" for i in range(n)))
+    return path
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
-def test_one_write_per_record(fmt):
-    """A record and its newline go out in one ``write``, so an unbuffered
-    stdout makes one system call per record rather than two."""
+def test_records_leave_in_batches(fmt, tmp_path):
+    """Whole records are joined and written about 64 KiB at a time, so an
+    unbuffered stdout makes one system call per batch, not per record, and
+    no ``write`` splits a record."""
     out = CountingOut()
     assert main(resolve(CASES["verify_square_d4"] + ["--format", fmt]), out=out) == 0
     if fmt == "json":
         assert out.getvalue() == (GOLDEN / "verify_square_d4.stdout").read_text(encoding="utf-8")
-    assert out.writes == out.getvalue().count("\n") == 71
+    assert out.chunks == [out.getvalue()] and out.getvalue().count("\n") == 71
+    out = CountingOut()
+    assert main(["verify", "--input", str(cycle_file(tmp_path, 48)), "--format", fmt], out=out) == 0
+    size = len(out.getvalue().encode("utf-8"))
+    assert size > 4 * 65536
+    assert all(chunk.endswith("\n") for chunk in out.chunks)
+    assert out.writes <= -(-size // 65536) + 1
 
 
 def test_corpus_exercises_every_outcome():

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import re
 from functools import partial
@@ -20,7 +21,7 @@ from afembed.terms import (
     projection,
     term_of_word,
 )
-from afembed.verify import RelationStatus, ck_instances, left_vertices, verify_ck_family, verify_witness
+from afembed.verify import Catalogue, RelationStatus, ck_instances, left_vertices, verify_ck_family, verify_witness
 
 from .oracles import all_order_normal_forms, reference_ck_instances
 from .strategies import condition5_graphs, entrance_graphs, multigraphs
@@ -248,18 +249,23 @@ def numeric_entries(spec, gmap, depth):
 
 def numeric_sides(spec, gmap, depth):
     """Each identity of the catalogue over the stage's operators, unmasked:
-    its name and the entries of both sides, each value as its bits."""
+    its name and the entries of both sides, each value as its bits; a CK2
+    pair the catalogue does not yield has zero on both sides."""
     rep = build_rep(spec, depth)
     ops = {e: op_of_term(term, rep) for e, term in gmap.edge_map.items()}
+    zero = Operator(rep.dimension)
 
     def bits(op):
         src, tgt, values = op.entries()
         return src, tgt, [(v.real.hex(), v.imag.hex()) for v in values]
 
-    catalogue = numrep.ck_instances(
-        spec.original_graph(), ops, rep.P.__getitem__, Operator.adjoint, operator.matmul, partial(last_edges, rep), Operator(rep.dimension)
-    )
-    return [(name, bits(lhs), bits(rhs)) for _, _, identities in catalogue for name, lhs, rhs in identities]
+    sides = Catalogue(sorted(ops), lambda name: (name, bits(zero), bits(zero)))
+    for kind, at, identities in numrep.ck_instances(
+        spec.original_graph(), ops, rep.P.__getitem__, Operator.adjoint, operator.matmul, partial(last_edges, rep), zero
+    ):
+        for name, lhs, rhs in identities:
+            sides.add(kind, at, (name, bits(lhs), bits(rhs)))
+    return list(sides)
 
 
 def both_backends(spec, gmap, depth):
@@ -273,7 +279,11 @@ def both_backends(spec, gmap, depth):
 
 
 def multiplied_out(family, images, projection, adjoint, product, support, zero):
-    return reference_ck_instances(family, images, projection, adjoint, product, zero)
+    """The reference catalogue, every CK2 pair multiplied out; each CK2
+    instance is stated at its pair, as ``ck_instances`` states it."""
+    pairs = itertools.product(sorted(images), repeat=2)
+    for kind, at, identities in reference_ck_instances(family, images, projection, adjoint, product, zero):
+        yield kind, next(pairs) if kind == "CK2" else at, identities
 
 
 class TestCrossRangeLemma:
