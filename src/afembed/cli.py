@@ -11,8 +11,9 @@ every line of a ``--format json`` stdout parses as JSON.
 Each record is written from a template for its shape (:class:`_Shape`),
 in batches of about 64 KiB; its bytes are those of
 ``json.JSONEncoder(sort_keys=True)``.  ``verify`` decides every refusal
-before its first record, so a refused run's stdout is empty; it holds its
-stage reports, never its output.
+before its first record, so a refused run's stdout is empty.  It holds its
+stage reports, never its output; a report holds only the outcomes that
+differ from the default, and names each row as it is written.
 """
 
 from __future__ import annotations
@@ -169,11 +170,11 @@ class _Writer:
         """One record of ``shape``, its values given by field name."""
         self.write(self.line(shape, values))
 
-    def skipping(self, reports, shape: _Shape, key: str, **values):
-        """The held reports of the catalogue ``reports`` in order, for the
-        caller to write; its skipped pairs are written here (``key`` names
-        the pair, ``values`` give the rest)."""
-        return reports.written(self.write, lambda name: self.line(shape, {**values, key: name}), self.text)
+    def skipping(self, report, shape: _Shape, key: str, **values):
+        """The held rows of the catalogue ``report``, for the caller to
+        write; the rest are written here (``key`` names a row, ``values``
+        give the default)."""
+        return report.written(self.write, lambda name: self.line(shape, {**values, key: name}), self.text)
 
     def spliced(self, shape: _Shape, **values: list[str]) -> None:
         """One record whose values are strings given by field name as
@@ -291,8 +292,7 @@ def cmd_verify(args, write: _Writer) -> int:
     refused run writes nothing to stdout.  The numeric stages run first:
     the representation is dropped once its reports exist, before the
     symbolic report is built.  Then each report is written, in the order
-    symbolic, residuals, boundary defects, spectra, summary, and released;
-    only the reports are held, never the records."""
+    symbolic, residuals, boundary defects, spectra, summary, and released."""
     from . import numrep  # and with it every other module, before any stage runs
     from .embedding import genmap_from_text
     from .terms import term_to_str
@@ -318,7 +318,7 @@ def cmd_verify(args, write: _Writer) -> int:
 
     failures = 0
     first_failure = ""
-    for check in write.skipping(report.checks, SYMBOLIC, "relation", status=RelationStatus.PROVED.value):
+    for check in write.skipping(report.checks, SYMBOLIC, "relation", status="PROVED"):
         shape, difference = SYMBOLIC_NOTE if check.note else SYMBOLIC, ""
         if check.status is RelationStatus.FAILED:  # the catalogue's failures carry no note
             shape, difference = SYMBOLIC_DIFFERENCE, term_to_str(check.difference, spec)
@@ -328,14 +328,14 @@ def cmd_verify(args, write: _Writer) -> int:
     symbolic_proved = failures == 0
     del report
 
-    for entry in write.skipping(residuals.entries, RESIDUAL, "instance", ok=True, value=f"{0.0:.3e}"):
-        ok = entry.value <= TOL_ALG
-        write(RESIDUAL, instance=entry.name, ok=ok, value=f"{entry.value:.3e}")
+    for name, value in write.skipping(residuals.entries, RESIDUAL, "instance", ok=True, value=f"{0.0:.3e}"):
+        ok = value <= TOL_ALG
+        write(RESIDUAL, instance=name, ok=ok, value=f"{value:.3e}")
         if not ok:
             failures += 1
-            first_failure = first_failure or f"residual {entry.name}"
-    for entry in residuals.boundary_defects:
-        write(BOUNDARY_DEFECT, expected="1.0 (documented truncation defect)", instance=entry.name, value=f"{entry.value:.3e}")
+            first_failure = first_failure or f"residual {name}"
+    for name, value in residuals.boundary_defects:
+        write(BOUNDARY_DEFECT, expected="1.0 (documented truncation defect)", instance=name, value=f"{value:.3e}")
     max_residual = residuals.max_residual
     del residuals
 

@@ -423,14 +423,16 @@ def genmap_from_text(text: str, spec: AugmentedGraphSpec) -> GeneratorMap:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        # an edge id may hold '=', but no whitespace: the greedy first token
+        # before an '=' is the id, so ``a=b = s(a=b)`` and ``e=s(e)`` both read
+        m = re.fullmatch(r"(\S+)\s*=\s*(.*)", line)
+        if m is None:
             raise ValueError(f"line {lineno}: expected '<edge-id> = <term>'")
-        name, _, rhs = line.partition("=")
-        name = name.strip()
+        name, rhs = m.groups()
         if name in edge_map:
             raise ValueError(f"line {lineno}: duplicate image for edge {name!r}")
         try:
-            edge_map[name] = parse_term(rhs.strip(), spec)
+            edge_map[name] = parse_term(rhs, spec)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return GeneratorMap(edge_map=edge_map)

@@ -36,7 +36,8 @@ reported residual below tolerance is conclusive.
 No numeric product is formed twice.  No loop has an entrance, so ``u_{i+1}``
 receives ``e_i`` alone, and a loop's ``iso[i]`` residual is the operator,
 mask and subtraction of ``CK3[u_{i+1}]``; as ``u_i = source(e_i)``, its
-``co-iso[i]`` is ``CK2[e_i,e_i]``: both take the value of that instance.
+``co-iso[i]`` is ``CK2[e_i,e_i]``: each row shows the outcome of that
+instance, by its position in the report.
 Each term's operator is formed once per stage and kept on the stage, so
 the loop's spectrum reads the images ``LOOP:power`` multiplied; ``T^n`` on
 a finite stage is ``T``'s phases raised to the ``n``-th power elementwise.
@@ -583,22 +584,15 @@ def op_of_term(term: CKTerm, rep: TruncatedRep) -> Operator:
     return out
 
 
-class ResidualEntry:
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: float):
-        self.name = name
-        self.value = value
-
-
 class ResidualReport(SimpleNamespace):
-    """Interior-compressed residuals, ``entries``, a :class:`Catalogue` of
-    :class:`ResidualEntry` whose skipped CK2 pairs are 0.0, plus the known
-    ``boundary_defects``, a tuple of them."""
+    """Interior-compressed residuals, ``entries``, a :class:`Catalogue`
+    whose outcomes are residuals, ``0.0`` by default, and whose rows are
+    viewed as ``(name, value)``; plus the known ``boundary_defects``, a
+    tuple of ``(name, value)``."""
 
     @property
     def max_residual(self) -> float:
-        return max((e.value for e in self.entries.runs() if not isinstance(e, range)), default=0.0)
+        return max([0.0, *self.entries.outcomes.values()])
 
 
 def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
@@ -607,8 +601,9 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     The CK1-CK3 identities come from the shared catalogue
     :func:`afembed.verify.ck_instances`, evaluated with this stage's
     operator products, so the numeric side checks the same instances as the
-    symbolic side by independent arithmetic.  The LOOP and TAIL checks live
-    here only: they test the loop-to-tail construction and the truncated
+    symbolic side by independent arithmetic; a residual is held only where
+    it is not exactly ``0.0``.  The LOOP and TAIL checks live here only:
+    they test the loop-to-tail construction and the truncated
     representation itself, whereas the rewrite system takes ``t t* = p`` as
     an axiom and so has nothing to prove about them.
 
@@ -617,16 +612,15 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     ``CK2[e_i,e_i]``, as ``u_i = source(e_i)``; its ``iso[i]``,
     ``a a* = p(u_{i+1})``, is ``CK3[u_{i+1}]``, since no loop has an
     entrance (the spec refuses one), so ``e_i`` is the only edge
-    ``u_{i+1}`` receives.  Both take the value of that instance.
+    ``u_{i+1}`` receives.  Each row shows the outcome of that instance, by
+    its position; the loop's rows share one name prefix.
     """
-    spec = rep.spec
-    interior = rep.interior
+    spec, interior = rep.spec, rep.interior
     ops = {e: op_of_term(term, rep) for e, term in gmap.edge_map.items()}
-    entries = Catalogue(sorted(ops), lambda name: ResidualEntry(name, 0.0))
-    defects: list[ResidualEntry] = []
-    checked: dict[str, float] = {}  # the value of each identity
+    entries = Catalogue(spec.original_graph(), ("CK1", "CK1*"), 0.0)
+    defects: list[tuple[str, float]] = []
     for kind, at, identities in ck_instances(
-        spec.original_graph(),
+        entries.family,
         ops,
         rep.P.__getitem__,
         Operator.adjoint,
@@ -634,22 +628,21 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         partial(last_edges, rep),
         Operator(rep.dimension),
     ):
-        for name, lhs, rhs in identities:
+        for p, (lhs, rhs) in enumerate(identities, entries.position(kind, at)):
             diff = lhs - rhs
-            checked[name] = value = diff.frobenius(interior)
-            entries.add(kind, at, ResidualEntry(name, value))
+            entries.put(p, diff.frobenius(interior))
         if kind == "CK3":
             # known truncation defect: the relation fails on the vertex vector itself
             vertex = rep.graph.vertex_id(at)  # the basis starts with the vertex paths, in id order
-            defects.append(ResidualEntry(f"CK3-vertex-defect[{at}]", diff.column_norm(vertex)))
+            defects.append((f"CK3-vertex-defect[{at}]", diff.column_norm(vertex)))
 
     for loop_rep in spec.replacements:
         loop = loop_rep.loop
-        name = " ".join(loop.edges)
+        prefix = f"LOOP[{' '.join(loop.edges)}]"
         edges = [loop.edge_index(i) for i in range(1, loop.n + 1)]
         for i, e in enumerate(edges, 1):
-            entries.tail.append(ResidualEntry(f"LOOP[{name}]:co-iso[{i}]", checked[f"CK2[{e},{e}]"]))
-            entries.tail.append(ResidualEntry(f"LOOP[{name}]:iso[{i}]", checked[f"CK3[{loop.vertices[i % loop.n]}]"]))
+            entries.append(prefix, f":co-iso[{i}]", entries.position("CK2", (e, e)))
+            entries.append(prefix, f":iso[{i}]", entries.position("CK3", loop.vertices[i % loop.n]))
         product = reduce(operator.matmul, [ops[e] for e in reversed(edges)])  # (a_n a_{n-1}) ... a_1
         # S[f_1] T^n S[f_1]* in op_of_monomial's factor order, but with T's
         # phases raised n times, as the loop side has them: op_of_monomial
@@ -658,13 +651,13 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         power = _tail_power(rep, loop_rep.tail.namespace, loop.n)
         f_1 = rep.S[loop_rep.f_edge_for(1)]
         closed = f_1 @ (power @ f_1.adjoint())
-        entries.tail.append(ResidualEntry(f"LOOP[{name}]:power", (product - closed).frobenius(interior)))
+        entries.put(entries.append(prefix, ":power"), (product - closed).frobenius(interior))
         del power  # and with it its join table, before the TAIL checks
 
     for ns, t in sorted(rep.T.items()):
         p_v = rep.P[rep.spec.sink_vertex(ns)]
-        entries.tail.append(ResidualEntry(f"TAIL[{ns}]:unitary", (t @ t.adjoint() - p_v).frobenius()))
-        entries.tail.append(ResidualEntry(f"TAIL[{ns}]:unitary*", (t.adjoint() @ t - p_v).frobenius()))
+        entries.put(entries.append(f"TAIL[{ns}]", ":unitary"), (t @ t.adjoint() - p_v).frobenius())
+        entries.put(entries.append(f"TAIL[{ns}]", ":unitary*"), (t.adjoint() @ t - p_v).frobenius())
     return ResidualReport(entries=entries, boundary_defects=tuple(defects))
 
 

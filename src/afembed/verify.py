@@ -4,15 +4,22 @@ The relation instances are listed once, by :func:`ck_instances`; the exact
 checker here and the numeric residuals of :mod:`afembed.numrep` both
 evaluate that one catalogue, each with its own algebra.
 
+Each backend's report is one table over the catalogue, a
+:class:`Catalogue`: a row per identity in catalogue order, then the
+backend's own rows.  A backend holds an outcome only where it differs from
+its default (PROVED with no note here, a residual of exactly ``0.0`` in
+:mod:`afembed.numrep`), by the row's position; a row's name is formed from
+its position when the row is viewed or written.
+
 Most CK2 instances are zero by orthogonality of ranges: distinct edges
 have orthogonal ranges (Raeburn, *Graph Algebras*, CBMS 103, 2005, Ch. 1),
 so ``img(e)* img(f)`` vanishes when the two images cannot meet from the
 left.  Each backend names the places an image meets another from the left,
 its ``support``, and the catalogue multiplies only the pairs whose supports
 share one; every other pair is zero on both sides, exactly what the product
-would be, and is never built: a :class:`Catalogue` holds the reports on the
-multiplied instances and stands for the rest, so a report's size grows with
-the products, not with |E|^2.
+would be, and is never formed.  Its row keeps the default outcome, as does
+each multiplied instance that holds, so a report grows with the outcomes
+that differ from the default, not with |E|^2.
 
 A check is PROVED only by exact normal-form equality in the symbolic
 engine.  Two obligations of the standard uniqueness criterion for
@@ -46,38 +53,35 @@ def ck_instances(
     product: Callable[[X, X], X],
     support: Callable[[X], Collection[Hashable]],
     zero: X,
-) -> Iterator[tuple[str, str | tuple[str, str], tuple[tuple[str, X, X], ...]]]:
+) -> Iterator[tuple[str, str | tuple[str, str], tuple[tuple[X, X], ...]]]:
     """The CK1-CK3 instances of the family ``images`` over ``family``.
 
-    Yields ``(family, at, identities)`` per instance, where ``at`` is the
+    Yields ``(kind, at, identities)`` per instance, where ``at`` is the
     vertex a CK1 or CK3 instance is stated at, or the pair ``(e, f)`` of
-    CK2[e,f], and ``identities`` are ``(name, lhs, rhs)`` triples; the
-    first name names the instance.  CK1[v] holds two identities,
-    ``p p = p`` (CK1[v]) and ``p* = p`` (CK1*[v]); CK2[e,f] is
-    ``img(e)* img(f) = delta_ef p(source(e))``; CK3[v] is the receiver sum
-    ``sum_e img(e) img(e)* = p(v)`` at each vertex that receives an edge.
-    Each backend passes its own operations (its ``+`` is the sum); each
-    adjoint is computed once per edge.
+    CK2[e,f], and ``identities`` are ``(lhs, rhs)`` pairs; a
+    :class:`Catalogue` names them.  CK1[v] holds two identities, ``p p = p``
+    and ``p* = p``; CK2[e,f] is ``img(e)* img(f) = delta_ef p(source(e))``;
+    CK3[v] is the receiver sum ``sum_e img(e) img(e)* = p(v)`` at each
+    vertex that receives an edge.  Each backend passes its own operations
+    (its ``+`` is the sum); each adjoint is computed once per edge.
 
     ``support(x)`` gives keys such that ``adjoint(x) y`` is zero unless
     ``support(x)`` and ``support(y)`` share one: the ranges of distinct
     edges are orthogonal (Raeburn, *Graph Algebras*, CBMS 103, 2005,
-    Ch. 1), so for the constructed map the symbolic CK2 takes
-    sum_v |recv(v)|^2 products rather than |E|^2.  A superset of the keys
-    is safe, a subset is not.  Through an inverted index from key to
-    edges, each row CK2[e,.] yields only the pairs whose supports meet, and
-    CK2[e,e] (its right-hand side is not zero), in catalogue order: every
-    other pair is ``zero`` on both sides, and is not yielded at all.  A
-    :class:`Catalogue` holds a backend's reports on what is yielded and
-    stands for the rest.
+    Ch. 1), so the constructed map, whose images start with distinct
+    edges, takes one CK2 product per edge rather than |E|^2, on either
+    side.  A superset of the keys is safe, a subset is not.  Through an
+    inverted index from key to edges, each row CK2[e,.] yields only the
+    pairs whose supports meet, and CK2[e,e] (its right-hand side is not
+    zero), in catalogue order: every other pair is ``zero`` on both sides,
+    and is not yielded at all.
     """
     vn, en = family.vertex_names, family.edge_names  # sorted, as ids number them
-    name = ""  # the instance whose products are being formed
+    kind, at = "CK1", ""  # the instance whose products are being formed
     try:
-        for v in vn:
-            p = projection(v)
-            name = f"CK1[{v}]"
-            yield "CK1", v, ((name, product(p, p), p), (f"CK1*[{v}]", adjoint(p), p))
+        for at in vn:
+            p = projection(at)
+            yield kind, at, ((product(p, p), p), (adjoint(p), p))
 
         edge_names = sorted(images)
         adjoints = {e: adjoint(images[e]) for e in edge_names}
@@ -86,100 +90,138 @@ def ck_instances(
         for e in edge_names:
             for k in keys[e]:
                 meeting.setdefault(k, []).append(e)
+        kind = "CK2"
         for e in edge_names:
             for f in sorted({e}.union(*map(meeting.__getitem__, keys[e]))):
+                at = (e, f)
                 rhs = projection(vn[family.src[family.edge_id(e)]]) if e == f else zero
-                name = f"CK2[{e},{f}]"
                 # no local holds the product, or the last one would live on through CK3
-                yield "CK2", (e, f), ((name, product(adjoints[e], images[f]), rhs),)
+                yield kind, at, ((product(adjoints[e], images[f]), rhs),)
 
-        start, ids = family.recv_start, family.recv_ids
-        for i, v in enumerate(vn):
+        kind, start, ids = "CK3", family.recv_start, family.recv_ids
+        for i, at in enumerate(vn):
             if start[i] < start[i + 1]:
-                name, total = f"CK3[{v}]", zero
+                total = zero
                 for e in map(en.__getitem__, ids[start[i] : start[i + 1]]):
                     total = total + product(images[e], adjoints[e])
-                yield "CK3", v, ((name, total, projection(v)),)
+                yield kind, at, ((total, projection(at)),)
     except UnrepresentableTermError as exc:
         # a symbolic product without a normal form: say which instance formed it
-        raise UnrepresentableTermError(f"{exc} in {name}") from exc
+        raise UnrepresentableTermError(f"{exc} in {kind}[{','.join(at) if kind == 'CK2' else at}]") from exc
 
 
 class Catalogue:
-    """One backend's reports on the instances :func:`ck_instances` yields,
-    in its order, standing for the CK2 pairs it does not yield.
+    """One backend's report: a table with a row per identity of the
+    catalogue over ``family``, then a row per check of the backend's own,
+    that holds only the outcomes that differ from ``default``.
 
-    ``head`` holds the reports before the CK2 pairs, ``pairs[e]`` the
-    ``(f, report)`` of each yielded CK2[e,f], and ``tail`` the reports
-    after the pairs.  Each other pair of ``edges`` (sorted) is zero on both
-    sides; its report is ``skipped(name)``, built only when iteration
-    reaches it.  ``len`` and iteration count every one of the |E|^2 pairs.
+    Rows by position: from 0, ``len(ck1)`` per vertex, ``<ck1[k]>[v]``
+    for the identities of CK1[v]; from ``ck2``, the CK2 grid, CK2[e,f] at
+    ``ck2 + e * |E| + f`` by ids; from ``ck3``, CK3[v] per vertex of
+    ``receivers``, the vertex ids that receive an edge; from ``own``, the
+    ``rows`` :meth:`append` adds, each ``(prefix, suffix, shown)``: its name
+    in two parts, the prefix shared with its neighbours, and the position
+    whose outcome it shows.  ``outcomes`` maps a position to its outcome
+    where :meth:`put` found that not ``default``.  A row's name is formed
+    from its position when it is viewed or written, and its view is
+    ``view(name, outcome)``.
     """
 
-    def __init__(self, edges: list[str], skipped: Callable[[str], X]):
-        self.edges, self.skipped, self.head, self.pairs, self.tail = edges, skipped, [], {}, []
+    def __init__(self, family: Graph, ck1: tuple[str, ...], default, view: Callable = lambda *row: row):
+        self.family, self.ck1, self.default, self.view = family, ck1, default, view
+        self.rows: list[tuple[str, str, int]] = []
+        self.outcomes: dict[int, X] = {}
+        self.ck2 = len(family.vertex_names) * len(ck1)
+        self.ck3 = self.ck2 + len(family.edge_names) ** 2
+        start = family.recv_start
+        self.receivers = [v for v in range(len(family.vertex_names)) if start[v] < start[v + 1]]
+        self.own = self.ck3 + len(self.receivers)
 
-    def add(self, family: str, at, report: X) -> None:
-        """A report on an instance, in the order the catalogue yields them."""
-        if family == "CK2":
-            self.pairs.setdefault(at[0], []).append((at[1], report))
-        else:
-            (self.head if family == "CK1" else self.tail).append(report)
+    def position(self, kind: str, at) -> int:
+        """The row of the instance :func:`ck_instances` states at ``at``: the first, for CK1."""
+        if kind == "CK2":
+            return self.ck2 + self.family.edge_id(at[0]) * len(self.family.edge_names) + self.family.edge_id(at[1])
+        v = self.family.vertex_id(at)
+        return v * len(self.ck1) if kind == "CK1" else self.ck3 + bisect_left(self.receivers, v)
+
+    def append(self, prefix: str, suffix: str = "", shown: int | None = None) -> int:
+        """The position of a new row of the backend's own, which shows its
+        own outcome, or that of the row at ``shown``."""
+        self.rows.append((prefix, suffix, len(self) if shown is None else shown))
+        return len(self) - 1
+
+    def put(self, p: int, outcome) -> None:
+        """The outcome of row ``p``, held only where it is not the default."""
+        if outcome != self.default:
+            self.outcomes[p] = outcome
 
     def __len__(self) -> int:
-        return len(self.head) + len(self.edges) ** 2 + len(self.tail)
+        return self.own + len(self.rows)
 
-    def runs(self) -> Iterator[X | range]:
-        """The held reports in order, with each run of skipped pairs between
-        them as a range of grid positions, all in one row: position ``p``
-        is CK2[edges[p // n],edges[p % n]] for ``n`` edges."""
-        yield from self.head
-        edges, n = self.edges, len(self.edges)
-        for i, e in enumerate(edges):
-            j = i * n
-            for f, report in self.pairs.get(e, ()):
-                k = i * n + bisect_left(edges, f)
-                if j < k:
-                    yield range(j, k)
-                yield report
-                j = k + 1
-            if j < i * n + n:
-                yield range(j, i * n + n)
-        yield from self.tail
+    def name(self, p: int) -> str:
+        g, k = self.family, len(self.ck1)
+        if p < self.ck2:
+            return f"{self.ck1[p % k]}[{g.vertex_names[p // k]}]"
+        if p < self.ck3:
+            e, f = divmod(p - self.ck2, len(g.edge_names))
+            return f"CK2[{g.edge_names[e]},{g.edge_names[f]}]"
+        if p < self.own:
+            return f"CK3[{g.vertex_names[self.receivers[p - self.ck3]]}]"
+        return "".join(self.rows[p - self.own][:2])
 
-    def __iter__(self) -> Iterator[X]:
-        edges, n = self.edges, len(self.edges)
-        for run in self.runs():
-            if isinstance(run, range):
-                yield from (self.skipped(f"CK2[{edges[p // n]},{edges[p % n]}]") for p in run)
-            else:
-                yield run
+    def row(self, p: int):
+        """The view of row ``p``."""
+        shown = p if p < self.own else self.rows[p - self.own][2]
+        return self.view(self.name(p), self.outcomes.get(shown, self.default))
 
-    def written(self, write: Callable[[str], None], record: Callable[[str], str], text: Callable[[str], str]) -> Iterator[X]:
-        """The held reports in order, for the caller to write; each run of
-        skipped pairs between them goes to ``write`` as one string of
-        ``record(name)`` per pair, cut from one record of the run's row
-        where the second edge goes, each edge as ``text`` writes it."""
-        names = [*map(text, self.edges)]
-        for run in self.runs():
-            if run.__class__ is not range:
-                yield run
-                continue
-            i, j = divmod(run.start, len(names))
-            # cut at the marker, the last one in the record: only constants follow it
-            head, _, tail = record(f"CK2[{self.edges[i]},\0]").rpartition(text("\0"))
-            write(head + (tail + head).join(names[j : j + len(run)]) + tail)
+    def __iter__(self) -> Iterator:
+        return map(self.row, range(len(self)))
+
+    def held(self) -> list[int]:
+        """The positions of the rows whose outcome is not the default, in order."""
+        own = [p for p, (*_, q) in enumerate(self.rows, self.own) if q in self.outcomes]
+        return [p for p in sorted(self.outcomes) if p < self.own] + own
+
+    def written(self, write: Callable[[str], None], record: Callable[[str], str], text: Callable[[str], str]) -> Iterator:
+        """The view of each held row in order, for the caller to write.
+        Each row between them goes to ``write`` here, as ``record(name)``,
+        its record with the default outcome; a run of them in one row of the
+        CK2 grid goes as one string, cut from one record where the second
+        edge goes, each edge as ``text`` writes it."""
+        edges = self.family.edge_names
+        names, j = [*map(text, edges)], 0
+        for p in [*self.held(), len(self)]:
+            while j < p:
+                if self.ck2 <= j < self.ck3:
+                    e, f = divmod(j - self.ck2, len(edges))
+                    k = min(p, j - f + len(edges))  # the run ends at ``p`` or with its row
+                    # cut at the marker, the last one in the record: only constants follow it
+                    head, _, tail = record(f"CK2[{edges[e]},\0]").rpartition(text("\0"))
+                    write(head + (tail + head).join(names[f : f + k - j]) + tail)
+                else:
+                    k = j + 1
+                    write(record(self.name(j)))
+                j = k
+            if p < len(self):
+                yield self.row(p)
+            j = p + 1
 
 
-def left_vertices(term: CKTerm, ctx: StarContext) -> set[str]:
-    """The vertex at the left end of each monomial of ``term``.
+def left_ends(term: CKTerm, ctx: StarContext) -> set[str]:
+    """The keys at the left end of each monomial of ``term``: the symbolic
+    backend's ``support``.
 
-    ``s_alpha t^k s_beta*`` starts at the range of ``alpha``'s first edge,
-    or at its source when ``alpha`` is empty; a product ``m* n`` of
-    monomials that start at different vertices rewrites to zero at the
-    seam, so this is the symbolic backend's ``support``.
+    ``s_alpha t^k s_beta*`` starts with the edge ``alpha[0]``, and a product
+    ``m* n`` of monomials that start with distinct edges has the factor
+    ``s_e* s_f = 0``.  When ``alpha`` is empty, the monomial starts at its
+    source ``v``, which meets ``v`` and each edge into ``v``, so it is keyed
+    by all of them.  A vertex and an edge of one name share a key, which
+    only multiplies a pair more.
     """
-    return {ctx.edge_range(m.alpha[0]) if m.alpha else m.source for m in term.monomials()}
+    keys: set[str] = set()
+    for m in term.monomials():
+        keys.update((m.alpha[0],) if m.alpha else (m.source, *ctx.receivers(m.source)))
+    return keys
 
 
 class RelationStatus(Enum):
@@ -189,38 +231,30 @@ class RelationStatus(Enum):
 
 
 class RelationCheck:
+    """The view of one row of a symbolic report: its name, ``relation``, and
+    its outcome, ``(status, difference, note)``."""
+
     __slots__ = ("relation", "status", "difference", "note")
 
-    def __init__(self, relation: str, status: RelationStatus, difference: CKTerm | None = None, note: str = ""):
+    def __init__(self, relation: str, outcome: tuple[RelationStatus, CKTerm | None, str]):
         self.relation = relation
-        self.status = status
-        self.difference = difference
-        self.note = note
+        self.status, self.difference, self.note = outcome
 
 
 class RelationReport(SimpleNamespace):
-    """``checks``, the :class:`RelationCheck` of each instance: a
-    :class:`Catalogue` from :func:`verify_ck_family`, whose skipped CK2
-    pairs are PROVED, and a tuple from :func:`verify_witness`."""
+    """``checks``, a :class:`Catalogue` whose outcomes are ``(status,
+    difference, note)``, PROVED with no note by default, and whose rows are
+    viewed as :class:`RelationCheck`."""
 
     @property
     def all_proved(self) -> bool:
-        return all(c.status is not RelationStatus.FAILED for c in self.checks)
+        return all(outcome[0] is not RelationStatus.FAILED for outcome in self.checks.outcomes.values())
 
     def failures(self) -> list[RelationCheck]:
-        return [c for c in self.checks if c.status is RelationStatus.FAILED]
-
-    def find(self, relation: str) -> RelationCheck:
-        for c in self.checks:
-            if c.relation == relation:
-                return c
-        raise KeyError(relation)
+        return [c for c in map(self.checks.row, self.checks.held()) if c.status is RelationStatus.FAILED]
 
 
-def _identity_check(name: str, lhs: CKTerm, rhs: CKTerm) -> RelationCheck:
-    if lhs == rhs:
-        return RelationCheck(name, RelationStatus.PROVED)
-    return RelationCheck(name, RelationStatus.FAILED, difference=lhs - rhs)
+_PROVED = (RelationStatus.PROVED, None, "")
 
 
 def verify_ck_family(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> RelationReport:
@@ -231,38 +265,33 @@ def verify_ck_family(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> RelationRe
     graph's own receiver sum, which is exactly how multi-receiver vertices
     are handled without breaking confluence.
     """
-    checks = Catalogue(sorted(gmap.edge_map), lambda name: RelationCheck(name, RelationStatus.PROVED))
-    for family, at, identities in ck_instances(
-        spec.original_graph(),
+    checks = Catalogue(spec.original_graph(), ("CK1",), _PROVED, RelationCheck)
+    expanded = (RelationStatus.PROVED, None, "equal after receiver expansion in the host graph")
+    for kind, at, identities in ck_instances(
+        checks.family,
         gmap.edge_map,
         lambda w: projection(spec, w),
         adjoint,
         lambda a, b: multiply(a, b, spec),
-        lambda a: left_vertices(a, spec),
+        lambda a: left_ends(a, spec),
         CKTerm.zero(),
     ):
-        name = identities[0][0]
-        check = RelationCheck(name, RelationStatus.PROVED)
-        failed = [(lhs, rhs) for _, lhs, rhs in identities if lhs != rhs]
-        if failed:
-            lhs, rhs = failed[0]
-            if family == "CK3":
-                rhs = expand_ck3(rhs, at, spec)
-            if lhs == rhs:
-                check.note = "equal after receiver expansion in the host graph"
-            else:
-                check = RelationCheck(name, RelationStatus.FAILED, difference=lhs - rhs)
-        checks.add(family, at, check)
+        for lhs, rhs in identities:  # the first that differs decides
+            if lhs != rhs:
+                rhs = expand_ck3(rhs, at, spec) if kind == "CK3" else rhs
+                checks.put(checks.position(kind, at), expanded if lhs == rhs else (RelationStatus.FAILED, lhs - rhs, ""))
+                break
     universal = "images are generator projections of the host algebra, nonzero by universality"
-    checks.tail.append(RelationCheck("NONZERO[vertex projections]", RelationStatus.RECORDED, note=universal))
+    checks.put(checks.append("NONZERO[vertex projections]"), (RelationStatus.RECORDED, None, universal))
     numeric = "full-circle spectrum is not a rewrite fact; checked numerically"
     for rep in spec.replacements:
-        checks.tail.append(RelationCheck(f"SPECTRUM[{' '.join(rep.loop.edges)}]", RelationStatus.RECORDED, note=numeric))
+        checks.put(checks.append(f"SPECTRUM[{' '.join(rep.loop.edges)}]"), (RelationStatus.RECORDED, None, numeric))
     return RelationReport(checks=checks)
 
 
 def verify_witness(w: EntranceWitness, g: Graph) -> RelationReport:
-    """Prove the algebraic content of the infinite-projection chain."""
+    """Prove the algebraic content of the infinite-projection chain: a
+    report of three rows of its own, over no graph."""
     validate_witness(g, w)
     ctx = AugmentedGraphSpec(g, ())
     # the loop ``(e_n, ..., e_1)`` is a path from its base to its base
@@ -273,4 +302,7 @@ def verify_witness(w: EntranceWitness, g: Graph) -> RelationReport:
         ("WITNESS[beta*beta]", multiply(adjoint(s_beta), s_beta, ctx), projection(ctx, w.entry.source)),
         ("WITNESS[alpha*beta]", multiply(adjoint(s_alpha), s_beta, ctx), CKTerm.zero()),
     )
-    return RelationReport(checks=tuple(_identity_check(*identity) for identity in identities))
+    checks = Catalogue(Graph((), (), (), ()), ("CK1",), _PROVED, RelationCheck)
+    for name, lhs, rhs in identities:
+        checks.put(checks.append(name), _PROVED if lhs == rhs else (RelationStatus.FAILED, lhs - rhs, ""))
+    return RelationReport(checks=checks)

@@ -24,7 +24,7 @@ from afembed.cli import (
     main,
 )
 from afembed.embedding import MAX_STAGE_SIZE, embed, genmap_to_text
-from afembed.graph import Edge, GraphError, _check_token, graph_to_dict, load_graph, serialize_graph
+from afembed.graph import Edge, Graph, GraphError, _check_token, graph_to_dict, load_graph, serialize_graph
 from afembed.loops import EntranceExistsError, Verdict, classify
 from afembed.numrep import MAX_DENSE_SUPPORT
 from afembed.terms import ContextMismatchError, TermParseError, parse_term
@@ -260,32 +260,34 @@ class TestRecordWriter:
     @given(edges=st.lists(_IDS, max_size=4), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_skipped_pairs_equal_the_encoder(self, edges, data):
-        """``skipping`` writes each run of skipped pairs from one template
-        per run, and hands the held reports, in order, to the caller.  Every
-        grid holds ids with a quote, a backslash and non-ASCII characters,
-        which JSON escapes."""
+        """``skipping`` writes each row with the default outcome, each run of
+        them in one row of the CK2 grid from one template, and hands the held
+        rows, in order, to the caller.  The table has a CK1 row, the grid, a
+        CK3 row and two rows of its own, the second showing the outcome of a
+        pair.  Every grid holds ids with a quote, a backslash and non-ASCII
+        characters, which JSON escapes."""
         edges = sorted({*edges, 'a"', "b\\", "caf\u00e9", "\U0001f600"})
-        grid = [(e, f) for e in edges for f in edges]
-        held = data.draw(st.sets(st.sampled_from(grid)))
-        for shape, key, constant in (
+        family = Graph.build(["v"], [(e, "v", "v") for e in edges])
+        for shape, key, default in (
             (cli.SYMBOLIC, "relation", {"status": "PROVED"}),
             (cli.RESIDUAL, "instance", {"ok": True, "value": "0.000e+00"}),
         ):
-            catalogue = Catalogue(edges, lambda name: {key: name, **constant})
-            catalogue.head.append({key: "CK1[v]", **constant})
-            for e, f in sorted(held):
+            catalogue = Catalogue(family, ("CK1",), default, lambda name, outcome: {key: name, **outcome})
+            catalogue.append("OWN[v]", ":one")
+            catalogue.append("OWN[v]", ":two", catalogue.position("CK2", (edges[0], edges[-1])))
+            for p in sorted(data.draw(st.sets(st.integers(0, len(catalogue) - 2)))):
                 values = dict(zip(shape.fields, data.draw(_field_values(shape))))
-                catalogue.add("CK2", (e, f), {**values, key: f"CK2[{e},{f}]"})
-            catalogue.tail.append({key: "CK3[v]", **constant})
+                del values[key]
+                catalogue.put(p, values)
             for fmt in ("json", "text"):
                 out = CountingOut()
                 write = cli._Writer(fmt, out)
-                for report in write.skipping(catalogue, shape, key, **constant):
+                for report in write.skipping(catalogue, shape, key, **default):
                     write(shape, **report)
                 write.flush()
                 expected = "".join(_reference_lines({"record": shape.record, **r})[fmt] for r in catalogue)
                 assert (out.getvalue(), out.writes) == (expected, 1)
-                assert len(catalogue) == len(edges) ** 2 + 2
+            assert len(catalogue) == 1 + len(edges) ** 2 + 1 + 2
 
     @given(_witnesses())
     @settings(max_examples=80, deadline=None)
@@ -485,6 +487,17 @@ class TestVerify:
         assert (code, out) == (EXIT_INPUT_ERROR, "")
         err = capsys.readouterr().err
         assert err.startswith(f"error: line 1: unknown {kind} 'T1.") and err.endswith("': its index has 5000 digits\n")
+
+    def test_map_written_by_embed_reads_back_with_equals_in_ids(self, tmp_path, outdir):
+        """Edge ids may hold ``=``: the map ``embed`` writes is what ``verify
+        --map`` reads, and it gives the report of the constructed map."""
+        graph = tmp_path / "eq.txt"
+        graph.write_text("vertex u\nvertex v\nvertex w\nedge a=b u v\nedge =c v u\nedge d= v w\n")
+        assert run_cli(["embed", "--input", str(graph), "--depth", "3"])[0] == EXIT_OK
+        argv = ["verify", "--input", str(graph), "--depth", "3", "--format", "json"]
+        constructed = run_cli(argv)
+        assert constructed[0] == EXIT_OK
+        assert run_cli([*argv, "--map", str(outdir / "eq.genmap.txt")]) == constructed
 
     def test_map_line_without_equals_is_input_error(self, tmp_path, capsys):
         golden = Path(__file__).parent / "golden"
@@ -928,6 +941,26 @@ def test_verify_memory_grows_with_the_products_not_the_pairs(tmp_path):
     code, peak_kb = map(int, proc.stdout.split())
     assert code == EXIT_OK
     assert peak_kb / 1024 < VERIFY_C400_PEAK_MB
+
+def _verify_peak_kb(tmp_path, n: int) -> int:
+    argv = ["verify", "--input", str(cycle_file(tmp_path, n)), "--format", "json"]
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=child_env(), capture_output=True, timeout=120)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == EXIT_OK
+    return peak_kb
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_verify_memory_grows_linearly_in_the_loop_length(tmp_path):
+    """A default ``verify`` of C10, C1000 and C2000, each in a fresh process
+    with its output discarded.  Each LOOP row of the residual report once
+    held its whole loop in its name, so the peak grew quadratically in n:
+    from C1000 to C2000 it rose 1.82 times as much as from C10 to C1000
+    (x86-64 Linux, CPython 3.11).  A loop's rows now share one name prefix
+    and show their instances' outcomes by position: 1.05 times.  A ratio of
+    differences does not depend on the interpreter's own start-up size."""
+    c10, c1000, c2000 = (_verify_peak_kb(tmp_path, n) for n in (10, 1000, 2000))
+    assert c2000 - c1000 <= 1.3 * (c1000 - c10)
 
 
 class TestStageCeiling:

@@ -439,6 +439,19 @@ class TestSerialization:
         again = genmap_from_text(text, spec)
         assert again.edge_map == gmap.edge_map
 
+    def test_genmap_round_trip_with_equals_in_ids(self):
+        """An edge id may hold ``=``, as only whitespace and ``#`` are refused:
+        the written map reads back, the id being the first token before an
+        ``=``; a line written without spaces still reads."""
+        g = parse_graph("vertex u\nvertex v\nvertex w\nvertex x\nedge a=b u v\nedge =c v u\nedge d= v w\nedge h w x\n")
+        spec, gmap = embed(g)
+        assert spec.replacements[0].loop.edges in (("a=b", "=c"), ("=c", "a=b"))
+        text = genmap_to_text(gmap, spec)
+        assert "\na=b = s(T1.f2) t(T1) s*(T1.f1)\n" in text and "\nd= = s(d=)\n" in text
+        assert genmap_from_text(text, spec).edge_map == gmap.edge_map
+        compact = text.replace("h = s(h)", "h=s(h)")
+        assert compact != text and genmap_from_text(compact, spec).edge_map == gmap.edge_map
+
     def test_genmap_text_shape(self, square_embedding):
         spec, gmap = square_embedding
         text = genmap_to_text(gmap, spec)

@@ -200,8 +200,8 @@ class TestRelationResiduals:
         spec, gmap = square_embedding
         report = relation_residuals(square_rep, gmap)
         assert len(report.boundary_defects) == 4
-        for entry in report.boundary_defects:
-            assert entry.value == pytest.approx(1.0, abs=1e-14)
+        for _, value in report.boundary_defects:
+            assert value == pytest.approx(1.0, abs=1e-14)
 
     def test_loop_longer_than_the_deepest_level_keeps_its_power(self):
         """A 1,000-cycle at depth 6, where ``N_6 = 64``: the closed side of
@@ -218,7 +218,7 @@ class TestRelationResiduals:
         spec, gmap = embed(g)
         rep = build_rep(spec, 6)
         report = relation_residuals(rep, gmap)
-        power = [e.value for e in report.entries if e.name.endswith(":power")]
+        power = [value for name, value in report.entries if name.endswith(":power")]
         assert power == [0.0]
         assert report.max_residual <= ALG_TOL
         assert loop_spectrum(rep, spec.replacements[0].loop, gmap).max_modulus_deviation <= 1e-12
@@ -625,7 +625,7 @@ class TestSharedProducts:
 
     @staticmethod
     def loop_entries(report):
-        return [(e.name, e.value) for e in report.entries if ":co-iso[" in e.name or ":iso[" in e.name]
+        return [(name, value) for name, value in report.entries if ":co-iso[" in name or ":iso[" in name]
 
     @pytest.mark.parametrize("g, depth, mult, map_path", _golden_verify_runs())
     def test_loop_entries_equal_the_direct_products_on_the_goldens(self, g, depth, mult, map_path):

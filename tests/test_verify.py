@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from afembed import numrep, verify
 from afembed.embedding import AugmentedGraphSpec, GeneratorMap, MultiplicitySeq, embed, genmap_from_text, genmap_to_text
 from afembed.graph import load_graph, parse_graph
-from afembed.loops import EntranceExistsError, classify
+from afembed.loops import EntranceExistsError, EntranceWitness, classify
 from afembed.numrep import Operator, build_rep, last_edges, op_of_term, relation_residuals
 from afembed.terms import (
     NormalMonomial,
@@ -21,7 +21,7 @@ from afembed.terms import (
     projection,
     term_of_word,
 )
-from afembed.verify import Catalogue, RelationStatus, ck_instances, left_vertices, verify_ck_family, verify_witness
+from afembed.verify import Catalogue, RelationStatus, ck_instances, left_ends, verify_ck_family, verify_witness
 
 from .oracles import all_order_normal_forms, reference_ck_instances
 from .strategies import condition5_graphs, entrance_graphs, multigraphs
@@ -33,9 +33,10 @@ class TestVerifyCKFamily:
         spec, gmap = square_embedding
         report = verify_ck_family(gmap, spec)
         assert report.all_proved
-        assert report.find("CK2[e1,e1]").status is RelationStatus.PROVED
-        assert report.find("CK2[e1,e2]").status is RelationStatus.PROVED
-        assert report.find("CK3[u2]").status is RelationStatus.PROVED
+        checks = {c.relation: c for c in report.checks}
+        assert checks["CK2[e1,e1]"].status is RelationStatus.PROVED
+        assert checks["CK2[e1,e2]"].status is RelationStatus.PROVED
+        assert checks["CK3[u2]"].status is RelationStatus.PROVED
 
     def test_identity_map_on_acyclic(self):
         g = parse_graph(
@@ -45,7 +46,7 @@ class TestVerifyCKFamily:
         report = verify_ck_family(gmap, spec)
         assert report.all_proved
         # b has two receivers: proved via receiver expansion, not contraction
-        assert "expansion" in report.find("CK3[b]").note
+        assert "expansion" in {c.relation: c for c in report.checks}["CK3[b]"].note
 
     def test_spectrum_obligation_recorded(self, square_embedding):
         spec, gmap = square_embedding
@@ -128,16 +129,21 @@ class TestVerifyWitness:
         assert multiply(adjoint(s_a), s_a, ctx) == projection(ctx, w.alpha.source)
         assert multiply(adjoint(s_a), s_b, ctx).is_zero
 
-    def test_identity_check_reports_a_difference(self):
+    def test_identity_check_reports_a_difference(self, two_self_loops):
         """``validate_witness`` stops every witness that could fail an
-        identity, so the proof's own check is exercised directly."""
-        p_u = CKTerm.of(NormalMonomial((), 0, (), "u"))
-        s_e = CKTerm.of(NormalMonomial(("e",), 0, (), "u"), 2)
-        failed = verify._identity_check("WITNESS[x]", p_u, s_e)
-        assert (failed.relation, failed.status) == ("WITNESS[x]", RelationStatus.FAILED)
-        assert failed.difference == p_u - s_e and not failed.difference.is_zero
-        proved = verify._identity_check("WITNESS[x]", p_u, CKTerm.of(NormalMonomial((), 0, (), "u")))
-        assert (proved.relation, proved.status, proved.difference) == ("WITNESS[x]", RelationStatus.PROVED, None)
+        identity, so the proof's own check is exercised past it: with
+        ``beta = alpha``, ``alpha* beta`` is ``p(base)``, not zero."""
+        g = two_self_loops
+        w = classify(g).witness
+        bad = EntranceWitness(w.loop, g.edge(w.loop.edges[0]))
+        with mock.patch.object(verify, "validate_witness", lambda g, w: None):
+            report = verify_witness(bad, g)
+        assert not report.all_proved and len(report.checks) == 3
+        (failed,) = report.failures()
+        assert (failed.relation, failed.status) == ("WITNESS[alpha*beta]", RelationStatus.FAILED)
+        assert failed.difference == projection(AugmentedGraphSpec(g, ()), w.loop.base)
+        proved = [(c.relation, c.status, c.difference, c.note) for c in report.checks][:2]
+        assert proved == [(f"WITNESS[{x}*{x}]", RelationStatus.PROVED, None, "") for x in ("alpha", "beta")]
 
 
 # --- cross-range CK2 pairs: skipped by support, as if multiplied out
@@ -159,7 +165,7 @@ def ck2_products(spec: AugmentedGraphSpec, gmap: GeneratorMap) -> int:
         lambda v: projection(spec, v),
         adjoint,
         product,
-        lambda a: left_vertices(a, spec),
+        lambda a: left_ends(a, spec),
         CKTerm.zero(),
     ):
         if family == "CK2":  # an instance's products are made before it is yielded
@@ -244,7 +250,7 @@ def symbolic_checks(spec, gmap):
 def numeric_entries(spec, gmap, depth):
     """Every residual and boundary defect, each value as its bits (sign included)."""
     report = relation_residuals(build_rep(spec, depth), gmap)
-    return [(e.name, e.value.hex()) for e in report.entries], [(e.name, e.value.hex()) for e in report.boundary_defects]
+    return [(name, value.hex()) for name, value in report.entries], [(name, value.hex()) for name, value in report.boundary_defects]
 
 
 def numeric_sides(spec, gmap, depth):
@@ -259,12 +265,13 @@ def numeric_sides(spec, gmap, depth):
         src, tgt, values = op.entries()
         return src, tgt, [(v.real.hex(), v.imag.hex()) for v in values]
 
-    sides = Catalogue(sorted(ops), lambda name: (name, bits(zero), bits(zero)))
+    family = spec.original_graph()
+    sides = Catalogue(family, ("CK1", "CK1*"), (bits(zero), bits(zero)))
     for kind, at, identities in numrep.ck_instances(
-        spec.original_graph(), ops, rep.P.__getitem__, Operator.adjoint, operator.matmul, partial(last_edges, rep), zero
+        family, ops, rep.P.__getitem__, Operator.adjoint, operator.matmul, partial(last_edges, rep), zero
     ):
-        for name, lhs, rhs in identities:
-            sides.add(kind, at, (name, bits(lhs), bits(rhs)))
+        for k, (lhs, rhs) in enumerate(identities):
+            sides.put(sides.position(kind, at) + k, (bits(lhs), bits(rhs)))
     return list(sides)
 
 
@@ -280,10 +287,11 @@ def both_backends(spec, gmap, depth):
 
 def multiplied_out(family, images, projection, adjoint, product, support, zero):
     """The reference catalogue, every CK2 pair multiplied out; each CK2
-    instance is stated at its pair, as ``ck_instances`` states it."""
+    instance is stated at its pair, and each identity as its two sides, as
+    ``ck_instances`` states them."""
     pairs = itertools.product(sorted(images), repeat=2)
     for kind, at, identities in reference_ck_instances(family, images, projection, adjoint, product, zero):
-        yield kind, next(pairs) if kind == "CK2" else at, identities
+        yield kind, next(pairs) if kind == "CK2" else at, tuple((lhs, rhs) for _, lhs, rhs in identities)
 
 
 class TestCrossRangeLemma:
@@ -296,12 +304,24 @@ class TestCrossRangeLemma:
         spec, gmap = embed(g)
         assert ck2_products(spec, gmap) == n == sum((hi - lo) ** 2 for lo, hi in zip(g.recv_start, g.recv_start[1:]))
 
-    @pytest.mark.parametrize("name, products, pairs", [("cycles_dag", 17, 121), ("crowded", 6, 36)])
+    @pytest.mark.parametrize("name, products, pairs", [("cycles_dag", 11, 121), ("crowded", 6, 36)])
     def test_constructed_map_takes_same_range_pairs_only(self, name, products, pairs):
+        """Each image of the constructed map starts with its own edge, so
+        only CK2[e,e] meets: one product per edge."""
         g = load_graph((GOLDEN / f"{name}.txt").read_text())
         spec, gmap = embed(g)
         assert len(g.edge_names) ** 2 == pairs
-        assert ck2_products(spec, gmap) == products == sum((hi - lo) ** 2 for lo, hi in zip(g.recv_start, g.recv_start[1:]))
+        assert ck2_products(spec, gmap) == products == len(g.edge_names)
+
+    @pytest.mark.parametrize("k", [1, 10, 1000])
+    def test_an_in_star_takes_one_product_per_edge(self, k):
+        """k edges into one vertex: distinct edges have orthogonal ranges, so
+        k CK2 products, not k^2, and a report that holds no CK2 outcome."""
+        g = parse_graph("vertex c\n" + "".join(f"vertex s{i}\nedge e{i} s{i} c\n" for i in range(k)))
+        spec, gmap = embed(g)
+        assert ck2_products(spec, gmap) == k
+        checks = verify_ck_family(gmap, spec).checks
+        assert len(checks) == (k + 1) + k * k + 1 + 1 and [p for p in checks.outcomes if checks.ck2 <= p < checks.ck3] == []
 
     @settings(max_examples=120, deadline=None)
     @given(family=mapped_families())
