@@ -39,7 +39,6 @@ _LAZY = {
     "CKTerm": "terms",
     "GaussianRational": "terms",
     "NormalMonomial": "terms",
-    "StarContext": "terms",
     "adjoint": "terms",
     "expand_ck3": "terms",
     "multiply": "terms",

@@ -267,6 +267,7 @@ def cmd_embed(args, write: _Writer) -> int:
         _write_entrance_chain(write, exc.witness)
         return EXIT_NOT_FINITE
     f_d = materialize(spec, args.depth)
+    genmap = genmap_to_text(gmap, spec)  # it refuses an id the map cannot name, before any file is written
     outdir = FsPath(os.environ.get(OUTPUT_DIR_ENV, "."))
     outdir.mkdir(parents=True, exist_ok=True)
     stem = "graph" if args.input == "-" else FsPath(args.input).stem
@@ -277,7 +278,7 @@ def cmd_embed(args, write: _Writer) -> int:
         "dot": outdir / f"{stem}.F{args.depth}.dot",
     }
     paths["spec"].write_text(json.dumps(spec_to_dict(spec), sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    paths["genmap"].write_text(genmap_to_text(gmap, spec), encoding="utf-8")
+    paths["genmap"].write_text(genmap, encoding="utf-8")
     with open(paths["graph"], "w", encoding="utf-8") as text, open(paths["dot"], "w", encoding="utf-8") as dot:
         serialize_graph(f_d, text)
         export_dot(f_d, "F", dot)

@@ -15,9 +15,12 @@ ids in it are the sink ``<ns>.v``, levels ``<ns>.L<k>.1``, f-edges
 with positive indices written without leading zeros.
 
 The augmented graph is conceptually infinite in the tail direction.
-:class:`AugmentedGraphSpec` is its one description: it answers endpoints
-and full receiver sets lazily, which is what the symbolic rewriting needs,
-and :func:`materialize` cuts the finite stage ``F_d`` from its tables.
+:class:`AugmentedGraphSpec` is its one description: the input graph E, as
+indexed when it was read, plus the replacements of its loops.  The spec is
+the rewriting engine's only context: it answers endpoints and full
+receiver sets lazily, which is what the symbolic rewriting needs, the
+relation catalogues are stated over its E, and :func:`materialize` cuts
+the finite stage ``F_d`` from its tables.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import re
 from types import SimpleNamespace
 from typing import Iterable
 
-from .graph import Frozen, Graph, GraphError, graph_from_dict, graph_to_dict, named_edges
+from .graph import Frozen, Graph, GraphError, named_edges
 from .loops import EntranceExistsError, SimpleLoop, Verdict, classify
-from .terms import CKTerm, ContextMismatchError, NormalMonomial, StarContext, parse_term, term_to_str
+from .terms import CKTerm, ContextMismatchError, NormalMonomial, parse_term, term_to_str
 
 
 #: The most vertices and edges :func:`materialize` builds into a stage, and
@@ -142,7 +145,7 @@ class LoopReplacement(Frozen):
 
     @property
     def f_edges(self) -> tuple[str, ...]:
-        return tuple(self.tail.f_edge(i) for i in range(1, self.loop.n + 1))
+        return tuple(map(self.tail.f_edge, range(1, len(self.loop.edges) + 1)))
 
     def f_edge_for(self, i: int) -> str:
         """``f_i`` with the cyclic convention ``f_{n+1} = f_1``."""
@@ -170,71 +173,62 @@ def _claimed_namespaces(ids: Iterable[str]) -> set[str]:
     return {x.split(".", 1)[0] for x in ids}
 
 
-class AugmentedGraphSpec(StarContext):
-    """The replaced graph: finite base plus lazily infinite tails.
+class AugmentedGraphSpec:
+    """The replaced graph: the input graph ``graph``, E, and the
+    ``replacements`` of its loops by tails.
 
-    Acts as the symbolic context for the rewriting engine: edge endpoints
-    and receiver sets are answered for the full graph, with tail levels
-    resolved by parsing generated ids against each tail's namespace.
-    ``_finite_edges`` maps every base edge and f-edge to its endpoints, and
-    ``_receivers`` every base vertex to its receivers, f-edges included.
-    A replaced loop has no entrance: its vertices receive no base edge.
+    It is the one context the rewriting engine reads, and it answers for
+    the full graph the algebra lives over: E with each replaced loop's
+    edges removed, plus the tails, whose levels are resolved lazily by
+    parsing generated ids against each tail's namespace.  ``receivers``
+    must answer so, tail levels included, since the unique-receiver
+    contraction is only sound against the full receiver set; distinct tails
+    have distinct sinks.  ``_finite_edges`` maps every edge of E off the
+    replaced loops, in id order, then every f-edge, to its endpoints, and
+    ``_receivers`` every vertex of E to its receivers, f-edges included.
+    Each loop edge ``e_i`` must be an edge of E from ``u_i`` to
+    ``u_{i+1}``, and a replaced loop has no entrance: ``u_{i+1}`` receives
+    ``e_i`` alone.
     """
 
-    def __init__(self, base: Graph, replacements: tuple[LoopReplacement, ...]):
-        self.base = base
+    def __init__(self, graph: Graph, replacements: tuple[LoopReplacement, ...]):
+        self.graph = graph
         self.replacements = tuple(replacements)
         self._tails = {rep.tail.namespace: rep.tail for rep in self.replacements}
         if len(self._tails) != len(self.replacements):
             raise NamespaceCollisionError("tail namespaces must be distinct")
-        loop_edges = [e for rep in self.replacements for e in rep.loop.edges]
-        claimed = _claimed_namespaces([*base.vertex_names, *base.edge_names, *loop_edges])
+        claimed = _claimed_namespaces([*graph.vertex_names, *graph.edge_names])
         for ns in self._tails:
             if ns.split() != [ns] or "." in ns or ns in claimed:
                 raise NamespaceCollisionError(
                     f"tail namespace {ns!r} is not a '.'-free token unclaimed by the graph's ids"
                 )
         self._sinks = {tail.sink: ns for ns, tail in self._tails.items()}
+        self._by_edges = {rep.loop.edges: rep for rep in self.replacements}
         self._finite_edges: dict[str, tuple[str, str]] = {
-            name: (s, r) for name, s, r in named_edges(base)
+            name: (s, r) for name, s, r in named_edges(graph)
         }
-        en, start, ids = base.edge_names, base.recv_start, base.recv_ids
-        receivers = {v: [en[e] for e in ids[start[i] : start[i + 1]]] for i, v in enumerate(base.vertex_names)}
+        en, start, ids = graph.edge_names, graph.recv_start, graph.recv_ids
+        receivers = {v: [en[e] for e in ids[start[i] : start[i + 1]]] for i, v in enumerate(graph.vertex_names)}
         for rep in self.replacements:
-            for u in rep.loop.vertices:
-                if u not in receivers:
-                    raise GraphError(f"loop vertex {u!r} is not a vertex of the base graph")
-            for e in rep.loop.edges:
-                if e in self._finite_edges:
-                    raise GraphError(f"loop edge {e!r} is still an edge of the base graph")
-            for u in rep.loop.vertices:
-                if receivers[u]:  # a base edge, or an earlier loop's f-edge: only its loop edge may enter u
-                    raise GraphError(f"loop vertex {u!r} receives an edge off its loop: the loop has an entrance")
-            for f, u_i in zip(rep.f_edges, rep.loop.vertices):
-                self._finite_edges[f] = (rep.tail.sink, u_i)
-                receivers[u_i].append(f)
+            sink, us, fs = rep.tail.sink, rep.loop.vertices, rep.f_edges
+            # e_i from u_i to u_{i+1}, whose place f_{i+1} takes, cyclically
+            for e, u, w, f in zip(reversed(rep.loop.edges), us, us[1:] + us[:1], fs[1:] + fs[:1]):
+                if self._finite_edges.pop(e, None) != (u, w):
+                    raise GraphError(f"loop edge {e!r} is not an edge of the graph from {u!r} to {w!r}")
+                if receivers[w] != [e]:  # an edge of E off the loop, or an earlier loop's f-edge
+                    raise GraphError(f"loop vertex {w!r} receives an edge off its loop: the loop has an entrance")
+                self._finite_edges[f] = (sink, w)
+                receivers[w] = [f]
         self._receivers = {v: frozenset(rec) for v, rec in receivers.items()}
 
-    # --- reconstruction of the replaced source graph -----------------------
-
-    def original_graph(self) -> Graph:
-        """The input graph: base plus the removed loop edges."""
-        edges = list(named_edges(self.base))
-        for rep in self.replacements:
-            loop = rep.loop
-            for i in range(1, loop.n + 1):
-                u_i = loop.vertices[i - 1]
-                u_next = loop.vertices[i % loop.n]
-                edges.append((loop.edge_index(i), u_i, u_next))
-        return Graph.build(self.base.vertex_names, edges)
-
     def replacement_for(self, loop: SimpleLoop) -> LoopReplacement:
-        for rep in self.replacements:
-            if rep.loop == loop:
-                return rep
-        raise KeyError(f"loop {loop.edges!r} is not among the replacements")
+        rep = self._by_edges.get(loop.edges)
+        if rep is None or rep.loop != loop:
+            raise KeyError(f"loop {loop.edges!r} is not among the replacements")
+        return rep
 
-    # --- StarContext ---------------------------------------------------------
+    # --- the rewriting context -------------------------------------------------
 
     def _tail_level(self, v: str) -> tuple[BratteliTailSpec, int]:
         """The tail and level of a generated vertex; level 0 is the sink."""
@@ -245,11 +239,13 @@ class AugmentedGraphSpec(StarContext):
         return self._tails[ns], _read_index(m.group(1) or "0", "vertex", v)
 
     def check_vertex(self, v: str) -> str:
+        """``v`` itself; raises :class:`ContextMismatchError` if it is unknown."""
         if v not in self._receivers:
             self._tail_level(v)
         return v
 
     def endpoints(self, e: str) -> tuple[str, str]:
+        """``(source(e), range(e))``; raises :class:`ContextMismatchError` if ``e`` is unknown."""
         try:
             return self._finite_edges[e]
         except KeyError:
@@ -262,7 +258,14 @@ class AugmentedGraphSpec(StarContext):
                 return tail.tail_edge_ends(k)
         raise ContextMismatchError(f"unknown edge {e!r}")
 
+    def edge_source(self, e: str) -> str:
+        return self.endpoints(e)[0]
+
+    def edge_range(self, e: str) -> str:
+        return self.endpoints(e)[1]
+
     def receivers(self, v: str) -> frozenset[str]:
+        """The edges with range ``v`` in the full graph, tail levels included."""
         rec = self._receivers.get(v)
         if rec is not None:
             return rec
@@ -270,10 +273,12 @@ class AugmentedGraphSpec(StarContext):
         return frozenset(tail.level_edges(k + 1))
 
     def unique_receiver(self, v: str) -> str | None:
-        """As the base class, but a tail level is answered from its multiplicity
-        alone, without building its ``mult(k+1)`` edge names."""
-        if v in self._receivers:
-            return super().unique_receiver(v)
+        """The one edge with range ``v``, or None if ``v`` has several or
+        none; a tail level is answered from its multiplicity alone, without
+        building its ``mult(k+1)`` edge names."""
+        rec = self._receivers.get(v)
+        if rec is not None:
+            return next(iter(rec)) if len(rec) == 1 else None
         tail, k = self._tail_level(v)
         return tail.level_edges(k + 1)[0] if tail.mult.value(k + 1) == 1 else None
 
@@ -320,26 +325,21 @@ def embed(g: Graph, mult: MultiplicitySeq | None = None) -> tuple[AugmentedGraph
     if cls.verdict is Verdict.NOT_FINITE:
         assert cls.witness is not None
         raise EntranceExistsError(cls.witness)
-    loops = cls.loops
-    loop_edge_names = {e for loop in loops for e in loop.edges}
-    base = Graph.build(g.vertex_names, [e for e in named_edges(g) if e[0] not in loop_edge_names])
-    namespaces = _pick_namespaces(g, len(loops))
+    namespaces = _pick_namespaces(g, len(cls.loops))
     replacements = tuple(
         LoopReplacement(loop, BratteliTailSpec(ns, mult))
-        for loop, ns in zip(loops, namespaces)
+        for loop, ns in zip(cls.loops, namespaces)
     )
-    spec = AugmentedGraphSpec(base, replacements)
+    spec = AugmentedGraphSpec(g, replacements)
 
     edge_map: dict[str, CKTerm] = {}
     for name, source, _ in named_edges(g):
-        if name not in loop_edge_names:
+        if name in spec._finite_edges:  # an edge of ``g`` there lies on no replaced loop
             edge_map[name] = CKTerm.of(NormalMonomial((name,), 0, (), source))
     for rep in replacements:
-        sink = rep.tail.sink
-        for i in range(1, rep.loop.n + 1):
-            edge_map[rep.loop.edge_index(i)] = CKTerm.of(
-                NormalMonomial((rep.f_edge_for(i + 1),), 1, (rep.f_edge_for(i),), sink)
-            )
+        sink, fs = rep.tail.sink, rep.f_edges
+        for e, f, f_next in zip(reversed(rep.loop.edges), fs, fs[1:] + fs[:1]):  # e_i, f_i, f_{i+1}
+            edge_map[e] = CKTerm.of(NormalMonomial((f_next,), 1, (f,), sink))
     return spec, GeneratorMap(edge_map=edge_map)
 
 
@@ -351,7 +351,7 @@ def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    nv = len(spec.base.vertex_names) + len(spec.replacements) * (depth + 1)
+    nv = len(spec.graph.vertex_names) + len(spec.replacements) * (depth + 1)
     ne = len(spec._finite_edges)
     for rep in spec.replacements:
         mult = rep.tail.mult
@@ -361,7 +361,7 @@ def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
             f"stage F_{depth} has {nv} vertices and {ne} edges, more than the {MAX_STAGE_SIZE} a stage may have"
         )
     # the spec's ids are distinct tokens, so they go to the index unchecked
-    vertices = [*spec.base.vertex_names, *spec._sinks]
+    vertices = [*spec.graph.vertex_names, *spec._sinks]
     position = {v: i for i, v in enumerate(vertices)}
     names = list(spec._finite_edges)
     src = [position[s] for s, _ in spec._finite_edges.values()]
@@ -384,8 +384,13 @@ def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
 
 
 def spec_to_dict(spec: AugmentedGraphSpec) -> dict:
+    """The spec as JSON: under ``"base"``, E's vertices and its edges off the replaced loops, in id order."""
+    g = spec.graph
     return {
-        "base": graph_to_dict(spec.base),
+        "base": {
+            "vertices": list(g.vertex_names),
+            "edges": [{"id": name, "src": s, "dst": r} for name, s, r in named_edges(g) if name in spec._finite_edges],
+        },
         "replacements": [
             {
                 "loop_edges": list(rep.loop.edges),
@@ -400,19 +405,14 @@ def spec_to_dict(spec: AugmentedGraphSpec) -> dict:
     }
 
 
-def spec_from_dict(obj: dict) -> AugmentedGraphSpec:
-    base = graph_from_dict(obj["base"])
-    replacements = []
-    for r in obj["replacements"]:
-        loop = SimpleLoop(tuple(r["loop_edges"]), tuple(r["loop_vertices"]))
-        mult = MultiplicitySeq(tuple(r["mult"]["prefix"]), r["mult"]["tail"])
-        replacements.append(LoopReplacement(loop, BratteliTailSpec(r["namespace"], mult)))
-    return AugmentedGraphSpec(base, tuple(replacements))
-
-
 def genmap_to_text(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> str:
+    """The map as text, a line per edge, which :func:`genmap_from_text` reads
+    back; an edge id holding a parenthesis is refused, as the term grammar
+    reads an atom's id up to the first one."""
     lines = ["# generator map: edge id = image term"]
     for e in sorted(gmap.edge_map):
+        if "(" in e or ")" in e:
+            raise ValueError(f"edge id {e!r} holds '(' or ')', which a generator map cannot name")
         lines.append(f"{e} = {term_to_str(gmap.edge_map[e], spec)}")
     return "\n".join(lines) + "\n"
 

@@ -38,9 +38,10 @@ receives ``e_i`` alone, and a loop's ``iso[i]`` residual is the operator,
 mask and subtraction of ``CK3[u_{i+1}]``; as ``u_i = source(e_i)``, its
 ``co-iso[i]`` is ``CK2[e_i,e_i]``: each row shows the outcome of that
 instance, by its position in the report.
-Each term's operator is formed once per stage and kept on the stage, so
-the loop's spectrum reads the images ``LOOP:power`` multiplied; ``T^n`` on
-a finite stage is ``T``'s phases raised to the ``n``-th power elementwise.
+Each term's operator is formed once per stage and kept on the stage, and
+so is each loop's product of images, so the loop's spectrum reads the
+product ``LOOP:power`` formed; ``T^n`` on a finite stage is ``T``'s phases
+raised to the ``n``-th power elementwise.
 
 Spectra need no eigensolver in the common case: ``T^n`` on the corner is
 diagonal, and a phased partial permutation has the ``L``-th roots of ``w``
@@ -422,8 +423,11 @@ class TruncatedRep(SimpleNamespace):
     length ``1 .. depth-1``.
 
     ``images`` maps each term :func:`op_of_term` has evaluated on this
-    stage to its :class:`Operator`, so that the residuals and the spectra
-    of one map share its images; :func:`build_rep` sets it empty.
+    stage to its :class:`Operator`, and ``products`` each loop's images, as
+    a tuple of terms ``(a_n, ..., a_1)``, to the product
+    :func:`loop_product` formed of them, so that the residuals and the
+    spectra of one map share its images and products; :func:`build_rep`
+    sets both empty.
     """
 
     @property
@@ -512,6 +516,7 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
         corner_levels=corner_levels,
         interior=(False,) * nv + (True,) * inner + (False,) * (n - nv - inner),
         images={},
+        products={},
     )
 
 
@@ -595,6 +600,16 @@ class ResidualReport(SimpleNamespace):
         return max([0.0, *self.entries.outcomes.values()])
 
 
+def loop_product(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> Operator:
+    """The images of the loop's edges multiplied out, ``(a_n a_{n-1}) ... a_1``,
+    once per stage: kept in ``rep.products``."""
+    terms = tuple(map(gmap.edge_map.__getitem__, loop.edges))
+    out = rep.products.get(terms)
+    if out is None:
+        out = rep.products[terms] = reduce(operator.matmul, [op_of_term(term, rep) for term in terms])
+    return out
+
+
 def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     """Numeric residuals of all relation instances for the mapped family.
 
@@ -617,7 +632,7 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     """
     spec, interior = rep.spec, rep.interior
     ops = {e: op_of_term(term, rep) for e, term in gmap.edge_map.items()}
-    entries = Catalogue(spec.original_graph(), ("CK1", "CK1*"), 0.0)
+    entries = Catalogue(spec.graph, ("CK1", "CK1*"), 0.0)
     defects: list[tuple[str, float]] = []
     for kind, at, identities in ck_instances(
         entries.family,
@@ -643,7 +658,6 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         for i, e in enumerate(edges, 1):
             entries.append(prefix, f":co-iso[{i}]", entries.position("CK2", (e, e)))
             entries.append(prefix, f":iso[{i}]", entries.position("CK3", loop.vertices[i % loop.n]))
-        product = reduce(operator.matmul, [ops[e] for e in reversed(edges)])  # (a_n a_{n-1}) ... a_1
         # S[f_1] T^n S[f_1]* in op_of_monomial's factor order, but with T's
         # phases raised n times, as the loop side has them: op_of_monomial
         # reduces n modulo N_d, and the reduced power rounds its phases
@@ -651,7 +665,7 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         power = _tail_power(rep, loop_rep.tail.namespace, loop.n)
         f_1 = rep.S[loop_rep.f_edge_for(1)]
         closed = f_1 @ (power @ f_1.adjoint())
-        entries.put(entries.append(prefix, ":power"), (product - closed).frobenius(interior))
+        entries.put(entries.append(prefix, ":power"), (loop_product(rep, loop, gmap) - closed).frobenius(interior))
         del power  # and with it its join table, before the TAIL checks
 
     for ns, t in sorted(rep.T.items()):
@@ -703,11 +717,7 @@ def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> Sp
     moduli = [math.hypot(z.real, z.imag) for z in evals]
     radial = max(abs(m - 1.0) for m in moduli)
 
-    # the image of e_n (... (the image of e_2 times that of e_1))
-    product = op_of_term(gmap.edge_map[loop.edge_index(1)], rep)
-    for i in range(2, loop.n + 1):
-        product = op_of_term(gmap.edge_map[loop.edge_index(i)], rep) @ product
-    conj = product.eigenvalues()
+    conj = loop_product(rep, loop, gmap).eigenvalues()
     conj_nonzero = [(z, m) for z in conj if (m := math.hypot(z.real, z.imag)) > 0.5]
 
     # the conjugated operator sees levels 0 .. d-1 of the corner unitary power

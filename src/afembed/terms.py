@@ -25,16 +25,25 @@ Five rules contract an adjacent pair whose facing vertices agree:
 Every rule shortens the word, so rewriting terminates; confluence is
 exercised in the test suite by exhausting all rewrite orders on small
 words.  Coefficients are exact; no floating point enters this module.
+
+The rules read the graph through one context, the replaced graph
+:class:`~afembed.embedding.AugmentedGraphSpec`: endpoints, sinks and
+receivers, each unknown id refused with :class:`ContextMismatchError`.
+Its receivers answer for the *full* graph the algebra lives over, tail
+levels included, since the unique-receiver contraction is only sound
+against the full receiver set.
 """
 
 from __future__ import annotations
 
-import abc
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .graph import Frozen
+
+if TYPE_CHECKING:  # the one context, whose module imports this one
+    from .embedding import AugmentedGraphSpec
 
 Atom = tuple
 Word = tuple  # tuple of atoms
@@ -138,44 +147,6 @@ class GaussianRational(Frozen):
 _gaussian_real, _gaussian_imag = GaussianRational.real.__set__, GaussianRational.imag.__set__
 #: The unit coefficient, shared: the constructed map's every coefficient, and its products'.
 ONE = GaussianRational(Fraction(1))
-
-
-class StarContext(abc.ABC):
-    """Lookups the rewrite rules need about the ambient graph and its tails.
-
-    ``receivers`` must answer for the *full* graph the algebra lives over,
-    including lazily generated tail levels, since the unique-receiver
-    contraction is only sound against the full receiver set.  Distinct
-    tails have distinct sinks.
-    """
-
-    @abc.abstractmethod
-    def check_vertex(self, v: str) -> str:
-        """``v`` itself; raises :class:`ContextMismatchError` if it is unknown."""
-
-    @abc.abstractmethod
-    def endpoints(self, e: str) -> tuple[str, str]:
-        """``(source(e), range(e))``; raises :class:`ContextMismatchError` if ``e`` is unknown."""
-
-    def edge_source(self, e: str) -> str:
-        return self.endpoints(e)[0]
-
-    def edge_range(self, e: str) -> str:
-        return self.endpoints(e)[1]
-
-    @abc.abstractmethod
-    def receivers(self, v: str) -> frozenset[str]: ...
-
-    def unique_receiver(self, v: str) -> str | None:
-        """The one edge with range ``v``, or None if ``v`` has several or none."""
-        rec = self.receivers(v)
-        return next(iter(rec)) if len(rec) == 1 else None
-
-    @abc.abstractmethod
-    def sink_vertex(self, namespace: str) -> str: ...
-
-    @abc.abstractmethod
-    def sink_namespace(self, v: str) -> str | None: ...
 
 
 class NormalMonomial(Frozen):
@@ -285,7 +256,7 @@ class CKTerm:
 # word-level rewriting
 
 
-def _ends(ctx: StarContext, atom: Atom) -> tuple[str, str]:
+def _ends(ctx: AugmentedGraphSpec, atom: Atom) -> tuple[str, str]:
     """The boundary vertices ``(u, w)`` of an atom, ``atom = p(u) atom p(w)``.
 
     The only validator of atoms: an unknown tag, vertex, edge or tail raises.
@@ -307,7 +278,7 @@ def _ends(ctx: StarContext, atom: Atom) -> tuple[str, str]:
     raise ValueError(f"unknown atom tag {tag!r}")
 
 
-def _step(ctx: StarContext, x: tuple, y: tuple):
+def _step(ctx: AugmentedGraphSpec, x: tuple, y: tuple):
     """One rewrite step on adjacent atoms carried with their ends.
 
     ``x = ((u, v), a)`` and ``y = ((v', w), b)`` hold ``a`` and ``b`` with
@@ -337,7 +308,7 @@ def _step(ctx: StarContext, x: tuple, y: tuple):
     return (u, w), c
 
 
-def reduce_pair(ctx: StarContext, a: Atom, b: Atom):
+def reduce_pair(ctx: AugmentedGraphSpec, a: Atom, b: Atom):
     """One rewrite step on an adjacent atom pair.
 
     Returns a single replacement atom, ``ZERO`` for an annihilating pair, or
@@ -347,7 +318,7 @@ def reduce_pair(ctx: StarContext, a: Atom, b: Atom):
     return step[1] if isinstance(step, tuple) else step
 
 
-def normalize_word(ctx: StarContext, word: Iterable[Atom]):
+def normalize_word(ctx: AugmentedGraphSpec, word: Iterable[Atom]):
     """Leftmost-first rewriting to an irreducible word, or ``ZERO``."""
     w = [(_ends(ctx, atom), atom) for atom in word]
     if not w:
@@ -365,7 +336,7 @@ def normalize_word(ctx: StarContext, word: Iterable[Atom]):
     return tuple([atom for _, atom in w])
 
 
-def word_of_monomial(ctx: StarContext, m: NormalMonomial) -> Word:
+def word_of_monomial(ctx: AugmentedGraphSpec, m: NormalMonomial) -> Word:
     atoms: list[Atom] = [("s", e) for e in m.alpha]
     if m.power:
         ns = ctx.sink_namespace(m.source)
@@ -378,7 +349,7 @@ def word_of_monomial(ctx: StarContext, m: NormalMonomial) -> Word:
     return tuple(atoms)
 
 
-def monomial_of_word(ctx: StarContext, word: Word) -> NormalMonomial:
+def monomial_of_word(ctx: AugmentedGraphSpec, word: Word) -> NormalMonomial:
     """Parse an irreducible word back into a normal monomial."""
     if len(word) == 1 and word[0][0] == "p":
         return NormalMonomial((), 0, (), ctx.check_vertex(word[0][1]))
@@ -415,28 +386,28 @@ def monomial_of_word(ctx: StarContext, word: Word) -> NormalMonomial:
 # term-level operations
 
 
-def projection(ctx: StarContext, v: str) -> CKTerm:
+def projection(ctx: AugmentedGraphSpec, v: str) -> CKTerm:
     return CKTerm.of(NormalMonomial((), 0, (), ctx.check_vertex(v)))
 
 
-def isometry(ctx: StarContext, e: str) -> CKTerm:
+def isometry(ctx: AugmentedGraphSpec, e: str) -> CKTerm:
     return CKTerm.of(NormalMonomial((e,), 0, (), ctx.edge_source(e)))
 
 
-def tail_unitary(ctx: StarContext, namespace: str, power: int = 1) -> CKTerm:
+def tail_unitary(ctx: AugmentedGraphSpec, namespace: str, power: int = 1) -> CKTerm:
     if power == 0:
         return projection(ctx, ctx.sink_vertex(namespace))
     return CKTerm.of(NormalMonomial((), power, (), ctx.sink_vertex(namespace)))
 
 
-def term_of_word(ctx: StarContext, word: Iterable[Atom], coeff=1) -> CKTerm:
+def term_of_word(ctx: AugmentedGraphSpec, word: Iterable[Atom], coeff=1) -> CKTerm:
     nf = normalize_word(ctx, word)
     if nf is ZERO:
         return CKTerm.zero()
     return CKTerm.of(monomial_of_word(ctx, nf), coeff)
 
 
-def multiply(a: CKTerm, b: CKTerm, ctx: StarContext) -> CKTerm:
+def multiply(a: CKTerm, b: CKTerm, ctx: AugmentedGraphSpec) -> CKTerm:
     """Product in normal form, by concatenating and rewriting monomial words."""
     out: dict[NormalMonomial, GaussianRational] = {}
     left = list(a.items())
@@ -456,7 +427,7 @@ def adjoint(a: CKTerm) -> CKTerm:
     return CKTerm({m.adjoint(): c.conjugate() for m, c in a.items()})
 
 
-def expand_ck3(term: CKTerm, v: str, ctx: StarContext) -> CKTerm:
+def expand_ck3(term: CKTerm, v: str, ctx: AugmentedGraphSpec) -> CKTerm:
     """Rewrite each occurrence of ``p_v`` into its receiver sum.
 
     The substitution is literal: resulting ``s_e s_e*`` monomials are not
@@ -498,7 +469,7 @@ def word_to_str(word: Word) -> str:
     return " ".join(_power_str(a[1], a[2]) if a[0] == "t" else f"{a[0]}({a[1]})" for a in word)
 
 
-def monomial_to_str(m: NormalMonomial, ctx: StarContext) -> str:
+def monomial_to_str(m: NormalMonomial, ctx: AugmentedGraphSpec) -> str:
     if m.is_projection:
         return f"p({m.source})"
     parts = [f"s({e})" for e in m.alpha]
@@ -508,7 +479,7 @@ def monomial_to_str(m: NormalMonomial, ctx: StarContext) -> str:
     return " ".join(parts)
 
 
-def term_to_str(term: CKTerm, ctx: StarContext) -> str:
+def term_to_str(term: CKTerm, ctx: AugmentedGraphSpec) -> str:
     if term.is_zero:
         return "0"
     chunks = []
@@ -545,7 +516,7 @@ class _TermParser:
 
     MAX_NESTING = 100
 
-    def __init__(self, ctx: StarContext, text: str):
+    def __init__(self, ctx: AugmentedGraphSpec, text: str):
         self.ctx = ctx
         self.tokens = self._tokenize(text) + [None]  # None ends the text
         self.pos = 0
@@ -651,5 +622,5 @@ class _TermParser:
         return isometry(self.ctx, name) if sym == "s" else adjoint(isometry(self.ctx, name))
 
 
-def parse_term(text: str, ctx: StarContext) -> CKTerm:
+def parse_term(text: str, ctx: AugmentedGraphSpec) -> CKTerm:
     return _TermParser(ctx, text.strip()).parse()

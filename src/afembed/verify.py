@@ -40,7 +40,7 @@ from typing import Callable, Collection, Hashable, Iterator, Mapping, TypeVar
 from .embedding import AugmentedGraphSpec, GeneratorMap
 from .graph import Graph
 from .loops import EntranceWitness, validate_witness
-from .terms import CKTerm, NormalMonomial, StarContext, UnrepresentableTermError, adjoint, expand_ck3, isometry, multiply, projection
+from .terms import CKTerm, NormalMonomial, UnrepresentableTermError, adjoint, expand_ck3, isometry, multiply, projection
 
 X = TypeVar("X")
 
@@ -207,7 +207,7 @@ class Catalogue:
             j = p + 1
 
 
-def left_ends(term: CKTerm, ctx: StarContext) -> set[str]:
+def left_ends(term: CKTerm, ctx: AugmentedGraphSpec) -> set[str]:
     """The keys at the left end of each monomial of ``term``: the symbolic
     backend's ``support``.
 
@@ -265,7 +265,7 @@ def verify_ck_family(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> RelationRe
     graph's own receiver sum, which is exactly how multi-receiver vertices
     are handled without breaking confluence.
     """
-    checks = Catalogue(spec.original_graph(), ("CK1",), _PROVED, RelationCheck)
+    checks = Catalogue(spec.graph, ("CK1",), _PROVED, RelationCheck)
     expanded = (RelationStatus.PROVED, None, "equal after receiver expansion in the host graph")
     for kind, at, identities in ck_instances(
         checks.family,

@@ -40,7 +40,7 @@ from afembed.graph import (
     UnknownVertexError,
     _check_token,
 )
-from afembed.embedding import BratteliTailSpec, MultiplicitySeq
+from afembed.embedding import AugmentedGraphSpec, BratteliTailSpec, MultiplicitySeq
 from afembed.loops import EntranceWitness, SimpleLoop, Verdict
 from afembed.numrep import Operator, TruncatedRep, op_of_term
 from afembed.terms import (
@@ -50,7 +50,6 @@ from afembed.terms import (
     ZERO,
     CKTerm,
     GaussianRational,
-    StarContext,
     TermParseError,
     adjoint,
     isometry,
@@ -234,7 +233,7 @@ def oracle_has_entrance(g: Graph) -> bool:
     return oracle_classify(g) is Verdict.NOT_FINITE
 
 
-def all_order_normal_forms(ctx: StarContext, word: tuple) -> set:
+def all_order_normal_forms(ctx: AugmentedGraphSpec, word: tuple) -> set:
     """Every normal form reachable by any sequence of rewrite choices.
 
     ``ZERO`` results are represented by the element ``None`` in the set.
@@ -265,7 +264,7 @@ def all_order_normal_forms(ctx: StarContext, word: tuple) -> set:
     return explore(tuple(word))
 
 
-def _unique_receiver(ctx: StarContext, v: str) -> str | None:
+def _unique_receiver(ctx: AugmentedGraphSpec, v: str) -> str | None:
     rec = ctx.receivers(v)
     if len(rec) == 1:
         (e,) = rec
@@ -273,7 +272,7 @@ def _unique_receiver(ctx: StarContext, v: str) -> str | None:
     return None
 
 
-def reference_reduce_pair(ctx: StarContext, a: tuple, b: tuple):
+def reference_reduce_pair(ctx: AugmentedGraphSpec, a: tuple, b: tuple):
     """The rewrite step as a table of all sixteen atom-tag pairs.
 
     The reference for :func:`afembed.terms.reduce_pair`, which states the
@@ -327,7 +326,7 @@ def reference_reduce_pair(ctx: StarContext, a: tuple, b: tuple):
     raise ValueError(f"unhandled atom pair {a!r}, {b!r}")
 
 
-def reference_normalize_word(ctx: StarContext, word: tuple):
+def reference_normalize_word(ctx: AugmentedGraphSpec, word: tuple):
     """Leftmost-first rewriting with :func:`reference_reduce_pair`."""
     w = list(word)
     i = 0
@@ -639,7 +638,7 @@ def reference_materialize(spec, depth: int) -> Graph:
     """``embedding.materialize`` before it passed its ids to the index
     unchecked: the same ids, through ``Graph.build``, which checks that each
     is a token and that none repeats (the stage ceiling is left out)."""
-    vertices = [*spec.base.vertex_names, *spec._sinks]
+    vertices = [*spec.graph.vertex_names, *spec._sinks]
     edges = [(e, *ends) for e, ends in spec._finite_edges.items()]
     for rep in spec.replacements:
         tail = rep.tail
@@ -666,7 +665,7 @@ class ReferenceTermParser:
 
     MAX_NESTING = 100
 
-    def __init__(self, ctx: StarContext, text: str):
+    def __init__(self, ctx: AugmentedGraphSpec, text: str):
         self.ctx = ctx
         self.tokens = self._tokenize(text)
         self.pos = 0
@@ -813,7 +812,7 @@ class ReferenceTermParser:
         raise TermParseError(f"unknown atom {sym!r}")
 
 
-def reference_parse_term(text: str, ctx: StarContext) -> CKTerm:
+def reference_parse_term(text: str, ctx: AugmentedGraphSpec) -> CKTerm:
     text = text.strip()
     if text == "0":
         return CKTerm.zero()

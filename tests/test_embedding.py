@@ -15,10 +15,9 @@ from afembed.embedding import (
     genmap_from_text,
     genmap_to_text,
     materialize,
-    spec_from_dict,
     spec_to_dict,
 )
-from afembed.graph import Graph, GraphError, graph_from_dict, load_graph, parse_graph
+from afembed.graph import Graph, GraphError, graph_from_dict, graph_to_dict, load_graph, named_edges, parse_graph
 from afembed.loops import SimpleLoop, cycle_vertices, disjoint_simple_loops
 from afembed.terms import ContextMismatchError, NormalMonomial, parse_term
 
@@ -74,7 +73,7 @@ class TestEmbed:
         g = parse_graph("vertex a\nvertex b\nedge e a b\n")
         spec, gmap = embed(g)
         assert spec.replacements == ()
-        assert spec.base == g
+        assert spec.graph is g
         assert materialize(spec, 5) == g
         assert gmap.edge_map["e"].monomials()[0] == NormalMonomial(("e",), 0, (), "a")
 
@@ -117,9 +116,9 @@ class TestEmbed:
         ratio = growth_ratio(run(500), run(2_000), 6)
         assert ratio < 6, f"2,000 self-loops took {ratio:.1f}x the time of 500"
 
-    def test_original_graph_round_trip(self, square, square_embedding):
+    def test_spec_holds_the_input_graph(self, square, square_embedding):
         spec, _ = square_embedding
-        assert spec.original_graph() == square
+        assert spec.graph is square
 
     @given(condition5_graphs())
     @settings(max_examples=60, deadline=None)
@@ -127,7 +126,7 @@ class TestEmbed:
         spec, gmap = embed(g)
         assert len(spec.replacements) == len(disjoint_simple_loops(g))
         assert set(gmap.edge_map) == {e.name for e in g.edges}
-        kept = {e.name for e in spec.base.edges}
+        kept = {e["id"] for e in spec_to_dict(spec)["base"]["edges"]}
         replaced = {e for rep in spec.replacements for e in rep.loop.edges}
         assert kept | replaced == {e.name for e in g.edges}
         assert not kept & replaced
@@ -199,12 +198,9 @@ class TestMaterialize:
     def test_namespace_collision_rejected(self):
         # the host graph already owns the id the tail would generate for its sink
         g = parse_graph("vertex a\nvertex T1.v\nedge e a a\n")
-        from afembed.graph import Graph
-
-        base = Graph.build(g.vertices, [])
         loop = disjoint_simple_loops(g)[0]
         with pytest.raises(NamespaceCollisionError):
-            AugmentedGraphSpec(base, (LoopReplacement(loop, BratteliTailSpec("T1")),))
+            AugmentedGraphSpec(g, (LoopReplacement(loop, BratteliTailSpec("T1")),))
 
     def test_embed_skips_colliding_namespace(self):
         g = parse_graph("vertex a\nvertex T1.v\nedge e a a\n")
@@ -276,7 +272,7 @@ class TestLazyContext:
         assert spec.sink_namespace("u1") is None
 
 
-# base-graph additions that shadow ids the square's tail T1 generates
+# additions to the input graph that shadow ids the square's tail T1 generates
 SHADOWS = {
     "level-vertex": (["T1.L1.1"], []),
     "tail-edge": (["w1", "w2"], [("T1.b1.1", "w1", "w2")]),
@@ -286,46 +282,42 @@ SHADOWS = {
 }
 
 
-def shadowed_spec_dict(spec: AugmentedGraphSpec, vertices: list, edges: list) -> dict:
-    obj = spec_to_dict(spec)
-    obj["base"]["vertices"] += vertices
-    obj["base"]["edges"] += [{"id": e, "src": a, "dst": b} for e, a, b in edges]
-    return obj
+def shadowed_graph(spec: AugmentedGraphSpec, vertices: list, edges: list) -> Graph:
+    obj = graph_to_dict(spec.graph)
+    obj["vertices"] += vertices
+    obj["edges"] += [{"id": e, "src": a, "dst": b} for e, a, b in edges]
+    return graph_from_dict(obj)
 
 
 class TestNamespaceOwnership:
-    """A tail's namespace belongs to the tail: no base id lies in it, and
-    the only ids the context knows in it are those the tail generates."""
+    """A tail's namespace belongs to the tail: no id of the input graph lies
+    in it, and the only ids the context knows in it are those the tail
+    generates."""
 
     @pytest.mark.parametrize("shadow", sorted(SHADOWS))
-    def test_shadowing_base_rejected_at_construction(self, square_embedding, shadow):
+    def test_shadowing_graph_rejected_at_construction(self, square_embedding, shadow):
         spec, _ = square_embedding
-        obj = shadowed_spec_dict(spec, *SHADOWS[shadow])
         with pytest.raises(NamespaceCollisionError):
-            spec_from_dict(obj)
-        with pytest.raises(NamespaceCollisionError):
-            AugmentedGraphSpec(graph_from_dict(obj["base"]), spec.replacements)
+            AugmentedGraphSpec(shadowed_graph(spec, *SHADOWS[shadow]), spec.replacements)
 
     def test_unshadowed_addition_accepted(self, square_embedding):
         spec, _ = square_embedding
-        again = spec_from_dict(shadowed_spec_dict(spec, ["T10.v", "T"], [("T2.b1.1", "T", "T10.v")]))
+        again = AugmentedGraphSpec(shadowed_graph(spec, ["T10.v", "T"], [("T2.b1.1", "T", "T10.v")]), spec.replacements)
         assert again.receivers("T1.v") == frozenset({"T1.b1.1", "T1.b1.2"})
 
     def test_removed_loop_edge_claims_its_namespace(self):
         g = parse_graph("vertex a\nedge T1.e a a\n")
         (loop,) = disjoint_simple_loops(g)
-        base = Graph.build(g.vertices, [])
         with pytest.raises(NamespaceCollisionError):
-            AugmentedGraphSpec(base, (LoopReplacement(loop, BratteliTailSpec("T1")),))
+            AugmentedGraphSpec(g, (LoopReplacement(loop, BratteliTailSpec("T1")),))
         assert embed(g)[0].replacements[0].tail.namespace == "T2"
 
     @pytest.mark.parametrize("namespace", ["T1.x", "", "T 1", "a.b"])
     def test_namespace_must_be_a_dot_free_token(self, namespace):
         g = parse_graph("vertex a\nedge e a a\n")
         (loop,) = disjoint_simple_loops(g)
-        base = Graph.build(g.vertices, [])
         with pytest.raises(NamespaceCollisionError):
-            AugmentedGraphSpec(base, (LoopReplacement(loop, BratteliTailSpec(namespace)),))
+            AugmentedGraphSpec(g, (LoopReplacement(loop, BratteliTailSpec(namespace)),))
 
     @pytest.mark.parametrize(
         "alias",
@@ -344,40 +336,47 @@ class TestNamespaceOwnership:
                 parse_term(f"{atom}({alias})", spec)
 
 
-class TestLoopAgainstBase:
-    """A replaced loop runs through base vertices along edges the base no longer has."""
+class TestLoopAgainstGraph:
+    """A replaced loop runs through vertices of the input graph along its
+    edges: each ``e_i`` is an edge from ``u_i`` to ``u_{i+1}``."""
 
-    def test_loop_vertex_outside_base_rejected(self, square_embedding):
+    def test_loop_vertex_outside_the_graph_rejected(self, square_embedding):
         spec, _ = square_embedding
-        obj = spec_to_dict(spec)
-        obj["replacements"][0]["loop_vertices"][0] = "zz"
-        with pytest.raises(GraphError, match="loop vertex 'zz'"):
-            spec_from_dict(obj)
         (rep,) = spec.replacements
         loop = SimpleLoop(rep.loop.edges, ("zz",) + rep.loop.vertices[1:])
-        with pytest.raises(GraphError, match="loop vertex 'zz'"):
-            AugmentedGraphSpec(spec.base, (LoopReplacement(loop, rep.tail),))
+        with pytest.raises(GraphError, match="loop edge 'e1' is not an edge of the graph from 'zz' to 'u2'"):
+            AugmentedGraphSpec(spec.graph, (LoopReplacement(loop, rep.tail),))
 
-    def test_loop_edge_left_in_base_rejected(self, square_embedding):
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (("e4", "e3", "e2", "zz"), "loop edge 'zz' is not an edge of the graph from 'u1' to 'u2'"),
+            (("e4", "e3", "e1", "e2"), "loop edge 'e2' is not an edge of the graph from 'u1' to 'u2'"),
+            (("e4", "e3", "e2", "e2"), "loop edge 'e2' is not an edge of the graph from 'u1' to 'u2'"),
+        ],
+    )
+    def test_loop_edge_off_its_ends_rejected(self, square_embedding, edges, message):
         spec, _ = square_embedding
-        obj = shadowed_spec_dict(spec, [], [("e1", "u1", "u2")])
-        with pytest.raises(GraphError, match="loop edge 'e1'"):
-            spec_from_dict(obj)
-        with pytest.raises(GraphError, match="loop edge 'e4'"):
-            AugmentedGraphSpec(spec.original_graph(), spec.replacements)
+        (rep,) = spec.replacements
+        with pytest.raises(GraphError) as exc:
+            AugmentedGraphSpec(spec.graph, (LoopReplacement(SimpleLoop(edges, rep.loop.vertices), rep.tail),))
+        assert str(exc.value) == message
+
+    def test_a_loop_edge_in_two_replacements_rejected(self):
+        g = parse_graph("vertex a\nedge e a a\n")
+        (loop,) = disjoint_simple_loops(g)
+        twice = (LoopReplacement(loop, BratteliTailSpec("T1")), LoopReplacement(loop, BratteliTailSpec("T2")))
+        with pytest.raises(GraphError, match="loop edge 'e' is not an edge of the graph from 'a' to 'a'"):
+            AugmentedGraphSpec(g, twice)
 
     def test_a_loop_with_an_entrance_is_refused(self, square_embedding):
         """The construction needs a loop vertex to receive its loop edge
         alone (``verify`` reads a loop's ``co-iso`` and ``iso`` off CK2 and
-        CK3 on that ground), so a base edge into one is refused."""
+        CK3 on that ground), so an edge off the loop into one is refused."""
         spec, _ = square_embedding
-        obj = shadowed_spec_dict(spec, ["w"], [("x", "w", "u2")])
         message = "loop vertex 'u2' receives an edge off its loop: the loop has an entrance"
         with pytest.raises(GraphError) as exc:
-            spec_from_dict(obj)
-        assert str(exc.value) == message
-        with pytest.raises(GraphError) as exc:
-            AugmentedGraphSpec(graph_from_dict(obj["base"]), spec.replacements)
+            AugmentedGraphSpec(shadowed_graph(spec, ["w"], [("x", "w", "u2")]), spec.replacements)
         assert str(exc.value) == message
 
 
@@ -416,7 +415,7 @@ class TestLazyAgreesWithMaterialize:
             assert spec.check_vertex(v) == v
         for e in fd.edges:
             assert spec.endpoints(e.name) == (e.source, e.range)
-        for v in spec.base.vertices:
+        for v in spec.graph.vertices:
             assert spec.receivers(v) == fd.receivers(v)
         for rep in spec.replacements:
             for k in range(depth):
@@ -427,11 +426,15 @@ class TestLazyAgreesWithMaterialize:
 
 
 class TestSerialization:
-    def test_spec_round_trip(self, square_embedding):
-        spec, _ = square_embedding
-        again = spec_from_dict(spec_to_dict(spec))
-        assert again.base == spec.base
-        assert again.replacements == spec.replacements
+    @given(condition5_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_spec_base_is_the_graph_off_its_loops(self, g):
+        """``"base"`` is the graph ``embed`` once built of E's edges off the
+        replaced loops, as ``graph_to_dict`` writes it."""
+        spec, _ = embed(g)
+        on_loops = {e for rep in spec.replacements for e in rep.loop.edges}
+        base = Graph.build(g.vertex_names, [e for e in named_edges(g) if e[0] not in on_loops])
+        assert spec_to_dict(spec)["base"] == graph_to_dict(base)
 
     def test_genmap_round_trip(self, square_embedding):
         spec, gmap = square_embedding

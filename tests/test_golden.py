@@ -313,13 +313,14 @@ def test_no_module_imports_dataclasses():
     assert not offenders, offenders
 
 
-# every name ``afembed`` exported before its numeric names were resolved lazily
+# every name ``afembed`` exported before its numeric names were resolved lazily, but
+# ``StarContext``, whose one implementation ``AugmentedGraphSpec`` took its place
 EXPORTED = """
     Edge Graph GraphError GraphParseError Path export_dot graph_from_dict graph_to_dict
     load_graph parse_graph parse_graph_json serialize_graph
     Classification EntranceExistsError EntranceWitness InvalidWitnessError SimpleLoop
     Verdict classify cycle_vertices disjoint_simple_loops witness_infinite
-    CKTerm GaussianRational NormalMonomial StarContext adjoint expand_ck3 multiply
+    CKTerm GaussianRational NormalMonomial adjoint expand_ck3 multiply
     parse_term projection term_to_str
     AugmentedGraphSpec BratteliTailSpec GeneratorMap LoopReplacement MultiplicitySeq
     embed materialize

@@ -17,7 +17,7 @@ from afembed.embedding import (
     genmap_to_text,
     materialize,
 )
-from afembed.graph import Path, load_graph
+from afembed.graph import Graph, Path, load_graph
 from afembed.loops import Verdict, classify
 from afembed.numrep import (
     _basis_rows,
@@ -36,6 +36,7 @@ from afembed.numrep import (
 )
 from afembed.terms import NormalMonomial, CKTerm, term_of_word
 
+from .conftest import growth_ratio
 from .oracles import reference_column_norm, reference_loop_entries, reference_tail_power, sorted_path_basis
 from .strategies import condition5_graphs, multigraphs
 from .test_golden import CASES, GOLDEN, resolve
@@ -297,6 +298,20 @@ class TestLoopSpectrum:
         rep = build_rep(spec, 3)
         with pytest.raises(RepresentationError):
             loop_spectrum(rep, other_spec.replacements[0].loop, gmap)
+
+    def test_spectra_grow_linearly_in_the_loops(self):
+        """Four times the self-loops cost under six times the time for their
+        spectra: the spec finds each loop's replacement by a lookup, not by a
+        scan of every replacement, which grows quadratically."""
+
+        def run(n):
+            g = Graph.build([f"v{i}" for i in range(n)], [(f"e{i}", f"v{i}", f"v{i}") for i in range(n)])
+            spec, gmap = embed(g)
+            rep = build_rep(spec, 2)
+            return lambda: [loop_spectrum(rep, r.loop, gmap) for r in spec.replacements]
+
+        ratio = growth_ratio(run(500), run(2_000), 6)
+        assert ratio < 6, f"the spectra of 2,000 self-loops took {ratio:.1f}x the time of 500"
 
     def test_prefix_multiplicity(self, square):
         spec, gmap = embed(square, MultiplicitySeq((3,), 2))
@@ -619,8 +634,9 @@ def overlapping_operators(draw, dim=5):
 class TestSharedProducts:
     """Each numeric product of ``verify`` is formed once: a loop's
     ``co-iso`` and ``iso`` residuals are read off the CK instances that
-    form the same products, each image is formed once per stage and read
-    again by ``loop_spectrum``, ``T^n`` takes no product, and the CK3
+    form the same products, each image and each loop's product is formed
+    once per stage and read again by ``loop_spectrum``, ``T^n`` takes no
+    product, and the CK3
     vertex defect reads one column.  The oracles form them as before."""
 
     @staticmethod
@@ -649,13 +665,14 @@ class TestSharedProducts:
             assert op.column_norm(j).hex() == reference_column_norm(op, j).hex()
 
     def test_a_loop_is_multiplied_out_once(self, monkeypatch):
-        """C16 at depth 6 takes 114 products: 32 for the images (two each),
+        """C16 at depth 6 takes 99 products: 32 for the images (two each),
         16 each for CK1, CK2 (the images end in distinct edges) and CK3, 15
-        for the loop and 2 to close ``T^16`` in ``LOOP:power``, 2 for
-        ``TAIL``, and 15 for the spectrum's loop.  ``T^16`` is ``T``'s
-        phases raised elementwise, which takes no product: its 15 made 129
-        before, and with the 32 of ``co-iso`` and ``iso`` and the spectrum's
-        own ``T^16`` and images, 208."""
+        for the loop and 2 to close ``T^16`` in ``LOOP:power``, and 2 for
+        ``TAIL``; the spectrum reads the loop's product that ``LOOP:power``
+        formed, where it formed its 15 again, 114 in all.  ``T^16`` is
+        ``T``'s phases raised elementwise, which takes no product: its 15
+        made 129 before, and with the 32 of ``co-iso`` and ``iso`` and the
+        spectrum's own ``T^16`` and images, 208."""
         n = 16
         g = load_graph("".join(f"vertex u{i}\n" for i in range(n)) + "".join(f"edge e{i} u{i} u{(i + 1) % n}\n" for i in range(n)))
         spec, gmap = embed(g)
@@ -672,7 +689,7 @@ class TestSharedProducts:
         relation_residuals(rep, gmap)
         for loop_rep in spec.replacements:
             loop_spectrum(rep, loop_rep.loop, gmap)
-        assert calls == 114
+        assert calls == 99
 
     def test_the_stage_forms_each_image_once(self, square, monkeypatch):
         """After ``relation_residuals`` the stage holds exactly the map's

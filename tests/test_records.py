@@ -34,7 +34,7 @@ FIELDS = {
     GeneratorMap: {"edge_map"},
     RelationReport: {"checks"},
     PathBasis: {"graph", "edge", "suffix", "rng", "starts"},
-    TruncatedRep: {"spec", "depth", "graph", "basis", "P", "S", "T", "corner_levels", "interior", "images"},
+    TruncatedRep: {"spec", "depth", "graph", "basis", "P", "S", "T", "corner_levels", "interior", "images", "products"},
     ResidualReport: {"entries", "boundary_defects"},
     SpectrumReport: {
         "loop",

@@ -160,7 +160,7 @@ def ck2_products(spec: AugmentedGraphSpec, gmap: GeneratorMap) -> int:
 
     ck2 = before = 0
     for family, _, _ in ck_instances(
-        spec.original_graph(),
+        spec.graph,
         gmap.edge_map,
         lambda v: projection(spec, v),
         adjoint,
@@ -265,7 +265,7 @@ def numeric_sides(spec, gmap, depth):
         src, tgt, values = op.entries()
         return src, tgt, [(v.real.hex(), v.imag.hex()) for v in values]
 
-    family = spec.original_graph()
+    family = spec.graph
     sides = Catalogue(family, ("CK1", "CK1*"), (bits(zero), bits(zero)))
     for kind, at, identities in numrep.ck_instances(
         family, ops, rep.P.__getitem__, Operator.adjoint, operator.matmul, partial(last_edges, rep), zero
