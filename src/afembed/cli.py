@@ -19,13 +19,16 @@ differ from the default, and names each row as it is written.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from importlib import import_module
 from io import TextIOWrapper
-from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
+
+try:  # the C function ``json.encoder`` uses, without importing ``json``, which only some commands need
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .graph import GraphError, export_dot, graph_to_dict, load_graph, serialize_graph
 from .loops import EntranceExistsError, Verdict, _chain_fragments, classify, disjoint_simple_loops
@@ -277,6 +280,8 @@ def cmd_embed(args, write: _Writer) -> int:
         "graph": outdir / f"{stem}.F{args.depth}.txt",
         "dot": outdir / f"{stem}.F{args.depth}.dot",
     }
+    import json
+
     paths["spec"].write_text(json.dumps(spec_to_dict(spec), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     paths["genmap"].write_text(genmap, encoding="utf-8")
     with open(paths["graph"], "w", encoding="utf-8") as text, open(paths["dot"], "w", encoding="utf-8") as dot:
@@ -373,6 +378,8 @@ def cmd_verify(args, write: _Writer) -> int:
 def cmd_export(args, write: _Writer) -> int:
     g = _load(args.input)
     if args.format == "json":
+        import json
+
         write.write(json.dumps(graph_to_dict(g), sort_keys=True, indent=2) + "\n")
     else:
         write.write(export_dot(g) if args.format == "dot" else serialize_graph(g))

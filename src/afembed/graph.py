@@ -36,7 +36,6 @@ outside the pipeline, and the name-to-id tables on first lookup.
 
 from __future__ import annotations
 
-import json
 import re
 from array import array
 from itertools import accumulate, chain, dropwhile
@@ -467,6 +466,8 @@ def graph_from_dict(obj: object) -> Graph:
 
 
 def parse_graph_json(text: str) -> Graph:
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -496,6 +497,8 @@ def load_graph(text) -> Graph:
     document = head + "".join(blocks)
     if document.lstrip().startswith(("{", "[")):
         return parse_graph_json(document)
+    import json
+
     try:
         obj = json.loads(document)
     except json.JSONDecodeError:

@@ -14,13 +14,19 @@ Every generator image is monomial: ``P_v`` is a 0/1 diagonal, ``S_e`` a
 partial permutation and ``T`` a diagonal of roots of unity.  An
 :class:`Operator` is therefore stored as a sum of :class:`Piece` objects,
 each a phased partial permutation held on its support only: tuples of
-sorted source indices, target indices and phases.  A product of two pieces
-is one dict join and an adjoint swaps the index tuples and conjugates the
-phases, so a relation instance costs time in proportion to its support,
-not to the dimension.  Only a sum (a ``--map`` image with several
-monomials, or a receiver sum) can put more than one piece on a matrix
-entry; its entries are merged, in the order the sum was formed, before a
-product or a norm reads them.
+sorted source indices, target indices and phases.  The path basis lines
+the indices up: ``S_e`` sends the rows ending at ``s(e)`` of each level
+onto one contiguous, ascending block of the next, and ``P_v``, ``T``,
+``a* a`` and ``a a*`` are diagonals.  So a product of two pieces whose
+right factor lands on one block of the left factor's sources, in order,
+multiplies their phases elementwise, and only a product whose indices do
+not line up (a ``--map`` sum, the isometries of two distinct edges) is a
+dict join; an adjoint swaps the index tuples and conjugates the phases,
+and sorts only where the targets do not ascend.  A relation instance thus
+costs time in proportion to its support, not to the dimension.  Only a
+sum (a ``--map`` image with several monomials, or a receiver sum) can put
+more than one piece on a matrix entry; its entries are merged, in the
+order the sum was formed, before a product or a norm reads them.
 
 The engine is plain Python, so no printed number depends on the CPU
 kernels numpy picks: every product, coefficients included, is Python's
@@ -31,17 +37,21 @@ calls the platform's ``hypot``.  numpy is loaded only for a loop image
 that is a genuine sum, whose spectrum needs a dense eigensolver.
 
 Residuals are Frobenius norms, which upper-bound the operator norm, so a
-reported residual below tolerance is conclusive.
+reported residual below tolerance is conclusive.  The interior is one row
+range, so compressing to it slices the sorted sources, and a residual
+subtracts its right side entry by entry rather than adding its product
+by -1.
 
 No numeric product is formed twice.  No loop has an entrance, so ``u_{i+1}``
 receives ``e_i`` alone, and a loop's ``iso[i]`` residual is the operator,
-mask and subtraction of ``CK3[u_{i+1}]``; as ``u_i = source(e_i)``, its
+compression and subtraction of ``CK3[u_{i+1}]``; as ``u_i = source(e_i)``, its
 ``co-iso[i]`` is ``CK2[e_i,e_i]``: each row shows the outcome of that
 instance, by its position in the report.
 Each term's operator is formed once per stage and kept on the stage, and
-so is each loop's product of images, so the loop's spectrum reads the
-product ``LOOP:power`` formed; ``T^n`` on a finite stage is ``T``'s phases
-raised to the ``n``-th power elementwise.
+so is each loop's product of images and each tail power, so the loop's
+spectrum reads the product and the ``T^n`` that ``LOOP:power`` formed;
+``T^n`` on a finite stage is ``T``'s phases raised to the ``n``-th power
+elementwise.
 
 Spectra need no eigensolver in the common case: ``T^n`` on the corner is
 diagonal, and a phased partial permutation has the ``L``-th roots of ``w``
@@ -88,12 +98,16 @@ class PathBasis(SimpleNamespace):
     """All paths of length ``0 .. d`` in the finite ``graph``, canonically
     ordered: by length, then by edge tuple, then by source.
 
-    Row ``i`` is held as three ids: ``edge[i]``, its range-end edge (-1 for
-    a vertex), ``suffix[i]``, the row of the path without that edge (-1 for
-    a vertex), and ``rng[i]``, its range vertex.  Rows of length ``k`` are
-    ``starts[k] .. starts[k+1] - 1``.  No path is longer than an empty level,
-    so ``starts`` ends after the first empty level and then has fewer than
-    ``d + 2`` entries.  ``paths`` and ``index`` are name-level views, built
+    Row ``i`` is held as two ids: ``edge[i]``, its range-end edge (-1 for
+    a vertex), and ``suffix[i]``, the row of the path without that edge
+    (-1 for a vertex); the vertex rows come first, in id order.  Rows of
+    length ``k`` are ``starts[k] .. starts[k+1] - 1``.  No path is longer
+    than an empty level, so ``starts`` ends after the first empty level and
+    then has fewer than ``d + 2`` entries.  ``ranging[v]`` holds the rows
+    ending at vertex ``v``, and ``extension[e]`` is the pair ``(suffixes,
+    rows)``: the rows ending in edge ``e``, one contiguous block per level,
+    and their suffix rows; all are ascending tuples, which the stage's
+    operators share.  ``paths`` and ``index`` are name-level views, built
     on first use.
     """
 
@@ -101,30 +115,39 @@ class PathBasis(SimpleNamespace):
     def build(cls, g: Graph, depth: int) -> "PathBasis":
         """Ids number names in sorted order, so the canonical order needs no
         sort: the vertices in id order, then per level, each edge in id order
-        extending the previous level's rows that end at its source, in row order."""
+        extending the previous level's rows that end at its source, in row
+        order, onto one contiguous block of new rows."""
         n = len(g.vertex_names)
-        edge, suffix, rng, starts = [-1] * n, [-1] * n, list(range(n)), [0, n]
+        edge, suffix, starts = [-1] * n, [-1] * n, [0, n]
+        ending = [[v] for v in range(n)]  # the last level's rows, by range vertex
+        ranging = [[v] for v in range(n)]
+        extension: list[tuple[list[int], list[int]]] = [([], []) for _ in g.src]
         for _ in range(depth):
-            ending: list[list[int]] = [[] for _ in range(n)]
-            for i in range(starts[-2], starts[-1]):
-                ending[rng[i]].append(i)
+            longer: list[list[int]] = [[] for _ in range(n)]
             for e, (s, r) in enumerate(zip(g.src, g.rng)):
-                rows = ending[s]
+                rows, (src, tgt) = ending[s], extension[e]
+                block = range(len(edge), len(edge) + len(rows))
                 edge += [e] * len(rows)
                 suffix += rows
-                rng += [r] * len(rows)
-            starts.append(len(rng))
+                src += rows
+                tgt += block
+                longer[r] += block
+            starts.append(len(edge))
+            for rows, new in zip(ranging, longer):
+                rows += new
+            ending = longer
             if starts[-1] == starts[-2]:
                 break
-        return cls(graph=g, edge=tuple(edge), suffix=tuple(suffix), rng=tuple(rng), starts=tuple(starts))
+        ranging, extension = tuple(map(tuple, ranging)), tuple((tuple(src), tuple(tgt)) for src, tgt in extension)
+        return cls(graph=g, edge=tuple(edge), suffix=tuple(suffix), starts=tuple(starts), ranging=ranging, extension=extension)
 
     @cached_property
     def paths(self) -> tuple[Path, ...]:
         vn, en = self.graph.vertex_names, self.graph.edge_names
         paths = [Path((), v, v) for v in vn]
-        for e, i, r in zip(self.edge[len(vn) :], self.suffix[len(vn) :], self.rng[len(vn) :]):
+        for e, i in zip(self.edge[len(vn) :], self.suffix[len(vn) :]):
             p = paths[i]
-            paths.append(Path((en[e],) + p.edges, p.source, vn[r]))
+            paths.append(Path((en[e],) + p.edges, p.source, vn[self.graph.rng[e]]))
         return tuple(paths)
 
     @cached_property
@@ -132,7 +155,7 @@ class PathBasis(SimpleNamespace):
         return {p: i for i, p in enumerate(self.paths)}
 
     def __len__(self) -> int:
-        return len(self.rng)
+        return len(self.edge)
 
 
 def _mul(a: tuple[complex, ...] | None, b: tuple[complex, ...] | None) -> tuple[complex, ...] | None:
@@ -161,7 +184,9 @@ class Piece:
     ``src`` is sorted and neither index tuple repeats a value; ``phase``
     None means all ones (projections and edge isometries).  ``position``,
     where each source index sits in ``src``, is the join key of
-    :meth:`after`; it is None until the piece's first join builds it.
+    :meth:`after`; it is None until the piece's first join builds it, and a
+    product whose right factor lands on one block of ``src``, in order,
+    needs no join.
     """
 
     __slots__ = ("src", "tgt", "phase", "position")
@@ -179,17 +204,21 @@ class Piece:
         return (1 + 0j,) * len(self.src) if self.phase is None else self.phase
 
     def adjoint(self) -> "Piece":
-        if self.src == self.tgt:  # a diagonal: its indices stay
-            return self if self.phase is None else Piece(self.src, self.tgt, tuple(map(complex.conjugate, self.phase)))
-        order = sorted(range(len(self.tgt)), key=self.tgt.__getitem__)
-        phase = None if self.phase is None else tuple(map(complex.conjugate, map(self.phase.__getitem__, order)))
-        return Piece(tuple(map(self.tgt.__getitem__, order)), tuple(map(self.src.__getitem__, order)), phase)
+        src, tgt, phase = self.src, self.tgt, self.phase
+        if any(map(operator.gt, tgt, tgt[1:])):  # a diagonal's or an edge isometry's targets already ascend
+            order = _argsort(tgt)
+            src, tgt, phase = tuple(map(src.__getitem__, order)), tuple(map(tgt.__getitem__, order)), _take(phase, order)
+        return Piece(tgt, src, None if phase is None else tuple(map(complex.conjugate, phase)))
 
     def after(self, b: "Piece") -> "Piece":
         """``self @ b``: follow ``b``, then ``self`` where ``b`` lands in its domain."""
+        k = bisect_left(self.src, b.tgt[0]) if b.tgt else 0
+        end = k + len(b.tgt)
+        if self.src[k:end] == b.tgt:  # onto one block of sources, in order: the phases multiply elementwise
+            return Piece(b.src, self.tgt[k:end], _mul(None if self.phase is None else self.phase[k:end], b.phase))
         position = self.position
         if position is None:
-            position = self.position = dict(zip(self.src, range(len(self.src))))
+            position = self.position = _join_table(self.src)
         if position.keys().isdisjoint(b.tgt):
             return _NO_PIECE
         at = list(map(position.get, b.tgt))
@@ -202,6 +231,14 @@ class Piece:
 
 
 _NO_PIECE = Piece((), ())
+
+
+def _join_table(src: tuple[int, ...]) -> dict[int, int]:
+    return dict(zip(src, range(len(src))))
+
+
+def _argsort(keys: tuple[int, ...]) -> list[int]:
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _merge(dim: int, runs) -> dict[int, complex]:
@@ -234,10 +271,15 @@ def _by_source(dim: int, merged: dict[int, complex]) -> tuple[tuple[int, ...], t
     return tuple(c % dim for c in cells), tuple(c // dim for c in cells), tuple(map(merged.__getitem__, cells))
 
 
-def _compress(run, mask: tuple[bool, ...]):
-    """The entries of a ``(src, tgt, values)`` run with both ends in ``mask``."""
+def _compress(run, rows: range):
+    """The entries of a ``(src, tgt, values)`` run with both ends in ``rows``:
+    a slice of the sorted ``src``, then the targets outside dropped."""
     src, tgt, values = run
-    keep = list(map(operator.and_, map(mask.__getitem__, src), map(mask.__getitem__, tgt)))
+    a, b = bisect_left(src, rows.start), bisect_left(src, rows.stop)
+    src, tgt, values = src[a:b], tgt[a:b], values[a:b]
+    if tgt and rows.start <= min(tgt) and max(tgt) < rows.stop:
+        return src, tgt, values
+    keep = list(map(rows.__contains__, tgt))
     return tuple(compress(src, keep)), tuple(compress(tgt, keep)), tuple(compress(values, keep))
 
 
@@ -308,9 +350,6 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         return Operator(self.dim, self.pieces + other.pieces)
 
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self + other.scale(-1)
-
     def scale(self, c: complex) -> "Operator":
         c = complex(c)
         if c == 1:
@@ -348,38 +387,47 @@ class Operator:
             return p.src, p.tgt, p.values()
         return _by_source(self.dim, self._merged())
 
-    def frobenius(self, mask: tuple[bool, ...] | None = None) -> float:
-        """Frobenius norm, of the compression to ``mask`` when given: one
-        ``math.hypot`` over the real and imaginary parts of the entries."""
-        runs = [(p.src, p.tgt, p.values()) for p in self.pieces]
-        if not runs:
-            return 0.0
-        if len(runs) > 1 and mask is not None and not _same_entries(runs):
+    def frobenius(self, rows: range | None = None, minus: "Operator | None" = None) -> float:
+        """Frobenius norm of this operator, or of its difference from ``minus``,
+        compressed to the span of ``rows`` when given: one ``math.hypot``
+        over the real and imaginary parts of the entries.
+
+        ``minus``'s entries are subtracted, never multiplied by -1 first; a
+        negation differs from that product only in the sign of a zero, which
+        neither the sum of nonzero entries nor the norm sees.
+        """
+        runs, subtracted = ([(p.src, p.tgt, p.values()) for p in op.pieces] for op in (self, minus or Operator(0)))
+        both = runs + subtracted
+        if len(both) > 1 and rows is not None and not _same_entries(both):
             # compressing each summand first leaves every kept entry's sum as it was
-            runs = [_compress(run, mask) for run in runs]
-        if len(runs) == 1:
-            values = (runs[0] if mask is None else _compress(runs[0], mask))[2]
-        elif _same_entries(runs):
-            # as when a relation holds: add elementwise, then mask what is left
-            src, tgt, _ = runs[0]
-            values = tuple(reduce(partial(map, operator.add), (r[2] for r in runs)))
-            values = [v for s, t, v in compress(zip(src, tgt, values), values) if mask is None or (mask[s] and mask[t])]
+            runs, subtracted = ([_compress(run, rows) for run in part] for part in (runs, subtracted))
+            both = runs + subtracted
+        if len(both) <= 1:  # the sign of one run's values leaves its norm
+            values = () if not both else (both[0] if rows is None else _compress(both[0], rows))[2]
+        elif _same_entries(both):
+            # as when a relation holds: add and subtract elementwise, then compress what is left
+            src, tgt, _ = both[0]
+            values = reduce(partial(map, operator.add), (r[2] for r in runs[1:]), runs[0][2]) if runs else repeat(0j)
+            values = tuple(reduce(partial(map, operator.sub), (r[2] for r in subtracted), values))
+            values = [v for s, t, v in compress(zip(src, tgt, values), values) if rows is None or (s in rows and t in rows)]
         else:
-            values = _merge(self.dim, runs).values()
+            negated = [(src, tgt, tuple(map(operator.neg, values))) for src, tgt, values in subtracted]
+            values = _merge(self.dim, runs + negated).values()
         return math.hypot(*(x for v in values for x in (v.real, v.imag)))
 
-    def column_norm(self, j: int) -> float:
-        """Euclidean norm of column ``j``.
+    def column_norm(self, j: int, minus: "Operator | None" = None) -> float:
+        """Euclidean norm of column ``j``, of the difference from ``minus`` when given.
 
         Each piece holds at most one entry of the column, found by bisecting
         its sorted ``src``; the entries are added in piece order and read in
         target order, as merging the whole operator adds and orders them.
         """
         column: dict[int, complex] = {}
-        for p in self.pieces:
+        for i, p in enumerate(self.pieces + (minus or Operator(0)).pieces):
             k = bisect_left(p.src, j)
             if k < len(p.src) and p.src[k] == j:
                 t, v = p.tgt[k], 1 + 0j if p.phase is None else p.phase[k]
+                v = v if i < len(self.pieces) else -v
                 column[t] = column[t] + v if t in column else v
         return math.hypot(*(x for t in sorted(column) for x in (column[t].real, column[t].imag)))
 
@@ -402,15 +450,6 @@ class Operator:
             dense[support[t], support[s]] = v
         return [complex(z) for z in np.linalg.eigvals(dense)]
 
-    def toarray(self):
-        """The dense matrix, as a numpy array (for tests)."""
-        import numpy as np
-
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for p in self.pieces:
-            np.add.at(out, (list(p.tgt), list(p.src)), p.values())
-        return out
-
 
 class TruncatedRep(SimpleNamespace):
     """Generator operators of one finite stage.
@@ -419,15 +458,17 @@ class TruncatedRep(SimpleNamespace):
     ``depth`` ``d``, and ``basis`` its :class:`PathBasis`; ``P``, ``S``
     and ``T`` map vertex, edge and tail namespace ids to their
     :class:`Operator`.  ``corner_levels`` maps a tail namespace to its
-    per-level lists of basis indices; ``interior`` is True on the paths of
-    length ``1 .. depth-1``.
+    per-level tuples of basis indices; ``interior`` is the ``range`` of the
+    rows of the paths of length ``1 .. depth-1``, which follow the vertex
+    rows in one block.
 
     ``images`` maps each term :func:`op_of_term` has evaluated on this
-    stage to its :class:`Operator`, and ``products`` each loop's images, as
+    stage to its :class:`Operator`, ``products`` each loop's images, as
     a tuple of terms ``(a_n, ..., a_1)``, to the product
-    :func:`loop_product` formed of them, so that the residuals and the
-    spectra of one map share its images and products; :func:`build_rep`
-    sets both empty.
+    :func:`loop_product` formed of them, and ``powers`` each ``(namespace,
+    k)`` to the ``T^k`` :func:`_tail_power` formed, so that the residuals
+    and the spectra of one map share its images, products and powers;
+    :func:`build_rep` sets all three empty.
     """
 
     @property
@@ -476,35 +517,22 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
     n = len(basis)
 
     def operator_on(src, tgt=None, phase=None) -> Operator:
-        src = tuple(src)
-        return Operator(n, (Piece(src, src if tgt is None else tuple(tgt), phase),))
+        return Operator(n, (Piece(src, src if tgt is None else tgt, phase),))
 
-    # vertex rows come first, in id order; each later row is S[e] of its
-    # suffix row, and the suffix rows of one edge ascend
-    nv = len(g.vertex_names)
-    by_range: list[list[int]] = [[] for _ in range(nv)]
-    for i, v in enumerate(basis.rng):
-        by_range[v].append(i)
-    extension: list[tuple[list[int], list[int]]] = [([], []) for _ in g.edge_names]
-    for i in range(nv, n):
-        src, tgt = extension[basis.edge[i]]
-        src.append(basis.suffix[i])
-        tgt.append(i)
-
-    P = {v: operator_on(idx) for v, idx in zip(g.vertex_names, by_range)}
-    S = {e: operator_on(*ends) for e, ends in zip(g.edge_names, extension)}  # each edge is a path of length 1
+    # each edge is a path of length 1, so every row ending in it is S[e] of its suffix row
+    P = {v: operator_on(rows) for v, rows in zip(g.vertex_names, basis.ranging)}
+    S = {e: operator_on(*ends) for e, ends in zip(g.edge_names, basis.extension)}
 
     T: dict[str, Operator] = {}
-    corner_levels: dict[str, list[list[int]]] = {}
+    corner_levels: dict[str, list[tuple[int, ...]]] = {}
     for rep in spec.replacements:
-        rows = by_range[g.vertex_id(rep.tail.sink)]
+        rows = basis.ranging[g.vertex_id(rep.tail.sink)]
         cuts = [bisect_left(rows, start) for start in basis.starts]
         levels = [rows[a:b] for a, b in zip(cuts, cuts[1:])]  # already lexicographic
         # level k holds N_k rows: a tail owns its namespace, so only its b-edges reach its sink
         phases = tuple(_tail_phase(j, len(idx)) for idx in levels for j in range(len(idx)))
         T[rep.tail.namespace] = operator_on(rows, phase=phases)
         corner_levels[rep.tail.namespace] = levels
-    inner = basis.starts[-2] - nv  # the last level is level ``depth``, or empty
     return TruncatedRep(
         spec=spec,
         depth=depth,
@@ -514,22 +542,27 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
         S=S,
         T=T,
         corner_levels=corner_levels,
-        interior=(False,) * nv + (True,) * inner + (False,) * (n - nv - inner),
+        interior=range(len(g.vertex_names), basis.starts[-2]),  # the last level is level ``depth``, or empty
         images={},
         products={},
+        powers={},
     )
 
 
 def _tail_power(rep: TruncatedRep, namespace: str, k: int) -> Operator:
     """``T^k`` for ``k != 0``: ``T`` itself at ``k = 1``, ``T*`` at ``k = -1``,
     else the phases of ``T`` or ``T*`` raised elementwise, multiplied in the
-    order of the ``|k| - 1`` operator products ``(T T) T ...``, so to the same bits."""
+    order of the ``|k| - 1`` operator products ``(T T) T ...``, so to the same
+    bits; once per stage: the power is kept in ``rep.powers``."""
     if namespace not in rep.T:
         raise ContextMismatchError(f"unknown tail namespace {namespace!r}")
-    base = rep.T[namespace] if k > 0 else rep.T[namespace].adjoint()
-    p = base.pieces[0]
-    phase = reduce(_mul, repeat(p.phase, abs(k)))
-    return base if phase is p.phase else Operator(base.dim, (Piece(p.src, p.tgt, phase),))
+    out = rep.powers.get((namespace, k))
+    if out is None:
+        base = rep.T[namespace] if k > 0 else rep.T[namespace].adjoint()
+        p = base.pieces[0]
+        phase = reduce(_mul, repeat(p.phase, abs(k)))
+        out = rep.powers[namespace, k] = base if phase is p.phase else Operator(base.dim, (Piece(p.src, p.tgt, phase),))
+    return out
 
 
 def op_of_monomial(m: NormalMonomial, rep: TruncatedRep) -> Operator:
@@ -644,12 +677,11 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         Operator(rep.dimension),
     ):
         for p, (lhs, rhs) in enumerate(identities, entries.position(kind, at)):
-            diff = lhs - rhs
-            entries.put(p, diff.frobenius(interior))
+            entries.put(p, lhs.frobenius(interior, minus=rhs))
         if kind == "CK3":
             # known truncation defect: the relation fails on the vertex vector itself
             vertex = rep.graph.vertex_id(at)  # the basis starts with the vertex paths, in id order
-            defects.append((f"CK3-vertex-defect[{at}]", diff.column_norm(vertex)))
+            defects.append((f"CK3-vertex-defect[{at}]", lhs.column_norm(vertex, minus=rhs)))
 
     for loop_rep in spec.replacements:
         loop = loop_rep.loop
@@ -665,13 +697,12 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         power = _tail_power(rep, loop_rep.tail.namespace, loop.n)
         f_1 = rep.S[loop_rep.f_edge_for(1)]
         closed = f_1 @ (power @ f_1.adjoint())
-        entries.put(entries.append(prefix, ":power"), (loop_product(rep, loop, gmap) - closed).frobenius(interior))
-        del power  # and with it its join table, before the TAIL checks
+        entries.put(entries.append(prefix, ":power"), loop_product(rep, loop, gmap).frobenius(interior, minus=closed))
 
     for ns, t in sorted(rep.T.items()):
         p_v = rep.P[rep.spec.sink_vertex(ns)]
-        entries.put(entries.append(f"TAIL[{ns}]", ":unitary"), (t @ t.adjoint() - p_v).frobenius())
-        entries.put(entries.append(f"TAIL[{ns}]", ":unitary*"), (t.adjoint() @ t - p_v).frobenius())
+        entries.put(entries.append(f"TAIL[{ns}]", ":unitary"), (t @ t.adjoint()).frobenius(minus=p_v))
+        entries.put(entries.append(f"TAIL[{ns}]", ":unitary*"), (t.adjoint() @ t).frobenius(minus=p_v))
     return ResidualReport(entries=entries, boundary_defects=tuple(defects))
 
 

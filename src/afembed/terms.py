@@ -192,10 +192,11 @@ class CKTerm:
     """Immutable finite combination of normal monomials.
 
     Zero coefficients are never stored; equality is exact coefficientwise
-    equality on the stored monomials.
+    equality on the stored monomials.  The hash is formed on first use and
+    kept, from the monomials in no particular order.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coeffs: Mapping[NormalMonomial, GaussianRational] | None = None):
         clean = {}
@@ -204,6 +205,7 @@ class CKTerm:
             if c is ONE or not c.is_zero:
                 clean[m] = c
         self._coeffs = clean
+        self._hash = None
 
     @classmethod
     def zero(cls) -> "CKTerm":
@@ -246,7 +248,9 @@ class CKTerm:
         return isinstance(other, CKTerm) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(tuple((m, c) for m, c in self.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self._coeffs.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"CKTerm({dict(self._coeffs)!r})"

@@ -16,17 +16,23 @@ relation catalogue that multiplies out every CK2 pair, the loop residuals
 ``co-iso`` and ``iso`` formed as products of their own (with the
 production operator products: only which products are formed is under
 test), the column norm that merged the whole operator, the tail power
-that multiplied ``T`` out ``|k| - 1`` times, and the frozen dataclasses
-the value types were before they were written by hand.
+that multiplied ``T`` out ``|k| - 1`` times, the piece product that
+always joined on a table of source positions, the adjoint that always
+sorted by target, the compression to a boolean mask and the subtraction
+that multiplied by -1 first, and the frozen dataclasses the value types
+were before they were written by hand.  ``toarray`` is the dense matrix
+the package once formed for its tests.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from functools import partial, reduce
+from itertools import compress, islice
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from afembed.graph import (
@@ -42,7 +48,7 @@ from afembed.graph import (
 )
 from afembed.embedding import AugmentedGraphSpec, BratteliTailSpec, MultiplicitySeq
 from afembed.loops import EntranceWitness, SimpleLoop, Verdict
-from afembed.numrep import Operator, TruncatedRep, op_of_term
+from afembed.numrep import _NO_PIECE, Operator, Piece, TruncatedRep, _merge, _mul, _same_entries, _take, op_of_term
 from afembed.terms import (
     _TOKEN_RE,
     KEEP,
@@ -872,7 +878,7 @@ def reference_loop_entries(rep: TruncatedRep, gmap) -> list[tuple[str, float]]:
     ``CK2[e_i,e_i]`` and ``CK3[u_{i+1}]``, kept verbatim: the interior
     Frobenius norms of ``a* a - P(u_i)`` and ``a a* - P(u_{i+1})`` for
     ``a`` the image of ``e_i``, in report order."""
-    interior = rep.interior
+    interior = interior_mask(rep)
     entries = []
     for loop_rep in rep.spec.replacements:
         loop = loop_rep.loop
@@ -883,8 +889,8 @@ def reference_loop_entries(rep: TruncatedRep, gmap) -> list[tuple[str, float]]:
             a_star = a.adjoint()
             p_ui = rep.P[loop.vertices[i - 1]]
             p_next = rep.P[loop.vertices[i % loop.n]]
-            entries.append((f"LOOP[{name}]:co-iso[{i}]", (a_star @ a - p_ui).frobenius(interior)))
-            entries.append((f"LOOP[{name}]:iso[{i}]", (a @ a_star - p_next).frobenius(interior)))
+            entries.append((f"LOOP[{name}]:co-iso[{i}]", reference_frobenius(reference_difference(a_star @ a, p_ui), interior)))
+            entries.append((f"LOOP[{name}]:iso[{i}]", reference_frobenius(reference_difference(a @ a_star, p_next), interior)))
     return entries
 
 
@@ -897,6 +903,79 @@ def reference_tail_power(rep: TruncatedRep, namespace: str, k: int) -> Operator:
     for _ in range(abs(k) - 1):
         out = out @ base
     return out
+
+
+def toarray(op: Operator):
+    """The dense matrix of ``op``, as a numpy array."""
+    import numpy as np
+
+    out = np.zeros((op.dim, op.dim), dtype=np.complex128)
+    for p in op.pieces:
+        np.add.at(out, (list(p.tgt), list(p.src)), p.values())
+    return out
+
+
+def reference_after(a: Piece, b: Piece) -> Piece:
+    """``Piece.after`` before a right factor landing on ``a.src`` in order
+    skipped the join, kept verbatim: ``a @ b`` by a table of where each
+    source index sits in ``a.src``."""
+    position = dict(zip(a.src, range(len(a.src))))
+    if position.keys().isdisjoint(b.tgt):
+        return _NO_PIECE
+    at = list(map(position.get, b.tgt))
+    if None in at:
+        hit = [i for i, k in enumerate(at) if k is not None]
+        src, at, b_phase = tuple(map(b.src.__getitem__, hit)), [at[i] for i in hit], _take(b.phase, hit)
+    else:
+        src, b_phase = b.src, b.phase
+    return Piece(src, tuple(map(a.tgt.__getitem__, at)), _mul(_take(a.phase, at), b_phase))
+
+
+def reference_adjoint(p: Piece) -> Piece:
+    """``Piece.adjoint`` before ascending targets skipped the sort, kept verbatim."""
+    if p.src == p.tgt:  # a diagonal: its indices stay
+        return p if p.phase is None else Piece(p.src, p.tgt, tuple(map(complex.conjugate, p.phase)))
+    order = sorted(range(len(p.tgt)), key=p.tgt.__getitem__)
+    phase = None if p.phase is None else tuple(map(complex.conjugate, map(p.phase.__getitem__, order)))
+    return Piece(tuple(map(p.tgt.__getitem__, order)), tuple(map(p.src.__getitem__, order)), phase)
+
+
+def interior_mask(rep: TruncatedRep) -> tuple[bool, ...]:
+    """The interior as the stage held it before it was a ``range``: True on
+    the rows of the paths of length ``1 .. depth-1``."""
+    return tuple(i in rep.interior for i in range(rep.dimension))
+
+
+def reference_compress(run, mask: tuple[bool, ...]):
+    """``numrep._compress`` before it sliced to a ``range``, kept verbatim:
+    the entries of a ``(src, tgt, values)`` run with both ends in ``mask``."""
+    src, tgt, values = run
+    keep = list(map(operator.and_, map(mask.__getitem__, src), map(mask.__getitem__, tgt)))
+    return tuple(compress(src, keep)), tuple(compress(tgt, keep)), tuple(compress(values, keep))
+
+
+def reference_difference(lhs: Operator, rhs: Operator) -> Operator:
+    """``lhs - rhs`` as ``Operator.__sub__`` formed it, kept verbatim: ``rhs`` multiplied by -1, then added."""
+    return Operator(lhs.dim, lhs.pieces + rhs.scale(-1).pieces)
+
+
+def reference_frobenius(op: Operator, mask: tuple[bool, ...] | None = None) -> float:
+    """``Operator.frobenius`` before it compressed to a ``range`` and
+    subtracted, kept verbatim: the norm of the compression to ``mask``."""
+    runs = [(p.src, p.tgt, p.values()) for p in op.pieces]
+    if not runs:
+        return 0.0
+    if len(runs) > 1 and mask is not None and not _same_entries(runs):
+        runs = [reference_compress(run, mask) for run in runs]
+    if len(runs) == 1:
+        values = (runs[0] if mask is None else reference_compress(runs[0], mask))[2]
+    elif _same_entries(runs):
+        src, tgt, _ = runs[0]
+        values = tuple(reduce(partial(map, operator.add), (r[2] for r in runs)))
+        values = [v for s, t, v in compress(zip(src, tgt, values), values) if mask is None or (mask[s] and mask[t])]
+    else:
+        values = _merge(op.dim, runs).values()
+    return math.hypot(*(x for v in values for x in (v.real, v.imag)))
 
 
 def reference_column_norm(op: Operator, j: int) -> float:

@@ -25,7 +25,7 @@ from afembed.terms import (
 )
 from afembed.verify import verify_witness
 
-from .oracles import oracle_classify
+from .oracles import oracle_classify, toarray
 from .strategies import (
     random_condition5_graph,
     random_entrance_graph,
@@ -199,12 +199,12 @@ def test_criterion_7_cross_model_consistency(square, self_loop):
     def atom_matrix(rep, atom):
         # dense products of each generator's matrix, independent of the engine's own product
         if atom[0] == "p":
-            return rep.P[atom[1]].toarray()
+            return toarray(rep.P[atom[1]])
         if atom[0] == "s":
-            return rep.S[atom[1]].toarray()
+            return toarray(rep.S[atom[1]])
         if atom[0] == "s*":
-            return rep.S[atom[1]].toarray().conj().T
-        base = rep.T[atom[1]].toarray() if atom[2] > 0 else rep.T[atom[1]].toarray().conj().T
+            return toarray(rep.S[atom[1]]).conj().T
+        base = toarray(rep.T[atom[1]]) if atom[2] > 0 else toarray(rep.T[atom[1]]).conj().T
         out = base
         for _ in range(abs(atom[2]) - 1):
             out = out @ base
@@ -234,7 +234,7 @@ def test_criterion_7_cross_model_consistency(square, self_loop):
             numeric = numeric + complex(coeff) * factor
         if bad:
             continue
-        symbolic = op_of_term(term, rep).toarray()
+        symbolic = toarray(op_of_term(term, rep))
         pi = np.diag([1.0 if 1 <= len(p.edges) <= rep.depth - 1 else 0.0 for p in rep.basis.paths])
         diff = pi @ (symbolic - numeric) @ pi
         dev = float(np.max(np.abs(diff)))

@@ -246,15 +246,18 @@ def test_embed_and_export_need_no_numpy(command, tmp_path, monkeypatch):
 
 
 # compiled only by the commands that run them: ``terms`` brings ``fractions``
-# and ``decimal`` with it
-DEFERRED = ("afembed.terms", "afembed.embedding", "afembed.verify", "afembed.numrep", "fractions", "decimal")
+# and ``decimal`` with it; ``json`` only a JSON graph, ``embed``'s spec and
+# ``export --format json`` load
+DEFERRED = ("afembed.terms", "afembed.embedding", "afembed.verify", "afembed.numrep", "fractions", "decimal", "json")
 
 
 def test_structure_commands_never_import_numrep(tmp_path):
     """``classify``, ``loops`` and ``export`` load only ``graph`` and
-    ``loops``; ``embed`` adds ``terms`` and ``embedding``; only ``verify``
-    imports the verifier and the numeric stage."""
-    argvs = [resolve([cmd, "--input", "@square.txt"]) for cmd in ("classify", "loops", "export")]
+    ``loops``, and on a text graph no ``json`` unless ``export`` writes
+    JSON; ``embed`` adds ``terms``, ``embedding`` and ``json``; only
+    ``verify`` imports the verifier and the numeric stage."""
+    argvs = [resolve([cmd, "--input", "@square.txt"]) for cmd in ("classify", "loops")]
+    argvs += [resolve(["export", "--input", "@square.txt", "--format", fmt]) for fmt in ("text", "dot")]
     code = (
         "import sys\n"
         "from afembed.cli import main\n"
@@ -263,8 +266,10 @@ def test_structure_commands_never_import_numrep(tmp_path):
         f"for argv in {argvs!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "    assert not sys.modules.keys() & set(deferred), (argv, sorted(sys.modules.keys() & set(deferred)))\n"
+        f"assert main({resolve(['export', '--input', '@square.txt'])!r}) == 0\n"
+        "assert not sys.modules.keys() & set(deferred) - {'json'}, sorted(sys.modules.keys() & set(deferred))\n"
         f"assert main({resolve(['embed', '--input', '@square.txt'])!r}) == 0\n"
-        "assert 'afembed.embedding' in sys.modules\n"
+        "assert sys.modules.keys() >= {'afembed.embedding', 'json'}\n"
         "assert not sys.modules.keys() & {'afembed.verify', 'afembed.numrep'}\n"
     )
     env = dict(child_env(), AFEMBED_OUTPUT_DIR=str(tmp_path))

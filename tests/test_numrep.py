@@ -22,6 +22,7 @@ from afembed.loops import Verdict, classify
 from afembed.numrep import (
     _basis_rows,
     _tail_phase,
+    _compress,
     _tail_power,
     DenseSpectrumTooLargeError,
     Operator,
@@ -37,7 +38,19 @@ from afembed.numrep import (
 from afembed.terms import NormalMonomial, CKTerm, term_of_word
 
 from .conftest import growth_ratio
-from .oracles import reference_column_norm, reference_loop_entries, reference_tail_power, sorted_path_basis
+from .oracles import (
+    interior_mask,
+    reference_adjoint,
+    reference_after,
+    reference_column_norm,
+    reference_compress,
+    reference_difference,
+    reference_frobenius,
+    reference_loop_entries,
+    reference_tail_power,
+    sorted_path_basis,
+    toarray,
+)
 from .strategies import condition5_graphs, multigraphs
 from .test_golden import CASES, GOLDEN, resolve
 
@@ -75,19 +88,19 @@ class TestBuildRep:
         spec, _ = square_embedding
         rep = build_rep(spec, 1)
         level1 = rep.corner_levels["T1"][1]
-        t = rep.T["T1"].toarray()
+        t = toarray(rep.T["T1"])
         entries = [complex(t[i, i]) for i in level1]
         assert np.allclose(sorted(entries, key=lambda z: z.real), [-1.0, 1.0])
 
     def test_unitary_on_corner(self, square_rep):
-        t = square_rep.T["T1"].toarray()
-        p_v = square_rep.P["T1.v"].toarray()
+        t = toarray(square_rep.T["T1"])
+        p_v = toarray(square_rep.P["T1.v"])
         assert np.max(np.abs(t @ t.conj().T - p_v)) <= ALG_TOL
         assert np.max(np.abs(t.conj().T @ t - p_v)) <= ALG_TOL
 
     def test_t_supported_on_corner(self, square_rep):
-        t = square_rep.T["T1"].toarray()
-        p_v = square_rep.P["T1.v"].toarray()
+        t = toarray(square_rep.T["T1"])
+        p_v = toarray(square_rep.P["T1.v"])
         assert np.max(np.abs(p_v @ t - t)) == 0.0
         assert np.max(np.abs(t @ p_v - t)) == 0.0
 
@@ -98,12 +111,12 @@ class TestBuildRep:
             [1.0 if len(p.edges) <= square_rep.depth - 1 else 0.0 for p in square_rep.basis.paths]
         ).astype(np.complex128)
         for e in square_rep.graph.edges:
-            s = square_rep.S[e.name].toarray()
-            diff = (s.conj().T @ s - square_rep.P[e.source].toarray()) @ mask
+            s = toarray(square_rep.S[e.name])
+            diff = (s.conj().T @ s - toarray(square_rep.P[e.source])) @ mask
             assert np.max(np.abs(diff)) == 0.0
 
     def test_edge_isometry_action(self, square_rep):
-        s = square_rep.S["T1.f1"].toarray()
+        s = toarray(square_rep.S["T1.f1"])
         # moves each corner path of length < d to its f1-extension
         i = square_rep.basis.index[Path((), "T1.v", "T1.v")]
         out = s @ np.eye(square_rep.dimension)[:, i]
@@ -116,13 +129,13 @@ class TestOpOfTerm:
     def test_projection_trace_counts_paths(self, square_rep):
         p = op_of_term(CKTerm.of(NormalMonomial((), 0, (), "u1")), square_rep)
         ranging = [q for q in square_rep.basis.paths if q.range == "u1"]
-        assert abs(p.toarray().trace() - len(ranging)) < 1e-14
+        assert abs(toarray(p).trace() - len(ranging)) < 1e-14
 
     def test_mapped_edge_is_partial_isometry(self, square_embedding, square_rep):
         spec, gmap = square_embedding
-        a = op_of_term(gmap.edge_map["e1"], square_rep).toarray()
+        a = toarray(op_of_term(gmap.edge_map["e1"], square_rep))
         pi = _interior(square_rep)
-        p_u1 = op_of_term(CKTerm.of(NormalMonomial((), 0, (), "u1")), square_rep).toarray()
+        p_u1 = toarray(op_of_term(CKTerm.of(NormalMonomial((), 0, (), "u1")), square_rep))
         diff = pi @ (a.conj().T @ a - p_u1) @ pi
         assert np.max(np.abs(diff)) <= ALG_TOL
 
@@ -146,7 +159,7 @@ class TestOpOfTerm:
         except Exception:
             assume(False)
             return
-        symbolic = op_of_term(term, rep).toarray()
+        symbolic = toarray(op_of_term(term, rep))
         numeric = np.eye(rep.dimension, dtype=np.complex128)
         for atom in reversed(word):
             numeric = _atom_matrix(rep, atom) @ numeric
@@ -162,11 +175,11 @@ class TestOpOfTerm:
         rep = build_rep(spec, 3)
         period = len(rep.corner_levels["T1"][-1])
         assert period == 8
-        corner = rep.P["T1.v"].toarray()
+        corner = toarray(rep.P["T1.v"])
         for k in (*range(-3 * period, 0), *range(1, 3 * period + 1)):
             op = op_of_term(CKTerm.of(NormalMonomial((), k, (), "T1.v")), rep)
             dense = _atom_matrix(rep, ("t", "T1", k))
-            assert np.max(np.abs(op.toarray() - dense)) <= SPEC_TOL, k
+            assert np.max(np.abs(toarray(op) - dense)) <= SPEC_TOL, k
             reduced = (abs(k) - 1) % period + 1
             same = op_of_term(CKTerm.of(NormalMonomial((), reduced if k > 0 else -reduced, (), "T1.v")), rep)
             assert repr(op) == repr(same), k  # to the bit, signed zeros included
@@ -177,13 +190,13 @@ class TestOpOfTerm:
 def _atom_matrix(rep, atom):
     """Dense matrix of one word atom, built from the generators alone."""
     if atom[0] == "p":
-        return rep.P[atom[1]].toarray()
+        return toarray(rep.P[atom[1]])
     if atom[0] == "s":
-        return rep.S[atom[1]].toarray()
+        return toarray(rep.S[atom[1]])
     if atom[0] == "s*":
-        return rep.S[atom[1]].toarray().conj().T
+        return toarray(rep.S[atom[1]]).conj().T
     ns, k = atom[1], atom[2]
-    base = rep.T[ns].toarray() if k > 0 else rep.T[ns].toarray().conj().T
+    base = toarray(rep.T[ns]) if k > 0 else toarray(rep.T[ns]).conj().T
     out = base
     for _ in range(abs(k) - 1):
         out = out @ base
@@ -330,7 +343,7 @@ class TestLevelInterleaving:
         """The level-(k+1) diagonal refines the level-k diagonal blockwise:
         ``|u_{k+1} - u_k (x) 1| <= 2 sin(pi / N_{k+1})`` for doubling tails,
         which is what makes the tail unitaries a convergent choice."""
-        t = square_rep.T["T1"].toarray()
+        t = toarray(square_rep.T["T1"])
         levels = square_rep.corner_levels["T1"]
         for k in range(len(levels) - 1):
             u_k = np.array([t[i, i] for i in levels[k]])
@@ -410,13 +423,13 @@ class TestOperatorSpectrum:
         roots = [abs(w) ** (1 / 3) * np.exp(1j * (np.angle(w) + 2 * np.pi * k) / 3) for k in range(3)]
         spectrum = op.eigenvalues()
         assert _same_multiset(spectrum, roots + [0, 0], 1e-12)
-        assert _same_multiset(spectrum, np.linalg.eigvals(op.toarray()), 1e-7)
+        assert _same_multiset(spectrum, np.linalg.eigvals(toarray(op)), 1e-7)
 
     def test_genuine_sum_uses_dense_spectrum(self):
         a = Operator(3, (Piece((0, 1), (1, 0)),))
         b = Operator(3, (Piece((0,), (0,), (2.0 + 0j,)),))
         total = a + b
-        assert _same_multiset(total.eigenvalues(), np.linalg.eigvals(total.toarray()[:2, :2]), 1e-12)
+        assert _same_multiset(total.eigenvalues(), np.linalg.eigvals(toarray(total)[:2, :2]), 1e-12)
 
     def test_dense_support_above_the_ceiling_is_refused_unallocated(self, monkeypatch):
         """A genuine sum on 2 basis vectors is solved at a ceiling of 2 and
@@ -452,18 +465,19 @@ def operators(draw, dim=6):
 class TestOperatorAlgebra:
     """The operator engine against dense matrices of the same operators."""
 
-    @given(operators(), operators(), st.lists(st.booleans(), min_size=6, max_size=6))
+    @given(operators(), operators(), st.integers(0, 6), st.integers(0, 6))
     @settings(max_examples=150, deadline=None)
-    def test_matches_dense(self, a, b, mask):
-        da, db = a.toarray(), b.toarray()
+    def test_matches_dense(self, a, b, lo, hi):
+        da, db = toarray(a), toarray(b)
         product = a @ b
-        assert np.allclose(product.toarray(), da @ db, atol=1e-12)
+        assert np.allclose(toarray(product), da @ db, atol=1e-12)
         for p in product.pieces:
             assert np.all(np.diff(p.src) > 0) and len(set(list(p.tgt))) == len(p.tgt)
-        assert np.allclose((a - b).toarray(), da - db, atol=1e-12)
-        assert np.allclose(a.adjoint().toarray(), da.conj().T, atol=1e-12)
-        m = np.diag(np.array(mask, dtype=float))
-        assert a.frobenius(np.array(mask)) == pytest.approx(np.linalg.norm(m @ da @ m), abs=1e-12)
+        assert np.allclose(toarray(reference_difference(a, b)), da - db, atol=1e-12)
+        assert np.allclose(toarray(a.adjoint()), da.conj().T, atol=1e-12)
+        m = np.diag([float(lo <= i < hi) for i in range(6)])
+        assert a.frobenius(range(lo, hi)) == pytest.approx(np.linalg.norm(m @ da @ m), abs=1e-12)
+        assert a.frobenius(range(lo, hi), minus=b) == pytest.approx(np.linalg.norm(m @ (da - db) @ m), abs=1e-12)
         assert a.column_norm(2) == pytest.approx(np.linalg.norm(da[:, 2]), abs=1e-12)
 
 
@@ -611,13 +625,17 @@ def summed_loop_maps(draw):
     return spec, genmap_from_text(text, spec), draw(st.integers(1, 3))
 
 
+# parts of phases: signed zeros, exact values and any others
+_PART = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]) | st.floats(-2, 2)
+
+
 @st.composite
 def overlapping_operators(draw, dim=5):
     """Sums of one to five phased partial permutations on few basis vectors,
     so that pieces repeat cells: a piece may be an earlier one negated, so
     that its cells cancel to zero, and values carry signed zeros; a piece
     with phase None is all ones."""
-    part = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]) | st.floats(-2, 2)
+    part = _PART
     pieces = []
     for _ in range(draw(st.integers(1, 5))):
         if pieces and draw(st.booleans()):
@@ -722,6 +740,113 @@ class TestSharedProducts:
         kept = dict(rep.images)
         relation_residuals(rep, gmap)
         assert all(rep.images[term] is op for term, op in kept.items())
+
+
+@st.composite
+def phased_pieces(draw, dim=6, src=None, tgt=None):
+    """A phased partial permutation on ``dim`` basis vectors, on the sorted
+    sources ``src`` and the targets ``tgt`` where given; drawn targets are
+    the sources (a diagonal), ascending, or in any order.  Its phases are
+    all ones (None) or carry signed zeros."""
+    if src is None:
+        size = draw(st.integers(0, dim)) if tgt is None else len(tgt)
+        src = sorted(draw(st.permutations(range(dim)))[:size])
+    if tgt is None:
+        tgt = draw(st.permutations(range(dim)))[: len(src)]
+        tgt = draw(st.sampled_from([src, sorted(tgt), tgt]))
+    phase = None if draw(st.booleans()) else tuple(complex(draw(_PART), draw(_PART)) for _ in src)
+    return Piece(tuple(src), tuple(tgt), phase)
+
+
+def _entries(p: Piece) -> str:
+    """A piece's entries, as ``repr`` shows every bit of them, signed zeros included."""
+    return repr((p.src, p.tgt, p.values()))
+
+
+class TestAlignedIndices:
+    """Where the indices line up, a product multiplies phases elementwise,
+    an adjoint takes no sort, the interior is a slice and a residual
+    subtracts; each gives the bits of the general join, sort, mask and
+    product by -1 that ``tests/oracles.py`` keeps."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_product_equals_the_join(self, data):
+        a = data.draw(phased_pieces())
+        k = data.draw(st.integers(0, len(a.src)))
+        block = a.src[k : data.draw(st.integers(k, len(a.src)))]
+        # on a block of ``a``'s sources in order, or anywhere
+        b = data.draw(phased_pieces(tgt=block) | phased_pieces())
+        assert _entries(a.after(b)) == _entries(reference_after(a, b))
+        assert _entries(a.adjoint().after(a)) == _entries(reference_after(reference_adjoint(a), a))
+
+    @given(phased_pieces())
+    @settings(max_examples=300, deadline=None)
+    def test_adjoint_equals_the_sorted_one(self, p):
+        assert repr(p.adjoint()) == repr(reference_adjoint(p))
+
+    @given(phased_pieces(), st.integers(0, 6), st.integers(0, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_range_compression_equals_the_mask(self, p, lo, hi):
+        mask = tuple(lo <= i < hi for i in range(6))
+        run = (p.src, p.tgt, p.values())
+        assert repr(_compress(run, range(lo, hi))) == repr(reference_compress(run, mask))
+
+    @given(st.data(), st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_residual_equals_the_norm_of_the_difference(self, data, lo, hi):
+        """On sums that repeat cells, and on a right side with the entries
+        of the left, as where a relation holds."""
+        lhs = data.draw(overlapping_operators())
+        same = Operator(5, tuple(data.draw(phased_pieces(src=p.src, tgt=p.tgt)) for p in lhs.pieces))
+        rhs = data.draw(st.just(same) | overlapping_operators() | st.just(Operator(5)))
+        mask = tuple(lo <= i < hi for i in range(5))
+        diff = reference_difference(lhs, rhs)
+        for rows, m in ((range(lo, hi), mask), (None, None)):
+            assert lhs.frobenius(rows, minus=rhs).hex() == reference_frobenius(diff, m).hex()
+            assert rhs.frobenius(rows, minus=lhs).hex() == reference_frobenius(reference_difference(rhs, lhs), m).hex()
+            assert lhs.frobenius(rows).hex() == reference_frobenius(lhs, m).hex()
+        for j in range(5):
+            assert lhs.column_norm(j, minus=rhs).hex() == reference_column_norm(diff, j).hex()
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("name", ["square", "cycles_dag", "dag"])
+    def test_the_interior_is_the_row_range_of_the_inner_paths(self, name, depth):
+        """Paths of length ``1 .. depth-1``, also where a level is empty before ``depth``."""
+        rep = build_rep(embed(load_graph((GOLDEN / f"{name}.txt").read_text()))[0], depth)
+        inner = [i for i, p in enumerate(rep.basis.paths) if 1 <= len(p.edges) <= depth - 1]
+        assert list(rep.interior) == inner and interior_mask(rep) == tuple(i in inner for i in range(rep.dimension))
+
+    def test_a_loop_builds_no_join_table_and_no_sort(self, monkeypatch):
+        """C16 at depth 6: each of the 99 products lands on one block of its
+        left factor's sources, in order, and each adjoint's targets ascend,
+        so ``verify``'s numeric stage builds no join table and sorts
+        nothing; a product of two distinct edges' isometries still joins,
+        and an adjoint whose targets descend still sorts."""
+        n = 16
+        g = load_graph("".join(f"vertex u{i}\n" for i in range(n)) + "".join(f"edge e{i} u{i} u{(i + 1) % n}\n" for i in range(n)))
+        spec, gmap = embed(g)
+        rep = build_rep(spec, 6)
+        built = {"_join_table": 0, "_argsort": 0}
+
+        def counting(name):
+            def call(keys):
+                built[name] += 1
+                return original(keys)
+
+            original = getattr(numrep, name)
+            return call
+
+        for name in built:
+            monkeypatch.setattr(numrep, name, counting(name))
+        relation_residuals(rep, gmap)
+        for loop_rep in spec.replacements:
+            loop_spectrum(rep, loop_rep.loop, gmap)
+        assert built == {"_join_table": 0, "_argsort": 0}
+        f_edge = spec.replacements[0].f_edge_for
+        assert not (rep.S[f_edge(1)].adjoint() @ rep.S[f_edge(2)]).pieces[0].src
+        assert Piece((0, 1), (1, 0)).adjoint().src == (0, 1)
+        assert built == {"_join_table": 1, "_argsort": 1}
 
 
 @pytest.mark.parametrize("mult", ["2", "3,3;2"])

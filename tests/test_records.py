@@ -33,8 +33,8 @@ FIELDS = {
     Classification: {"verdict", "loops", "witness"},
     GeneratorMap: {"edge_map"},
     RelationReport: {"checks"},
-    PathBasis: {"graph", "edge", "suffix", "rng", "starts"},
-    TruncatedRep: {"spec", "depth", "graph", "basis", "P", "S", "T", "corner_levels", "interior", "images", "products"},
+    PathBasis: {"graph", "edge", "suffix", "starts", "ranging", "extension"},
+    TruncatedRep: {"spec", "depth", "graph", "basis", "P", "S", "T", "corner_levels", "interior", "images", "products", "powers"},
     ResidualReport: {"entries", "boundary_defects"},
     SpectrumReport: {
         "loop",

@@ -148,6 +148,28 @@ class TestAdjoint:
         assert adjoint(x) == projection(ctx, "u1").scale(q(1, -2))
 
 
+class TestTermHash:
+    MONOMIALS = (
+        NormalMonomial((), 0, (), "u1"),
+        NormalMonomial(("e1",), 0, (), "u1"),
+        NormalMonomial(("T1.f1",), 3, ("T1.f1",), "T1.v"),
+        NormalMonomial((), -2, ("T1.f2",), "T1.v"),
+    )
+
+    @given(st.permutations(range(4)), st.permutations(range(4)), st.integers(1, 4))
+    def test_equal_terms_built_in_different_orders_hash_equal(self, first, second, size):
+        """The hash is kept on the term and formed without an order, so two
+        equal terms hash equal whatever order their monomials came in, by
+        construction or by sums."""
+        coeffs = {m: q(k + 1, -k) for k, m in enumerate(self.MONOMIALS)}
+        a = CKTerm({self.MONOMIALS[k]: coeffs[self.MONOMIALS[k]] for k in first[:size]})
+        b = CKTerm({self.MONOMIALS[k]: coeffs[self.MONOMIALS[k]] for k in sorted(first[:size], key=second.index)})
+        c = sum((CKTerm.of(self.MONOMIALS[k], coeffs[self.MONOMIALS[k]]) for k in reversed(first[:size])), CKTerm())
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c) == hash(a)
+        assert len({a, b, c}) == 1
+
+
 class TestExpandCK3:
     def test_two_receivers(self, two_self_loops):
         ctx = AugmentedGraphSpec(two_self_loops, ())
