@@ -2,49 +2,33 @@
 
 from importlib import import_module
 
-from .graph import (
-    Edge,
-    Graph,
-    GraphError,
-    GraphParseError,
-    Path,
-    export_dot,
-    graph_from_dict,
-    graph_to_dict,
-    load_graph,
-    parse_graph,
-    parse_graph_json,
-    serialize_graph,
-)
-from .loops import (
-    Classification,
-    EntranceExistsError,
-    EntranceWitness,
-    InvalidWitnessError,
-    SimpleLoop,
-    Verdict,
-    classify,
-    cycle_vertices,
-    disjoint_simple_loops,
-    witness_infinite,
-)
+from .graph import Edge, Graph, GraphError, GraphParseError, Path, load_graph, parse_graph
+from .loops import Classification, EntranceExistsError, EntranceWitness, InvalidWitnessError, SimpleLoop, Verdict
+from .loops import classify, cycle_vertices, disjoint_simple_loops
 
-# ``classify``, ``loops`` and ``export`` need only ``graph`` and ``loops``,
-# imported above.  Every other name is resolved on first access (PEP 562)
-# through this table, so importing the package compiles neither the term
-# engine, nor the embedding, nor the verifier, nor the numeric stage.
+# ``classify`` and ``loops`` need only ``graph`` and ``loops``, imported
+# above.  Every other name is resolved on first access (PEP 562) through
+# this table, so importing the package compiles neither the graph writers,
+# nor the witness search, nor the term engine or its grammar, nor the
+# embedding, nor the verifier, nor the numeric stage.
 # numrep loads numpy only for the spectrum of a ``--map`` loop image that
 # is a genuine sum, with two entries in one row or column.
 _LAZY = {
+    "export_dot": "formats",
+    "graph_from_dict": "formats",
+    "graph_to_dict": "formats",
+    "parse_graph_json": "formats",
+    "serialize_graph": "formats",
+    "witness_infinite": "witness",
     "CKTerm": "terms",
     "GaussianRational": "terms",
     "NormalMonomial": "terms",
     "adjoint": "terms",
     "expand_ck3": "terms",
     "multiply": "terms",
-    "parse_term": "terms",
     "projection": "terms",
-    "term_to_str": "terms",
+    "parse_term": "notation",
+    "term_to_str": "notation",
     "AugmentedGraphSpec": "embedding",
     "BratteliTailSpec": "embedding",
     "GeneratorMap": "embedding",

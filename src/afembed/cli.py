@@ -30,19 +30,19 @@ try:  # the C function ``json.encoder`` uses, without importing ``json``, which 
 except ImportError:
     from json.encoder import encode_basestring_ascii
 
-from .graph import GraphError, export_dot, graph_to_dict, load_graph, serialize_graph
-from .loops import EntranceExistsError, Verdict, _chain_fragments, classify, disjoint_simple_loops
-from .loops import witness_infinite  # noqa: F401 -- no command calls it; the benchmark's LAYERS wraps it
+from .graph import GraphError, load_graph
+from .loops import EntranceExistsError, Verdict, classify, disjoint_simple_loops
 
 
 def _deferred(module: str, name: str):
     """A stand-in for ``afembed.<module>.<name>`` that imports the module at its first call.
 
-    ``classify``, ``loops`` and ``export`` need only ``graph`` and ``loops``,
-    so the term engine, the embedding, the verifier and the numeric stage
-    are imported by the commands that run them.  The stand-ins stay module
-    attributes that the commands look up at each call, so a caller can
-    still wrap them here.
+    ``classify`` and ``loops`` need only ``graph`` and ``loops``, so every
+    other module is imported by the requests that run it: the graph
+    writers, the witness search, the term engine, the embedding, the
+    verifier and the numeric stage.  The stand-ins stay module attributes
+    that the commands look up at each call, so a caller can still wrap
+    them here.
     """
 
     def call(*args, **kwargs):
@@ -52,6 +52,9 @@ def _deferred(module: str, name: str):
     return call
 
 
+serialize_graph = _deferred("formats", "serialize_graph")
+export_dot = _deferred("formats", "export_dot")
+witness_infinite = _deferred("witness", "witness_infinite")  # no command calls it; the benchmark's LAYERS wraps it
 embed = _deferred("embedding", "embed")
 materialize = _deferred("embedding", "materialize")
 verify_ck_family = _deferred("verify", "verify_ck_family")
@@ -204,8 +207,10 @@ def _chain_value(lines) -> list[str]:
 
 def _write_witness(write: _Writer, w) -> None:
     """``classify``'s ``witness`` record: the paths and the chain of
-    :func:`~afembed.loops.witness_infinite`, unchecked, as ``classify``
+    :func:`~afembed.witness.witness_infinite`, unchecked, as ``classify``
     built ``w``."""
+    from .witness import _chain_fragments
+
     lines = _chain_fragments(w, write.text)
     write.spliced(
         WITNESS,
@@ -219,6 +224,8 @@ def _write_witness(write: _Writer, w) -> None:
 
 def _write_entrance_chain(write: _Writer, w) -> None:
     """``embed``'s refusal: every line of the chain."""
+    from .witness import _chain_fragments
+
     write.spliced(ENTRANCE_CHAIN, reason=["entrance exists"], witness=_chain_value(_chain_fragments(w, write.text)))
 
 
@@ -261,14 +268,14 @@ def cmd_loops(args, write: _Writer) -> int:
 
 
 def cmd_embed(args, write: _Writer) -> int:
-    from .embedding import genmap_to_text, spec_to_dict
-
     g = _load(args.input)
     try:
         spec, gmap = embed(g, args.mult)
     except EntranceExistsError as exc:
         _write_entrance_chain(write, exc.witness)
         return EXIT_NOT_FINITE
+    from .notation import genmap_to_text, spec_to_dict
+
     f_d = materialize(spec, args.depth)
     genmap = genmap_to_text(gmap, spec)  # it refuses an id the map cannot name, before any file is written
     outdir = FsPath(os.environ.get(OUTPUT_DIR_ENV, "."))
@@ -299,9 +306,7 @@ def cmd_verify(args, write: _Writer) -> int:
     the representation is dropped once its reports exist, before the
     symbolic report is built.  Then each report is written, in the order
     symbolic, residuals, boundary defects, spectra, summary, and released."""
-    from . import numrep  # and with it every other module, before any stage runs
-    from .embedding import genmap_from_text
-    from .terms import term_to_str
+    from . import numrep  # and with it the embedding, the term engine and the verifier, before any stage runs
     from .verify import RelationStatus
 
     g = _load(args.input)
@@ -311,6 +316,8 @@ def cmd_verify(args, write: _Writer) -> int:
         write(ENTRANCE, at=exc.witness.entry_vertex, reason="entrance exists")
         return EXIT_NOT_FINITE
     if args.map:
+        from .notation import genmap_from_text
+
         gmap = genmap_from_text(FsPath(args.map).read_text(encoding="utf-8"), spec)
         expected = set(g.edge_names)
         if set(gmap.edge_map) != expected:
@@ -327,6 +334,8 @@ def cmd_verify(args, write: _Writer) -> int:
     for check in write.skipping(report.checks, SYMBOLIC, "relation", status="PROVED"):
         shape, difference = SYMBOLIC_NOTE if check.note else SYMBOLIC, ""
         if check.status is RelationStatus.FAILED:  # the catalogue's failures carry no note
+            from .notation import term_to_str
+
             shape, difference = SYMBOLIC_DIFFERENCE, term_to_str(check.difference, spec)
             failures += 1
             first_failure = first_failure or f"symbolic {check.relation}"
@@ -379,6 +388,8 @@ def cmd_export(args, write: _Writer) -> int:
     g = _load(args.input)
     if args.format == "json":
         import json
+
+        from .formats import graph_to_dict
 
         write.write(json.dumps(graph_to_dict(g), sort_keys=True, indent=2) + "\n")
     else:

@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .graph import Frozen, Graph, GraphError, named_edges
 from .loops import EntranceExistsError, SimpleLoop, Verdict, classify
-from .terms import CKTerm, ContextMismatchError, NormalMonomial, parse_term, term_to_str
+from .terms import CKTerm, ContextMismatchError, NormalMonomial
 
 
 #: The most vertices and edges :func:`materialize` builds into a stage, and
@@ -377,62 +377,3 @@ def materialize(spec: AugmentedGraphSpec, depth: int) -> Graph:
             below = len(vertices)
             vertices.append(tail.vertex(k))
     return Graph(vertices, names, src, rng)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def spec_to_dict(spec: AugmentedGraphSpec) -> dict:
-    """The spec as JSON: under ``"base"``, E's vertices and its edges off the replaced loops, in id order."""
-    g = spec.graph
-    return {
-        "base": {
-            "vertices": list(g.vertex_names),
-            "edges": [{"id": name, "src": s, "dst": r} for name, s, r in named_edges(g) if name in spec._finite_edges],
-        },
-        "replacements": [
-            {
-                "loop_edges": list(rep.loop.edges),
-                "loop_vertices": list(rep.loop.vertices),
-                "namespace": rep.tail.namespace,
-                "sink": rep.tail.sink,
-                "f_edges": list(rep.f_edges),
-                "mult": {"prefix": list(rep.tail.mult.prefix), "tail": rep.tail.mult.tail},
-            }
-            for rep in spec.replacements
-        ],
-    }
-
-
-def genmap_to_text(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> str:
-    """The map as text, a line per edge, which :func:`genmap_from_text` reads
-    back; an edge id holding a parenthesis is refused, as the term grammar
-    reads an atom's id up to the first one."""
-    lines = ["# generator map: edge id = image term"]
-    for e in sorted(gmap.edge_map):
-        if "(" in e or ")" in e:
-            raise ValueError(f"edge id {e!r} holds '(' or ')', which a generator map cannot name")
-        lines.append(f"{e} = {term_to_str(gmap.edge_map[e], spec)}")
-    return "\n".join(lines) + "\n"
-
-
-def genmap_from_text(text: str, spec: AugmentedGraphSpec) -> GeneratorMap:
-    edge_map: dict[str, CKTerm] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        # an edge id may hold '=', but no whitespace: the greedy first token
-        # before an '=' is the id, so ``a=b = s(a=b)`` and ``e=s(e)`` both read
-        m = re.fullmatch(r"(\S+)\s*=\s*(.*)", line)
-        if m is None:
-            raise ValueError(f"line {lineno}: expected '<edge-id> = <term>'")
-        name, rhs = m.groups()
-        if name in edge_map:
-            raise ValueError(f"line {lineno}: duplicate image for edge {name!r}")
-        try:
-            edge_map[name] = parse_term(rhs, spec)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    return GeneratorMap(edge_map=edge_map)

@@ -51,7 +51,16 @@ Each term's operator is formed once per stage and kept on the stage, and
 so is each loop's product of images and each tail power, so the loop's
 spectrum reads the product and the ``T^n`` that ``LOOP:power`` formed;
 ``T^n`` on a finite stage is ``T``'s phases raised to the ``n``-th power
-elementwise.
+elementwise.  A 1-edge loop's ``LOOP:power`` closes on ``S[f_1] T S[f_1]*``,
+the loop's image, which the stage already holds.  ``T``'s phases are formed
+row by row on the deepest level and on each level whose next is not a
+power of two times as large; every other level takes the next one's
+phases at that stride, to the bit.
+
+The constructed map's loop product has ``T^n``'s values on the shallow
+levels as its eigenvalues, value for value in row order, so its spectrum
+is matched with ``T^n``'s with no sort; and each value's angle is taken
+once, for the match and the distance to the circle.
 
 Spectra need no eigensolver in the common case: ``T^n`` on the corner is
 diagonal, and a phased partial permutation has the ``L``-th roots of ``w``
@@ -68,7 +77,7 @@ import math
 import operator
 from bisect import bisect_left
 from functools import cached_property, partial, reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from types import SimpleNamespace
 
 from .embedding import MAX_STAGE_SIZE, AugmentedGraphSpec, GeneratorMap, LoopReplacement, StageTooLargeError, materialize
@@ -482,6 +491,19 @@ def _tail_phase(j: int, n: int) -> complex:
     return cmath.exp(2j * math.pi * j / n)
 
 
+def _level_phases(sizes: list[int]) -> tuple[complex, ...]:
+    """``T``'s phases on levels of ``sizes`` rows, level by level: row ``j``
+    of a level of ``n`` rows has :func:`_tail_phase` ``(j, n)``.  A level
+    whose next one is ``r`` times as large, ``r`` a power of two, takes the
+    next one's phases at stride ``r``: ``2 pi j r`` and ``n r`` scale ``2 pi j``
+    and ``n`` exactly, so the quotient, and the phase, keep their bits."""
+    levels: list[tuple[complex, ...]] = []
+    for n in reversed(sizes):
+        r = len(levels[-1]) // n if levels else 0
+        levels.append(levels[-1][::r] if r and not r & (r - 1) else tuple(_tail_phase(j, n) for j in range(n)))
+    return tuple(chain.from_iterable(reversed(levels)))
+
+
 def _basis_rows(g: Graph, depth: int) -> int:
     """Rows of ``PathBasis.build(g, depth)``, from the number of paths of each
     length ending at each vertex; once past :data:`MAX_STAGE_SIZE` the
@@ -530,8 +552,7 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
         cuts = [bisect_left(rows, start) for start in basis.starts]
         levels = [rows[a:b] for a, b in zip(cuts, cuts[1:])]  # already lexicographic
         # level k holds N_k rows: a tail owns its namespace, so only its b-edges reach its sink
-        phases = tuple(_tail_phase(j, len(idx)) for idx in levels for j in range(len(idx)))
-        T[rep.tail.namespace] = operator_on(rows, phase=phases)
+        T[rep.tail.namespace] = operator_on(rows, phase=_level_phases(list(map(len, levels))))
         corner_levels[rep.tail.namespace] = levels
     return TruncatedRep(
         spec=spec,
@@ -655,7 +676,8 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     representation itself, whereas the rewrite system takes ``t t* = p`` as
     an axiom and so has nothing to prove about them.
 
-    Of a loop's checks only ``power`` forms products of its own.  Its
+    Of a loop's checks only ``power`` forms products of its own, and a
+    1-edge loop's does not: its closed side is the loop's image.  Its
     ``co-iso[i]``, ``a* a = p(u_i)`` for ``a`` the image of ``e_i``, is
     ``CK2[e_i,e_i]``, as ``u_i = source(e_i)``; its ``iso[i]``,
     ``a a* = p(u_{i+1})``, is ``CK3[u_{i+1}]``, since no loop has an
@@ -691,12 +713,16 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
             entries.append(prefix, f":co-iso[{i}]", entries.position("CK2", (e, e)))
             entries.append(prefix, f":iso[{i}]", entries.position("CK3", loop.vertices[i % loop.n]))
         # S[f_1] T^n S[f_1]* in op_of_monomial's factor order, but with T's
-        # phases raised n times, as the loop side has them: op_of_monomial
-        # reduces n modulo N_d, and the reduced power rounds its phases
-        # otherwise, by more than TOL_ALG on a loop of about 920 edges at depth 6
-        power = _tail_power(rep, loop_rep.tail.namespace, loop.n)
-        f_1 = rep.S[loop_rep.f_edge_for(1)]
-        closed = f_1 @ (power @ f_1.adjoint())
+        # phases raised n times, as the loop side has them.  op_of_monomial
+        # forms it so while n <= N_d, so a stage that holds it as an image (a
+        # 1-edge loop's) gives it; above N_d it reduces n modulo N_d, which
+        # rounds the phases otherwise, by more than TOL_ALG on a loop of about
+        # 920 edges at depth 6
+        ns, f_1 = loop_rep.tail.namespace, loop_rep.f_edge_for(1)
+        term = CKTerm.of(NormalMonomial((f_1,), loop.n, (f_1,), loop_rep.tail.sink))
+        closed = rep.images.get(term) if loop.n <= len(rep.corner_levels[ns][-1]) else None
+        if closed is None:
+            closed = rep.S[f_1] @ (_tail_power(rep, ns, loop.n) @ rep.S[f_1].adjoint())
         entries.put(entries.append(prefix, ":power"), loop_product(rep, loop, gmap).frobenius(interior, minus=closed))
 
     for ns, t in sorted(rep.T.items()):
@@ -722,10 +748,11 @@ class SpectrumReport(SimpleNamespace):
     """
 
 
-def _circle_hausdorff(values: tuple[complex, ...], radial: float) -> float:
+def _circle_hausdorff(angles: list[float], radial: float) -> float:
     """Hausdorff distance between a finite set and the unit circle, given
-    the set's largest distance ``radial`` of a modulus from 1."""
-    angles = sorted(map(cmath.phase, values))
+    its values' ``angles`` and their largest distance ``radial`` of a
+    modulus from 1."""
+    angles = sorted(angles)
     gaps = [b - a for a, b in zip(angles, angles[1:])]
     gaps.append(angles[0] + 2 * math.pi - angles[-1])
     return max(radial, 2.0 * math.sin(max(gaps) / 4.0))
@@ -747,13 +774,14 @@ def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> Sp
     evals = _tail_power(rep, ns, loop.n).pieces[0].values()
     moduli = [math.hypot(z.real, z.imag) for z in evals]
     radial = max(abs(m - 1.0) for m in moduli)
+    angles = list(map(cmath.phase, evals))
 
     conj = loop_product(rep, loop, gmap).eigenvalues()
     conj_nonzero = [(z, m) for z in conj if (m := math.hypot(z.real, z.imag)) > 0.5]
 
     # the conjugated operator sees levels 0 .. d-1 of the corner unitary power
     shallow = sum(len(level) for level in rep.corner_levels[ns][: rep.depth])
-    mismatch = _multiset_mismatch(conj_nonzero, list(zip(evals[:shallow], moduli)))
+    mismatch = _multiset_mismatch(conj_nonzero, list(zip(evals[:shallow], moduli)), angles[:shallow])
 
     return SpectrumReport(
         loop=loop,
@@ -761,17 +789,23 @@ def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> Sp
         eigenvalues=tuple(evals),
         conjugated_nonzero=tuple(z for z, _ in conj_nonzero),
         max_modulus_deviation=radial,
-        hausdorff_to_circle=_circle_hausdorff(evals, radial),
+        hausdorff_to_circle=_circle_hausdorff(angles, radial),
         conjugation_mismatch=mismatch,
     )
 
 
-def _multiset_mismatch(a: list[tuple[complex, float]], b: list[tuple[complex, float]]) -> float:
+def _multiset_mismatch(a: list[tuple[complex, float]], b: list[tuple[complex, float]], b_angles: list[float]) -> float:
     """Largest distance between two multisets of ``(value, modulus)`` pairs
-    matched in order of angle, then modulus; infinite if their sizes differ."""
+    matched in order of angle, then modulus; infinite if their sizes differ.
+
+    ``b`` is ``T^n``'s side, and ``b_angles`` its values' angles.  The
+    constructed map's conjugated side ``a`` is ``b`` itself, value for value
+    in row order, with the same angles, so that the order would match each
+    value with itself: then neither side is sorted.
+    """
     if len(a) != len(b):
         return float("inf")
-    if len(a) == 0:
+    if len(a) == 0 or (a == b and [cmath.phase(z) for z, _ in a] == b_angles):
         return 0.0
 
     def key(pair: tuple[complex, float]) -> tuple[float, float]:

@@ -36,7 +36,6 @@ against the full receiver set.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -312,16 +311,6 @@ def _step(ctx: AugmentedGraphSpec, x: tuple, y: tuple):
     return (u, w), c
 
 
-def reduce_pair(ctx: AugmentedGraphSpec, a: Atom, b: Atom):
-    """One rewrite step on an adjacent atom pair.
-
-    Returns a single replacement atom, ``ZERO`` for an annihilating pair, or
-    ``KEEP`` when no rule applies.  Raises on an atom unknown to ``ctx``.
-    """
-    step = _step(ctx, (_ends(ctx, a), a), (_ends(ctx, b), b))
-    return step[1] if isinstance(step, tuple) else step
-
-
 def normalize_word(ctx: AugmentedGraphSpec, word: Iterable[Atom]):
     """Leftmost-first rewriting to an irreducible word, or ``ZERO``."""
     w = [(_ends(ctx, atom), atom) for atom in word]
@@ -404,13 +393,6 @@ def tail_unitary(ctx: AugmentedGraphSpec, namespace: str, power: int = 1) -> CKT
     return CKTerm.of(NormalMonomial((), power, (), ctx.sink_vertex(namespace)))
 
 
-def term_of_word(ctx: AugmentedGraphSpec, word: Iterable[Atom], coeff=1) -> CKTerm:
-    nf = normalize_word(ctx, word)
-    if nf is ZERO:
-        return CKTerm.zero()
-    return CKTerm.of(monomial_of_word(ctx, nf), coeff)
-
-
 def multiply(a: CKTerm, b: CKTerm, ctx: AugmentedGraphSpec) -> CKTerm:
     """Product in normal form, by concatenating and rewriting monomial words."""
     out: dict[NormalMonomial, GaussianRational] = {}
@@ -453,14 +435,8 @@ def expand_ck3(term: CKTerm, v: str, ctx: AugmentedGraphSpec) -> CKTerm:
 
 
 # ---------------------------------------------------------------------------
-# term grammar: rendering and parsing
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<atom>[pst]\*?)\((?P<id>[^()\s]+)\)(?:\^(?P<exp>-?\d+))?"
-    r"|(?P<num>\d+(?:/\d+)?)(?P<numi>i)?"
-    r"|(?P<i>i)"
-    r"|(?P<op>[+\-()]))"
-)
+# words in the term grammar, for error messages; the grammar itself, its
+# renderer and its parser, is :mod:`afembed.notation`
 
 
 def _power_str(namespace: str, k: int) -> str:
@@ -471,160 +447,3 @@ def _power_str(namespace: str, k: int) -> str:
 def word_to_str(word: Word) -> str:
     """A word in the term grammar, atom by atom."""
     return " ".join(_power_str(a[1], a[2]) if a[0] == "t" else f"{a[0]}({a[1]})" for a in word)
-
-
-def monomial_to_str(m: NormalMonomial, ctx: AugmentedGraphSpec) -> str:
-    if m.is_projection:
-        return f"p({m.source})"
-    parts = [f"s({e})" for e in m.alpha]
-    if m.power:
-        parts.append(_power_str(ctx.sink_namespace(m.source), m.power))
-    parts.extend(f"s*({e})" for e in reversed(m.beta))
-    return " ".join(parts)
-
-
-def term_to_str(term: CKTerm, ctx: AugmentedGraphSpec) -> str:
-    if term.is_zero:
-        return "0"
-    chunks = []
-    for m, c in term.items():
-        ms = monomial_to_str(m, ctx)
-        if c == ONE:
-            chunks.append(ms)
-        else:
-            chunks.append(f"{c} {ms}")
-    return " + ".join(chunks)
-
-
-class TermParseError(ValueError):
-    pass
-
-
-class _TermParser:
-    """Recursive-descent evaluator for the term grammar::
-
-        sum     := ['-'] product (('+' | '-') product)*
-        product := ['-'] factor+
-        factor  := coefficient | atom | '(' sum ')'
-
-    A coefficient is a rational with an optional trailing ``i``, or ``i``;
-    juxtaposed factors multiply.  Only ``t`` and ``t*`` atoms take an
-    integer exponent, and ``t(ns)^0`` is ``p`` at the sink.  Each sum and
-    product evaluates to one value: a :class:`GaussianRational` while it
-    holds no atom, so a parenthesized Gaussian rational such as ``(1+i)``
-    is a coefficient, else a :class:`CKTerm`.  A whole text must be a term
-    or the scalar ``0``; a sum that cancels is the zero term.  Parentheses
-    nest at most ``MAX_NESTING`` deep, so the descent never exhausts the
-    interpreter's stack.
-    """
-
-    MAX_NESTING = 100
-
-    def __init__(self, ctx: AugmentedGraphSpec, text: str):
-        self.ctx = ctx
-        self.tokens = self._tokenize(text) + [None]  # None ends the text
-        self.pos = 0
-
-    @staticmethod
-    def _tokenize(text: str) -> list[tuple[str, object]]:
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise TermParseError(f"unexpected input at position {pos}: {text[pos:pos+20]!r}")
-                break
-            pos = m.end()
-            # a ValueError from int() or Fraction() means more digits than the interpreter reads
-            if m.group("atom"):
-                try:
-                    exp = int(m.group("exp")) if m.group("exp") else 1
-                except ValueError:
-                    atom, digits = f"{m.group('atom')}({m.group('id')})", len(m.group("exp").lstrip("-"))
-                    raise TermParseError(f"exponent of {atom} is too long: {digits} digits") from None
-                tokens.append(("atom", (m.group("atom"), m.group("id"), exp)))
-            elif m.group("num"):
-                try:
-                    frac = Fraction(m.group("num"))
-                except ZeroDivisionError:
-                    raise TermParseError(f"zero denominator in coefficient {m.group('num')!r}") from None
-                except ValueError:
-                    at, digits = m.start("num"), max(len(x) for x in m.group("num").split("/"))
-                    raise TermParseError(f"coefficient at position {at} is too long: {digits} digits") from None
-                if m.group("numi"):
-                    tokens.append(("coeff", GaussianRational(Fraction(0), frac)))
-                else:
-                    tokens.append(("coeff", GaussianRational(frac)))
-            elif m.group("i"):
-                tokens.append(("coeff", GaussianRational(Fraction(0), Fraction(1))))
-            else:
-                tokens.append(("op", m.group("op")))
-        return tokens
-
-    def parse(self) -> CKTerm:
-        value = self.parse_sum(0)
-        if self.tokens[self.pos] is not None:
-            raise TermParseError(f"trailing tokens at {self.pos}")
-        if isinstance(value, CKTerm):
-            return value
-        if value.is_zero:
-            return CKTerm.zero()
-        raise TermParseError("a bare scalar is not a term in a non-unital algebra")
-
-    def parse_sum(self, depth: int) -> GaussianRational | CKTerm:
-        if self.tokens[self.pos] == ("op", "-"):
-            self.pos += 1
-            total = -self.parse_product(depth)
-        else:
-            total = self.parse_product(depth)
-        while (tok := self.tokens[self.pos]) in (("op", "+"), ("op", "-")):
-            self.pos += 1
-            value = self.parse_product(depth)
-            if isinstance(value, CKTerm) is not isinstance(total, CKTerm):
-                raise TermParseError("cannot add a bare scalar to a term")
-            total = total + value if tok == ("op", "+") else total - value
-        return total
-
-    def parse_product(self, depth: int) -> GaussianRational | CKTerm:
-        # The coefficients multiply apart from the terms and scale their
-        # product once, at the end: a zero coefficient must not stand in for
-        # a product of terms that is not a term.
-        start, scalar, term = self.pos, ONE, None
-        if self.tokens[self.pos] == ("op", "-"):  # unary minus, e.g. the coefficient "-i"
-            self.pos += 1
-            scalar = -ONE
-        while (tok := self.tokens[self.pos]) not in (None, ("op", "+"), ("op", "-"), ("op", ")")):
-            self.pos += 1
-            kind, factor = tok
-            if kind == "atom":
-                factor = self._atom_term(*factor)
-            elif kind == "op":  # "(", the only operator that opens a factor
-                if depth >= self.MAX_NESTING:
-                    raise TermParseError(f"parentheses nested deeper than {self.MAX_NESTING}")
-                factor = self.parse_sum(depth + 1)
-                if self.tokens[self.pos] != ("op", ")"):
-                    raise TermParseError("unbalanced parenthesis")
-                self.pos += 1
-            if isinstance(factor, CKTerm):
-                term = factor if term is None else multiply(term, factor, self.ctx)
-            else:
-                scalar = scalar * factor
-        if self.pos == start:
-            raise TermParseError("empty product")
-        return scalar if term is None else term.scale(scalar)
-
-    def _atom_term(self, sym: str, name: str, exp: int) -> CKTerm:
-        if sym in ("t", "t*"):
-            return tail_unitary(self.ctx, name, exp if sym == "t" else -exp)
-        if sym not in ("p", "s", "s*"):
-            raise TermParseError(f"unknown atom {sym!r}")
-        if exp != 1:
-            raise TermParseError("exponents are only supported on t atoms")
-        if sym == "p":
-            return projection(self.ctx, name)
-        return isometry(self.ctx, name) if sym == "s" else adjoint(isometry(self.ctx, name))
-
-
-def parse_term(text: str, ctx: AugmentedGraphSpec) -> CKTerm:
-    return _TermParser(ctx, text.strip()).parse()

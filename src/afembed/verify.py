@@ -39,7 +39,7 @@ from typing import Callable, Collection, Hashable, Iterator, Mapping, TypeVar
 
 from .embedding import AugmentedGraphSpec, GeneratorMap
 from .graph import Graph
-from .loops import EntranceWitness, validate_witness
+from .loops import EntranceWitness
 from .terms import CKTerm, NormalMonomial, UnrepresentableTermError, adjoint, expand_ck3, isometry, multiply, projection
 
 X = TypeVar("X")
@@ -292,6 +292,8 @@ def verify_ck_family(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> RelationRe
 def verify_witness(w: EntranceWitness, g: Graph) -> RelationReport:
     """Prove the algebraic content of the infinite-projection chain: a
     report of three rows of its own, over no graph."""
+    from .witness import validate_witness
+
     validate_witness(g, w)
     ctx = AugmentedGraphSpec(g, ())
     # the loop ``(e_n, ..., e_1)`` is a path from its base to its base

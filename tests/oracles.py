@@ -16,16 +16,20 @@ relation catalogue that multiplies out every CK2 pair, the loop residuals
 ``co-iso`` and ``iso`` formed as products of their own (with the
 production operator products: only which products are formed is under
 test), the column norm that merged the whole operator, the tail power
-that multiplied ``T`` out ``|k| - 1`` times, the piece product that
+that multiplied ``T`` out ``|k| - 1`` times, the spectrum check that
+sorted both multisets by a Python key and took every phase twice, the
+piece product that
 always joined on a table of source positions, the adjoint that always
 sorted by target, the compression to a boolean mask and the subtraction
 that multiplied by -1 first, and the frozen dataclasses the value types
 were before they were written by hand.  ``toarray`` is the dense matrix
-the package once formed for its tests.
+the package once formed for its tests, and ``reduce_pair`` and
+``term_of_word`` are the two term helpers it held for them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from array import array
@@ -49,19 +53,21 @@ from afembed.graph import (
 from afembed.embedding import AugmentedGraphSpec, BratteliTailSpec, MultiplicitySeq
 from afembed.loops import EntranceWitness, SimpleLoop, Verdict
 from afembed.numrep import _NO_PIECE, Operator, Piece, TruncatedRep, _merge, _mul, _same_entries, _take, op_of_term
+from afembed.notation import _TOKEN_RE, TermParseError
 from afembed.terms import (
-    _TOKEN_RE,
     KEEP,
     ONE,
     ZERO,
     CKTerm,
     GaussianRational,
-    TermParseError,
+    _ends,
+    _step,
     adjoint,
     isometry,
+    monomial_of_word,
     multiply,
+    normalize_word,
     projection,
-    reduce_pair,
     tail_unitary,
 )
 
@@ -99,7 +105,7 @@ def loop_of(g: Graph, traversal: Iterable[str]) -> SimpleLoop:
 def backtracking_cycle_through(g: Graph, v: str) -> SimpleLoop:
     """First simple cycle through ``v`` found by backtracking DFS, edges in id order.
 
-    The reference for :func:`afembed.loops.simple_cycle_through`, which must
+    The reference for :func:`afembed.witness.simple_cycle_through`, which must
     return the same loop visiting each vertex once.  Exponential on a ladder of
     diamonds that dead-ends, so keep the inputs small.
     """
@@ -239,6 +245,29 @@ def oracle_has_entrance(g: Graph) -> bool:
     return oracle_classify(g) is Verdict.NOT_FINITE
 
 
+# ---------------------------------------------------------------------------
+# Two functions ``afembed.terms`` held although only tests called them, kept
+# verbatim but for their atom annotations: one rewrite step on an atom pair,
+# through the engine's own step, and the term of a word.
+
+
+def reduce_pair(ctx: AugmentedGraphSpec, a: tuple, b: tuple):
+    """One rewrite step on an adjacent atom pair.
+
+    Returns a single replacement atom, ``ZERO`` for an annihilating pair, or
+    ``KEEP`` when no rule applies.  Raises on an atom unknown to ``ctx``.
+    """
+    step = _step(ctx, (_ends(ctx, a), a), (_ends(ctx, b), b))
+    return step[1] if isinstance(step, tuple) else step
+
+
+def term_of_word(ctx: AugmentedGraphSpec, word: Iterable[tuple], coeff=1) -> CKTerm:
+    nf = normalize_word(ctx, word)
+    if nf is ZERO:
+        return CKTerm.zero()
+    return CKTerm.of(monomial_of_word(ctx, nf), coeff)
+
+
 def all_order_normal_forms(ctx: AugmentedGraphSpec, word: tuple) -> set:
     """Every normal form reachable by any sequence of rewrite choices.
 
@@ -281,7 +310,7 @@ def _unique_receiver(ctx: AugmentedGraphSpec, v: str) -> str | None:
 def reference_reduce_pair(ctx: AugmentedGraphSpec, a: tuple, b: tuple):
     """The rewrite step as a table of all sixteen atom-tag pairs.
 
-    The reference for :func:`afembed.terms.reduce_pair`, which states the
+    The reference for :func:`reduce_pair`, which states the
     boundary rule once; both must agree on every pair of valid atoms.
     Atoms are not validated here.
     """
@@ -655,7 +684,7 @@ def reference_materialize(spec, depth: int) -> Graph:
     return Graph.build(vertices, edges)
 
 
-# ``terms._TermParser`` and ``terms.parse_term`` before the parser returned
+# ``notation._TermParser`` and ``notation.parse_term`` before the parser returned
 # one value per sum and product, kept verbatim but for the two names.
 
 
@@ -903,6 +932,47 @@ def reference_tail_power(rep: TruncatedRep, namespace: str, k: int) -> Operator:
     for _ in range(abs(k) - 1):
         out = out @ base
     return out
+
+
+def reference_circle_hausdorff(values, radial: float) -> float:
+    """``numrep._circle_hausdorff`` before it took the angles that
+    ``loop_spectrum`` forms once, kept verbatim: it takes each value's phase."""
+    angles = sorted(map(cmath.phase, values))
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    gaps.append(angles[0] + 2 * math.pi - angles[-1])
+    return max(radial, 2.0 * math.sin(max(gaps) / 4.0))
+
+
+def reference_multiset_mismatch(a: list[tuple[complex, float]], b: list[tuple[complex, float]]) -> float:
+    """``numrep._multiset_mismatch`` before it took ``T^n``'s side with its
+    moduli and angles, kept verbatim: both multisets of ``(value, modulus)``
+    pairs sorted by a Python key."""
+    if len(a) != len(b):
+        return float("inf")
+    if len(a) == 0:
+        return 0.0
+
+    def key(pair: tuple[complex, float]) -> tuple[float, float]:
+        # the angle rounded to 9 decimals as numpy rounds it, then the modulus
+        return round(cmath.phase(pair[0]) * 1e9) / 1e9, pair[1]
+
+    return max(math.hypot(x.real - y.real, x.imag - y.imag) for (x, _), (y, _) in zip(sorted(a, key=key), sorted(b, key=key)))
+
+
+def reference_spectrum_distances(rep: TruncatedRep, report) -> tuple[float, float]:
+    """``hausdorff_to_circle`` and ``conjugation_mismatch`` of a
+    ``loop_spectrum`` report, as ``loop_spectrum`` formed them with the two
+    functions above from the eigenvalues the report holds."""
+    evals = report.eigenvalues
+    moduli = [math.hypot(z.real, z.imag) for z in evals]
+    radial = max(abs(m - 1.0) for m in moduli)
+    conj_nonzero = [(z, math.hypot(z.real, z.imag)) for z in report.conjugated_nonzero]
+    ns = rep.spec.replacement_for(report.loop).tail.namespace
+    shallow = sum(len(level) for level in rep.corner_levels[ns][: rep.depth])
+    return (
+        reference_circle_hausdorff(evals, radial),
+        reference_multiset_mismatch(conj_nonzero, list(zip(evals[:shallow], moduli))),
+    )
 
 
 def toarray(op: Operator):

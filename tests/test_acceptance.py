@@ -21,11 +21,10 @@ from afembed.terms import (
     NormalMonomial,
     adjoint,
     multiply,
-    term_of_word,
 )
 from afembed.verify import verify_witness
 
-from .oracles import oracle_classify, toarray
+from .oracles import oracle_classify, term_of_word, toarray
 from .strategies import (
     random_condition5_graph,
     random_entrance_graph,

@@ -15,6 +15,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from afembed import cli, loops
+from afembed import witness as witness_mod
 from afembed.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_FINITE,
@@ -23,11 +24,13 @@ from afembed.cli import (
     entry_point,
     main,
 )
-from afembed.embedding import MAX_STAGE_SIZE, embed, genmap_to_text
-from afembed.graph import Edge, Graph, GraphError, _check_token, graph_to_dict, load_graph, serialize_graph
+from afembed.embedding import MAX_STAGE_SIZE, embed
+from afembed.formats import graph_to_dict, serialize_graph
+from afembed.graph import Edge, Graph, GraphError, _check_token, load_graph
 from afembed.loops import EntranceExistsError, Verdict, classify
+from afembed.notation import TermParseError, genmap_to_text, parse_term
 from afembed.numrep import MAX_DENSE_SUPPORT
-from afembed.terms import ContextMismatchError, TermParseError, parse_term
+from afembed.terms import ContextMismatchError
 from afembed.verify import Catalogue
 
 from .conftest import SQUARE_TEXT
@@ -134,14 +137,14 @@ class TestWitnessCheckedOnce:
     @pytest.mark.parametrize("command", ["classify", "embed"])
     def test_classifier_witness_is_not_checked_again(self, command, outdir, monkeypatch):
         checked = []
-        real = loops.validate_witness
-        monkeypatch.setattr(loops, "validate_witness", lambda g, w: checked.append(w) or real(g, w))
+        real = witness_mod.validate_witness
+        monkeypatch.setattr(witness_mod, "validate_witness", lambda g, w: checked.append(w) or real(g, w))
         code, out = run_cli([command, "--input", str(GOLDEN / "square_plus_entrance.txt"), "--format", "json"])
         assert code == EXIT_NOT_FINITE and "s*(x) s(x) = p(w)" in out
         assert checked == []
         # the counter sees the check where it does run: a witness a caller brings
         g = load_graph((GOLDEN / "square_plus_entrance.txt").read_text())
-        loops.witness_infinite(g, classify(g).witness)
+        witness_mod.witness_infinite(g, classify(g).witness)
         assert len(checked) == 1
 
 
@@ -190,7 +193,7 @@ def _reference_lines(rec: dict) -> dict[str, str]:
 
 def _reference_chain_lines(w) -> tuple[str, ...]:
     """The witness chain written out line by line: the reference for the
-    fragments of ``loops._chain_fragments``."""
+    fragments of ``witness._chain_fragments``."""
     v, alpha, beta = w.entry_vertex, w.alpha, w.beta
     a = " ".join(f"s({e})" for e in w.loop.edges)
     a_star = " ".join(f"s*({e})" for e in reversed(w.loop.edges))
@@ -297,7 +300,7 @@ class TestRecordWriter:
     @settings(max_examples=80, deadline=None)
     def test_witness_records_equal_the_encoder(self, w):
         lines = _reference_chain_lines(w)
-        assert tuple(map("".join, loops._chain_fragments(w))) == lines
+        assert tuple(map("".join, witness_mod._chain_fragments(w))) == lines
         witness = {
             "record": "witness",
             "entry_vertex": w.entry_vertex,

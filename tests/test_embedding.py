@@ -12,14 +12,13 @@ from afembed.embedding import (
     NamespaceCollisionError,
     _pick_namespaces,
     embed,
-    genmap_from_text,
-    genmap_to_text,
     materialize,
-    spec_to_dict,
 )
-from afembed.graph import Graph, GraphError, graph_from_dict, graph_to_dict, load_graph, named_edges, parse_graph
+from afembed.formats import graph_from_dict, graph_to_dict
+from afembed.graph import Graph, GraphError, load_graph, named_edges, parse_graph
 from afembed.loops import SimpleLoop, cycle_vertices, disjoint_simple_loops
-from afembed.terms import ContextMismatchError, NormalMonomial, parse_term
+from afembed.notation import genmap_from_text, genmap_to_text, parse_term, spec_to_dict
+from afembed.terms import ContextMismatchError, NormalMonomial
 
 from .conftest import growth_ratio
 from .oracles import count_paths_with_range, reference_materialize

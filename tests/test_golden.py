@@ -250,32 +250,107 @@ def test_embed_and_export_need_no_numpy(command, tmp_path, monkeypatch):
 # ``export --format json`` load
 DEFERRED = ("afembed.terms", "afembed.embedding", "afembed.verify", "afembed.numrep", "fractions", "decimal", "json")
 
+# every request loads the package, the command line, the graph model and the loop analysis
+STRUCTURE = {"afembed", "afembed.cli", "afembed.graph", "afembed.loops"}
+# ``verify`` imports the numeric stage before any stage runs, and with it these
+NUMERIC = STRUCTURE | {"afembed.terms", "afembed.embedding", "afembed.verify", "afembed.numrep"}
+# the ``afembed`` modules of each request, in a fresh interpreter, and its exit code:
+# ``formats`` writes graphs and reads JSON ones, ``witness`` finds an entrance's
+# loop, and ``notation`` writes and reads terms, maps and specs
+MODULE_SETS = {
+    "classify": (["classify", "--input", "@square.txt"], 0, STRUCTURE),
+    "classify an entrance": (["classify", "--input", "@square_plus_entrance.txt"], 3, STRUCTURE | {"afembed.witness"}),
+    "loops": (["loops", "--input", "@square.txt"], 0, STRUCTURE),
+    "loops an entrance": (["loops", "--input", "@square_plus_entrance.txt"], 3, STRUCTURE | {"afembed.witness"}),
+    "export text": (["export", "--input", "@square.txt", "--format", "text"], 0, STRUCTURE | {"afembed.formats"}),
+    "export dot": (["export", "--input", "@square.txt", "--format", "dot"], 0, STRUCTURE | {"afembed.formats"}),
+    "export json": (["export", "--input", "@square.txt", "--format", "json"], 0, STRUCTURE | {"afembed.formats"}),
+    "embed": (
+        ["embed", "--input", "@square.txt"],
+        0,
+        STRUCTURE | {"afembed.terms", "afembed.embedding", "afembed.notation", "afembed.formats"},
+    ),
+    "embed an entrance": (
+        ["embed", "--input", "@square_plus_entrance.txt"],
+        3,
+        STRUCTURE | {"afembed.terms", "afembed.embedding", "afembed.witness"},
+    ),
+    "verify": (["verify", "--input", "@square.txt"], 0, NUMERIC),
+    "verify a JSON graph": (["verify", "--input", "@cycles_dag.json"], 0, NUMERIC | {"afembed.formats"}),
+    "verify an entrance": (["verify", "--input", "@square_plus_entrance.txt"], 3, NUMERIC | {"afembed.witness"}),
+    "verify --map": (
+        ["verify", "--input", "@square.txt", "--map", "@square_fswap.genmap.txt"],
+        2,
+        NUMERIC | {"afembed.notation"},
+    ),
+}
+
 
 def test_structure_commands_never_import_numrep(tmp_path):
-    """``classify``, ``loops`` and ``export`` load only ``graph`` and
-    ``loops``, and on a text graph no ``json`` unless ``export`` writes
-    JSON; ``embed`` adds ``terms``, ``embedding`` and ``json``; only
-    ``verify`` imports the verifier and the numeric stage."""
-    argvs = [resolve([cmd, "--input", "@square.txt"]) for cmd in ("classify", "loops")]
-    argvs += [resolve(["export", "--input", "@square.txt", "--format", fmt]) for fmt in ("text", "dot")]
-    code = (
-        "import sys\n"
-        "from afembed.cli import main\n"
-        f"deferred = {DEFERRED!r}\n"
-        "assert not sys.modules.keys() & set(deferred), sorted(sys.modules.keys() & set(deferred))\n"
-        f"for argv in {argvs!r}:\n"
-        "    assert main(argv) == 0, argv\n"
-        "    assert not sys.modules.keys() & set(deferred), (argv, sorted(sys.modules.keys() & set(deferred)))\n"
-        f"assert main({resolve(['export', '--input', '@square.txt'])!r}) == 0\n"
-        "assert not sys.modules.keys() & set(deferred) - {'json'}, sorted(sys.modules.keys() & set(deferred))\n"
-        f"assert main({resolve(['embed', '--input', '@square.txt'])!r}) == 0\n"
-        "assert sys.modules.keys() >= {'afembed.embedding', 'json'}\n"
-        "assert not sys.modules.keys() & {'afembed.verify', 'afembed.numrep'}\n"
-    )
+    """Each request loads exactly the ``afembed`` modules it runs, in a
+    fresh interpreter: ``classify``, ``loops`` and ``export`` no term
+    engine, embedding, verifier or numeric stage, and on a text graph no
+    ``json`` unless ``export`` writes JSON; a constructed-map ``verify``
+    none of the graph writers, the witness search or the term grammar."""
     env = dict(child_env(), AFEMBED_OUTPUT_DIR=str(tmp_path))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")[-500:]
+    loaded = {}
+    for name, (argv, expected, _) in MODULE_SETS.items():
+        code = (
+            "import io, sys\n"
+            "from afembed.cli import main\n"
+            f"code = main({resolve(argv)!r}, out=io.StringIO())\n"
+            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'afembed' or m in %r))\n" % (DEFERRED,)
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")[-500:]
+        exit_code, *modules = proc.stdout.decode().split()
+        assert int(exit_code) == expected, name
+        loaded[name] = set(modules)
+    assert {name: {m for m in modules if m.split(".")[0] == "afembed"} for name, modules in loaded.items()} == {
+        name: modules for name, (_, _, modules) in MODULE_SETS.items()
+    }
+    for name in ("classify", "classify an entrance", "loops", "loops an entrance", "export text", "export dot"):
+        assert not loaded[name] & set(DEFERRED), name
+    assert loaded["export json"] & set(DEFERRED) == {"json"}
     assert len(list(tmp_path.iterdir())) == 4  # embed ran and wrote its artifacts
+
+
+# the names that left the modules a constructed-map ``verify`` loads, each
+# with the module that now holds it; the package still exports the public ones
+MOVED = {
+    "afembed.notation": (
+        "_TOKEN_RE", "monomial_to_str", "term_to_str", "TermParseError", "_TermParser", "parse_term",
+        "genmap_to_text", "genmap_from_text", "spec_to_dict",
+    ),
+    "afembed.formats": ("serialize_graph", "graph_to_dict", "export_dot", "_dot_quote", "graph_from_dict", "parse_graph_json"),
+    "afembed.witness": ("_cycle_through", "simple_cycle_through", "validate_witness", "witness_infinite", "_chain_fragments"),
+}
+
+
+def test_every_moved_name_imports_from_afembed():
+    """Each moved name is defined in its new module; each that the package
+    exported before the move still imports from ``afembed``, as the same
+    object, and ``import afembed`` loads none of the new modules."""
+    code = (
+        "import importlib, sys\n"
+        "import afembed\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('afembed')))\n"
+        f"for module, names in {MOVED!r}.items():\n"
+        "    for name in names:\n"
+        "        value = getattr(importlib.import_module(module), name)\n"
+        "        assert not hasattr(value, '__qualname__') or value.__module__ == module, (module, name)\n"
+        "        if name in afembed._LAZY:\n"
+        "            assert getattr(afembed, name) is value, name\n"
+        f"print(*sorted(n for names in {MOVED!r}.values() for n in names if n in afembed._LAZY))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")[-500:]
+    package, exported = proc.stdout.decode().splitlines()
+    assert package.split() == ["afembed", "afembed.graph", "afembed.loops"]
+    assert exported.split() == sorted(
+        ["export_dot", "graph_from_dict", "graph_to_dict", "parse_graph_json", "serialize_graph", "witness_infinite"]
+        + ["parse_term", "term_to_str"]
+    )
 
 
 # ``dataclasses`` and what it loads to generate its methods; the package

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import afembed.graph as graph_module
 from afembed import cli
+from afembed.formats import export_dot, graph_from_dict, graph_to_dict, parse_graph_json, serialize_graph
 from afembed.graph import (
     Graph,
     GraphError,
@@ -23,13 +24,8 @@ from afembed.graph import (
     UndeclaredEndpointError,
     UnknownVertexError,
     _check_token,
-    export_dot,
-    graph_from_dict,
-    graph_to_dict,
     load_graph,
     parse_graph,
-    parse_graph_json,
-    serialize_graph,
 )
 
 from .oracles import SetGraph, reference_parse_graph, set_graph_from_dict, set_parse_graph, string_parse_graph

@@ -16,11 +16,9 @@ from afembed.loops import (
     classify,
     cycle_vertices,
     disjoint_simple_loops,
-    simple_cycle_through,
-    validate_witness,
-    witness_infinite,
 )
 from afembed.verify import RelationStatus, verify_witness
+from afembed.witness import simple_cycle_through, validate_witness, witness_infinite
 
 from .conftest import SQUARE_TEXT, growth_ratio
 from .oracles import (
@@ -154,6 +152,7 @@ class TestClassify:
     def test_one_analysis_per_call(self, square_plus_entrance, monkeypatch):
         """A not-finite verdict runs the SCC pass once and the cycle search once."""
         import afembed.loops as loops_mod
+        import afembed.witness as witness_mod
 
         calls = {"scc": 0, "cycle": 0}
 
@@ -166,7 +165,7 @@ class TestClassify:
 
         # the int-level routines behind cycle_vertices and simple_cycle_through
         monkeypatch.setattr(loops_mod, "_on_cycle", counted("scc", loops_mod._on_cycle))
-        monkeypatch.setattr(loops_mod, "_cycle_through", counted("cycle", loops_mod._cycle_through))
+        monkeypatch.setattr(witness_mod, "_cycle_through", counted("cycle", witness_mod._cycle_through))
         cls = classify(square_plus_entrance)
         assert cls.verdict is Verdict.NOT_FINITE
         assert calls == {"scc": 1, "cycle": 1}

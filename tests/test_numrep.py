@@ -1,3 +1,4 @@
+import cmath
 import math
 import struct
 from pathlib import Path as FsPath
@@ -13,16 +14,17 @@ from afembed.embedding import (
     MultiplicitySeq,
     StageTooLargeError,
     embed,
-    genmap_from_text,
-    genmap_to_text,
     materialize,
 )
 from afembed.graph import Graph, Path, load_graph
 from afembed.loops import Verdict, classify
+from afembed.notation import genmap_from_text, genmap_to_text
 from afembed.numrep import (
     _basis_rows,
     _tail_phase,
     _compress,
+    _level_phases,
+    _multiset_mismatch,
     _tail_power,
     DenseSpectrumTooLargeError,
     Operator,
@@ -30,12 +32,13 @@ from afembed.numrep import (
     Piece,
     RepresentationError,
     build_rep,
+    loop_product,
     loop_spectrum,
     op_of_term,
     relation_residuals,
     spectral_net_bound,
 )
-from afembed.terms import NormalMonomial, CKTerm, term_of_word
+from afembed.terms import NormalMonomial, CKTerm
 
 from .conftest import growth_ratio
 from .oracles import (
@@ -47,8 +50,11 @@ from .oracles import (
     reference_difference,
     reference_frobenius,
     reference_loop_entries,
+    reference_multiset_mismatch,
+    reference_spectrum_distances,
     reference_tail_power,
     sorted_path_basis,
+    term_of_word,
     toarray,
 )
 from .strategies import condition5_graphs, multigraphs
@@ -507,6 +513,28 @@ class TestExactArithmetic:
             theirs = [complex(np.exp(2j * np.pi * j / n)) for j in range(n)]
             assert list(map(_bits, ours)) == list(map(_bits, theirs)), n
 
+    @pytest.mark.parametrize("mult, depth", [("2", 12), ("3", 7), ("3,3;2", 10)])
+    def test_tail_phases_are_the_per_row_phases(self, self_loop, mult, depth):
+        """``T``'s phases are ``_tail_phase(j, N_k)`` row by row, bit for bit:
+        a level below a doubling takes the next level's phases at stride 2,
+        and a level below a tripling forms its own, whose phases would differ
+        from the next level's at stride 3."""
+        spec, _ = embed(self_loop, MultiplicitySeq.parse(mult))
+        rep = build_rep(spec, depth)
+        sizes = [len(level) for level in rep.corner_levels["T1"]]
+        assert sizes == MultiplicitySeq.parse(mult).level_sizes(depth)
+        per_row = [_tail_phase(j, n) for n in sizes for j in range(n)]
+        assert list(map(_bits, rep.T["T1"].pieces[0].phase)) == list(map(_bits, per_row))
+        if "3" in mult:
+            strided = [_tail_phase(3 * j, 3 * n) for n in sizes[:3] for j in range(n)]
+            assert list(map(_bits, strided)) != list(map(_bits, per_row[: len(strided)]))
+
+    def test_level_phases_take_strides_of_any_power_of_two(self):
+        """Levels that grow by 1, 2, 4 or 8 at a time, and by 3 or 6 between them."""
+        for sizes in ([1, 2, 8, 8, 64], [1, 3, 12, 24, 24, 192], [1, 6, 6, 18, 36]):
+            per_row = [_tail_phase(j, n) for n in sizes for j in range(n)]
+            assert list(map(_bits, _level_phases(sizes))) == list(map(_bits, per_row)), sizes
+
     @given(complexes, complexes)
     @settings(max_examples=500, deadline=None)
     def test_python_product_is_the_separate_multiply_formula(self, a, b):
@@ -649,6 +677,70 @@ def overlapping_operators(draw, dim=5):
     return Operator(dim, tuple(pieces))
 
 
+# values with their ties: roots of unity of several orders, the same angle
+# reached by a product, signed zeros at angles 0 and pi, and moduli off 1 by an ulp
+_SPECTRAL_VALUES = st.sampled_from(
+    [cmath.exp(2j * math.pi * k / 8) for k in range(8)]
+    + [cmath.exp(2j * math.pi * k / 4) ** 2 for k in range(4)]
+    + [complex(-1.0, 0.0), complex(-1.0, -0.0), complex(1.0, -0.0), complex(math.nextafter(1.0, 2.0), 0.0)]
+    + [complex(0.0, 1.0), complex(-0.0, 1.0), 0.75 + 0.25j]
+)
+
+
+class TestSpectrumDistances:
+    """``hausdorff_to_circle`` and ``conjugation_mismatch`` keep their bits:
+    the angles are taken once, and a conjugated side that is ``T^n``'s
+    values in row order, as the constructed map's is, is matched without a
+    sort.  The oracles sort both sides by a Python key, as before."""
+
+    @staticmethod
+    def distances(report):
+        return report.hausdorff_to_circle.hex(), report.conjugation_mismatch.hex()
+
+    @pytest.mark.parametrize("g, depth, mult, map_path", _golden_verify_runs())
+    def test_the_goldens(self, g, depth, mult, map_path):
+        spec, gmap = embed(g, mult)
+        if map_path:
+            gmap = genmap_from_text(FsPath(map_path).read_text(encoding="utf-8"), spec)
+        rep = build_rep(spec, depth)
+        for loop_rep in spec.replacements:
+            report = loop_spectrum(rep, loop_rep.loop, gmap)
+            assert self.distances(report) == tuple(x.hex() for x in reference_spectrum_distances(rep, report))
+
+    @pytest.mark.parametrize("mult, depth", [("2", 11), ("3", 6), ("3,3;2", 8)])
+    def test_deep_constructed_maps(self, square, mult, depth):
+        spec, gmap = embed(square, MultiplicitySeq.parse(mult))
+        rep = build_rep(spec, depth)
+        report = loop_spectrum(rep, spec.replacements[0].loop, gmap)
+        assert self.distances(report) == tuple(x.hex() for x in reference_spectrum_distances(rep, report))
+
+    @given(family=summed_loop_maps())
+    @settings(max_examples=40, deadline=None)
+    def test_summed_maps(self, family):
+        spec, gmap, depth = family
+        rep = build_rep(spec, depth)
+        for loop_rep in spec.replacements:
+            report = loop_spectrum(rep, loop_rep.loop, gmap)
+            assert self.distances(report) == tuple(x.hex() for x in reference_spectrum_distances(rep, report))
+
+    @given(st.lists(_SPECTRAL_VALUES, max_size=12), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_multisets_with_ties(self, values, data):
+        """The conjugated side is ``values`` itself, a permutation of them,
+        the same values with each zero part's sign flipped, or other values
+        of the same number: values equal but for a signed zero, whose angles
+        may be pi and -pi, are matched by the sort."""
+        values = tuple(values)
+        flipped = tuple(complex(-z.real if z.real == 0 else z.real, -z.imag if z.imag == 0 else z.imag) for z in values)
+        conjugated = data.draw(st.sampled_from([values, tuple(reversed(values)), flipped]) | st.permutations(values))
+        conjugated = data.draw(st.just(conjugated) | st.lists(_SPECTRAL_VALUES, min_size=len(values), max_size=len(values)))
+        a = [(z, math.hypot(z.real, z.imag)) for z in conjugated]
+        b = [(z, math.hypot(z.real, z.imag)) for z in values]
+        got = _multiset_mismatch(a, b, [cmath.phase(z) for z, _ in b])
+        assert got.hex() == reference_multiset_mismatch(a, b).hex()
+        assert _multiset_mismatch(a, b + [(1j, 1.0)], [0.0] * (len(b) + 1)) == math.inf
+
+
 class TestSharedProducts:
     """Each numeric product of ``verify`` is formed once: a loop's
     ``co-iso`` and ``iso`` residuals are read off the CK instances that
@@ -708,6 +800,37 @@ class TestSharedProducts:
         for loop_rep in spec.replacements:
             loop_spectrum(rep, loop_rep.loop, gmap)
         assert calls == 99
+
+    def test_a_self_loop_closes_on_its_image(self, monkeypatch):
+        """A 1-edge loop's ``LOOP:power`` closed side ``S[f_1] T S[f_1]*`` is
+        its image, which the stage holds: 200 self-loops at depth 2 take 7
+        products each, 2 for the image, 1 each for CK1, CK2 and CK3 and 2 for
+        ``TAIL``, and the spectrum none; forming the closed side again took
+        2 more each.  The residual is the one the two products give."""
+        n = 200
+        g = Graph.build([f"v{i}" for i in range(n)], [(f"e{i}", f"v{i}", f"v{i}") for i in range(n)])
+        spec, gmap = embed(g)
+        rep = build_rep(spec, 2)
+        calls = 0
+        matmul = Operator.__matmul__
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return matmul(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Operator, "__matmul__", counting)
+            report = relation_residuals(rep, gmap)
+            for loop_rep in spec.replacements:
+                loop_spectrum(rep, loop_rep.loop, gmap)
+        assert calls == 7 * n
+        power = dict(report.entries)
+        for loop_rep in spec.replacements:
+            f_1 = rep.S[loop_rep.f_edge_for(1)]
+            closed = f_1 @ (rep.T[loop_rep.tail.namespace] @ f_1.adjoint())
+            value = loop_product(rep, loop_rep.loop, gmap).frobenius(rep.interior, minus=closed)
+            assert power[f"LOOP[{loop_rep.loop.edges[0]}]:power"].hex() == value.hex()
 
     def test_the_stage_forms_each_image_once(self, square, monkeypatch):
         """After ``relation_residuals`` the stage holds exactly the map's

@@ -11,9 +11,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from afembed.embedding import GeneratorMap, embed, genmap_from_text, genmap_to_text
+from afembed.embedding import GeneratorMap, embed
 from afembed.graph import Frozen, load_graph
 from afembed.loops import Classification, classify
+from afembed.notation import genmap_from_text, genmap_to_text
 from afembed.numrep import (
     Operator,
     PathBasis,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from afembed.embedding import AugmentedGraphSpec, MultiplicitySeq, embed, materialize
 from afembed.graph import parse_graph
+from afembed.notation import TermParseError, _TermParser, parse_term, term_to_str
 from afembed.terms import (
     KEEP,
     ZERO,
@@ -15,28 +16,24 @@ from afembed.terms import (
     ContextMismatchError,
     GaussianRational,
     NormalMonomial,
-    TermParseError,
     UnrepresentableTermError,
-    _TermParser,
     adjoint,
     expand_ck3,
     isometry,
     monomial_of_word,
     multiply,
     normalize_word,
-    parse_term,
     projection,
-    reduce_pair,
     tail_unitary,
-    term_of_word,
-    term_to_str,
 )
 
 from .oracles import (
     all_order_normal_forms,
+    reduce_pair,
     reference_normalize_word,
     reference_parse_term,
     reference_reduce_pair,
+    term_of_word,
 )
 
 

@@ -9,9 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afembed import numrep, verify
-from afembed.embedding import AugmentedGraphSpec, GeneratorMap, MultiplicitySeq, embed, genmap_from_text, genmap_to_text
+from afembed import witness as witness_mod
+from afembed.embedding import AugmentedGraphSpec, GeneratorMap, MultiplicitySeq, embed
 from afembed.graph import load_graph, parse_graph
 from afembed.loops import EntranceExistsError, EntranceWitness, classify
+from afembed.notation import genmap_from_text, genmap_to_text
 from afembed.numrep import Operator, build_rep, last_edges, op_of_term, relation_residuals
 from afembed.terms import (
     NormalMonomial,
@@ -19,11 +21,10 @@ from afembed.terms import (
     adjoint,
     multiply,
     projection,
-    term_of_word,
 )
 from afembed.verify import Catalogue, RelationStatus, ck_instances, left_ends, verify_ck_family, verify_witness
 
-from .oracles import all_order_normal_forms, reference_ck_instances
+from .oracles import all_order_normal_forms, reference_ck_instances, term_of_word
 from .strategies import condition5_graphs, entrance_graphs, multigraphs
 from .test_golden import GOLDEN
 
@@ -136,7 +137,7 @@ class TestVerifyWitness:
         g = two_self_loops
         w = classify(g).witness
         bad = EntranceWitness(w.loop, g.edge(w.loop.edges[0]))
-        with mock.patch.object(verify, "validate_witness", lambda g, w: None):
+        with mock.patch.object(witness_mod, "validate_witness", lambda g, w: None):
             report = verify_witness(bad, g)
         assert not report.all_proved and len(report.checks) == 3
         (failed,) = report.failures()
