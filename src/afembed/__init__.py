@@ -39,7 +39,7 @@ _LAZY = {
     "RelationReport": "verify",
     "RelationStatus": "verify",
     "verify_ck_family": "verify",
-    "verify_witness": "verify",
+    "verify_witness": "witness",
     "PathBasis": "numrep",
     "SpectrumReport": "numrep",
     "TruncatedRep": "numrep",

@@ -17,8 +17,8 @@ with positive indices written without leading zeros.
 The augmented graph is conceptually infinite in the tail direction.
 :class:`AugmentedGraphSpec` is its one description: the input graph E, as
 indexed when it was read, plus the replacements of its loops.  The spec is
-the rewriting engine's only context: it answers endpoints and full
-receiver sets lazily, which is what the symbolic rewriting needs, the
+the term engine's only context: it answers endpoints and full
+receiver sets lazily, which is what the symbolic product needs, the
 relation catalogues are stated over its E, and :func:`materialize` cuts
 the finite stage ``F_d`` from its tables.
 """
@@ -177,7 +177,7 @@ class AugmentedGraphSpec:
     """The replaced graph: the input graph ``graph``, E, and the
     ``replacements`` of its loops by tails.
 
-    It is the one context the rewriting engine reads, and it answers for
+    It is the one context the term engine reads, and it answers for
     the full graph the algebra lives over: E with each replaced loop's
     edges removed, plus the tails, whose levels are resolved lazily by
     parsing generated ids against each tail's namespace.  ``receivers``
@@ -228,7 +228,7 @@ class AugmentedGraphSpec:
             raise KeyError(f"loop {loop.edges!r} is not among the replacements")
         return rep
 
-    # --- the rewriting context -------------------------------------------------
+    # --- the term engine's context ---------------------------------------------
 
     def _tail_level(self, v: str) -> tuple[BratteliTailSpec, int]:
         """The tail and level of a generated vertex; level 0 is the sink."""

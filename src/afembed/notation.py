@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .embedding import AugmentedGraphSpec, GeneratorMap
 from .graph import named_edges
-from .terms import ONE, CKTerm, GaussianRational, NormalMonomial, _power_str, adjoint, isometry, multiply, projection, tail_unitary
+from .terms import ONE, CKTerm, GaussianRational, NormalMonomial, adjoint, isometry, multiply, projection, tail_unitary
 
 
 _TOKEN_RE = re.compile(
@@ -24,6 +24,11 @@ _TOKEN_RE = re.compile(
     r"|(?P<i>i)"
     r"|(?P<op>[+\-()]))"
 )
+
+
+def _power_str(namespace: str, k: int) -> str:
+    """``t(ns)^k``, or ``t*(ns)^-k`` for negative ``k``; a power of one without its exponent."""
+    return f"{'t' if k > 0 else 't*'}({namespace})" + (f"^{abs(k)}" if abs(k) != 1 else "")
 
 
 def monomial_to_str(m: NormalMonomial, ctx: AugmentedGraphSpec) -> str:

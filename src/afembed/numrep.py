@@ -76,12 +76,12 @@ import cmath
 import math
 import operator
 from bisect import bisect_left
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from itertools import chain, compress, repeat
 from types import SimpleNamespace
 
 from .embedding import MAX_STAGE_SIZE, AugmentedGraphSpec, GeneratorMap, LoopReplacement, StageTooLargeError, materialize
-from .graph import Graph, Path
+from .graph import Graph
 from .loops import SimpleLoop
 from .terms import CKTerm, ContextMismatchError, NormalMonomial
 from .verify import Catalogue, ck_instances
@@ -116,8 +116,7 @@ class PathBasis(SimpleNamespace):
     ending at vertex ``v``, and ``extension[e]`` is the pair ``(suffixes,
     rows)``: the rows ending in edge ``e``, one contiguous block per level,
     and their suffix rows; all are ascending tuples, which the stage's
-    operators share.  ``paths`` and ``index`` are name-level views, built
-    on first use.
+    operators share.
     """
 
     @classmethod
@@ -149,19 +148,6 @@ class PathBasis(SimpleNamespace):
                 break
         ranging, extension = tuple(map(tuple, ranging)), tuple((tuple(src), tuple(tgt)) for src, tgt in extension)
         return cls(graph=g, edge=tuple(edge), suffix=tuple(suffix), starts=tuple(starts), ranging=ranging, extension=extension)
-
-    @cached_property
-    def paths(self) -> tuple[Path, ...]:
-        vn, en = self.graph.vertex_names, self.graph.edge_names
-        paths = [Path((), v, v) for v in vn]
-        for e, i in zip(self.edge[len(vn) :], self.suffix[len(vn) :]):
-            p = paths[i]
-            paths.append(Path((en[e],) + p.edges, p.source, vn[self.graph.rng[e]]))
-        return tuple(paths)
-
-    @cached_property
-    def index(self) -> dict[Path, int]:
-        return {p: i for i, p in enumerate(self.paths)}
 
     def __len__(self) -> int:
         return len(self.edge)
@@ -575,8 +561,6 @@ def _tail_power(rep: TruncatedRep, namespace: str, k: int) -> Operator:
     else the phases of ``T`` or ``T*`` raised elementwise, multiplied in the
     order of the ``|k| - 1`` operator products ``(T T) T ...``, so to the same
     bits; once per stage: the power is kept in ``rep.powers``."""
-    if namespace not in rep.T:
-        raise ContextMismatchError(f"unknown tail namespace {namespace!r}")
     out = rep.powers.get((namespace, k))
     if out is None:
         base = rep.T[namespace] if k > 0 else rep.T[namespace].adjoint()

@@ -6,7 +6,7 @@ source, and a nonzero power ``k`` of a tail unitary requires that source to
 be the tail's sink.  ``p_w`` is the degenerate monomial with two empty paths
 based at ``w``.
 
-Products are normalized by a local, length-reducing rewrite system over
+The normal form is defined by a local, length-reducing rewrite system over
 words in the atoms ``p(w)``, ``s(e)``, ``s*(e)``, ``t(ns)^k``.  Each atom
 sits between two boundary vertices, ``atom = p(u) atom p(w)``: ``(v, v)``
 for ``p(v)``, ``(range(e), source(e))`` for ``s(e)``, ``(source(e),
@@ -22,35 +22,39 @@ Five rules contract an adjacent pair whose facing vertices agree:
   are never contracted)
 * ``t(ns)^j t(ns)^k -> t(ns)^(j+k)``, or ``p(sink)`` when ``j + k = 0``
 
-Every rule shortens the word, so rewriting terminates; confluence is
-exercised in the test suite by exhausting all rewrite orders on small
-words.  Coefficients are exact; no floating point enters this module.
+Every rule shortens the word, so rewriting terminates.  The rewriter is
+not part of this module: ``tests/oracles.py`` holds it, and
+``tests/test_terms.py`` exhausts every rewrite order on short words with
+it, to exercise confluence, and checks :func:`multiply` against it.
 
-The rules read the graph through one context, the replaced graph
-:class:`~afembed.embedding.AugmentedGraphSpec`: endpoints, sinks and
-receivers, each unknown id refused with :class:`ContextMismatchError`.
-Its receivers answer for the *full* graph the algebra lives over, tail
-levels included, since the unique-receiver contraction is only sound
-against the full receiver set.
+:func:`multiply` never forms a word.  Its inputs are normal monomials,
+and every term this package forms is normal (:func:`expand_ck3`'s literal
+receiver sum is compared, never multiplied), so two monomials can only
+rewrite where they meet.  :func:`_product` computes that meeting in closed
+form, the Cuntz-Krieger product of ``s_mu* s_nu`` (Raeburn, *Graph
+Algebras*, CBMS 103, 2005, Ch. 1): the facing ends must agree, the
+``s*`` path of the left factor cancels against the ``s`` path of the
+right, and whatever is left of either joins the other side.  Coefficients
+are exact; no floating point enters this module.
+
+The product reads the graph through one context, the replaced graph
+:class:`~afembed.embedding.AugmentedGraphSpec`: edge ranges and unique
+receivers.  The constructors :func:`projection`, :func:`isometry` and
+:func:`tail_unitary` read it too, and refuse each unknown id with
+:class:`ContextMismatchError`.  Its receivers answer for the *full* graph
+the algebra lives over, tail levels included, since the unique-receiver
+contraction is only sound against the full receiver set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .graph import Frozen
 
 if TYPE_CHECKING:  # the one context, whose module imports this one
     from .embedding import AugmentedGraphSpec
-
-Atom = tuple
-Word = tuple  # tuple of atoms
-
-#: sentinel distinct from any word: the zero element
-ZERO = None
-#: what a rewrite step returns when no rule applies to the pair
-KEEP = "keep"
 
 
 class ContextMismatchError(ValueError):
@@ -58,11 +62,11 @@ class ContextMismatchError(ValueError):
 
 
 class UnrepresentableTermError(ValueError):
-    """An irreducible word falls outside the s t^k s* monomial span.
+    """A product's irreducible word falls outside the s t^k s* monomial span.
 
     This can only happen when a path dives through a tail sink next to a
     nonzero unitary power; no verification required here produces such
-    words, but arbitrary word input can.
+    products, but a term read from text can.
     """
 
 
@@ -83,7 +87,7 @@ class GaussianRational(Frozen):
         _gaussian_real(self, real)
         _gaussian_imag(self, imag)
 
-    # hashed and compared throughout the rewrite engine: literal tuples beat Frozen's field getter
+    # hashed and compared throughout the term engine: literal tuples beat Frozen's field getter
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -163,7 +167,7 @@ class NormalMonomial(Frozen):
         _monomial_beta(self, beta)
         _monomial_source(self, source)
 
-    # hashed and compared throughout the rewrite engine: literal tuples beat Frozen's field getter
+    # hashed and compared throughout the term engine: literal tuples beat Frozen's field getter
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -220,9 +224,6 @@ class CKTerm:
     def monomials(self) -> list[NormalMonomial]:
         return sorted(self._coeffs, key=NormalMonomial.sort_key)
 
-    def coefficient(self, m: NormalMonomial) -> GaussianRational:
-        return self._coeffs.get(m, GaussianRational())
-
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -256,126 +257,6 @@ class CKTerm:
 
 
 # ---------------------------------------------------------------------------
-# word-level rewriting
-
-
-def _ends(ctx: AugmentedGraphSpec, atom: Atom) -> tuple[str, str]:
-    """The boundary vertices ``(u, w)`` of an atom, ``atom = p(u) atom p(w)``.
-
-    The only validator of atoms: an unknown tag, vertex, edge or tail raises.
-    """
-    tag, x = atom[0], atom[1]
-    if tag == "s":
-        source, range_ = ctx.endpoints(x)
-        return range_, source
-    if tag == "s*":
-        return ctx.endpoints(x)
-    if tag == "t":
-        if atom[2] == 0:
-            raise ValueError("tail unitary power must be nonzero")
-        v = ctx.sink_vertex(x)
-        return v, v
-    if tag == "p":
-        v = ctx.check_vertex(x)
-        return v, v
-    raise ValueError(f"unknown atom tag {tag!r}")
-
-
-def _step(ctx: AugmentedGraphSpec, x: tuple, y: tuple):
-    """One rewrite step on adjacent atoms carried with their ends.
-
-    ``x = ((u, v), a)`` and ``y = ((v', w), b)`` hold ``a`` and ``b`` with
-    their boundary vertices.  Returns the contraction ``((u, w), c)``, which
-    inherits the outer ends of the pair, ``ZERO``, or ``KEEP``.
-    """
-    (u, v), a = x
-    (v2, w), b = y
-    if v != v2:
-        return ZERO
-    ta, tb = a[0], b[0]
-    if ta == "p":
-        c = b
-    elif tb == "p":
-        c = a
-    elif ta == "s*" and tb == "s":
-        if a[1] != b[1]:
-            return ZERO
-        c = ("p", u)
-    elif ta == "s" and tb == "s*" and a[1] == b[1] and ctx.unique_receiver(u) == a[1]:
-        c = ("p", u)
-    elif ta == "t" and tb == "t":  # facing sinks agree, so one tail
-        k = a[2] + b[2]
-        c = ("t", a[1], k) if k else ("p", u)
-    else:
-        return KEEP
-    return (u, w), c
-
-
-def normalize_word(ctx: AugmentedGraphSpec, word: Iterable[Atom]):
-    """Leftmost-first rewriting to an irreducible word, or ``ZERO``."""
-    w = [(_ends(ctx, atom), atom) for atom in word]
-    if not w:
-        raise ValueError("empty word has no meaning in a non-unital algebra")
-    i = 0
-    while i < len(w) - 1:
-        step = _step(ctx, w[i], w[i + 1])
-        if step == KEEP:
-            i += 1
-            continue
-        if step is ZERO:
-            return ZERO
-        w[i : i + 2] = [step]
-        i = max(i - 1, 0)
-    return tuple([atom for _, atom in w])
-
-
-def word_of_monomial(ctx: AugmentedGraphSpec, m: NormalMonomial) -> Word:
-    atoms: list[Atom] = [("s", e) for e in m.alpha]
-    if m.power:
-        ns = ctx.sink_namespace(m.source)
-        if ns is None:
-            raise ContextMismatchError(f"monomial source {m.source!r} is not a tail sink")
-        atoms.append(("t", ns, m.power))
-    atoms.extend(("s*", e) for e in reversed(m.beta))
-    if not atoms:
-        atoms.append(("p", m.source))
-    return tuple(atoms)
-
-
-def monomial_of_word(ctx: AugmentedGraphSpec, word: Word) -> NormalMonomial:
-    """Parse an irreducible word back into a normal monomial."""
-    if len(word) == 1 and word[0][0] == "p":
-        return NormalMonomial((), 0, (), ctx.check_vertex(word[0][1]))
-    i = 0
-    alpha: list[str] = []
-    while i < len(word) and word[i][0] == "s":
-        alpha.append(word[i][1])
-        i += 1
-    power = 0
-    sink: str | None = None
-    if i < len(word) and word[i][0] == "t":
-        power = word[i][2]
-        sink = ctx.sink_vertex(word[i][1])
-        i += 1
-    beta_rev: list[str] = []
-    while i < len(word) and word[i][0] == "s*":
-        beta_rev.append(word[i][1])
-        i += 1
-    if i != len(word):
-        raise UnrepresentableTermError(
-            f"irreducible word is not of the form s..s t^k s*..s*: {word_to_str(word)}"
-        )
-    beta = tuple(reversed(beta_rev))
-    if power:
-        source = sink  # type: ignore[assignment]
-    elif alpha:
-        source = ctx.edge_source(alpha[-1])
-    else:
-        source = ctx.edge_source(beta[-1])
-    return NormalMonomial(tuple(alpha), power, beta, source)
-
-
-# ---------------------------------------------------------------------------
 # term-level operations
 
 
@@ -393,19 +274,51 @@ def tail_unitary(ctx: AugmentedGraphSpec, namespace: str, power: int = 1) -> CKT
     return CKTerm.of(NormalMonomial((), power, (), ctx.sink_vertex(namespace)))
 
 
+def _product(m: NormalMonomial, n: NormalMonomial, ctx: AugmentedGraphSpec) -> NormalMonomial | None:
+    """The normal form of ``m n``, or None where it is zero.
+
+    ``m = s_alpha t^j s_beta*`` at ``u`` meets ``n = s_gamma t^k s_delta*``
+    at ``w`` where ``s_beta*`` faces ``s_gamma``: their ends must agree,
+    and ``beta`` and ``gamma`` cancel edge by edge from there.  What is left
+    of one joins the far side of the other, unless a nonzero power of the
+    other stands in its way; where both are used up, the powers add, and
+    at power zero ``s(e) s*(e)`` contracts outward at each unique receiver.
+    """
+    alpha, j, beta, u = m.alpha, m.power, m.beta, m.source
+    gamma, k, delta, w = n.alpha, n.power, n.beta, n.source
+    if (ctx.edge_range(beta[0]) if beta else u) != (ctx.edge_range(gamma[0]) if gamma else w):
+        return None
+    c = min(len(beta), len(gamma))
+    if beta[:c] != gamma[:c]:
+        return None
+    beta, gamma = beta[c:], gamma[c:]
+    if beta and k or gamma and j:  # s* t or t s: neither side below is a projection
+        from .notation import monomial_to_str  # the grammar, loaded only to write the word
+
+        word = f"{monomial_to_str(NormalMonomial(alpha, j, beta, u), ctx)} {monomial_to_str(NormalMonomial(gamma, k, delta, w), ctx)}"
+        raise UnrepresentableTermError(f"irreducible word is not of the form s..s t^k s*..s*: {word}")
+    if beta:
+        return NormalMonomial(alpha, j, delta + beta, u)
+    if gamma:
+        return NormalMonomial(alpha + gamma, k, delta, w)
+    power = j + k
+    while not power and alpha and delta and alpha[-1] == delta[-1]:
+        v = ctx.edge_range(alpha[-1])
+        if ctx.unique_receiver(v) != alpha[-1]:
+            break
+        alpha, delta, u = alpha[:-1], delta[:-1], v
+    return NormalMonomial(alpha, power, delta, u)
+
+
 def multiply(a: CKTerm, b: CKTerm, ctx: AugmentedGraphSpec) -> CKTerm:
-    """Product in normal form, by concatenating and rewriting monomial words."""
+    """Product in normal form, monomial by monomial at their junction."""
     out: dict[NormalMonomial, GaussianRational] = {}
-    left = list(a.items())
-    right = [(word_of_monomial(ctx, m2), c2) for m2, c2 in b.items()] if left else []
-    for m1, c1 in left:
-        w1 = word_of_monomial(ctx, m1)
-        for w2, c2 in right:
-            nf = normalize_word(ctx, w1 + w2)
-            if nf is ZERO:
-                continue
-            m = monomial_of_word(ctx, nf)
-            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    right = list(b.items())
+    for m1, c1 in a.items():
+        for m2, c2 in right:
+            m = _product(m1, m2, ctx)
+            if m is not None:
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
     return CKTerm(out)
 
 
@@ -432,18 +345,3 @@ def expand_ck3(term: CKTerm, v: str, ctx: AugmentedGraphSpec) -> CKTerm:
     for m, c in term.items():
         out = out + (expansion.scale(c) if m == target else CKTerm.of(m, c))
     return out
-
-
-# ---------------------------------------------------------------------------
-# words in the term grammar, for error messages; the grammar itself, its
-# renderer and its parser, is :mod:`afembed.notation`
-
-
-def _power_str(namespace: str, k: int) -> str:
-    """``t(ns)^k``, or ``t*(ns)^-k`` for negative ``k``; a power of one without its exponent."""
-    return f"{'t' if k > 0 else 't*'}({namespace})" + (f"^{abs(k)}" if abs(k) != 1 else "")
-
-
-def word_to_str(word: Word) -> str:
-    """A word in the term grammar, atom by atom."""
-    return " ".join(_power_str(a[1], a[2]) if a[0] == "t" else f"{a[0]}({a[1]})" for a in word)

@@ -39,8 +39,7 @@ from typing import Callable, Collection, Hashable, Iterator, Mapping, TypeVar
 
 from .embedding import AugmentedGraphSpec, GeneratorMap
 from .graph import Graph
-from .loops import EntranceWitness
-from .terms import CKTerm, NormalMonomial, UnrepresentableTermError, adjoint, expand_ck3, isometry, multiply, projection
+from .terms import CKTerm, UnrepresentableTermError, adjoint, expand_ck3, multiply, projection
 
 X = TypeVar("X")
 
@@ -246,13 +245,6 @@ class RelationReport(SimpleNamespace):
     difference, note)``, PROVED with no note by default, and whose rows are
     viewed as :class:`RelationCheck`."""
 
-    @property
-    def all_proved(self) -> bool:
-        return all(outcome[0] is not RelationStatus.FAILED for outcome in self.checks.outcomes.values())
-
-    def failures(self) -> list[RelationCheck]:
-        return [c for c in map(self.checks.row, self.checks.held()) if c.status is RelationStatus.FAILED]
-
 
 _PROVED = (RelationStatus.PROVED, None, "")
 
@@ -286,25 +278,4 @@ def verify_ck_family(gmap: GeneratorMap, spec: AugmentedGraphSpec) -> RelationRe
     numeric = "full-circle spectrum is not a rewrite fact; checked numerically"
     for rep in spec.replacements:
         checks.put(checks.append(f"SPECTRUM[{' '.join(rep.loop.edges)}]"), (RelationStatus.RECORDED, None, numeric))
-    return RelationReport(checks=checks)
-
-
-def verify_witness(w: EntranceWitness, g: Graph) -> RelationReport:
-    """Prove the algebraic content of the infinite-projection chain: a
-    report of three rows of its own, over no graph."""
-    from .witness import validate_witness
-
-    validate_witness(g, w)
-    ctx = AugmentedGraphSpec(g, ())
-    # the loop ``(e_n, ..., e_1)`` is a path from its base to its base
-    s_alpha = CKTerm.of(NormalMonomial(w.loop.edges, 0, (), w.loop.base))
-    s_beta = isometry(ctx, w.entry.name)
-    identities = (
-        ("WITNESS[alpha*alpha]", multiply(adjoint(s_alpha), s_alpha, ctx), projection(ctx, w.loop.base)),
-        ("WITNESS[beta*beta]", multiply(adjoint(s_beta), s_beta, ctx), projection(ctx, w.entry.source)),
-        ("WITNESS[alpha*beta]", multiply(adjoint(s_alpha), s_beta, ctx), CKTerm.zero()),
-    )
-    checks = Catalogue(Graph((), (), (), ()), ("CK1",), _PROVED, RelationCheck)
-    for name, lhs, rhs in identities:
-        checks.put(checks.append(name), _PROVED if lhs == rhs else (RelationStatus.FAILED, lhs - rhs, ""))
     return RelationReport(checks=checks)

@@ -21,13 +21,20 @@ receives two edges, so the loop has an entrance.  ``classify`` builds it
 from the edges that search walked, so it checks nothing twice, and the
 command line writes its chain with :func:`_chain_fragments`, unchecked; where
 a witness comes in from a caller, in :func:`witness_infinite` and
-``verify.verify_witness``, :func:`validate_witness` is its one check.
+:func:`verify_witness`, :func:`validate_witness` is its one check.
+:func:`verify_witness` proves the chain's identities in the term engine,
+which it alone of this module's functions loads.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .graph import Graph
 from .loops import EntranceWitness, InvalidWitnessError, SimpleLoop, _loop_of
+
+if TYPE_CHECKING:  # the report, whose module loads the term engine
+    from .verify import RelationReport
 
 
 def _cycle_through(g: Graph, v: int) -> list[int]:
@@ -97,6 +104,30 @@ def validate_witness(g: Graph, w: EntranceWitness) -> None:
         raise InvalidWitnessError("entry edge's recorded ends are not its ends in the graph")
     if rng[entry] != src[ids[-1]]:
         raise InvalidWitnessError("entry edge does not point at the entry vertex")
+
+
+def verify_witness(w: EntranceWitness, g: Graph) -> RelationReport:
+    """Prove the algebraic content of the infinite-projection chain: a
+    report of three rows of its own, over no graph.  The term engine and
+    the report are imported here, so ``classify`` compiles neither."""
+    from .embedding import AugmentedGraphSpec
+    from .terms import CKTerm, NormalMonomial, adjoint, isometry, multiply, projection
+    from .verify import _PROVED, Catalogue, RelationCheck, RelationReport, RelationStatus
+
+    validate_witness(g, w)
+    ctx = AugmentedGraphSpec(g, ())
+    # the loop ``(e_n, ..., e_1)`` is a path from its base to its base
+    s_alpha = CKTerm.of(NormalMonomial(w.loop.edges, 0, (), w.loop.base))
+    s_beta = isometry(ctx, w.entry.name)
+    identities = (
+        ("WITNESS[alpha*alpha]", multiply(adjoint(s_alpha), s_alpha, ctx), projection(ctx, w.loop.base)),
+        ("WITNESS[beta*beta]", multiply(adjoint(s_beta), s_beta, ctx), projection(ctx, w.entry.source)),
+        ("WITNESS[alpha*beta]", multiply(adjoint(s_alpha), s_beta, ctx), CKTerm.zero()),
+    )
+    checks = Catalogue(Graph((), (), (), ()), ("CK1",), _PROVED, RelationCheck)
+    for name, lhs, rhs in identities:
+        checks.put(checks.append(name), _PROVED if lhs == rhs else (RelationStatus.FAILED, lhs - rhs, ""))
+    return RelationReport(checks=checks)
 
 
 def witness_infinite(g: Graph, w: EntranceWitness) -> tuple[str, ...]:

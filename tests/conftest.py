@@ -5,6 +5,13 @@ import pytest
 
 from afembed.embedding import embed
 from afembed.graph import parse_graph
+from afembed.verify import RelationStatus
+
+
+def failed_rows(report) -> list:
+    """The rows of a symbolic report whose outcome is FAILED, in order."""
+    checks = report.checks
+    return [c for c in map(checks.row, checks.held()) if c.status is RelationStatus.FAILED]
 
 
 @pytest.fixture(autouse=True)

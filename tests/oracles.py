@@ -3,7 +3,9 @@
 Everything here applies the definitions literally: simple cycles are
 enumerated by exhaustive DFS over vertex-simple walks, the entrance test
 quantifies over every enumerated cycle, and word normal forms are computed
-by exploring *every* rewrite order.  None of it shares code paths with the
+by the rewrite system that defines them, leftmost first and in *every*
+rewrite order; ``multiply``, which meets two normal monomials at their
+junction in closed form, is checked against them.  None of it shares code paths with the
 production implementations beyond the basic graph accessors.  It also
 keeps implementations that faster ones replaced, as references: the
 two-array Tarjan, the sixteen-case pair table, the set-based graph core,
@@ -23,8 +25,8 @@ always joined on a table of source positions, the adjoint that always
 sorted by target, the compression to a boolean mask and the subtraction
 that multiplied by -1 first, and the frozen dataclasses the value types
 were before they were written by hand.  ``toarray`` is the dense matrix
-the package once formed for its tests, and ``reduce_pair`` and
-``term_of_word`` are the two term helpers it held for them.
+the package once formed for its tests, ``term_of_word`` the term helper it
+held for them, and ``monomial_of_word`` its reader of irreducible words.
 """
 
 from __future__ import annotations
@@ -53,20 +55,16 @@ from afembed.graph import (
 from afembed.embedding import AugmentedGraphSpec, BratteliTailSpec, MultiplicitySeq
 from afembed.loops import EntranceWitness, SimpleLoop, Verdict
 from afembed.numrep import _NO_PIECE, Operator, Piece, TruncatedRep, _merge, _mul, _same_entries, _take, op_of_term
-from afembed.notation import _TOKEN_RE, TermParseError
+from afembed.notation import _TOKEN_RE, TermParseError, _power_str
 from afembed.terms import (
-    KEEP,
     ONE,
-    ZERO,
     CKTerm,
     GaussianRational,
-    _ends,
-    _step,
+    NormalMonomial,
+    UnrepresentableTermError,
     adjoint,
     isometry,
-    monomial_of_word,
     multiply,
-    normalize_word,
     projection,
     tail_unitary,
 )
@@ -246,57 +244,16 @@ def oracle_has_entrance(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Two functions ``afembed.terms`` held although only tests called them, kept
-# verbatim but for their atom annotations: one rewrite step on an atom pair,
-# through the engine's own step, and the term of a word.
+# The rewrite system that defines the normal form of ``afembed.terms``, on
+# words in the atoms ``("p", v)``, ``("s", e)``, ``("s*", e)`` and ``("t",
+# ns, k)``: one step on an atom pair as a table of the sixteen tag pairs,
+# leftmost-first rewriting, the monomial of an irreducible word, and every
+# rewrite order at once.  ``multiply`` is checked against them.
 
-
-def reduce_pair(ctx: AugmentedGraphSpec, a: tuple, b: tuple):
-    """One rewrite step on an adjacent atom pair.
-
-    Returns a single replacement atom, ``ZERO`` for an annihilating pair, or
-    ``KEEP`` when no rule applies.  Raises on an atom unknown to ``ctx``.
-    """
-    step = _step(ctx, (_ends(ctx, a), a), (_ends(ctx, b), b))
-    return step[1] if isinstance(step, tuple) else step
-
-
-def term_of_word(ctx: AugmentedGraphSpec, word: Iterable[tuple], coeff=1) -> CKTerm:
-    nf = normalize_word(ctx, word)
-    if nf is ZERO:
-        return CKTerm.zero()
-    return CKTerm.of(monomial_of_word(ctx, nf), coeff)
-
-
-def all_order_normal_forms(ctx: AugmentedGraphSpec, word: tuple) -> set:
-    """Every normal form reachable by any sequence of rewrite choices.
-
-    ``ZERO`` results are represented by the element ``None`` in the set.
-    Confluence means the returned set is a singleton.
-    """
-    seen: dict[tuple, set] = {}
-
-    def explore(w: tuple) -> set:
-        if w in seen:
-            return seen[w]
-        seen[w] = set()  # guard; words strictly shrink so no real cycles
-        results: set = set()
-        reducible = False
-        for i in range(len(w) - 1):
-            step = reduce_pair(ctx, w[i], w[i + 1])
-            if step == KEEP:
-                continue
-            reducible = True
-            if step is ZERO:
-                results.add(None)
-            else:
-                results |= explore(w[:i] + (step,) + w[i + 2 :])
-        if not reducible:
-            results = {w}
-        seen[w] = results
-        return results
-
-    return explore(tuple(word))
+#: sentinel distinct from any word: the zero element
+ZERO = None
+#: what a rewrite step returns when no rule applies to the pair
+KEEP = "keep"
 
 
 def _unique_receiver(ctx: AugmentedGraphSpec, v: str) -> str | None:
@@ -310,9 +267,8 @@ def _unique_receiver(ctx: AugmentedGraphSpec, v: str) -> str | None:
 def reference_reduce_pair(ctx: AugmentedGraphSpec, a: tuple, b: tuple):
     """The rewrite step as a table of all sixteen atom-tag pairs.
 
-    The reference for :func:`reduce_pair`, which states the
-    boundary rule once; both must agree on every pair of valid atoms.
-    Atoms are not validated here.
+    Returns a single replacement atom, ``ZERO`` for an annihilating pair, or
+    ``KEEP`` when no rule applies.  Atoms are not validated here.
     """
     ta, tb = a[0], b[0]
     if ta == "p":
@@ -340,24 +296,24 @@ def reference_reduce_pair(ctx: AugmentedGraphSpec, a: tuple, b: tuple):
             return ZERO
         if a[1] == b[1] and _unique_receiver(ctx, ctx.edge_range(a[1])) == a[1]:
             return ("p", ctx.edge_range(a[1]))
-        return "keep"
+        return KEEP
     if ta == "s" and tb == "s":
-        return "keep" if ctx.edge_source(a[1]) == ctx.edge_range(b[1]) else ZERO
+        return KEEP if ctx.edge_source(a[1]) == ctx.edge_range(b[1]) else ZERO
     if ta == "s*" and tb == "s*":
-        return "keep" if ctx.edge_range(a[1]) == ctx.edge_source(b[1]) else ZERO
+        return KEEP if ctx.edge_range(a[1]) == ctx.edge_source(b[1]) else ZERO
     if ta == "t" and tb == "t":
         if a[1] != b[1]:
             return ZERO
         k = a[2] + b[2]
         return ("t", a[1], k) if k else ("p", ctx.sink_vertex(a[1]))
     if ta == "s" and tb == "t":
-        return "keep" if ctx.edge_source(a[1]) == ctx.sink_vertex(b[1]) else ZERO
+        return KEEP if ctx.edge_source(a[1]) == ctx.sink_vertex(b[1]) else ZERO
     if ta == "t" and tb == "s*":
-        return "keep" if ctx.edge_source(b[1]) == ctx.sink_vertex(a[1]) else ZERO
+        return KEEP if ctx.edge_source(b[1]) == ctx.sink_vertex(a[1]) else ZERO
     if ta == "t" and tb == "s":
-        return "keep" if ctx.edge_range(b[1]) == ctx.sink_vertex(a[1]) else ZERO
+        return KEEP if ctx.edge_range(b[1]) == ctx.sink_vertex(a[1]) else ZERO
     if ta == "s*" and tb == "t":
-        return "keep" if ctx.edge_range(a[1]) == ctx.sink_vertex(b[1]) else ZERO
+        return KEEP if ctx.edge_range(a[1]) == ctx.sink_vertex(b[1]) else ZERO
     raise ValueError(f"unhandled atom pair {a!r}, {b!r}")
 
 
@@ -367,7 +323,7 @@ def reference_normalize_word(ctx: AugmentedGraphSpec, word: tuple):
     i = 0
     while i < len(w) - 1:
         step = reference_reduce_pair(ctx, w[i], w[i + 1])
-        if step == "keep":
+        if step == KEEP:
             i += 1
             continue
         if step is ZERO:
@@ -375,6 +331,88 @@ def reference_normalize_word(ctx: AugmentedGraphSpec, word: tuple):
         w[i : i + 2] = [step]
         i = max(i - 1, 0)
     return tuple(w)
+
+
+def word_of_monomial(ctx: AugmentedGraphSpec, m: NormalMonomial) -> tuple:
+    """The word of a normal monomial, atom by atom."""
+    atoms: list[tuple] = [("s", e) for e in m.alpha]
+    if m.power:
+        atoms.append(("t", ctx.sink_namespace(m.source), m.power))
+    atoms.extend(("s*", e) for e in reversed(m.beta))
+    return tuple(atoms) or (("p", m.source),)
+
+
+def monomial_of_word(ctx: AugmentedGraphSpec, word: tuple) -> NormalMonomial:
+    """Read an irreducible word back as a normal monomial: ``terms.monomial_of_word``
+    when the package multiplied by rewriting words, kept verbatim but for the
+    word's text, written here atom by atom."""
+    if len(word) == 1 and word[0][0] == "p":
+        return NormalMonomial((), 0, (), ctx.check_vertex(word[0][1]))
+    i = 0
+    alpha: list[str] = []
+    while i < len(word) and word[i][0] == "s":
+        alpha.append(word[i][1])
+        i += 1
+    power = 0
+    sink: str | None = None
+    if i < len(word) and word[i][0] == "t":
+        power = word[i][2]
+        sink = ctx.sink_vertex(word[i][1])
+        i += 1
+    beta_rev: list[str] = []
+    while i < len(word) and word[i][0] == "s*":
+        beta_rev.append(word[i][1])
+        i += 1
+    if i != len(word):
+        text = " ".join(_power_str(a[1], a[2]) if a[0] == "t" else f"{a[0]}({a[1]})" for a in word)
+        raise UnrepresentableTermError(f"irreducible word is not of the form s..s t^k s*..s*: {text}")
+    beta = tuple(reversed(beta_rev))
+    if power:
+        source = sink  # type: ignore[assignment]
+    elif alpha:
+        source = ctx.edge_source(alpha[-1])
+    else:
+        source = ctx.edge_source(beta[-1])
+    return NormalMonomial(tuple(alpha), power, beta, source)
+
+
+def term_of_word(ctx: AugmentedGraphSpec, word: Iterable[tuple], coeff=1) -> CKTerm:
+    """The term of a word: its leftmost normal form, read as a monomial."""
+    nf = reference_normalize_word(ctx, tuple(word))
+    if nf is ZERO:
+        return CKTerm.zero()
+    return CKTerm.of(monomial_of_word(ctx, nf), coeff)
+
+
+def all_order_normal_forms(ctx: AugmentedGraphSpec, word: tuple) -> set:
+    """Every normal form reachable by any sequence of rewrite choices.
+
+    ``ZERO`` results are represented by the element ``None`` in the set.
+    Confluence means the returned set is a singleton.
+    """
+    seen: dict[tuple, set] = {}
+
+    def explore(w: tuple) -> set:
+        if w in seen:
+            return seen[w]
+        seen[w] = set()  # guard; words strictly shrink so no real cycles
+        results: set = set()
+        reducible = False
+        for i in range(len(w) - 1):
+            step = reference_reduce_pair(ctx, w[i], w[i + 1])
+            if step == KEEP:
+                continue
+            reducible = True
+            if step is ZERO:
+                results.add(None)
+            else:
+                results |= explore(w[:i] + (step,) + w[i + 2 :])
+        if not reducible:
+            results = {w}
+        seen[w] = results
+        return results
+
+    return explore(tuple(word))
 
 
 def sorted_path_basis(g: Graph, depth: int) -> tuple[tuple[Path, ...], tuple[int, ...]]:
@@ -394,6 +432,11 @@ def sorted_path_basis(g: Graph, depth: int) -> tuple[tuple[Path, ...], tuple[int
         rows += level
     paths = tuple(Path(edges, source=source, range=end) for edges, source, end, _ in rows)
     return paths, tuple(row[3] for row in rows)
+
+
+def basis_paths(rep: TruncatedRep) -> tuple[Path, ...]:
+    """The paths of ``rep``'s basis, row by row, from :func:`sorted_path_basis`."""
+    return sorted_path_basis(rep.graph, rep.depth)[0]
 
 
 def count_paths_with_range(g: Graph, v: str, length: int) -> int:

@@ -22,9 +22,10 @@ from afembed.terms import (
     adjoint,
     multiply,
 )
-from afembed.verify import verify_witness
+from afembed.witness import verify_witness
 
-from .oracles import oracle_classify, term_of_word, toarray
+from .conftest import failed_rows
+from .oracles import basis_paths, oracle_classify, term_of_word, toarray
 from .strategies import (
     random_condition5_graph,
     random_entrance_graph,
@@ -171,7 +172,7 @@ def test_criterion_6_witness_soundness():
         assert classify(g).verdict is Verdict.NOT_FINITE
         w = classify(g).witness
         report = verify_witness(w, g)
-        ok &= report.all_proved and len(report.checks) == 3
+        ok &= not failed_rows(report) and len(report.checks) == 3
     _report("6 witness soundness", ok, started, budget=5.0)
 
 
@@ -234,7 +235,7 @@ def test_criterion_7_cross_model_consistency(square, self_loop):
         if bad:
             continue
         symbolic = toarray(op_of_term(term, rep))
-        pi = np.diag([1.0 if 1 <= len(p.edges) <= rep.depth - 1 else 0.0 for p in rep.basis.paths])
+        pi = np.diag([1.0 if 1 <= len(p.edges) <= rep.depth - 1 else 0.0 for p in basis_paths(rep)])
         diff = pi @ (symbolic - numeric) @ pi
         dev = float(np.max(np.abs(diff)))
         worst = max(worst, dev)

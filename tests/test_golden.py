@@ -320,10 +320,13 @@ def test_structure_commands_never_import_numrep(tmp_path):
 MOVED = {
     "afembed.notation": (
         "_TOKEN_RE", "monomial_to_str", "term_to_str", "TermParseError", "_TermParser", "parse_term",
-        "genmap_to_text", "genmap_from_text", "spec_to_dict",
+        "genmap_to_text", "genmap_from_text", "spec_to_dict", "_power_str",
     ),
     "afembed.formats": ("serialize_graph", "graph_to_dict", "export_dot", "_dot_quote", "graph_from_dict", "parse_graph_json"),
-    "afembed.witness": ("_cycle_through", "simple_cycle_through", "validate_witness", "witness_infinite", "_chain_fragments"),
+    "afembed.witness": (
+        "_cycle_through", "simple_cycle_through", "validate_witness", "witness_infinite", "_chain_fragments",
+        "verify_witness",
+    ),
 }
 
 
@@ -349,7 +352,7 @@ def test_every_moved_name_imports_from_afembed():
     assert package.split() == ["afembed", "afembed.graph", "afembed.loops"]
     assert exported.split() == sorted(
         ["export_dot", "graph_from_dict", "graph_to_dict", "parse_graph_json", "serialize_graph", "witness_infinite"]
-        + ["parse_term", "term_to_str"]
+        + ["parse_term", "term_to_str", "verify_witness"]
     )
 
 

@@ -17,8 +17,8 @@ from afembed.loops import (
     cycle_vertices,
     disjoint_simple_loops,
 )
-from afembed.verify import RelationStatus, verify_witness
-from afembed.witness import simple_cycle_through, validate_witness, witness_infinite
+from afembed.verify import RelationStatus
+from afembed.witness import simple_cycle_through, validate_witness, verify_witness, witness_infinite
 
 from .conftest import SQUARE_TEXT, growth_ratio
 from .oracles import (

@@ -42,6 +42,7 @@ from afembed.terms import NormalMonomial, CKTerm
 
 from .conftest import growth_ratio
 from .oracles import (
+    basis_paths,
     interior_mask,
     reference_adjoint,
     reference_after,
@@ -73,7 +74,7 @@ def square_rep(square_embedding):
 def _interior(rep):
     """Dense projector onto the interior paths, lengths 1 .. depth-1."""
     return np.diag(
-        [1.0 if 1 <= len(p.edges) <= rep.depth - 1 else 0.0 for p in rep.basis.paths]
+        [1.0 if 1 <= len(p.edges) <= rep.depth - 1 else 0.0 for p in basis_paths(rep)]
     ).astype(np.complex128)
 
 
@@ -114,7 +115,7 @@ class TestBuildRep:
         """S[e]* S[e] = P[source(e)] exactly on all paths shorter than the
         depth, vertex vectors included; only the boundary layer truncates."""
         mask = np.diag(
-            [1.0 if len(p.edges) <= square_rep.depth - 1 else 0.0 for p in square_rep.basis.paths]
+            [1.0 if len(p.edges) <= square_rep.depth - 1 else 0.0 for p in basis_paths(square_rep)]
         ).astype(np.complex128)
         for e in square_rep.graph.edges:
             s = toarray(square_rep.S[e.name])
@@ -124,17 +125,17 @@ class TestBuildRep:
     def test_edge_isometry_action(self, square_rep):
         s = toarray(square_rep.S["T1.f1"])
         # moves each corner path of length < d to its f1-extension
-        i = square_rep.basis.index[Path((), "T1.v", "T1.v")]
-        out = s @ np.eye(square_rep.dimension)[:, i]
+        paths = basis_paths(square_rep)
+        out = s @ np.eye(square_rep.dimension)[:, paths.index(Path((), "T1.v", "T1.v"))]
         target = Path(("T1.f1",), "T1.v", square_rep.graph.edge("T1.f1").range)
-        assert out[square_rep.basis.index[target]] == 1.0
+        assert out[paths.index(target)] == 1.0
         assert np.sum(np.abs(out)) == 1.0
 
 
 class TestOpOfTerm:
     def test_projection_trace_counts_paths(self, square_rep):
         p = op_of_term(CKTerm.of(NormalMonomial((), 0, (), "u1")), square_rep)
-        ranging = [q for q in square_rep.basis.paths if q.range == "u1"]
+        ranging = [q for q in basis_paths(square_rep) if q.range == "u1"]
         assert abs(toarray(p).trace() - len(ranging)) < 1e-14
 
     def test_mapped_edge_is_partial_isometry(self, square_embedding, square_rep):
@@ -361,25 +362,26 @@ class TestLevelInterleaving:
 
 class TestPathBasis:
     def test_closed_under_suffixes(self, square_rep):
-        basis = square_rep.basis
-        for p in basis.paths:
+        paths = set(basis_paths(square_rep))
+        for p in paths:
             for k in range(1, len(p.edges)):
                 suffix = Path(p.edges[k:], p.source, square_rep.graph.edge(p.edges[k]).range)
-                assert suffix in basis.index
+                assert suffix in paths
 
     def test_contains_all_vertex_paths(self, square_rep):
         for v in square_rep.graph.vertices:
-            assert Path((), v, v) in square_rep.basis.index
+            assert Path((), v, v) in basis_paths(square_rep)
 
     @staticmethod
     def assert_matches_sorted_basis(g, depth):
+        """Row by row, the vertex, or the range-end edge and the suffix row:
+        with the vertex rows, these pin down every path."""
         basis = PathBasis.build(g, depth)
         paths, suffix = sorted_path_basis(g, depth)
         assert len(basis) == len(paths)
-        for i, (p, q, s, t) in enumerate(zip(basis.paths, paths, basis.suffix, suffix)):
-            assert (p, s) == (q, t), f"row {i}"
-        assert len(basis.index) == len(paths)
-        assert all(basis.index[p] == i for i, p in enumerate(basis.paths))
+        for i, (p, e, s, t) in enumerate(zip(paths, basis.edge, basis.suffix, suffix)):
+            expected = (g.edge_id(p.edges[0]), t) if p.edges else (-1, -1, g.vertex_names[i])
+            assert ((e, s) if p.edges else (e, s, p.source)) == expected, f"row {i}"
 
     @settings(max_examples=150, deadline=None)
     @given(g=multigraphs(max_vertices=5, max_edges=8), depth=st.integers(min_value=0, max_value=4))
@@ -937,7 +939,7 @@ class TestAlignedIndices:
     def test_the_interior_is_the_row_range_of_the_inner_paths(self, name, depth):
         """Paths of length ``1 .. depth-1``, also where a level is empty before ``depth``."""
         rep = build_rep(embed(load_graph((GOLDEN / f"{name}.txt").read_text()))[0], depth)
-        inner = [i for i, p in enumerate(rep.basis.paths) if 1 <= len(p.edges) <= depth - 1]
+        inner = [i for i, p in enumerate(basis_paths(rep)) if 1 <= len(p.edges) <= depth - 1]
         assert list(rep.interior) == inner and interior_mask(rep) == tuple(i in inner for i in range(rep.dimension))
 
     def test_a_loop_builds_no_join_table_and_no_sort(self, monkeypatch):

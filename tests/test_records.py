@@ -96,10 +96,3 @@ def test_a_once_per_request_record_is_a_namespace(cls):
 )
 def test_a_per_instance_record_keeps_its_slots(cls):
     assert "__slots__" in vars(cls) and "__init__" in vars(cls)
-
-
-def test_the_cached_views_of_a_basis_live_in_its_namespace(records):
-    basis = next(r for r in records if isinstance(r, PathBasis))
-    again = PathBasis.build(basis.graph, 3)
-    assert again.index[again.paths[-1]] == len(again) - 1
-    assert set(vars(again)) == FIELDS[PathBasis] | {"paths", "index"}

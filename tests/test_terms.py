@@ -1,6 +1,8 @@
 from fractions import Fraction
 from pathlib import Path
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,8 +11,6 @@ from afembed.embedding import AugmentedGraphSpec, MultiplicitySeq, embed, materi
 from afembed.graph import parse_graph
 from afembed.notation import TermParseError, _TermParser, parse_term, term_to_str
 from afembed.terms import (
-    KEEP,
-    ZERO,
     CK3ExpansionError,
     CKTerm,
     ContextMismatchError,
@@ -20,20 +20,20 @@ from afembed.terms import (
     adjoint,
     expand_ck3,
     isometry,
-    monomial_of_word,
     multiply,
-    normalize_word,
     projection,
     tail_unitary,
 )
 
 from .oracles import (
+    ZERO,
     all_order_normal_forms,
-    reduce_pair,
+    monomial_of_word,
     reference_normalize_word,
     reference_parse_term,
     reference_reduce_pair,
     term_of_word,
+    word_of_monomial,
 )
 
 
@@ -187,9 +187,9 @@ class TestExpandCK3:
             expand_ck3(projection(ctx, "a"), "a", ctx)
 
     def test_untouched_monomials_pass_through(self, ctx):
-        term = projection(ctx, "u1") + projection(ctx, "u2")
+        term = projection(ctx, "u1") + projection(ctx, "u2").scale(q(0, 2))
         out = expand_ck3(term, "u1", ctx)
-        assert out.coefficient(NormalMonomial((), 0, (), "u2")) == q(1)
+        assert out == CKTerm.of(NormalMonomial(("T1.f1",), 0, ("T1.f1",), "T1.v")) + projection(ctx, "u2").scale(q(0, 2))
 
 
 def _atom_pool(spec):
@@ -218,7 +218,7 @@ class TestRewriteSystem:
         )
         forms = all_order_normal_forms(spec, word)
         assert len(forms) == 1
-        leftmost = normalize_word(spec, word)
+        leftmost = reference_normalize_word(spec, word)
         assert forms == {None if leftmost is ZERO else leftmost}
 
     @given(st.data())
@@ -269,7 +269,7 @@ class TestRewriteSystem:
 
 
 GOLDEN = Path(__file__).parent / "golden"
-REFERENCE_CONTEXTS = ("square", "self_loop_mult", "two_tails", "two_receivers")
+REFERENCE_CONTEXTS = ("square", "self_loop_mult", "two_tails", "two_receivers", "square_mult_1_1_2")
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +287,8 @@ def reference_contexts():
         "self_loop_mult": embed(self_loop, MultiplicitySeq.parse("3,3;2"))[0],
         "two_tails": embed(two_loops)[0],
         "two_receivers": AugmentedGraphSpec(forked, ()),
+        # levels 1 and 2 have one edge each: contractions cascade down the tail
+        "square_mult_1_1_2": embed(square, MultiplicitySeq.parse("1,1;2"))[0],
     }
     out = {}
     for name, spec in specs.items():
@@ -298,50 +300,96 @@ def reference_contexts():
     return out
 
 
-class TestReferenceRewriting:
-    """The boundary rule stated once agrees with the sixteen-case pair table."""
+def _normal_forms(spec, atoms, length: int) -> list[NormalMonomial]:
+    """The normal monomials of the words of at most ``length`` atoms."""
+    forms = set()
+    for n in range(1, length + 1):
+        for word in itertools.product(atoms, repeat=n):
+            nf = reference_normalize_word(spec, word)
+            if nf is not ZERO:
+                try:
+                    forms.add(monomial_of_word(spec, nf))
+                except UnrepresentableTermError:
+                    pass
+    return sorted(forms, key=NormalMonomial.sort_key)
+
+
+def _outcome(product):
+    """The product, or the text of the ``UnrepresentableTermError`` it raises."""
+    try:
+        return product()
+    except UnrepresentableTermError as exc:
+        return str(exc)
+
+
+def _check_product(spec, m: NormalMonomial, n: NormalMonomial) -> str:
+    """``multiply`` of two normal monomials against the rewrite system on
+    their concatenated words: the leftmost normal form, read as a term, and
+    every rewrite order.  Returns which kind of product it was."""
+    word = word_of_monomial(spec, m) + word_of_monomial(spec, n)
+    leftmost = reference_normalize_word(spec, word)
+    assert all_order_normal_forms(spec, word) == {None if leftmost is ZERO else leftmost}, (m, n)
+    expected = CKTerm.zero() if leftmost is ZERO else _outcome(lambda: CKTerm.of(monomial_of_word(spec, leftmost)))
+    assert _outcome(lambda: multiply(CKTerm.of(m), CKTerm.of(n), spec)) == expected, (m, n)
+    if isinstance(expected, str):
+        return "unrepresentable"
+    return "zero" if expected.is_zero else "monomial"
+
+
+class TestClosedFormProduct:
+    """``multiply`` forms no word: it meets two normal monomials at their
+    junction in closed form.  The rewrite system of ``tests/oracles.py``
+    defines the normal form, and the two must agree, to the error text."""
 
     @pytest.mark.parametrize("name", REFERENCE_CONTEXTS)
-    def test_reduce_pair_on_every_pair(self, reference_contexts, name):
+    def test_every_pair_of_normal_forms_of_short_words(self, reference_contexts, name):
         spec, atoms = reference_contexts[name]
-        kinds = set()
-        for a in atoms:
-            for b in atoms:
-                step = reduce_pair(spec, a, b)
-                assert step == reference_reduce_pair(spec, a, b), (a, b)
-                kinds.add(step if step is ZERO or step == KEEP else "atom")
-        assert kinds == {ZERO, KEEP, "atom"}
+        forms = _normal_forms(spec, atoms, 2)
+        kinds = {_check_product(spec, m, n) for m in forms for n in forms}
+        assert kinds == {"zero", "monomial"} | ({"unrepresentable"} if spec.replacements else set())
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_normalize_word_matches_leftmost_reference(self, reference_contexts, data):
+    def test_normal_forms_of_longer_words(self, reference_contexts, data):
+        """Words of up to four atoms, each atom drawn among those that do
+        not annihilate with the one before it, so that most words are not zero."""
         spec, atoms = reference_contexts[data.draw(st.sampled_from(REFERENCE_CONTEXTS))]
-        word = tuple(data.draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=8)))
-        assert normalize_word(spec, word) == reference_normalize_word(spec, word)
+
+        def normal_form() -> NormalMonomial:
+            word = [data.draw(st.sampled_from(atoms))]
+            for _ in range(data.draw(st.integers(0, 3))):
+                word.append(data.draw(st.sampled_from([a for a in atoms if reference_reduce_pair(spec, word[-1], a) is not ZERO])))
+            nf = reference_normalize_word(spec, tuple(word))
+            assume(nf is not ZERO)
+            try:
+                return monomial_of_word(spec, nf)
+            except UnrepresentableTermError:
+                assume(False)
+
+        _check_product(spec, normal_form(), normal_form())
 
     @pytest.mark.parametrize(
-        "atom, error",
+        "text, error",
         [
-            (("p", "zzz"), ContextMismatchError),
-            (("s", "zzz"), ContextMismatchError),
-            (("s*", "T1.b1.3"), ContextMismatchError),  # level 1 has two edges
-            (("t", "T9", 1), ContextMismatchError),
-            (("t", "T1", 0), ValueError),
-            (("q", "u1"), ValueError),
+            ("p(zzz)", ContextMismatchError),
+            ("s(zzz)", ContextMismatchError),
+            ("s*(T1.b1.3)", ContextMismatchError),  # level 1 has two edges
+            ("t(T9)", ContextMismatchError),
+            ("p*(u1)", TermParseError),
         ],
     )
-    def test_reduce_pair_rejects_unknown_atoms(self, ctx, atom, error):
-        with pytest.raises(error):
-            reduce_pair(ctx, atom, ("p", "u1"))
-        with pytest.raises(error):
-            reduce_pair(ctx, ("p", "u1"), atom)
+    def test_an_unknown_atom_is_refused_where_it_is_read(self, ctx, text, error):
+        for term in (text, f"{text} p(u1)", f"p(u1) {text}"):
+            with pytest.raises(error):
+                parse_term(term, ctx)
 
 
 class TestNormalMonomialParsing:
     def test_projection_round_trip(self, ctx):
         word = (("p", "u1"),)
-        m = monomial_of_word(ctx, normalize_word(ctx, word))
+        m = monomial_of_word(ctx, reference_normalize_word(ctx, word))
         assert m == NormalMonomial((), 0, (), "u1")
+        assert word_of_monomial(ctx, m) == word
 
 
 class TestTermGrammar:
@@ -351,10 +399,13 @@ class TestTermGrammar:
 
     def test_sum_with_coefficients(self, ctx):
         text = "1/2 p(u1) + 3i s(T1.f1) - p(u2)"
-        term = parse_term(text, ctx)
-        assert term.coefficient(NormalMonomial((), 0, (), "u1")) == q(Fraction(1, 2))
-        assert term.coefficient(NormalMonomial(("T1.f1",), 0, (), "T1.v")) == q(0, 3)
-        assert term.coefficient(NormalMonomial((), 0, (), "u2")) == q(-1)
+        assert parse_term(text, ctx) == CKTerm(
+            {
+                NormalMonomial((), 0, (), "u1"): q(Fraction(1, 2)),
+                NormalMonomial(("T1.f1",), 0, (), "T1.v"): q(0, 3),
+                NormalMonomial((), 0, (), "u2"): q(-1),
+            }
+        )
 
     def test_powers_of_t(self, ctx):
         term = parse_term("s(T1.f1) t(T1)^4 s*(T1.f1)", ctx)

@@ -22,8 +22,10 @@ from afembed.terms import (
     multiply,
     projection,
 )
-from afembed.verify import Catalogue, RelationStatus, ck_instances, left_ends, verify_ck_family, verify_witness
+from afembed.verify import Catalogue, RelationStatus, ck_instances, left_ends, verify_ck_family
+from afembed.witness import verify_witness
 
+from .conftest import failed_rows
 from .oracles import all_order_normal_forms, reference_ck_instances, term_of_word
 from .strategies import condition5_graphs, entrance_graphs, multigraphs
 from .test_golden import GOLDEN
@@ -33,7 +35,7 @@ class TestVerifyCKFamily:
     def test_square_all_proved(self, square_embedding):
         spec, gmap = square_embedding
         report = verify_ck_family(gmap, spec)
-        assert report.all_proved
+        assert not failed_rows(report)
         checks = {c.relation: c for c in report.checks}
         assert checks["CK2[e1,e1]"].status is RelationStatus.PROVED
         assert checks["CK2[e1,e2]"].status is RelationStatus.PROVED
@@ -45,7 +47,7 @@ class TestVerifyCKFamily:
         )
         spec, gmap = embed(g)
         report = verify_ck_family(gmap, spec)
-        assert report.all_proved
+        assert not failed_rows(report)
         # b has two receivers: proved via receiver expansion, not contraction
         assert "expansion" in {c.relation: c for c in report.checks}["CK3[b]"].note
 
@@ -64,7 +66,7 @@ class TestVerifyCKFamily:
         corrupted = genmap_from_text(text, spec)
         assert corrupted.edge_map != gmap.edge_map
         report = verify_ck_family(corrupted, spec)
-        assert report.all_proved
+        assert not failed_rows(report)
         assert any(c.relation.startswith("SPECTRUM") for c in report.checks)
 
     def test_broken_image_is_flagged_with_difference(self, square_embedding):
@@ -72,8 +74,8 @@ class TestVerifyCKFamily:
         bad_edges = dict(gmap.edge_map)
         bad_edges["e1"] = CKTerm.of(NormalMonomial(("T1.f3",), 1, ("T1.f1",), "T1.v"))
         report = verify_ck_family(GeneratorMap(edge_map=bad_edges), spec)
-        assert not report.all_proved
-        failed = report.failures()
+        failed = failed_rows(report)
+        assert failed
         assert any(c.relation == "CK3[u2]" for c in failed)
         assert all(c.difference is not None and not c.difference.is_zero for c in failed)
 
@@ -81,14 +83,14 @@ class TestVerifyCKFamily:
     @settings(max_examples=40, deadline=None)
     def test_all_relations_proved_for_embeddings(self, g):
         spec, gmap = embed(g)
-        assert verify_ck_family(gmap, spec).all_proved
+        assert not failed_rows(verify_ck_family(gmap, spec))
 
 
 class TestVerifyWitness:
     def test_two_self_loop_witness(self, two_self_loops):
         w = classify(two_self_loops).witness
         report = verify_witness(w, two_self_loops)
-        assert report.all_proved
+        assert not failed_rows(report)
         assert len(report.checks) == 3
 
     def test_square_plus_entrance_cross_checked(self, square_plus_entrance):
@@ -96,7 +98,7 @@ class TestVerifyWitness:
         w = classify(g).witness
         ctx = AugmentedGraphSpec(g, ())
         report = verify_witness(w, g)
-        assert report.all_proved
+        assert not failed_rows(report)
         # cross-check each identity by the exhaustive rewrite-order oracle
         alpha_word = tuple(("s*", e) for e in reversed(w.alpha.edges)) + tuple(
             ("s", e) for e in w.alpha.edges
@@ -123,7 +125,7 @@ class TestVerifyWitness:
         w = classify(g).witness
         ctx = AugmentedGraphSpec(g, ())
         report = verify_witness(w, g)
-        assert report.all_proved
+        assert not failed_rows(report)
         # the algebraic content directly
         s_a = term_of_word(ctx, [("s", e) for e in w.alpha.edges])
         s_b = term_of_word(ctx, [("s", e) for e in w.beta.edges])
@@ -139,8 +141,8 @@ class TestVerifyWitness:
         bad = EntranceWitness(w.loop, g.edge(w.loop.edges[0]))
         with mock.patch.object(witness_mod, "validate_witness", lambda g, w: None):
             report = verify_witness(bad, g)
-        assert not report.all_proved and len(report.checks) == 3
-        (failed,) = report.failures()
+        assert len(report.checks) == 3
+        (failed,) = failed_rows(report)
         assert (failed.relation, failed.status) == ("WITNESS[alpha*beta]", RelationStatus.FAILED)
         assert failed.difference == projection(AugmentedGraphSpec(g, ()), w.loop.base)
         proved = [(c.relation, c.status, c.difference, c.note) for c in report.checks][:2]
