@@ -59,14 +59,13 @@ def records() -> list[SimpleNamespace]:
     spec, gmap = embed(g)
     parsed = genmap_from_text(genmap_to_text(gmap, spec), spec)
     rep = build_rep(spec, 3)
-    basis = vars(rep)["basis"]  # before ``paths`` or ``index`` is cached on it
     return [
         classify(g),
         classify(_load("square_plus_entrance.txt")),
         gmap,
         parsed,
         rep,
-        basis,
+        rep.basis,
         relation_residuals(rep, gmap),
         loop_spectrum(rep, spec.replacements[0].loop, gmap),
         verify_ck_family(gmap, spec),

@@ -373,9 +373,11 @@ class TestClosedFormProduct:
         [
             ("p(zzz)", ContextMismatchError),
             ("s(zzz)", ContextMismatchError),
+            ("s(T1.v)", ContextMismatchError),  # a vertex is no edge
             ("s*(T1.b1.3)", ContextMismatchError),  # level 1 has two edges
             ("t(T9)", ContextMismatchError),
             ("p*(u1)", TermParseError),
+            ("q(u1)", TermParseError),
         ],
     )
     def test_an_unknown_atom_is_refused_where_it_is_read(self, ctx, text, error):
