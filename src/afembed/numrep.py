@@ -19,22 +19,33 @@ the indices up: ``S_e`` sends the rows ending at ``s(e)`` of each level
 onto one contiguous, ascending block of the next, and ``P_v``, ``T``,
 ``a* a`` and ``a a*`` are diagonals.  So a product of two pieces whose
 right factor lands on one block of the left factor's sources, in order,
-multiplies their phases elementwise, and only a product whose indices do
-not line up (a ``--map`` sum, the isometries of two distinct edges) is a
-dict join; an adjoint swaps the index tuples and conjugates the phases,
-and sorts only where the targets do not ascend.  A relation instance thus
-costs time in proportion to its support, not to the dimension.  Only a
-sum (a ``--map`` image with several monomials, or a receiver sum) can put
-more than one piece on a matrix entry; its entries are merged, in the
-order the sum was formed, before a product or a norm reads them.
+multiplies their phases elementwise, and an adjoint swaps the index
+tuples and conjugates the phases.  A relation instance thus costs time in
+proportion to its support, not to the dimension.  Only a sum (a ``--map``
+image with several monomials, or a receiver sum) can put more than one
+piece on a matrix entry; its entries are merged, in the order the sum was
+formed, before a product or a norm reads them.
+
+What a constructed map never runs lives in :mod:`afembed.sparse`, which
+this module imports only where it is needed: the dict join of a product
+whose indices do not line up (a ``--map`` sum, the isometries of two
+distinct edges), the sort of an adjoint whose targets do not ascend, the
+product and the entries of a sum, its dense spectrum, and the spectrum
+match that sorts.  A residual's norm, which the receiver sums of every
+map read, stays here.
+
+Each row's index is one int object, made once when :meth:`PathBasis.build`
+lays out its level and shared by the suffixes, the rows by range vertex,
+the edge blocks, the corner levels and every operator's index tuples.
 
 The engine is plain Python, so no printed number depends on the CPU
 kernels numpy picks: every product, coefficients included, is Python's
 complex product, with separate real multiplies and adds and no fused
 multiply-add; and every norm and modulus is CPython's own ``math.hypot``
 over real and imaginary parts, not ``abs`` of a complex number, which
-calls the platform's ``hypot``.  numpy is loaded only for a loop image
-that is a genuine sum, whose spectrum needs a dense eigensolver.
+calls the platform's ``hypot``.  numpy is loaded only by
+:mod:`afembed.sparse`, for a loop image that is a genuine sum, whose
+spectrum needs a dense eigensolver.
 
 Residuals are Frobenius norms, which upper-bound the operator norm, so a
 reported residual below tolerance is conclusive.  The interior is one row
@@ -59,8 +70,11 @@ phases at that stride, to the bit.
 
 The constructed map's loop product has ``T^n``'s values on the shallow
 levels as its eigenvalues, value for value in row order, so its spectrum
-is matched with ``T^n``'s with no sort; and each value's angle is taken
-once, for the match and the distance to the circle.
+is matched with ``T^n``'s by comparing the values, then their angles, in
+row order: no ``(value, modulus)`` pair is formed and nothing is sorted.
+Only a conjugated side that differs is paired with its moduli and sorted.
+Each value's angle is taken once, for the match and the distance to the
+circle, whose gaps are read off the angles sorted in place.
 
 Spectra need no eigensolver in the common case: ``T^n`` on the corner is
 diagonal, and a phased partial permutation has the ``L``-th roots of ``w``
@@ -77,8 +91,9 @@ import math
 import operator
 from bisect import bisect_left
 from functools import partial, reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from types import SimpleNamespace
+from typing import Iterable
 
 from .embedding import MAX_STAGE_SIZE, AugmentedGraphSpec, GeneratorMap, LoopReplacement, StageTooLargeError, materialize
 from .graph import Graph
@@ -134,7 +149,7 @@ class PathBasis(SimpleNamespace):
             longer: list[list[int]] = [[] for _ in range(n)]
             for e, (s, r) in enumerate(zip(g.src, g.rng)):
                 rows, (src, tgt) = ending[s], extension[e]
-                block = range(len(edge), len(edge) + len(rows))
+                block = [*range(len(edge), len(edge) + len(rows))]  # each row's int, made once and shared
                 edge += [e] * len(rows)
                 suffix += rows
                 src += rows
@@ -168,20 +183,17 @@ def _mul(a: tuple[complex, ...] | None, b: tuple[complex, ...] | None) -> tuple[
     return tuple(map(operator.mul, a, b))
 
 
-def _take(phase: tuple[complex, ...] | None, idx: list[int]) -> tuple[complex, ...] | None:
-    return None if phase is None else tuple(map(phase.__getitem__, idx))
-
-
 class Piece:
     """A phased partial permutation: basis vector ``src[k]`` goes to
     ``phase[k]`` times basis vector ``tgt[k]``.
 
     ``src`` is sorted and neither index tuple repeats a value; ``phase``
-    None means all ones (projections and edge isometries).  ``position``,
-    where each source index sits in ``src``, is the join key of
-    :meth:`after`; it is None until the piece's first join builds it, and a
-    product whose right factor lands on one block of ``src``, in order,
-    needs no join.
+    None means all ones (projections and edge isometries).  A product
+    whose right factor lands on one block of ``src``, in order, multiplies
+    the phases elementwise, and an adjoint whose targets ascend swaps the
+    index tuples; any other is :mod:`afembed.sparse`'s, whose join keeps
+    its table of where each source index sits in ``src`` as ``position``,
+    None until the piece's first join builds it.
     """
 
     __slots__ = ("src", "tgt", "phase", "position")
@@ -199,11 +211,11 @@ class Piece:
         return (1 + 0j,) * len(self.src) if self.phase is None else self.phase
 
     def adjoint(self) -> "Piece":
-        src, tgt, phase = self.src, self.tgt, self.phase
-        if any(map(operator.gt, tgt, tgt[1:])):  # a diagonal's or an edge isometry's targets already ascend
-            order = _argsort(tgt)
-            src, tgt, phase = tuple(map(src.__getitem__, order)), tuple(map(tgt.__getitem__, order)), _take(phase, order)
-        return Piece(tgt, src, None if phase is None else tuple(map(complex.conjugate, phase)))
+        if any(map(operator.gt, self.tgt, self.tgt[1:])):  # a diagonal's or an edge isometry's targets already ascend
+            from .sparse import sorted_adjoint
+
+            return sorted_adjoint(self)
+        return Piece(self.tgt, self.src, None if self.phase is None else tuple(map(complex.conjugate, self.phase)))
 
     def after(self, b: "Piece") -> "Piece":
         """``self @ b``: follow ``b``, then ``self`` where ``b`` lands in its domain."""
@@ -211,29 +223,12 @@ class Piece:
         end = k + len(b.tgt)
         if self.src[k:end] == b.tgt:  # onto one block of sources, in order: the phases multiply elementwise
             return Piece(b.src, self.tgt[k:end], _mul(None if self.phase is None else self.phase[k:end], b.phase))
-        position = self.position
-        if position is None:
-            position = self.position = _join_table(self.src)
-        if position.keys().isdisjoint(b.tgt):
-            return _NO_PIECE
-        at = list(map(position.get, b.tgt))
-        if None in at:
-            hit = [i for i, k in enumerate(at) if k is not None]
-            src, at, b_phase = tuple(map(b.src.__getitem__, hit)), [at[i] for i in hit], _take(b.phase, hit)
-        else:
-            src, b_phase = b.src, b.phase
-        return Piece(src, tuple(map(self.tgt.__getitem__, at)), _mul(_take(self.phase, at), b_phase))
+        from .sparse import join
+
+        return join(self, b)
 
 
 _NO_PIECE = Piece((), ())
-
-
-def _join_table(src: tuple[int, ...]) -> dict[int, int]:
-    return dict(zip(src, range(len(src))))
-
-
-def _argsort(keys: tuple[int, ...]) -> list[int]:
-    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _merge(dim: int, runs) -> dict[int, complex]:
@@ -258,14 +253,6 @@ def _merge(dim: int, runs) -> dict[int, complex]:
     return dict(compress(zip(cells, values), values))
 
 
-def _by_source(dim: int, merged: dict[int, complex]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[complex, ...]]:
-    """Merged entries as ``(src, tgt, values)``, sorted by ``(src, tgt)``."""
-    if not merged:
-        return (), (), ()
-    cells = sorted(merged, key=lambda c: (c % dim, c))
-    return tuple(c % dim for c in cells), tuple(c // dim for c in cells), tuple(map(merged.__getitem__, cells))
-
-
 def _compress(run, rows: range):
     """The entries of a ``(src, tgt, values)`` run with both ends in ``rows``:
     a slice of the sorted ``src``, then the targets outside dropped."""
@@ -284,26 +271,6 @@ def _same_entries(runs) -> bool:
     return all(r[0] == src and r[1] == tgt for r in runs[1:])
 
 
-def _split(src, tgt, val) -> tuple[Piece, ...]:
-    """Cut merged entries, sorted by source, into disjoint phased partial permutations."""
-    pieces = []
-    entries = list(zip(src, tgt, val))
-    while entries:
-        seen_src: set[int] = set()
-        seen_tgt: set[int] = set()
-        take, rest = [], []
-        for entry in entries:
-            s, t, _ = entry
-            first = s not in seen_src and t not in seen_tgt  # entry 0 always is: never empty
-            seen_src.add(s)
-            seen_tgt.add(t)
-            (take if first else rest).append(entry)
-        s, t, v = zip(*take)
-        pieces.append(Piece(s, t, v))
-        entries = rest
-    return tuple(pieces)
-
-
 def _cycle_spectrum(src, tgt, val) -> list[complex]:
     """Eigenvalues of a phased partial permutation on its support.
 
@@ -312,6 +279,8 @@ def _cycle_spectrum(src, tgt, val) -> list[complex]:
     Fixed points come first, in index order, with their phases unchanged.
     """
     out = [v for s, t, v in zip(src, tgt, val) if s == t]
+    if len(out) == len(src):  # a diagonal: every vector of the support is fixed
+        return out
     step = {s: (t, v) for s, t, v in zip(src, tgt, val) if s != t}
     seen: set[int] = set()
     for start in step:
@@ -326,7 +295,7 @@ def _cycle_spectrum(src, tgt, val) -> list[complex]:
         if node == start:
             r, theta = math.hypot(w.real, w.imag) ** (1.0 / length), cmath.phase(w)
             out += [cmath.rect(r, (theta + 2 * math.pi * k) / length) for k in range(length)]
-    support = len(set(src) | set(tgt))
+    support = len(set(src).union(tgt))
     return out + [0j] * (support - len(out))
 
 
@@ -343,7 +312,11 @@ class Operator:
         return f"Operator(dim={self.dim!r}, pieces={self.pieces!r})"
 
     def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.dim, self.pieces + other.pieces)
+        return self.plus((other,))
+
+    def plus(self, others: Iterable["Operator"]) -> "Operator":
+        """``self`` plus each of ``others`` in turn: their pieces, in that order."""
+        return Operator(self.dim, self.pieces + tuple(chain.from_iterable(op.pieces for op in others)))
 
     def scale(self, c: complex) -> "Operator":
         c = complex(c)
@@ -359,28 +332,18 @@ class Operator:
             return Operator(self.dim)
         if len(self.pieces) == 1 and len(other.pieces) == 1:
             return Operator(self.dim, (self.pieces[0].after(other.pieces[0]),))
-        # a sum: merge both factors, join on the middle index, add in its order
-        by_source: dict[int, list[tuple[int, complex]]] = {}
-        for s, t, v in zip(*self.entries()):
-            by_source.setdefault(s, []).append((t, v))
-        by_target: dict[int, list[tuple[int, complex]]] = {}
-        for s, t, v in zip(*other.entries()):
-            by_target.setdefault(t, []).append((s, v))
-        runs = []
-        for m in sorted(by_source.keys() & by_target.keys()):
-            terms = [(s, t, u * v) for s, v in by_target[m] for t, u in by_source[m]]
-            runs.append(tuple(zip(*terms)))
-        return Operator(self.dim, _split(*_by_source(self.dim, _merge(self.dim, runs))))
+        from .sparse import sum_product
 
-    def _merged(self) -> dict[int, complex]:
-        return _merge(self.dim, ((p.src, p.tgt, p.values()) for p in self.pieces))
+        return sum_product(self, other)
 
     def entries(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[complex, ...]]:
         """``(src, tgt, value)`` of the nonzero matrix entries, sorted by source."""
-        if len(self.pieces) == 1:
-            p = self.pieces[0]
+        if len(self.pieces) <= 1:
+            p = self.pieces[0] if self.pieces else _NO_PIECE
             return p.src, p.tgt, p.values()
-        return _by_source(self.dim, self._merged())
+        from .sparse import entries
+
+        return entries(self)
 
     def frobenius(self, rows: range | None = None, minus: "Operator | None" = None) -> float:
         """Frobenius norm of this operator, or of its difference from ``minus``,
@@ -403,8 +366,8 @@ class Operator:
             # as when a relation holds: add and subtract elementwise, then compress what is left
             src, tgt, _ = both[0]
             values = reduce(partial(map, operator.add), (r[2] for r in runs[1:]), runs[0][2]) if runs else repeat(0j)
-            values = tuple(reduce(partial(map, operator.sub), (r[2] for r in subtracted), values))
-            values = [v for s, t, v in compress(zip(src, tgt, values), values) if rows is None or (s in rows and t in rows)]
+            values = reduce(partial(map, operator.sub), (r[2] for r in subtracted), values)
+            values = [v for s, t, v in zip(src, tgt, values) if v and (rows is None or (s in rows and t in rows))]
         else:
             negated = [(src, tgt, tuple(map(operator.neg, values))) for src, tgt, values in subtracted]
             values = _merge(self.dim, runs + negated).values()
@@ -428,22 +391,11 @@ class Operator:
 
     def eigenvalues(self) -> list[complex]:
         """Spectrum on the span of the basis vectors this operator touches."""
-        src, tgt, val = self.entries()
-        if len(set(src)) == len(src) and len(set(tgt)) == len(tgt):
-            return _cycle_spectrum(src, tgt, val)
-        # a genuine sum, two entries in one row or column: dense, on the support
-        support = {v: k for k, v in enumerate(sorted(set(src) | set(tgt)))}
-        if len(support) > MAX_DENSE_SUPPORT:
-            raise DenseSpectrumTooLargeError(
-                f"the spectrum needs a dense eigensolver on {len(support)} basis vectors, "
-                f"more than the {MAX_DENSE_SUPPORT} it may take"
-            )
-        import numpy as np
+        if len(self.pieces) > 1:
+            from .sparse import sum_spectrum
 
-        dense = np.zeros((len(support), len(support)), dtype=np.complex128)
-        for s, t, v in zip(src, tgt, val):
-            dense[support[t], support[s]] = v
-        return [complex(z) for z in np.linalg.eigvals(dense)]
+            return sum_spectrum(self)
+        return _cycle_spectrum(*self.entries())  # a phased partial permutation
 
 
 class TruncatedRep(SimpleNamespace):
@@ -734,11 +686,10 @@ class SpectrumReport(SimpleNamespace):
 
 def _circle_hausdorff(angles: list[float], radial: float) -> float:
     """Hausdorff distance between a finite set and the unit circle, given
-    its values' ``angles`` and their largest distance ``radial`` of a
-    modulus from 1."""
-    angles = sorted(angles)
-    gaps = [b - a for a, b in zip(angles, angles[1:])]
-    gaps.append(angles[0] + 2 * math.pi - angles[-1])
+    its values' ``angles``, which it sorts in place, and their largest
+    distance ``radial`` of a modulus from 1."""
+    angles.sort()
+    gaps = chain(map(operator.sub, islice(angles, 1, None), angles), (angles[0] + 2 * math.pi - angles[-1],))
     return max(radial, 2.0 * math.sin(max(gaps) / 4.0))
 
 
@@ -756,44 +707,30 @@ def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> Sp
     ns = loop_rep.tail.namespace
     # T^n is diagonal on the corner (all levels, in basis order): its eigenvalues are its phases
     evals = _tail_power(rep, ns, loop.n).pieces[0].values()
-    moduli = [math.hypot(z.real, z.imag) for z in evals]
-    radial = max(abs(m - 1.0) for m in moduli)
+    radial = max(abs(math.hypot(z.real, z.imag) - 1.0) for z in evals)
     angles = list(map(cmath.phase, evals))
 
-    conj = loop_product(rep, loop, gmap).eigenvalues()
-    conj_nonzero = [(z, m) for z in conj if (m := math.hypot(z.real, z.imag)) > 0.5]
+    conj = tuple(z for z in loop_product(rep, loop, gmap).eigenvalues() if math.hypot(z.real, z.imag) > 0.5)
 
     # the conjugated operator sees levels 0 .. d-1 of the corner unitary power
     shallow = sum(len(level) for level in rep.corner_levels[ns][: rep.depth])
-    mismatch = _multiset_mismatch(conj_nonzero, list(zip(evals[:shallow], moduli)), angles[:shallow])
+    if len(conj) != shallow:
+        mismatch = float("inf")
+    elif all(map(operator.eq, conj, evals)) and all(map(operator.eq, map(cmath.phase, conj), angles)):
+        # the constructed map's: T^n's values in row order, angles included, each matched with itself
+        mismatch = 0.0
+    else:
+        from .sparse import _multiset_mismatch
+
+        a, b = ([(z, math.hypot(z.real, z.imag)) for z in side] for side in (conj, evals[:shallow]))
+        mismatch = _multiset_mismatch(a, b, angles[:shallow])
 
     return SpectrumReport(
         loop=loop,
         depth=rep.depth,
         eigenvalues=tuple(evals),
-        conjugated_nonzero=tuple(z for z, _ in conj_nonzero),
+        conjugated_nonzero=conj,
         max_modulus_deviation=radial,
         hausdorff_to_circle=_circle_hausdorff(angles, radial),
         conjugation_mismatch=mismatch,
     )
-
-
-def _multiset_mismatch(a: list[tuple[complex, float]], b: list[tuple[complex, float]], b_angles: list[float]) -> float:
-    """Largest distance between two multisets of ``(value, modulus)`` pairs
-    matched in order of angle, then modulus; infinite if their sizes differ.
-
-    ``b`` is ``T^n``'s side, and ``b_angles`` its values' angles.  The
-    constructed map's conjugated side ``a`` is ``b`` itself, value for value
-    in row order, with the same angles, so that the order would match each
-    value with itself: then neither side is sorted.
-    """
-    if len(a) != len(b):
-        return float("inf")
-    if len(a) == 0 or (a == b and [cmath.phase(z) for z, _ in a] == b_angles):
-        return 0.0
-
-    def key(pair: tuple[complex, float]) -> tuple[float, float]:
-        # the angle rounded to 9 decimals as numpy rounds it, then the modulus
-        return round(cmath.phase(pair[0]) * 1e9) / 1e9, pair[1]
-
-    return max(math.hypot(x.real - y.real, x.imag - y.imag) for (x, _), (y, _) in zip(sorted(a, key=key), sorted(b, key=key)))

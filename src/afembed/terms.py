@@ -35,7 +35,11 @@ form, the Cuntz-Krieger product of ``s_mu* s_nu`` (Raeburn, *Graph
 Algebras*, CBMS 103, 2005, Ch. 1): the facing ends must agree, the
 ``s*`` path of the left factor cancels against the ``s`` path of the
 right, and whatever is left of either joins the other side.  Coefficients
-are exact; no floating point enters this module.
+are exact; no floating point enters this module.  Their parts are ints
+until :mod:`afembed.notation`'s grammar reads a rational from a ``--map``,
+so this module never imports :mod:`fractions`: the constructed map's
+coefficients are all :data:`ONE`, and a sum of ints stays an int.  An int
+and a ``Fraction`` of equal value are equal, hash alike and print alike.
 
 The product reads the graph through one context, the replaced graph
 :class:`~afembed.embedding.AugmentedGraphSpec`: edge ranges and unique
@@ -48,12 +52,14 @@ contraction is only sound against the full receiver set.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping
+import sys
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .graph import Frozen
 
 if TYPE_CHECKING:  # the one context, whose module imports this one
+    from fractions import Fraction
+
     from .embedding import AugmentedGraphSpec
 
 
@@ -79,11 +85,12 @@ class CK3ExpansionError(ValueError):
 
 
 class GaussianRational(Frozen):
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational real and imaginary parts, each an
+    ``int`` or a :class:`fractions.Fraction`."""
 
     __slots__ = ("real", "imag")
 
-    def __init__(self, real: Fraction = Fraction(0), imag: Fraction = Fraction(0)):
+    def __init__(self, real: int | Fraction = 0, imag: int | Fraction = 0):
         _gaussian_real(self, real)
         _gaussian_imag(self, imag)
 
@@ -100,8 +107,11 @@ class GaussianRational(Frozen):
     def of(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
-            return ONE if value == 1 else cls(Fraction(value))
+        if isinstance(value, int):
+            return ONE if value == 1 else cls(int(value))
+        fractions = sys.modules.get("fractions")  # a Fraction exists only once its module is loaded
+        if fractions is not None and isinstance(value, fractions.Fraction):
+            return ONE if value == 1 else cls(fractions.Fraction(value))
         raise TypeError(f"cannot coerce {value!r} to a Gaussian rational")
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
@@ -111,7 +121,7 @@ class GaussianRational(Frozen):
         return GaussianRational(self.real - other.real, self.imag - other.imag)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        if self is ONE or other is ONE:  # the shared unit: no Fraction arithmetic
+        if self is ONE or other is ONE:  # the shared unit: no arithmetic
             return other if self is ONE else self
         return GaussianRational(
             self.real * other.real - self.imag * other.imag,
@@ -149,7 +159,7 @@ class GaussianRational(Frozen):
 
 _gaussian_real, _gaussian_imag = GaussianRational.real.__set__, GaussianRational.imag.__set__
 #: The unit coefficient, shared: the constructed map's every coefficient, and its products'.
-ONE = GaussianRational(Fraction(1))
+ONE = GaussianRational(1)
 
 
 class NormalMonomial(Frozen):
@@ -229,9 +239,15 @@ class CKTerm:
         return not self._coeffs
 
     def __add__(self, other: "CKTerm") -> "CKTerm":
+        return self.plus((other,))
+
+    def plus(self, others: Iterable["CKTerm"]) -> "CKTerm":
+        """``self`` plus each of ``others`` in turn, in one pass: each
+        coefficient is checked once, not once per sum it passes through."""
         out = dict(self._coeffs)
-        for m, c in other._coeffs.items():
-            out[m] = out[m] + c if m in out else c
+        for other in others:
+            for m, c in other._coeffs.items():
+                out[m] = out[m] + c if m in out else c
         return CKTerm(out)
 
     def __neg__(self) -> "CKTerm":
@@ -341,7 +357,4 @@ def expand_ck3(term: CKTerm, v: str, ctx: AugmentedGraphSpec) -> CKTerm:
     expansion = CKTerm(
         {NormalMonomial((e,), 0, (e,), ctx.edge_source(e)): ONE for e in rec}
     )
-    out = CKTerm.zero()
-    for m, c in term.items():
-        out = out + (expansion.scale(c) if m == target else CKTerm.of(m, c))
-    return out
+    return CKTerm.zero().plus(expansion.scale(c) if m == target else CKTerm.of(m, c) for m, c in term.items())

@@ -61,8 +61,11 @@ def ck_instances(
     :class:`Catalogue` names them.  CK1[v] holds two identities, ``p p = p``
     and ``p* = p``; CK2[e,f] is ``img(e)* img(f) = delta_ef p(source(e))``;
     CK3[v] is the receiver sum ``sum_e img(e) img(e)* = p(v)`` at each
-    vertex that receives an edge.  Each backend passes its own operations
-    (its ``+`` is the sum); each adjoint is computed once per edge.
+    vertex that receives an edge.  Each backend passes its own operations;
+    a receiver sum is ``zero.plus(products)``, the products added in
+    receiver order in one pass, so a vertex with ``k`` receivers costs
+    O(k), where adding them one at a time, each sum a new value, would cost
+    O(k^2).  Each adjoint is computed once per edge.
 
     ``support(x)`` gives keys such that ``adjoint(x) y`` is zero unless
     ``support(x)`` and ``support(y)`` share one: the ranges of distinct
@@ -100,9 +103,8 @@ def ck_instances(
         kind, start, ids = "CK3", family.recv_start, family.recv_ids
         for i, at in enumerate(vn):
             if start[i] < start[i + 1]:
-                total = zero
-                for e in map(en.__getitem__, ids[start[i] : start[i + 1]]):
-                    total = total + product(images[e], adjoints[e])
+                receivers = map(en.__getitem__, ids[start[i] : start[i + 1]])
+                total = zero.plus([product(images[e], adjoints[e]) for e in receivers])
                 yield kind, at, ((total, projection(at)),)
     except UnrepresentableTermError as exc:
         # a symbolic product without a normal form: say which instance formed it

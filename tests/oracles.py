@@ -54,7 +54,8 @@ from afembed.graph import (
 )
 from afembed.embedding import AugmentedGraphSpec, BratteliTailSpec, MultiplicitySeq
 from afembed.loops import EntranceWitness, SimpleLoop, Verdict
-from afembed.numrep import _NO_PIECE, Operator, Piece, TruncatedRep, _merge, _mul, _same_entries, _take, op_of_term
+from afembed.numrep import _NO_PIECE, Operator, Piece, TruncatedRep, _merge, _mul, _same_entries, op_of_term
+from afembed.sparse import _take
 from afembed.notation import _TOKEN_RE, TermParseError, _power_str
 from afembed.terms import (
     ONE,
@@ -1144,8 +1145,8 @@ class EntranceWitnessTwin:
 class GaussianRationalTwin:
     __qualname__ = "GaussianRational"
 
-    real: Fraction = Fraction(0)
-    imag: Fraction = Fraction(0)
+    real: int | Fraction = 0
+    imag: int | Fraction = 0
 
 
 @dataclass(frozen=True)

@@ -1000,6 +1000,25 @@ def test_verify_memory_grows_linearly_in_the_loop_length(tmp_path):
     assert c2000 - c1000 <= 1.3 * (c1000 - c10)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_verify_memory_per_row_of_a_deep_self_loop():
+    """A default ``verify`` of the one-edge self-loop at depths 14 and 16,
+    each in a fresh process with its output discarded: 81,903 and 327,661
+    basis rows.  The peak grew by 199 bytes per added row while each row's
+    index was made as two int objects, the loop spectrum paired every value
+    with its modulus, and a residual held every difference; it grows by
+    about 135 (x86-64 Linux, CPython 3.11).  A difference of peaks does
+    not depend on the interpreter's own start-up size."""
+    peaks = []
+    for depth in (14, 16):
+        argv = ["verify", "--input", str(GOLDEN / "self_loop.txt"), "--depth", str(depth)]
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=child_env(), capture_output=True, timeout=120)
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == EXIT_OK
+        peaks.append(peak_kb * 1024)
+    assert peaks[1] - peaks[0] <= 175 * (327_661 - 81_903)
+
+
 class TestStageCeiling:
     """A stage above ``MAX_STAGE_SIZE`` is an input error, found before it is built."""
 

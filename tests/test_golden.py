@@ -245,9 +245,9 @@ def test_embed_and_export_need_no_numpy(command, tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == artifacts
 
 
-# compiled only by the commands that run them: ``terms`` brings ``fractions``
-# and ``decimal`` with it; ``json`` only a JSON graph, ``embed``'s spec and
-# ``export --format json`` load
+# compiled only by the commands that run them: ``notation`` brings
+# ``fractions`` and ``decimal`` with it; ``json`` only a JSON graph, ``embed``'s
+# spec and ``export --format json`` load
 DEFERRED = ("afembed.terms", "afembed.embedding", "afembed.verify", "afembed.numrep", "fractions", "decimal", "json")
 
 # every request loads the package, the command line, the graph model and the loop analysis
@@ -256,7 +256,8 @@ STRUCTURE = {"afembed", "afembed.cli", "afembed.graph", "afembed.loops"}
 NUMERIC = STRUCTURE | {"afembed.terms", "afembed.embedding", "afembed.verify", "afembed.numrep"}
 # the ``afembed`` modules of each request, in a fresh interpreter, and its exit code:
 # ``formats`` writes graphs and reads JSON ones, ``witness`` finds an entrance's
-# loop, and ``notation`` writes and reads terms, maps and specs
+# loop, ``notation`` writes and reads terms, maps and specs, and ``sparse``
+# multiplies a ``--map``'s sums and unaligned pieces and sorts its spectra
 MODULE_SETS = {
     "classify": (["classify", "--input", "@square.txt"], 0, STRUCTURE),
     "classify an entrance": (["classify", "--input", "@square_plus_entrance.txt"], 3, STRUCTURE | {"afembed.witness"}),
@@ -281,7 +282,12 @@ MODULE_SETS = {
     "verify --map": (
         ["verify", "--input", "@square.txt", "--map", "@square_fswap.genmap.txt"],
         2,
-        NUMERIC | {"afembed.notation"},
+        NUMERIC | {"afembed.notation", "afembed.sparse"},
+    ),
+    "verify --map a sum": (
+        ["verify", "--input", "@square.txt", "--map", "@square_sum.genmap.txt"],
+        2,
+        NUMERIC | {"afembed.notation", "afembed.sparse"},
     ),
 }
 
@@ -291,7 +297,8 @@ def test_structure_commands_never_import_numrep(tmp_path):
     fresh interpreter: ``classify``, ``loops`` and ``export`` no term
     engine, embedding, verifier or numeric stage, and on a text graph no
     ``json`` unless ``export`` writes JSON; a constructed-map ``verify``
-    none of the graph writers, the witness search or the term grammar."""
+    none of the graph writers, the witness search, the term grammar, the
+    general sparse algebra, ``fractions`` or ``decimal``."""
     env = dict(child_env(), AFEMBED_OUTPUT_DIR=str(tmp_path))
     loaded = {}
     for name, (argv, expected, _) in MODULE_SETS.items():
@@ -312,6 +319,8 @@ def test_structure_commands_never_import_numrep(tmp_path):
     for name in ("classify", "classify an entrance", "loops", "loops an entrance", "export text", "export dot"):
         assert not loaded[name] & set(DEFERRED), name
     assert loaded["export json"] & set(DEFERRED) == {"json"}
+    for name in ("verify", "verify a JSON graph", "verify an entrance"):
+        assert not loaded[name] & {"afembed.sparse", "fractions", "decimal"}, name
     assert len(list(tmp_path.iterdir())) == 4  # embed ran and wrote its artifacts
 
 
@@ -327,6 +336,7 @@ MOVED = {
         "_cycle_through", "simple_cycle_through", "validate_witness", "witness_infinite", "_chain_fragments",
         "verify_witness",
     ),
+    "afembed.sparse": ("_take", "_join_table", "_argsort", "_by_source", "_split", "_multiset_mismatch"),
 }
 
 

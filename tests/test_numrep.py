@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afembed import embedding, numrep
+from afembed import embedding, numrep, sparse
 from afembed.cli import build_parser
 from afembed.embedding import (
     MultiplicitySeq,
@@ -24,7 +24,6 @@ from afembed.numrep import (
     _tail_phase,
     _compress,
     _level_phases,
-    _multiset_mismatch,
     _tail_power,
     DenseSpectrumTooLargeError,
     Operator,
@@ -38,6 +37,7 @@ from afembed.numrep import (
     relation_residuals,
     spectral_net_bound,
 )
+from afembed.sparse import _multiset_mismatch
 from afembed.terms import NormalMonomial, CKTerm
 
 from .conftest import growth_ratio
@@ -959,11 +959,11 @@ class TestAlignedIndices:
                 built[name] += 1
                 return original(keys)
 
-            original = getattr(numrep, name)
+            original = getattr(sparse, name)
             return call
 
         for name in built:
-            monkeypatch.setattr(numrep, name, counting(name))
+            monkeypatch.setattr(sparse, name, counting(name))
         relation_residuals(rep, gmap)
         for loop_rep in spec.replacements:
             loop_spectrum(rep, loop_rep.loop, gmap)

@@ -18,6 +18,7 @@ from afembed.numrep import Operator, build_rep, last_edges, op_of_term, relation
 from afembed.terms import (
     NormalMonomial,
     CKTerm,
+    GaussianRational,
     adjoint,
     multiply,
     projection,
@@ -177,6 +178,39 @@ def ck2_products(spec: AugmentedGraphSpec, gmap: GeneratorMap) -> int:
     return ck2
 
 
+def coefficient_checks(k: int) -> tuple[int, int]:
+    """The ``GaussianRational.of`` calls made on an in-star with ``k``
+    receivers: by the catalogue to form CK3 at its centre, and by the whole
+    symbolic report."""
+    g = parse_graph("vertex c\n" + "".join(f"vertex s{i}\nedge e{i} s{i} c\n" for i in range(k)))
+    spec, gmap = embed(g)
+    calls = 0
+    of = GaussianRational.of.__func__
+
+    def counting(cls, value):
+        nonlocal calls
+        calls += 1
+        return of(cls, value)
+
+    ck3 = before = 0
+    with mock.patch.object(GaussianRational, "of", classmethod(counting)):
+        for kind, _, _ in ck_instances(
+            spec.graph,
+            gmap.edge_map,
+            lambda v: projection(spec, v),
+            adjoint,
+            lambda a, b: multiply(a, b, spec),
+            lambda a: left_ends(a, spec),
+            CKTerm.zero(),
+        ):
+            if kind == "CK3":  # an instance's products are made before it is yielded
+                ck3 += calls - before
+            before = calls
+        calls = 0
+        verify_ck_family(gmap, spec)
+    return ck3, calls
+
+
 def cycle(n: int):
     return parse_graph("".join(f"vertex u{i}\n" for i in range(n)) + "".join(f"edge e{i} u{i} u{(i + 1) % n}\n" for i in range(n)))
 
@@ -325,6 +359,18 @@ class TestCrossRangeLemma:
         assert ck2_products(spec, gmap) == k
         checks = verify_ck_family(gmap, spec).checks
         assert len(checks) == (k + 1) + k * k + 1 + 1 and [p for p in checks.outcomes if checks.ck2 <= p < checks.ck3] == []
+
+    def test_a_receiver_sum_checks_each_coefficient_once(self):
+        """An in-star's CK3 sums its k products in one pass, so the
+        coefficient checks (``GaussianRational.of`` calls) of the instance,
+        and of the whole symbolic report, grow linearly in k: from k = 200
+        to 400 they grow by twice as many as from 100 to 200.  Adding the
+        products one at a time checks every coefficient of the sum so far
+        again each time, about k^2 / 2 checks."""
+        counts = [coefficient_checks(k) for k in (100, 200, 400)]
+        for small, middle, large in zip(*counts):
+            assert large - middle == 2 * (middle - small)
+        assert counts[2][0] <= 3 * 400
 
     @settings(max_examples=120, deadline=None)
     @given(family=mapped_families())

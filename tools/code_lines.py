@@ -9,7 +9,9 @@ default directory is ``src/afembed`` next to this file's parent directory.
 ``--commands`` then runs each command on ``tests/golden/square.txt`` in a
 fresh interpreter, with the package directory's parent on ``PYTHONPATH``,
 and prints a row per command: the code lines of the ``afembed`` modules it
-loaded, and their names.
+loaded, and their names.  A last row does the same for ``verify --map
+tests/golden/square_sum.genmap.txt``, a map with a sum in one image, which
+runs what a constructed map does not.
 """
 
 import ast
@@ -23,7 +25,16 @@ from pathlib import Path
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 ROOT = Path(__file__).resolve().parent.parent
 SQUARE = ROOT / "tests" / "golden" / "square.txt"
-COMMANDS = ("classify", "loops", "export", "embed", "verify")
+SQUARE_SUM = ROOT / "tests" / "golden" / "square_sum.genmap.txt"
+# each row's name, and the arguments of its run
+COMMANDS = {
+    "classify": ["classify"],
+    "loops": ["loops"],
+    "export": ["export"],
+    "embed": ["embed"],
+    "verify": ["verify"],
+    "verify --map": ["verify", "--map", str(SQUARE_SUM)],
+}
 # runs one command and prints the ``afembed`` modules it loaded
 _LOADED = (
     "import io, sys\n"
@@ -45,12 +56,13 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def loaded_modules(package: Path, command: str) -> list[str]:
+def loaded_modules(package: Path, command: list[str]) -> list[str]:
     """The stems of the package's modules that ``afembed <command> --input
-    square.txt`` loads, ``__init__`` for the package itself."""
+    square.txt`` loads, ``__init__`` for the package itself; ``command`` is
+    the command and its other arguments."""
     with tempfile.TemporaryDirectory() as out:
         env = dict(os.environ, PYTHONPATH=str(package.parent), AFEMBED_OUTPUT_DIR=out)
-        argv = [sys.executable, "-c", _LOADED, command, "--input", str(SQUARE)]
+        argv = [sys.executable, "-c", _LOADED, *command, "--input", str(SQUARE)]
         names = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.split()
     return sorted(name.partition(".")[2] or "__init__" for name in names)
 
@@ -65,9 +77,9 @@ def main(argv: list[str]) -> int:
     print(f"{'total':<12} {sum(counts.values()):>6,}")
     if "--commands" in argv:
         print(f"loaded by each command on {SQUARE.relative_to(ROOT)}:")
-        for command in COMMANDS:
+        for name, command in COMMANDS.items():
             stems = loaded_modules(package, command)
-            print(f"{command:<12} {sum(map(counts.__getitem__, stems)):>6,}  {' '.join(stems)}")
+            print(f"{name:<12} {sum(map(counts.__getitem__, stems)):>6,}  {' '.join(stems)}")
     return 0
 
 
