@@ -622,24 +622,8 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     its position; the loop's rows share one name prefix.
     """
     spec, interior = rep.spec, rep.interior
-    ops = {e: op_of_term(term, rep) for e, term in gmap.edge_map.items()}
     entries = Catalogue(spec.graph, ("CK1", "CK1*"), 0.0)
-    defects: list[tuple[str, float]] = []
-    for kind, at, identities in ck_instances(
-        entries.family,
-        ops,
-        rep.P.__getitem__,
-        Operator.adjoint,
-        operator.matmul,
-        partial(last_edges, rep),
-        Operator(rep.dimension),
-    ):
-        for p, (lhs, rhs) in enumerate(identities, entries.position(kind, at)):
-            entries.put(p, lhs.frobenius(interior, minus=rhs))
-        if kind == "CK3":
-            # known truncation defect: the relation fails on the vertex vector itself
-            vertex = rep.graph.vertex_id(at)  # the basis starts with the vertex paths, in id order
-            defects.append((f"CK3-vertex-defect[{at}]", lhs.column_norm(vertex, minus=rhs)))
+    defects = _ck_residuals(rep, gmap, entries)
 
     for loop_rep in spec.replacements:
         loop = loop_rep.loop
@@ -662,10 +646,48 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
         entries.put(entries.append(prefix, ":power"), loop_product(rep, loop, gmap).frobenius(interior, minus=closed))
 
     for ns, t in sorted(rep.T.items()):
-        p_v = rep.P[rep.spec.sink_vertex(ns)]
-        entries.put(entries.append(f"TAIL[{ns}]", ":unitary"), (t @ t.adjoint()).frobenius(minus=p_v))
-        entries.put(entries.append(f"TAIL[{ns}]", ":unitary*"), (t.adjoint() @ t).frobenius(minus=p_v))
+        phase = t.pieces[0].phase
+        entries.put(entries.append(f"TAIL[{ns}]", ":unitary"), _unit_defect(phase, map(complex.conjugate, phase)))
+        entries.put(entries.append(f"TAIL[{ns}]", ":unitary*"), _unit_defect(map(complex.conjugate, phase), phase))
     return ResidualReport(entries=entries, boundary_defects=tuple(defects))
+
+
+def _ck_residuals(rep: TruncatedRep, gmap: GeneratorMap, entries: Catalogue) -> list[tuple[str, float]]:
+    """Put the residual of each CK1-CK3 instance of the catalogue into
+    ``entries`` and return the CK3 vertex defects; the operators of the
+    last instance go with this frame, before the LOOP and TAIL rows."""
+    interior = rep.interior
+    ops = {e: op_of_term(term, rep) for e, term in gmap.edge_map.items()}
+    defects: list[tuple[str, float]] = []
+    for kind, at, identities in ck_instances(
+        entries.family,
+        ops,
+        rep.P.__getitem__,
+        Operator.adjoint,
+        operator.matmul,
+        partial(last_edges, rep),
+        Operator(rep.dimension),
+    ):
+        for p, (lhs, rhs) in enumerate(identities, entries.position(kind, at)):
+            entries.put(p, lhs.frobenius(interior, minus=rhs))
+        if kind == "CK3":
+            # known truncation defect: the relation fails on the vertex vector itself
+            vertex = rep.graph.vertex_id(at)  # the basis starts with the vertex paths, in id order
+            defects.append((f"CK3-vertex-defect[{at}]", lhs.column_norm(vertex, minus=rhs)))
+    return defects
+
+
+def _unit_defect(a: Iterable[complex], b: Iterable[complex]) -> float:
+    """``(T T*).frobenius(minus=P[v])`` for a tail's ``T`` and sink ``v``,
+    from ``a`` and ``b``, the phases of ``T`` and ``T*`` in the order of the
+    product, without forming either operator.
+
+    ``T`` maps each row ending at ``v`` to itself, as ``P[v]`` does, so the
+    product's entries are ``a[k] * b[k]``, the rows are ``P[v]``'s, and
+    ``frobenius`` takes the nonzero ``a[k] * b[k] - 1`` in row order, as
+    here: the same products and differences, so the same bits."""
+    differences = map(operator.sub, map(operator.mul, a, b), repeat(1 + 0j))
+    return math.hypot(*(x for v in differences if v for x in (v.real, v.imag)))
 
 
 class SpectrumReport(SimpleNamespace):

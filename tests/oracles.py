@@ -967,6 +967,19 @@ def reference_loop_entries(rep: TruncatedRep, gmap) -> list[tuple[str, float]]:
     return entries
 
 
+def reference_tail_entries(rep: TruncatedRep) -> list[tuple[str, float]]:
+    """The ``TAIL`` residuals, as ``numrep.relation_residuals`` formed them
+    before it read them off ``T``'s phases, kept verbatim: the Frobenius
+    norms of the operator products ``T T* - P(v)`` and ``T* T - P(v)`` over
+    the whole stage, for ``v`` the tail's sink, in report order."""
+    entries = []
+    for ns, t in sorted(rep.T.items()):
+        p_v = rep.P[rep.spec.sink_vertex(ns)]
+        entries.append((f"TAIL[{ns}]:unitary", (t @ t.adjoint()).frobenius(minus=p_v)))
+        entries.append((f"TAIL[{ns}]:unitary*", (t.adjoint() @ t).frobenius(minus=p_v)))
+    return entries
+
+
 def reference_tail_power(rep: TruncatedRep, namespace: str, k: int) -> Operator:
     """``numrep._tail_power`` before it raised ``T``'s phases elementwise,
     kept verbatim: ``|k| - 1`` operator products of ``T``, or of ``T*``

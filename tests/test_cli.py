@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -788,7 +789,9 @@ class TestUsageErrors:
     def test_process_exit_code(self, monkeypatch, capsys):
         """``entry_point`` sets ``SIGPIPE`` to its default action, which,
         left so in this process, would let a later test's child that leaves
-        piped input unread end the whole session."""
+        piped input unread end the whole session; and it freezes the
+        collector, which, left so, would keep every object of the session
+        so far from being collected."""
         monkeypatch.setattr("sys.argv", ["afembed", "verify", "--mult", "x;2"])
         found = signal.getsignal(signal.SIGPIPE)
         try:
@@ -796,7 +799,29 @@ class TestUsageErrors:
                 entry_point()
         finally:
             signal.signal(signal.SIGPIPE, found)
+            gc.unfreeze()
         assert exc.value.code == EXIT_INPUT_ERROR
+
+    def test_the_process_exits_with_the_collector_frozen(self):
+        """Every object alive when the command returns is in the permanent
+        generation by the time the exit handlers run, so the collections
+        of shutdown skip them; the report is the golden's."""
+        code = (
+            "import atexit, gc, sys; atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+            "from afembed.cli import entry_point; entry_point()"
+        )
+        argv = resolve(CASES["classify_square"])
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=child_env(), timeout=60)
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == (GOLDEN / "classify_square.stdout").read_bytes()
+        assert int(proc.stderr) > 0
+
+    def test_main_leaves_the_collector_as_it_was(self):
+        """Tests and tools call ``main`` many times in one process, which
+        must go on collecting."""
+        frozen = gc.get_freeze_count()
+        assert run_cli(resolve(CASES["verify_square_d4"]))[0] == EXIT_OK
+        assert gc.get_freeze_count() == frozen
 
     @pytest.mark.parametrize(
         "command, options",

@@ -53,6 +53,7 @@ from .oracles import (
     reference_loop_entries,
     reference_multiset_mismatch,
     reference_spectrum_distances,
+    reference_tail_entries,
     reference_tail_power,
     sorted_path_basis,
     term_of_word,
@@ -770,6 +771,25 @@ class TestSharedProducts:
         rep = build_rep(spec, depth)
         assert self.loop_entries(relation_residuals(rep, gmap)) == reference_loop_entries(rep, gmap)
 
+    @staticmethod
+    def tail_entries(report):
+        return [(name, value.hex()) for name, value in report.entries if name.startswith("TAIL[")]
+
+    @pytest.mark.parametrize("mult", ["2", "3,3;2"])
+    @pytest.mark.parametrize(
+        "name, depth",
+        [(name, 6) for name in ("square", "cycles_dag", "dag", "crowded")] + [("self_loop", d) for d in range(1, 13)],
+    )
+    def test_tail_entries_equal_the_operator_products(self, name, depth, mult):
+        """Every golden graph's tails, and a self-loop's at depths 1 to 12:
+        the ``TAIL`` rows read off ``T``'s phases equal, bit for bit, the
+        norms of ``T T* - P(v)`` and ``T* T - P(v)`` formed as operators."""
+        spec, gmap = embed(load_graph((GOLDEN / f"{name}.txt").read_text()), MultiplicitySeq.parse(mult))
+        rep = build_rep(spec, depth)
+        expected = [(row, value.hex()) for row, value in reference_tail_entries(rep)]
+        assert self.tail_entries(relation_residuals(rep, gmap)) == expected
+        assert len(expected) == 2 * len(spec.replacements)
+
     @given(op=overlapping_operators())
     @settings(max_examples=300, deadline=None)
     def test_column_norm_equals_the_whole_operator_merge(self, op):
@@ -777,11 +797,12 @@ class TestSharedProducts:
             assert op.column_norm(j).hex() == reference_column_norm(op, j).hex()
 
     def test_a_loop_is_multiplied_out_once(self, monkeypatch):
-        """C16 at depth 6 takes 99 products: 32 for the images (two each),
-        16 each for CK1, CK2 (the images end in distinct edges) and CK3, 15
-        for the loop and 2 to close ``T^16`` in ``LOOP:power``, and 2 for
-        ``TAIL``; the spectrum reads the loop's product that ``LOOP:power``
-        formed, where it formed its 15 again, 114 in all.  ``T^16`` is
+        """C16 at depth 6 takes 97 products: 32 for the images (two each),
+        16 each for CK1, CK2 (the images end in distinct edges) and CK3, and
+        15 for the loop and 2 to close ``T^16`` in ``LOOP:power``; ``TAIL``
+        reads ``T``'s phases, where it took 2 products; the spectrum reads
+        the loop's product that ``LOOP:power`` formed, where it formed its
+        15 again, 114 in all with ``TAIL``'s.  ``T^16`` is
         ``T``'s phases raised elementwise, which takes no product: its 15
         made 129 before, and with the 32 of ``co-iso`` and ``iso`` and the
         spectrum's own ``T^16`` and images, 208."""
@@ -801,14 +822,14 @@ class TestSharedProducts:
         relation_residuals(rep, gmap)
         for loop_rep in spec.replacements:
             loop_spectrum(rep, loop_rep.loop, gmap)
-        assert calls == 99
+        assert calls == 97
 
     def test_a_self_loop_closes_on_its_image(self, monkeypatch):
         """A 1-edge loop's ``LOOP:power`` closed side ``S[f_1] T S[f_1]*`` is
-        its image, which the stage holds: 200 self-loops at depth 2 take 7
-        products each, 2 for the image, 1 each for CK1, CK2 and CK3 and 2 for
-        ``TAIL``, and the spectrum none; forming the closed side again took
-        2 more each.  The residual is the one the two products give."""
+        its image, which the stage holds: 200 self-loops at depth 2 take 5
+        products each, 2 for the image and 1 each for CK1, CK2 and CK3, and
+        the spectrum none; forming the closed side again took 2 more each,
+        and ``TAIL`` took 2 before it read ``T``'s phases.  The residual is the one the two products give."""
         n = 200
         g = Graph.build([f"v{i}" for i in range(n)], [(f"e{i}", f"v{i}", f"v{i}") for i in range(n)])
         spec, gmap = embed(g)
@@ -826,7 +847,7 @@ class TestSharedProducts:
             report = relation_residuals(rep, gmap)
             for loop_rep in spec.replacements:
                 loop_spectrum(rep, loop_rep.loop, gmap)
-        assert calls == 7 * n
+        assert calls == 5 * n
         power = dict(report.entries)
         for loop_rep in spec.replacements:
             f_1 = rep.S[loop_rep.f_edge_for(1)]

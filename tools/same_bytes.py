@@ -35,9 +35,11 @@ ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("json", "text")
 
 
-def requests(seeds: list[int], smoke: bool = False) -> list[tuple[str, list[str], str]]:
-    """``(run id, afembed argv without --input, graph text)`` for every run,
-    in workload, seed, request and format order."""
+def pass_zero(seeds: list[int], smoke: bool = False, names=None) -> list[tuple[str, int, int, object]]:
+    """``(workload, seed, index, bench request)`` of pass 0 of each workload
+    of ``names`` (every one by default) for each seed: the graphs
+    ``bench/run.py`` draws first for that seed, in workload, seed and
+    request order.  ``bench/`` is imported without writing bytecode."""
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "bench"))
@@ -46,14 +48,23 @@ def requests(seeds: list[int], smoke: bool = False) -> list[tuple[str, list[str]
     finally:
         sys.path.remove(str(ROOT / "bench"))
         sys.dont_write_bytecode = saved
-    runs = []
-    for name, draw in workloads.items():
-        for seed in seeds:
-            for i, req in enumerate(draw(random.Random(f"{name}:{seed}:0"), smoke)):
-                for fmt in FORMATS:
-                    rid = f"{name}-s{seed}-r{i:03d}-{fmt}"
-                    runs.append((rid, [req.command, "--format", fmt, *req.options], req.graph.text))
-    return runs
+    return [
+        (name, seed, i, req)
+        for name, draw in workloads.items()
+        if names is None or name in names
+        for seed in seeds
+        for i, req in enumerate(draw(random.Random(f"{name}:{seed}:0"), smoke))
+    ]
+
+
+def requests(seeds: list[int], smoke: bool = False) -> list[tuple[str, list[str], str]]:
+    """``(run id, afembed argv without --input, graph text)`` for every run,
+    in workload, seed, request and format order."""
+    return [
+        (f"{name}-s{seed}-r{i:03d}-{fmt}", [req.command, "--format", fmt, *req.options], req.graph.text)
+        for name, seed, i, req in pass_zero(seeds, smoke)
+        for fmt in FORMATS
+    ]
 
 
 def _digest(data: bytes) -> str:
