@@ -11,7 +11,6 @@ a constructed-map ``verify`` that proves every relation never compiles it.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .embedding import AugmentedGraphSpec, GeneratorMap
 from .graph import named_edges
@@ -78,6 +77,8 @@ class _TermParser:
 
     @staticmethod
     def _tokenize(text: str) -> list[tuple[str, object]]:
+        from fractions import Fraction  # and ``decimal``: only a map read here needs them, not ``embed``
+
         tokens = []
         pos = 0
         while pos < len(text):

@@ -52,3 +52,18 @@ def test_a_moved_bit_is_named(ab, tmp_path, capsys):
     numrep.write_text(text.replace(phase, phase + " * (1 + 1e-15j)"), encoding="utf-8")
     assert ab.main([str(tmp_path), "--smoke", "--rounds", "1", "--workload", "verify-wide", "--seed", "1"]) == 1
     assert "stdout and exit codes: DIFFER over 3 request pairs" in capsys.readouterr().out
+
+
+def test_setup_imports_against_itself(ab, capsys):
+    """``--setup 3`` times three imports of ``afembed.cli`` per tree and
+    way of waiting before the requests: a median within its quartiles, and
+    a count of the timed waits read late, for each tree."""
+    argv = [str(ROOT), "--setup", "3", "--smoke", "--rounds", "1", "--workload", "structure-mix"]
+    assert ab.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"setup: 3 fresh imports of afembed.cli per tree and wait, this tree against {ROOT}\n")
+    rows = re.findall(r"^  (this|other) +plain wait ms: median (\S+), quartiles (\S+) (\S+); timed wait: (\d) of 3 above 90 ms$", out, re.M)
+    assert [label for label, *_ in rows] == ["this", "other"]
+    for _, median, q1, q3, _ in rows:
+        assert 0 < float(q1) <= float(median) <= float(q3)
+    assert re.search(r"^structure-mix: seed 5, 1 round\(s\) of \d+ requests", out, re.M)

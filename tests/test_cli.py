@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -22,6 +23,8 @@ from afembed.cli import (
     EXIT_NOT_FINITE,
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
+    TOL_ALG,
+    build_parser,
     entry_point,
     main,
 )
@@ -415,6 +418,32 @@ class TestVerify:
         )
         assert code == EXIT_VERIFICATION_FAILED
         assert "spectrum" in out
+
+    def test_a_residual_just_above_the_tolerance_fails(self, square_file, outdir, tmp_path):
+        """``embed``'s own map with ``e1``'s image scaled by 1 + 10^-11: each
+        residual that moves lies strictly between ``TOL_ALG`` and a hundred
+        times it, and each is ``ok=False``, so a wider tolerance than the
+        fixed one fails here."""
+        assert run_cli(["embed", "--input", str(square_file), "--depth", "3"])[0] == EXIT_OK
+        text = (outdir / "square.genmap.txt").read_text()
+        image = "s(T1.f2) t(T1) s*(T1.f1)"
+        assert f"e1 = {image}\n" in text
+        scaled = tmp_path / "scaled.genmap.txt"
+        scaled.write_text(text.replace(f"e1 = {image}", f"e1 = 100000000001/100000000000 {image}"))
+        argv = ["verify", "--input", str(square_file), "--depth", "3", "--map", str(scaled), "--format", "json"]
+        code, out = run_cli(argv)
+        assert code == EXIT_VERIFICATION_FAILED
+        records = [json.loads(line) for line in out.splitlines()]
+        moved = {r["instance"]: (r["ok"], r["value"]) for r in records if r["record"] == "residual" and r["value"] != "0.000e+00"}
+        assert moved == {
+            "CK2[e1,e1]": (False, "3.464e-11"),
+            "CK3[u2]": (False, "3.464e-11"),
+            "LOOP[e4 e3 e2 e1]:iso[1]": (False, "3.464e-11"),
+            "LOOP[e4 e3 e2 e1]:co-iso[1]": (False, "3.464e-11"),
+            "LOOP[e4 e3 e2 e1]:power": (False, "1.732e-11"),
+        }
+        assert all(TOL_ALG < float(value) < 100 * TOL_ALG for _, value in moved.values())
+        assert records[-1] == {"record": "summary", "failures": 7, "max_residual": "3.464e-11", "symbolic_proved": False}
 
     def test_report_bytes_deterministic(self, square_file):
         code1, out1 = run_cli(["verify", "--input", str(square_file), "--depth", "3", "--format", "json"])
@@ -844,6 +873,100 @@ class TestUsageErrors:
         code, _ = run_cli(["verify", "--help"])
         assert code == EXIT_OK
         assert "--mult" in capsys.readouterr().out
+
+
+# values of each option in the plain form that argparse takes; ``int`` reads
+# a digit outside ASCII and surrounding space, and ``-`` is standard input
+_GOOD_VALUES = {
+    "--input": ["@square.txt", "@square_plus_entrance.txt", "@dag.txt", "-"],
+    "--format": ["text", "json"],
+    "--depth": ["0", "2", " 1", "\u0662"],
+    "--mult": ["2", "3,2;2", " 2 "],
+    "--map": ["@square_fswap.genmap.txt", "@square_sum.genmap.txt", "missing.genmap.txt"],
+}
+# values argparse refuses, or reads as options, or that a command refuses later
+_OTHER_VALUES = ["", "-1", "-2", "--", "-h", "--input", "x", "x;2", "1", "1_000", "\u0663", "yaml", "dot", "missing.txt"]
+# tokens that are not ``--option value`` pairs of the command
+_OTHER_TOKENS = ["--", "-h", "--help", "--tol-alg", "--depth", "--map", "--mult", "--in", "--m", "-", "x"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command with some of its options, ``--input`` always, each once in
+    any order with a value argparse takes; then up to three edits, each of
+    which may leave the plain form: a token dropped, repeated, abbreviated
+    or inserted, a pair joined by ``=``, a value replaced, or the command
+    replaced."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = draw(st.permutations(["--input", "--format", *cli.COMMANDS[command][3]]))
+    argv = [command]
+    for option in options:
+        if option == "--input" or draw(st.booleans()):
+            argv += [option, draw(st.sampled_from(_GOOD_VALUES[option]))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "abbreviate", "insert", "equals", "value", "command"]))
+        if edit == "drop":
+            del argv[i]
+        elif edit == "repeat":  # argparse converts and checks each value given, and keeps the last
+            argv += [argv[i], draw(st.sampled_from(_GOOD_VALUES.get(argv[i], []) + _OTHER_VALUES))]
+        elif edit == "abbreviate" and len(argv[i]) > 3:
+            argv[i] = argv[i][: draw(st.integers(3, len(argv[i]) - 1))]
+        elif edit == "insert":
+            argv.insert(i, draw(st.sampled_from(_OTHER_TOKENS)))
+        elif edit == "equals" and i + 1 < len(argv):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif edit == "value":
+            argv[i] = draw(st.sampled_from(_OTHER_VALUES))
+        elif edit == "command":
+            argv[0] = draw(st.sampled_from(["bogus", "ver", "Classify", "-h", "--input", *cli.COMMANDS]))
+    return [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in argv]
+
+
+class TestPlainCommandLine:
+    """``main`` reads a command line of the plain form without argparse,
+    and leaves every other to it: the outcome is argparse's either way."""
+
+    @given(argv=command_lines())
+    @example(argv=["verify", "--input", "-", "--depth", "-1"])
+    @example(argv=["embed", "--input", "x", "--mult", "1"])
+    @example(argv=["verify", "--input", "x", "--depth", "x", "--depth", "2"])
+    @settings(max_examples=400, deadline=None)
+    def test_the_reader_gives_argparses_namespace_or_defers(self, argv):
+        args = cli._read(argv)
+        event("read" if args is not None else "deferred")
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("argv")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("AFEMBED_OUTPUT_DIR", str(d))
+            yield d
+
+    @staticmethod
+    def outcome(argv, read):
+        """Exit code, stdout and stderr of ``main(argv)``, with standard
+        input holding the square, and ``_read`` as given."""
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.TextIOWrapper(io.BytesIO(SQUARE_TEXT.encode()), encoding="utf-8")
+        with mock.patch.object(cli, "_read", read), mock.patch.object(sys, "stdin", stdin):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv, out=out)
+        return code, out.getvalue(), err.getvalue()
+
+    @given(argv=command_lines())
+    @settings(max_examples=150, deadline=None)
+    def test_main_gives_argparses_outcome(self, workdir, argv):
+        """Help, usage errors and every command's output are those of a
+        ``main`` that reads every command line with argparse."""
+        fast = self.outcome(argv, cli._read)
+        event(f"exit {fast[0]}")
+        assert fast == self.outcome(argv, lambda argv: None)
+
+    def test_every_golden_command_line_is_plain(self):
+        assert [name for name, argv in sorted(CASES.items()) if cli._read(resolve(argv)) is None] == []
 
 
 class TestExport:

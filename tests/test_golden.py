@@ -245,10 +245,12 @@ def test_embed_and_export_need_no_numpy(command, tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == artifacts
 
 
-# compiled only by the commands that run them: ``notation`` brings
-# ``fractions`` and ``decimal`` with it; ``json`` only a JSON graph, ``embed``'s
-# spec and ``export --format json`` load
+# compiled only by the commands that run them: ``fractions`` and ``decimal``
+# only ``notation``'s reading of a ``--map`` loads; ``json`` only a JSON graph,
+# ``embed``'s spec and ``export --format json`` load
 DEFERRED = ("afembed.terms", "afembed.embedding", "afembed.verify", "afembed.numrep", "fractions", "decimal", "json")
+# loaded only to read a command line that is not of the plain form
+ARGPARSE = ("argparse", "gettext")
 
 # every request loads the package, the command line, the graph model and the loop analysis
 STRUCTURE = {"afembed", "afembed.cli", "afembed.graph", "afembed.loops"}
@@ -296,9 +298,11 @@ def test_structure_commands_never_import_numrep(tmp_path):
     """Each request loads exactly the ``afembed`` modules it runs, in a
     fresh interpreter: ``classify``, ``loops`` and ``export`` no term
     engine, embedding, verifier or numeric stage, and on a text graph no
-    ``json`` unless ``export`` writes JSON; a constructed-map ``verify``
-    none of the graph writers, the witness search, the term grammar, the
-    general sparse algebra, ``fractions`` or ``decimal``."""
+    ``json`` unless ``export`` writes JSON; ``embed`` neither ``fractions``
+    nor ``decimal``; a constructed-map ``verify`` none of the graph
+    writers, the witness search, the term grammar, the general sparse
+    algebra, ``fractions`` or ``decimal``; and no request, each a command
+    line of the plain form, ``argparse`` or ``gettext``."""
     env = dict(child_env(), AFEMBED_OUTPUT_DIR=str(tmp_path))
     loaded = {}
     for name, (argv, expected, _) in MODULE_SETS.items():
@@ -306,7 +310,7 @@ def test_structure_commands_never_import_numrep(tmp_path):
             "import io, sys\n"
             "from afembed.cli import main\n"
             f"code = main({resolve(argv)!r}, out=io.StringIO())\n"
-            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'afembed' or m in %r))\n" % (DEFERRED,)
+            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'afembed' or m in %r))\n" % (DEFERRED + ARGPARSE,)
         )
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")[-500:]
@@ -321,6 +325,9 @@ def test_structure_commands_never_import_numrep(tmp_path):
     assert loaded["export json"] & set(DEFERRED) == {"json"}
     for name in ("verify", "verify a JSON graph", "verify an entrance"):
         assert not loaded[name] & {"afembed.sparse", "fractions", "decimal"}, name
+    assert not loaded["embed"] & {"fractions", "decimal"}
+    for name, modules in loaded.items():
+        assert not modules & set(ARGPARSE), name
     assert len(list(tmp_path.iterdir())) == 4  # embed ran and wrote its artifacts
 
 
