@@ -463,12 +463,13 @@ def _read(argv: list[str]):
         return None
     func, _, formats, options = COMMANDS[argv[0]]
     given = dict(zip(argv[1::2], argv[2::2]))
-    if len(given) != len(argv) // 2 or "--input" not in given or given.get("--format", "text") not in formats:
+    fmt = given.get("--format", "text")
+    if len(given) != len(argv) // 2 or "--input" not in given or fmt not in formats:
         return None
     known = ("--input", "--format", *options)
     if any(option not in known or (value.startswith("-") and value != "-") for option, value in given.items()):
         return None
-    args = SimpleNamespace(command=argv[0], func=func, input=given["--input"], format=given.get("--format", "text"))
+    args = SimpleNamespace(command=argv[0], func=func, input=given["--input"], format=fmt)
     for option, (convert, default, _) in options.items():
         value = given.get(option, default)
         try:  # argparse converts a given value, and a default that is a string
