@@ -23,16 +23,18 @@ A :class:`Graph` interns its ids to integers once, when it is built: the
 sorted vertex names are numbered ``0 .. |V|-1`` and the sorted edge names
 ``0 .. |E|-1``, so comparing two ids compares their names.  The index is
 held in flat ``array('q')`` columns, with no container per vertex or edge:
-``src[e]`` and ``rng[e]`` per edge, and per side a compressed adjacency,
-``out_ids[out_start[v] : out_start[v + 1]]`` the out-edges of ``v`` and
-``recv_ids[recv_start[v] : recv_start[v + 1]]`` its receivers, each in id
-order and placed by counting rather than by a sort with a boxed key.
-The loop analysis, the embedding and the path basis run on this
-index; names come back from ``vertex_names`` and ``edge_names`` where a
-result is reported, and :func:`named_edges` lists each edge by name for
-the writers.  The name-level views ``vertices``, ``edges``, ``receivers``
-and ``out_edges`` are built from the index on every call, for callers
-outside the pipeline, and the name-to-id tables on first lookup.
+``src[e]`` and ``rng[e]`` per edge, and one compressed adjacency, that of
+the receivers: ``recv_ids[recv_start[v] : recv_start[v + 1]]`` are the
+edges into ``v``, in id order, placed by :func:`_adjacency` by counting
+rather than by a sort with a boxed key.  The paper's criterion is
+receive-side, so the loop analysis, the replaced graph and the relation
+catalogue read this adjacency, and the path basis reads ``src`` and
+``rng``; the one search that needs out-edges, for a witness, builds them
+the same way.  Names come back from ``vertex_names`` and ``edge_names``
+where a result is reported, and :func:`named_edges` lists each edge by
+name for the writers.  The name-level views ``vertices``, ``edges`` and
+``receivers`` are built from the index on every call, for callers outside
+the pipeline, and the name-to-id tables on first lookup.
 """
 
 from __future__ import annotations
@@ -199,15 +201,12 @@ class Graph:
     """Immutable finite directed multigraph over the integer index of the
     module docstring.
 
-    ``vertices``, ``edges``, ``receivers`` and ``out_edges`` answer by name,
-    each built from the index when called.
+    ``vertices``, ``edges`` and ``receivers`` answer by name, each built
+    from the index when called; the index keeps the receiver adjacency alone.
     Structurally equal graphs compare equal regardless of declaration order.
     """
 
-    __slots__ = (
-        "vertex_names", "edge_names", "src", "rng",
-        "out_start", "out_ids", "recv_start", "recv_ids", "_vertex_ids", "_edge_ids",
-    )
+    __slots__ = ("vertex_names", "edge_names", "src", "rng", "recv_start", "recv_ids", "_vertex_ids", "_edge_ids")
 
     def __init__(self, vertex_names: Sequence[str], edge_names: Sequence[str], src: Sequence[int], rng: Sequence[int]):
         """Index checked ids: distinct ``vertex_names`` and distinct
@@ -225,7 +224,6 @@ class Graph:
         self.src = array("q", map(rank.__getitem__, map(src.__getitem__, eorder)))
         self.rng = array("q", map(rank.__getitem__, map(rng.__getitem__, eorder)))
         del eorder, rank
-        self.out_start, self.out_ids = _adjacency(self.src, len(self.vertex_names))
         self.recv_start, self.recv_ids = _adjacency(self.rng, len(self.vertex_names))
         self._vertex_ids: dict[str, int] | None = None  # built on first use
         self._edge_ids: dict[str, int] | None = None
@@ -298,11 +296,6 @@ class Graph:
         """Edge names with range ``v`` (the set ``r^{-1}(v)``)."""
         i = self.vertex_id(v)
         return frozenset(map(self.edge_names.__getitem__, self.recv_ids[self.recv_start[i] : self.recv_start[i + 1]]))
-
-    def out_edges(self, v: str) -> tuple[Edge, ...]:
-        """Edges with source ``v``, in id order."""
-        i = self.vertex_id(v)
-        return tuple(map(self._edge, self.out_ids[self.out_start[i] : self.out_start[i + 1]]))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

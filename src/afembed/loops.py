@@ -128,8 +128,13 @@ def _on_cycle(g: Graph) -> bytearray:
     every visit number) once the component closes.  ``stack`` holds the
     vertices of open components that do not root them.  A vertex lies on
     a loop iff its component has a second vertex or it has a self-loop.
+
+    The pass runs over the receiver adjacency, from each vertex to the
+    sources of its receivers: that is the DFS of the reversed graph, which
+    has E's strongly connected components and self-loops, so ``on`` is
+    E's, and the index needs no out-edge adjacency for it.
     """
-    start, ids, rng = g.out_start, g.out_ids, g.rng
+    start, ids, src = g.recv_start, g.recv_ids, g.src
     closed = len(g.vertex_names)
     rindex = [-1] * closed
     on = bytearray(closed)
@@ -140,14 +145,14 @@ def _on_cycle(g: Graph) -> bytearray:
             continue
         rindex[root] = visit
         # the DFS path: vertices, their visit numbers, and iterators over the
-        # positions of their out-edges in ``ids`` (a range iterator is not a
+        # positions of their receivers in ``ids`` (a range iterator is not a
         # container the garbage collector tracks, however deep the path)
         path, visits, todo = [root], [visit], [iter(range(start[root], start[root + 1]))]
         visit += 1
         while path:
             v = path[-1]
             for k in todo[-1]:
-                w = rng[ids[k]]
+                w = src[ids[k]]
                 if rindex[w] < 0:
                     rindex[w] = visit
                     path.append(w)

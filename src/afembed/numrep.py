@@ -35,7 +35,7 @@ match that sorts.  A residual's norm, which the receiver sums of every
 map read, stays here.
 
 Each row's index is one int object, made once when :meth:`PathBasis.build`
-lays out its level and shared by the suffixes, the rows by range vertex,
+lays out its level and shared by the rows by range vertex, both sides of
 the edge blocks, the corner levels and every operator's index tuples.
 
 The engine is plain Python, so no printed number depends on the CPU
@@ -122,16 +122,16 @@ class PathBasis(SimpleNamespace):
     """All paths of length ``0 .. d`` in the finite ``graph``, canonically
     ordered: by length, then by edge tuple, then by source.
 
-    Row ``i`` is held as two ids: ``edge[i]``, its range-end edge (-1 for
-    a vertex), and ``suffix[i]``, the row of the path without that edge
-    (-1 for a vertex); the vertex rows come first, in id order.  Rows of
-    length ``k`` are ``starts[k] .. starts[k+1] - 1``.  No path is longer
-    than an empty level, so ``starts`` ends after the first empty level and
-    then has fewer than ``d + 2`` entries.  ``ranging[v]`` holds the rows
-    ending at vertex ``v``, and ``extension[e]`` is the pair ``(suffixes,
-    rows)``: the rows ending in edge ``e``, one contiguous block per level,
-    and their suffix rows; all are ascending tuples, which the stage's
-    operators share.
+    Row ``i`` is held as one id, ``edge[i]``, its range-end edge (-1 for
+    a vertex); the vertex rows come first, in id order.  Rows of length
+    ``k`` are ``starts[k] .. starts[k+1] - 1``.  No path is longer than an
+    empty level, so ``starts`` ends after the first empty level and then
+    has fewer than ``d + 2`` entries.  ``ranging[v]`` holds the rows ending
+    at vertex ``v``, and ``extension[e]`` is the pair ``(shorter, rows)``:
+    the rows ending in edge ``e``, one contiguous block per level, and the
+    rows of the same paths without ``e``, which ``S[e]`` maps onto them, so
+    a row's path is read off by following its shorter rows down to a
+    vertex.  All are ascending tuples, which the stage's operators share.
     """
 
     @classmethod
@@ -141,7 +141,7 @@ class PathBasis(SimpleNamespace):
         extending the previous level's rows that end at its source, in row
         order, onto one contiguous block of new rows."""
         n = len(g.vertex_names)
-        edge, suffix, starts = [-1] * n, [-1] * n, [0, n]
+        edge, starts = [-1] * n, [0, n]
         ending = [[v] for v in range(n)]  # the last level's rows, by range vertex
         ranging = [[v] for v in range(n)]
         extension: list[tuple[list[int], list[int]]] = [([], []) for _ in g.src]
@@ -151,7 +151,6 @@ class PathBasis(SimpleNamespace):
                 rows, (src, tgt) = ending[s], extension[e]
                 block = [*range(len(edge), len(edge) + len(rows))]  # each row's int, made once and shared
                 edge += [e] * len(rows)
-                suffix += rows
                 src += rows
                 tgt += block
                 longer[r] += block
@@ -162,7 +161,7 @@ class PathBasis(SimpleNamespace):
             if starts[-1] == starts[-2]:
                 break
         ranging, extension = tuple(map(tuple, ranging)), tuple((tuple(src), tuple(tgt)) for src, tgt in extension)
-        return cls(graph=g, edge=tuple(edge), suffix=tuple(suffix), starts=tuple(starts), ranging=ranging, extension=extension)
+        return cls(graph=g, edge=tuple(edge), starts=tuple(starts), ranging=ranging, extension=extension)
 
     def __len__(self) -> int:
         return len(self.edge)
@@ -479,7 +478,7 @@ def build_rep(spec: AugmentedGraphSpec, depth: int) -> TruncatedRep:
     def operator_on(src, tgt=None, phase=None) -> Operator:
         return Operator(n, (Piece(src, src if tgt is None else tgt, phase),))
 
-    # each edge is a path of length 1, so every row ending in it is S[e] of its suffix row
+    # each edge is a path of length 1, so every row ending in it is S[e] of the row it extends
     P = {v: operator_on(rows) for v, rows in zip(g.vertex_names, basis.ranging)}
     S = {e: operator_on(*ends) for e, ends in zip(g.edge_names, basis.extension)}
 

@@ -120,7 +120,7 @@ class Catalogue:
     for the identities of CK1[v]; from ``ck2``, the CK2 grid, CK2[e,f] at
     ``ck2 + e * |E| + f`` by ids; from ``ck3``, CK3[v] per vertex of
     ``receivers``, the vertex ids that receive an edge; from ``own``, the
-    ``rows`` :meth:`append` adds, each ``(prefix, suffix, shown)``: its name
+    ``rows`` :meth:`append` adds, each ``(prefix, rest, shown)``: its name
     in two parts, the prefix shared with its neighbours, and the position
     whose outcome it shows.  ``outcomes`` maps a position to its outcome
     where :meth:`put` found that not ``default``.  A row's name is formed
@@ -145,10 +145,10 @@ class Catalogue:
         v = self.family.vertex_id(at)
         return v * len(self.ck1) if kind == "CK1" else self.ck3 + bisect_left(self.receivers, v)
 
-    def append(self, prefix: str, suffix: str = "", shown: int | None = None) -> int:
+    def append(self, prefix: str, rest: str = "", shown: int | None = None) -> int:
         """The position of a new row of the backend's own, which shows its
         own outcome, or that of the row at ``shown``."""
-        self.rows.append((prefix, suffix, len(self) if shown is None else shown))
+        self.rows.append((prefix, rest, len(self) if shown is None else shown))
         return len(self) - 1
 
     def put(self, p: int, outcome) -> None:

@@ -6,8 +6,12 @@ every ``verify`` of one, never compiles it.
 
 The witness loop of a not-finite verdict is the first simple cycle through
 the entry vertex ``v`` that a DFS finds when it tries out-edges in id
-order.  The search keeps a vertex marked after backing out of it, so it
-is O(|V| + |E|), and it finds the same loop as a DFS that unmarks:
+order.  This search alone reads out-edges, and their order fixes the
+witness, so it builds that adjacency itself, with the index's own
+:func:`~afembed.graph._adjacency` over the sources, once per not-finite
+input; the graph's index holds only the receivers.  The search keeps a
+vertex marked after backing out of it, so it is O(|V| + |E|), and it
+finds the same loop as a DFS that unmarks:
 say it backed out of ``w`` with path ``P``, so every route from ``w`` to
 ``v`` meets ``P`` before ``v``.  Later, with path ``P'``, a route from
 ``w`` to ``v`` that avoids ``P'`` before ``v`` meets some ``p`` in ``P``
@@ -30,17 +34,23 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .graph import Graph
-from .loops import EntranceWitness, InvalidWitnessError, SimpleLoop, _loop_of
+from .graph import Graph, _adjacency
+from .loops import EntranceWitness, InvalidWitnessError
 
 if TYPE_CHECKING:  # the report, whose module loads the term engine
     from .verify import RelationReport
 
 
 def _cycle_through(g: Graph, v: int) -> list[int]:
-    """Edge ids ``e_1, ..., e_n`` of the first simple cycle through ``v`` found
-    by DFS, edges tried in id order; see :func:`simple_cycle_through`."""
-    start, ids, rng = g.out_start, g.out_ids, g.rng
+    """Edge ids ``e_1, ..., e_n`` of the first simple cycle through the vertex
+    id ``v`` found by DFS, out-edges tried in id order.
+
+    ``v`` must lie on a cycle; ``e_1`` leaves it and ``e_n`` enters it.  A
+    vertex the search backs out of stays marked, so each vertex and edge is
+    visited at most once; the module docstring shows why the loop found is
+    still that of the DFS that unmarks on backtracking.
+    """
+    (start, ids), rng = _adjacency(g.src, len(g.vertex_names)), g.rng
     chosen: list[int] = []
     marked = bytearray(len(g.vertex_names))
     marked[v] = 1
@@ -64,17 +74,6 @@ def _cycle_through(g: Graph, v: int) -> list[int]:
             if chosen:
                 chosen.pop()
     raise ValueError(f"vertex {g.vertex_names[v]!r} does not lie on a cycle")
-
-
-def simple_cycle_through(g: Graph, v: str) -> SimpleLoop:
-    """First simple cycle through ``v`` found by DFS, edges tried in id order.
-
-    ``v`` must lie on a cycle.  The result is based at ``v``.  A vertex the
-    search backs out of stays marked, so each vertex and edge is visited
-    at most once; the module docstring shows why the loop found is still
-    that of the DFS that unmarks on backtracking.
-    """
-    return _loop_of(g, _cycle_through(g, g.vertex_id(v)))
 
 
 def validate_witness(g: Graph, w: EntranceWitness) -> None:

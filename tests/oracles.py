@@ -71,6 +71,12 @@ from afembed.terms import (
 )
 
 
+def out_edges(g: Graph, v: str) -> list[Edge]:
+    """The edges with source ``v``, read off ``g.edges`` in id order, which is
+    name order: the order in which the witness search tries out-edges."""
+    return [e for e in g.edges if e.source == v]
+
+
 def enumerate_simple_cycles(g: Graph) -> list[tuple[str, ...]]:
     """All simple cycles as edge tuples in traversal order, one per rotation.
 
@@ -78,9 +84,10 @@ def enumerate_simple_cycles(g: Graph) -> list[tuple[str, ...]]:
     rotation appears exactly once; parallel edges give distinct cycles.
     """
     cycles: list[tuple[str, ...]] = []
+    out = {v: out_edges(g, v) for v in g.vertices}
 
     def dfs(start: str, current: str, visited: set[str], trail: list[str]):
-        for e in sorted(g.out_edges(current), key=lambda e: e.name):
+        for e in out[current]:
             if e.range == start:
                 cycles.append(tuple(trail + [e.name]))
             elif e.range not in visited and e.range > start:
@@ -104,17 +111,15 @@ def loop_of(g: Graph, traversal: Iterable[str]) -> SimpleLoop:
 def backtracking_cycle_through(g: Graph, v: str) -> SimpleLoop:
     """First simple cycle through ``v`` found by backtracking DFS, edges in id order.
 
-    The reference for :func:`afembed.witness.simple_cycle_through`, which must
+    The reference for :func:`afembed.witness._cycle_through`, which must
     return the same loop visiting each vertex once.  Exponential on a ladder of
     diamonds that dead-ends, so keep the inputs small.
     """
     chosen: list[str] = []
     visited: set[str] = {v}
+    out = {w: out_edges(g, w) for w in g.vertices}
 
-    def sorted_out(w: str):
-        return sorted(g.out_edges(w), key=lambda e: e.name)
-
-    stack = [iter(sorted_out(v))]
+    stack = [iter(out[v])]
     current = [v]
     while stack:
         it = stack[-1]
@@ -126,7 +131,7 @@ def backtracking_cycle_through(g: Graph, v: str) -> SimpleLoop:
                 chosen.append(e.name)
                 visited.add(e.range)
                 current.append(e.range)
-                stack.append(iter(sorted_out(e.range)))
+                stack.append(iter(out[e.range]))
                 advanced = True
                 break
         if not advanced:
@@ -423,12 +428,13 @@ def sorted_path_basis(g: Graph, depth: int) -> tuple[tuple[Path, ...], tuple[int
     # (edges, source, range, suffix index); edges and source tell paths apart
     level = sorted(((), v, v, -1) for v in g.vertices)
     rows = list(level)
+    out = {v: out_edges(g, v) for v in g.vertices}
     for _ in range(depth):
         start = len(rows) - len(level)
         level = sorted(
             ((e.name,) + edges, source, e.range, start + i)
             for i, (edges, source, end, _) in enumerate(level)
-            for e in g.out_edges(end)
+            for e in out[end]
         )
         rows += level
     paths = tuple(Path(edges, source=source, range=end) for edges, source, end, _ in rows)
@@ -465,7 +471,8 @@ def count_paths_with_range(g: Graph, v: str, length: int) -> int:
 
 @dataclass(frozen=True)
 class SetGraph:
-    """The graph core before integer interning, kept verbatim as an oracle.
+    """The graph core before integer interning, kept as an oracle: verbatim
+    but for its out-edge view, which the index no longer has.
 
     Immutable finite directed multigraph.
 
@@ -477,7 +484,6 @@ class SetGraph:
     edges: tuple[Edge, ...]
     _by_name: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _receivers: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    _out: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]) -> "SetGraph":
@@ -506,12 +512,9 @@ class SetGraph:
         g = cls(frozenset(vset), tuple(elist))
         g._by_name.update({e.name: e for e in elist})
         recv: dict[str, set[str]] = {v: set() for v in vset}
-        out: dict[str, list[Edge]] = {v: [] for v in vset}
         for e in elist:
             recv[e.range].add(e.name)
-            out[e.source].append(e)
         g._receivers.update({v: frozenset(s) for v, s in recv.items()})
-        g._out.update(out)
         return g
 
     def edge(self, name: str) -> Edge:
@@ -524,13 +527,6 @@ class SetGraph:
         """Edge names with range ``v`` (the set ``r^{-1}(v)``)."""
         try:
             return self._receivers[v]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
-
-    def out_edges(self, v: str) -> tuple[Edge, ...]:
-        """Edges with source ``v``, in id order."""
-        try:
-            return tuple(self._out[v])
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 

@@ -23,6 +23,19 @@ def multigraphs(draw, max_vertices: int = 8, max_edges: int = 16) -> Graph:
 
 
 @st.composite
+def looped_multigraphs(draw, max_vertices: int = 7, max_edges: int = 14) -> Graph:
+    """Multigraphs with a self-loop and a pair of parallel edges at least,
+    whose ids fall among the others' (``e3p`` sorts between ``e3`` and ``e4``)."""
+    g = draw(multigraphs(max_vertices, max_edges))
+    vertices = sorted(g.vertices)
+    edges = [(e.name, e.source, e.range) for e in g.edges]
+    slots = st.integers(min_value=0, max_value=max_edges)
+    v, u, w = (draw(st.sampled_from(vertices)) for _ in range(3))
+    edges += [(f"e{draw(slots)}s", v, v), (f"e{draw(slots)}p", u, w), (f"e{draw(slots)}q", u, w)]
+    return Graph.build(vertices, edges)
+
+
+@st.composite
 def clustered_multigraphs(draw, max_vertices: int = 80, max_edges: int = 240) -> Graph:
     """Multigraphs whose edges mostly stay inside a few vertex clusters, so
     several strongly connected components of every size feed into each other."""

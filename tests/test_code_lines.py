@@ -39,24 +39,28 @@ def test_the_total_is_the_sum_of_the_modules():
 
 
 def test_each_command_row_sums_the_modules_it_loads():
-    """``--commands`` adds a row per command on the square, and one for
-    ``verify --map`` of a map with a sum: the modules it loaded and their
-    code lines, which sum the module rows above it; the constructed-map
-    ``verify`` loads neither the graph writers, nor the witness search, nor
-    the term grammar, nor the general sparse algebra, which the map with a
-    sum loads with the term grammar."""
+    """``--commands`` adds a row per command on the square, one for
+    ``verify --map`` of a map with a sum and one for ``classify`` of a
+    not-finite graph: the modules it loaded and their code lines, which sum
+    the module rows above it; the constructed-map ``verify`` loads neither
+    the graph writers, nor the witness search, nor the term grammar, nor
+    the general sparse algebra, which the map with a sum loads with the
+    term grammar; only the not-finite ``classify`` loads the witness search."""
     out = subprocess.run([sys.executable, str(TOOL), "--commands"], capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
     cut = next(i for i, line in enumerate(lines) if line.startswith("loaded by each command"))
     counts = {name: int(n.replace(",", "")) for name, n in map(str.split, lines[: cut - 1])}
     rows = {}
+    width = code_lines.WIDTH  # a row's name fills its first columns, and may hold a space
     for line in lines[cut + 1 :]:
-        n, *stems = line[12:].split()  # a row's name fills its first 12 columns, and may hold a space
-        rows[line[:12].rstrip()] = (int(n.replace(",", "")), stems)
-    assert list(rows) == ["classify", "loops", "export", "embed", "verify", "verify --map"]
+        n, *stems = line[width:].split()
+        rows[line[:width].rstrip()] = (int(n.replace(",", "")), stems)
+    assert list(rows) == ["classify", "loops", "export", "embed", "verify", "verify --map", "classify entrance"]
     for command, (total, stems) in rows.items():
         assert {"__init__", "cli", "graph", "loops"} <= set(stems), command
         assert total == sum(counts[stem] for stem in stems), command
     assert {"numrep", "verify"} <= set(rows["verify"][1])
     assert not {"formats", "notation", "witness", "sparse"} & set(rows["verify"][1])
     assert set(rows["verify --map"][1]) == set(rows["verify"][1]) | {"notation", "sparse"}
+    assert [command for command, (_, stems) in rows.items() if "witness" in stems] == ["classify entrance"]
+    assert set(rows["classify entrance"][1]) == set(rows["classify"][1]) | {"witness"}

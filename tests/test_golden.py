@@ -340,7 +340,7 @@ MOVED = {
     ),
     "afembed.formats": ("serialize_graph", "graph_to_dict", "export_dot", "_dot_quote", "graph_from_dict", "parse_graph_json"),
     "afembed.witness": (
-        "_cycle_through", "simple_cycle_through", "validate_witness", "witness_infinite", "_chain_fragments",
+        "_cycle_through", "validate_witness", "witness_infinite", "_chain_fragments",
         "verify_witness",
     ),
     "afembed.sparse": ("_take", "_join_table", "_argsort", "_by_source", "_split", "_multiset_mismatch"),

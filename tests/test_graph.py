@@ -292,7 +292,7 @@ def name_level_view(g) -> tuple:
     the errors of lookups by unknown names."""
     vertices = sorted(g.vertices)
     lookups = []
-    for lookup in (g.edge, g.receivers, g.out_edges):
+    for lookup in (g.edge, g.receivers):
         try:
             lookups.append(lookup("missing"))
         except GraphError as exc:
@@ -302,7 +302,6 @@ def name_level_view(g) -> tuple:
         g.edges,
         [g.edge(e.name) for e in g.edges],
         [g.receivers(v) for v in vertices],
-        [g.out_edges(v) for v in vertices],
         lookups,
     )
 
@@ -466,9 +465,21 @@ class TestIndexFootprint:
     """The index is flat integer columns, and parsing keeps no per-line tables."""
 
     def test_columns_are_integer_arrays(self, square):
-        columns = (square.src, square.rng, square.out_start, square.out_ids, square.recv_start, square.recv_ids)
+        columns = (square.src, square.rng, square.recv_start, square.recv_ids)
         assert all(isinstance(c, array) and c.typecode == "q" for c in columns)
-        assert list(square.out_start) == list(square.recv_start) == [0, 1, 2, 3, 4]
+        assert list(square.recv_start) == [0, 1, 2, 3, 4]
+        # the receivers are the one adjacency
+        assert [name for name in Graph.__slots__ if isinstance(getattr(square, name), array)] == [
+            "src", "rng", "recv_start", "recv_ids"
+        ]
+
+    def test_one_adjacency_per_graph(self, monkeypatch):
+        """Building a graph places one adjacency, that of the receivers."""
+        calls = []
+        adjacency = graph_module._adjacency
+        monkeypatch.setattr(graph_module, "_adjacency", lambda ends, n: calls.append(ends) or adjacency(ends, n))
+        g = load_graph("vertex a\nvertex b\nedge x a b\nedge y b a\nedge z b b\n")
+        assert calls == [g.rng]
 
     def test_load_graph_peak(self, c50000_text):
         """tracemalloc's peak over ``load_graph`` of the 3 MB text: 36-38 MB

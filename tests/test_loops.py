@@ -14,11 +14,12 @@ from afembed.loops import (
     SimpleLoop,
     Verdict,
     classify,
+    _loop_of,
     cycle_vertices,
     disjoint_simple_loops,
 )
 from afembed.verify import RelationStatus
-from afembed.witness import simple_cycle_through, validate_witness, verify_witness, witness_infinite
+from afembed.witness import _cycle_through, validate_witness, verify_witness, witness_infinite
 
 from .conftest import SQUARE_TEXT, growth_ratio
 from .oracles import (
@@ -31,7 +32,7 @@ from .oracles import (
     oracle_witness,
     tarjan_cycle_vertices,
 )
-from .strategies import clustered_multigraphs, condition5_graphs, entrance_graphs, multigraphs
+from .strategies import clustered_multigraphs, condition5_graphs, entrance_graphs, looped_multigraphs, multigraphs
 
 
 class TestCycleVertices:
@@ -163,7 +164,7 @@ class TestClassify:
 
             return wrapper
 
-        # the int-level routines behind cycle_vertices and simple_cycle_through
+        # the int-level routines behind cycle_vertices and the witness loop
         monkeypatch.setattr(loops_mod, "_on_cycle", counted("scc", loops_mod._on_cycle))
         monkeypatch.setattr(witness_mod, "_cycle_through", counted("cycle", witness_mod._cycle_through))
         cls = classify(square_plus_entrance)
@@ -365,15 +366,24 @@ def timed_classify(g: Graph):
     return cls, time.perf_counter() - start
 
 
+def cycle_through(g: Graph, v: str) -> SimpleLoop:
+    """The witness search's loop through the vertex named ``v``, by name."""
+    return _loop_of(g, _cycle_through(g, g.vertex_id(v)))
+
+
 class TestSimpleCycleThrough:
     def test_deterministic_lexicographic(self, square_plus_entrance):
-        loop = simple_cycle_through(square_plus_entrance, "u2")
+        loop = cycle_through(square_plus_entrance, "u2")
         assert loop.edges == ("e1", "e4", "e3", "e2")
         assert loop.base == "u2"
 
     def test_self_loop(self, self_loop):
-        loop = simple_cycle_through(self_loop, "u")
+        loop = cycle_through(self_loop, "u")
         assert loop.edges == ("e",) and loop.vertices == ("u",)
+
+    def test_a_vertex_off_every_cycle_is_refused(self):
+        with pytest.raises(ValueError, match="'a' does not lie on a cycle"):
+            _cycle_through(parse_graph("vertex a\nvertex b\nedge x a b\nedge y b b\n"), 0)
 
     @given(multigraphs(max_vertices=9, max_edges=22))
     @settings(max_examples=300, deadline=None)
@@ -381,8 +391,23 @@ class TestSimpleCycleThrough:
         """The same loop as the id-ordered backtracking DFS at every cycle
         vertex, and so the same witness as one built from that DFS."""
         for v in sorted(cycle_vertices(g)):
-            assert simple_cycle_through(g, v) == backtracking_cycle_through(g, v)
+            assert cycle_through(g, v) == backtracking_cycle_through(g, v)
         assert classify(g).witness == oracle_witness(g)
+
+    @given(looped_multigraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_the_witness_is_the_backtracking_loop_at_the_first_entered_cycle_vertex(self, g):
+        """With self-loops and parallel edges: the witness loop is the
+        backtracking DFS's through the first cycle vertex, by id, that
+        receives two edges or more, and its entry edge is the least of that
+        vertex's other receivers; with no such vertex there is none."""
+        entered = [v for v in sorted(oracle_cycle_vertices(g)) if len(g.receivers(v)) > 1]
+        witness = classify(g).witness
+        if not entered:
+            assert witness is None
+            return
+        loop = backtracking_cycle_through(g, entered[0])
+        assert witness == EntranceWitness(loop, g.edge(min(g.receivers(entered[0]) - {loop.edges[0]})))
 
     @pytest.mark.parametrize("closed", [False, True], ids=["dead_end", "closed"])
     def test_diamond_ladder_is_not_exponential(self, closed):

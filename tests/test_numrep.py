@@ -375,12 +375,17 @@ class TestPathBasis:
 
     @staticmethod
     def assert_matches_sorted_basis(g, depth):
-        """Row by row, the vertex, or the range-end edge and the suffix row:
-        with the vertex rows, these pin down every path."""
+        """Row by row, the vertex, or the range-end edge and the suffix row,
+        which ``extension`` pairs with the row: with the vertex rows, these
+        pin down every path."""
         basis = PathBasis.build(g, depth)
         paths, suffix = sorted_path_basis(g, depth)
         assert len(basis) == len(paths)
-        for i, (p, e, s, t) in enumerate(zip(paths, basis.edge, basis.suffix, suffix)):
+        shorter = [-1] * len(basis)
+        for src, rows in basis.extension:
+            for s, r in zip(src, rows):
+                shorter[r] = s
+        for i, (p, e, s, t) in enumerate(zip(paths, basis.edge, shorter, suffix)):
             expected = (g.edge_id(p.edges[0]), t) if p.edges else (-1, -1, g.vertex_names[i])
             assert ((e, s) if p.edges else (e, s, p.source)) == expected, f"row {i}"
 

@@ -34,7 +34,7 @@ FIELDS = {
     Classification: {"verdict", "loops", "witness"},
     GeneratorMap: {"edge_map"},
     RelationReport: {"checks"},
-    PathBasis: {"graph", "edge", "suffix", "starts", "ranging", "extension"},
+    PathBasis: {"graph", "edge", "starts", "ranging", "extension"},
     TruncatedRep: {"spec", "depth", "graph", "basis", "P", "S", "T", "corner_levels", "interior", "images", "products", "powers"},
     ResidualReport: {"entries", "boundary_defects"},
     SpectrumReport: {

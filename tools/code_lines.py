@@ -9,9 +9,11 @@ default directory is ``src/afembed`` next to this file's parent directory.
 ``--commands`` then runs each command on ``tests/golden/square.txt`` in a
 fresh interpreter, with the package directory's parent on ``PYTHONPATH``,
 and prints a row per command: the code lines of the ``afembed`` modules it
-loaded, and their names.  A last row does the same for ``verify --map
+loaded, and their names.  Two last rows do the same for ``verify --map
 tests/golden/square_sum.genmap.txt``, a map with a sum in one image, which
-runs what a constructed map does not.
+runs what a constructed map does not, and for ``classify`` on
+``tests/golden/square_plus_entrance.txt``, a not-finite input, the one
+request that runs the witness search.
 """
 
 import ast
@@ -26,15 +28,19 @@ _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, to
 ROOT = Path(__file__).resolve().parent.parent
 SQUARE = ROOT / "tests" / "golden" / "square.txt"
 SQUARE_SUM = ROOT / "tests" / "golden" / "square_sum.genmap.txt"
-# each row's name, and the arguments of its run
+ENTRANCE = ROOT / "tests" / "golden" / "square_plus_entrance.txt"
+# each row's name, and the arguments of its run, the input last
 COMMANDS = {
-    "classify": ["classify"],
-    "loops": ["loops"],
-    "export": ["export"],
-    "embed": ["embed"],
-    "verify": ["verify"],
-    "verify --map": ["verify", "--map", str(SQUARE_SUM)],
+    "classify": ["classify", "--input", str(SQUARE)],
+    "loops": ["loops", "--input", str(SQUARE)],
+    "export": ["export", "--input", str(SQUARE)],
+    "embed": ["embed", "--input", str(SQUARE)],
+    "verify": ["verify", "--input", str(SQUARE)],
+    "verify --map": ["verify", "--map", str(SQUARE_SUM), "--input", str(SQUARE)],
+    "classify entrance": ["classify", "--input", str(ENTRANCE)],
 }
+#: the columns a command row's name fills
+WIDTH = 18
 # runs one command and prints the ``afembed`` modules it loaded
 _LOADED = (
     "import io, sys\n"
@@ -57,12 +63,12 @@ def code_lines(source: str) -> int:
 
 
 def loaded_modules(package: Path, command: list[str]) -> list[str]:
-    """The stems of the package's modules that ``afembed <command> --input
-    square.txt`` loads, ``__init__`` for the package itself; ``command`` is
-    the command and its other arguments."""
+    """The stems of the package's modules that ``afembed <command>`` loads,
+    ``__init__`` for the package itself; ``command`` is the command and its
+    arguments."""
     with tempfile.TemporaryDirectory() as out:
         env = dict(os.environ, PYTHONPATH=str(package.parent), AFEMBED_OUTPUT_DIR=out)
-        argv = [sys.executable, "-c", _LOADED, *command, "--input", str(SQUARE)]
+        argv = [sys.executable, "-c", _LOADED, *command]
         names = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.split()
     return sorted(name.partition(".")[2] or "__init__" for name in names)
 
@@ -76,10 +82,10 @@ def main(argv: list[str]) -> int:
         print(f"{path.stem:<12} {counts[path.stem]:>6,}")
     print(f"{'total':<12} {sum(counts.values()):>6,}")
     if "--commands" in argv:
-        print(f"loaded by each command on {SQUARE.relative_to(ROOT)}:")
+        print(f"loaded by each command on {SQUARE.relative_to(ROOT)}, and by classify on {ENTRANCE.relative_to(ROOT)}:")
         for name, command in COMMANDS.items():
             stems = loaded_modules(package, command)
-            print(f"{name:<12} {sum(map(counts.__getitem__, stems)):>6,}  {' '.join(stems)}")
+            print(f"{name:<{WIDTH}} {sum(map(counts.__getitem__, stems)):>6,}  {' '.join(stems)}")
     return 0
 
 
