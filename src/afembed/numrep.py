@@ -56,8 +56,8 @@ by -1.
 No numeric product is formed twice.  No loop has an entrance, so ``u_{i+1}``
 receives ``e_i`` alone, and a loop's ``iso[i]`` residual is the operator,
 compression and subtraction of ``CK3[u_{i+1}]``; as ``u_i = source(e_i)``, its
-``co-iso[i]`` is ``CK2[e_i,e_i]``: each row shows the outcome of that
-instance, by its position in the report.
+``co-iso[i]`` is ``CK2[e_i,e_i]``: each row takes a copy of that instance's
+outcome.
 Each term's operator is formed once per stage and kept on the stage, and
 so is each loop's product of images and each tail power, so the loop's
 spectrum reads the product and the ``T^n`` that ``LOOP:power`` formed;
@@ -310,9 +310,6 @@ class Operator:
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim!r}, pieces={self.pieces!r})"
 
-    def __add__(self, other: "Operator") -> "Operator":
-        return self.plus((other,))
-
     def plus(self, others: Iterable["Operator"]) -> "Operator":
         """``self`` plus each of ``others`` in turn: their pieces, in that order."""
         return Operator(self.dim, self.pieces + tuple(chain.from_iterable(op.pieces for op in others)))
@@ -344,43 +341,43 @@ class Operator:
 
         return entries(self)
 
-    def frobenius(self, rows: range | None = None, minus: "Operator | None" = None) -> float:
-        """Frobenius norm of this operator, or of its difference from ``minus``,
-        compressed to the span of ``rows`` when given: one ``math.hypot``
-        over the real and imaginary parts of the entries.
+    def frobenius(self, rows: range, minus: "Operator") -> float:
+        """Frobenius norm of this operator's difference from ``minus``,
+        compressed to the span of ``rows``: one ``math.hypot`` over the real
+        and imaginary parts of the entries.
 
         ``minus``'s entries are subtracted, never multiplied by -1 first; a
         negation differs from that product only in the sign of a zero, which
         neither the sum of nonzero entries nor the norm sees.
         """
-        runs, subtracted = ([(p.src, p.tgt, p.values()) for p in op.pieces] for op in (self, minus or Operator(0)))
+        runs, subtracted = ([(p.src, p.tgt, p.values()) for p in op.pieces] for op in (self, minus))
         both = runs + subtracted
-        if len(both) > 1 and rows is not None and not _same_entries(both):
+        if len(both) > 1 and not _same_entries(both):
             # compressing each summand first leaves every kept entry's sum as it was
             runs, subtracted = ([_compress(run, rows) for run in part] for part in (runs, subtracted))
             both = runs + subtracted
         if len(both) <= 1:  # the sign of one run's values leaves its norm
-            values = () if not both else (both[0] if rows is None else _compress(both[0], rows))[2]
+            values = () if not both else _compress(both[0], rows)[2]
         elif _same_entries(both):
             # as when a relation holds: add and subtract elementwise, then compress what is left
             src, tgt, _ = both[0]
             values = reduce(partial(map, operator.add), (r[2] for r in runs[1:]), runs[0][2]) if runs else repeat(0j)
             values = reduce(partial(map, operator.sub), (r[2] for r in subtracted), values)
-            values = [v for s, t, v in zip(src, tgt, values) if v and (rows is None or (s in rows and t in rows))]
+            values = [v for s, t, v in zip(src, tgt, values) if v and s in rows and t in rows]
         else:
             negated = [(src, tgt, tuple(map(operator.neg, values))) for src, tgt, values in subtracted]
             values = _merge(self.dim, runs + negated).values()
         return math.hypot(*(x for v in values for x in (v.real, v.imag)))
 
-    def column_norm(self, j: int, minus: "Operator | None" = None) -> float:
-        """Euclidean norm of column ``j``, of the difference from ``minus`` when given.
+    def column_norm(self, j: int, minus: "Operator") -> float:
+        """Euclidean norm of column ``j`` of the difference from ``minus``.
 
         Each piece holds at most one entry of the column, found by bisecting
         its sorted ``src``; the entries are added in piece order and read in
         target order, as merging the whole operator adds and orders them.
         """
         column: dict[int, complex] = {}
-        for i, p in enumerate(self.pieces + (minus or Operator(0)).pieces):
+        for i, p in enumerate(self.pieces + minus.pieces):
             k = bisect_left(p.src, j)
             if k < len(p.src) and p.src[k] == j:
                 t, v = p.tgt[k], 1 + 0j if p.phase is None else p.phase[k]
@@ -574,7 +571,7 @@ def op_of_term(term: CKTerm, rep: TruncatedRep) -> Operator:
     out = rep.images.get(term)
     if out is None:
         monomials = (op_of_monomial(m, rep).scale(complex(c)) for m, c in term.items())
-        out = rep.images[term] = sum(monomials, Operator(rep.dimension))
+        out = rep.images[term] = Operator(rep.dimension).plus(monomials)
     return out
 
 
@@ -617,20 +614,21 @@ def relation_residuals(rep: TruncatedRep, gmap: GeneratorMap) -> ResidualReport:
     ``CK2[e_i,e_i]``, as ``u_i = source(e_i)``; its ``iso[i]``,
     ``a a* = p(u_{i+1})``, is ``CK3[u_{i+1}]``, since no loop has an
     entrance (the spec refuses one), so ``e_i`` is the only edge
-    ``u_{i+1}`` receives.  Each row shows the outcome of that instance, by
-    its position; the loop's rows share one name prefix.
+    ``u_{i+1}`` receives.  Each row takes a copy of that instance's
+    outcome, which :func:`_ck_residuals` has put by then; the loop's rows
+    share one name prefix.
     """
     spec, interior = rep.spec, rep.interior
     entries = Catalogue(spec.graph, ("CK1", "CK1*"), 0.0)
     defects = _ck_residuals(rep, gmap, entries)
+    outcome = entries.outcomes.get  # of a CK1-CK3 row, put by now
 
     for loop_rep in spec.replacements:
         loop = loop_rep.loop
         prefix = f"LOOP[{' '.join(loop.edges)}]"
-        edges = [loop.edge_index(i) for i in range(1, loop.n + 1)]
-        for i, e in enumerate(edges, 1):
-            entries.append(prefix, f":co-iso[{i}]", entries.position("CK2", (e, e)))
-            entries.append(prefix, f":iso[{i}]", entries.position("CK3", loop.vertices[i % loop.n]))
+        for i, e in enumerate(map(loop.edge_index, range(1, loop.n + 1)), 1):
+            entries.put(entries.append(prefix, f":co-iso[{i}]"), outcome(entries.position("CK2", (e, e)), 0.0))
+            entries.put(entries.append(prefix, f":iso[{i}]"), outcome(entries.position("CK3", loop.vertices[i % loop.n]), 0.0))
         # S[f_1] T^n S[f_1]* in op_of_monomial's factor order, but with T's
         # phases raised n times, as the loop side has them.  op_of_monomial
         # forms it so while n <= N_d, so a stage that holds it as an image (a
@@ -677,7 +675,7 @@ def _ck_residuals(rep: TruncatedRep, gmap: GeneratorMap, entries: Catalogue) -> 
 
 
 def _unit_defect(a: Iterable[complex], b: Iterable[complex]) -> float:
-    """``(T T*).frobenius(minus=P[v])`` for a tail's ``T`` and sink ``v``,
+    """``(T T*).frobenius(range(dim), P[v])`` for a tail's ``T`` and sink ``v``,
     from ``a`` and ``b``, the phases of ``T`` and ``T*`` in the order of the
     product, without forming either operator.
 
@@ -720,7 +718,10 @@ def spectral_net_bound(loop_length: int, level_size: int) -> float:
 
 
 def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> SpectrumReport:
-    """Spectrum of the mapped loop at this stage and its distance to the circle."""
+    """Spectrum of the mapped loop at this stage and its distance to the circle.
+
+    A spectrum that needs numpy's dense eigensolver where numpy does not
+    load is refused, as a :class:`RepresentationError` naming the loop."""
     try:
         loop_rep: LoopReplacement = rep.spec.replacement_for(loop)
     except KeyError as exc:
@@ -731,7 +732,10 @@ def loop_spectrum(rep: TruncatedRep, loop: SimpleLoop, gmap: GeneratorMap) -> Sp
     radial = max(abs(math.hypot(z.real, z.imag) - 1.0) for z in evals)
     angles = list(map(cmath.phase, evals))
 
-    conj = tuple(z for z in loop_product(rep, loop, gmap).eigenvalues() if math.hypot(z.real, z.imag) > 0.5)
+    try:
+        conj = tuple(z for z in loop_product(rep, loop, gmap).eigenvalues() if math.hypot(z.real, z.imag) > 0.5)
+    except ImportError as exc:  # numpy, which only a genuine sum's spectrum loads
+        raise RepresentationError(f"the spectrum of LOOP[{' '.join(loop.edges)}] needs numpy, which did not load: {exc}") from exc
 
     # the conjugated operator sees levels 0 .. d-1 of the corner unitary power
     shallow = sum(len(level) for level in rep.corner_levels[ns][: rep.depth])

@@ -8,8 +8,8 @@ Each backend's report is one table over the catalogue, a
 :class:`Catalogue`: a row per identity in catalogue order, then the
 backend's own rows.  A backend holds an outcome only where it differs from
 its default (PROVED with no note here, a residual of exactly ``0.0`` in
-:mod:`afembed.numrep`), by the row's position; a row's name is formed from
-its position when the row is viewed or written.
+:mod:`afembed.numrep`), each under its own row's position; a row's name is
+formed from its position when the row is viewed or written.
 
 Most CK2 instances are zero by orthogonality of ranges: distinct edges
 have orthogonal ranges (Raeburn, *Graph Algebras*, CBMS 103, 2005, Ch. 1),
@@ -120,17 +120,16 @@ class Catalogue:
     for the identities of CK1[v]; from ``ck2``, the CK2 grid, CK2[e,f] at
     ``ck2 + e * |E| + f`` by ids; from ``ck3``, CK3[v] per vertex of
     ``receivers``, the vertex ids that receive an edge; from ``own``, the
-    ``rows`` :meth:`append` adds, each ``(prefix, rest, shown)``: its name
-    in two parts, the prefix shared with its neighbours, and the position
-    whose outcome it shows.  ``outcomes`` maps a position to its outcome
-    where :meth:`put` found that not ``default``.  A row's name is formed
-    from its position when it is viewed or written, and its view is
-    ``view(name, outcome)``.
+    ``rows`` :meth:`append` adds, each ``(prefix, rest)``: its name in two
+    parts, the prefix shared with its neighbours.  ``outcomes`` maps a
+    position to its outcome where :meth:`put` found that not ``default``.
+    A row's name is formed from its position when it is viewed or written,
+    and its view is ``view(name, outcome)``.
     """
 
     def __init__(self, family: Graph, ck1: tuple[str, ...], default, view: Callable = lambda *row: row):
         self.family, self.ck1, self.default, self.view = family, ck1, default, view
-        self.rows: list[tuple[str, str, int]] = []
+        self.rows: list[tuple[str, str]] = []
         self.outcomes: dict[int, X] = {}
         self.ck2 = len(family.vertex_names) * len(ck1)
         self.ck3 = self.ck2 + len(family.edge_names) ** 2
@@ -145,10 +144,9 @@ class Catalogue:
         v = self.family.vertex_id(at)
         return v * len(self.ck1) if kind == "CK1" else self.ck3 + bisect_left(self.receivers, v)
 
-    def append(self, prefix: str, rest: str = "", shown: int | None = None) -> int:
-        """The position of a new row of the backend's own, which shows its
-        own outcome, or that of the row at ``shown``."""
-        self.rows.append((prefix, rest, len(self) if shown is None else shown))
+    def append(self, prefix: str, rest: str = "") -> int:
+        """The position of a new row of the backend's own."""
+        self.rows.append((prefix, rest))
         return len(self) - 1
 
     def put(self, p: int, outcome) -> None:
@@ -168,20 +166,18 @@ class Catalogue:
             return f"CK2[{g.edge_names[e]},{g.edge_names[f]}]"
         if p < self.own:
             return f"CK3[{g.vertex_names[self.receivers[p - self.ck3]]}]"
-        return "".join(self.rows[p - self.own][:2])
+        return "".join(self.rows[p - self.own])
 
     def row(self, p: int):
         """The view of row ``p``."""
-        shown = p if p < self.own else self.rows[p - self.own][2]
-        return self.view(self.name(p), self.outcomes.get(shown, self.default))
+        return self.view(self.name(p), self.outcomes.get(p, self.default))
 
     def __iter__(self) -> Iterator:
         return map(self.row, range(len(self)))
 
     def held(self) -> list[int]:
         """The positions of the rows whose outcome is not the default, in order."""
-        own = [p for p, (*_, q) in enumerate(self.rows, self.own) if q in self.outcomes]
-        return [p for p in sorted(self.outcomes) if p < self.own] + own
+        return sorted(self.outcomes)
 
     def written(self, write: Callable[[str], None], record: Callable[[str], str], text: Callable[[str], str]) -> Iterator:
         """The view of each held row in order, for the caller to write.

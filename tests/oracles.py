@@ -917,7 +917,7 @@ def reference_ck_instances(
     ``p* = p`` (CK1*[v]); CK2[e,f] is ``img(e)* img(f) = delta_ef
     p(source(e))``; CK3[v] is the receiver sum ``sum_e img(e) img(e)* =
     p(v)`` at each vertex that receives an edge.  Each backend passes its
-    own operations (its ``+`` is the sum); each adjoint is computed once
+    own operations (its ``plus`` is the sum); each adjoint is computed once
     per edge.
     """
     vn, en = family.vertex_names, family.edge_names  # sorted, as ids number them
@@ -937,7 +937,7 @@ def reference_ck_instances(
         if start[i] < start[i + 1]:
             total = zero
             for e in map(en.__getitem__, ids[start[i] : start[i + 1]]):
-                total = total + product(images[e], adjoints[e])
+                total = total.plus((product(images[e], adjoints[e]),))
             yield "CK3", v, ((f"CK3[{v}]", total, projection(v)),)
 
 
@@ -971,8 +971,8 @@ def reference_tail_entries(rep: TruncatedRep) -> list[tuple[str, float]]:
     entries = []
     for ns, t in sorted(rep.T.items()):
         p_v = rep.P[rep.spec.sink_vertex(ns)]
-        entries.append((f"TAIL[{ns}]:unitary", (t @ t.adjoint()).frobenius(minus=p_v)))
-        entries.append((f"TAIL[{ns}]:unitary*", (t.adjoint() @ t).frobenius(minus=p_v)))
+        entries.append((f"TAIL[{ns}]:unitary", (t @ t.adjoint()).frobenius(range(t.dim), minus=p_v)))
+        entries.append((f"TAIL[{ns}]:unitary*", (t.adjoint() @ t).frobenius(range(t.dim), minus=p_v)))
     return entries
 
 

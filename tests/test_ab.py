@@ -33,9 +33,11 @@ def test_a_tree_against_itself(ab, capsys):
         latency, start, work, exit_, peak = map(float, values.split())
         assert min(start, work, exit_, peak) > 0
         assert latency > max(start, work, exit_)  # each request's latency is above each of its phases
-    ratios = re.findall(r"median (\S+), quartiles (\S+) (\S+), this tree faster in (\d) of 2$", out, re.M)
-    assert len(ratios) == 3
-    for median, q1, q3, wins in ratios:
+    # the ratio over whole latencies, then over the work phases alone, per workload
+    ratio = r"^  (req/s|work req/s) per round, this/other: median (\S+), quartiles (\S+) (\S+), this tree faster in (\d) of 2$"
+    ratios = re.findall(ratio, out, re.M)
+    assert [label for label, *_ in ratios] == ["req/s", "work req/s"] * 3
+    for _, median, q1, q3, wins in ratios:
         assert 0 < float(q1) <= float(median) <= float(q3)
         assert int(wins) <= 2
     pairs = [int(n) * 2 for _, n in heads]

@@ -274,8 +274,8 @@ class TestRecordWriter:
         """``skipping`` writes each row with the default outcome, each run of
         them in one row of the CK2 grid from one template, and hands the held
         rows, in order, to the caller.  The table has a CK1 row, the grid, a
-        CK3 row and two rows of its own, the second showing the outcome of a
-        pair.  Every grid holds ids with a quote, a backslash and non-ASCII
+        CK3 row and two rows of its own, the second holding a copy of a pair's
+        outcome.  Every grid holds ids with a quote, a backslash and non-ASCII
         characters, which JSON escapes."""
         edges = sorted({*edges, 'a"', "b\\", "caf\u00e9", "\U0001f600"})
         family = Graph.build(["v"], [(e, "v", "v") for e in edges])
@@ -285,11 +285,12 @@ class TestRecordWriter:
         ):
             catalogue = Catalogue(family, ("CK1",), default, lambda name, outcome: {key: name, **outcome})
             catalogue.append("OWN[v]", ":one")
-            catalogue.append("OWN[v]", ":two", catalogue.position("CK2", (edges[0], edges[-1])))
-            for p in sorted(data.draw(st.sets(st.integers(0, len(catalogue) - 2)))):
+            for p in sorted(data.draw(st.sets(st.integers(0, len(catalogue) - 1)))):
                 values = dict(zip(shape.fields, data.draw(_field_values(shape))))
                 del values[key]
                 catalogue.put(p, values)
+            pair = catalogue.position("CK2", (edges[0], edges[-1]))
+            catalogue.put(catalogue.append("OWN[v]", ":two"), catalogue.outcomes.get(pair, default))
             for fmt in ("json", "text"):
                 out = CountingOut()
                 write = cli._Writer(fmt, out)

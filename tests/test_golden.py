@@ -228,6 +228,16 @@ def test_verify_needs_no_numpy(name):
     assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(NUMPY_MAPS))
+def test_a_dense_spectrum_without_numpy_is_refused(name):
+    """A loop image that is a genuine sum needs numpy's dense eigensolver:
+    without numpy the request is refused, with one ``error:`` line naming
+    numpy and the loop, an empty stdout and no traceback."""
+    proc = run_without("numpy", resolve(CASES[name]))
+    assert (proc.returncode, proc.stdout) == (1, b""), proc.stderr.decode("utf-8", "replace")[-500:]
+    assert proc.stderr == b"error: the spectrum of LOOP[e4 e3 e2 e1] needs numpy, which did not load: numpy is blocked\n"
+
+
 @pytest.mark.parametrize("command", ["embed", "export"])
 def test_embed_and_export_need_no_numpy(command, tmp_path, monkeypatch):
     """Same stdout, exit code and artifacts as an unblocked in-process run."""

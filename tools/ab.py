@@ -20,8 +20,10 @@ reaping).  Per tree this prints the medians of the four over every
 request and the largest ``VmHWM``; per round, each tree's requests per
 second (requests over the sum of their latencies) and their ratio, this
 tree's over the other's, as its median, quartiles and the rounds this tree
-won; and whether every stdout and exit code were the same in both trees,
-which is the exit status: 1 if any differed.  ``bench/`` is only read.
+won, and the same over the work phases alone, which interpreter start-up
+and shutdown, the same code in both trees, do not move; and whether every
+stdout and exit code were the same in both trees, which is the exit
+status: 1 if any differed.  ``bench/`` is only read.
 
 ``--setup N`` first times what ``bench/run.py`` reports as ``setup_s``: N
 fresh ``python -c "import afembed.cli"`` per tree, interleaved as the
@@ -130,35 +132,37 @@ def compare(other: Path, workload: str, seed: int, reqs: list, rounds: int) -> t
     gave the same stdout and exit codes."""
     trees = (ROOT, other)
     runs: tuple[list[dict], list[dict]] = ([], [])
-    ratios, wins, same = [], 0, True
+    same = True
     with tempfile.TemporaryDirectory(prefix="ab_") as tmp:
         workdir = Path(tmp)
         graphs = [workdir / f"r{i:03d}.txt" for i in range(len(reqs))]
         for graph, req in zip(graphs, reqs):
             graph.write_text(req.graph.text, encoding="utf-8")
         for r in range(rounds):
-            spent = [0.0, 0.0]
             for i, (req, graph) in enumerate(zip(reqs, graphs)):
                 first = (r + i) % 2
                 outcome = [None, None]
                 for side in (first, 1 - first):
                     outcome[side] = spawn(trees[side], req, graph, workdir)
                     runs[side].append(outcome[side])
-                    spent[side] += outcome[side]["latency"]
                 same &= outcome[0]["stdout"] == outcome[1]["stdout"] and outcome[0]["code"] == outcome[1]["code"]
-            ratios.append(spent[1] / spent[0])  # requests per second, this tree's over the other's
-            wins += spent[0] < spent[1]
     lines = [f"{workload}: seed {seed}, {rounds} round(s) of {len(reqs)} requests, this tree against {other}"]
     lines.append(f"  {'tree':6s}" + "".join(f"{name + ' ms':>12s}" for name in PHASES) + f"{'VmHWM MB':>12s}")
     for label, mine in zip(("this", "other"), runs):
         medians = [1000 * statistics.median(run[name] for run in mine) for name in PHASES]
         peak = max(run["vm_hwm_kb"] for run in mine) / 1024
         lines.append(f"  {label:6s}" + "".join(f"{m:12.2f}" for m in medians) + f"{peak:12.2f}")
-    q1, q3 = quartiles(ratios)
-    lines.append(
-        f"  req/s per round, this/other: median {statistics.median(ratios):.4f}, quartiles {q1:.4f} {q3:.4f}, "
-        f"this tree faster in {wins} of {rounds}"
-    )
+    n = len(reqs)
+    for phase, label in (("latency", "req/s"), ("work", "work req/s")):
+        # per round, each tree's summed phase; requests per second, this tree's over the other's
+        sums = [[sum(run[phase] for run in mine[r * n : (r + 1) * n]) for mine in runs] for r in range(rounds)]
+        ratios = [theirs / ours for ours, theirs in sums]
+        wins = sum(ours < theirs for ours, theirs in sums)
+        q1, q3 = quartiles(ratios)
+        lines.append(
+            f"  {label} per round, this/other: median {statistics.median(ratios):.4f}, quartiles {q1:.4f} {q3:.4f}, "
+            f"this tree faster in {wins} of {rounds}"
+        )
     lines.append(f"  stdout and exit codes: {'identical' if same else 'DIFFER'} over {len(runs[0])} request pairs")
     return lines, same
 

@@ -155,6 +155,73 @@ MUTANTS = (
         ("tests/test_cli.py::TestVerify::test_a_residual_just_above_the_tolerance_fails",),
         "the algebraic tolerance is fixed: a residual above it is a failed relation",
     ),
+    mutant(
+        "namespaces-ignore-claimed-names", "src/afembed/embedding.py",
+        "        if ns not in taken:\n", "        if True:\n",
+        ("tests/test_embedding.py::TestEmbed::test_namespace_avoids_collision",),
+        "a tail namespace that a host id equals or extends by '.' would make a generated id collide",
+    ),
+    mutant(
+        "spec-accepts-a-claimed-namespace", "src/afembed/embedding.py",
+        ' or "." in ns or ns in claimed:\n', ' or "." in ns:\n',
+        ("tests/test_embedding.py::TestMaterialize::test_namespace_collision_rejected",),
+        "a spec whose tail namespace a host id claims names two generators alike",
+    ),
+    mutant(
+        "spec-accepts-a-second-receiver", "src/afembed/embedding.py",
+        "                if receivers[w] != [e]:", "                if e not in receivers[w]:",
+        ("tests/test_embedding.py::TestLoopAgainstGraph::test_a_loop_with_an_entrance_is_refused",),
+        "a loop vertex that receives an edge off the loop is an entrance, which the tail construction cannot replace",
+    ),
+    mutant(
+        "multiplicity-prefix-accepts-zero", "src/afembed/embedding.py",
+        "        if any(m < 1 for m in prefix):\n", "        if any(m < 0 for m in prefix):\n",
+        ("tests/test_cli.py::TestUsageErrors::test_mult_error_names_its_reason",),
+        "a tail level of multiplicity 0 has no edges, so the tail is no Bratteli tail",
+    ),
+    mutant(
+        "stage-ceiling-off-by-one", "src/afembed/embedding.py",
+        "    if nv + ne > MAX_STAGE_SIZE:\n", "    if nv + ne >= MAX_STAGE_SIZE:\n",
+        ("tests/test_numrep.py::TestStageCeiling::test_stage_counts_match_the_built_stage",),
+        "a stage of exactly MAX_STAGE_SIZE vertices and edges is allowed",
+    ),
+    mutant(
+        "stage-count-without-the-repeating-tail", "src/afembed/embedding.py",
+        "        ne += sum(mult.prefix[:depth]) + max(depth - len(mult.prefix), 0) * mult.tail\n",
+        "        ne += sum(mult.prefix[:depth])\n",
+        ("tests/test_cli.py::TestStageCeiling::test_refused_in_a_capped_process",),
+        "the levels past the prefix repeat the tail multiplicity, and their edges count toward the ceiling",
+    ),
+    mutant(
+        "json-graph-without-the-string-check", "src/afembed/formats.py",
+        "    if not all(isinstance(x, str) for t in triples for x in t):\n", "    if False:\n",
+        ("tests/test_graph.py::TestMalformedJson::test_rejected_by_load_graph",),
+        "an edge whose id or ends are not strings is malformed input, refused before a graph is built",
+    ),
+    mutant(
+        "product-drops-its-unary-minus", "src/afembed/notation.py",
+        "            scalar = -ONE\n", "            scalar = ONE\n",
+        ("tests/test_terms.py::TestTermRejections::test_accepted_text",),
+        "a '-' that follows a sign negates the product it starts, as in '--s(e)' or 'a + -b'",
+    ),
+    mutant(
+        "text-reader-accepts-a-duplicate-edge", "src/afembed/graph.py",
+        "        if name in seen:\n            raise GraphParseError", "        if False:\n            raise GraphParseError",
+        ("tests/test_graph.py::TestParsing::test_duplicate_edge",),
+        "an edge id names one edge: a second declaration of it is refused at its line",
+    ),
+    mutant(
+        "iso-copies-the-wrong-receiver-sum", "src/afembed/numrep.py",
+        "loop.vertices[i % loop.n]), 0.0))", "loop.vertices[i - 1]), 0.0))",
+        ("tests/test_numrep.py::TestSharedProducts::test_loop_entries_equal_the_direct_products_on_the_goldens",),
+        "iso[i] is a a* = p(u_{i+1}) for a the image of e_i, the instance CK3[u_{i+1}], not CK3[u_i]",
+    ),
+    mutant(
+        "term-operator-drops-its-first-monomial", "src/afembed/numrep.py",
+        "for m, c in term.items())\n", "for m, c in list(term.items())[1:])\n",
+        ("tests/test_numrep.py::TestOpOfTerm::test_projection_trace_counts_paths",),
+        "a term's operator is the sum of every monomial's, the first included",
+    ),
 )
 
 
