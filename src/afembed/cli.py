@@ -22,7 +22,6 @@ import os
 import sys
 from importlib import import_module
 from io import TextIOWrapper
-from pathlib import Path as FsPath
 from types import SimpleNamespace
 
 try:  # the C function ``json.encoder`` uses, without importing ``json``, which only some commands need
@@ -274,6 +273,8 @@ def cmd_embed(args, write: _Writer) -> int:
     except EntranceExistsError as exc:
         _write_entrance_chain(write, exc.witness)
         return EXIT_NOT_FINITE
+    from pathlib import Path as FsPath
+
     from .notation import genmap_to_text, spec_to_dict
 
     f_d = materialize(spec, args.depth)
@@ -318,7 +319,8 @@ def cmd_verify(args, write: _Writer) -> int:
     if args.map:
         from .notation import genmap_from_text
 
-        gmap = genmap_from_text(FsPath(args.map).read_text(encoding="utf-8"), spec)
+        with open(args.map, encoding="utf-8") as f:
+            gmap = genmap_from_text(f.read(), spec)
         expected = set(g.edge_names)
         if set(gmap.edge_map) != expected:
             raise GraphError(f"generator map domain mismatch: expected edges {sorted(expected)}")

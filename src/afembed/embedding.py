@@ -66,8 +66,7 @@ class MultiplicitySeq(Frozen):
     __slots__ = ("prefix", "tail")
 
     def __init__(self, prefix: tuple[int, ...] = (), tail: int = 2):
-        _mult_prefix(self, prefix)
-        _mult_tail(self, tail)
+        self._set(prefix, tail)
         if any(m < 1 for m in prefix):
             raise ValueError("multiplicities must be >= 1")
         if tail < 2:
@@ -102,17 +101,13 @@ class MultiplicitySeq(Frozen):
         return ",".join(str(m) for m in self.prefix) + f";{self.tail}"
 
 
-_mult_prefix, _mult_tail = MultiplicitySeq.prefix.__set__, MultiplicitySeq.tail.__set__
-
-
 class BratteliTailSpec(Frozen):
     """One single-sink tail: namespace for generated ids plus multiplicities."""
 
     __slots__ = ("namespace", "mult")
 
     def __init__(self, namespace: str, mult: MultiplicitySeq = MultiplicitySeq()):
-        _tail_namespace(self, namespace)
-        _tail_mult(self, mult)
+        self._set(namespace, mult)
 
     @property
     def sink(self) -> str:
@@ -134,15 +129,11 @@ class BratteliTailSpec(Frozen):
         return f"{self.namespace}.f{i}"
 
 
-_tail_namespace, _tail_mult = BratteliTailSpec.namespace.__set__, BratteliTailSpec.mult.__set__
-
-
 class LoopReplacement(Frozen):
     __slots__ = ("loop", "tail")
 
     def __init__(self, loop: SimpleLoop, tail: BratteliTailSpec):
-        _replacement_loop(self, loop)
-        _replacement_tail(self, tail)
+        self._set(loop, tail)
 
     @property
     def f_edges(self) -> tuple[str, ...]:
@@ -151,9 +142,6 @@ class LoopReplacement(Frozen):
     def f_edge_for(self, i: int) -> str:
         """``f_i`` with the cyclic convention ``f_{n+1} = f_1``."""
         return self.tail.f_edge((i - 1) % self.loop.n + 1)
-
-
-_replacement_loop, _replacement_tail = LoopReplacement.loop.__set__, LoopReplacement.tail.__set__
 
 
 # what follows "<ns>." in a generated id; without leading zeros, one spelling each

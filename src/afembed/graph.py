@@ -39,11 +39,10 @@ the pipeline, and the name-to-id tables on first lookup.
 
 from __future__ import annotations
 
-import re
 from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, dropwhile
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -77,8 +76,9 @@ class UnknownEdgeError(GraphError):
 class Frozen:
     """Base of the immutable value types.
 
-    Each subclass lists its fields in ``__slots__`` and writes each of them
-    once, in ``__init__``, through the slot's own setter; afterwards an
+    Each subclass lists its fields in ``__slots__`` and writes them all
+    once, in ``__init__``, with one ``self._set(*values)`` in field order,
+    which calls the slots' own setters, bound once per class; afterwards an
     assignment or a deletion raises ``AttributeError``.  The rest is derived
     here from the field tuple, which ``_fields(obj)`` reads with one
     ``attrgetter`` built per class, as a frozen dataclass derives it (the
@@ -100,6 +100,11 @@ class Frozen:
     def __init_subclass__(cls) -> None:
         # given two names or more ``attrgetter`` returns a tuple: every value type has at least two fields
         cls._fields = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -130,12 +135,7 @@ class Edge(Frozen):
     __slots__ = ("name", "source", "range")
 
     def __init__(self, name: str, source: str, range: str):
-        _edge_name(self, name)
-        _edge_source(self, source)
-        _edge_range(self, range)
-
-
-_edge_name, _edge_source, _edge_range = Edge.name.__set__, Edge.source.__set__, Edge.range.__set__
+        self._set(name, source, range)
 
 
 class Path(Frozen):
@@ -151,9 +151,7 @@ class Path(Frozen):
     __slots__ = ("edges", "source", "range")
 
     def __init__(self, edges: tuple[str, ...], source: str, range: str):
-        _path_edges(self, edges)
-        _path_source(self, source)
-        _path_range(self, range)
+        self._set(edges, source, range)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -168,19 +166,23 @@ class Path(Frozen):
         return " ".join(self.edges)
 
 
-_path_edges, _path_source, _path_range = Path.edges.__set__, Path.source.__set__, Path.range.__set__
-
-
 def _check_token(kind: str, name: str) -> None:
     # str.split() splits on exactly the characters for which isspace() holds;
     # the text format reads ``#`` as the start of a comment
     if name.split() != [name] or "#" in name:
         raise GraphError(f"{kind} id must be a nonempty token without whitespace or '#': {name!r}")
-    if not name.isascii():
-        try:
-            name.encode()
-        except UnicodeEncodeError:  # a lone surrogate, which only a JSON escape spells
-            raise GraphError(f"{kind} id is not UTF-8 text: {name!r}") from None
+    if not name.isascii() and _surrogate(name) is not None:  # only a JSON escape spells one
+        raise GraphError(f"{kind} id is not UTF-8 text: {name!r}")
+
+
+def _surrogate(text: str) -> int | None:
+    """The position of the first lone surrogate in ``text``, or None: a
+    ``str`` can hold one, UTF-8 text cannot."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        return exc.start
+    return None
 
 
 def _adjacency(ends: array, n: int) -> tuple[array, array]:
@@ -315,8 +317,6 @@ class Graph:
 _BLOCK = 1 << 16
 #: the message for a known directive with the wrong number of words
 _EXPECTED = {"vertex": "expected: vertex <id>", "edge": "expected: edge <id> <source-id> <range-id>"}
-#: a lone surrogate: a ``str`` can hold one, UTF-8 text cannot
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _blocks(source) -> Iterator[str]:
@@ -358,10 +358,10 @@ def _lines(blocks: Iterable[str]) -> Iterator[list[str]]:
     before = 0
     for block in blocks:
         lines = block.splitlines()
-        if not block.isascii() and (bad := _SURROGATE.search(block)):
-            k = len(block[: bad.start() + 1].splitlines()) - 1
+        if not block.isascii() and (at := _surrogate(block)) is not None:
+            k = len(block[: at + 1].splitlines()) - 1
             yield lines[:k]
-            word = next(filter(_SURROGATE.search, lines[k].split()))
+            word = next(w for w in lines[k].split() if _surrogate(w) is not None)
             raise GraphParseError(f"{word!r} is not UTF-8 text", before + k + 1)
         before += len(lines)
         yield lines

@@ -56,8 +56,7 @@ class SimpleLoop(Frozen):
     __slots__ = ("edges", "vertices")
 
     def __init__(self, edges: tuple[str, ...], vertices: tuple[str, ...]):
-        _loop_edges(self, edges)
-        _loop_vertices(self, vertices)
+        self._set(edges, vertices)
 
     @property
     def n(self) -> int:
@@ -72,9 +71,6 @@ class SimpleLoop(Frozen):
         return self.edges[self.n - i]
 
 
-_loop_edges, _loop_vertices = SimpleLoop.edges.__set__, SimpleLoop.vertices.__set__
-
-
 class EntranceWitness(Frozen):
     """A loop and an edge ``entry`` off it that ranges at the loop's base.
 
@@ -86,8 +82,7 @@ class EntranceWitness(Frozen):
     __slots__ = ("loop", "entry")
 
     def __init__(self, loop: SimpleLoop, entry: Edge):
-        _witness_loop(self, loop)
-        _witness_entry(self, entry)
+        self._set(loop, entry)
 
     @property
     def entry_vertex(self) -> str:
@@ -104,9 +99,6 @@ class EntranceWitness(Frozen):
     @property
     def beta(self) -> Path:
         return Path((self.entry.name,), self.entry.source, self.entry.range)
-
-
-_witness_loop, _witness_entry = EntranceWitness.loop.__set__, EntranceWitness.entry.__set__
 
 
 class Classification(SimpleNamespace):

@@ -91,8 +91,7 @@ class GaussianRational(Frozen):
     __slots__ = ("real", "imag")
 
     def __init__(self, real: int | Fraction = 0, imag: int | Fraction = 0):
-        _gaussian_real(self, real)
-        _gaussian_imag(self, imag)
+        self._set(real, imag)
 
     # hashed and compared throughout the term engine: literal tuples beat Frozen's field getter
     def __eq__(self, other: object) -> bool:
@@ -157,7 +156,6 @@ class GaussianRational(Frozen):
         return f"({self.real}{sign}{im})"
 
 
-_gaussian_real, _gaussian_imag = GaussianRational.real.__set__, GaussianRational.imag.__set__
 #: The unit coefficient, shared: the constructed map's every coefficient, and its products'.
 ONE = GaussianRational(1)
 
@@ -172,10 +170,7 @@ class NormalMonomial(Frozen):
     __slots__ = ("alpha", "power", "beta", "source")
 
     def __init__(self, alpha: tuple[str, ...], power: int, beta: tuple[str, ...], source: str):
-        _monomial_alpha(self, alpha)
-        _monomial_power(self, power)
-        _monomial_beta(self, beta)
-        _monomial_source(self, source)
+        self._set(alpha, power, beta, source)
 
     # hashed and compared throughout the term engine: literal tuples beat Frozen's field getter
     def __eq__(self, other: object) -> bool:
@@ -195,10 +190,6 @@ class NormalMonomial(Frozen):
 
     def sort_key(self):
         return (len(self.alpha), self.alpha, self.power, len(self.beta), self.beta, self.source)
-
-
-_monomial_alpha, _monomial_power = NormalMonomial.alpha.__set__, NormalMonomial.power.__set__
-_monomial_beta, _monomial_source = NormalMonomial.beta.__set__, NormalMonomial.source.__set__
 
 
 class CKTerm:

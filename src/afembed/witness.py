@@ -32,13 +32,8 @@ which it alone of this module's functions loads.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .graph import Graph, _adjacency
 from .loops import EntranceWitness, InvalidWitnessError
-
-if TYPE_CHECKING:  # the report, whose module loads the term engine
-    from .verify import RelationReport
 
 
 def _cycle_through(g: Graph, v: int) -> list[int]:

@@ -69,3 +69,36 @@ def test_setup_imports_against_itself(ab, capsys):
     for _, median, q1, q3, _ in rows:
         assert 0 < float(q1) <= float(median) <= float(q3)
     assert re.search(r"^structure-mix: seed 5, 1 round\(s\) of \d+ requests", out, re.M)
+
+
+def test_probe_and_imports_without_site(ab, capsys):
+    """Every run prints a host probe before the requests, after the
+    ``--setup`` lines, and ``--setup 2`` also times two imports per tree
+    under ``-S``; a tree against itself breaks no planted answer."""
+    argv = [str(ROOT), "--setup", "2", "--smoke", "--rounds", "1", "--workload", "structure-mix"]
+    assert ab.main(argv) == 0
+    out = capsys.readouterr().out
+    rows = re.findall(r"^  (this|other) +-S plain wait ms: median (\S+), quartiles (\S+) (\S+)$", out, re.M)
+    assert [label for label, *_ in rows] == ["this", "other"]
+    for _, median, q1, q3 in rows:
+        assert 0 < float(q1) <= float(median) <= float(q3)
+    probe = r"^probe: medians of 10 runs in ms: python -c pass (\S+), python -S -c pass (\S+), a loop of 200000 steps (\S+)$"
+    [medians] = re.findall(probe, out, re.M)
+    assert min(map(float, medians)) > 0
+    assert out.index("  other -S plain wait") < out.index("probe:") < out.index("structure-mix: seed 5")
+    assert re.search(r"^  planted answers, runs with problems: this 0, other 0 of \d+ each$", out, re.M)
+
+
+def test_a_broken_planted_answer_is_named(ab, tmp_path, capsys):
+    """A tree whose not-finite verdicts exit 1, not 3, breaks the planted
+    answer of each such request, and the report names that tree."""
+    for part in ("src/afembed", "bench"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "afembed" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count("EXIT_NOT_FINITE = 3\n") == 1
+    cli.write_text(text.replace("EXIT_NOT_FINITE = 3\n", "EXIT_NOT_FINITE = 1\n"), encoding="utf-8")
+    assert ab.main([str(tmp_path), "--smoke", "--rounds", "1", "--workload", "structure-mix"]) == 1
+    out = capsys.readouterr().out
+    [(count, total)] = re.findall(r"^  planted answers, runs with problems: this 0, other (\d+) of (\d+) each; first in other: exit 1, expected 3$", out, re.M)
+    assert 0 < int(count) < int(total)

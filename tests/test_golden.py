@@ -341,6 +341,37 @@ def test_structure_commands_never_import_numrep(tmp_path):
     assert len(list(tmp_path.iterdir())) == 4  # embed ran and wrote its artifacts
 
 
+# stdlib modules a request loads only where it uses them; with ``site``, a
+# ``.pth`` file may load them before afembed, so they are looked for under ``-S``
+PLAIN_STDLIB = ("re", "typing", "pathlib")
+
+
+def test_structure_commands_load_no_unused_stdlib_module_without_site(tmp_path):
+    """In a fresh ``python -S``, where nothing but the request loads a
+    module, ``classify``, ``loops`` and a text or DOT ``export`` load
+    none of ``re``, ``typing`` and ``pathlib``, on an entrance too, and
+    ``verify`` loads no ``pathlib``: only ``embed`` writes files by path."""
+    env = dict(child_env(), AFEMBED_OUTPUT_DIR=str(tmp_path))
+    structure = ("classify", "classify an entrance", "loops", "loops an entrance", "export text", "export dot")
+    verify = ("verify", "verify an entrance", "verify --map")
+    loaded = {}
+    for name in structure + verify:
+        argv, expected, _ = MODULE_SETS[name]
+        code = (
+            "import io, sys\n"
+            "from afembed.cli import main\n"
+            f"code = main({resolve(argv)!r}, out=io.StringIO())\n"
+            f"print(code, *sorted(m for m in {PLAIN_STDLIB!r} if m in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")[-500:]
+        exit_code, *modules = proc.stdout.decode().split()
+        assert int(exit_code) == expected, name
+        loaded[name] = set(modules)
+    assert {name: loaded[name] for name in structure} == {name: set() for name in structure}
+    assert all("pathlib" not in loaded[name] for name in verify), loaded
+
+
 # the names that left the modules a constructed-map ``verify`` loads, each
 # with the module that now holds it; the package still exports the public ones
 MOVED = {

@@ -22,8 +22,18 @@ second (requests over the sum of their latencies) and their ratio, this
 tree's over the other's, as its median, quartiles and the rounds this tree
 won, and the same over the work phases alone, which interpreter start-up
 and shutdown, the same code in both trees, do not move; and whether every
-stdout and exit code were the same in both trees, which is the exit
-status: 1 if any differed.  ``bench/`` is only read.
+stdout and exit code were the same in both trees.  Each output is also
+checked against the planted answer by ``bench/checks.py``, as
+``bench/run.py`` checks it, right after its request, since the trees share
+the output directory; per tree this prints how many runs have problems,
+and the first.  The exit status is 1 if any stdout or exit code differed
+or any run has a problem.  ``bench/`` is only read.
+
+Before the requests, after the ``--setup`` lines below, every run prints
+a host probe: the medians of :data:`PROBES` fresh ``python -c pass``, as
+many ``python -S -c pass``, without ``site`` and the ``.pth`` files it
+runs, and as many runs of a fixed pure-Python loop, so that runs on
+different days or hosts can be set side by side.
 
 ``--setup N`` first times what ``bench/run.py`` reports as ``setup_s``: N
 fresh ``python -c "import afembed.cli"`` per tree, interleaved as the
@@ -32,7 +42,10 @@ wall time, whose quartiles and median are printed per tree.  A wait with a
 ``timeout=``, as ``measure_setup`` calls it, makes CPython poll the child
 with sleeps that double up to 50 ms, so a sample can read a poll step
 late; per tree this prints how many of those samples read above
-:data:`POLLED_ABOVE_S`.
+:data:`POLLED_ABOVE_S`.  It also times N ``python -S -c "import
+afembed.cli"`` per tree with a plain wait: without ``site``, no ``.pth``
+file has loaded a stdlib module before afembed, so the import pays for
+every module it loads.
 """
 
 from __future__ import annotations
@@ -48,10 +61,12 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from same_bytes import ROOT, pass_zero
+from same_bytes import ROOT, bench_module, pass_zero
 
 PHASES = ("latency", "start", "work", "exit")
 POLLED_ABOVE_S = 0.09  # a timed wait's sample above this read at least one late poll step
+PROBES = 10  # samples of each host probe
+PROBE_LOOP = 200_000  # iterations of the probe's fixed loop
 
 
 def tree_env(tree: Path, **extra: str) -> dict:
@@ -63,7 +78,8 @@ def tree_env(tree: Path, **extra: str) -> dict:
 
 def spawn(tree: Path, req, graph: Path, workdir: Path) -> dict:
     """One request through ``tree``'s launcher: its phases in seconds,
-    ``VmHWM`` in kB, stdout and exit code."""
+    ``VmHWM`` in kB, stdout, exit code and problems against the planted
+    answer."""
     report, outdir = workdir / "report.json", workdir / "out"
     env = tree_env(
         tree,
@@ -75,6 +91,7 @@ def spawn(tree: Path, req, graph: Path, workdir: Path) -> dict:
     t0 = perf_counter()
     proc = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, timeout=600)
     t1 = perf_counter()
+    problems = bench_module("checks").check(req.command, req.graph, proc.returncode, proc.stdout, outdir)
     shutil.rmtree(outdir, ignore_errors=True)
     launched = json.loads(report.read_text(encoding="utf-8"))
     report.unlink()
@@ -86,6 +103,7 @@ def spawn(tree: Path, req, graph: Path, workdir: Path) -> dict:
         "vm_hwm_kb": launched["vm_hwm_kb"],
         "stdout": proc.stdout,
         "code": proc.returncode,
+        "problems": problems,
     }
 
 
@@ -96,13 +114,43 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def import_cli(tree: Path, polled: bool) -> float:
-    """Seconds from spawning a fresh ``import afembed.cli`` of ``tree`` to
-    reaping it; ``polled`` waits with a ``timeout=``, as ``measure_setup`` does."""
-    wait = {"timeout": 600} if polled else {}
+def wall(argv: list[str], **run) -> float:
+    """Seconds from spawning ``argv`` to reaping it."""
     t0 = perf_counter()
-    subprocess.run([sys.executable, "-c", "import afembed.cli"], env=tree_env(tree), check=True, **wait)
+    subprocess.run(argv, check=True, **run)
     return perf_counter() - t0
+
+
+def import_cli(tree: Path, polled: bool, *flags: str) -> float:
+    """Seconds from spawning a fresh ``import afembed.cli`` of ``tree``,
+    with the interpreter's ``flags``, to reaping it; ``polled`` waits with a
+    ``timeout=``, as ``measure_setup`` does."""
+    wait = {"timeout": 600} if polled else {}
+    return wall([sys.executable, *flags, "-c", "import afembed.cli"], env=tree_env(tree), **wait)
+
+
+def loop_seconds() -> float:
+    """Seconds of the probe's fixed pure-Python loop, in this process."""
+    t0 = perf_counter()
+    total = 0
+    for i in range(PROBE_LOOP):
+        total += i * i
+    return perf_counter() - t0
+
+
+def probe() -> str:
+    """The host probe line: medians of bare starts, starts without ``site``
+    and the fixed loop, interleaved."""
+    samples: tuple[list[float], list[float], list[float]] = ([], [], [])
+    for _ in range(PROBES):
+        samples[0].append(wall([sys.executable, "-c", "pass"]))
+        samples[1].append(wall([sys.executable, "-S", "-c", "pass"]))
+        samples[2].append(loop_seconds())
+    bare, plain, loop = (1000 * statistics.median(s) for s in samples)
+    return (
+        f"probe: medians of {PROBES} runs in ms: python -c pass {bare:.2f}, python -S -c pass {plain:.2f}, "
+        f"a loop of {PROBE_LOOP} steps {loop:.2f}"
+    )
 
 
 def compare_setup(other: Path, count: int) -> list[str]:
@@ -110,12 +158,15 @@ def compare_setup(other: Path, count: int) -> list[str]:
     trees = (ROOT, other)
     plain: tuple[list[float], list[float]] = ([], [])
     polled: tuple[list[float], list[float]] = ([], [])
+    no_site: tuple[list[float], list[float]] = ([], [])
     for i in range(count):
         order = (i % 2, 1 - i % 2)
         for side in order:
             plain[side].append(import_cli(trees[side], polled=False))
         for side in order:
             polled[side].append(import_cli(trees[side], polled=True))
+        for side in order:
+            no_site[side].append(import_cli(trees[side], False, "-S"))
     lines = [f"setup: {count} fresh imports of afembed.cli per tree and wait, this tree against {other}"]
     for label, times, timed in zip(("this", "other"), plain, polled):
         q1, q3 = quartiles(times)
@@ -124,12 +175,17 @@ def compare_setup(other: Path, count: int) -> list[str]:
             f"  {label:6s}plain wait ms: median {1000 * statistics.median(times):.2f}, quartiles {1000 * q1:.2f} {1000 * q3:.2f}; "
             f"timed wait: {above} of {count} above {1000 * POLLED_ABOVE_S:.0f} ms"
         )
+    for label, times in zip(("this", "other"), no_site):
+        q1, q3 = quartiles(times)
+        lines.append(
+            f"  {label:6s}-S plain wait ms: median {1000 * statistics.median(times):.2f}, quartiles {1000 * q1:.2f} {1000 * q3:.2f}"
+        )
     return lines
 
 
 def compare(other: Path, workload: str, seed: int, reqs: list, rounds: int) -> tuple[list[str], bool]:
     """The report lines of one workload's requests, and whether both trees
-    gave the same stdout and exit codes."""
+    gave the same stdout and exit codes and no run has a problem."""
     trees = (ROOT, other)
     runs: tuple[list[dict], list[dict]] = ([], [])
     same = True
@@ -164,7 +220,13 @@ def compare(other: Path, workload: str, seed: int, reqs: list, rounds: int) -> t
             f"this tree faster in {wins} of {rounds}"
         )
     lines.append(f"  stdout and exit codes: {'identical' if same else 'DIFFER'} over {len(runs[0])} request pairs")
-    return lines, same
+    bad = [[run for run in mine if run["problems"]] for mine in runs]
+    line = f"  planted answers, runs with problems: this {len(bad[0])}, other {len(bad[1])} of {len(runs[0])} each"
+    for label, mine in zip(("this", "other"), bad):
+        if mine:
+            line += f"; first in {label}: {mine[0]['problems'][0]}"
+    lines.append(line)
+    return lines, same and not any(bad)
 
 
 def main(argv=None) -> int:
@@ -189,12 +251,13 @@ def main(argv=None) -> int:
         p.error(f"no workload {args.workload!r} in bench/workloads.py")
     if args.setup:
         print("\n".join(compare_setup(args.other_tree, args.setup)), flush=True)
-    identical = True
+    print(probe(), flush=True)
+    passed = True
     for name, reqs in drawn.items():
-        lines, same = compare(args.other_tree, name, args.seed, reqs, args.rounds)
+        lines, ok = compare(args.other_tree, name, args.seed, reqs, args.rounds)
         print("\n".join(lines), flush=True)
-        identical &= same
-    return 0 if identical else 1
+        passed &= ok
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

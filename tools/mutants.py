@@ -222,6 +222,18 @@ MUTANTS = (
         ("tests/test_numrep.py::TestOpOfTerm::test_projection_trace_counts_paths",),
         "a term's operator is the sum of every monomial's, the first included",
     ),
+    mutant(
+        "value-fields-written-in-reverse", "src/afembed/graph.py",
+        "zip(self._setters, values)", "zip(self._setters[::-1], values)",
+        ("tests/test_value_types.py::test_defaults",),
+        "a value type's constructor takes its fields in slot order, so each value lands in the field of its place",
+    ),
+    mutant(
+        "text-reader-without-the-surrogate-check", "src/afembed/graph.py",
+        "        if not block.isascii() and (at := _surrogate(block)) is not None:\n", "        if False:\n",
+        ("tests/test_graph.py::TestIdCheck::test_a_lone_surrogate_is_refused_after_the_lines_before_it",),
+        "a lone surrogate is no UTF-8 text: the text reader refuses it at its line, as the readers of bytes and JSON do",
+    ),
 )
 
 

@@ -35,19 +35,24 @@ ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("json", "text")
 
 
-def pass_zero(seeds: list[int], smoke: bool = False, names=None) -> list[tuple[str, int, int, object]]:
-    """``(workload, seed, index, bench request)`` of pass 0 of each workload
-    of ``names`` (every one by default) for each seed: the graphs
-    ``bench/run.py`` draws first for that seed, in workload, seed and
-    request order.  ``bench/`` is imported without writing bytecode."""
+def bench_module(name: str):
+    """The module ``bench/<name>.py``, imported without writing bytecode."""
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "bench"))
     try:
-        workloads = importlib.import_module("workloads").WORKLOADS
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(ROOT / "bench"))
         sys.dont_write_bytecode = saved
+
+
+def pass_zero(seeds: list[int], smoke: bool = False, names=None) -> list[tuple[str, int, int, object]]:
+    """``(workload, seed, index, bench request)`` of pass 0 of each workload
+    of ``names`` (every one by default) for each seed: the graphs
+    ``bench/run.py`` draws first for that seed, in workload, seed and
+    request order."""
+    workloads = bench_module("workloads").WORKLOADS
     return [
         (name, seed, i, req)
         for name, draw in workloads.items()
